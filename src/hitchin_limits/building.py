@@ -18,6 +18,7 @@ import numpy as np
 
 from . import polygon, tropical
 from .errors import NonUnimodular, OriginSingular
+from .surface import GeodesicPath, Junction, SaddleConnection, synthesize_path
 from .tropical import CBRT4, OMEGA, WeylVector
 
 TWO_PI = 2.0 * math.pi
@@ -161,7 +162,7 @@ def local_model_eval(k: int, z: complex, atlas: SectorAtlas = None) -> Apartment
     return ApartmentPoint(*vals)
 
 
-def sector_image_angle(atlas: SectorAtlas, m: int, samples: int = 64) -> float:
+def sector_image_angle(atlas: SectorAtlas, m: int) -> float:
     """Opening angle in the apartment of the image of sector m."""
     k = atlas.k
     sec = atlas.sectors[m]
@@ -300,3 +301,39 @@ def weak_convexity_check(path) -> bool:
     return (abs(x1 - total.x1) <= 1e-9 * scale
             and abs(x2 - total.x2) <= 1e-9 * scale
             and abs(x3 - total.x3) <= 1e-9 * scale)
+
+
+def random_geodesic_path(rng) -> GeodesicPath:
+    """Two to four segments joined at zeros of order 0..3 by turns inside the
+    geodesic range: vector-distance additivity must hold exactly."""
+    n = int(rng.integers(2, 5))
+    lengths = rng.uniform(0.4, 2.5, size=n)
+    orders = [int(rng.integers(0, 4)) for _ in range(n - 1)]
+    turns = []
+    for k in orders:
+        cone = TWO_PI * (1 + k / 3)
+        lo, hi = math.pi + 0.05, cone - math.pi - 0.05
+        turns.append(math.pi if hi <= lo else rng.uniform(lo, hi))
+    start = rng.uniform(0.0, TWO_PI)
+    return synthesize_path(list(lengths), turns, orders, start_angle=start)
+
+
+def random_corner_path(rng) -> GeodesicPath:
+    """A two-segment corner whose turn is sharp enough to break the dominant
+    eigenvalue alignment: the direction change exceeds a full branch width
+    2*pi/3, so the top coordinate shows a strict deficit.  Directions stay
+    clear of walls and Stokes rays."""
+    L0, L1 = rng.uniform(0.4, 2.0, size=2)
+    k = int(rng.integers(0, 4))
+    while True:
+        a0 = rng.uniform(0.0, TWO_PI)
+        ccw = rng.uniform(0.25, math.pi / 3 - 0.1)
+        theta_out = a0 + math.pi + ccw
+        if not (polygon.classify_angle_is_special(a0, 0.05)
+                or polygon.classify_angle_is_special(theta_out, 0.05)):
+            break
+    p0 = L0 * cmath.exp(1j * a0)
+    p1 = L1 * cmath.exp(1j * theta_out)
+    return GeodesicPath(
+        (SaddleConnection(-1, -1, p0), SaddleConnection(-1, -1, p1)),
+        (Junction(order=k, theta_in=a0 + math.pi, theta_out=theta_out),), False)

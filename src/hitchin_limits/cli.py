@@ -5,10 +5,8 @@ unipotent|scheme, wang solve, verify sweep|arc, building
 localmodel|convexity, trigroup spectrum|boundary.
 
 All CSV output carries a header row and locale-independent %.17g numbers, so
-identical configurations (and seeds) produce byte-identical files.  The
-HITCHIN_LIMITS_THREADS environment variable caps worker parallelism of the
-sweep subcommands.  Exit codes: 0 success, 1 validation failure, 2 numerical
-failure.
+identical configurations (and seeds) produce byte-identical files.  Exit
+codes: 0 success, 1 validation failure, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,9 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,17 +48,10 @@ def _diag(msg):
     sys.stderr.write(msg.rstrip() + "\n")
 
 
-def _max_workers(default=4):
-    raw = os.environ.get("HITCHIN_LIMITS_THREADS", "")
-    try:
-        n = int(raw)
-        return max(1, n)
-    except ValueError:
-        return default
-
-
 def _parse_s_list(text):
     vals = [float(tok) for tok in text.split(",") if tok]
+    if not vals:
+        raise ValueError("s-list is empty")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError("s-list must be strictly increasing")
     if any(v <= 0 for v in vals):
@@ -164,25 +153,31 @@ def cmd_wang_solve(args):
     return EXIT_OK
 
 
-def _sweep_path(spec, k, s):
+_PATH_ARITY = {"radial": 3, "chord": 4}
+
+
+def _sweep_path(spec, k):
     """Chart polyline for a sweep path spec 'radial:r0,r1,theta' or
     'chord:w0re,w0im,w1re,w1im' (natural-coordinate chord mapped to the
     chart)."""
     kind, _, rest = spec.partition(":")
+    if kind not in _PATH_ARITY:
+        raise ValueError(f"unknown path spec {spec!r}")
     vals = [float(t) for t in rest.split(",")] if rest else []
+    if len(vals) != _PATH_ARITY[kind]:
+        raise ValueError(f"path spec {spec!r}: {kind} takes "
+                         f"{_PATH_ARITY[kind]} values, got {len(vals)}")
     if kind == "radial":
-        r0, r1, theta = vals if vals else (0.3, 0.9, 0.27)
-        return [r0 * cmath.exp(1j * theta), r1 * cmath.exp(1j * theta)]
-    if kind == "chord":
+        r0, r1, theta = vals
+        pts = [r0 * cmath.exp(1j * theta), r1 * cmath.exp(1j * theta)]
+    else:
         w0, w1 = complex(vals[0], vals[1]), complex(vals[2], vals[3])
         p = 3.0 / (k + 3)
-        n = 48
-        pts = []
-        for t in np.linspace(0.0, 1.0, n):
-            w = w0 + (w1 - w0) * t
-            pts.append((w * (k + 3) / 3.0) ** p)
-        return pts
-    raise ValueError(f"unknown path spec {spec!r}")
+        pts = [((w0 + (w1 - w0) * t) * (k + 3) / 3.0) ** p
+               for t in np.linspace(0.0, 1.0, 48)]
+    if pts[0] == pts[-1]:
+        raise ValueError(f"path spec {spec!r} has zero length")
+    return pts
 
 
 def _chart_period(pts, k):
@@ -194,34 +189,19 @@ def _chart_period(pts, k):
 
 def cmd_verify_sweep(args):
     s_list = _parse_s_list(args.s)
-    k = args.k
-
-    def solve(s):
-        grid = wang.GridSpec(nr=args.nr, ntheta=args.ntheta)
-        return wang.solve_disk(k, s, args.radius, grid)
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        sols = dict(zip(s_list, pool.map(solve, s_list)))
-
-    pts = _sweep_path(args.path, k, None)
-    period = _chart_period(pts, k)
-    target = np.array(tropical.segment_exponents(period).weyl.as_tuple())
-    scale = float(np.max(np.abs(target)))
-    rows = []
-    prev_gap = None
-    monotone = True
-    for s in s_list:
-        numeric = frame.transport_weyl_exponents(sols[s], pts, s)
-        gaps = np.abs(numeric - target) / scale
-        gap = float(np.max(gaps))
-        if prev_gap is not None and gap > prev_gap:
-            monotone = False
-        prev_gap = gap
-        rows.append((s, *numeric, *target, *gaps))
+    pts = _sweep_path(args.path, args.k)
+    grid = wang.GridSpec(nr=args.nr, ntheta=args.ntheta)
+    sols = {s: wang.solve_disk(args.k, s, args.radius, grid) for s in s_list}
+    rows = frame.convergence_sweep(sols, pts, _chart_period(pts, args.k),
+                                   s_list)
+    gaps = [float(np.max(row["gaps"])) for row in rows]
+    monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
     _write_csv(args.out, ["s", "num_x1", "num_x2", "num_x3",
                           "trop_x1", "trop_x2", "trop_x3",
-                          "gap_x1", "gap_x2", "gap_x3"], rows)
-    _diag(f"max relative gap at s={s_list[-1]:g}: {prev_gap:.4f}"
+                          "gap_x1", "gap_x2", "gap_x3"],
+               [(row["s"], *row["numeric"], *row["tropical"], *row["gaps"])
+                for row in rows])
+    _diag(f"max relative gap at s={s_list[-1]:g}: {gaps[-1]:.4f}"
           f" (monotone: {monotone})")
     return EXIT_OK
 
@@ -234,18 +214,14 @@ def cmd_verify_arc(args):
     U = polygon.arc_unipotent(lifts, scalef * args.theta0, scalef * args.theta1)
     S, S_inv = frame.titeica_frame()
     pred = S @ np.linalg.inv(U) @ S_inv
-
-    def run(s):
-        grid = wang.GridSpec(nr=args.nr, ntheta=args.ntheta)
+    grid = wang.GridSpec(nr=args.nr, ntheta=args.ntheta)
+    errs = []
+    for s in s_list:
         sol = wang.solve_disk(k, s, args.radius_disk, grid)
         G = frame.arc_unipotent_numeric(sol, k, s, args.theta0, args.theta1,
                                         radius=args.radius)
-        return float(np.max(np.abs(G - pred)))
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        errs = list(pool.map(run, s_list))
-    rows = [(s, e) for s, e in zip(s_list, errs)]
-    _write_csv(args.out, ["s", "entrywise_error"], rows)
+        errs.append(float(np.max(np.abs(G - pred))))
+    _write_csv(args.out, ["s", "entrywise_error"], zip(s_list, errs))
     _diag(f"entrywise error at s={s_list[-1]:g}: {errs[-1]:.4e}")
     return EXIT_OK
 
@@ -269,53 +245,17 @@ def cmd_building_convexity(args):
     rng = np.random.default_rng(args.seed)
     fails = 0
     for _ in range(args.paths):
-        path = _random_geodesic_path(rng)
+        path = building.random_geodesic_path(rng)
         if not building.weak_convexity_check(path):
             fails += 1
     corner_fails = 0
     for _ in range(args.corners):
-        path = _random_corner_path(rng)
+        path = building.random_corner_path(rng)
         if building.weak_convexity_check(path):
             corner_fails += 1
     print(f"geodesic additivity: {args.paths - fails}/{args.paths}")
     print(f"corner deficits:     {args.corners - corner_fails}/{args.corners}")
     return EXIT_OK if fails == 0 and corner_fails == 0 else EXIT_NUMERICAL
-
-
-def _random_geodesic_path(rng, closed=False):
-    n = int(rng.integers(2, 5))
-    lengths = rng.uniform(0.4, 2.5, size=n)
-    orders = [int(rng.integers(0, 4)) for _ in range(n - 1)]
-    turns = []
-    for k in orders:
-        cone = 2 * math.pi * (1 + k / 3)
-        lo, hi = math.pi + 0.05, cone - math.pi - 0.05
-        turns.append(math.pi if hi <= lo else rng.uniform(lo, hi))
-    start = rng.uniform(0.0, 2 * math.pi)
-    return surf_mod.synthesize_path(list(lengths), turns, orders,
-                                    start_angle=start)
-
-
-def _random_corner_path(rng):
-    """A two-segment corner whose turn is sharp enough to break the dominant
-    eigenvalue alignment: the direction change exceeds a full branch width
-    2*pi/3, so the top coordinate shows a strict deficit.  Directions stay
-    clear of walls and Stokes rays."""
-    from .surface import GeodesicPath, Junction, SaddleConnection
-    L0, L1 = rng.uniform(0.4, 2.0, size=2)
-    k = int(rng.integers(0, 4))
-    while True:
-        a0 = rng.uniform(0.0, 2 * math.pi)
-        ccw = rng.uniform(0.25, math.pi / 3 - 0.1)
-        theta_out = a0 + math.pi + ccw
-        if not (polygon.classify_angle_is_special(a0, 0.05)
-                or polygon.classify_angle_is_special(theta_out, 0.05)):
-            break
-    p0 = L0 * cmath.exp(1j * a0)
-    p1 = L1 * cmath.exp(1j * theta_out)
-    return GeodesicPath(
-        (SaddleConnection(-1, -1, p0), SaddleConnection(-1, -1, p1)),
-        (Junction(order=k, theta_in=a0 + math.pi, theta_out=theta_out),), False)
 
 
 def cmd_trigroup_spectrum(args):
@@ -332,8 +272,7 @@ def cmd_trigroup_spectrum(args):
     thetas = [2 * math.pi * i / args.thetas for i in range(args.thetas)]
     rows = []
     for th in thetas:
-        rotated = trigroup._rotated_paths(classes, th)
-        spec = trigroup.spectrum(orb, rotated)
+        spec = trigroup.spectrum(trigroup.rotated_paths(classes, th))
         for ci, wv in enumerate(spec.values):
             rows.append((th, ci, wv.x1, wv.x2, wv.x3))
     _write_csv(args.out, ["theta", "class", "x1", "x2", "x3"], rows)
@@ -346,7 +285,7 @@ def cmd_trigroup_boundary(args):
     classes = [trigroup.straight_positive_cycle(orb),
                trigroup.straight_median_cycle(orb)]
     thetas = [2 * math.pi * i / args.thetas for i in range(args.thetas)]
-    probe = trigroup.boundary_injectivity_probe(orb, classes, thetas)
+    probe = trigroup.boundary_injectivity_probe(classes, thetas)
     print(f"min pairwise projectivized distance: {_fmt(probe.min_pairwise)}")
     if probe.insufficient_family:
         print("family insufficient (single angular class)")

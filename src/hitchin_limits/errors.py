@@ -60,10 +60,6 @@ class NonDeformable(HitchinLimitsError):
     """Triangle group admits no nonzero cubic differential."""
 
 
-class UnboundedSearch(HitchinLimitsError):
-    """Segment tracing left a bordered surface and could not be completed."""
-
-
 class WallAmbiguity(UserWarning):
     """A diagonal factor has a doubled top eigenvalue (wall-direction segment).
 

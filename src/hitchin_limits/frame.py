@@ -29,6 +29,10 @@ from .tropical import CBRT4, OMEGA, segment_exponents
 BETA = (-2.0 * math.pi / 3.0, 0.0, 2.0 * math.pi / 3.0)
 _CBRT2 = 2.0 ** (1.0 / 3.0)
 
+# transport: RK4 truncation target per unit length, and steps per QR fold
+_STEP_TOL = 1e-10
+_QR_EVERY = 10
+
 
 # ---------------------------------------------------------------------------
 # structure coefficients
@@ -204,28 +208,23 @@ class FrameTransport:
         _, ld = np.linalg.slogdet(self.T)
         return float(np.sum(self.logd) + ld)
 
-    def inverse_matrix(self):
-        """X = Psi^(-1) as a dense matrix (use only at moderate range)."""
-        return (self.Q * np.exp(self.logd)) @ self.T
-
     def matrix(self):
         """Psi as a dense matrix (use only at moderate range)."""
         Tinv = np.linalg.inv(self.T)
         return (Tinv * np.exp(-self.logd)) @ self.Q.conjugate().T
 
 
-def _default_step(s: float, tol: float, rate: float) -> float:
+def _default_step(s: float, rate: float) -> float:
     """Step size: capped at min(0.01, 0.5 s^(-1/3)) and tightened so the RK4
-    truncation stays near tol per unit length."""
+    truncation stays near _STEP_TOL per unit length."""
     cap = min(0.01, 0.5 * s ** (-1.0 / 3.0))
     if rate <= 0:
         return cap
-    h_acc = (120.0 * tol / rate ** 5) ** 0.25
+    h_acc = (120.0 * _STEP_TOL / rate ** 5) ** 0.25
     return max(min(cap, h_acc), 1e-5)
 
 
-def integrate_transport(sol, path, s: float, qr_every: int = 10,
-                        tol: float = 1e-10) -> FrameTransport:
+def integrate_transport(sol, path, s: float) -> FrameTransport:
     """RK4 transport of the structure-equation connection along a polyline.
 
     ``sol`` provides phi_at(z) and dz_phi_at(z) plus fields k and s (a Wang
@@ -249,7 +248,7 @@ def integrate_transport(sol, path, s: float, qr_every: int = 10,
         L = abs(seg)
         if L == 0:
             continue
-        h = _default_step(s, tol, rate)
+        h = _default_step(s, rate)
         n = max(2, int(math.ceil(L / h)))
         dt = 1.0 / n
         dz = seg * dt
@@ -279,7 +278,7 @@ def integrate_transport(sol, path, s: float, qr_every: int = 10,
                     raise StepUnstable("transport step kept growing too fast")
             block = step @ block
             pending += 1
-            if pending >= qr_every:
+            if pending >= _QR_EVERY:
                 xport.push_left(block)
                 block = np.eye(3, dtype=complex)
                 pending = 0
@@ -347,7 +346,7 @@ def natural_frame_diag(z: complex, k: int, s: float,
 
 
 def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
-                          radius: float, n_steps: int = 0) -> np.ndarray:
+                          radius: float) -> np.ndarray:
     """G_{theta0}^(-1) G_{theta1} for the arc |z| = radius between the two
     angles, converging to the conjugated Stokes unipotent product as s grows.
 
@@ -359,10 +358,9 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
     q = 1 and phi_w = phi - 2 log|w'|; for the constant differential the
     integrand vanishes identically.
     """
-    if n_steps <= 0:
-        n_steps = max(256, int(96 * abs(theta1 - theta0) * s ** (1 / 3)))
+    n_steps = max(256, int(96 * abs(theta1 - theta0) * s ** (1 / 3)))
     S, S_inv = titeica_frame()
-    phi_T = math.log(2.0) / 3.0
+    sc_T = titeica_structure()
     p = (k + 3) / 3.0
     rnat = s ** (1.0 / 3.0) * (3.0 / (k + 3)) * radius ** p
     omega_phases = np.array([cmath.exp(-1j * b) for b in BETA])
@@ -374,11 +372,8 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
         xdot = wp * (1j * z)
         phi_w = sol.phi_at(z) - 2.0 * math.log(abs(wp))
         dphi_w = (sol.dz_phi_at(z) - (k / 3.0) / z) / wp
-        dU = (structure_coefficients(phi_w, dphi_w, 1.0).U
-              - structure_coefficients(phi_T, 0.0, 1.0).U)
-        dV = (structure_coefficients(phi_w, dphi_w, 1.0).V
-              - structure_coefficients(phi_T, 0.0, 1.0).V)
-        W = dU * xdot + dV * xdot.conjugate()
+        sc_w = structure_coefficients(phi_w, dphi_w, 1.0)
+        W = (sc_w.U - sc_T.U) * xdot + (sc_w.V - sc_T.V) * xdot.conjugate()
         E = S_inv @ W @ S
         D = CBRT4 * (x * omega_phases).real
         return E * np.exp(D[:, None] - D[None, :])
@@ -399,47 +394,37 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
     return S @ M @ S_inv
 
 
-def transport_weyl_exponents(sol, path, s: float, natural: bool = True,
-                             eigen_gauge: bool = True):
+def transport_weyl_exponents(sol, path, s: float):
     """s^(-1/3)-normalized sorted log singular values of the holonomy.
 
-    With natural=True the transport is expressed in the natural frame at the
-    endpoints; eigen_gauge additionally conjugates by the Titeica eigenbasis
-    S, which removes the O(log cond S)/s^(1/3) offset between singular and
-    asymptotic exponents (exact for the constant differential).
+    The transport is expressed in the natural frame at the endpoints and
+    conjugated by the Titeica eigenbasis S, which removes the
+    O(log cond S)/s^(1/3) offset between singular and asymptotic exponents
+    (exact for the constant differential).
     """
     xport = integrate_transport(sol, path, s)
-    if natural:
-        a, b = complex(path[0]), complex(path[-1])
-        da = natural_frame_diag(a, sol.k, s, cmath.phase(a))
-        db = natural_frame_diag(b, sol.k, s, cmath.phase(b))
-        if eigen_gauge:
-            S, S_inv = titeica_frame()
-            A = S_inv * (1.0 / db)[None, :] @ xport.Q
-            B = (xport.T * da) @ S
-            vals = _log_singular_values_of_factored(A, xport.logd, B)
-            vals = np.sort(vals)[::-1]
-        else:
-            vals = xport.log_singular_values_inverse(left_diag=db,
-                                                     right_diag=da)
-    else:
-        vals = xport.log_singular_values_inverse()
-    return vals / s ** (1.0 / 3.0)
+    a, b = complex(path[0]), complex(path[-1])
+    da = natural_frame_diag(a, sol.k, s, cmath.phase(a))
+    db = natural_frame_diag(b, sol.k, s, cmath.phase(b))
+    S, S_inv = titeica_frame()
+    A = S_inv * (1.0 / db)[None, :] @ xport.Q
+    B = (xport.T * da) @ S
+    vals = _log_singular_values_of_factored(A, xport.logd, B)
+    return np.sort(vals)[::-1] / s ** (1.0 / 3.0)
 
 
-def convergence_sweep(solutions, path_fn, period: complex, s_list):
+def convergence_sweep(solutions: dict, pts, period: complex, s_list):
     """Numeric-vs-tropical table over a ray sweep.
 
-    solutions maps s to a Wang solution; path_fn(s) gives the chart polyline;
-    period is the natural-chart period of the traced segment.  Rows:
+    solutions maps s to a Wang solution; pts is the chart polyline; period
+    is the natural-chart period of the traced segment.  Rows:
     (s, numeric triple, tropical triple, relative gaps).
     """
     target = np.array(segment_exponents(period).weyl.as_tuple())
     scale = float(np.max(np.abs(target)))
     rows = []
     for s in s_list:
-        sol = solutions[s] if isinstance(solutions, dict) else solutions(s)
-        numeric = transport_weyl_exponents(sol, path_fn(s), s)
+        numeric = transport_weyl_exponents(solutions[s], pts, s)
         gaps = np.abs(numeric - target) / scale
         rows.append({"s": s, "numeric": numeric, "tropical": target,
                      "gaps": gaps})

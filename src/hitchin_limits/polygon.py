@@ -28,6 +28,8 @@ from .tropical import CBRT4
 
 PI = math.pi
 _STOKES_TOL = 1e-10
+_STOKES_ETA = 1e-3     # tilt (radians) of Stokes-direction segments
+_PATTERN_TOL = 1e-12   # unipotent entries below this are structural zeros
 
 # basis pattern per Stokes sector (sector sigma covers angles
 # ((2 sigma - 1) pi/6, (2 sigma + 1) pi/6)); six sectors advance indices by 3
@@ -283,9 +285,9 @@ def _segment_diag_exponents(period: complex, chart_angle: float, s: float):
                      for b in BETA])
 
 
-def _perturb_stokes_segments(path: GeodesicPath, eta: float):
-    """Tilt Stokes-direction segments by +-eta so every arc at a zero of
-    order >= 1 keeps a subtended angle > pi; prefer the ccw sign."""
+def _perturb_stokes_segments(path: GeodesicPath):
+    """Tilt Stokes-direction segments by +-_STOKES_ETA so every arc at a zero
+    of order >= 1 keeps a subtended angle > pi; prefer the ccw sign."""
     n = len(path.segments)
     theta_in = []
     theta_out = []
@@ -310,7 +312,7 @@ def _perturb_stokes_segments(path: GeodesicPath, eta: float):
         direction = theta_out[jb] if jb is not None else cmath.phase(seg.period)
         if classify_direction(direction).tag != "Stokes":
             continue
-        for delta in (eta, -eta):
+        for delta in (_STOKES_ETA, -_STOKES_ETA):
             ok = True
             if jb is not None and path.junctions[jb].order >= 1:
                 if (theta_out[jb] + delta) - theta_in[jb] <= PI:
@@ -330,7 +332,7 @@ def _perturb_stokes_segments(path: GeodesicPath, eta: float):
     return theta_in, theta_out
 
 
-def _path_factors(path: GeodesicPath, eta: float):
+def _path_factors(path: GeodesicPath):
     """Factor sequence of the leading product in traversal order.
 
     Every segment diagonal is expressed in the segment's own chart; arc
@@ -341,7 +343,7 @@ def _path_factors(path: GeodesicPath, eta: float):
     ("uni", matrix, junction index).
     """
     n = len(path.segments)
-    theta_in, theta_out = _perturb_stokes_segments(path, eta)
+    theta_in, theta_out = _perturb_stokes_segments(path)
 
     def junction_after_seg(i):
         if path.closed:
@@ -366,8 +368,7 @@ def _path_factors(path: GeodesicPath, eta: float):
             yield ("perm", _branch_permutation(-m_out))
 
 
-def leading_term(path: GeodesicPath, surface=None, s: float = 1.0,
-                 eta: float = 1e-3) -> LeadingTerm:
+def leading_term(path: GeodesicPath, s: float = 1.0) -> LeadingTerm:
     """A(s): the product of diagonal exponentials and arc unipotents that
     dominates Hol_s along the path, evaluated with log scaling.
 
@@ -389,7 +390,7 @@ def leading_term(path: GeodesicPath, surface=None, s: float = 1.0,
         M = M / scale
         log_scale += math.log(scale) + ls
 
-    for idx, factor in enumerate(_path_factors(path, eta)):
+    for idx, factor in enumerate(_path_factors(path)):
         if factor[0] == "diag":
             exps = factor[1] * s ** (1.0 / 3.0)
             top = float(np.max(exps))
@@ -418,7 +419,7 @@ def leading_term(path: GeodesicPath, surface=None, s: float = 1.0,
 # tropical (max-plus) top exponent through the unipotent patterns
 # ---------------------------------------------------------------------------
 
-def tropical_norm_exponent(path: GeodesicPath, pattern_tol: float = 1e-12) -> float:
+def tropical_norm_exponent(path: GeodesicPath) -> float:
     """Max-plus top exponent of the leading product: per-slot exponents chain
     through the nonzero pattern of each arc unipotent.
 
@@ -431,12 +432,12 @@ def tropical_norm_exponent(path: GeodesicPath, pattern_tol: float = 1e-12) -> fl
         new = np.full(3, -np.inf)
         for r in range(3):
             for c in range(3):
-                if abs(M[r, c]) > pattern_tol:
+                if abs(M[r, c]) > _PATTERN_TOL:
                     new[r] = max(new[r], state[c])
         return new
 
     state = np.zeros(3)  # max-plus column vector over slots
-    for factor in _path_factors(path, 1e-3):
+    for factor in _path_factors(path):
         if factor[0] == "diag":
             state = state + factor[1]
         else:

@@ -24,6 +24,7 @@ _ANGLE_TOL = 1e-9       # cone-angle closure and turn-angle comparisons
 _EDGE_TOL = 1e-12       # relative tolerance on glued edge lengths
 _DIRECTION_TOL = 1e-10  # Stokes / Weyl-wall classification
 _POS_TOL = 1e-9         # absolute position tolerance in developments
+_TIGHTEN_MAX_ITERS = 500
 
 
 def _cross(a: complex, b: complex) -> float:
@@ -155,10 +156,6 @@ class GeodesicPath:
         if len(self.junctions) != want:
             raise ValueError(
                 f"expected {want} junctions for {n} segments, got {len(self.junctions)}")
-
-    @property
-    def total_length(self) -> float:
-        return sum(s.length for s in self.segments)
 
     def junction_between(self, i: int) -> Junction:
         """The junction joining segments[i] to segments[i+1 mod n]."""
@@ -902,8 +899,6 @@ def _wedge_search(surface, seed_tri, seed_v, max_len, diag, record):
                     if hit is not None:
                         record(hit.cls, hit.point, hit.tri, hit.vertex, hit.u)
             children = [(wlo, da), (da, whi)]
-        elif c_lo <= 1e-12:
-            children = [(wlo, whi)]
         else:
             children = [(wlo, whi)]
         for clo, chi in children:
@@ -1141,7 +1136,7 @@ def _strip_backtracks(surface, edge_path, closed):
     return path
 
 
-def tighten_path(surface, edge_path, closed=False, max_iters=500):
+def tighten_path(surface, edge_path, closed=False):
     """Straighten a simplicial path (or cycle) of triangulation edges into a
     geodesic path of saddle connections with >= pi side angles at each zero.
 
@@ -1167,7 +1162,7 @@ def tighten_path(surface, edge_path, closed=False, max_iters=500):
     if closed and legs[0].cls != prev_end:
         raise ValueError("cycle does not close up")
 
-    for _ in range(max_iters):
+    for _ in range(_TIGHTEN_MAX_ITERS):
         idx = _worst_corner(surface, legs, closed)
         if idx is None:
             return _legs_to_path(surface, legs, closed)
@@ -1266,12 +1261,15 @@ def surface_to_dict(surface: CubicSurface) -> dict:
 
 
 def surface_from_dict(data: dict) -> CubicSurface:
-    tris = [[complex(x, y) for x, y in tri] for tri in data["triangles"]]
-    gluings = [
-        Gluing(tuple(g["edgeA"]), tuple(g["edgeB"]), int(g["rot"]) % 3,
-               complex(g["trans"][0], g["trans"][1]))
-        for g in data["gluings"]
-    ]
+    try:
+        tris = [[complex(x, y) for x, y in tri] for tri in data["triangles"]]
+        gluings = [
+            Gluing(tuple(g["edgeA"]), tuple(g["edgeB"]), int(g["rot"]) % 3,
+                   complex(g["trans"][0], g["trans"][1]))
+            for g in data["gluings"]
+        ]
+    except KeyError as err:
+        raise ValueError(f"surface JSON lacks key {err.args[0]!r}") from None
     orders = {int(c): int(k) for c, k in data.get("vertexOrders", {}).items()}
     boundary = {tuple(e) for e in data.get("boundary", [])}
     return CubicSurface(tris, gluings, vertex_orders=orders, boundary=boundary)
@@ -1304,16 +1302,20 @@ def path_to_dict(path: GeodesicPath) -> dict:
 
 
 def path_from_dict(data: dict) -> GeodesicPath:
-    segs = tuple(
-        SaddleConnection(int(s["start"]), int(s["end"]),
-                         complex(s["period"][0], s["period"][1]))
-        for s in data["segments"]
-    )
-    juncs = tuple(
-        Junction(order=int(j["order"]), theta_in=float(j["thetaIn"]),
-                 theta_out=float(j["thetaOut"]), zero=int(j.get("zero", -1)))
-        for j in data.get("junctions", [])
-    )
+    try:
+        segs = tuple(
+            SaddleConnection(int(s["start"]), int(s["end"]),
+                             complex(s["period"][0], s["period"][1]))
+            for s in data["segments"]
+        )
+        juncs = tuple(
+            Junction(order=int(j["order"]), theta_in=float(j["thetaIn"]),
+                     theta_out=float(j["thetaOut"]),
+                     zero=int(j.get("zero", -1)))
+            for j in data.get("junctions", [])
+        )
+    except KeyError as err:
+        raise ValueError(f"path JSON lacks key {err.args[0]!r}") from None
     closed = bool(data.get("closed", False))
     return GeodesicPath(segs, juncs, closed)
 

@@ -22,9 +22,11 @@ from . import tropical
 from .errors import DegeneratePath, NonDeformable
 from .surface import (CubicSurface, GeodesicPath, Gluing, Junction,
                       SaddleConnection, ZETA, enumerate_saddle_connections,
-                      shoot, claim_corner, validate)
+                      shoot, claim_corner)
 
 TWO_PI = 2.0 * math.pi
+_MAX_ZIP_PASSES = 100000
+_MAX_LEG = 10.0        # longest cycle leg traced on a patch
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class TriangleOrbifoldSurface:
                 if self.orbifold_type[c] == t and self.surface.fan_closed[c]]
 
 
-def _zip_fans(tris, coords, edge_map, corner_type, valence, max_zips=100000):
+def _zip_fans(tris, coords, edge_map, corner_type, valence):
     """Close every vertex fan that has reached its full valence.
 
     Walks fans through the accumulated gluings; when a fan holds 2*ord
@@ -87,7 +89,7 @@ def _zip_fans(tris, coords, edge_map, corner_type, valence, max_zips=100000):
     while changed:
         changed = False
         guard += 1
-        if guard > max_zips:
+        if guard > _MAX_ZIP_PASSES:
             raise RuntimeError("fan zipping did not stabilize")
         corners = [(t, v) for t in range(len(tris)) for v in range(3)]
         for (t, v) in corners:
@@ -254,7 +256,7 @@ def rotate_differential(orb: TriangleOrbifoldSurface, theta: float) -> TriangleO
 # ---------------------------------------------------------------------------
 
 def trace_cycle(orb: TriangleOrbifoldSurface, start_class: int,
-                start_direction: complex, turns, max_len: float = 10.0) -> GeodesicPath:
+                start_direction: complex, turns) -> GeodesicPath:
     """Follow a closed orbifold geodesic on the patch.
 
     Starting at an interior vertex instance along a chart direction, each leg
@@ -272,7 +274,7 @@ def trace_cycle(orb: TriangleOrbifoldSurface, start_class: int,
     fan_out = []
     cls = start_class
     for turn in turns:
-        hit = shoot(surf, t, v, d, max_len)
+        hit = shoot(surf, t, v, d, _MAX_LEG)
         if hit is None:
             raise DegeneratePath("cycle leg left the patch; increase layers")
         legs.append((cls, hit))
@@ -356,7 +358,7 @@ def straight_positive_cycle(orb: TriangleOrbifoldSurface) -> GeodesicPath:
     raise last_err or DegeneratePath("no positive cycle found; increase layers")
 
 
-def straight_median_cycle(orb: TriangleOrbifoldSurface, legs: int = 2) -> GeodesicPath:
+def straight_median_cycle(orb: TriangleOrbifoldSurface) -> GeodesicPath:
     """A closed geodesic running along triangle medians (length sqrt(3)
     segments at pi/6 to the positive edge directions), passing every vertex
     it meets straight."""
@@ -371,7 +373,7 @@ def straight_median_cycle(orb: TriangleOrbifoldSurface, legs: int = 2) -> Geodes
             base = surf.edge_vector(t, v)
             d = base / abs(base) * cmath.exp(1j * math.pi / 6)
             try:
-                return trace_cycle(orb, start, d, [math.pi] * legs)
+                return trace_cycle(orb, start, d, [math.pi, math.pi])
             except (DegeneratePath, ValueError) as err:
                 last_err = err
     raise last_err or DegeneratePath("no median cycle found; increase layers")
@@ -391,7 +393,7 @@ class SpectrumVector:
         return np.array([w.as_tuple() for w in self.values]).ravel()
 
 
-def spectrum(orb_or_surface, curve_classes) -> SpectrumVector:
+def spectrum(curve_classes) -> SpectrumVector:
     """Tropical length spectrum of a finite family of closed geodesics."""
     values = []
     for path in curve_classes:
@@ -408,7 +410,10 @@ def spectrum(orb_or_surface, curve_classes) -> SpectrumVector:
                           projectivized=proj)
 
 
-def _rotated_paths(curve_classes, theta):
+def rotated_paths(curve_classes, theta):
+    """The family with every period multiplied by e^(i theta/3): the paths of
+    the differential e^(i theta) q0.  theta is reduced modulo 2*pi first, so
+    a full rotation leaves the periods bit for bit unchanged."""
     w = cmath.exp(1j * (theta % TWO_PI) / 3.0)
     out = []
     for path in curve_classes:
@@ -434,7 +439,7 @@ class BoundaryProbe:
     theta_count: int
 
 
-def boundary_injectivity_probe(orb, curve_classes, theta_grid) -> BoundaryProbe:
+def boundary_injectivity_probe(curve_classes, theta_grid) -> BoundaryProbe:
     """Minimum pairwise distance of projectivized spectra over a theta grid.
 
     Positive for families containing segments at two or more distinct chart
@@ -449,7 +454,7 @@ def boundary_injectivity_probe(orb, curve_classes, theta_grid) -> BoundaryProbe:
                              theta_count=len(thetas))
     spectra = []
     for th in thetas:
-        spectra.append(spectrum(orb, _rotated_paths(curve_classes, th))
+        spectra.append(spectrum(rotated_paths(curve_classes, th))
                        .projectivized)
     best = math.inf
     for i in range(len(thetas)):

@@ -47,13 +47,6 @@ class WeylVector:
     def as_tuple(self):
         return (self.x1, self.x2, self.x3)
 
-    def reversed_negated(self) -> "WeylVector":
-        return WeylVector(-self.x3, -self.x2, -self.x1)
-
-    def __add__(self, other: "WeylVector") -> "WeylVector":
-        return WeylVector(self.x1 + other.x1, self.x2 + other.x2,
-                          self.x3 + other.x3)
-
 
 @dataclass(frozen=True)
 class SegmentExponents:

@@ -14,7 +14,7 @@ e^phi > 2^(1/3) |q_s|^(2/3) down to rounding noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +23,9 @@ import scipy.sparse.linalg as spla
 from .errors import GridTooCoarse, NewtonDiverged
 
 _FLAG_TOL = 1e-13  # nodes this close to the strict bound are flagged, not failed
+_NEWTON_MAX_ITER = 80
+_FIT_INNER, _FIT_OUTER = 0.35, 0.8   # decay-fit annulus, in units of R
+_FIT_FLOOR = 1e-11                   # F below this is rounding noise
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,9 @@ class WangSolution:
         j1 = (j0 + 1) % m
         wj = jf - int(jf)
         if r <= rs[0]:
-            # inner cap: blend toward the center value quadratically in r
-            v0 = grid[0, j0] * (1 - wj) + grid[0, j1] * wj
-            return v0
+            # clamp to the innermost ring; the blend toward the center value
+            # inside it is phi_at's job
+            return grid[0, j0] * (1 - wj) + grid[0, j1] * wj
         if r >= rs[-1]:
             return grid[-1, j0] * (1 - wj) + grid[-1, j1] * wj
         i = int(np.searchsorted(rs, r)) - 1
@@ -185,7 +188,7 @@ def _assemble_laplacian(rs, m):
 
 
 def solve_disk(k: int, s: float, R: float, grid: GridSpec = None,
-               tol: float = 1e-10, max_iter: int = 80) -> WangSolution:
+               tol: float = 1e-10) -> WangSolution:
     """Damped-Newton solve of the discrete Wang equation on the model disk.
 
     Starts from the constant Dirichlet value (a supersolution); iterates are
@@ -228,7 +231,7 @@ def solve_disk(k: int, s: float, R: float, grid: GridSpec = None,
     start = u.copy()
     res = residual(u)
     history = [norm(res)]
-    for it in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if history[-1] <= tol:
             break
         dN = 2 * np.exp(u) + 8 * np.exp(-2 * u) * q2
@@ -294,7 +297,6 @@ class ErrorField:
     rs: np.ndarray
     F: np.ndarray                 # ring-averaged F values
     fitted_exponent: float        # m_hat from log F ~ -m_hat * natural radius
-    window: tuple = ()
     points_used: int = 0
 
 
@@ -304,24 +306,24 @@ def natural_radius(r, k):
     return 3.0 / (k + 3) * r ** ((k + 3) / 3.0)
 
 
-def error_field(sol: WangSolution, inner: float = 0.35, outer: float = 0.8,
-                floor: float = 1e-11) -> ErrorField:
+def error_field(sol: WangSolution) -> ErrorField:
     """F on the rings plus the fitted radial decay exponent.
 
     F behaves like a screened-Laplacian kernel, exp(-m rho)/sqrt(rho) in the
     natural radius rho, so the regression fits log(F sqrt(rho)) against rho;
     the plain log fit would carry a 1/(2 rho) bias of several percent at desk
-    scale.  The annulus [inner*R, outer*R] keeps clear of both the nonlinear
+    scale.  The annulus [0.35 R, 0.8 R] keeps clear of both the nonlinear
     core and the Dirichlet truncation at the rim; nodes below the noise floor
     are dropped.
     """
     F = error_values(sol)
     Fbar = F.mean(axis=1)
     rs = sol.rs[:-1]
-    mask = (rs >= inner * sol.R) & (rs <= outer * sol.R) & (Fbar > floor)
+    mask = ((rs >= _FIT_INNER * sol.R) & (rs <= _FIT_OUTER * sol.R)
+            & (Fbar > _FIT_FLOOR))
     if int(mask.sum()) < 4:
         # widen inward until enough clean points are available
-        mask = (rs <= outer * sol.R) & (Fbar > floor)
+        mask = (rs <= _FIT_OUTER * sol.R) & (Fbar > _FIT_FLOOR)
         order = np.argsort(rs[mask])
         keep = np.where(mask)[0][order][-12:]
         mask = np.zeros_like(mask)
@@ -330,7 +332,7 @@ def error_field(sol: WangSolution, inner: float = 0.35, outer: float = 0.8,
     y = np.log(Fbar[mask]) + 0.5 * np.log(x)
     slope, _ = np.polyfit(x, y, 1)
     return ErrorField(rs=rs, F=Fbar, fitted_exponent=float(-slope),
-                      window=(inner, outer), points_used=int(mask.sum()))
+                      points_used=int(mask.sum()))
 
 
 def decay_fit_grid(s: float, ntheta: int = 0) -> GridSpec:

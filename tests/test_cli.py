@@ -111,9 +111,27 @@ def test_invalid_s_list():
     assert run(["verify", "sweep", "--k", "0", "--s", "1e3,1e2"]) == 1
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("HITCHIN_LIMITS_THREADS", "2")
-    out = tmp_path / "sweep.csv"
-    assert run(["verify", "sweep", "--k", "0", "--s", "1e2,4e2",
-                "--nr", "25", "--out", str(out)]) == 0
-    assert out.read_text().startswith("s,")
+@pytest.mark.parametrize("path", ["chord:1,2", "chord:0.5,0.1,0.3,0.4,0.9",
+                                  "radial:0.3,0.9", "radial:0.5,0.5,0.1",
+                                  "foo"])
+def test_malformed_sweep_path_exits_1_before_solving(path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before parsing the path spec")
+    monkeypatch.setattr(cli.wang, "solve_disk", no_solve)
+    assert run(["verify", "sweep", "--k", "1", "--s", "1e2",
+                "--path", path]) == 1
+
+
+def test_empty_s_list_exits_1():
+    assert run(["verify", "sweep", "--k", "0", "--s", ","]) == 1
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["surface", "validate", "--in"], {"triangles": []}),
+    (["tropical", "spectrum", "--path"], {"segments": [{"start": 0}]}),
+], ids=["surface", "path"])
+def test_malformed_json_exits_1(tmp_path, capsys, argv, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    assert run(argv + [str(bad)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1

@@ -181,7 +181,7 @@ def test_convergence_sweep_k0():
     pts = [z0, z0 + period]
     sols = {s: wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=30))
             for s in (1e2, 1e3)}
-    rows = frame.convergence_sweep(sols, lambda s: pts, period, [1e2, 1e3])
+    rows = frame.convergence_sweep(sols, pts, period, [1e2, 1e3])
     assert len(rows) == 2
     for row in rows:
         assert np.max(row["gaps"]) < 5e-3

@@ -90,8 +90,8 @@ def test_rotation_identity_bit_exact(orb334):
     rotated = trigroup.rotate_differential(orb334, 2 * math.pi)
     assert rotated is orb334
     families = [trigroup.straight_positive_cycle(orb334)]
-    a = trigroup.spectrum(orb334, families)
-    b = trigroup.spectrum(rotated, families)
+    a = trigroup.spectrum(families)
+    b = trigroup.spectrum(trigroup.rotated_paths(families, 2 * math.pi))
     assert a.projectivized.tobytes() == b.projectivized.tobytes()
 
 
@@ -111,14 +111,14 @@ def test_rotation_rotates_periods(orb334):
 
 def test_spectrum_values(orb334):
     cyc = trigroup.straight_positive_cycle(orb334)
-    spec = trigroup.spectrum(orb334, [cyc])
+    spec = trigroup.spectrum([cyc])
     assert spec.curve_count == 1
     assert spec.values[0].x1 == pytest.approx(3 / CBRT2, abs=1e-12)
     assert np.linalg.norm(spec.projectivized) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectrum_empty_family(orb334):
-    spec = trigroup.spectrum(orb334, [])
+    spec = trigroup.spectrum([])
     assert spec.curve_count == 0
     assert spec.projectivized.size == 0
 
@@ -145,21 +145,21 @@ def test_boundary_probe_positive(orb334):
            trigroup.straight_median_cycle(orb334)]
     assert trigroup.distinct_direction_count(fam) >= 2
     grid = [2 * math.pi * i / 12 for i in range(12)]
-    probe = trigroup.boundary_injectivity_probe(orb334, fam, grid)
+    probe = trigroup.boundary_injectivity_probe(fam, grid)
     assert not probe.insufficient_family
     assert probe.min_pairwise > 1e-4
 
 
 def test_boundary_probe_single_theta_vacuous(orb334):
     fam = [trigroup.straight_positive_cycle(orb334)]
-    probe = trigroup.boundary_injectivity_probe(orb334, fam, [0.0])
+    probe = trigroup.boundary_injectivity_probe(fam, [0.0])
     assert probe.min_pairwise == math.inf
 
 
 def test_boundary_probe_single_class_flagged(orb334):
     fam = [trigroup.straight_positive_cycle(orb334)]
     grid = [2 * math.pi * i / 12 for i in range(12)]
-    probe = trigroup.boundary_injectivity_probe(orb334, fam, grid)
+    probe = trigroup.boundary_injectivity_probe(fam, grid)
     assert probe.insufficient_family
 
 

@@ -123,8 +123,9 @@ def test_concatenation_additivity():
     p = [complex(rng.normal(), rng.normal()) for _ in range(4)]
     q = [complex(rng.normal(), rng.normal()) for _ in range(3)]
     whole = tropical.path_singular_exponents(p + q)
-    parts = tropical.path_singular_exponents(p) + tropical.path_singular_exponents(q)
-    assert whole.as_tuple() == pytest.approx(parts.as_tuple(), abs=1e-12)
+    parts = np.add(tropical.path_singular_exponents(p).as_tuple(),
+                   tropical.path_singular_exponents(q).as_tuple())
+    assert whole.as_tuple() == pytest.approx(tuple(parts), abs=1e-12)
 
 
 def test_full_rotation_fixes_outputs():
