@@ -252,6 +252,53 @@ def synthesize_path(lengths, turns, orders, start_angle=0.0, closed=False):
 
 
 # ---------------------------------------------------------------------------
+# half-edge rules: gluing and fan walk
+# ---------------------------------------------------------------------------
+
+def glue(edge_map, e_a, e_b, rot, trans):
+    """Record in edge_map the gluing of e_a to e_b by z -> zeta^rot z + trans
+    and its inverse transition from e_b back to e_a."""
+    edge_map[e_a] = (e_b, rot, trans)
+    minus = (-rot) % 3
+    edge_map[e_b] = (e_a, minus, -(ZETA ** minus) * trans)
+
+
+def walk_fan(edge_map, corner):
+    """The corners around corner's vertex in ccw order, and whether they
+    close up.
+
+    Walks cw (across the edge v -> v+1) to the fan's first corner, then ccw
+    (across the edge v+2 -> v) to its last.  A closed fan starts at the
+    corner met just before the cw walk returns to ``corner``.  Both walks stop
+    at a repeated corner, so inconsistent gluings cannot make them loop.
+    """
+    cur = corner
+    visited = {cur}
+    closed = False
+    while True:
+        info = edge_map.get(cur)
+        if info is None:
+            break
+        (t2, s2) = info[0]
+        prev = (t2, (s2 + 1) % 3)
+        if prev in visited:
+            closed = True
+            break
+        visited.add(prev)
+        cur = prev
+    fan = [cur]
+    seen = {cur}
+    while True:
+        t, v = fan[-1]
+        info = edge_map.get((t, (v + 2) % 3))
+        if info is None or info[0] in seen:
+            break
+        seen.add(info[0])
+        fan.append(info[0])
+    return fan, closed
+
+
+# ---------------------------------------------------------------------------
 # the surface
 # ---------------------------------------------------------------------------
 
@@ -259,7 +306,8 @@ class CubicSurface:
     """Triangulated flat cone surface carrying |q0|^(2/3).
 
     Immutable after construction; derived combinatorics (vertex classes,
-    corner fans, cone angles) are computed once up front.
+    corner fans, cone angles) are computed once up front.  They do not depend
+    on vertex_orders, so a builder may mark classes before handing it out.
     """
 
     def __init__(self, triangles, gluings, vertex_orders=None, boundary=None):
@@ -268,10 +316,7 @@ class CubicSurface:
         self.boundary = frozenset(tuple(e) for e in (boundary or ()))
         self._edge_map = {}
         for g in self.gluings:
-            self._edge_map[g.edge_a] = (g.edge_b, g.rot, g.trans)
-            minus = (-g.rot) % 3
-            self._edge_map[g.edge_b] = (g.edge_a, minus,
-                                        -(ZETA ** minus) * g.trans)
+            glue(self._edge_map, g.edge_a, g.edge_b, g.rot, g.trans)
         self._build_vertex_classes()
         self.vertex_orders = dict(vertex_orders or {})
 
@@ -317,54 +362,17 @@ class CubicSurface:
         ang = cmath.phase((r - p) / (q - p)) % TWO_PI
         return ang
 
-    def next_corner_ccw(self, tri, v):
-        """Corner ccw-adjacent at the vertex: across the edge (v+2 -> v)."""
-        info = self._edge_map.get((tri, (v + 2) % 3))
-        if info is None:
-            return None
-        (t2, s2) = info[0]
-        return (t2, s2)
-
-    def next_corner_cw(self, tri, v):
-        """Corner cw-adjacent at the vertex: across the edge (v -> v+1)."""
-        info = self._edge_map.get((tri, v))
-        if info is None:
-            return None
-        (t2, s2) = info[0]
-        return (t2, (s2 + 1) % 3)
-
     def _build_fans(self):
         self.fans = []
         self.fan_closed = []
         self.cone_angles = []
         self._fan_offset = {}
-        done = set()
         for members in self.vertex_classes:
-            start = next(c for c in members if c not in done)
-            cur = start
-            visited = {cur}
-            closed = False
-            while True:
-                prev = self.next_corner_cw(*cur)
-                if prev is None:
-                    break
-                if prev in visited:
-                    closed = True
-                    break
-                visited.add(prev)
-                cur = prev
-            first = cur
-            fan = [first]
-            while True:
-                nxt = self.next_corner_ccw(*fan[-1])
-                if nxt is None or nxt == first:
-                    break
-                fan.append(nxt)
+            fan, closed = walk_fan(self._edge_map, members[0])
             angle = 0.0
             for corner in fan:
                 self._fan_offset[corner] = angle
                 angle += self.corner_angle(*corner)
-                done.add(corner)
             self.fans.append(fan)
             self.fan_closed.append(closed)
             self.cone_angles.append(angle)
@@ -534,12 +542,11 @@ def barycentric_refine(surface: CubicSurface) -> CubicSurface:
             handled.add((t2, s2))
             gluings.append(Gluing(first, (sub_index[t2] + 2 * s2 + 1, 0), rot, trans))
             gluings.append(Gluing(second, (sub_index[t2] + 2 * s2, 0), rot, trans))
-    refined = CubicSurface(tris, gluings, vertex_orders={}, boundary=boundary)
-    orders = {}
+    refined = CubicSurface(tris, gluings, boundary=boundary)
     for cls, k in surface.vertex_orders.items():
         t, v = surface.vertex_classes[cls][0]
-        orders[refined.class_of(sub_index[t] + 2 * v, 0)] = k
-    return CubicSurface(tris, gluings, vertex_orders=orders, boundary=boundary)
+        refined.vertex_orders[refined.class_of(sub_index[t] + 2 * v, 0)] = k
+    return refined
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +561,8 @@ class Violation:
 
 def validate(surface: CubicSurface) -> list:
     """Check all structural invariants; return violations (never raises)."""
+    if not surface.triangles:
+        return [Violation("EmptySurface")]
     out = []
     seen = {}
     all_edges = {(t, s) for t in range(len(surface.triangles)) for s in range(3)}
@@ -616,12 +625,9 @@ def develop_fan_closure(surface: CubicSurface, cls: int):
     """
     if not surface.fan_closed[cls]:
         raise ValueError("fan is not closed")
-    fan = surface.fans[cls]
     u, b = 1.0 + 0j, 0.0 + 0j
-    for (t, v) in fan:
-        (t2, s2), rot, trans = surface.neighbor(t, (v + 2) % 3)
-        w = ZETA ** ((-rot) % 3)
-        u, b = u * w, b - u * w * trans
+    for (t, v) in surface.fans[cls]:
+        _, _, u, b = _compose_across(surface, u, b, t, (v + 2) % 3)
     return u, b
 
 
@@ -668,8 +674,9 @@ def _compose_across(surface, u, b, tri, side):
 def _ray_walk(surface, tri, u, b, x0, d, max_len, diag, entry_side=None):
     """Follow the ray x0 + t*d through triangle interiors.
 
-    Returns ("hit", RayHit) | ("vertex", tri, vtx, u, b) when the ray runs
-    exactly into a vertex | ("clipped",) | ("out",) when past max_len.
+    Returns ("vertex", tri, vtx, u, b) when the ray runs exactly into a
+    vertex, ("clipped",) when it crosses a boundary edge, or ("out",) once it
+    is past max_len.
     """
     steps = 0
     while True:
@@ -741,15 +748,12 @@ def _ray_from_vertex(surface, tri, vtx, u, b, d, max_len, diag):
         if c1 > 0 and c2 > 0:
             return _ray_walk(surface, t, cu, cb, pos, d, max_len, diag,
                              entry_side=None)
-        nxt = surface.next_corner_ccw(t, v)
-        info = surface.neighbor(t, (v + 2) % 3)
-        if nxt is None or info is None:
+        step = _compose_across(surface, cu, cb, t, (v + 2) % 3)
+        if step is None:
             diag.clipped += 1
             return ("clipped",)
-        (t2, s2), rot, trans = info
-        w = ZETA ** ((-rot) % 3)
-        cu, cb = cu * w, cb - cu * w * trans
-        corner = nxt
+        t2, s2, cu, cb = step
+        corner = (t2, s2)
     raise NotConverged("direction not found in vertex fan")
 
 
@@ -763,7 +767,8 @@ def shoot(surface, tri, vtx, chart_dir, max_len, diag=None):
     diag = diag if diag is not None else _Diag()
     d = chart_dir / abs(chart_dir)
     b = -complex(surface.coords(tri, vtx))
-    return _trace_from_vertex(surface, tri, vtx, 1.0 + 0j, b, d, max_len, diag)
+    state = _ray_from_vertex(surface, tri, vtx, 1.0 + 0j, b, d, max_len, diag)
+    return _trace_from_vertex(surface, state, d, max_len, diag)
 
 
 def claim_corner(surface, tri, vtx, chart_dir):
@@ -785,22 +790,14 @@ def claim_corner(surface, tri, vtx, chart_dir):
         on_e2 = abs(c2) <= _POS_TOL and (e2 * d.conjugate()).real > 0
         if on_e1 or (c1 > 0 and c2 > 0 and not on_e2):
             return corner, d
-        if c1 < 0 and not on_e2:
-            nxt = surface.next_corner_cw(t, v)
-            info = surface.neighbor(t, v)
-            if nxt is None or info is None:
-                return corner, d
-            _e, rot, _tr = info
-            d = d * ZETA ** rot
-            corner = nxt
-        else:
-            nxt = surface.next_corner_ccw(t, v)
-            info = surface.neighbor(t, (v + 2) % 3)
-            if nxt is None or info is None:
-                return corner, d
-            _e, rot, _tr = info
-            d = d * ZETA ** rot
-            corner = nxt
+        # step cw across the edge v -> v+1, or ccw across v+2 -> v
+        cw = c1 < 0 and not on_e2
+        info = surface.neighbor(t, v if cw else (v + 2) % 3)
+        if info is None:
+            return corner, d
+        (t2, s2), rot, _ = info
+        d = d * ZETA ** rot
+        corner = (t2, (s2 + 1) % 3) if cw else (t2, s2)
     raise NotConverged("claim_corner failed to settle")
 
 
@@ -894,8 +891,9 @@ def _wedge_search(surface, seed_tri, seed_v, max_len, diag, record):
                     record(cls, pa, tri, apex, u)
                 elif surface.fan_closed[cls] and \
                         abs(surface.cone_angles[cls] - TWO_PI) <= _ANGLE_TOL:
-                    hit = _trace_from_vertex(surface, tri, apex, u, b, da,
+                    state = _ray_from_vertex(surface, tri, apex, u, b, da,
                                              max_len, diag)
+                    hit = _trace_from_vertex(surface, state, da, max_len, diag)
                     if hit is not None:
                         record(hit.cls, hit.point, hit.tri, hit.vertex, hit.u)
             children = [(wlo, da), (da, whi)]
@@ -919,15 +917,14 @@ def _wedge_search(surface, seed_tri, seed_v, max_len, diag, record):
             stack.append((nt, ns, nu, nb, clo, chi))
 
 
-def _trace_from_vertex(surface, tri, vtx, u, b, d, max_len, diag):
-    """Continue a ray standing on a (passable) vertex to the first marked
-    point within range."""
-    state = _ray_from_vertex(surface, tri, vtx, u, b, d, max_len, diag)
-    while True:
-        if state[0] in ("clipped", "out"):
-            return None
-        if state[0] == "hit":
-            return state[1]
+def _trace_from_vertex(surface, state, d, max_len, diag):
+    """Follow a ray from a _ray_walk state to the first marked point within
+    range, or None.
+
+    At each ("vertex", ...) state the vertex is examined: a marked one is the
+    hit, a flat closed one is passed straight, any other clips the ray.
+    """
+    while state[0] == "vertex":
         _, t, v, cu, cb = state
         cls = surface.class_of(t, v)
         pos = _place(cu, cb, surface.coords(t, v))
@@ -941,6 +938,7 @@ def _trace_from_vertex(surface, tri, vtx, u, b, d, max_len, diag):
             diag.clipped += 1
             return None
         state = _ray_from_vertex(surface, t, v, cu, cb, d, max_len, diag)
+    return None
 
 
 def _corner_key(surface, tri, vtx, chart_dir):
@@ -1004,25 +1002,10 @@ def _follow_edge(surface, t, other_v, vec, max_length, diag, record):
         raise ValueError("edge vector does not match triangle")
     b = -complex(surface.coords(t, src_v))
     d = vec / abs(vec)
-    hit = _edge_then_trace(surface, t, other_v, 1.0 + 0j, b, d, max_length, diag)
+    state = ("vertex", t, other_v, 1.0 + 0j, b)
+    hit = _trace_from_vertex(surface, state, d, max_length, diag)
     if hit is not None:
         record(hit.cls, hit.point, hit.tri, hit.vertex, hit.u)
-
-
-def _edge_then_trace(surface, tri, vtx, u, b, d, max_len, diag):
-    """The ray's first stretch runs along an edge to vertex (tri, vtx)."""
-    cls = surface.class_of(tri, vtx)
-    pos = _place(u, b, surface.coords(tri, vtx))
-    dist = (pos * d.conjugate()).real
-    if dist > max_len + _POS_TOL:
-        return None
-    if surface.is_marked(cls):
-        return RayHit(cls, dist, pos, tri, vtx, u)
-    if not surface.fan_closed[cls] or \
-            abs(surface.cone_angles[cls] - TWO_PI) > _ANGLE_TOL:
-        diag.clipped += 1
-        return None
-    return _trace_from_vertex(surface, tri, vtx, u, b, d, max_len, diag)
 
 
 def _dedup_hits(hits):
@@ -1260,19 +1243,87 @@ def surface_to_dict(surface: CubicSurface) -> dict:
     }
 
 
-def surface_from_dict(data: dict) -> CubicSurface:
+_JSON_MAX = 1e300   # coordinates beyond this overflow abs() in validate
+
+
+def _json_check(ok, field, want):
+    if not ok:
+        raise ValueError(f"{field} must be {want}")
+
+
+def _json_list(value, field, length):
+    """value, checked to be an array of ``length`` items (any if None)."""
+    _json_check(isinstance(value, list)
+                and (length is None or len(value) == length), field,
+                "an array" if length is None else f"an array of {length}")
+    return value
+
+
+def _json_int(value, field, stop):
+    """value, checked to be an integer (in [0, stop) unless stop is None)."""
+    _json_check(isinstance(value, int) and not isinstance(value, bool)
+                and (stop is None or 0 <= value < stop), field,
+                "an integer" if stop is None else f"an integer in [0, {stop})")
+    return value
+
+
+def _json_float(value, field):
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    _json_check(ok and abs(value) <= _JSON_MAX, field,
+                f"a number of magnitude at most {_JSON_MAX:g}")
+    return float(value)
+
+
+def _json_complex(value, field):
+    x, y = _json_list(value, field, 2)
+    return complex(_json_float(x, field), _json_float(y, field))
+
+
+def _json_edge(value, field, n_triangles):
+    t, s = _json_list(value, field, 2)
+    return (_json_int(t, field, n_triangles), _json_int(s, field, 3))
+
+
+def _json_objects(value, field):
+    """(name, item) for each item of the array value, checked to be objects."""
+    for i, item in enumerate(_json_list(value, field, None)):
+        _json_check(isinstance(item, dict), f"{field}[{i}]", "an object")
+        yield f"{field}[{i}].", item
+
+
+def surface_from_dict(data) -> CubicSurface:
+    """The surface of a JSON object; ValueError names the first bad field."""
+    _json_check(isinstance(data, dict), "surface JSON", "an object")
     try:
-        tris = [[complex(x, y) for x, y in tri] for tri in data["triangles"]]
-        gluings = [
-            Gluing(tuple(g["edgeA"]), tuple(g["edgeB"]), int(g["rot"]) % 3,
-                   complex(g["trans"][0], g["trans"][1]))
-            for g in data["gluings"]
-        ]
+        tris = []
+        for i, tri in enumerate(_json_list(data["triangles"], "triangles",
+                                           None)):
+            field = f"triangles[{i}]"
+            pts = [_json_complex(z, field) for z in _json_list(tri, field, 3)]
+            _json_check(len(set(pts)) == 3, field, "three distinct points")
+            tris.append(pts)
+        gluings = [Gluing(_json_edge(g["edgeA"], f + "edgeA", len(tris)),
+                          _json_edge(g["edgeB"], f + "edgeB", len(tris)),
+                          _json_int(g["rot"], f + "rot", None) % 3,
+                          _json_complex(g["trans"], f + "trans"))
+                   for f, g in _json_objects(data["gluings"], "gluings")]
     except KeyError as err:
         raise ValueError(f"surface JSON lacks key {err.args[0]!r}") from None
-    orders = {int(c): int(k) for c, k in data.get("vertexOrders", {}).items()}
-    boundary = {tuple(e) for e in data.get("boundary", [])}
-    return CubicSurface(tris, gluings, vertex_orders=orders, boundary=boundary)
+    orders = data.get("vertexOrders", {})
+    _json_check(isinstance(orders, dict), "vertexOrders", "an object")
+    try:
+        classes = [int(c) for c in orders]
+    except (TypeError, ValueError):
+        raise ValueError("vertexOrders keys must be integers") from None
+    orders = {c: _json_int(k, f"vertexOrders[{c}]", None)
+              for c, k in zip(classes, orders.values())}
+    boundary = data.get("boundary", [])
+    boundary = {_json_edge(e, f"boundary[{i}]", len(tris))
+                for i, e in enumerate(_json_list(boundary, "boundary", None))}
+    surf = CubicSurface(tris, gluings, vertex_orders=orders, boundary=boundary)
+    for c in orders:
+        _json_int(c, "vertexOrders key", surf.n_classes())
+    return surf
 
 
 def save_surface(surface: CubicSurface, path: str):
@@ -1301,23 +1352,26 @@ def path_to_dict(path: GeodesicPath) -> dict:
     }
 
 
-def path_from_dict(data: dict) -> GeodesicPath:
+def path_from_dict(data) -> GeodesicPath:
+    """The path of a JSON object; ValueError names the first bad field."""
+    _json_check(isinstance(data, dict), "path JSON", "an object")
     try:
-        segs = tuple(
-            SaddleConnection(int(s["start"]), int(s["end"]),
-                             complex(s["period"][0], s["period"][1]))
-            for s in data["segments"]
-        )
-        juncs = tuple(
-            Junction(order=int(j["order"]), theta_in=float(j["thetaIn"]),
-                     theta_out=float(j["thetaOut"]),
-                     zero=int(j.get("zero", -1)))
-            for j in data.get("junctions", [])
-        )
+        segs = [SaddleConnection(_json_int(sg["start"], f + "start", None),
+                                 _json_int(sg["end"], f + "end", None),
+                                 _json_complex(sg["period"], f + "period"))
+                for f, sg in _json_objects(data["segments"], "segments")]
+        juncs = [Junction(order=_json_int(j["order"], f + "order", None),
+                          theta_in=_json_float(j["thetaIn"], f + "thetaIn"),
+                          theta_out=_json_float(j["thetaOut"], f + "thetaOut"),
+                          zero=_json_int(j.get("zero", -1), f + "zero", None))
+                 for f, j in _json_objects(data.get("junctions", []),
+                                           "junctions")]
     except KeyError as err:
         raise ValueError(f"path JSON lacks key {err.args[0]!r}") from None
-    closed = bool(data.get("closed", False))
-    return GeodesicPath(segs, juncs, closed)
+    _json_check(segs, "segments", "a non-empty array")
+    closed = data.get("closed", False)
+    _json_check(isinstance(closed, bool), "closed", "true or false")
+    return GeodesicPath(tuple(segs), tuple(juncs), closed)
 
 
 def save_path(path: GeodesicPath, filename: str):

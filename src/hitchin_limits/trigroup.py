@@ -22,10 +22,9 @@ from . import tropical
 from .errors import DegeneratePath, NonDeformable
 from .surface import (CubicSurface, GeodesicPath, Gluing, Junction,
                       SaddleConnection, ZETA, enumerate_saddle_connections,
-                      shoot, claim_corner)
+                      glue, shoot, claim_corner, walk_fan)
 
 TWO_PI = 2.0 * math.pi
-_MAX_ZIP_PASSES = 100000
 _MAX_LEG = 10.0        # longest cycle leg traced on a patch
 
 
@@ -47,85 +46,42 @@ class TriangleOrbifoldSurface:
                 if self.orbifold_type[c] == t and self.surface.fan_closed[c]]
 
 
-def _zip_fans(tris, coords, edge_map, corner_type, valence):
-    """Close every vertex fan that has reached its full valence.
+def _zip_fans(coords, edge_map, corner_type, valence, work):
+    """Close every fan, among those of the corners in ``work``, that has
+    reached its full valence.
 
-    Walks fans through the accumulated gluings; when a fan holds 2*ord
-    corners with both boundary edges free, glues them with the rigid motion
-    matching the edge endpoints (a zeta-power rotation).
+    A fan with 2*ord corners and both boundary edges free is glued shut with
+    the rigid motion matching the edge endpoints (a zeta-power rotation).
+    That gluing joins the far endpoints of the two glued edges into one
+    vertex, whose fan may then be full in turn, so its corner joins the work.
     """
-
-    def neighbor(t, s):
-        return edge_map.get((t, s))
-
-    def fan_walk(t, v):
-        # clockwise to the boundary
-        cur = (t, v)
-        seen = {cur}
-        while True:
-            info = neighbor(cur[0], cur[1])
-            if info is None:
-                break
-            nxt = (info[0][0], (info[0][1] + 1) % 3)
-            if nxt in seen:
-                return None  # already closed
-            seen.add(nxt)
-            cur = nxt
-        first = cur
-        fan = [first]
-        while True:
-            t2, v2 = fan[-1]
-            info = neighbor(t2, (v2 + 2) % 3)
-            if info is None:
-                break
-            nxt = info[0]
-            if nxt == first:
-                return None
-            fan.append(nxt)
-        return fan
-
-    changed = True
-    guard = 0
-    while changed:
-        changed = False
-        guard += 1
-        if guard > _MAX_ZIP_PASSES:
-            raise RuntimeError("fan zipping did not stabilize")
-        corners = [(t, v) for t in range(len(tris)) for v in range(3)]
-        for (t, v) in corners:
-            fan = fan_walk(t, v)
-            if fan is None:
-                continue
-            ord_ = valence[corner_type[(t, v)]]
-            if len(fan) < 2 * ord_:
-                continue
-            if len(fan) > 2 * ord_:
-                raise RuntimeError("fan exceeded its valence")
-            # boundary edges: cw edge of the first corner, ccw edge of last
-            tf, vf = fan[0]
-            tl, vl = fan[-1]
-            e_a = (tl, (vl + 2) % 3)       # from vl+2 to vl (head at vertex)
-            e_b = (tf, vf)                 # from vf to vf+1 (tail at vertex)
-            if e_a in edge_map or e_b in edge_map:
-                raise RuntimeError("fan boundary edge already glued")
-            a1 = coords[e_a[0]][e_a[1]]
-            a2 = coords[e_a[0]][(e_a[1] + 1) % 3]
-            b1 = coords[e_b[0]][e_b[1]]
-            b2 = coords[e_b[0]][(e_b[1] + 1) % 3]
-            rot = (b2 - b1) / (a1 - a2)
-            m = round((cmath.phase(rot) % TWO_PI) / (TWO_PI / 3))
-            if abs(rot - ZETA ** (m % 3)) > 1e-9:
-                raise RuntimeError("zip rotation is not a cube root of unity")
-            trans = b2 - ZETA ** (m % 3) * a1
-            _add_gluing(edge_map, e_a, e_b, m % 3, trans)
-            changed = True
-    return edge_map
-
-
-def _add_gluing(edge_map, e_a, e_b, rot, trans):
-    edge_map[e_a] = (e_b, rot, trans)
-    minus = (-rot) % 3
-    edge_map[e_b] = (e_a, minus, -(ZETA ** minus) * trans)
+    while work:
+        fan, closed = walk_fan(edge_map, work.pop())
+        if closed:
+            continue
+        tf, vf = fan[0]
+        ord_ = valence[corner_type[(tf, vf)]]
+        if len(fan) < 2 * ord_:
+            continue
+        if len(fan) > 2 * ord_:
+            raise RuntimeError("fan exceeded its valence")
+        # boundary edges: cw edge of the first corner, ccw edge of last
+        tl, vl = fan[-1]
+        e_a = (tl, (vl + 2) % 3)       # from vl+2 to vl (head at vertex)
+        e_b = (tf, vf)                 # from vf to vf+1 (tail at vertex)
+        if e_a in edge_map or e_b in edge_map:
+            raise RuntimeError("fan boundary edge already glued")
+        a1 = coords[e_a[0]][e_a[1]]
+        a2 = coords[e_a[0]][(e_a[1] + 1) % 3]
+        b1 = coords[e_b[0]][e_b[1]]
+        b2 = coords[e_b[0]][(e_b[1] + 1) % 3]
+        rot = (b2 - b1) / (a1 - a2)
+        m = round((cmath.phase(rot) % TWO_PI) / (TWO_PI / 3))
+        if abs(rot - ZETA ** (m % 3)) > 1e-9:
+            raise RuntimeError("zip rotation is not a cube root of unity")
+        trans = b2 - ZETA ** (m % 3) * a1
+        glue(edge_map, e_a, e_b, m % 3, trans)
+        work.append((tf, (vf + 1) % 3))
 
 
 def build_orbifold(p: int, q: int, r: int, layers: int = 4) -> TriangleOrbifoldSurface:
@@ -144,15 +100,13 @@ def build_orbifold(p: int, q: int, r: int, layers: int = 4) -> TriangleOrbifoldS
     euclidean = (p, q, r) == (3, 3, 3)
     valence = (p, q, r)
 
-    tris = []       # vertex instance roots are implicit via gluings
     coords = []
     corner_type = {}
     generation = []
     edge_map = {}
 
     def add_triangle(vertex_types, pts, gen):
-        t = len(tris)
-        tris.append(t)
+        t = len(coords)
         coords.append(tuple(pts))
         for v in range(3):
             corner_type[(t, v)] = vertex_types[v]
@@ -176,8 +130,10 @@ def build_orbifold(p: int, q: int, r: int, layers: int = 4) -> TriangleOrbifoldS
             tb = corner_type[(t, (s + 1) % 3)]
             tc = 3 - ta - tb
             t2 = add_triangle((tb, ta, tc), (b, a, apex), generation[t] + 1)
-            _add_gluing(edge_map, (t, s), (t2, 0), 0, 0.0)
-            _zip_fans(tris, coords, edge_map, corner_type, valence)
+            glue(edge_map, (t, s), (t2, 0), 0, 0.0)
+            # the apex is a new vertex: only the base corners' fans grew
+            _zip_fans(coords, edge_map, corner_type, valence,
+                      [(t2, 0), (t2, 1)])
             new_frontier.extend((t2, s2) for s2 in (1, 2)
                                 if (t2, s2) not in edge_map)
         frontier = [e for e in new_frontier if e not in edge_map]
@@ -190,19 +146,15 @@ def build_orbifold(p: int, q: int, r: int, layers: int = 4) -> TriangleOrbifoldS
         done.add(e_a)
         done.add(e_b)
         gluings.append(Gluing(e_a, e_b, rot, trans))
-    boundary = {(t, s) for t in range(len(tris)) for s in range(3)
+    boundary = {(t, s) for t in range(len(coords)) for s in range(3)
                 if (t, s) not in edge_map}
-    base = CubicSurface([coords[t] for t in range(len(tris))], gluings,
-                        vertex_orders={}, boundary=boundary)
-    orders = {}
-    types = [None] * base.n_classes()
-    for cls in range(base.n_classes()):
-        t, v = base.vertex_classes[cls][0]
+    surface = CubicSurface(coords, gluings, boundary=boundary)
+    types = [None] * surface.n_classes()
+    for cls in range(surface.n_classes()):
+        t, v = surface.vertex_classes[cls][0]
         types[cls] = corner_type[(t, v)]
-        if base.fan_closed[cls]:
-            orders[cls] = valence[types[cls]] - 3
-    surface = CubicSurface([coords[t] for t in range(len(tris))], gluings,
-                           vertex_orders=orders, boundary=boundary)
+        if surface.fan_closed[cls]:
+            surface.vertex_orders[cls] = valence[types[cls]] - 3
     return TriangleOrbifoldSurface(p=p, q=q, r=r, surface=surface,
                                    orbifold_type=tuple(types),
                                    euclidean=euclidean)

@@ -198,6 +198,9 @@ def solve_disk(k: int, s: float, R: float, grid: GridSpec = None,
         raise ValueError("need k >= 0, s > 0, R > 0")
     grid = grid or GridSpec()
     nr, m, ratio = grid.resolve(k)
+    if nr < 2 or m < 3 or not ratio > 1.0:
+        raise ValueError(f"grid needs nr >= 2, ntheta >= 3 and ratio > 1, "
+                         f"got nr={nr}, ntheta={m}, ratio={ratio:g}")
     rs = _radial_nodes(R, nr, ratio)
     thetas = np.arange(m) * (2 * math.pi / m)
     L, rhs_bound = _assemble_laplacian(rs, m)

@@ -135,3 +135,45 @@ def test_malformed_json_exits_1(tmp_path, capsys, argv, content):
     bad.write_text(json.dumps(content))
     assert run(argv + [str(bad)]) == 1
     assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["wang", "solve", "--k", "1", "--s", "100", "--nr", "1"],
+    ["wang", "solve", "--k", "1", "--s", "100", "--ratio", "1.0"],
+    ["wang", "solve", "--k", "1", "--s", "100", "--ratio", "0.9"],
+    ["wang", "solve", "--k", "1", "--s", "100", "--ntheta", "2"],
+    ["verify", "sweep", "--k", "1", "--s", "100", "--nr", "1"],
+    ["verify", "arc", "--k", "1", "--s", "100", "--nr", "1"],
+], ids=["nr1", "ratio1", "ratio0.9", "ntheta2", "sweep-nr1", "arc-nr1"])
+def test_malformed_wang_grid_exits_1(capsys, argv):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["surface", "validate", "--in"], {"triangles": [[[0, 0]]], "gluings": []}),
+    (["surface", "validate", "--in"], [1, 2]),
+    (["surface", "validate", "--in"],
+     {"triangles": [[[0, 0], [1, 0], [0, 1]]],
+      "gluings": [{"edgeA": [0, 0], "edgeB": [5, 1], "rot": 0,
+                   "trans": [0, 0]}]}),
+    (["tropical", "spectrum", "--path"], [1]),
+    (["tropical", "spectrum", "--path"],
+     {"segments": [{"start": 0, "end": 0, "period": [1]}]}),
+    (["tropical", "spectrum", "--path"], {"segments": []}),
+], ids=["short-triangle", "top-level-list", "gluing-out-of-range",
+        "path-list", "short-period", "no-segments"])
+def test_misshapen_json_exits_1(tmp_path, capsys, argv, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    assert run(argv + [str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_empty_surface_fails_validation(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"triangles": [], "gluings": []}))
+    assert run(["surface", "validate", "--in", str(empty)]) == 1
+    assert capsys.readouterr().out.startswith("EmptySurface")

@@ -1,10 +1,13 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hitchin_limits import surface as sf
+from hitchin_limits import trigroup
 from hitchin_limits.errors import DegeneratePath
 
 TWO_PI = 2 * math.pi
@@ -91,6 +94,85 @@ def test_edge_length_mismatch_detected():
     bad = sf.CubicSurface(tris, gluings, vertex_orders={})
     kinds = {v.kind for v in sf.validate(bad)}
     assert "EdgeLengthMismatch" in kinds
+
+
+def test_empty_surface_is_a_violation():
+    empty = sf.CubicSurface([], [])
+    assert [v.kind for v in sf.validate(empty)] == ["EmptySurface"]
+
+
+# derandomized and small, so the suite stays reproducible and fast
+PROPERTY = settings(derandomize=True, database=None, max_examples=60,
+                    deadline=None)
+# two unit squares (four triangles); gluings below pair any of their edges
+SQUARES = [(0.0, 1.0, 1 + 1j), (0.0, 1 + 1j, 1j),
+           (1.0, 2.0, 2 + 1j), (1.0, 2 + 1j, 1 + 1j)]
+EDGES = st.tuples(st.integers(0, len(SQUARES) - 1), st.integers(0, 2))
+COORD = st.floats(-1e300, 1e300)
+
+
+@PROPERTY
+@given(st.lists(st.builds(sf.Gluing, EDGES, EDGES, st.integers(0, 2),
+                          st.builds(complex, COORD, COORD)), max_size=8),
+       st.sets(EDGES), st.dictionaries(st.integers(0, 11), st.integers(0, 9)))
+def test_validate_never_raises_on_in_range_gluings(gluings, boundary, orders):
+    surf = sf.CubicSurface(SQUARES, gluings, vertex_orders=orders,
+                           boundary=boundary)
+    assert all(isinstance(v, sf.Violation) for v in sf.validate(surf))
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=20)
+
+
+@st.composite
+def _mutated(draw, valid):
+    """A valid JSON document with one value, at any depth, replaced."""
+    doc = json.loads(json.dumps(valid))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        if not isinstance(node[key], (dict, list)) or not node[key] \
+                or draw(st.booleans()):
+            node[key] = draw(JSON)
+            return doc
+        node = node[key]
+
+
+@PROPERTY
+@given(JSON | _mutated(sf.surface_to_dict(sf.build_polynomial_disk(1, 1.0))))
+def test_surface_from_dict_raises_only_value_error(data):
+    try:
+        sf.surface_from_dict(data)
+    except ValueError:
+        pass
+
+
+@PROPERTY
+@given(JSON | _mutated(sf.path_to_dict(sf.synthesize_path(
+    [1.0, 0.7], turns=[3.5], orders=[1]))))
+def test_path_from_dict_raises_only_value_error(data):
+    try:
+        sf.path_from_dict(data)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("surf", [
+    sf.build_polynomial_disk(1, 1.0),
+    sf.build_l_surface(),
+    trigroup.build_orbifold(3, 3, 4, layers=6).surface,
+], ids=["disk", "L", "334"])
+def test_surface_dict_roundtrip(surf):
+    back = sf.surface_from_dict(json.loads(json.dumps(sf.surface_to_dict(surf))))
+    assert sf.surface_to_dict(back) == sf.surface_to_dict(surf)
+    assert back.triangles == surf.triangles
+    assert back.gluings == surf.gluings
+    assert back.vertex_orders == surf.vertex_orders
+    assert back.boundary == surf.boundary
 
 
 def test_fan_closure_rotation_forced_by_order():

@@ -176,3 +176,20 @@ def test_orbifold_fan_closure_rotation(orb334):
         k = surf.vertex_orders[cls]
         u, _ = sf.develop_fan_closure(surf, cls)
         assert abs(u - sf.ZETA ** (k % 3)) < 1e-9
+
+
+@pytest.mark.parametrize("pqr", [(3, 3, 4), (3, 4, 5), (4, 4, 4), (3, 3, 7)])
+def test_zip_leaves_no_full_fan_open(pqr):
+    orb = trigroup.build_orbifold(*pqr, layers=6)
+    surf = orb.surface
+    assert sf.validate(surf) == []
+    corners = []
+    for cls, fan in enumerate(surf.fans):
+        full = 2 * pqr[orb.orbifold_type[cls]]
+        if surf.fan_closed[cls]:
+            assert len(fan) == full
+        else:
+            assert len(fan) < full
+        corners.extend(fan)
+    assert sorted(corners) == [(t, v) for t in range(len(surf.triangles))
+                               for v in range(3)]
