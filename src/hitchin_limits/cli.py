@@ -6,7 +6,8 @@ localmodel|convexity, trigroup spectrum|boundary.
 
 All CSV output carries a header row and locale-independent %.17g numbers, so
 identical configurations (and seeds) produce byte-identical files.  Exit
-codes: 0 success, 1 validation failure, 2 numerical failure.
+codes: 0 success, 1 validation failure (usage errors included), 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -156,10 +157,10 @@ def cmd_wang_solve(args):
 _PATH_ARITY = {"radial": 3, "chord": 4}
 
 
-def _sweep_path(spec, k):
+def _sweep_path(spec, k, radius):
     """Chart polyline for a sweep path spec 'radial:r0,r1,theta' or
     'chord:w0re,w0im,w1re,w1im' (natural-coordinate chord mapped to the
-    chart)."""
+    chart), inside the punctured solved disk 0 < |z| <= radius."""
     kind, _, rest = spec.partition(":")
     if kind not in _PATH_ARITY:
         raise ValueError(f"unknown path spec {spec!r}")
@@ -177,6 +178,10 @@ def _sweep_path(spec, k):
                for t in np.linspace(0.0, 1.0, 48)]
     if pts[0] == pts[-1]:
         raise ValueError(f"path spec {spec!r} has zero length")
+    if (kind == "radial" and r0 * r1 < 0) or \
+            any(abs(z) == 0 or abs(z) > radius for z in pts):
+        raise ValueError(f"path spec {spec!r} leaves the punctured disk "
+                         f"0 < |z| <= {radius:g}")
     return pts
 
 
@@ -189,7 +194,7 @@ def _chart_period(pts, k):
 
 def cmd_verify_sweep(args):
     s_list = _parse_s_list(args.s)
-    pts = _sweep_path(args.path, args.k)
+    pts = _sweep_path(args.path, args.k, args.radius)
     grid = wang.GridSpec(nr=args.nr, ntheta=args.ntheta)
     sols = {s: wang.solve_disk(args.k, s, args.radius, grid) for s in s_list}
     rows = frame.convergence_sweep(sols, pts, _chart_period(pts, args.k),
@@ -208,6 +213,9 @@ def cmd_verify_sweep(args):
 
 def cmd_verify_arc(args):
     s_list = _parse_s_list(args.s)
+    if not 0 < args.radius <= args.radius_disk:
+        raise ValueError(f"arc radius {args.radius:g} is outside the solved "
+                         f"disk (0, {args.radius_disk:g}]")
     k = args.k
     lifts = polygon.regular_lifts(k + 3)
     scalef = (k + 3) / 3.0
@@ -297,15 +305,36 @@ def cmd_trigroup_boundary(args):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line and exit with the validation code."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+
+
+def _count(least):
+    """argparse type: an integer of at least ``least``."""
+    def count(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}")
+        return n
+    return count
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="hitchin-limits")
+    ap = _Parser(prog="hitchin-limits")
     sub = ap.add_subparsers(dest="group", required=True)
 
     g = sub.add_parser("surface").add_subparsers(dest="action", required=True)
     b = g.add_parser("build")
     b.add_argument("--disk", nargs=2, metavar=("K", "RADIUS"))
     b.add_argument("--orbifold", type=str, default=None)
-    b.add_argument("--layers", type=int, default=6)
+    b.add_argument("--layers", type=_count(0), default=6)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_surface_build)
     v = g.add_parser("validate")
@@ -321,13 +350,13 @@ def build_parser():
 
     g = sub.add_parser("polygon").add_subparsers(dest="action", required=True)
     u = g.add_parser("unipotent")
-    u.add_argument("--n", type=int, required=True)
+    u.add_argument("--n", type=_count(3), required=True)
     u.add_argument("--theta-in", dest="theta_in", type=float, required=True)
     u.add_argument("--theta-out", dest="theta_out", type=float, required=True)
     u.set_defaults(func=cmd_polygon_unipotent)
     sch = g.add_parser("scheme")
-    sch.add_argument("--n", type=int, required=True)
-    sch.add_argument("--flips", type=int, default=6)
+    sch.add_argument("--n", type=_count(3), required=True)
+    sch.add_argument("--flips", type=_count(0), default=6)
     sch.set_defaults(func=cmd_polygon_scheme)
 
     g = sub.add_parser("wang").add_subparsers(dest="action", required=True)
@@ -366,13 +395,13 @@ def build_parser():
     g = sub.add_parser("building").add_subparsers(dest="action", required=True)
     lm = g.add_parser("localmodel")
     lm.add_argument("--k", type=int, required=True)
-    lm.add_argument("--samples", type=int, default=100)
+    lm.add_argument("--samples", type=_count(0), default=100)
     lm.add_argument("--seed", type=int, default=0)
     lm.add_argument("--out", default="-")
     lm.set_defaults(func=cmd_building_localmodel)
     cv = g.add_parser("convexity")
-    cv.add_argument("--paths", type=int, default=100)
-    cv.add_argument("--corners", type=int, default=100)
+    cv.add_argument("--paths", type=_count(0), default=100)
+    cv.add_argument("--corners", type=_count(0), default=100)
     cv.add_argument("--seed", type=int, default=0)
     cv.set_defaults(func=cmd_building_convexity)
 
@@ -380,14 +409,14 @@ def build_parser():
     ts = g.add_parser("spectrum")
     ts.add_argument("--pqr", default="3,3,4")
     ts.add_argument("--maxlen", type=float, default=1.01)
-    ts.add_argument("--thetas", type=int, default=12)
-    ts.add_argument("--layers", type=int, default=9)
+    ts.add_argument("--thetas", type=_count(1), default=12)
+    ts.add_argument("--layers", type=_count(0), default=9)
     ts.add_argument("--out", default="-")
     ts.set_defaults(func=cmd_trigroup_spectrum)
     tb = g.add_parser("boundary")
     tb.add_argument("--pqr", default="3,3,4")
-    tb.add_argument("--thetas", type=int, default=12)
-    tb.add_argument("--layers", type=int, default=9)
+    tb.add_argument("--thetas", type=_count(2), default=12)
+    tb.add_argument("--layers", type=_count(0), default=9)
     tb.set_defaults(func=cmd_trigroup_boundary)
 
     return ap

@@ -37,7 +37,7 @@ class GridTooCoarse(HitchinLimitsError):
 
 
 class StepUnstable(HitchinLimitsError):
-    """ODE integration step grew too fast even after repeated halving."""
+    """An ODE integration step is not finite or grew beyond the stable range."""
 
 
 class StokesEndpoint(HitchinLimitsError):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,16 +37,8 @@ _QR_EVERY = 10
 # structure coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StructureCoefficients:
-    """Pointwise connection matrices of the frame ODE."""
-
-    U: np.ndarray
-    V: np.ndarray
-
-
-def structure_coefficients(phi, dz_phi, q) -> StructureCoefficients:
-    """U, V at a point from the conformal factor, its z-derivative and the
+def structure_coefficients(phi, dz_phi, q):
+    """(U, V) at a point from the conformal factor, its z-derivative and the
     cubic differential value q (already including the ray parameter s)."""
     dz_phi = complex(dz_phi)
     q = complex(q)
@@ -62,7 +53,7 @@ def structure_coefficients(phi, dz_phi, q) -> StructureCoefficients:
         [0.0, 0.0, q.conjugate() / ephi],
         [1.0, 0.0, dz_phi.conjugate()],
     ], dtype=complex)
-    return StructureCoefficients(U, V)
+    return U, V
 
 
 def orthonormal_gauge(phi: float) -> np.ndarray:
@@ -80,8 +71,8 @@ def orthonormal_gauge(phi: float) -> np.ndarray:
 # Titeica closed form
 # ---------------------------------------------------------------------------
 
-def titeica_structure() -> StructureCoefficients:
-    """Constant U, V of dz^3 with its flat conformal factor e^phi = 2^(1/3)."""
+def titeica_structure():
+    """Constant (U, V) of dz^3 with its flat conformal factor e^phi = 2^(1/3)."""
     phi = math.log(2.0) / 3.0
     return structure_coefficients(phi, 0.0 + 0.0j, 1.0 + 0.0j)
 
@@ -94,14 +85,13 @@ def titeica_frame():
     displacement, slots ordered so slot j carries the branch cos(theta -
     BETA[j]), columns normalized to leading entry 1.
     """
-    sc = titeica_structure()
+    U, V = titeica_structure()
     x = 0.8 * cmath.exp(0.23j)  # generic direction, away from walls/Stokes
-    M = expm(x * sc.U + x.conjugate() * sc.V)
+    M = expm(x * U + x.conjugate() * V)
     evals, vecs = np.linalg.eig(M)
-    want = [CBRT4 * (x * cmath.exp(-1j * b)).real for b in BETA]
     cols = []
     used = set()
-    for target in want:
+    for target in _titeica_exponents(x):
         errs = [abs(cmath.log(evals[i]).real - target) if i not in used else 1e30
                 for i in range(3)]
         i = int(np.argmin(errs))
@@ -109,6 +99,11 @@ def titeica_frame():
         cols.append(vecs[:, i] / vecs[0, i])
     S = np.column_stack(cols)
     return S, np.linalg.inv(S)
+
+
+def _titeica_exponents(x: complex) -> np.ndarray:
+    """Log-eigenvalues 2^(2/3) Re(x e^(-i BETA_j)) of the Titeica transport."""
+    return np.array([CBRT4 * (x * cmath.exp(-1j * b)).real for b in BETA])
 
 
 def titeica_frame_analytic():
@@ -123,18 +118,16 @@ def titeica_frame_analytic():
 def titeica_transport(displacement: complex) -> np.ndarray:
     """Transport of the constant-differential frame over a natural-chart
     displacement: S exp(diag of 2^(2/3) Re(x e^(-i BETA_j))) S^(-1)."""
-    x = complex(displacement)
     S, S_inv = titeica_frame()
-    d = np.array([CBRT4 * (x * cmath.exp(-1j * b)).real for b in BETA])
+    d = _titeica_exponents(complex(displacement))
     return (S * np.exp(d)) @ S_inv
 
 
 def titeica_log_singular_values(displacement: complex):
     """Log singular values of the closed-form transport, computed stably in
     the factored form (oracle for large displacements)."""
-    x = complex(displacement)
     S, S_inv = titeica_frame()
-    d = np.array([CBRT4 * (x * cmath.exp(-1j * b)).real for b in BETA])
+    d = _titeica_exponents(complex(displacement))
     return _log_singular_values_of_factored(S, d, S_inv)
 
 
@@ -214,12 +207,11 @@ class FrameTransport:
         return (Tinv * np.exp(-self.logd)) @ self.Q.conjugate().T
 
 
-def _default_step(s: float, rate: float) -> float:
+def _step_size(s: float) -> float:
     """Step size: capped at min(0.01, 0.5 s^(-1/3)) and tightened so the RK4
     truncation stays near _STEP_TOL per unit length."""
     cap = min(0.01, 0.5 * s ** (-1.0 / 3.0))
-    if rate <= 0:
-        return cap
+    rate = CBRT4 * s ** (1.0 / 3.0) * 1.5
     h_acc = (120.0 * _STEP_TOL / rate ** 5) ** 0.25
     return max(min(cap, h_acc), 1e-5)
 
@@ -227,75 +219,20 @@ def _default_step(s: float, rate: float) -> float:
 def integrate_transport(sol, path, s: float) -> FrameTransport:
     """RK4 transport of the structure-equation connection along a polyline.
 
-    ``sol`` provides phi_at(z) and dz_phi_at(z) plus fields k and s (a Wang
+    ``sol`` provides phi_at(z) and dz_phi_at(z) plus field k (a Wang
     solution); ``path`` is a sequence of complex chart points.  The connection
     is taken trace-free (the scalar e^(phi)-gauge is removed), so the result
-    is unimodular; asymptotic exponents are unaffected.
+    is unimodular; asymptotic exponents are unaffected.  A step that is not
+    finite or has an entry above e^10 raises StepUnstable.
     """
     xport = FrameTransport()
     pts = [complex(z) for z in path]
-    rate = CBRT4 * s ** (1.0 / 3.0) * 1.5
+    h = _step_size(s)
 
-    def omega_at(z):
-        phi = sol.phi_at(z)
-        dphi = sol.dz_phi_at(z)
-        q = s * z ** sol.k
-        sc = structure_coefficients(phi, dphi, q)
-        return sc.U, sc.V
-
-    for a, b in zip(pts[:-1], pts[1:]):
-        seg = b - a
-        L = abs(seg)
-        if L == 0:
-            continue
-        h = _default_step(s, rate)
-        n = max(2, int(math.ceil(L / h)))
-        dt = 1.0 / n
-        dz = seg * dt
-        block = np.eye(3, dtype=complex)
-        pending = 0
-        for i in range(n):
-            z0 = a + seg * (i / n)
-            step, attempts = None, 0
-            local_n = 1
-            while True:
-                ok = True
-                M = np.eye(3, dtype=complex)
-                for j in range(local_n):
-                    zj0 = z0 + dz * (j / local_n)
-                    M_step = _rk4_inverse_step(omega_at, zj0, dz / local_n)
-                    if not np.all(np.isfinite(M_step)) or \
-                            np.max(np.abs(M_step)) > math.exp(10):
-                        ok = False
-                        break
-                    M = M_step @ M
-                if ok:
-                    step = M
-                    break
-                attempts += 1
-                local_n *= 2
-                if attempts > 8:
-                    raise StepUnstable("transport step kept growing too fast")
-            block = step @ block
-            pending += 1
-            if pending >= _QR_EVERY:
-                xport.push_left(block)
-                block = np.eye(3, dtype=complex)
-                pending = 0
-        if pending:
-            xport.push_left(block)
-    return xport
-
-
-def _rk4_inverse_step(omega_at, z0, dz):
-    """One RK4 step of dX = -(U dz + V dzbar) X over the straight piece dz.
-
-    The connection is made trace-free on the fly, which removes the scalar
-    conformal-factor gauge and keeps det X = 1.
-    """
-
-    def A(z):
-        U, V = omega_at(z)
+    def generator(z, dz):
+        # -(U dz + V dzbar) at z, made trace-free
+        U, V = structure_coefficients(sol.phi_at(z), sol.dz_phi_at(z),
+                                      s * z ** sol.k)
         W = U * dz + V * dz.conjugate()
         tr = np.trace(W) / 3.0
         W[0, 0] -= tr
@@ -303,29 +240,49 @@ def _rk4_inverse_step(omega_at, z0, dz):
         W[2, 2] -= tr
         return -W
 
-    k1 = A(z0)
-    k2 = A(z0 + dz / 2)
-    k3 = k2
-    k4 = A(z0 + dz)
-    # constant-coefficient RK4 on X' = A(t) X with A evaluated along the piece
     I = np.eye(3, dtype=complex)
-    f1 = k1
-    f2 = k2 @ (I + 0.5 * f1)
-    f3 = k3 @ (I + 0.5 * f2)
-    f4 = k4 @ (I + f3)
-    return I + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        seg = b - a
+        if seg == 0:
+            continue
+        n = max(2, int(math.ceil(abs(seg) / h)))
+        dz = seg * (1.0 / n)
+        block = I
+        for i in range(n):
+            z0 = a + seg * (i / n)
+            # RK4 on X' = A(t) X with A sampled along the straight piece
+            f1 = generator(z0, dz)
+            mid = generator(z0 + dz / 2, dz)
+            f2 = mid @ (I + 0.5 * f1)
+            f3 = mid @ (I + 0.5 * f2)
+            f4 = generator(z0 + dz, dz) @ (I + f3)
+            step = I + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
+            if not np.all(np.isfinite(step)) or \
+                    np.max(np.abs(step)) > math.exp(10):
+                raise StepUnstable(f"transport step {i + 1} of {n} at "
+                                   f"z={z0:.6g} is not finite or exceeds e^10")
+            block = step @ block
+            if (i + 1) % _QR_EVERY == 0 or i == n - 1:
+                xport.push_left(block)
+                block = I
+    return xport
 
 
 # ---------------------------------------------------------------------------
 # arcs and sweeps
 # ---------------------------------------------------------------------------
 
+def _polar_on_branch(z: complex, branch_angle: float):
+    """(|z|, arg z) with the argument lifted to within pi of branch_angle."""
+    th = cmath.phase(z)
+    th += round((branch_angle - th) / (2 * math.pi)) * 2 * math.pi
+    return abs(z), th
+
+
 def natural_coordinate(z: complex, k: int, branch_angle: float = 0.0) -> complex:
     """w = 3/(k+3) z^((k+3)/3), the branch continuous near arg z =
     branch_angle."""
-    r = abs(z)
-    th = cmath.phase(z)
-    th += round((branch_angle - th) / (2 * math.pi)) * 2 * math.pi
+    r, th = _polar_on_branch(z, branch_angle)
     p = (k + 3) / 3.0
     return 3.0 / (k + 3) * r ** p * cmath.exp(1j * p * th)
 
@@ -338,9 +295,7 @@ def natural_frame_diag(z: complex, k: int, s: float,
     Asymptotic transport formulas live in the natural frame; conjugating by
     these diagonals removes the polynomially-growing frame mismatch.
     """
-    r = abs(z)
-    th = cmath.phase(z)
-    th += round((branch_angle - th) / (2 * math.pi)) * 2 * math.pi
+    r, th = _polar_on_branch(z, branch_angle)
     wp = s ** (1.0 / 3.0) * r ** (k / 3.0) * cmath.exp(1j * th * k / 3.0)
     return np.array([1.0, 1.0 / wp, 1.0 / wp.conjugate()], dtype=complex)
 
@@ -360,7 +315,7 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
     """
     n_steps = max(256, int(96 * abs(theta1 - theta0) * s ** (1 / 3)))
     S, S_inv = titeica_frame()
-    sc_T = titeica_structure()
+    U_T, V_T = titeica_structure()
     p = (k + 3) / 3.0
     rnat = s ** (1.0 / 3.0) * (3.0 / (k + 3)) * radius ** p
     omega_phases = np.array([cmath.exp(-1j * b) for b in BETA])
@@ -372,8 +327,8 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
         xdot = wp * (1j * z)
         phi_w = sol.phi_at(z) - 2.0 * math.log(abs(wp))
         dphi_w = (sol.dz_phi_at(z) - (k / 3.0) / z) / wp
-        sc_w = structure_coefficients(phi_w, dphi_w, 1.0)
-        W = (sc_w.U - sc_T.U) * xdot + (sc_w.V - sc_T.V) * xdot.conjugate()
+        U_w, V_w = structure_coefficients(phi_w, dphi_w, 1.0)
+        W = (U_w - U_T) * xdot + (V_w - V_T) * xdot.conjugate()
         E = S_inv @ W @ S
         D = CBRT4 * (x * omega_phases).real
         return E * np.exp(D[:, None] - D[None, :])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +40,15 @@ class GridSpec:
         return self.nr, m, self.ratio
 
 
+def _bilinear(grid, cell):
+    i, t, j0, j1, wj = cell
+    v0 = grid[i, j0] * (1 - wj) + grid[i, j1] * wj
+    if t is None:
+        return v0
+    v1 = grid[i + 1, j0] * (1 - wj) + grid[i + 1, j1] * wj
+    return v0 * (1 - t) + v1 * t
+
+
 class WangSolution:
     """Discrete conformal factor of the Blaschke metric on a model disk."""
 
@@ -53,8 +63,6 @@ class WangSolution:
         self.phi = phi              # shape (len(rs), len(thetas))
         self.residual_norm = residual_norm
         self.residual_history = list(residual_history)
-        self._dr = None
-        self._dth = None
 
     # -- analytic references ------------------------------------------------
 
@@ -72,11 +80,14 @@ class WangSolution:
     # would leave O(h^2) residues that dwarf the exponentially small F far
     # from the zero (and get amplified by e^(Delta D) in arc comparisons).
 
-    def _ensure_gradients(self):
-        if self._dr is not None:
-            return
-        rs = self.rs
-        F = self._F_grid()
+    @cached_property
+    def _F(self):
+        return self.phi - self.flat_log(self.rs)[:, None]
+
+    @cached_property
+    def _F_gradients(self):
+        """(dF/dr, dF/dtheta) on the grid by finite differences."""
+        rs, F = self.rs, self._F
         dr = np.empty_like(F)
         dr[1:-1] = ((F[2:] - F[:-2]).T / (rs[2:] - rs[:-2])).T
         dr[0] = (F[1] - F[0]) / (rs[1] - rs[0])
@@ -84,14 +95,12 @@ class WangSolution:
         dth = np.empty_like(F)
         hth = self.thetas[1] - self.thetas[0]
         dth[:] = (np.roll(F, -1, axis=1) - np.roll(F, 1, axis=1)) / (2 * hth)
-        self._dr, self._dth = dr, dth
+        return dr, dth
 
-    def _F_grid(self):
-        if getattr(self, "_F_cached", None) is None:
-            self._F_cached = self.phi - self.flat_log(self.rs)[:, None]
-        return self._F_cached
-
-    def _bilinear(self, grid, r, theta):
+    def _cell(self, r, theta):
+        """Bilinear cell (i, t, j0, j1, wj) of (r, theta) in (log r, theta).
+        Radii outside the rings clamp to the nearest ring (t = None); the
+        blend toward the center value inside it is phi_at's job."""
         rs, thetas = self.rs, self.thetas
         m = len(thetas)
         hth = thetas[1] - thetas[0]
@@ -101,36 +110,33 @@ class WangSolution:
         j1 = (j0 + 1) % m
         wj = jf - int(jf)
         if r <= rs[0]:
-            # clamp to the innermost ring; the blend toward the center value
-            # inside it is phi_at's job
-            return grid[0, j0] * (1 - wj) + grid[0, j1] * wj
+            return 0, None, j0, j1, wj
         if r >= rs[-1]:
-            return grid[-1, j0] * (1 - wj) + grid[-1, j1] * wj
+            return len(rs) - 1, None, j0, j1, wj
         i = int(np.searchsorted(rs, r)) - 1
         i = max(0, min(i, len(rs) - 2))
         t = (math.log(r) - math.log(rs[i])) / (math.log(rs[i + 1]) - math.log(rs[i]))
-        v0 = grid[i, j0] * (1 - wj) + grid[i, j1] * wj
-        v1 = grid[i + 1, j0] * (1 - wj) + grid[i + 1, j1] * wj
-        return v0 * (1 - t) + v1 * t
+        return i, t, j0, j1, wj
 
     def phi_at(self, z) -> float:
         z = complex(z)
         r = abs(z)
+        cell = self._cell(r, np.angle(z))
         if r <= self.rs[0]:
             w = (r / self.rs[0]) ** 2
-            ring = self._bilinear(self.phi, self.rs[0], np.angle(z))
+            ring = _bilinear(self.phi, cell)
             return (1 - w) * self.phi_center + w * ring
-        return (float(self.flat_log(r))
-                + self._bilinear(self._F_grid(), r, np.angle(z)))
+        return float(self.flat_log(r)) + _bilinear(self._F, cell)
 
     def dz_phi_at(self, z) -> complex:
         z = complex(z)
         r, th = abs(z), np.angle(z)
-        self._ensure_gradients()
         if r <= self.rs[0]:
             r = self.rs[0]
-        dr = self._bilinear(self._dr, r, th)
-        dth = self._bilinear(self._dth, r, th)
+        cell = self._cell(r, th)
+        grad_r, grad_th = self._F_gradients
+        dr = _bilinear(grad_r, cell)
+        dth = _bilinear(grad_th, cell)
         return self.k / (3.0 * z) + 0.5 * np.exp(-1j * th) * (dr - 1j * dth / r)
 
 
@@ -270,7 +276,6 @@ def solve_disk(k: int, s: float, R: float, grid: GridSpec = None,
     sol = WangSolution(k, s, R, rs, thetas, phi_center, phi,
                        residual_norm=history[-1], residual_history=history)
     scaled = res * row_scale
-    sol.residual_center = float(scaled[0])
     sol.residual_nodes = np.vstack([scaled[1:].reshape(nr - 1, m),
                                     np.zeros((1, m))])
     return sol

@@ -177,3 +177,74 @@ def test_empty_surface_fails_validation(tmp_path, capsys):
     empty.write_text(json.dumps({"triangles": [], "gluings": []}))
     assert run(["surface", "validate", "--in", str(empty)]) == 1
     assert capsys.readouterr().out.startswith("EmptySurface")
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("solved before checking the arguments")
+
+
+@pytest.mark.parametrize("argv", [
+    ["polygon", "scheme", "--n", "abc"],
+    ["verify", "sweep"],
+    ["surface"],
+], ids=["not-an-int", "missing-k", "missing-action"])
+def test_usage_error_exits_1_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["polygon", "scheme", "--n", "2"],
+    ["polygon", "scheme", "--n", "7", "--flips", "-1"],
+    ["building", "convexity", "--paths", "-1"],
+    ["building", "convexity", "--corners", "-1"],
+    ["building", "localmodel", "--k", "1", "--samples", "-1"],
+    ["trigroup", "spectrum", "--thetas", "0"],
+    ["trigroup", "boundary", "--thetas", "1"],
+    ["trigroup", "spectrum", "--layers", "-1"],
+    ["trigroup", "boundary", "--layers", "-1"],
+    ["surface", "build", "--orbifold", "3,3,4", "--layers", "-1"],
+], ids=["scheme-n2", "flips-1", "paths-1", "corners-1", "samples-1",
+        "spectrum-thetas0", "boundary-thetas1", "spectrum-layers-1",
+        "boundary-layers-1", "build-layers-1"])
+def test_count_out_of_range_exits_1(tmp_path, capsys, argv):
+    if argv[0] == "surface":
+        argv = argv + ["--out", str(tmp_path / "orb.json")]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sweep", "--k", "0", "--path", "radial:0,0.5,0.1"],
+    ["verify", "sweep", "--k", "1", "--path", "radial:0.5,1.8,0.1"],
+    ["verify", "sweep", "--k", "1", "--path", "radial:-0.5,0.8,0.1"],
+    ["verify", "sweep", "--k", "2", "--path", "chord:0.2,0.1,1.5,0.4"],
+    ["verify", "sweep", "--k", "1", "--radius", "0.5"],
+    ["verify", "arc", "--k", "1", "--radius", "3"],
+    ["verify", "arc", "--k", "1", "--radius", "0"],
+    ["verify", "arc", "--k", "1", "--radius", "0.5", "--radius-disk", "0.4"],
+], ids=["sweep-at-zero", "sweep-past-rim", "sweep-through-zero",
+        "chord-past-rim", "sweep-small-disk", "arc-past-rim", "arc-at-zero",
+        "arc-small-disk"])
+def test_path_outside_solved_disk_exits_1_before_solving(monkeypatch, capsys,
+                                                         argv):
+    monkeypatch.setattr(cli.wang, "solve_disk", no_solve)
+    assert run(argv + ["--s", "1e2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unstable_transport_exits_2_naming_the_step(monkeypatch, capsys):
+    monkeypatch.setattr(cli.wang.WangSolution, "phi_at",
+                        lambda self, z: math.nan)
+    assert run(["verify", "sweep", "--k", "0", "--s", "1e2",
+                "--nr", "30"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: StepUnstable: transport step 1 of ")
+    assert err.count("\n") == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hitchin_limits import frame, polygon, tropical, wang
+from hitchin_limits.errors import StepUnstable
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +40,9 @@ def test_titeica_transport_real_displacement_eigenvalues():
 
 
 def test_titeica_structure_commutes():
-    sc = frame.titeica_structure()
-    assert np.max(np.abs(sc.U @ sc.V - sc.V @ sc.U)) < 1e-14
-    assert np.max(np.abs(np.linalg.matrix_power(sc.U, 3) - 0.5 * np.eye(3))) < 1e-14
+    U, V = frame.titeica_structure()
+    assert np.max(np.abs(U @ V - V @ U)) < 1e-14
+    assert np.max(np.abs(np.linalg.matrix_power(U, 3) - 0.5 * np.eye(3))) < 1e-14
 
 
 def test_titeica_singular_exponents_match_tropical():
@@ -231,3 +232,15 @@ def test_two_segment_turn_leading_vs_numeric():
     scale = abs(frame.CBRT4) * ell
     assert gaps[-1] < 0.1 * scale
     assert gaps[-1] < gaps[0]
+
+
+def test_nan_field_stops_transport_at_the_first_step(sol_k0, monkeypatch):
+    calls = []
+
+    def nan_phi(self, z):
+        calls.append(z)
+        return math.nan
+    monkeypatch.setattr(wang.WangSolution, "phi_at", nan_phi)
+    with pytest.raises(StepUnstable, match=r"step 1 of \d+ at z="):
+        frame.integrate_transport(sol_k0, [0.3, 0.9], 100.0)
+    assert len(calls) == 3      # the three RK4 samples of one step
