@@ -130,7 +130,7 @@ def cmd_polygon_unipotent(args):
 
 
 def cmd_polygon_scheme(args):
-    rows = polygon.scheme_trace(args.n, args.flips)
+    rows = polygon.scheme_trace(args.flips)
     for st in rows:
         lo, hi = st.sector_angle
         basis = " ".join(f"{kind}{idx}" for kind, idx in st.basis)
@@ -158,9 +158,15 @@ _PATH_ARITY = {"radial": 3, "chord": 4}
 
 
 def _sweep_path(spec, k, radius):
-    """Chart polyline for a sweep path spec 'radial:r0,r1,theta' or
-    'chord:w0re,w0im,w1re,w1im' (natural-coordinate chord mapped to the
-    chart), inside the punctured solved disk 0 < |z| <= radius."""
+    """Chart polyline and natural-chart period for a sweep path spec
+    'radial:r0,r1,theta' or 'chord:w0re,w0im,w1re,w1im' (natural-coordinate
+    chord mapped to the chart), inside the punctured solved disk
+    0 < |z| <= radius.
+
+    A chord is mapped on the branch continued along it from the principal
+    one at its start, so a chord across the negative real w-axis stays one
+    continuous chart curve, and its period is read on that branch.
+    """
     kind, _, rest = spec.partition(":")
     if kind not in _PATH_ARITY:
         raise ValueError(f"unknown path spec {spec!r}")
@@ -171,34 +177,40 @@ def _sweep_path(spec, k, radius):
     if kind == "radial":
         r0, r1, theta = vals
         pts = [r0 * cmath.exp(1j * theta), r1 * cmath.exp(1j * theta)]
+        branch = cmath.phase(pts[-1])
     else:
         w0, w1 = complex(vals[0], vals[1]), complex(vals[2], vals[3])
         p = 3.0 / (k + 3)
-        pts = [((w0 + (w1 - w0) * t) * (k + 3) / 3.0) ** p
-               for t in np.linspace(0.0, 1.0, 48)]
+        pts = []
+        arg = cmath.phase(w0)
+        for t in np.linspace(0.0, 1.0, 48):
+            w = w0 + (w1 - w0) * t
+            # the lift of arg w nearest the previous point's
+            sheet = round((arg - cmath.phase(w)) / (2 * math.pi))
+            arg = cmath.phase(w) + 2 * math.pi * sheet
+            z = (w * (k + 3) / 3.0) ** p
+            if sheet:
+                z *= cmath.exp(2j * math.pi * sheet * p)
+            pts.append(z)
+        branch = p * arg
     if pts[0] == pts[-1]:
         raise ValueError(f"path spec {spec!r} has zero length")
     if (kind == "radial" and r0 * r1 < 0) or \
             any(abs(z) == 0 or abs(z) > radius for z in pts):
         raise ValueError(f"path spec {spec!r} leaves the punctured disk "
                          f"0 < |z| <= {radius:g}")
-    return pts
-
-
-def _chart_period(pts, k):
-    a, b = complex(pts[0]), complex(pts[-1])
-    wa = frame.natural_coordinate(a, k, cmath.phase(a))
-    wb = frame.natural_coordinate(b, k, cmath.phase(b))
-    return wb - wa
+    a = complex(pts[0])
+    period = (frame.natural_coordinate(complex(pts[-1]), k, branch)
+              - frame.natural_coordinate(a, k, cmath.phase(a)))
+    return pts, period
 
 
 def cmd_verify_sweep(args):
     s_list = _parse_s_list(args.s)
-    pts = _sweep_path(args.path, args.k, args.radius)
+    pts, period = _sweep_path(args.path, args.k, args.radius)
     grid = wang.GridSpec(nr=args.nr, ntheta=args.ntheta)
     sols = {s: wang.solve_disk(args.k, s, args.radius, grid) for s in s_list}
-    rows = frame.convergence_sweep(sols, pts, _chart_period(pts, args.k),
-                                   s_list)
+    rows = frame.convergence_sweep(sols, pts, period, s_list)
     gaps = [float(np.max(row["gaps"])) for row in rows]
     monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
     _write_csv(args.out, ["s", "num_x1", "num_x2", "num_x3",
@@ -355,7 +367,6 @@ def build_parser():
     u.add_argument("--theta-out", dest="theta_out", type=float, required=True)
     u.set_defaults(func=cmd_polygon_unipotent)
     sch = g.add_parser("scheme")
-    sch.add_argument("--n", type=_count(3), required=True)
     sch.add_argument("--flips", type=_count(0), default=6)
     sch.set_defaults(func=cmd_polygon_scheme)
 

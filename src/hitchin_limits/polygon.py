@@ -136,7 +136,6 @@ class FlipState:
     """Position in the flip scheme: a half-sector between consecutive
     Stokes/wall lines, with its basis and eigenvalue-rank tags."""
 
-    n: int
     half_sector: int  # interval (h pi/6, (h+1) pi/6)
 
     @property
@@ -160,16 +159,16 @@ class FlipState:
         return (self.half_sector * PI / 6, (self.half_sector + 1) * PI / 6)
 
 
-def initial_state(n: int) -> FlipState:
+def initial_state() -> FlipState:
     """The scheme's starting state: basis (r_-1, r_0, r_1) just past the wall
     at angle 0."""
-    return FlipState(n=n, half_sector=0)
+    return FlipState(half_sector=0)
 
 
 def flip(state: FlipState) -> FlipState:
     """Advance past the next Stokes ray (crossing any wall in between)."""
     h = state.half_sector
-    return FlipState(n=state.n, half_sector=h + 1 if h % 2 == 0 else h + 2)
+    return FlipState(half_sector=h + 1 if h % 2 == 0 else h + 2)
 
 
 def flip_matrix(lifts: PolygonLifts, sigma: int) -> np.ndarray:
@@ -222,9 +221,9 @@ def check_entry_nonzero(lifts: PolygonLifts, theta_in: float, theta_out: float):
     return {"entry": (row, col), "value": value}
 
 
-def scheme_trace(n: int, flips: int):
+def scheme_trace(flips: int):
     """Basis/eigen-order trace of the scheme over a number of flips."""
-    state = initial_state(n)
+    state = initial_state()
     rows = [state]
     for _ in range(flips):
         state = flip(state)

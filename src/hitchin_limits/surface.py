@@ -386,6 +386,12 @@ class CubicSurface:
     def is_marked(self, cls: int) -> bool:
         return cls in self.vertex_orders
 
+    def is_flat(self, cls: int) -> bool:
+        """Whether the class is a closed fan of total angle 2*pi, which a
+        straight ray passes without turning."""
+        return self.fan_closed[cls] and \
+            abs(self.cone_angles[cls] - TWO_PI) <= _ANGLE_TOL
+
     def marked_classes(self):
         return sorted(self.vertex_orders)
 
@@ -404,19 +410,35 @@ class CubicSurface:
         return self._edge_map.get((tri, side))
 
     def fan_angle(self, tri: int, v: int, chart_dir: complex) -> float:
-        """Metric angle of a direction at a corner, in its class's fan frame.
+        """Metric angle of a direction at a vertex, in its class's fan frame.
 
-        chart_dir is expressed in the corner triangle's chart; the result is
-        measured ccw from the fan's first edge.
+        chart_dir is expressed in the chart of triangle tri; the corner that
+        claims it is found first.  The result is measured ccw from the fan's
+        first edge.
         """
+        (tri, v), d = claim_corner(self, tri, v, chart_dir)
         base = self.edge_vector(tri, v)
-        rel = cmath.phase(chart_dir / base) % TWO_PI
+        rel = cmath.phase(d / base) % TWO_PI
         span = self.corner_angle(tri, v)
         if rel >= TWO_PI - 1e-7:
             rel = 0.0
         if rel > span + 1e-7:
             raise ValueError("direction not inside the given corner")
         return self._fan_offset[(tri, v)] + rel
+
+    def direction_at_fan_angle(self, cls: int, angle: float):
+        """The inverse of fan_angle: the corner of class cls that claims the
+        direction at fan angle ``angle`` (taken modulo the fan's total
+        angle), and that unit direction in the corner's chart, as
+        ((tri, v), direction)."""
+        angle = angle % self.cone_angles[cls]
+        for (t, v) in self.fans[cls]:
+            lo = self._fan_offset[(t, v)]
+            if lo - 1e-12 <= angle <= lo + self.corner_angle(t, v) + 1e-12:
+                base = self.edge_vector(t, v)
+                d = base / abs(base) * cmath.exp(1j * (angle - lo))
+                return claim_corner(self, t, v, d)
+        raise ValueError("fan angle outside the fan")
 
     # -- Euler characteristic -------------------------------------------------
 
@@ -671,104 +693,124 @@ def _compose_across(surface, u, b, tri, side):
     return t2, s2, u * w, b - u * w * trans
 
 
-def _ray_walk(surface, tri, u, b, x0, d, max_len, diag, entry_side=None):
+def _exit(coords, x0, d, skip):
+    """Nearest crossing of the ray x0 + t*d (t > _POS_TOL) with a side of the
+    triangle other than ``skip``: (t, side, sig) with sig the crossing's
+    position along the side, or None."""
+    best = None
+    for side in range(3):
+        if side == skip:
+            continue
+        p, q = coords[side], coords[(side + 1) % 3]
+        e = q - p
+        denom = _cross(d, e)
+        if abs(denom) < 1e-16:
+            continue
+        w = p - x0
+        t = _cross(w, e) / denom
+        sig = _cross(w, d) / denom
+        if t <= _POS_TOL or sig < -1e-9 or sig > 1 + 1e-9:
+            continue
+        if best is None or t < best[0]:
+            best = (t, side, sig)
+    return best
+
+
+def _ray_walk(surface, tri, u, b, x0, d, max_len, diag):
     """Follow the ray x0 + t*d through triangle interiors.
 
-    Returns ("vertex", tri, vtx, u, b) when the ray runs exactly into a
-    vertex, ("clipped",) when it crosses a boundary edge, or ("out",) once it
-    is past max_len.
+    Returns (tri, vtx, u, b) when the ray runs exactly into a vertex, or
+    None when it crosses a boundary edge (counted as clipped) or passes
+    max_len.
     """
-    steps = 0
-    while True:
-        steps += 1
-        if steps > 200000:
-            raise NotConverged("ray developed too many triangles")
+    entry_side = None
+    for _ in range(200000):
         coords = [_place(u, b, surface.coords(tri, i)) for i in range(3)]
-        best = None
-        for side in range(3):
-            if side == entry_side:
-                continue
-            p, q = coords[side], coords[(side + 1) % 3]
-            e = q - p
-            denom = _cross(d, e)
-            if abs(denom) < 1e-16:
-                continue
-            w = p - x0
-            t = _cross(w, e) / denom
-            sig = _cross(w, d) / denom
-            if t <= _POS_TOL or sig < -1e-9 or sig > 1 + 1e-9:
-                continue
-            if best is None or t < best[0]:
-                best = (t, side, sig)
-        if best is None:
+        best = _exit(coords, x0, d, entry_side)
+        if best is None and entry_side is not None:
             # numerical corner case: allow re-testing the entry side
-            if entry_side is not None:
-                entry_side = None
-                continue
+            best = _exit(coords, x0, d, None)
+        if best is None:
             raise NotConverged("ray found no exit from triangle")
         t, side, sig = best
         x1 = x0 + t * d
         dist = (x1 * d.conjugate()).real
         if dist > max_len + _POS_TOL:
-            return ("out",)
+            return None
         edge_len = abs(coords[(side + 1) % 3] - coords[side])
         if abs(sig) * edge_len <= _POS_TOL:
-            return ("vertex", tri, side, u, b)
+            return tri, side, u, b
         if abs(1 - sig) * edge_len <= _POS_TOL:
-            return ("vertex", tri, (side + 1) % 3, u, b)
+            return tri, (side + 1) % 3, u, b
         step = _compose_across(surface, u, b, tri, side)
         if step is None:
             diag.clipped += 1
-            return ("clipped",)
+            return None
         tri, entry_side, u, b = step
         x0 = x1
+    raise NotConverged("ray developed too many triangles")
 
 
-def _ray_from_vertex(surface, tri, vtx, u, b, d, max_len, diag):
-    """Continue a ray that currently stands on vertex (tri, vtx).
+def _trace(surface, tri, vtx, u, b, d, max_len, diag, examine):
+    """Follow the ray along the unit direction d from vertex (tri, vtx),
+    placed by z -> u z + b, to the first marked point within max_len: a
+    RayHit, or None.
 
-    The vertex has already been examined (hit or passed); this finds the next
-    stretch: along an edge, or through a corner interior, walking the fan as
-    needed.
+    Each vertex the ray stands on is examined (the first one only if
+    ``examine``): a marked one is the hit, a flat one is passed straight,
+    any other clips the ray.  The ray then leaves the vertex along an edge
+    or into the corner that holds d, walking the fan as needed.
     """
-    pos = _place(u, b, surface.coords(tri, vtx))
-    corner = (tri, vtx)
-    cu, cb = u, b
-    cls = surface.class_of(tri, vtx)
-    for _ in range(len(surface.fans[cls]) + 2):
-        t, v = corner
-        p1 = _place(cu, cb, surface.coords(t, v + 1)) - pos
-        p2 = _place(cu, cb, surface.coords(t, v + 2)) - pos
-        c1 = _cross(p1, d)
-        c2 = _cross(d, p2)
-        if abs(c1) <= _POS_TOL * abs(p1) and (p1 * d.conjugate()).real > 0:
-            return ("vertex", t, (v + 1) % 3, cu, cb)
-        if abs(c2) <= _POS_TOL * abs(p2) and (p2 * d.conjugate()).real > 0:
-            return ("vertex", t, (v + 2) % 3, cu, cb)
-        if c1 > 0 and c2 > 0:
-            return _ray_walk(surface, t, cu, cb, pos, d, max_len, diag,
-                             entry_side=None)
-        step = _compose_across(surface, cu, cb, t, (v + 2) % 3)
-        if step is None:
-            diag.clipped += 1
-            return ("clipped",)
-        t2, s2, cu, cb = step
-        corner = (t2, s2)
-    raise NotConverged("direction not found in vertex fan")
+    while True:
+        pos = _place(u, b, surface.coords(tri, vtx))
+        cls = surface.class_of(tri, vtx)
+        if examine:
+            dist = (pos * d.conjugate()).real
+            if dist > max_len + _POS_TOL:
+                return None
+            if surface.is_marked(cls):
+                return RayHit(cls, dist, pos, tri, vtx, u)
+            if not surface.is_flat(cls):
+                diag.clipped += 1
+                return None
+        examine = True
+        for _ in range(len(surface.fans[cls]) + 2):
+            p1 = _place(u, b, surface.coords(tri, vtx + 1)) - pos
+            p2 = _place(u, b, surface.coords(tri, vtx + 2)) - pos
+            c1 = _cross(p1, d)
+            c2 = _cross(d, p2)
+            if abs(c1) <= _POS_TOL * abs(p1) and (p1 * d.conjugate()).real > 0:
+                vtx = (vtx + 1) % 3
+                break
+            if abs(c2) <= _POS_TOL * abs(p2) and (p2 * d.conjugate()).real > 0:
+                vtx = (vtx + 2) % 3
+                break
+            if c1 > 0 and c2 > 0:
+                nxt = _ray_walk(surface, tri, u, b, pos, d, max_len, diag)
+                if nxt is None:
+                    return None
+                tri, vtx, u, b = nxt
+                break
+            step = _compose_across(surface, u, b, tri, (vtx + 2) % 3)
+            if step is None:
+                diag.clipped += 1
+                return None
+            tri, vtx, u, b = step
+        else:
+            raise NotConverged("direction not found in vertex fan")
 
 
-def shoot(surface, tri, vtx, chart_dir, max_len, diag=None):
+def shoot(surface, tri, vtx, chart_dir, max_len):
     """Shoot a ray from vertex (tri, vtx) of the surface along chart_dir.
 
     chart_dir is expressed in the triangle's own chart and must point into
     the closed corner wedge at the vertex.  Returns the first marked point
     within max_len as a RayHit, or None.
     """
-    diag = diag if diag is not None else _Diag()
     d = chart_dir / abs(chart_dir)
     b = -complex(surface.coords(tri, vtx))
-    state = _ray_from_vertex(surface, tri, vtx, 1.0 + 0j, b, d, max_len, diag)
-    return _trace_from_vertex(surface, state, d, max_len, diag)
+    return _trace(surface, tri, vtx, 1.0 + 0j, b, d, max_len, _Diag(),
+                  examine=False)
 
 
 def claim_corner(surface, tri, vtx, chart_dir):
@@ -834,24 +876,6 @@ def _segment_min_dist(p, q):
     return abs(p + t * e)
 
 
-def _exit_side(coords, d, gate_side):
-    """Which non-gate edge the ray 0 -> inf*d leaves the triangle through."""
-    for side in range(3):
-        if side == gate_side:
-            continue
-        p, q = coords[side], coords[(side + 1) % 3]
-        e = q - p
-        denom = _cross(d, e)
-        if abs(denom) < 1e-16:
-            continue
-        w = p
-        t = _cross(w, e) / denom
-        sig = _cross(w, d) / denom
-        if t > 0 and -1e-9 <= sig <= 1 + 1e-9:
-            return side
-    return None
-
-
 def _wedge_search(surface, seed_tri, seed_v, max_len, diag, record):
     """Develop the view from corner (seed_tri, seed_v), recording every
     marked vertex visible strictly inside the corner wedge within max_len."""
@@ -885,15 +909,12 @@ def _wedge_search(surface, seed_tri, seed_v, max_len, diag, record):
         c_hi = _cross(da, whi)
         if c_lo > 1e-12 and c_hi > 1e-12:
             cls = surface.class_of(tri, apex)
-            dist = abs(pa)
-            if dist <= max_len + _POS_TOL:
+            if abs(pa) <= max_len + _POS_TOL:
                 if surface.is_marked(cls):
                     record(cls, pa, tri, apex, u)
-                elif surface.fan_closed[cls] and \
-                        abs(surface.cone_angles[cls] - TWO_PI) <= _ANGLE_TOL:
-                    state = _ray_from_vertex(surface, tri, apex, u, b, da,
-                                             max_len, diag)
-                    hit = _trace_from_vertex(surface, state, da, max_len, diag)
+                elif surface.is_flat(cls):
+                    hit = _trace(surface, tri, apex, u, b, da, max_len, diag,
+                                 examine=False)
                     if hit is not None:
                         record(hit.cls, hit.point, hit.tri, hit.vertex, hit.u)
             children = [(wlo, da), (da, whi)]
@@ -904,9 +925,10 @@ def _wedge_search(surface, seed_tri, seed_v, max_len, diag, record):
                 continue
             dmid = clo + chi
             dmid = dmid / abs(dmid)
-            side = _exit_side(coords, dmid, gate_side)
-            if side is None:
+            crossing = _exit(coords, 0j, dmid, gate_side)
+            if crossing is None:
                 continue
+            side = crossing[1]
             if _segment_min_dist(coords[side], coords[(side + 1) % 3]) > max_len:
                 continue
             step = _compose_across(surface, u, b, tri, side)
@@ -915,35 +937,6 @@ def _wedge_search(surface, seed_tri, seed_v, max_len, diag, record):
                 continue
             nt, ns, nu, nb = step
             stack.append((nt, ns, nu, nb, clo, chi))
-
-
-def _trace_from_vertex(surface, state, d, max_len, diag):
-    """Follow a ray from a _ray_walk state to the first marked point within
-    range, or None.
-
-    At each ("vertex", ...) state the vertex is examined: a marked one is the
-    hit, a flat closed one is passed straight, any other clips the ray.
-    """
-    while state[0] == "vertex":
-        _, t, v, cu, cb = state
-        cls = surface.class_of(t, v)
-        pos = _place(cu, cb, surface.coords(t, v))
-        dist = (pos * d.conjugate()).real
-        if dist > max_len + _POS_TOL:
-            return None
-        if surface.is_marked(cls):
-            return RayHit(cls, dist, pos, t, v, cu)
-        if not surface.fan_closed[cls] or \
-                abs(surface.cone_angles[cls] - TWO_PI) > _ANGLE_TOL:
-            diag.clipped += 1
-            return None
-        state = _ray_from_vertex(surface, t, v, cu, cb, d, max_len, diag)
-    return None
-
-
-def _corner_key(surface, tri, vtx, chart_dir):
-    (t, v), d = claim_corner(surface, tri, vtx, chart_dir)
-    return (t, v, round(cmath.phase(d) % TWO_PI, 7))
 
 
 def enumerate_saddle_connections(surface: CubicSurface,
@@ -966,8 +959,9 @@ def enumerate_saddle_connections(surface: CubicSurface,
                 return
             d = period / abs(period)
             dep_key = (dep_tri, dep_v, round(cmath.phase(d) % TWO_PI, 7))
-            rev = (-d) * u.conjugate()
-            arr_key = _corner_key(surface, tri, vtx, rev)
+            (t, v), back = claim_corner(surface, tri, vtx,
+                                        (-d) * u.conjugate())
+            arr_key = (t, v, round(cmath.phase(back) % TWO_PI, 7))
             hits.append(_DirectedHit(start_cls, end_cls, period, dep_key, arr_key))
         return record
 
@@ -975,35 +969,24 @@ def enumerate_saddle_connections(surface: CubicSurface,
         fan = surface.fans[cls]
         for idx, (t, v) in enumerate(fan):
             record = make_recorder(cls, t, v)
-            vec = surface.edge_vector(t, v)
-            _follow_edge(surface, t, (v + 1) % 3, vec, max_length, diag, record)
+            _follow_edge(surface, t, v, (v + 1) % 3, max_length, diag, record)
             if not surface.fan_closed[cls] and idx == len(fan) - 1:
-                vec2 = -surface.edge_vector(t, (v + 2) % 3)
-                _follow_edge(surface, t, (v + 2) % 3, vec2, max_length, diag, record)
+                _follow_edge(surface, t, v, (v + 2) % 3, max_length, diag,
+                             record)
             _wedge_search(surface, t, v, max_length, diag, record)
 
     conns = _dedup_hits(hits)
     return EnumerationResult(conns, diag.clipped)
 
 
-def _follow_edge(surface, t, other_v, vec, max_length, diag, record):
-    """Record the segment running along a triangle edge toward vertex
-    other_v (continuing straight past unmarked flat endpoints)."""
+def _follow_edge(surface, t, v, w, max_length, diag, record):
+    """Record the segment from vertex v of triangle t along its edge to
+    vertex w (continuing straight past unmarked flat endpoints)."""
+    vec = surface.coords(t, w) - surface.coords(t, v)
     if abs(vec) > max_length + _POS_TOL:
         return
-    src_v = None
-    for v in range(3):
-        if v != other_v:
-            d = surface.coords(t, other_v) - surface.coords(t, v)
-            if abs(d - vec) <= 1e-12 * max(1.0, abs(vec)):
-                src_v = v
-                break
-    if src_v is None:
-        raise ValueError("edge vector does not match triangle")
-    b = -complex(surface.coords(t, src_v))
-    d = vec / abs(vec)
-    state = ("vertex", t, other_v, 1.0 + 0j, b)
-    hit = _trace_from_vertex(surface, state, d, max_length, diag)
+    hit = _trace(surface, t, w, 1.0 + 0j, -complex(surface.coords(t, v)),
+                 vec / abs(vec), max_length, diag, examine=True)
     if hit is not None:
         record(hit.cls, hit.point, hit.tri, hit.vertex, hit.u)
 
@@ -1054,11 +1037,11 @@ class _Leg:
         return abs(self.vec)
 
 
-def _resolve_leg(surface, leg, diag):
+def _resolve_leg(surface, leg):
     (t0, v0), d0 = claim_corner(surface, leg.tri, leg.vtx, leg.vec)
     leg.tri, leg.vtx = t0, v0
     leg.vec = d0 * abs(leg.vec)
-    hit = shoot(surface, t0, v0, d0, abs(leg.vec) + _POS_TOL, diag)
+    hit = shoot(surface, t0, v0, d0, abs(leg.vec) + _POS_TOL)
     if hit is None or abs(hit.distance - leg.length) > 1e-6 * max(1.0, leg.length):
         raise ValueError("path leg does not develop to its stated endpoint")
     leg.arr_tri, leg.arr_vtx, leg.arr_u = hit.tri, hit.vertex, hit.u
@@ -1067,29 +1050,24 @@ def _resolve_leg(surface, leg, diag):
 
 
 def _junction_angles(surface, prev, nxt):
-    """(ccw, cw, a_in, a_out) at the vertex joining legs prev -> nxt.
+    """(ccw, cw) side angles at the vertex joining legs prev -> nxt.
 
     At boundary vertices (open fans) only the side through the surface has a
     finite angle; the other side reports +inf.
     """
     d_prev = prev.vec / abs(prev.vec)
     back = (-d_prev) * prev.arr_u.conjugate()
-    a_in = _fan_angle_of(surface, prev.arr_tri, prev.arr_vtx, back)
-    a_out = _fan_angle_of(surface, nxt.tri, nxt.vtx, nxt.vec)
+    a_in = surface.fan_angle(prev.arr_tri, prev.arr_vtx, back)
+    a_out = surface.fan_angle(nxt.tri, nxt.vtx, nxt.vec)
     cls = nxt.cls
     if surface.fan_closed[cls]:
         cone = surface.cone_angles[cls]
         ccw = (a_out - a_in) % cone
-        return ccw, cone - ccw, a_in, a_out
+        return ccw, cone - ccw
     delta = a_out - a_in
     if delta >= 0:
-        return delta, math.inf, a_in, a_out
-    return math.inf, -delta, a_in, a_out
-
-
-def _fan_angle_of(surface, tri, vtx, chart_dir):
-    (t, v), d = claim_corner(surface, tri, vtx, chart_dir)
-    return surface.fan_angle(t, v, d)
+        return delta, math.inf
+    return math.inf, -delta
 
 
 def _strip_backtracks(surface, edge_path, closed):
@@ -1129,7 +1107,6 @@ def tighten_path(surface, edge_path, closed=False):
     representative.  Idempotent on already-geodesic input.
     """
     edges = _strip_backtracks(surface, list(edge_path), closed)
-    diag = _Diag()
     legs = []
     prev_end = None
     for (t, s) in edges:
@@ -1139,7 +1116,7 @@ def tighten_path(surface, edge_path, closed=False):
         if not surface.is_marked(start_cls):
             raise ValueError("tighten_path expects edges between marked points")
         leg = _Leg(start_cls, t, s, surface.edge_vector(t, s))
-        _resolve_leg(surface, leg, diag)
+        _resolve_leg(surface, leg)
         legs.append(leg)
         prev_end = leg.end_cls
     if closed and legs[0].cls != prev_end:
@@ -1151,7 +1128,7 @@ def tighten_path(surface, edge_path, closed=False):
             return _legs_to_path(surface, legs, closed)
         if closed and len(legs) == 1:
             raise DegeneratePath("cycle straightens to a point")
-        _shortcut(surface, legs, idx, diag)
+        _shortcut(surface, legs, idx)
         if not legs:
             raise DegeneratePath("path straightens to a point")
     raise NotConverged("tighten_path exceeded its iteration budget")
@@ -1163,7 +1140,7 @@ def _worst_corner(surface, legs, closed):
     worst_gap = _ANGLE_TOL
     rng = range(n) if closed else range(1, n)
     for i in rng:
-        ccw, cw, _, _ = _junction_angles(surface, legs[i - 1], legs[i])
+        ccw, cw = _junction_angles(surface, legs[i - 1], legs[i])
         gap = math.pi - min(ccw, cw)
         if gap > worst_gap:
             worst_gap = gap
@@ -1171,10 +1148,10 @@ def _worst_corner(surface, legs, closed):
     return worst
 
 
-def _shortcut(surface, legs, idx, diag):
+def _shortcut(surface, legs, idx):
     prev = legs[idx - 1]
     nxt = legs[idx]
-    ccw, cw, _, _ = _junction_angles(surface, prev, nxt)
+    ccw, cw = _junction_angles(surface, prev, nxt)
     d_prev = prev.vec / abs(prev.vec)
     if ccw <= cw:
         d_next_dev = -d_prev * cmath.exp(1j * ccw)
@@ -1189,7 +1166,7 @@ def _shortcut(surface, legs, idx, diag):
         return
     direction = target / abs(target)
     (t0, v0), d0 = claim_corner(surface, prev.tri, prev.vtx, direction)
-    hit = shoot(surface, t0, v0, d0, abs(target) + _POS_TOL, diag)
+    hit = shoot(surface, t0, v0, d0, abs(target) + _POS_TOL)
     if hit is None:
         raise NotConverged("shortcut left the surface or found no marked point")
     new = _Leg(prev.cls, t0, v0, d0 * hit.distance)
@@ -1202,7 +1179,7 @@ def _shortcut(surface, legs, idx, diag):
         rest = target - hit.point
         rest_chart = rest * hit.u.conjugate()
         second = _Leg(hit.cls, hit.tri, hit.vertex, rest_chart)
-        _resolve_leg(surface, second, diag)
+        _resolve_leg(surface, second)
         legs[idx - 1] = new
         legs[idx] = second
 
@@ -1214,7 +1191,7 @@ def _legs_to_path(surface, legs, closed):
     rng = range(n) if closed else range(1, n)
     for i in rng:
         prev, nxt = legs[i - 1], legs[i]
-        ccw, cw, _, _ = _junction_angles(surface, prev, nxt)
+        ccw, cw = _junction_angles(surface, prev, nxt)
         # anchor the lift to an honest chart angle of the incoming ray: fan
         # offsets are arbitrary rotations, not chart-compatible
         d_prev = prev.vec / abs(prev.vec)

@@ -213,72 +213,40 @@ def trace_cycle(orb: TriangleOrbifoldSurface, start_class: int,
 
     Starting at an interior vertex instance along a chart direction, each leg
     runs to the first marked point; ``turns[i]`` is the ccw side angle taken
-    there.  The walk must return to a vertex of the starting orbifold type
-    with a turn matching the starting direction modulo the chart symmetry;
-    segments carry the orbifold type ids, so the resulting path is closed at
-    the orbifold level.
+    there.  The walk counts as closed when its last leg ends at a vertex of
+    the starting orbifold type; only that type is checked, not the final
+    direction.  Segments carry the orbifold type ids, so the resulting path
+    is closed at the orbifold level.
     """
     surf = orb.surface
     t0, v0 = surf.fans[start_class][0]
     (t, v), d = claim_corner(surf, t0, v0, start_direction)
     legs = []
-    fan_in = []
-    fan_out = []
     cls = start_class
     for turn in turns:
         hit = shoot(surf, t, v, d, _MAX_LEG)
         if hit is None:
             raise DegeneratePath("cycle leg left the patch; increase layers")
         legs.append((cls, hit))
-        arr_dir = d * hit.u.conjugate()  # travel direction in arrival chart
-        (t2, v2), back = claim_corner(surf, hit.tri, hit.vertex, -arr_dir)
-        a_in = surf.fan_angle(t2, v2, back)
-        cone = surf.cone_angles[hit.cls]
-        a_out = (a_in + turn) % cone
-        # locate the outgoing corner at the fan angle a_out
-        t, v, d = _corner_at_fan_angle(surf, hit.cls, a_out)
+        # fan angle of the way back, seen in the arrival chart
+        a_in = surf.fan_angle(hit.tri, hit.vertex, -(d * hit.u.conjugate()))
+        (t, v), d = surf.direction_at_fan_angle(hit.cls, a_in + turn)
         cls = hit.cls
-        fan_in.append(a_in)
-        fan_out.append(a_in + turn)
-    # closure on orbifold labels
-    first_cls = start_class
-    if orb.orbifold_type[legs[-1][1].cls] != orb.orbifold_type[first_cls]:
+    if orb.orbifold_type[cls] != orb.orbifold_type[start_class]:
         raise DegeneratePath("cycle does not close on the orbifold labels")
-    segments = []
-    for i, (c, hit) in enumerate(legs):
-        period = hit.point
-        segments.append(SaddleConnection(orb.orbifold_type[c],
-                                         orb.orbifold_type[hit.cls], period))
+    segments = [SaddleConnection(orb.orbifold_type[c],
+                                 orb.orbifold_type[hit.cls], hit.point)
+                for c, hit in legs]
     junctions = []
-    n = len(legs)
-    for i in range(n):
-        hit_cls = legs[i][1].cls
-        k = surf.vertex_orders[hit_cls]
+    for seg, (_, hit), turn in zip(segments, legs, turns):
         # junction i+1 joins segment i to segment i+1; wrap goes to slot 0
-        theta_in = cmath.phase(segments[i].period) + math.pi
-        theta_out = theta_in + turns[i]
-        junctions.append(Junction(order=k, theta_in=theta_in,
-                                  theta_out=theta_out, zero=orb.orbifold_type[hit_cls]))
-    wrap = junctions[-1:]
-    juncs = tuple(wrap + junctions[:-1])
+        theta_in = cmath.phase(seg.period) + math.pi
+        junctions.append(Junction(order=surf.vertex_orders[hit.cls],
+                                  theta_in=theta_in,
+                                  theta_out=theta_in + turn,
+                                  zero=orb.orbifold_type[hit.cls]))
+    juncs = tuple(junctions[-1:] + junctions[:-1])
     return GeodesicPath(tuple(segments), juncs, closed=True)
-
-
-def _corner_at_fan_angle(surface, cls, fan_angle):
-    """Corner of the fan containing the given angular coordinate, plus the
-    chart direction at that angle."""
-    fan = surface.fans[cls]
-    total = surface.cone_angles[cls]
-    fan_angle = fan_angle % total
-    for (t, v) in fan:
-        lo = surface._fan_offset[(t, v)]
-        span = surface.corner_angle(t, v)
-        if lo - 1e-12 <= fan_angle <= lo + span + 1e-12:
-            base = surface.edge_vector(t, v)
-            d = base / abs(base) * cmath.exp(1j * (fan_angle - lo))
-            (t2, v2), d2 = claim_corner(surface, t, v, d)
-            return t2, v2, d2
-    raise ValueError("fan angle outside the fan")
 
 
 def straight_positive_cycle(orb: TriangleOrbifoldSurface) -> GeodesicPath:

@@ -48,7 +48,7 @@ def test_polygon_unipotent_prints(capsys):
 
 
 def test_polygon_scheme_trace(capsys):
-    assert run(["polygon", "scheme", "--n", "7", "--flips", "6"]) == 0
+    assert run(["polygon", "scheme", "--flips", "6"]) == 0
     text = capsys.readouterr().out
     assert "r-1 r0 r1" in text
     assert "r2 r3 r4" in text
@@ -105,6 +105,26 @@ def test_trigroup_boundary(capsys):
     assert run(["trigroup", "boundary", "--pqr", "3,3,4", "--thetas", "6",
                 "--layers", "9"]) == 0
     assert "min pairwise" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("chord, image", [
+    ("chord:-0.5,0.0,-0.1,-0.3", "chord:0.250000,-0.433013,0.309808,0.063397"),
+    ("chord:-0.494996,0.070560,0.355457,-0.351640",
+     "chord:0.186391,-0.463959,0.126801,0.483655"),
+], ids=["starts-on-axis", "crosses-axis"])
+def test_chord_across_negative_w_axis_matches_rotated_image(tmp_path, chord,
+                                                            image):
+    # w -> e^(2 pi i/3) w is a symmetry of z^2 dz^3, so a chord across the
+    # negative real w-axis must give the gaps of its image, which stays off
+    # that axis
+    gaps = []
+    for spec in (chord, image):
+        out = tmp_path / "sweep.csv"
+        assert run(["verify", "sweep", "--k", "2", "--s", "1e2,1e3",
+                    "--nr", "60", "--path", spec, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        gaps.append([float(x) for row in rows for x in row.split(",")[7:]])
+    assert gaps[0] == pytest.approx(gaps[1], abs=1e-6)
 
 
 def test_invalid_s_list():
@@ -184,7 +204,7 @@ def no_solve(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv", [
-    ["polygon", "scheme", "--n", "abc"],
+    ["polygon", "scheme", "--flips", "abc"],
     ["verify", "sweep"],
     ["surface"],
 ], ids=["not-an-int", "missing-k", "missing-action"])
@@ -197,8 +217,7 @@ def test_usage_error_exits_1_with_one_line(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["polygon", "scheme", "--n", "2"],
-    ["polygon", "scheme", "--n", "7", "--flips", "-1"],
+    ["polygon", "scheme", "--flips", "-1"],
     ["building", "convexity", "--paths", "-1"],
     ["building", "convexity", "--corners", "-1"],
     ["building", "localmodel", "--k", "1", "--samples", "-1"],
@@ -207,7 +226,7 @@ def test_usage_error_exits_1_with_one_line(capsys, argv):
     ["trigroup", "spectrum", "--layers", "-1"],
     ["trigroup", "boundary", "--layers", "-1"],
     ["surface", "build", "--orbifold", "3,3,4", "--layers", "-1"],
-], ids=["scheme-n2", "flips-1", "paths-1", "corners-1", "samples-1",
+], ids=["flips-1", "paths-1", "corners-1", "samples-1",
         "spectrum-thetas0", "boundary-thetas1", "spectrum-layers-1",
         "boundary-layers-1", "build-layers-1"])
 def test_count_out_of_range_exits_1(tmp_path, capsys, argv):

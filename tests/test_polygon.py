@@ -82,7 +82,7 @@ def test_determinant_positivity():
 
 
 def test_scheme_trace_matches_table():
-    rows = pg.scheme_trace(7, 6)
+    rows = pg.scheme_trace(6)
     expected = [
         (("r", -1), ("r", 0), ("r", 1)),
         (("q", 0), ("r", 0), ("r", 1)),
@@ -102,7 +102,7 @@ def test_flip_replaces_smallest_slot():
     # the replaced slot carries the smallest eigenvalue at the crossing; the
     # tags at the crossing are those of the wall interval containing the
     # Stokes ray, i.e. the post-flip half-sector
-    state = pg.initial_state(9)
+    state = pg.initial_state()
     for _ in range(24):
         nxt = pg.flip(state)
         changed = [i for i in range(3) if state.basis[i] != nxt.basis[i]]

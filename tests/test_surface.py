@@ -229,6 +229,18 @@ def test_enumerate_finds_rim_chords():
     assert diameters == []
 
 
+@pytest.mark.parametrize("build, count, clipped", [
+    # the disk's only marked point is its center: every ray from it leaves
+    # through the rim before it meets another marked point
+    (lambda: sf.build_polynomial_disk(1, 1.0), 0, 16),
+    (lambda: trigroup.build_orbifold(3, 3, 4, layers=9).surface, 257, 457),
+], ids=["disk", "orbifold-334"])
+def test_enumerate_counts_rays_clipped_by_the_boundary(build, count, clipped):
+    result = sf.enumerate_saddle_connections(build(), 1.8)
+    assert len(result) == count
+    assert result.clipped == clipped
+
+
 def test_enumerate_passes_through_unmarked_flat_vertex():
     # unmark the center of the flat disk: diameters become single segments
     disk = sf.build_polynomial_disk(0, 1.0)
@@ -271,6 +283,26 @@ def test_enumeration_deterministic_order():
         [(c.start, c.end, c.period) for c in r2]
     keys = [(round(c.length, 9), round(c.angle, 9), c.start) for c in r1]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: trigroup.build_orbifold(3, 3, 4, layers=9).surface,
+    sf.build_l_surface,
+], ids=["orbifold-334", "l-surface"])
+def test_direction_at_fan_angle_inverts_fan_angle(build):
+    surf = build()
+    for cls in range(surf.n_classes()):
+        if not surf.fan_closed[cls]:
+            continue
+        for (t, v) in surf.fans[cls]:
+            base = surf.edge_vector(t, v)
+            for frac in (0.0, 0.3, 0.7):
+                d = base * cmath.exp(1j * frac * surf.corner_angle(t, v))
+                angle = surf.fan_angle(t, v, d)
+                (t2, v2), d2 = surf.direction_at_fan_angle(cls, angle)
+                assert surf.class_of(t2, v2) == cls
+                assert surf.fan_angle(t2, v2, d2) == pytest.approx(angle,
+                                                                   abs=1e-9)
 
 
 # -- geodesic paths ----------------------------------------------------------
