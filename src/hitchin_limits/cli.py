@@ -140,15 +140,11 @@ def cmd_polygon_scheme(args):
 
 
 def cmd_wang_solve(args):
-    grid = wang.GridSpec(nr=args.nr, ntheta=args.ntheta, ratio=args.ratio)
+    grid = wang.GridSpec(nr=args.nr, ratio=args.ratio)
     sol = wang.solve_disk(args.k, args.s, args.radius, grid)
-    F = wang.error_values(sol)
-    rows = []
-    for i, r in enumerate(sol.rs):
-        for j, th in enumerate(sol.thetas):
-            fval = F[i, j] if i < len(sol.rs) - 1 else 0.0
-            rows.append((r, th, sol.phi[i, j], fval, sol.residual_nodes[i, j]))
-    _write_csv(args.out, ["r", "theta", "phi", "F", "residual"], rows)
+    F = np.append(wang.error_values(sol), 0.0)
+    _write_csv(args.out, ["r", "phi", "F", "residual"],
+               zip(sol.rs, sol.phi, F, sol.residual_nodes))
     _diag(f"residual norm {sol.residual_norm:.3e} after "
           f"{len(sol.residual_history) - 1} Newton steps")
     return EXIT_OK
@@ -208,8 +204,8 @@ def _sweep_path(spec, k, radius):
 def cmd_verify_sweep(args):
     s_list = _parse_s_list(args.s)
     pts, period = _sweep_path(args.path, args.k, args.radius)
-    grid = wang.GridSpec(nr=args.nr, ntheta=args.ntheta)
-    sols = {s: wang.solve_disk(args.k, s, args.radius, grid) for s in s_list}
+    sols = {s: wang.solve_disk(args.k, s, args.radius, wang.decay_fit_grid(s))
+            for s in s_list}
     rows = frame.convergence_sweep(sols, pts, period, s_list)
     gaps = [float(np.max(row["gaps"])) for row in rows]
     monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
@@ -234,10 +230,9 @@ def cmd_verify_arc(args):
     U = polygon.arc_unipotent(lifts, scalef * args.theta0, scalef * args.theta1)
     S, S_inv = frame.titeica_frame()
     pred = S @ np.linalg.inv(U) @ S_inv
-    grid = wang.GridSpec(nr=args.nr, ntheta=args.ntheta)
     errs = []
     for s in s_list:
-        sol = wang.solve_disk(k, s, args.radius_disk, grid)
+        sol = wang.solve_disk(k, s, args.radius_disk, wang.decay_fit_grid(s))
         G = frame.arc_unipotent_numeric(sol, k, s, args.theta0, args.theta1,
                                         radius=args.radius)
         errs.append(float(np.max(np.abs(G - pred))))
@@ -376,7 +371,6 @@ def build_parser():
     w.add_argument("--s", type=float, required=True)
     w.add_argument("--radius", type=float, default=1.0)
     w.add_argument("--nr", type=int, default=200)
-    w.add_argument("--ntheta", type=int, default=0)
     w.add_argument("--ratio", type=float, default=1.05)
     w.add_argument("--out", default="-")
     w.set_defaults(func=cmd_wang_solve)
@@ -387,8 +381,6 @@ def build_parser():
     sw.add_argument("--s", default="1e2,1e3,1e4")
     sw.add_argument("--path", default="radial:0.3,0.9,0.27")
     sw.add_argument("--radius", type=float, default=1.0)
-    sw.add_argument("--nr", type=int, default=200)
-    sw.add_argument("--ntheta", type=int, default=0)
     sw.add_argument("--out", default="-")
     sw.set_defaults(func=cmd_verify_sweep)
     arc = g.add_parser("arc")
@@ -398,8 +390,6 @@ def build_parser():
     arc.add_argument("--theta1", type=float, default=0.8)
     arc.add_argument("--radius", type=float, default=0.5)
     arc.add_argument("--radius-disk", dest="radius_disk", type=float, default=1.0)
-    arc.add_argument("--nr", type=int, default=200)
-    arc.add_argument("--ntheta", type=int, default=0)
     arc.add_argument("--out", default="-")
     arc.set_defaults(func=cmd_verify_arc)
 

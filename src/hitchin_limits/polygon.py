@@ -177,16 +177,14 @@ def flip_matrix(lifts: PolygonLifts, sigma: int) -> np.ndarray:
                            basis_matrix(lifts, sigma))
 
 
-def arc_unipotent(lifts: PolygonLifts, theta_in: float, theta_out: float,
-                  k: int = None) -> np.ndarray:
+def arc_unipotent(lifts: PolygonLifts, theta_in: float,
+                  theta_out: float) -> np.ndarray:
     """U(theta_in, theta_out)^(-1): the product of per-flip unipotents for
     every Stokes ray the arc crosses, composed in crossing order.
 
     Angles are natural-chart lifts; arcs may wind several times around the
     zero.  Endpoints on Stokes rays are rejected.
     """
-    if k is not None and lifts.n != k + 3:
-        raise ValueError("lifts do not match the zero order")
     s_in = sector_of(theta_in)
     s_out = sector_of(theta_out)
     U = np.eye(3)

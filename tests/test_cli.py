@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from hitchin_limits import cli
+from hitchin_limits import cli, frame, polygon
 from hitchin_limits import surface as sf
 
 
@@ -57,21 +58,39 @@ def test_polygon_scheme_trace(capsys):
 def test_wang_solve_csv(tmp_path):
     out = tmp_path / "grid.csv"
     assert run(["wang", "solve", "--k", "0", "--s", "10", "--radius", "1.0",
-                "--nr", "30", "--ntheta", "8", "--out", str(out)]) == 0
+                "--nr", "30", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "r,theta,phi,F,residual"
-    assert len(lines) == 1 + 30 * 8
+    assert lines[0] == "r,phi,F,residual"
+    assert len(lines) == 1 + 30
 
 
 def test_verify_sweep_k0_exact(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["verify", "sweep", "--k", "0", "--s", "1e2,1e3",
-                "--nr", "30", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
     for row in rows:
         gaps = row[-3:]
         assert max(gaps) < 1e-8
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_verify_arc_in_tolerance_and_decreasing(tmp_path, k):
+    # the documented arc command; acceptance 3's entry tolerance at s=1e4
+    out = tmp_path / "arc.csv"
+    assert run(["verify", "arc", "--k", str(k), "--s", "1e2,1e3,1e4",
+                "--theta0", "0.04", "--theta1", "0.75",
+                "--out", str(out)]) == 0
+    errs = [float(ln.split(",")[1])
+            for ln in out.read_text().strip().splitlines()[1:]]
+    scalef = (k + 3) / 3.0
+    U = polygon.arc_unipotent(polygon.regular_lifts(k + 3),
+                              scalef * 0.04, scalef * 0.75)
+    S, S_inv = frame.titeica_frame()
+    pred = S @ np.linalg.inv(U) @ S_inv
+    assert errs[-1] <= 0.1 * max(1.0, float(np.max(np.abs(pred))))
+    assert errs[0] > errs[1] > errs[2]
 
 
 def test_building_localmodel_deterministic(tmp_path):
@@ -121,7 +140,7 @@ def test_chord_across_negative_w_axis_matches_rotated_image(tmp_path, chord,
     for spec in (chord, image):
         out = tmp_path / "sweep.csv"
         assert run(["verify", "sweep", "--k", "2", "--s", "1e2,1e3",
-                    "--nr", "60", "--path", spec, "--out", str(out)]) == 0
+                    "--path", spec, "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
         gaps.append([float(x) for row in rows for x in row.split(",")[7:]])
     assert gaps[0] == pytest.approx(gaps[1], abs=1e-6)
@@ -161,10 +180,7 @@ def test_malformed_json_exits_1(tmp_path, capsys, argv, content):
     ["wang", "solve", "--k", "1", "--s", "100", "--nr", "1"],
     ["wang", "solve", "--k", "1", "--s", "100", "--ratio", "1.0"],
     ["wang", "solve", "--k", "1", "--s", "100", "--ratio", "0.9"],
-    ["wang", "solve", "--k", "1", "--s", "100", "--ntheta", "2"],
-    ["verify", "sweep", "--k", "1", "--s", "100", "--nr", "1"],
-    ["verify", "arc", "--k", "1", "--s", "100", "--nr", "1"],
-], ids=["nr1", "ratio1", "ratio0.9", "ntheta2", "sweep-nr1", "arc-nr1"])
+], ids=["nr1", "ratio1", "ratio0.9"])
 def test_malformed_wang_grid_exits_1(capsys, argv):
     assert run(argv) == 1
     err = capsys.readouterr().err
@@ -262,8 +278,7 @@ def test_path_outside_solved_disk_exits_1_before_solving(monkeypatch, capsys,
 def test_unstable_transport_exits_2_naming_the_step(monkeypatch, capsys):
     monkeypatch.setattr(cli.wang.WangSolution, "phi_at",
                         lambda self, z: math.nan)
-    assert run(["verify", "sweep", "--k", "0", "--s", "1e2",
-                "--nr", "30"]) == 2
+    assert run(["verify", "sweep", "--k", "0", "--s", "1e2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: StepUnstable: transport step 1 of ")
     assert err.count("\n") == 1

@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hitchin_limits import wang
 from hitchin_limits.errors import NewtonDiverged
@@ -41,8 +43,7 @@ def test_lower_bound_detects_corruption(sol_k1_s100):
     # near a zero the bound has slack, so corrupt where F is small (the outer
     # annulus); also check the k=0 case, where any decrease breaks the bound
     bad = wang.WangSolution(sol_k1_s100.k, sol_k1_s100.s, sol_k1_s100.R,
-                            sol_k1_s100.rs, sol_k1_s100.thetas,
-                            sol_k1_s100.phi_center,
+                            sol_k1_s100.rs, sol_k1_s100.phi_center,
                             sol_k1_s100.phi.copy(),
                             sol_k1_s100.residual_norm,
                             sol_k1_s100.residual_history)
@@ -59,22 +60,34 @@ def test_error_field_bound_lemma(sol_k1_s100):
     # delta = 1.1, a = 0.9
     sol = sol_k1_s100
     i = int(np.argmin(np.abs(sol.rs - 0.5)))
-    F_half = wang.error_values(sol)[i].mean()
+    F_half = wang.error_values(sol)[i]
     r0 = wang.natural_radius(0.5, 1)
     m = math.sqrt(3) * 2 ** (2 / 3) * 0.9 * 100 ** (1 / 3) * r0 / 1.1
     assert 0 < F_half < 100 ** (1 / 6) * math.exp(-m)
 
 
-def test_angular_symmetry(sol_k1_s100):
-    # the data is rotationally symmetric, so the solve must be too
-    spread = np.max(sol_k1_s100.phi.max(axis=1) - sol_k1_s100.phi.min(axis=1))
-    assert spread < 1e-9
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(r=st.floats(1e-5, 1.0), theta=st.floats(0.0, 2 * math.pi),
+       alpha=st.floats(0.0, 2 * math.pi, exclude_max=True))
+def test_field_rotation_invariance(sol_k1_s100, r, theta, alpha):
+    # |q_s| is rotation invariant, so phi is a function of r and dz phi
+    # turns with e^(-i alpha) under z -> e^(i alpha) z.  dz phi is compared
+    # against the size of its terms k/(3z) and F'/2, which cancel near
+    # r = 0.008
+    sol = sol_k1_s100
+    z = r * cmath.exp(1j * theta)
+    rot = cmath.exp(1j * alpha)
+    phi = sol.phi_at(z)
+    assert abs(sol.phi_at(rot * z) - phi) <= 1e-13 * abs(phi)
+    dphi = sol.dz_phi_at(z)
+    scale = abs(dphi) + sol.k / (3 * r)
+    assert abs(rot * sol.dz_phi_at(rot * z) - dphi) <= 1e-13 * scale
 
 
 def test_decay_exponent_trend():
     fits = []
     for s in (1e2, 1e3):
-        sol = wang.solve_disk(1, s, 1.0, wang.decay_fit_grid(s, ntheta=12))
+        sol = wang.solve_disk(1, s, 1.0, wang.decay_fit_grid(s))
         ef = wang.error_field(sol)
         fits.append(ef.fitted_exponent / s ** (1 / 3))
     target = math.sqrt(3) * 2 ** (2 / 3)
@@ -82,11 +95,25 @@ def test_decay_exponent_trend():
     assert fits[0] > 1.5
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_decay_grid_at_s_1e5(k):
+    # the s-adapted grid at s=1e5 has 1,948 rings; one more decade of the
+    # exponent's approach to sqrt(3) 2^(2/3) from below
+    fits = []
+    for s in (1e4, 1e5):
+        sol = wang.solve_disk(k, s, 1.0, wang.decay_fit_grid(s), tol=1e-12)
+        fits.append(wang.error_field(sol).fitted_exponent / s ** (1 / 3))
+    h = sol.residual_history
+    assert all(b <= a for a, b in zip(h, h[1:]))
+    assert wang.pointwise_lower_bound_check(sol)
+    assert fits[0] < fits[1] < math.sqrt(3) * 2 ** (2 / 3)
+
+
 def test_refinement_order():
     s, k = 50.0, 1
     sols = {}
     for nr in (60, 120, 240):
-        sols[nr] = wang.solve_disk(k, s, 1.0, wang.GridSpec(nr=nr, ntheta=12))
+        sols[nr] = wang.solve_disk(k, s, 1.0, wang.GridSpec(nr=nr))
     # compare phi at probe radii via interpolation
     probes = [0.05, 0.2, 0.5, 0.8]
     errs = []
@@ -100,10 +127,8 @@ def test_refinement_order():
 def test_interpolation_consistency(sol_k1_s100):
     sol = sol_k1_s100
     i = 60
-    r = sol.rs[i]
-    th = sol.thetas[3]
-    z = r * np.exp(1j * th)
-    assert sol.phi_at(z) == pytest.approx(sol.phi[i, 3], abs=1e-9)
+    z = sol.rs[i] * np.exp(1.3j)
+    assert sol.phi_at(z) == pytest.approx(sol.phi[i], abs=1e-9)
 
 
 def test_invalid_inputs():
