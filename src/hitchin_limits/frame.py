@@ -7,6 +7,11 @@ inverse transport is accumulated in a factored form Q * diag(e^d) * T with Q
 unitary and T a mild upper-triangular remainder; all three log singular
 values stay accurate.
 
+Transport and arc comparisons work on arrays: the Wang field is sampled once
+on all RK4 nodes of a segment or arc (neighbouring steps share their common
+node), and the generators, RK4 propagators and the products folded into the
+factored form are batched (..., 3, 3) matmuls, in chunks of bounded size.
+
 The constant differential has the classical closed-form frame (Titeica); its
 eigenbasis S conjugates every asymptotic formula in the polygon module.
 """
@@ -28,9 +33,13 @@ from .tropical import CBRT4, OMEGA, segment_exponents
 BETA = (-2.0 * math.pi / 3.0, 0.0, 2.0 * math.pi / 3.0)
 _CBRT2 = 2.0 ** (1.0 / 3.0)
 
-# transport: RK4 truncation target per unit length, and steps per QR fold
+# transport: RK4 truncation target per unit length and steps per QR fold;
+# transport and arcs form at most _CHUNK_STEPS steps (64 QR folds) at a time,
+# which bounds the transient (m, 3, 3) arrays
 _STEP_TOL = 1e-10
 _QR_EVERY = 10
+_CHUNK_STEPS = 64 * _QR_EVERY
+_I3 = np.eye(3, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -38,21 +47,22 @@ _QR_EVERY = 10
 # ---------------------------------------------------------------------------
 
 def structure_coefficients(phi, dz_phi, q):
-    """(U, V) at a point from the conformal factor, its z-derivative and the
-    cubic differential value q (already including the ray parameter s)."""
-    dz_phi = complex(dz_phi)
-    q = complex(q)
-    ephi = cmath.exp(complex(phi))
-    U = np.array([
-        [0.0, 0.0, 0.5 * ephi],
-        [1.0, dz_phi, 0.0],
-        [0.0, q / ephi, 0.0],
-    ], dtype=complex)
-    V = np.array([
-        [0.0, 0.5 * ephi, 0.0],
-        [0.0, 0.0, q.conjugate() / ephi],
-        [1.0, 0.0, dz_phi.conjugate()],
-    ], dtype=complex)
+    """(U, V) from the conformal factor, its z-derivative and the cubic
+    differential value q (already including the ray parameter s).  The
+    arguments broadcast; U and V have shape (..., 3, 3)."""
+    phi, dz_phi, q = np.broadcast_arrays(phi, np.asarray(dz_phi, complex),
+                                         np.asarray(q, complex))
+    ephi = np.exp(phi)
+    U = np.zeros(phi.shape + (3, 3), dtype=complex)
+    V = np.zeros_like(U)
+    U[..., 0, 2] = 0.5 * ephi
+    U[..., 1, 0] = 1.0
+    U[..., 1, 1] = dz_phi
+    U[..., 2, 1] = q / ephi
+    V[..., 0, 1] = 0.5 * ephi
+    V[..., 1, 2] = q.conjugate() / ephi
+    V[..., 2, 0] = 1.0
+    V[..., 2, 2] = dz_phi.conjugate()
     return U, V
 
 
@@ -216,55 +226,80 @@ def _step_size(s: float) -> float:
     return max(min(cap, h_acc), 1e-5)
 
 
+def _transport_generators(sol, phi, dz_phi, z, dz, s):
+    """-(U dz + V dzbar) at the chart points z, made trace-free: (m, 3, 3)."""
+    U, V = structure_coefficients(phi, dz_phi, s * z ** sol.k)
+    W = U * dz + V * dz.conjugate()
+    d = np.arange(3)
+    W[:, d, d] -= (np.trace(W, axis1=1, axis2=2) / 3.0)[:, None]
+    return -W
+
+
+def _fold_blocks(steps):
+    """Products step[j+9] ... step[j] over consecutive runs of _QR_EVERY
+    steps, the last run padded with identities: (ceil(m / _QR_EVERY), 3, 3)."""
+    pad = -len(steps) % _QR_EVERY
+    if pad:
+        steps = np.concatenate([steps, np.broadcast_to(_I3, (pad, 3, 3))])
+    runs = steps.reshape(-1, _QR_EVERY, 3, 3)
+    block = runs[:, 0]
+    for j in range(1, _QR_EVERY):
+        block = runs[:, j] @ block
+    return block
+
+
 def integrate_transport(sol, path, s: float) -> FrameTransport:
     """RK4 transport of the structure-equation connection along a polyline.
 
-    ``sol`` provides phi_at(z) and dz_phi_at(z) plus field k (a Wang
-    solution); ``path`` is a sequence of complex chart points.  The connection
-    is taken trace-free (the scalar e^(phi)-gauge is removed), so the result
-    is unimodular; asymptotic exponents are unaffected.  A step that is not
-    finite or has an entry above e^10 raises StepUnstable.
+    ``sol`` provides phi_at(z) and dz_phi_at(z) on arrays of chart points
+    plus field k (a Wang solution); ``path`` is a sequence of complex chart
+    points.  The connection is taken trace-free (the scalar e^(phi)-gauge is
+    removed), so the result is unimodular; asymptotic exponents are
+    unaffected.
+
+    Each straight segment takes n equal steps.  Its 2n+1 nodes (start, middle
+    and end of every step; a step's end node is the next one's start) are
+    sampled in one phi_at and one dz_phi_at call.  The RK4 propagators and
+    their products over runs of _QR_EVERY steps are formed as batched 3x3
+    matmuls, _CHUNK_STEPS steps at a time so transient arrays stay small,
+    and each run is folded into the factored transport.  A step that is not
+    finite or has an entry above e^10 raises StepUnstable naming the first
+    such step.
     """
     xport = FrameTransport()
     pts = [complex(z) for z in path]
     h = _step_size(s)
-
-    def generator(z, dz):
-        # -(U dz + V dzbar) at z, made trace-free
-        U, V = structure_coefficients(sol.phi_at(z), sol.dz_phi_at(z),
-                                      s * z ** sol.k)
-        W = U * dz + V * dz.conjugate()
-        tr = np.trace(W) / 3.0
-        W[0, 0] -= tr
-        W[1, 1] -= tr
-        W[2, 2] -= tr
-        return -W
-
-    I = np.eye(3, dtype=complex)
     for a, b in zip(pts[:-1], pts[1:]):
         seg = b - a
         if seg == 0:
             continue
         n = max(2, int(math.ceil(abs(seg) / h)))
         dz = seg * (1.0 / n)
-        block = I
-        for i in range(n):
-            z0 = a + seg * (i / n)
-            # RK4 on X' = A(t) X with A sampled along the straight piece
-            f1 = generator(z0, dz)
-            mid = generator(z0 + dz / 2, dz)
-            f2 = mid @ (I + 0.5 * f1)
-            f3 = mid @ (I + 0.5 * f2)
-            f4 = generator(z0 + dz, dz) @ (I + f3)
-            step = I + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
-            if not np.all(np.isfinite(step)) or \
-                    np.max(np.abs(step)) > math.exp(10):
+        nodes = a + seg * (np.arange(2 * n + 1) / (2 * n))
+        # a field that returns one value for all nodes still gives 2n+1
+        phi = np.broadcast_to(sol.phi_at(nodes), nodes.shape)
+        dz_phi = np.broadcast_to(sol.dz_phi_at(nodes), nodes.shape)
+        for lo in range(0, n, _CHUNK_STEPS):
+            part = slice(2 * lo, 2 * min(lo + _CHUNK_STEPS, n) + 1)
+            # a non-finite field or step is reported below, not warned about
+            with np.errstate(invalid="ignore", over="ignore"):
+                G = _transport_generators(sol, phi[part], dz_phi[part],
+                                          nodes[part], dz, s)
+                # RK4 on X' = A(t) X with A sampled along the straight piece
+                f1, mid, end = G[:-1:2], G[1::2], G[2::2]
+                f2 = mid @ (_I3 + 0.5 * f1)
+                f3 = mid @ (_I3 + 0.5 * f2)
+                f4 = end @ (_I3 + f3)
+                steps = _I3 + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
+                bad = ~np.isfinite(steps).all(axis=(1, 2))
+                bad |= np.abs(steps).max(axis=(1, 2)) > math.exp(10)
+            if bad.any():
+                i = lo + int(np.argmax(bad))
                 raise StepUnstable(f"transport step {i + 1} of {n} at "
-                                   f"z={z0:.6g} is not finite or exceeds e^10")
-            block = step @ block
-            if (i + 1) % _QR_EVERY == 0 or i == n - 1:
+                                   f"z={complex(nodes[2 * i]):.6g} is not "
+                                   f"finite or exceeds e^10")
+            for block in _fold_blocks(steps):
                 xport.push_left(block)
-                block = I
     return xport
 
 
@@ -320,32 +355,31 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
     rnat = s ** (1.0 / 3.0) * (3.0 / (k + 3)) * radius ** p
     omega_phases = np.array([cmath.exp(-1j * b) for b in BETA])
 
-    def scaled_generator(t):
-        z = radius * cmath.exp(1j * t)
-        wp = s ** (1.0 / 3.0) * radius ** (k / 3.0) * cmath.exp(1j * t * k / 3.0)
-        x = rnat * cmath.exp(1j * p * t)
-        xdot = wp * (1j * z)
-        phi_w = sol.phi_at(z) - 2.0 * math.log(abs(wp))
-        dphi_w = (sol.dz_phi_at(z) - (k / 3.0) / z) / wp
-        U_w, V_w = structure_coefficients(phi_w, dphi_w, 1.0)
-        W = (U_w - U_T) * xdot + (V_w - V_T) * xdot.conjugate()
-        E = S_inv @ W @ S
-        D = CBRT4 * (x * omega_phases).real
-        return E * np.exp(D[:, None] - D[None, :])
-
+    # the field at the start, middle and end of every step
     h = (theta1 - theta0) / n_steps
-    M = np.eye(3, dtype=complex)
-    for i in range(n_steps):
-        t0 = theta0 + i * h
-        A1 = scaled_generator(t0)
-        A2 = scaled_generator(t0 + h / 2)
-        A3 = A2
-        A4 = scaled_generator(t0 + h)
-        k1 = M @ A1
-        k2 = (M + 0.5 * h * k1) @ A2
-        k3 = (M + 0.5 * h * k2) @ A3
-        k4 = (M + h * k3) @ A4
-        M = M + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    t = theta0 + (h / 2) * np.arange(2 * n_steps + 1)
+    z = radius * np.exp(1j * t)
+    wp = s ** (1.0 / 3.0) * radius ** (k / 3.0) * np.exp(1j * t * k / 3.0)
+    xdot = wp * (1j * z)
+    D = CBRT4 * (rnat * np.exp(1j * p * t)[:, None] * omega_phases).real
+    phi_w = sol.phi_at(z) - 2.0 * np.log(np.abs(wp))
+    dphi_w = (sol.dz_phi_at(z) - (k / 3.0) / z) / wp
+
+    # RK4 on M' = M A: M advances by M P with one propagator P per step
+    M = _I3
+    for lo in range(0, n_steps, _CHUNK_STEPS):
+        part = slice(2 * lo, 2 * min(lo + _CHUNK_STEPS, n_steps) + 1)
+        U_w, V_w = structure_coefficients(phi_w[part], dphi_w[part], 1.0)
+        xd = xdot[part, None, None]
+        W = (U_w - U_T) * xd + (V_w - V_T) * xd.conjugate()
+        Dp = D[part]
+        A = (S_inv @ W @ S) * np.exp(Dp[:, :, None] - Dp[:, None, :])
+        A1, A2, A4 = A[:-1:2], A[1::2], A[2::2]
+        K2 = (_I3 + 0.5 * h * A1) @ A2
+        K3 = (_I3 + 0.5 * h * K2) @ A2
+        K4 = (_I3 + h * K3) @ A4
+        for step in _I3 + (h / 6.0) * (A1 + 2 * K2 + 2 * K3 + K4):
+            M = M @ step
     return S @ M @ S_inv
 
 

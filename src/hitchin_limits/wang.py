@@ -16,8 +16,6 @@ e^phi > 2^(1/3) |q_s|^(2/3) down to rounding noise.
 
 from __future__ import annotations
 
-import bisect
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +27,7 @@ from .errors import GridTooCoarse, NewtonDiverged
 
 _FLAG_TOL = 1e-13  # nodes this close to the strict bound are flagged, not failed
 _NEWTON_MAX_ITER = 80
+_NEWTON_TOL = 1e-12                  # row-scaled residual at convergence
 _FIT_INNER, _FIT_OUTER = 0.35, 0.8   # decay-fit annulus, in units of R
 _FIT_FLOOR = 1e-11                   # F below this is rounding noise
 
@@ -62,10 +61,12 @@ class WangSolution:
 
     def flat_log(self, r):
         """(1/3) log(2 |q_s|^2) at radius r (the strict lower bound for phi)."""
-        r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore"):
-            return (math.log(2.0) + 2.0 * math.log(self.s)
-                    + 2.0 * self.k * np.log(r)) / 3.0
+            return self._flat_of_log(np.log(np.asarray(r, dtype=float)))
+
+    def _flat_of_log(self, log_r):
+        return (math.log(2.0) + 2.0 * math.log(self.s)
+                + 2.0 * self.k * log_r) / 3.0
 
     # -- interpolation --------------------------------------------------------
     #
@@ -73,6 +74,11 @@ class WangSolution:
     # analytically: interpolating or differencing the log part numerically
     # would leave O(h^2) residues that dwarf the exponentially small F far
     # from the zero (and get amplified by e^(Delta D) in arc comparisons).
+    # F and dF/dr are linear in log r between rings (one np.interp against
+    # the cached log rs); radii past the rim clamp to the rim ring, radii
+    # inside the first ring to the first ring, where phi_at blends toward
+    # the center value instead.  Both samplers take a chart point or an
+    # array of them.
 
     @cached_property
     def _F(self):
@@ -89,33 +95,29 @@ class WangSolution:
         return dr
 
     @cached_property
-    def _rs_list(self):
-        return self.rs.tolist()
+    def _log_rs(self):
+        return np.log(self.rs)
 
-    def _interp(self, values, r):
-        """values at radius r, linear in log r between rings.  Radii outside
-        the rings clamp to the nearest ring; the blend toward the center
-        value inside it is phi_at's job."""
-        rs = self._rs_list
-        if r <= rs[0]:
-            return values[0]
-        if r >= rs[-1]:
-            return values[-1]
-        i = bisect.bisect_left(rs, r) - 1
-        t = (math.log(r) - math.log(rs[i])) / (math.log(rs[i + 1]) - math.log(rs[i]))
-        return values[i] * (1 - t) + values[i + 1] * t
+    def _log_radius(self, z):
+        """(|z|, log max(|z|, rs[0]))."""
+        r = np.abs(z)
+        return r, np.log(np.maximum(r, self.rs[0]))
 
-    def phi_at(self, z) -> float:
-        r = abs(complex(z))
-        if r <= self.rs[0]:
-            w = (r / self.rs[0]) ** 2
-            return (1 - w) * self.phi_center + w * self.phi[0]
-        return float(self.flat_log(r)) + self._interp(self._F, r)
+    def phi_at(self, z):
+        r, log_r = self._log_radius(z)
+        w = np.square(r / self.rs[0])
+        center = (1 - w) * self.phi_center + w * self.phi[0]
+        ring = (self._flat_of_log(log_r)
+                + np.interp(log_r, self._log_rs, self._F))
+        phi = np.where(r <= self.rs[0], center, ring)
+        return phi if phi.ndim else float(phi)
 
-    def dz_phi_at(self, z) -> complex:
-        z = complex(z)
-        dr = self._interp(self._dF, abs(z))
-        return self.k / (3.0 * z) + 0.5 * cmath.exp(-1j * cmath.phase(z)) * dr
+    def dz_phi_at(self, z):
+        z = np.asarray(z, dtype=complex)
+        _, log_r = self._log_radius(z)
+        dr = np.interp(log_r, self._log_rs, self._dF)
+        dphi = self.k / (3.0 * z) + 0.5 * np.exp(-1j * np.angle(z)) * dr
+        return dphi if dphi.ndim else complex(dphi)
 
 
 def _radial_nodes(R: float, nr: int, ratio: float):
@@ -160,8 +162,8 @@ def _apply_band(band, u):
     return out
 
 
-def solve_disk(k: int, s: float, R: float, grid: GridSpec = None,
-               tol: float = 1e-10) -> WangSolution:
+def solve_disk(k: int, s: float, R: float,
+               grid: GridSpec = None) -> WangSolution:
     """Damped-Newton solve of the discrete Wang equation on the model disk.
 
     Starts from the constant Dirichlet value (a supersolution); iterates are
@@ -190,8 +192,9 @@ def solve_disk(k: int, s: float, R: float, grid: GridSpec = None,
     flat[0] = -math.inf if k > 0 else flat[0]
 
     # measure the residual row-scaled: inner rings carry 1/h^2 stencil weights
-    # around 1e11, so the raw residual has a cancellation floor far above tol;
-    # positive row scaling changes neither the solution nor Newton directions
+    # around 1e11, so the raw residual has a cancellation floor far above the
+    # tolerance; positive row scaling changes neither the solution nor Newton
+    # directions
     row_scale = 1.0 / (1.0 + np.abs(L[1]))
 
     def residual(u):
@@ -206,7 +209,7 @@ def solve_disk(k: int, s: float, R: float, grid: GridSpec = None,
     res = residual(u)
     history = [norm(res)]
     for _ in range(_NEWTON_MAX_ITER):
-        if history[-1] <= tol:
+        if history[-1] <= _NEWTON_TOL:
             break
         J = L.copy()
         J[1] -= 2 * np.exp(u) + 8 * np.exp(-2 * u) * q2

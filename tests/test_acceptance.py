@@ -27,8 +27,7 @@ def solve_cached(k, s, grid_key="default"):
             _SOLVES[key] = wang.solve_disk(k, s, 1.0, wang.GridSpec(nr=200))
         elif grid_key == "decay":
             _SOLVES[key] = wang.solve_disk(k, s, 1.0,
-                                           wang.decay_fit_grid(s),
-                                           tol=1e-12)
+                                           wang.decay_fit_grid(s))
         else:
             raise KeyError(grid_key)
     return _SOLVES[key]

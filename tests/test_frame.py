@@ -239,8 +239,32 @@ def test_nan_field_stops_transport_at_the_first_step(sol_k0, monkeypatch):
 
     def nan_phi(self, z):
         calls.append(z)
-        return math.nan
+        return np.full(np.shape(z), math.nan)
     monkeypatch.setattr(wang.WangSolution, "phi_at", nan_phi)
     with pytest.raises(StepUnstable, match=r"step 1 of \d+ at z="):
         frame.integrate_transport(sol_k0, [0.3, 0.9], 100.0)
-    assert len(calls) == 3      # the three RK4 samples of one step
+    # one phi_at call for the one segment, given all 2n+1 nodes
+    n = math.ceil(0.6 / frame._step_size(100.0))
+    assert len(calls) == 1
+    assert np.shape(calls[0]) == (2 * n + 1,)
+
+
+def test_field_nan_past_a_radius_names_the_first_bad_step(monkeypatch):
+    # phi is NaN only for |z| > 0.6 on [0.3, 0.9], and a step-by-step loop
+    # stops at the first step with a node past 0.6.  For odd n that is step
+    # (n + 1)/2: its middle node sits on 0.6 and its end node lies past it,
+    # while every node of the steps before lies below 0.6 by at least half a
+    # step, so rounding of the nodes cannot move the index.  The chunked
+    # check must neither skip ahead nor stop early.
+    phi_at = wang.WangSolution.phi_at
+
+    def nan_outside(self, z):
+        return np.where(np.abs(z) > 0.6, math.nan, phi_at(self, z))
+    monkeypatch.setattr(wang.WangSolution, "phi_at", nan_outside)
+    for s in (2000.0, 1e4):
+        sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=40))
+        n = math.ceil(0.6 / frame._step_size(s))
+        assert n % 2 == 1 and n > 4 * frame._CHUNK_STEPS
+        with pytest.raises(StepUnstable,
+                           match=rf"step {(n + 1) // 2} of {n} at z="):
+            frame.integrate_transport(sol, [0.3, 0.9], s)
