@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polygon, tropical
-from .errors import NonUnimodular, OriginSingular
+from .errors import OriginSingular
 from .surface import GeodesicPath, Junction, SaddleConnection, synthesize_path
-from .tropical import CBRT4, OMEGA, WeylVector
+from .tropical import CBRT4, OMEGA
 
 TWO_PI = 2.0 * math.pi
 SCALE = math.sqrt(3.0) * 2.0 ** (1.0 / 6.0)  # metric factor of the limit map
@@ -41,19 +41,6 @@ class ApartmentPoint:
 
     def norm(self):
         return float(np.linalg.norm(self.as_array()))
-
-
-def vector_distance(M) -> WeylVector:
-    """a+-valued distance from the origin: sorted log singular values."""
-    M = np.asarray(M, dtype=complex)
-    sign, logdet = np.linalg.slogdet(M)
-    if not np.isfinite(logdet) or abs(logdet) > 1e-8:
-        raise NonUnimodular(f"|det| = exp({logdet})")
-    sv = np.linalg.svd(M, compute_uv=False)
-    logs = np.log(sv)
-    # project out the rounding part of the trace so the triple is exact
-    logs = logs - logs.sum() / 3.0
-    return WeylVector(*sorted(logs, reverse=True))
 
 
 # ---------------------------------------------------------------------------

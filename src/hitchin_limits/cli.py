@@ -96,12 +96,13 @@ def cmd_surface_validate(args):
 
 
 def cmd_tropical_spectrum(args):
-    if args.surface:
-        surf = surf_mod.load_surface(args.surface)
-        if surf_mod.validate(surf):
-            _diag("surface file fails validation")
-            return EXIT_VALIDATION
     path = surf_mod.load_path(args.path)
+    # the run sums are the holonomy limit only along a geodesic path
+    violations = surf_mod.validate_path(path)
+    if violations:
+        kind, i, detail = violations[0]
+        raise ValueError(f"path is not geodesic: {kind} at the junction "
+                         f"after segment {i} ({detail})")
     rows = []
     run = np.zeros(3)
     for i, seg in enumerate(path.segments):
@@ -350,7 +351,6 @@ def build_parser():
 
     g = sub.add_parser("tropical").add_subparsers(dest="action", required=True)
     t = g.add_parser("spectrum")
-    t.add_argument("--surface", default=None)
     t.add_argument("--path", required=True)
     t.add_argument("--out", default="-")
     t.set_defaults(func=cmd_tropical_spectrum)

@@ -9,12 +9,9 @@ class ZeroPeriod(HitchinLimitsError):
     """A segment period is zero; exponents are undefined."""
 
 
-class OpenPath(HitchinLimitsError):
-    """A closed path was required but an open one was supplied."""
-
-
 class DegeneratePath(HitchinLimitsError):
-    """Path collapses to a point (e.g. a backtracking edge pair)."""
+    """A path has no segments, or a closed geodesic cannot be traced on the
+    patch."""
 
 
 class NotConverged(HitchinLimitsError):
@@ -46,10 +43,6 @@ class StokesEndpoint(HitchinLimitsError):
 
 class ConfigurationInvalid(HitchinLimitsError):
     """A turn configuration violates the geodesic angle condition."""
-
-
-class NonUnimodular(HitchinLimitsError):
-    """Matrix determinant is not 1 within tolerance."""
 
 
 class OriginSingular(HitchinLimitsError):

@@ -26,12 +26,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import StepUnstable
-from .tropical import CBRT4, OMEGA, segment_exponents
+from .tropical import CBRT4, segment_exponents
 
 # slot j of every diagonal carries the cosine branch cos(theta - BETA[j]);
 # this matches the Stokes-flip bookkeeping of the polygon module
 BETA = (-2.0 * math.pi / 3.0, 0.0, 2.0 * math.pi / 3.0)
-_CBRT2 = 2.0 ** (1.0 / 3.0)
 
 # transport: RK4 truncation target per unit length and steps per QR fold;
 # transport and arcs form at most _CHUNK_STEPS steps (64 QR folds) at a time,
@@ -64,17 +63,6 @@ def structure_coefficients(phi, dz_phi, q):
     V[..., 2, 0] = 1.0
     V[..., 2, 2] = dz_phi.conjugate()
     return U, V
-
-
-def orthonormal_gauge(phi: float) -> np.ndarray:
-    """C(phi): right factor turning an affine-sphere frame into a real
-    orthonormal frame for the Blaschke lift."""
-    a = cmath.exp(-phi / 2.0)
-    return np.array([
-        [1.0, 0.0, 0.0],
-        [0.0, a, 1j * a],
-        [0.0, a, -1j * a],
-    ], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -114,31 +102,6 @@ def titeica_frame():
 def _titeica_exponents(x: complex) -> np.ndarray:
     """Log-eigenvalues 2^(2/3) Re(x e^(-i BETA_j)) of the Titeica transport."""
     return np.array([CBRT4 * (x * cmath.exp(-1j * b)).real for b in BETA])
-
-
-def titeica_frame_analytic():
-    """Closed-form eigenvectors (1, 2^(1/3) w^(2j), 2^(1/3) w^j), slot order
-    j = (1, 0, 2); test oracle for titeica_frame."""
-    cols = []
-    for j in (1, 0, 2):
-        cols.append([1.0, _CBRT2 * OMEGA ** (2 * j), _CBRT2 * OMEGA ** j])
-    return np.array(cols, dtype=complex).T
-
-
-def titeica_transport(displacement: complex) -> np.ndarray:
-    """Transport of the constant-differential frame over a natural-chart
-    displacement: S exp(diag of 2^(2/3) Re(x e^(-i BETA_j))) S^(-1)."""
-    S, S_inv = titeica_frame()
-    d = _titeica_exponents(complex(displacement))
-    return (S * np.exp(d)) @ S_inv
-
-
-def titeica_log_singular_values(displacement: complex):
-    """Log singular values of the closed-form transport, computed stably in
-    the factored form (oracle for large displacements)."""
-    S, S_inv = titeica_frame()
-    d = _titeica_exponents(complex(displacement))
-    return _log_singular_values_of_factored(S, d, S_inv)
 
 
 def _log_singular_values_of_factored(A, logd, B):
@@ -189,32 +152,6 @@ class FrameTransport:
         self.Q = Q2
         self.logd = newd + np.log(scale)
         self.T = Tn / scale[:, None]
-
-    # -- recovered quantities ------------------------------------------------
-
-    def log_singular_values_inverse(self, left_diag=None, right_diag=None):
-        """Sorted log singular values of the holonomy X = Psi^(-1).
-
-        Optional diagonal conjugation diag(left)^(-1) X diag(right) expresses
-        the transport in another frame (e.g. the natural-coordinate frame).
-        """
-        A = self.Q if left_diag is None else (self.Q.T / np.asarray(left_diag)).T
-        B = self.T if right_diag is None else self.T * np.asarray(right_diag)
-        vals = _log_singular_values_of_factored(A, self.logd, B)
-        return np.sort(vals)[::-1]
-
-    def log_singular_values(self, left_diag=None, right_diag=None):
-        """Sorted log singular values of the transport Psi itself."""
-        return -self.log_singular_values_inverse(left_diag, right_diag)[::-1]
-
-    def log_abs_det(self):
-        _, ld = np.linalg.slogdet(self.T)
-        return float(np.sum(self.logd) + ld)
-
-    def matrix(self):
-        """Psi as a dense matrix (use only at moderate range)."""
-        Tinv = np.linalg.inv(self.T)
-        return (Tinv * np.exp(-self.logd)) @ self.Q.conjugate().T
 
 
 def _step_size(s: float) -> float:

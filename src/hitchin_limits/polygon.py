@@ -285,27 +285,15 @@ def _segment_diag_exponents(period: complex, chart_angle: float, s: float):
 def _perturb_stokes_segments(path: GeodesicPath):
     """Tilt Stokes-direction segments by +-_STOKES_ETA so every arc at a zero
     of order >= 1 keeps a subtended angle > pi; prefer the ccw sign."""
-    n = len(path.segments)
     theta_in = []
     theta_out = []
     for j in path.junctions:
         theta_in.append(j.theta_in)
         theta_out.append(j.theta_out)
 
-    def junction_index_after(i):
-        # junction at the end of segment i, or None for open-path ends
-        if path.closed:
-            return (i + 1) % n
-        return i if i < n - 1 else None
-
-    def junction_index_before(i):
-        if path.closed:
-            return i
-        return i - 1 if i > 0 else None
-
     for i, seg in enumerate(path.segments):
-        jb = junction_index_before(i)
-        ja = junction_index_after(i)
+        jb = path.junction_after(i - 1)
+        ja = path.junction_after(i)
         direction = theta_out[jb] if jb is not None else cmath.phase(seg.period)
         if classify_direction(direction).tag != "Stokes":
             continue
@@ -341,16 +329,10 @@ def _path_factors(path: GeodesicPath):
     """
     n = len(path.segments)
     theta_in, theta_out = _perturb_stokes_segments(path)
-
-    def junction_after_seg(i):
-        if path.closed:
-            return (i + 1) % n
-        return i if i < n - 1 else None
-
     for i, seg in enumerate(path.segments):
         phase = cmath.phase(seg.period)
         yield ("diag", _segment_diag_exponents(seg.period, phase, 1.0))
-        ja = junction_after_seg(i)
+        ja = path.junction_after(i)
         if ja is None:
             continue
         jn = path.junctions[ja]

@@ -24,7 +24,6 @@ _ANGLE_TOL = 1e-9       # cone-angle closure and turn-angle comparisons
 _EDGE_TOL = 1e-12       # relative tolerance on glued edge lengths
 _DIRECTION_TOL = 1e-10  # Stokes / Weyl-wall classification
 _POS_TOL = 1e-9         # absolute position tolerance in developments
-_TIGHTEN_MAX_ITERS = 500
 
 
 def _cross(a: complex, b: complex) -> float:
@@ -83,7 +82,7 @@ class DirectionClass:
     chart_angle: float
 
 
-def classify_direction(chart_angle: float, tol: float = _DIRECTION_TOL) -> DirectionClass:
+def classify_direction(chart_angle: float) -> DirectionClass:
     """Classify a natural-chart direction.
 
     Stokes directions sit at pi/6 mod pi/3, Weyl walls at 0 mod pi/3.
@@ -91,24 +90,11 @@ def classify_direction(chart_angle: float, tol: float = _DIRECTION_TOL) -> Direc
     if not math.isfinite(chart_angle):
         raise ValueError("chart angle must be finite")
     r = chart_angle % (math.pi / 3.0)
-    if min(r, math.pi / 3.0 - r) <= tol:
+    if min(r, math.pi / 3.0 - r) <= _DIRECTION_TOL:
         return DirectionClass("WeylWall", chart_angle)
-    if abs(r - math.pi / 6.0) <= tol:
+    if abs(r - math.pi / 6.0) <= _DIRECTION_TOL:
         return DirectionClass("Stokes", chart_angle)
     return DirectionClass("Regular", chart_angle)
-
-
-def classify_direction_at(surface, zero: int, chart_angle: float,
-                          tol: float = _DIRECTION_TOL) -> DirectionClass:
-    """Classify a direction at a marked zero of a surface.
-
-    The classification is the modular condition on the natural-chart angle;
-    the zero argument is validated so callers cannot classify directions at
-    unmarked points.
-    """
-    if zero not in surface.vertex_orders:
-        raise ValueError(f"vertex class {zero} is not a marked point")
-    return classify_direction(chart_angle, tol)
 
 
 @dataclass(frozen=True)
@@ -157,11 +143,14 @@ class GeodesicPath:
             raise ValueError(
                 f"expected {want} junctions for {n} segments, got {len(self.junctions)}")
 
-    def junction_between(self, i: int) -> Junction:
-        """The junction joining segments[i] to segments[i+1 mod n]."""
+    def junction_after(self, i: int) -> Optional[int]:
+        """Index of the junction joining segments[i] to the next segment, or
+        None past either end of an open path (so the junction before
+        segments[i] is junction_after(i - 1))."""
+        n = len(self.segments)
         if self.closed:
-            return self.junctions[(i + 1) % len(self.segments)]
-        return self.junctions[i]
+            return (i + 1) % n
+        return i if 0 <= i < n - 1 else None
 
     def reversed(self) -> "GeodesicPath":
         n = len(self.segments)
@@ -179,17 +168,18 @@ class GeodesicPath:
         return GeodesicPath(segs, juncs, self.closed)
 
 
-def validate_path(path: GeodesicPath, tol: float = _ANGLE_TOL) -> list:
+def validate_path(path: GeodesicPath) -> list:
     """Return violated geodesic/consistency conditions (empty when valid)."""
     out = []
     n = len(path.segments)
-    pairs = range(n) if path.closed else range(n - 1)
-    for i in pairs:
-        prev = path.segments[i]
+    for i, prev in enumerate(path.segments):
+        ja = path.junction_after(i)
+        if ja is None:
+            continue
         nxt = path.segments[(i + 1) % n]
-        j = path.junction_between(i)
+        j = path.junctions[ja]
         ccw, cw = j.turn_angles
-        if ccw < math.pi - tol or cw < math.pi - tol:
+        if ccw < math.pi - _ANGLE_TOL or cw < math.pi - _ANGLE_TOL:
             out.append(("TurnTooSharp", i, min(ccw, cw)))
         if prev.end >= 0 and nxt.start >= 0 and prev.end != nxt.start:
             out.append(("DisconnectedSegments", i, (prev.end, nxt.start)))
@@ -201,10 +191,6 @@ def validate_path(path: GeodesicPath, tol: float = _ANGLE_TOL) -> list:
             if min(r, TWO_PI / 3.0 - r) > 1e-7:
                 out.append((f"ChartMisaligned{tag}", i, r))
     return out
-
-
-def is_geodesic(path: GeodesicPath) -> bool:
-    return not validate_path(path)
 
 
 def synthesize_path(lengths, turns, orders, start_angle=0.0, closed=False):
@@ -491,86 +477,6 @@ def build_polynomial_disk(k: int, radius: float) -> CubicSurface:
     return CubicSurface(tris, gluings, vertex_orders={0: k}, boundary=boundary)
 
 
-def build_square_torus() -> CubicSurface:
-    """Flat torus of dz^3 on C/(Z + iZ): translations only, no marked points."""
-    tris = [(0.0, 1.0, 1j), (1.0 + 1j, 1j, 1.0)]
-    gluings = [
-        Gluing((0, 1), (1, 1), 0, 0.0),   # shared diagonal
-        Gluing((0, 0), (1, 0), 0, 1j),    # bottom edge -> top edge
-        Gluing((0, 2), (1, 2), 0, 1.0),   # left edge -> right edge
-    ]
-    return CubicSurface(tris, gluings, vertex_orders={})
-
-
-def build_l_surface() -> CubicSurface:
-    """Genus-2 translation surface: L of three unit squares, opposite sides
-    glued by translations.  One cone point of angle 6*pi (order k = 6)."""
-    squares = [(0, 0), (1, 0), (0, 1)]
-    tris = []
-    for (x, y) in squares:
-        z = complex(x, y)
-        tris.append((z, z + 1, z + 1 + 1j))   # lower: sides bottom/right/diag
-        tris.append((z, z + 1 + 1j, z + 1j))  # upper: sides diag/top/left
-    # tris index: square i -> lower triangle 2i, upper 2i+1
-    gluings = [Gluing((2 * i, 2), (2 * i + 1, 0), 0, 0.0) for i in range(3)]
-
-    def glue(e1, e2, trans):
-        gluings.append(Gluing(e1, e2, 0, complex(*trans)))
-
-    glue((0, 0), (5, 1), (0, 2))    # bottom of sq0 -> top of sq2
-    glue((2, 0), (3, 1), (0, 1))    # bottom of sq1 -> top of sq1
-    glue((4, 0), (1, 1), (0, 0))    # bottom of sq2 = top of sq0 (interior seam)
-    glue((1, 2), (2, 1), (2, 0))    # left of sq0 -> right of sq1
-    glue((5, 2), (4, 1), (1, 0))    # left of sq2 -> right of sq2
-    glue((0, 1), (3, 2), (0, 0))    # right of sq0 = left of sq1 (interior seam)
-    return CubicSurface(tris, gluings, vertex_orders={0: 6})
-
-
-def barycentric_refine(surface: CubicSurface) -> CubicSurface:
-    """Subdivide every triangle at edge midpoints and centroid (6 pieces).
-
-    Added vertices are unmarked flat points; the flat structure and all
-    saddle connections are unchanged.
-    """
-    tris = []
-    gluings = []
-    sub_index = {}
-    for t, (a, b, c) in enumerate(surface.triangles):
-        mab, mbc, mca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-        g0 = (a + b + c) / 3
-        base = len(tris)
-        sub_index[t] = base
-        tris.extend([
-            (a, mab, g0), (mab, b, g0),
-            (b, mbc, g0), (mbc, c, g0),
-            (c, mca, g0), (mca, a, g0),
-        ])
-        for j in range(6):
-            gluings.append(Gluing((base + j, 1), (base + (j + 1) % 6, 2), 0, 0.0))
-    boundary = set()
-    handled = set()
-    for t in range(len(surface.triangles)):
-        for s in range(3):
-            first = (sub_index[t] + 2 * s, 0)
-            second = (sub_index[t] + 2 * s + 1, 0)
-            nb = surface.neighbor(t, s)
-            if nb is None:
-                boundary.add(first)
-                boundary.add(second)
-                continue
-            if (t, s) in handled:
-                continue
-            (t2, s2), rot, trans = nb
-            handled.add((t2, s2))
-            gluings.append(Gluing(first, (sub_index[t2] + 2 * s2 + 1, 0), rot, trans))
-            gluings.append(Gluing(second, (sub_index[t2] + 2 * s2, 0), rot, trans))
-    refined = CubicSurface(tris, gluings, boundary=boundary)
-    for cls, k in surface.vertex_orders.items():
-        t, v = surface.vertex_classes[cls][0]
-        refined.vertex_orders[refined.class_of(sub_index[t] + 2 * v, 0)] = k
-    return refined
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -637,20 +543,6 @@ def validate(surface: CubicSurface) -> list:
             if total != 6 * g - 6:
                 out.append(Violation("DegreeMismatch", (total, 6 * g - 6)))
     return out
-
-
-def develop_fan_closure(surface: CubicSurface, cls: int):
-    """Compose the chart transitions around a closed vertex fan.
-
-    Returns (u, c): the rigid motion z -> u z + c a chart picks up after one
-    full loop.  For a valid surface u = zeta^(k mod 3).
-    """
-    if not surface.fan_closed[cls]:
-        raise ValueError("fan is not closed")
-    u, b = 1.0 + 0j, 0.0 + 0j
-    for (t, v) in surface.fans[cls]:
-        _, _, u, b = _compose_across(surface, u, b, t, (v + 2) % 3)
-    return u, b
 
 
 # ---------------------------------------------------------------------------
@@ -1012,198 +904,6 @@ def _dedup_hits(hits):
 
 
 # ---------------------------------------------------------------------------
-# geodesic tightening
-# ---------------------------------------------------------------------------
-
-class _Leg:
-    """One straight leg of the evolving path: departure corner + chart
-    direction, with resolved arrival data."""
-
-    __slots__ = ("cls", "tri", "vtx", "vec", "arr_tri", "arr_vtx", "arr_u",
-                 "end_cls")
-
-    def __init__(self, cls, tri, vtx, vec):
-        self.cls = cls
-        self.tri = tri
-        self.vtx = vtx
-        self.vec = vec
-        self.arr_tri = None
-        self.arr_vtx = None
-        self.arr_u = None
-        self.end_cls = None
-
-    @property
-    def length(self):
-        return abs(self.vec)
-
-
-def _resolve_leg(surface, leg):
-    (t0, v0), d0 = claim_corner(surface, leg.tri, leg.vtx, leg.vec)
-    leg.tri, leg.vtx = t0, v0
-    leg.vec = d0 * abs(leg.vec)
-    hit = shoot(surface, t0, v0, d0, abs(leg.vec) + _POS_TOL)
-    if hit is None or abs(hit.distance - leg.length) > 1e-6 * max(1.0, leg.length):
-        raise ValueError("path leg does not develop to its stated endpoint")
-    leg.arr_tri, leg.arr_vtx, leg.arr_u = hit.tri, hit.vertex, hit.u
-    leg.end_cls = hit.cls
-    return hit
-
-
-def _junction_angles(surface, prev, nxt):
-    """(ccw, cw) side angles at the vertex joining legs prev -> nxt.
-
-    At boundary vertices (open fans) only the side through the surface has a
-    finite angle; the other side reports +inf.
-    """
-    d_prev = prev.vec / abs(prev.vec)
-    back = (-d_prev) * prev.arr_u.conjugate()
-    a_in = surface.fan_angle(prev.arr_tri, prev.arr_vtx, back)
-    a_out = surface.fan_angle(nxt.tri, nxt.vtx, nxt.vec)
-    cls = nxt.cls
-    if surface.fan_closed[cls]:
-        cone = surface.cone_angles[cls]
-        ccw = (a_out - a_in) % cone
-        return ccw, cone - ccw
-    delta = a_out - a_in
-    if delta >= 0:
-        return delta, math.inf
-    return math.inf, -delta
-
-
-def _strip_backtracks(surface, edge_path, closed):
-    path = list(edge_path)
-
-    def is_reverse(e1, e2):
-        nb = surface.neighbor(*e1)
-        return nb is not None and nb[0] == tuple(e2)
-
-    changed = True
-    while changed and path:
-        changed = False
-        i = 0
-        while i < len(path) - 1:
-            if is_reverse(path[i], path[i + 1]):
-                del path[i:i + 2]
-                changed = True
-                i = max(i - 1, 0)
-            else:
-                i += 1
-        if closed and len(path) >= 2 and is_reverse(path[-1], path[0]):
-            del path[-1]
-            del path[0]
-            changed = True
-    if not path:
-        raise DegeneratePath("path cancels to a point")
-    return path
-
-
-def tighten_path(surface, edge_path, closed=False):
-    """Straighten a simplicial path (or cycle) of triangulation edges into a
-    geodesic path of saddle connections with >= pi side angles at each zero.
-
-    Corner shortcutting: each too-sharp corner is replaced by the straight
-    segment between its neighbors, snagging on any marked point in the way;
-    the total length strictly decreases, so iteration reaches the geodesic
-    representative.  Idempotent on already-geodesic input.
-    """
-    edges = _strip_backtracks(surface, list(edge_path), closed)
-    legs = []
-    prev_end = None
-    for (t, s) in edges:
-        start_cls = surface.class_of(t, s)
-        if prev_end is not None and start_cls != prev_end:
-            raise ValueError("edge path is not connected")
-        if not surface.is_marked(start_cls):
-            raise ValueError("tighten_path expects edges between marked points")
-        leg = _Leg(start_cls, t, s, surface.edge_vector(t, s))
-        _resolve_leg(surface, leg)
-        legs.append(leg)
-        prev_end = leg.end_cls
-    if closed and legs[0].cls != prev_end:
-        raise ValueError("cycle does not close up")
-
-    for _ in range(_TIGHTEN_MAX_ITERS):
-        idx = _worst_corner(surface, legs, closed)
-        if idx is None:
-            return _legs_to_path(surface, legs, closed)
-        if closed and len(legs) == 1:
-            raise DegeneratePath("cycle straightens to a point")
-        _shortcut(surface, legs, idx)
-        if not legs:
-            raise DegeneratePath("path straightens to a point")
-    raise NotConverged("tighten_path exceeded its iteration budget")
-
-
-def _worst_corner(surface, legs, closed):
-    n = len(legs)
-    worst = None
-    worst_gap = _ANGLE_TOL
-    rng = range(n) if closed else range(1, n)
-    for i in rng:
-        ccw, cw = _junction_angles(surface, legs[i - 1], legs[i])
-        gap = math.pi - min(ccw, cw)
-        if gap > worst_gap:
-            worst_gap = gap
-            worst = i
-    return worst
-
-
-def _shortcut(surface, legs, idx):
-    prev = legs[idx - 1]
-    nxt = legs[idx]
-    ccw, cw = _junction_angles(surface, prev, nxt)
-    d_prev = prev.vec / abs(prev.vec)
-    if ccw <= cw:
-        d_next_dev = -d_prev * cmath.exp(1j * ccw)
-    else:
-        d_next_dev = -d_prev * cmath.exp(-1j * cw)
-    corner_pos = prev.vec
-    target = corner_pos + nxt.length * d_next_dev
-    if abs(target) <= _POS_TOL:
-        # the two legs cancel exactly
-        del legs[idx]
-        del legs[idx - 1]
-        return
-    direction = target / abs(target)
-    (t0, v0), d0 = claim_corner(surface, prev.tri, prev.vtx, direction)
-    hit = shoot(surface, t0, v0, d0, abs(target) + _POS_TOL)
-    if hit is None:
-        raise NotConverged("shortcut left the surface or found no marked point")
-    new = _Leg(prev.cls, t0, v0, d0 * hit.distance)
-    new.arr_tri, new.arr_vtx, new.arr_u = hit.tri, hit.vertex, hit.u
-    new.end_cls = hit.cls
-    if abs(hit.distance - abs(target)) <= 1e-9 * max(1.0, abs(target)):
-        legs[idx - 1] = new
-        del legs[idx]
-    else:
-        rest = target - hit.point
-        rest_chart = rest * hit.u.conjugate()
-        second = _Leg(hit.cls, hit.tri, hit.vertex, rest_chart)
-        _resolve_leg(surface, second)
-        legs[idx - 1] = new
-        legs[idx] = second
-
-
-def _legs_to_path(surface, legs, closed):
-    segs = tuple(SaddleConnection(leg.cls, leg.end_cls, leg.vec) for leg in legs)
-    juncs = []
-    n = len(legs)
-    rng = range(n) if closed else range(1, n)
-    for i in rng:
-        prev, nxt = legs[i - 1], legs[i]
-        ccw, cw = _junction_angles(surface, prev, nxt)
-        # anchor the lift to an honest chart angle of the incoming ray: fan
-        # offsets are arbitrary rotations, not chart-compatible
-        d_prev = prev.vec / abs(prev.vec)
-        back = (-d_prev) * prev.arr_u.conjugate()
-        theta_in = cmath.phase(back)
-        k = surface.vertex_orders.get(nxt.cls, 0)
-        juncs.append(Junction(order=k, theta_in=theta_in,
-                              theta_out=theta_in + ccw, zero=nxt.cls))
-    return GeodesicPath(segs, tuple(juncs), closed)
-
-
-# ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
 
@@ -1313,22 +1013,6 @@ def load_surface(path: str) -> CubicSurface:
         return surface_from_dict(json.load(fh))
 
 
-def path_to_dict(path: GeodesicPath) -> dict:
-    return {
-        "closed": path.closed,
-        "segments": [
-            {"start": s.start, "end": s.end,
-             "period": [s.period.real, s.period.imag]}
-            for s in path.segments
-        ],
-        "junctions": [
-            {"order": j.order, "thetaIn": j.theta_in, "thetaOut": j.theta_out,
-             "zero": j.zero}
-            for j in path.junctions
-        ],
-    }
-
-
 def path_from_dict(data) -> GeodesicPath:
     """The path of a JSON object; ValueError names the first bad field."""
     _json_check(isinstance(data, dict), "path JSON", "an object")
@@ -1349,11 +1033,6 @@ def path_from_dict(data) -> GeodesicPath:
     closed = data.get("closed", False)
     _json_check(isinstance(closed, bool), "closed", "true or false")
     return GeodesicPath(tuple(segs), tuple(juncs), closed)
-
-
-def save_path(path: GeodesicPath, filename: str):
-    with open(filename, "w") as fh:
-        json.dump(path_to_dict(path), fh, indent=1, sort_keys=True)
 
 
 def load_path(filename: str) -> GeodesicPath:

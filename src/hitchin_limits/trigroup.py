@@ -37,14 +37,6 @@ class TriangleOrbifoldSurface:
     orbifold_type: tuple       # vertex class -> 0/1/2 (the p/q/r corner)
     euclidean: bool
 
-    @property
-    def orders(self):
-        return (self.p, self.q, self.r)
-
-    def interior_classes_of_type(self, t: int):
-        return [c for c in range(self.surface.n_classes())
-                if self.orbifold_type[c] == t and self.surface.fan_closed[c]]
-
 
 def _zip_fans(coords, edge_map, corner_type, valence, work):
     """Close every fan, among those of the corners in ``work``, that has
@@ -158,23 +150,6 @@ def build_orbifold(p: int, q: int, r: int, layers: int = 4) -> TriangleOrbifoldS
     return TriangleOrbifoldSurface(p=p, q=q, r=r, surface=surface,
                                    orbifold_type=tuple(types),
                                    euclidean=euclidean)
-
-
-def canonical_marking(orb: TriangleOrbifoldSurface) -> dict:
-    """Per interior vertex class, the chart directions of its outgoing edges
-    on which the differential is real and positive (0 mod 2*pi/3)."""
-    out = {}
-    surf = orb.surface
-    for cls in surf.marked_classes():
-        dirs = []
-        for (t, v) in surf.fans[cls]:
-            vec = surf.edge_vector(t, v)
-            ang = cmath.phase(vec) % TWO_PI
-            if (ang % (TWO_PI / 3)) < 1e-9 or \
-                    (TWO_PI / 3 - ang % (TWO_PI / 3)) < 1e-9:
-                dirs.append(ang)
-        out[cls] = sorted(set(round(d, 9) for d in dirs))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +284,6 @@ class SpectrumVector:
     values: tuple          # WeylVector per class
     projectivized: np.ndarray
 
-    def stacked(self):
-        return np.array([w.as_tuple() for w in self.values]).ravel()
-
 
 def spectrum(curve_classes) -> SpectrumVector:
     """Tropical length spectrum of a finite family of closed geodesics."""
@@ -382,19 +354,3 @@ def boundary_injectivity_probe(curve_classes, theta_grid) -> BoundaryProbe:
             best = min(best, float(np.linalg.norm(spectra[i] - spectra[j])))
     return BoundaryProbe(min_pairwise=best, insufficient_family=insufficient,
                          theta_count=len(thetas))
-
-
-def lifted_order_bookkeeping(orb: TriangleOrbifoldSurface) -> bool:
-    """Gauss-Bonnet check: each orbifold point contributes quotient order -2
-    (poles of order at most 2 on the underlying sphere, total -6)."""
-    total = 0.0
-    for t, ord_ in zip(range(3), orb.orders):
-        classes = orb.interior_classes_of_type(t)
-        if not classes:
-            return False
-        angle = orb.surface.cone_angles[classes[0]]
-        # lifted cone angle must be 2 pi ord/3; quotient order is then -2
-        if abs(angle - TWO_PI * ord_ / 3.0) > 1e-9:
-            return False
-        total += 3.0 * (angle / (TWO_PI * ord_) - 1.0)
-    return abs(total - (-6.0)) < 1e-9

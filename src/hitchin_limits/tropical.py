@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OpenPath, ZeroPeriod
+from .errors import ZeroPeriod
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 CBRT4 = 2.0 ** (2.0 / 3.0)
@@ -91,20 +91,3 @@ def path_singular_exponents(path) -> WeylVector:
     return WeylVector(math.fsum(w.x1 for w in triples),
                       math.fsum(w.x2 for w in triples),
                       math.fsum(w.x3 for w in triples))
-
-
-def path_norm_exponent(path) -> float:
-    """Limit of log||Hol_s|| / s^(1/3): the sum of per-segment top entries."""
-    return math.fsum(segment_exponents(p).weyl.x1
-                     for p in _segment_periods(path))
-
-
-def spectral_exponent(loop) -> float:
-    """Log spectral radius exponent of a closed flat geodesic.
-
-    Coincides with the norm exponent; only the closedness precondition
-    differs.
-    """
-    if not getattr(loop, "closed", False):
-        raise OpenPath("spectral exponent requires a closed path")
-    return path_norm_exponent(loop)

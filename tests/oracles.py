@@ -1,0 +1,261 @@
+"""Fixtures and reference implementations shared by the tests.
+
+Surfaces and path files the tests build on, closed forms the numerical code
+is checked against, read-outs of a frame transport beyond the ones the
+verify commands use, and orbifold bookkeeping.  No command of the package
+reaches any of this, so it lives with the tests.
+"""
+
+import cmath
+import json
+import math
+
+import numpy as np
+
+from hitchin_limits import frame
+from hitchin_limits.surface import ZETA, CubicSurface, Gluing
+from hitchin_limits.tropical import OMEGA
+
+TWO_PI = 2.0 * math.pi
+_CBRT2 = 2.0 ** (1.0 / 3.0)
+
+
+# ---------------------------------------------------------------------------
+# surfaces
+# ---------------------------------------------------------------------------
+
+def build_square_torus() -> CubicSurface:
+    """Flat torus of dz^3 on C/(Z + iZ): translations only, no marked points."""
+    tris = [(0.0, 1.0, 1j), (1.0 + 1j, 1j, 1.0)]
+    gluings = [
+        Gluing((0, 1), (1, 1), 0, 0.0),   # shared diagonal
+        Gluing((0, 0), (1, 0), 0, 1j),    # bottom edge -> top edge
+        Gluing((0, 2), (1, 2), 0, 1.0),   # left edge -> right edge
+    ]
+    return CubicSurface(tris, gluings, vertex_orders={})
+
+
+def build_l_surface() -> CubicSurface:
+    """Genus-2 translation surface: L of three unit squares, opposite sides
+    glued by translations.  One cone point of angle 6*pi (order k = 6)."""
+    squares = [(0, 0), (1, 0), (0, 1)]
+    tris = []
+    for (x, y) in squares:
+        z = complex(x, y)
+        tris.append((z, z + 1, z + 1 + 1j))   # lower: sides bottom/right/diag
+        tris.append((z, z + 1 + 1j, z + 1j))  # upper: sides diag/top/left
+    # tris index: square i -> lower triangle 2i, upper 2i+1
+    gluings = [Gluing((2 * i, 2), (2 * i + 1, 0), 0, 0.0) for i in range(3)]
+
+    def glue(e1, e2, trans):
+        gluings.append(Gluing(e1, e2, 0, complex(*trans)))
+
+    glue((0, 0), (5, 1), (0, 2))    # bottom of sq0 -> top of sq2
+    glue((2, 0), (3, 1), (0, 1))    # bottom of sq1 -> top of sq1
+    glue((4, 0), (1, 1), (0, 0))    # bottom of sq2 = top of sq0 (interior seam)
+    glue((1, 2), (2, 1), (2, 0))    # left of sq0 -> right of sq1
+    glue((5, 2), (4, 1), (1, 0))    # left of sq2 -> right of sq2
+    glue((0, 1), (3, 2), (0, 0))    # right of sq0 = left of sq1 (interior seam)
+    return CubicSurface(tris, gluings, vertex_orders={0: 6})
+
+
+def barycentric_refine(surface: CubicSurface) -> CubicSurface:
+    """Subdivide every triangle at edge midpoints and centroid (6 pieces).
+
+    Added vertices are unmarked flat points; the flat structure and all
+    saddle connections are unchanged.
+    """
+    tris = []
+    gluings = []
+    sub_index = {}
+    for t, (a, b, c) in enumerate(surface.triangles):
+        mab, mbc, mca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+        g0 = (a + b + c) / 3
+        base = len(tris)
+        sub_index[t] = base
+        tris.extend([
+            (a, mab, g0), (mab, b, g0),
+            (b, mbc, g0), (mbc, c, g0),
+            (c, mca, g0), (mca, a, g0),
+        ])
+        for j in range(6):
+            gluings.append(Gluing((base + j, 1), (base + (j + 1) % 6, 2), 0, 0.0))
+    boundary = set()
+    handled = set()
+    for t in range(len(surface.triangles)):
+        for s in range(3):
+            first = (sub_index[t] + 2 * s, 0)
+            second = (sub_index[t] + 2 * s + 1, 0)
+            nb = surface.neighbor(t, s)
+            if nb is None:
+                boundary.add(first)
+                boundary.add(second)
+                continue
+            if (t, s) in handled:
+                continue
+            (t2, s2), rot, trans = nb
+            handled.add((t2, s2))
+            gluings.append(Gluing(first, (sub_index[t2] + 2 * s2 + 1, 0), rot, trans))
+            gluings.append(Gluing(second, (sub_index[t2] + 2 * s2, 0), rot, trans))
+    refined = CubicSurface(tris, gluings, boundary=boundary)
+    for cls, k in surface.vertex_orders.items():
+        t, v = surface.vertex_classes[cls][0]
+        refined.vertex_orders[refined.class_of(sub_index[t] + 2 * v, 0)] = k
+    return refined
+
+
+def develop_fan_closure(surface: CubicSurface, cls: int):
+    """Compose the chart transitions around a closed vertex fan.
+
+    Returns (u, c): the rigid motion z -> u z + c a chart picks up after one
+    full loop.  For a valid surface u = zeta^(k mod 3).
+    """
+    if not surface.fan_closed[cls]:
+        raise ValueError("fan is not closed")
+    u, b = 1.0 + 0j, 0.0 + 0j
+    for (t, v) in surface.fans[cls]:
+        _, rot, trans = surface.neighbor(t, (v + 2) % 3)
+        w = ZETA ** ((-rot) % 3)
+        u, b = u * w, b - u * w * trans
+    return u, b
+
+
+# ---------------------------------------------------------------------------
+# path files
+# ---------------------------------------------------------------------------
+
+def path_to_dict(path) -> dict:
+    return {
+        "closed": path.closed,
+        "segments": [
+            {"start": s.start, "end": s.end,
+             "period": [s.period.real, s.period.imag]}
+            for s in path.segments
+        ],
+        "junctions": [
+            {"order": j.order, "thetaIn": j.theta_in, "thetaOut": j.theta_out,
+             "zero": j.zero}
+            for j in path.junctions
+        ],
+    }
+
+
+def save_path(path, filename: str):
+    with open(filename, "w") as fh:
+        json.dump(path_to_dict(path), fh, indent=1, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# Titeica closed forms
+# ---------------------------------------------------------------------------
+
+def orthonormal_gauge(phi: float) -> np.ndarray:
+    """C(phi): right factor turning an affine-sphere frame into a real
+    orthonormal frame for the Blaschke lift."""
+    a = cmath.exp(-phi / 2.0)
+    return np.array([
+        [1.0, 0.0, 0.0],
+        [0.0, a, 1j * a],
+        [0.0, a, -1j * a],
+    ], dtype=complex)
+
+
+def titeica_frame_analytic():
+    """Closed-form eigenvectors (1, 2^(1/3) w^(2j), 2^(1/3) w^j), slot order
+    j = (1, 0, 2); oracle for frame.titeica_frame."""
+    cols = []
+    for j in (1, 0, 2):
+        cols.append([1.0, _CBRT2 * OMEGA ** (2 * j), _CBRT2 * OMEGA ** j])
+    return np.array(cols, dtype=complex).T
+
+
+def titeica_transport(displacement: complex) -> np.ndarray:
+    """Transport of the constant-differential frame over a natural-chart
+    displacement: S exp(diag of 2^(2/3) Re(x e^(-i BETA_j))) S^(-1)."""
+    S, S_inv = frame.titeica_frame()
+    d = frame._titeica_exponents(complex(displacement))
+    return (S * np.exp(d)) @ S_inv
+
+
+def titeica_log_singular_values(displacement: complex):
+    """Log singular values of the closed-form transport, computed stably in
+    the factored form (oracle for large displacements)."""
+    S, S_inv = frame.titeica_frame()
+    d = frame._titeica_exponents(complex(displacement))
+    return frame._log_singular_values_of_factored(S, d, S_inv)
+
+
+# ---------------------------------------------------------------------------
+# read-outs of a frame.FrameTransport
+# ---------------------------------------------------------------------------
+
+def log_singular_values_inverse(xport, left_diag=None, right_diag=None):
+    """Sorted log singular values of the holonomy X = Psi^(-1).
+
+    Optional diagonal conjugation diag(left)^(-1) X diag(right) expresses
+    the transport in another frame (e.g. the natural-coordinate frame).
+    """
+    A = xport.Q if left_diag is None else (xport.Q.T / np.asarray(left_diag)).T
+    B = xport.T if right_diag is None else xport.T * np.asarray(right_diag)
+    vals = frame._log_singular_values_of_factored(A, xport.logd, B)
+    return np.sort(vals)[::-1]
+
+
+def log_singular_values(xport, left_diag=None, right_diag=None):
+    """Sorted log singular values of the transport Psi itself."""
+    return -log_singular_values_inverse(xport, left_diag, right_diag)[::-1]
+
+
+def log_abs_det(xport):
+    _, ld = np.linalg.slogdet(xport.T)
+    return float(np.sum(xport.logd) + ld)
+
+
+def transport_matrix(xport):
+    """Psi as a dense matrix (use only at moderate range)."""
+    Tinv = np.linalg.inv(xport.T)
+    return (Tinv * np.exp(-xport.logd)) @ xport.Q.conjugate().T
+
+
+# ---------------------------------------------------------------------------
+# triangle orbifolds
+# ---------------------------------------------------------------------------
+
+def canonical_marking(orb) -> dict:
+    """Per interior vertex class, the chart directions of its outgoing edges
+    on which the differential is real and positive (0 mod 2*pi/3)."""
+    out = {}
+    surf = orb.surface
+    for cls in surf.marked_classes():
+        dirs = []
+        for (t, v) in surf.fans[cls]:
+            vec = surf.edge_vector(t, v)
+            ang = cmath.phase(vec) % TWO_PI
+            if (ang % (TWO_PI / 3)) < 1e-9 or \
+                    (TWO_PI / 3 - ang % (TWO_PI / 3)) < 1e-9:
+                dirs.append(ang)
+        out[cls] = sorted(set(round(d, 9) for d in dirs))
+    return out
+
+
+def interior_classes_of_type(orb, t: int):
+    """The vertex classes of orbifold type t (0/1/2: the p/q/r corner) whose
+    fans close on the patch."""
+    return [c for c in range(orb.surface.n_classes())
+            if orb.orbifold_type[c] == t and orb.surface.fan_closed[c]]
+
+
+def lifted_order_bookkeeping(orb) -> bool:
+    """Gauss-Bonnet check: each orbifold point contributes quotient order -2
+    (poles of order at most 2 on the underlying sphere, total -6)."""
+    total = 0.0
+    for t, ord_ in enumerate((orb.p, orb.q, orb.r)):
+        classes = interior_classes_of_type(orb, t)
+        if not classes:
+            return False
+        angle = orb.surface.cone_angles[classes[0]]
+        # lifted cone angle must be 2 pi ord/3; quotient order is then -2
+        if abs(angle - TWO_PI * ord_ / 3.0) > 1e-9:
+            return False
+        total += 3.0 * (angle / (TWO_PI * ord_) - 1.0)
+    return abs(total - (-6.0)) < 1e-9

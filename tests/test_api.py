@@ -1,0 +1,81 @@
+"""The package holds what its commands use, plus a declared verification API.
+
+Every public top-level function and class of ``src/hitchin_limits`` must be
+referred to by package code outside its own definition, or be one of the
+checks in VERIFICATION_API, which only the acceptance suite calls.  A helper
+that only tests reach belongs in the tests (see ``oracles.py``).
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hitchin_limits"
+
+# (module, name) of the checks the acceptance suite calls and no command does
+VERIFICATION_API = (
+    ("wang", "pointwise_lower_bound_check"),
+    ("wang", "error_field"),
+    ("building", "flat_isometry_check"),
+    ("building", "ambient_separation"),
+    ("building", "sector_image_angle"),
+    ("trigroup", "rotate_differential"),
+    ("polygon", "leading_term"),
+)
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _defined(tree):
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _references(module, tree, defined):
+    """(module, name) of every package definition that ``tree`` refers to
+    outside that definition itself: bare names resolve to the module's own
+    definitions or to ``from .x import name``; ``alias.name`` resolves when
+    the alias is a package module imported with ``from . import x``."""
+    names = {name: (module, name) for name in defined[module]}
+    aliases = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if node.module is None:
+                    aliases[bound] = alias.name
+                else:
+                    names[bound] = (node.module, alias.name)
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        own = (module, getattr(node, "name", None))
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                target = names.get(sub.id)
+            elif isinstance(sub, ast.Attribute) \
+                    and isinstance(sub.value, ast.Name) \
+                    and sub.value.id in aliases:
+                target = (aliases[sub.value.id], sub.attr)
+            else:
+                continue
+            if target is not None and target != own:
+                found.add(target)
+    return found
+
+
+def test_every_public_name_is_used_by_the_package_or_declared():
+    modules = _modules()
+    defined = {name: _defined(tree) for name, tree in modules.items()}
+    used = set()
+    for name, tree in modules.items():
+        used |= _references(name, tree, defined)
+    public = {(module, name) for module, names in defined.items()
+              for name in names if not name.startswith("_")}
+    assert sorted(public - used - set(VERIFICATION_API)) == []
+    # a declared check that disappears, or that a command comes to call,
+    # leaves the list
+    assert sorted(set(VERIFICATION_API) - (public - used)) == []

@@ -5,40 +5,11 @@ import numpy as np
 import pytest
 
 from hitchin_limits import building, polygon, tropical
-from hitchin_limits.errors import NonUnimodular, OriginSingular
+from hitchin_limits.errors import OriginSingular
 from hitchin_limits.surface import GeodesicPath, Junction, SaddleConnection, synthesize_path
 
 PI = math.pi
 CBRT4 = 2 ** (2 / 3)
-
-
-def test_vector_distance_identity():
-    wv = building.vector_distance(np.eye(3))
-    assert wv.as_tuple() == (0.0, 0.0, 0.0)
-
-
-def test_vector_distance_diagonal():
-    wv = building.vector_distance(np.diag([math.e ** 2, 1.0, math.e ** -2]))
-    assert wv.as_tuple() == pytest.approx((2.0, 0.0, -2.0), abs=1e-12)
-
-
-def test_vector_distance_random_sl3():
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        A = rng.normal(size=(3, 3))
-        A = A / abs(np.linalg.det(A)) ** (1 / 3)
-        wv = building.vector_distance(A)
-        oracle = np.sort(np.log(np.linalg.svd(A, compute_uv=False)))[::-1]
-        oracle = oracle - oracle.sum() / 3
-        assert wv.as_tuple() == pytest.approx(tuple(oracle), abs=1e-9)
-        inv = building.vector_distance(np.linalg.inv(A))
-        assert inv.as_tuple() == pytest.approx(
-            tuple(-np.array(wv.as_tuple())[::-1]), abs=1e-8)
-
-
-def test_vector_distance_rejects_nonunimodular():
-    with pytest.raises(NonUnimodular):
-        building.vector_distance(2 * np.eye(3))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

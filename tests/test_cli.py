@@ -7,6 +7,8 @@ import pytest
 from hitchin_limits import cli, frame, polygon
 from hitchin_limits import surface as sf
 
+import oracles
+
 
 def run(argv):
     return cli.main(argv)
@@ -32,7 +34,7 @@ def test_surface_validate_catches_bad_file(tmp_path):
 def test_tropical_spectrum_one_segment(tmp_path):
     p = sf.synthesize_path([1.0], turns=[], orders=[], start_angle=0.4)
     pf = tmp_path / "path.json"
-    sf.save_path(p, str(pf))
+    oracles.save_path(p, str(pf))
     out = tmp_path / "spec.csv"
     assert run(["tropical", "spectrum", "--path", str(pf),
                 "--out", str(out)]) == 0
@@ -198,8 +200,15 @@ def test_malformed_wang_grid_exits_1(capsys, argv):
     (["tropical", "spectrum", "--path"],
      {"segments": [{"start": 0, "end": 0, "period": [1]}]}),
     (["tropical", "spectrum", "--path"], {"segments": []}),
+    # a 0.26 rad side angle: a path that is not geodesic
+    (["tropical", "spectrum", "--path"],
+     {"segments": [{"start": -1, "end": -1, "period": [1.0, 0.0]},
+                   {"start": -1, "end": -1,
+                    "period": [math.cos(0.26), math.sin(0.26)]}],
+      "junctions": [{"order": 0, "thetaIn": math.pi,
+                     "thetaOut": math.pi + 0.26}]}),
 ], ids=["short-triangle", "top-level-list", "gluing-out-of-range",
-        "path-list", "short-period", "no-segments"])
+        "path-list", "short-period", "no-segments", "not-geodesic"])
 def test_misshapen_json_exits_1(tmp_path, capsys, argv, content):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content))
@@ -223,7 +232,8 @@ def no_solve(*args, **kwargs):
     ["polygon", "scheme", "--flips", "abc"],
     ["verify", "sweep"],
     ["surface"],
-], ids=["not-an-int", "missing-k", "missing-action"])
+    ["tropical", "spectrum", "--path", "path.json", "--surface", "s.json"],
+], ids=["not-an-int", "missing-k", "missing-action", "surface-flag"])
 def test_usage_error_exits_1_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)

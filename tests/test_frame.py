@@ -7,6 +7,8 @@ import pytest
 from hitchin_limits import frame, polygon, tropical, wang
 from hitchin_limits.errors import StepUnstable
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def sol_k0():
@@ -20,18 +22,18 @@ def sol_k1_s1000():
 
 def test_titeica_frame_matches_analytic():
     S, S_inv = frame.titeica_frame()
-    A = frame.titeica_frame_analytic()
+    A = oracles.titeica_frame_analytic()
     assert np.allclose(S, A, atol=1e-10)
     assert np.allclose(S @ S_inv, np.eye(3), atol=1e-12)
 
 
 def test_titeica_transport_zero_displacement():
-    assert np.allclose(frame.titeica_transport(0.0), np.eye(3), atol=1e-12)
+    assert np.allclose(oracles.titeica_transport(0.0), np.eye(3), atol=1e-12)
 
 
 def test_titeica_transport_real_displacement_eigenvalues():
     L = 0.8
-    M = frame.titeica_transport(L)
+    M = oracles.titeica_transport(L)
     evals = sorted(np.linalg.eigvals(M).real, reverse=True)
     cbrt4 = 2 ** (2 / 3)
     want = sorted([math.exp(cbrt4 * L), math.exp(-cbrt4 * L / 2),
@@ -50,7 +52,7 @@ def test_titeica_singular_exponents_match_tropical():
     # the tropical triple of the displacement
     L, theta = 30.0, 0.43
     x = L * cmath.exp(1j * theta)
-    vals = frame.titeica_log_singular_values(-0 + x)  # transport over x
+    vals = oracles.titeica_log_singular_values(-0 + x)  # transport over x
     trop = np.array(tropical.segment_exponents(x).weyl.as_tuple())
     got = np.sort(vals)[::-1] / L
     # inverse transport: exponents negate and reverse
@@ -67,16 +69,16 @@ def test_factored_transport_extreme_range():
     M = base @ np.diag(np.exp(d)) @ base.T
     for _ in range(200):
         xp.push_left(M)
-    vals = xp.log_singular_values_inverse()
+    vals = oracles.log_singular_values_inverse(xp)
     assert vals == pytest.approx([40.0, -5.0, -35.0], abs=1e-8)
-    assert abs(xp.log_abs_det()) < 1e-8
+    assert abs(oracles.log_abs_det(xp)) < 1e-8
 
 
 def _natural_log_sv(xport, sol, s, z0, z1):
     import cmath
     da = frame.natural_frame_diag(z0, sol.k, s, cmath.phase(complex(z0)))
     db = frame.natural_frame_diag(z1, sol.k, s, cmath.phase(complex(z1)))
-    return xport.log_singular_values(left_diag=db, right_diag=da)
+    return oracles.log_singular_values(xport, left_diag=db, right_diag=da)
 
 
 def test_integrator_matches_closed_form_k0(sol_k0):
@@ -85,7 +87,7 @@ def test_integrator_matches_closed_form_k0(sol_k0):
     for z0, z1 in [(0.1 + 0.05j, 0.9 + 0.4j), (0.6j, 0.1 - 0.7j)]:
         xport = frame.integrate_transport(sol, [z0, z1], s)
         x = s ** (1 / 3) * (z1 - z0)
-        want = frame.titeica_log_singular_values(x)
+        want = oracles.titeica_log_singular_values(x)
         got = _natural_log_sv(xport, sol, s, z0, z1)
         assert np.max(np.abs(np.sort(got) - np.sort(want))) < 1e-8
 
@@ -97,7 +99,7 @@ def test_integrator_closed_form_long_displacement():
     z0, z1 = 0.05, 0.05 + 1.0
     xport = frame.integrate_transport(sol, [z0, z1], s)
     x = s ** (1 / 3) * (z1 - z0)
-    want = frame.titeica_log_singular_values(x)
+    want = oracles.titeica_log_singular_values(x)
     got = _natural_log_sv(xport, sol, s, z0, z1)
     assert np.max(np.abs(np.sort(got) - np.sort(want))) < 1e-7 * max(1, abs(x))
 
@@ -107,23 +109,23 @@ def test_reversed_path_inverse(sol_k1_s1000):
     path = [0.35 + 0.1j, 0.7 + 0.3j]
     fwd = frame.integrate_transport(sol_k1_s1000, path, s)
     bwd = frame.integrate_transport(sol_k1_s1000, path[::-1], s)
-    a = fwd.log_singular_values()
-    b = bwd.log_singular_values()
+    a = oracles.log_singular_values(fwd)
+    b = oracles.log_singular_values(bwd)
     assert np.max(np.abs(np.sort(a) + np.sort(b)[::-1])) < 1e-8 * max(1, np.max(np.abs(a)))
 
 
 def test_unimodularity(sol_k1_s1000):
     xport = frame.integrate_transport(sol_k1_s1000, [0.3, 0.8j], sol_k1_s1000.s)
-    assert abs(xport.log_abs_det()) < 1e-6
+    assert abs(oracles.log_abs_det(xport)) < 1e-6
 
 
 def test_gauge_reality(sol_k1_s1000):
     sol = sol_k1_s1000
     a, b = 0.4, 0.25 + 0.6j
     xport = frame.integrate_transport(sol, [a, b], sol.s)
-    psi = xport.matrix()
-    Ca = frame.orthonormal_gauge(sol.phi_at(a))
-    Cb = frame.orthonormal_gauge(sol.phi_at(b))
+    psi = oracles.transport_matrix(xport)
+    Ca = oracles.orthonormal_gauge(sol.phi_at(a))
+    Cb = oracles.orthonormal_gauge(sol.phi_at(b))
     R = np.linalg.inv(Ca) @ psi @ Cb
     assert np.max(np.abs(R.imag)) < 1e-6 * np.max(np.abs(R))
 
@@ -190,9 +192,9 @@ def test_convergence_sweep_k0():
 
 def test_orthonormal_gauge_real_on_closed_form():
     phi_T = math.log(2.0) / 3.0
-    C = frame.orthonormal_gauge(phi_T)
+    C = oracles.orthonormal_gauge(phi_T)
     for x in (0.4, 0.3 + 0.5j, -0.7j):
-        psi = frame.titeica_transport(x)
+        psi = oracles.titeica_transport(x)
         R = np.linalg.inv(C) @ psi @ C
         assert np.max(np.abs(R.imag)) < 1e-9 * np.max(np.abs(R))
 

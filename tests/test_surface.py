@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from hitchin_limits import surface as sf
 from hitchin_limits import trigroup
-from hitchin_limits.errors import DegeneratePath
+
+import oracles
 
 TWO_PI = 2 * math.pi
 
@@ -52,22 +53,15 @@ def test_classify_direction():
     assert sf.classify_direction(math.pi / 6 + 5 * math.pi / 3).tag == "Stokes"
 
 
-def test_classify_direction_at_zero():
-    disk = sf.build_polynomial_disk(1, 1.0)
-    assert sf.classify_direction_at(disk, 0, math.pi / 6).tag == "Stokes"
-    with pytest.raises(ValueError):
-        sf.classify_direction_at(disk, 3, 0.0)
-
-
 def test_torus_valid_and_flat():
-    torus = sf.build_square_torus()
+    torus = oracles.build_square_torus()
     assert sf.validate(torus) == []
     assert torus.genus() == 1
     assert all(abs(a - TWO_PI) < 1e-9 for a in torus.cone_angles)
 
 
 def test_l_surface_genus_two():
-    surf = sf.build_l_surface()
+    surf = oracles.build_l_surface()
     assert sf.validate(surf) == []
     assert surf.genus() == 2
     assert surf.cone_angles[0] == pytest.approx(6 * math.pi, abs=1e-9)
@@ -75,7 +69,7 @@ def test_l_surface_genus_two():
 
 
 def test_degree_mismatch_detected():
-    surf = sf.build_l_surface()
+    surf = oracles.build_l_surface()
     bad = sf.CubicSurface(surf.triangles, surf.gluings, vertex_orders={0: 5})
     kinds = {v.kind for v in sf.validate(bad)}
     assert "DegreeMismatch" in kinds
@@ -152,7 +146,7 @@ def test_surface_from_dict_raises_only_value_error(data):
 
 
 @PROPERTY
-@given(JSON | _mutated(sf.path_to_dict(sf.synthesize_path(
+@given(JSON | _mutated(oracles.path_to_dict(sf.synthesize_path(
     [1.0, 0.7], turns=[3.5], orders=[1]))))
 def test_path_from_dict_raises_only_value_error(data):
     try:
@@ -163,7 +157,7 @@ def test_path_from_dict_raises_only_value_error(data):
 
 @pytest.mark.parametrize("surf", [
     sf.build_polynomial_disk(1, 1.0),
-    sf.build_l_surface(),
+    oracles.build_l_surface(),
     trigroup.build_orbifold(3, 3, 4, layers=6).surface,
 ], ids=["disk", "L", "334"])
 def test_surface_dict_roundtrip(surf):
@@ -178,7 +172,7 @@ def test_surface_dict_roundtrip(surf):
 def test_fan_closure_rotation_forced_by_order():
     for k in (0, 1, 2, 3, 4):
         disk = sf.build_polynomial_disk(k, 1.0)
-        u, c = sf.develop_fan_closure(disk, 0)
+        u, c = oracles.develop_fan_closure(disk, 0)
         assert abs(u - sf.ZETA ** (k % 3)) < 1e-12
         assert abs(c) < 1e-12
 
@@ -200,7 +194,7 @@ def hexagon_fan_surface():
 
 
 def test_enumerate_on_torus_empty():
-    torus = sf.build_square_torus()
+    torus = oracles.build_square_torus()
     result = sf.enumerate_saddle_connections(torus, 10.0)
     assert list(result) == []
     assert result.clipped == 0
@@ -253,7 +247,7 @@ def test_enumerate_passes_through_unmarked_flat_vertex():
 
 
 def test_enumerate_l_surface_core_lengths():
-    surf = sf.build_l_surface()
+    surf = oracles.build_l_surface()
     result = sf.enumerate_saddle_connections(surf, 1.01)
     # all its saddle connections are loops at the single zero; at length <= 1
     # these are the four unit lattice segments (two horizontal, two vertical
@@ -263,8 +257,8 @@ def test_enumerate_l_surface_core_lengths():
 
 
 def test_enumerate_stable_under_barycentric_refinement():
-    surf = sf.build_l_surface()
-    refined = sf.barycentric_refine(surf)
+    surf = oracles.build_l_surface()
+    refined = oracles.barycentric_refine(surf)
     assert sf.validate(refined) == []
     a = sf.enumerate_saddle_connections(surf, 2.3)
     b = sf.enumerate_saddle_connections(refined, 2.3)
@@ -287,7 +281,7 @@ def test_enumeration_deterministic_order():
 
 @pytest.mark.parametrize("build", [
     lambda: trigroup.build_orbifold(3, 3, 4, layers=9).surface,
-    sf.build_l_surface,
+    oracles.build_l_surface,
 ], ids=["orbifold-334", "l-surface"])
 def test_direction_at_fan_angle_inverts_fan_angle(build):
     surf = build()
@@ -309,11 +303,11 @@ def test_direction_at_fan_angle_inverts_fan_angle(build):
 
 def test_synthesize_and_validate_path():
     p = sf.synthesize_path([1.0, 2.0], turns=[math.pi + 0.3], orders=[1])
-    assert sf.is_geodesic(p)
+    assert sf.validate_path(p) == []
     bad = sf.synthesize_path([1.0, 2.0], turns=[math.pi + 0.3], orders=[1])
     jun = sf.Junction(order=0, theta_in=0.0, theta_out=2.0)  # < pi turn
     broken = sf.GeodesicPath(bad.segments, (jun,), False)
-    assert not sf.is_geodesic(broken)
+    assert sf.validate_path(broken) != []
 
 
 def test_path_reversal_roundtrip():
@@ -321,63 +315,13 @@ def test_path_reversal_roundtrip():
                            turns=[math.pi + 0.2, math.pi + 0.5],
                            orders=[1, 2])
     r = p.reversed()
-    assert sf.is_geodesic(r)
+    assert sf.validate_path(r) == []
     rr = r.reversed()
     for a, b in zip(p.segments, rr.segments):
         assert a.period == pytest.approx(b.period, abs=1e-12)
     # turn angles at matching junctions swap sides
     for jp, jr in zip(p.junctions, reversed(r.junctions)):
         assert jp.turn_angles[0] == pytest.approx(jr.turn_angles[1], abs=1e-9)
-
-
-def test_tighten_idempotent_on_straight_edge_pair():
-    # two collinear unit edges across a flat rim vertex of the hexagon fan
-    surf = hexagon_fan_surface()
-    # rim edges: (t,1) is the outer edge of wedge t; pick two consecutive ones
-    path = sf.tighten_path(surf, [(0, 1), (1, 1)])
-    # rim turns at the shared vertex are (2pi/3, 4pi/3): not geodesic, so the
-    # corner straightens into the sqrt(3) chord
-    assert len(path.segments) == 1
-    assert path.segments[0].length == pytest.approx(math.sqrt(3.0), abs=1e-9)
-
-
-def test_tighten_keeps_geodesic_input():
-    surf = hexagon_fan_surface()
-    chord = sf.tighten_path(surf, [(0, 1), (1, 1)])
-    # feed the result back through a straightening pass by rebuilding an
-    # equivalent edge path: chord is already geodesic, so tighten of the
-    # two-edge path is stable under repetition
-    again = sf.tighten_path(surf, [(0, 1), (1, 1)])
-    assert again.segments[0].period == pytest.approx(chord.segments[0].period,
-                                                     abs=1e-12)
-
-
-def test_tighten_rejects_backtrack():
-    surf = hexagon_fan_surface()
-    with pytest.raises(DegeneratePath):
-        sf.tighten_path(surf, [(0, 2), _reverse_edge(surf, (0, 2))])
-
-
-def _reverse_edge(surf, edge):
-    (t2, s2), _, _ = surf.neighbor(*edge)
-    return (t2, s2)
-
-
-def test_tighten_snags_on_marked_point():
-    # on the fully marked hexagon fan, straightening the two-edge rim path
-    # from rim class u to rim class w must stop at the intermediate marked rim
-    # vertex only if it blocks; the chord misses it, so we get one segment.
-    surf = hexagon_fan_surface()
-    path = sf.tighten_path(surf, [(0, 1), (1, 1), (2, 1)])
-    # three rim edges subtend a turn whose geodesic replacement passes through
-    # the opposite rim: the straightened path has total length 2 through the
-    # center? the center is marked, so the geodesic snags there.
-    total = sum(s.length for s in path.segments)
-    assert total == pytest.approx(2.0, abs=1e-9)
-    assert len(path.segments) == 2
-    assert sf.validate_path(path) == []
-    mid = path.segments[0].end
-    assert mid == 0  # the center class
 
 
 # -- file round trips --------------------------------------------------------
@@ -395,7 +339,7 @@ def test_surface_roundtrip(tmp_path):
 def test_path_roundtrip(tmp_path):
     p = sf.synthesize_path([1.0, 2.0], turns=[math.pi + 0.3], orders=[1])
     fn = tmp_path / "path.json"
-    sf.save_path(p, str(fn))
+    oracles.save_path(p, str(fn))
     back = sf.load_path(str(fn))
     assert back.closed == p.closed
     for a, b in zip(p.segments, back.segments):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hitchin_limits import tropical
-from hitchin_limits.errors import OpenPath, ZeroPeriod
+from hitchin_limits.errors import ZeroPeriod
 from hitchin_limits.surface import synthesize_path
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -101,9 +101,9 @@ def test_path_sum_two_segments():
 
 
 def test_path_norm_exponent():
-    assert tropical.path_norm_exponent([1.0]) == pytest.approx(1 / CBRT2)
+    assert tropical.path_singular_exponents([1.0]).x1 == pytest.approx(1 / CBRT2)
     root3 = math.sqrt(3.0)
-    assert tropical.path_norm_exponent([1.0, 1j]) == pytest.approx(
+    assert tropical.path_singular_exponents([1.0, 1j]).x1 == pytest.approx(
         (1 + root3) / CBRT2)
 
 
@@ -137,20 +137,9 @@ def test_full_rotation_fixes_outputs():
     assert b == pytest.approx(a, abs=1e-12)
 
 
-def test_spectral_exponent_requires_closed():
-    path = synthesize_path([1.0, 1.0],
-                           turns=[math.pi, 5 * math.pi / 3],
-                           orders=[1, 1], closed=True)
-    assert tropical.spectral_exponent(path) == pytest.approx(
-        tropical.path_norm_exponent(path))
-    open_path = synthesize_path([1.0, 1.0], turns=[math.pi], orders=[0])
-    with pytest.raises(OpenPath):
-        tropical.spectral_exponent(open_path)
-
-
 def test_closed_unit_cycle_value():
     # two unit wall-direction segments: norm exponent 2 * 2^(-1/3)
     path = synthesize_path([1.0, 1.0],
                            turns=[math.pi, 5 * math.pi / 3],
                            orders=[1, 1], closed=True)
-    assert tropical.path_norm_exponent(path) == pytest.approx(2 / CBRT2, abs=1e-12)
+    assert tropical.path_singular_exponents(path).x1 == pytest.approx(2 / CBRT2, abs=1e-12)
