@@ -23,10 +23,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import StepUnstable
-from .tropical import CBRT4, segment_exponents
+from .tropical import CBRT4, OMEGA, segment_exponents
 
 # slot j of every diagonal carries the cosine branch cos(theta - BETA[j]);
 # this matches the Stokes-flip bookkeeping of the polygon module
@@ -77,26 +76,18 @@ def titeica_structure():
 
 @lru_cache(maxsize=1)
 def titeica_frame():
-    """(S, S_inv): eigenbasis of the Titeica monodromy.
+    """(S, S_inv): eigenbasis of the Titeica monodromy, in closed form.
 
-    Computed numerically by diagonalizing the transport over a wall-avoiding
-    displacement, slots ordered so slot j carries the branch cos(theta -
-    BETA[j]), columns normalized to leading entry 1.
+    Column j is (1, 2^(1/3) w^(2m), 2^(1/3) w^m) with w = e^(2 pi i/3) and
+    m = (1, 0, 2)[j], so slot j carries the branch cos(theta - BETA[j]).
+    S = diag(1, 2^(1/3), 2^(1/3)) F with F the 3-point Fourier matrix up to
+    the order of its rows and columns, so F^H F = 3 and
+    S^(-1) = S^H diag(1, 2^(2/3), 2^(2/3))^(-1) / 3.
     """
-    U, V = titeica_structure()
-    x = 0.8 * cmath.exp(0.23j)  # generic direction, away from walls/Stokes
-    M = expm(x * U + x.conjugate() * V)
-    evals, vecs = np.linalg.eig(M)
-    cols = []
-    used = set()
-    for target in _titeica_exponents(x):
-        errs = [abs(cmath.log(evals[i]).real - target) if i not in used else 1e30
-                for i in range(3)]
-        i = int(np.argmin(errs))
-        used.add(i)
-        cols.append(vecs[:, i] / vecs[0, i])
-    S = np.column_stack(cols)
-    return S, np.linalg.inv(S)
+    c = 2.0 ** (1.0 / 3.0)
+    S = np.array([[1.0, c * OMEGA ** (2 * m), c * OMEGA ** m]
+                  for m in (1, 0, 2)], dtype=complex).T
+    return S, S.conj().T / (3.0 * np.array([1.0, CBRT4, CBRT4]))
 
 
 def _titeica_exponents(x: complex) -> np.ndarray:
@@ -315,9 +306,19 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
         K2 = (_I3 + 0.5 * h * A1) @ A2
         K3 = (_I3 + 0.5 * h * K2) @ A2
         K4 = (_I3 + h * K3) @ A4
-        for step in _I3 + (h / 6.0) * (A1 + 2 * K2 + 2 * K3 + K4):
-            M = M @ step
+        steps = _I3 + (h / 6.0) * (A1 + 2 * K2 + 2 * K3 + K4)
+        M = M @ _ordered_product(steps)
     return S @ M @ S_inv
+
+
+def _ordered_product(P):
+    """P[0] @ P[1] @ ... @ P[-1] by pairwise batched products, an odd run
+    padded with the identity at its end."""
+    while len(P) > 1:
+        if len(P) % 2:
+            P = np.concatenate([P, _I3[None]])
+        P = P[0::2] @ P[1::2]
+    return P[0]
 
 
 def transport_weyl_exponents(sol, path, s: float):

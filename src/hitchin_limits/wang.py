@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import GridTooCoarse, NewtonDiverged
 
@@ -126,10 +125,11 @@ def _radial_nodes(R: float, nr: int, ratio: float):
 
 
 def _radial_operator(rs):
-    """Radial Laplacian on [center, ring 1, ..., ring n-1] in solve_banded's
-    (1, 1) band storage: row 0 the super-, row 1 the main, row 2 the
-    sub-diagonal.  Ring i sits at rs[i-1]; ring n (rs[-1], the Dirichlet
-    boundary) is eliminated into the returned rhs coefficient.
+    """Radial Laplacian on [center, ring 1, ..., ring n-1] in (1, 1) band
+    storage: row 0 the super-, row 1 the main, row 2 the sub-diagonal
+    (entry (i, j) at band[1 + i - j, j]).  Ring i sits at rs[i-1]; ring n
+    (rs[-1], the Dirichlet boundary) is eliminated into the returned rhs
+    coefficient.
     """
     r = rs[:-1]
     hm = r - np.concatenate([[0.0], rs[:-2]])   # ring 1's inner neighbor is the center
@@ -160,6 +160,26 @@ def _apply_band(band, u):
     out += band[1] * u
     out[:-1] += band[0, 1:] * u[1:]
     return out
+
+
+def _solve_tridiagonal(band, rhs):
+    """Solve band @ x = rhs, band in the (1, 1) storage of _radial_operator,
+    by Thomas elimination without pivoting.  The Newton Jacobians are
+    strictly diagonally dominant (c_m + c_p = -c_0, and the nonlinear term
+    only deepens the diagonal), so no pivot is needed."""
+    sub = [0.0] + band[2, :-1].tolist()
+    sup = band[0, 1:].tolist() + [0.0]
+    w, y = [], []           # eliminated super-diagonal and right-hand side
+    w_i = y_i = 0.0
+    for a, b, c, r in zip(sub, band[1].tolist(), sup, rhs.tolist()):
+        pivot = b - a * w_i
+        w_i, y_i = c / pivot, (r - a * y_i) / pivot
+        w.append(w_i)
+        y.append(y_i)
+    x = [y_i]
+    for w_i, y_i in zip(w[-2::-1], y[-2::-1]):
+        x.append(y_i - w_i * x[-1])
+    return np.array(x[::-1])
 
 
 def solve_disk(k: int, s: float, R: float,
@@ -213,7 +233,7 @@ def solve_disk(k: int, s: float, R: float,
             break
         J = L.copy()
         J[1] -= 2 * np.exp(u) + 8 * np.exp(-2 * u) * q2
-        delta = solve_banded((1, 1), J, -res)
+        delta = _solve_tridiagonal(J, -res)
         lam = 1.0
         for _ in range(40):
             trial = u + lam * delta

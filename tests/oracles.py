@@ -14,10 +14,8 @@ import numpy as np
 
 from hitchin_limits import frame
 from hitchin_limits.surface import ZETA, CubicSurface, Gluing
-from hitchin_limits.tropical import OMEGA
 
 TWO_PI = 2.0 * math.pi
-_CBRT2 = 2.0 ** (1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +156,6 @@ def orthonormal_gauge(phi: float) -> np.ndarray:
         [0.0, a, 1j * a],
         [0.0, a, -1j * a],
     ], dtype=complex)
-
-
-def titeica_frame_analytic():
-    """Closed-form eigenvectors (1, 2^(1/3) w^(2j), 2^(1/3) w^j), slot order
-    j = (1, 0, 2); oracle for frame.titeica_frame."""
-    cols = []
-    for j in (1, 0, 2):
-        cols.append([1.0, _CBRT2 * OMEGA ** (2 * j), _CBRT2 * OMEGA ** j])
-    return np.array(cols, dtype=complex).T
 
 
 def titeica_transport(displacement: complex) -> np.ndarray:

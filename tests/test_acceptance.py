@@ -8,7 +8,6 @@ import cmath
 import math
 
 import numpy as np
-import pytest
 
 from hitchin_limits import building, frame, polygon, trigroup, tropical, wang
 from hitchin_limits import surface as sf

@@ -4,12 +4,22 @@ Every public top-level function and class of ``src/hitchin_limits`` must be
 referred to by package code outside its own definition, or be one of the
 checks in VERIFICATION_API, which only the acceptance suite calls.  A helper
 that only tests reach belongs in the tests (see ``oracles.py``).
+
+The package needs numpy alone at run time: importing scipy would double a
+command's start-up time and add about 25 MB to its peak memory.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hitchin_limits"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hitchin_limits"
 
 # (module, name) of the checks the acceptance suite calls and no command does
 VERIFICATION_API = (
@@ -79,3 +89,28 @@ def test_every_public_name_is_used_by_the_package_or_declared():
     # a declared check that disappears, or that a command comes to call,
     # leaves the list
     assert sorted(set(VERIFICATION_API) - (public - used)) == []
+
+
+def test_commands_and_solvers_import_no_scipy():
+    # a fresh interpreter: the CLI module, the Titeica frame and one Wang
+    # solve leave no scipy module behind
+    code = ("import sys\n"
+            "import hitchin_limits.cli\n"
+            "from hitchin_limits import frame, wang\n"
+            "frame.titeica_frame()\n"
+            "wang.solve_disk(1, 1e2, 1.0)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group()
+             for dep in meta["project"]["dependencies"]]
+    assert names == ["numpy"]

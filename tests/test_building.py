@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hitchin_limits import building, polygon, tropical
+from hitchin_limits import building
 from hitchin_limits.errors import OriginSingular
 from hitchin_limits.surface import GeodesicPath, Junction, SaddleConnection, synthesize_path
 

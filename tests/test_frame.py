@@ -20,11 +20,17 @@ def sol_k1_s1000():
     return wang.solve_disk(1, 1000.0, 1.0, wang.GridSpec(nr=200))
 
 
-def test_titeica_frame_matches_analytic():
+def test_titeica_frame_diagonalizes_structure():
+    # whatever way S is built, S^(-1) (x U + xbar V) S is diagonal with the
+    # exponents of slot j's branch cos(theta - BETA[j]) for every x
     S, S_inv = frame.titeica_frame()
-    A = oracles.titeica_frame_analytic()
-    assert np.allclose(S, A, atol=1e-10)
-    assert np.allclose(S @ S_inv, np.eye(3), atol=1e-12)
+    U, V = frame.titeica_structure()
+    assert np.allclose(S @ S_inv, np.eye(3), atol=1e-14)
+    for x in (0.8 * cmath.exp(0.23j), 1.0, -2.5 + 0.7j, 3j,
+              1e3 * cmath.exp(2j)):
+        D = S_inv @ (x * U + x.conjugate() * V) @ S
+        want = np.diag(frame._titeica_exponents(x))
+        assert np.max(np.abs(D - want)) <= 1e-14 * (1 + abs(x))
 
 
 def test_titeica_transport_zero_displacement():

@@ -2,7 +2,6 @@ import cmath
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hitchin_limits import tropical
 from hitchin_limits.errors import ZeroPeriod
@@ -107,9 +108,23 @@ def test_path_norm_exponent():
         (1 + root3) / CBRT2)
 
 
-def test_reversal_antisymmetry_exact():
-    rng = np.random.default_rng(11)
-    periods = [complex(rng.normal(), rng.normal()) for _ in range(5)]
+# chart periods of a path: nonzero, over six decades of length
+_periods = st.lists(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                                       allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=8)
+_props = settings(derandomize=True, database=None, max_examples=80,
+                  deadline=None)
+
+
+def _rounding_scale(*paths):
+    """Absolute tolerance for triples that agree up to the rounding of
+    their per-segment terms."""
+    return 1e-13 * (1.0 + sum(abs(p) for path in paths for p in path))
+
+
+@_props
+@given(periods=_periods)
+def test_reversal_antisymmetry_exact(periods):
     fwd = tropical.path_singular_exponents(periods)
     bwd = tropical.path_singular_exponents([-p for p in reversed(periods)])
     # bitwise: negation is exact in floating point
@@ -118,23 +133,33 @@ def test_reversal_antisymmetry_exact():
     assert bwd.x3 == -fwd.x1
 
 
-def test_concatenation_additivity():
-    rng = np.random.default_rng(5)
-    p = [complex(rng.normal(), rng.normal()) for _ in range(4)]
-    q = [complex(rng.normal(), rng.normal()) for _ in range(3)]
+@_props
+@given(p=_periods, q=_periods)
+def test_concatenation_additivity(p, q):
     whole = tropical.path_singular_exponents(p + q)
     parts = np.add(tropical.path_singular_exponents(p).as_tuple(),
                    tropical.path_singular_exponents(q).as_tuple())
-    assert whole.as_tuple() == pytest.approx(tuple(parts), abs=1e-12)
+    assert whole.as_tuple() == pytest.approx(tuple(parts),
+                                             abs=_rounding_scale(p, q))
 
 
-def test_full_rotation_fixes_outputs():
-    rng = np.random.default_rng(13)
-    periods = [complex(rng.normal(), rng.normal()) for _ in range(4)]
+@_props
+@given(periods=_periods)
+def test_full_rotation_fixes_outputs(periods):
     rotated = [tropical.OMEGA * p for p in periods]  # differential rotated by 2*pi
     a = tropical.path_singular_exponents(periods).as_tuple()
     b = tropical.path_singular_exponents(rotated).as_tuple()
-    assert b == pytest.approx(a, abs=1e-12)
+    assert b == pytest.approx(a, abs=_rounding_scale(periods))
+
+
+@_props
+@given(periods=_periods)
+def test_conjugation_fixes_outputs(periods):
+    # conjugation permutes each segment's cube-root triple
+    conjugated = [p.conjugate() for p in periods]
+    a = tropical.path_singular_exponents(periods).as_tuple()
+    b = tropical.path_singular_exponents(conjugated).as_tuple()
+    assert b == pytest.approx(a, abs=_rounding_scale(periods))
 
 
 def test_closed_unit_cycle_value():

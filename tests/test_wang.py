@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hitchin_limits import wang
-from hitchin_limits.errors import NewtonDiverged
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +63,47 @@ def test_error_field_bound_lemma(sol_k1_s100):
     r0 = wang.natural_radius(0.5, 1)
     m = math.sqrt(3) * 2 ** (2 / 3) * 0.9 * 100 ** (1 / 3) * r0 / 1.1
     assert 0 < F_half < 100 ** (1 / 6) * math.exp(-m)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 60))
+def test_solve_tridiagonal_matches_dense(data, n):
+    # Thomas elimination without pivoting agrees with a pivoted dense solve
+    # on strictly diagonally dominant systems, the class of every Newton
+    # Jacobian
+    def vector(size, lo, hi):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size,
+                                           max_size=size)))
+
+    sub, sup = vector(n - 1, -10.0, 10.0), vector(n - 1, -10.0, 10.0)
+    slack, rhs = vector(n, 1e-2, 10.0), vector(n, -10.0, 10.0)
+    sign = data.draw(st.sampled_from([-1.0, 1.0]))
+    main = sign * (np.abs(np.append(sub, 0.0)) + np.abs(np.append(0.0, sup))
+                   + slack)
+    band = np.zeros((3, n))
+    band[0, 1:], band[1], band[2, :-1] = sup, main, sub
+    dense = np.diag(main) + np.diag(sup, 1) + np.diag(sub, -1)
+    want = np.linalg.solve(dense, rhs)
+    got = wang._solve_tridiagonal(band, rhs)
+    assert np.max(np.abs(got - want)) <= 1e-10 * (1 + np.max(np.abs(want)))
+
+
+def test_solve_tridiagonal_on_wang_jacobian():
+    # the Newton Jacobian at the converged k=1, s=1e4 solution on the
+    # s-adapted grid, whose inner rows carry ~1e11 stencil weights
+    s = 1e4
+    grid = wang.decay_fit_grid(s)
+    sol = wang.solve_disk(1, s, 1.0, grid)
+    assert len(sol.rs) == 907
+    J, _ = wang._radial_operator(sol.rs)
+    u = np.append(sol.phi_center, sol.phi[:-1])
+    radii = np.append(0.0, sol.rs[:-1])
+    J[1] -= 2 * np.exp(u) + 8 * np.exp(-2 * u) * s ** 2 * radii ** 2
+    dense = np.diag(J[1]) + np.diag(J[0, 1:], 1) + np.diag(J[2, :-1], -1)
+    rhs = np.random.default_rng(0).normal(size=len(u))
+    want = np.linalg.solve(dense, rhs)
+    got = wang._solve_tridiagonal(J, rhs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
