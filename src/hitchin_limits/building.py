@@ -280,7 +280,8 @@ def weak_convexity_check(path) -> bool:
     is exact for geodesic paths; a corner sharper than pi breaks the top
     alignment.
     """
-    total = tropical.path_singular_exponents(path)
+    total = tropical.path_singular_exponents(
+        seg.period for seg in path.segments)
     x1 = polygon.tropical_norm_exponent(path)
     x3 = -polygon.tropical_norm_exponent(path.reversed())
     x2 = -(x1 + x3)

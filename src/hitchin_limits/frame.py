@@ -8,9 +8,13 @@ unitary and T a mild upper-triangular remainder; all three log singular
 values stay accurate.
 
 Transport and arc comparisons work on arrays: the Wang field is sampled once
-on all RK4 nodes of a segment or arc (neighbouring steps share their common
-node), and the generators, RK4 propagators and the products folded into the
-factored form are batched (..., 3, 3) matmuls, in chunks of bounded size.
+on all RK4 nodes of a path or arc (neighbouring steps share their common
+node, also across the joints of a path's segments), and the generators, RK4
+propagators and their ordered products are batched (..., 3, 3) matmuls, in
+chunks of bounded size.  Transport folds the product of each run of steps
+into the factored form once, the discrete QR method of Dieci, Russell &
+Van Vleck (SIAM J. Numer. Anal. 34, 1997); a run is as long as a chunk
+unless its growth bound makes it shorter.
 
 The constant differential has the classical closed-form frame (Titeica); its
 eigenbasis S conjugates every asymptotic formula in the polygon module.
@@ -31,12 +35,14 @@ from .tropical import CBRT4, OMEGA, segment_exponents
 # this matches the Stokes-flip bookkeeping of the polygon module
 BETA = (-2.0 * math.pi / 3.0, 0.0, 2.0 * math.pi / 3.0)
 
-# transport: RK4 truncation target per unit length and steps per QR fold;
-# transport and arcs form at most _CHUNK_STEPS steps (64 QR folds) at a time,
-# which bounds the transient (m, 3, 3) arrays
+# transport: RK4 truncation target per unit length.  Transport and arcs form
+# at most _CHUNK_STEPS steps at a time, which bounds the transient (m, 3, 3)
+# arrays.  One QR fold takes a run of steps whose growth bound stays within
+# e^_FOLD_GROWTH: e^8 times the unit roundoff is 7e-13, so the run's product
+# still resolves its smallest direction
 _STEP_TOL = 1e-10
-_QR_EVERY = 10
-_CHUNK_STEPS = 64 * _QR_EVERY
+_CHUNK_STEPS = 640
+_FOLD_GROWTH = 8.0
 _I3 = np.eye(3, dtype=complex)
 
 
@@ -145,35 +151,49 @@ class FrameTransport:
         self.T = Tn / scale[:, None]
 
 
+def _growth_rate(s: float) -> float:
+    """Bound on the log growth of the frame per unit length of the chart:
+    the spread 1.5 * 2^(2/3) s^(1/3) of the Titeica exponents."""
+    return CBRT4 * s ** (1.0 / 3.0) * 1.5
+
+
 def _step_size(s: float) -> float:
     """Step size: capped at min(0.01, 0.5 s^(-1/3)) and tightened so the RK4
     truncation stays near _STEP_TOL per unit length."""
     cap = min(0.01, 0.5 * s ** (-1.0 / 3.0))
-    rate = CBRT4 * s ** (1.0 / 3.0) * 1.5
-    h_acc = (120.0 * _STEP_TOL / rate ** 5) ** 0.25
+    h_acc = (120.0 * _STEP_TOL / _growth_rate(s) ** 5) ** 0.25
     return max(min(cap, h_acc), 1e-5)
 
 
-def _transport_generators(sol, phi, dz_phi, z, dz, s):
-    """-(U dz + V dzbar) at the chart points z, made trace-free: (m, 3, 3)."""
-    U, V = structure_coefficients(phi, dz_phi, s * z ** sol.k)
-    W = U * dz + V * dz.conjugate()
-    d = np.arange(3)
-    W[:, d, d] -= (np.trace(W, axis1=1, axis2=2) / 3.0)[:, None]
+def _fold_steps(s: float, h: float) -> int:
+    """Steps per QR fold: _CHUNK_STEPS, or fewer where that many steps of
+    size h could grow the frame by more than e^_FOLD_GROWTH."""
+    return max(1, min(_CHUNK_STEPS, int(_FOLD_GROWTH / (_growth_rate(s) * h))))
+
+
+def _transport_generators(coeffs, dz):
+    """-(U dz + V dzbar) made trace-free, one (m, 3, 3) generator per dz.
+
+    ``coeffs`` holds the nonzero entries of structure_coefficients at the
+    step's nodes, (0.5 e^phi, q e^-phi, qbar e^-phi, dz phi); entry by entry
+    each sum rounds as the full 3x3 products do.
+    """
+    half_ephi, q_ephi, qbar_ephi, dz_phi = coeffs
+    dzb = dz.conjugate()
+    W = np.empty(dz.shape + (3, 3), dtype=complex)
+    W[:, 0, 1] = half_ephi * dzb
+    W[:, 0, 2] = half_ephi * dz
+    W[:, 1, 0] = dz
+    W[:, 1, 2] = qbar_ephi * dzb
+    W[:, 2, 0] = dzb
+    W[:, 2, 1] = q_ephi * dz
+    w11 = dz_phi * dz
+    w22 = dz_phi.conjugate() * dzb
+    third = (w11 + w22) / 3.0
+    W[:, 0, 0] = -third
+    W[:, 1, 1] = w11 - third
+    W[:, 2, 2] = w22 - third
     return -W
-
-
-def _fold_blocks(steps):
-    """Products step[j+9] ... step[j] over consecutive runs of _QR_EVERY
-    steps, the last run padded with identities: (ceil(m / _QR_EVERY), 3, 3)."""
-    pad = -len(steps) % _QR_EVERY
-    if pad:
-        steps = np.concatenate([steps, np.broadcast_to(_I3, (pad, 3, 3))])
-    runs = steps.reshape(-1, _QR_EVERY, 3, 3)
-    block = runs[:, 0]
-    for j in range(1, _QR_EVERY):
-        block = runs[:, j] @ block
-    return block
 
 
 def integrate_transport(sol, path, s: float) -> FrameTransport:
@@ -185,49 +205,72 @@ def integrate_transport(sol, path, s: float) -> FrameTransport:
     removed), so the result is unimodular; asymptotic exponents are
     unaffected.
 
-    Each straight segment takes n equal steps.  Its 2n+1 nodes (start, middle
-    and end of every step; a step's end node is the next one's start) are
-    sampled in one phi_at and one dz_phi_at call.  The RK4 propagators and
-    their products over runs of _QR_EVERY steps are formed as batched 3x3
-    matmuls, _CHUNK_STEPS steps at a time so transient arrays stay small,
-    and each run is folded into the factored transport.  A step that is not
-    finite or has an entry above e^10 raises StepUnstable naming the first
-    such step.
+    Each straight segment takes n equal steps of its own dz; zero-length
+    segments are skipped.  The nodes of the whole path (start, middle and
+    end of every step; a step's end node is the next one's start, across
+    segment joints too) are sampled in one phi_at and one dz_phi_at call.
+    The RK4 propagators are formed as batched 3x3 matmuls, at most
+    _CHUNK_STEPS steps at a time so transient arrays stay small.  Each run
+    of _fold_steps consecutive steps is multiplied out pairwise and folded
+    into the factored transport once: a run grows the frame by at most about
+    e^_FOLD_GROWTH, so its product still resolves the small directions.  A
+    step that is not finite or has an entry above e^10 raises StepUnstable
+    naming the first such step as step j of n within its segment.
     """
     xport = FrameTransport()
     pts = [complex(z) for z in path]
+    segs = [(a, b - a) for a, b in zip(pts[:-1], pts[1:]) if b != a]
+    if not segs:
+        return xport
     h = _step_size(s)
-    for a, b in zip(pts[:-1], pts[1:]):
-        seg = b - a
-        if seg == 0:
-            continue
-        n = max(2, int(math.ceil(abs(seg) / h)))
-        dz = seg * (1.0 / n)
-        nodes = a + seg * (np.arange(2 * n + 1) / (2 * n))
-        # a field that returns one value for all nodes still gives 2n+1
-        phi = np.broadcast_to(sol.phi_at(nodes), nodes.shape)
-        dz_phi = np.broadcast_to(sol.dz_phi_at(nodes), nodes.shape)
-        for lo in range(0, n, _CHUNK_STEPS):
-            part = slice(2 * lo, 2 * min(lo + _CHUNK_STEPS, n) + 1)
-            # a non-finite field or step is reported below, not warned about
-            with np.errstate(invalid="ignore", over="ignore"):
-                G = _transport_generators(sol, phi[part], dz_phi[part],
-                                          nodes[part], dz, s)
-                # RK4 on X' = A(t) X with A sampled along the straight piece
-                f1, mid, end = G[:-1:2], G[1::2], G[2::2]
-                f2 = mid @ (_I3 + 0.5 * f1)
-                f3 = mid @ (_I3 + 0.5 * f2)
-                f4 = end @ (_I3 + f3)
-                steps = _I3 + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
-                bad = ~np.isfinite(steps).all(axis=(1, 2))
-                bad |= np.abs(steps).max(axis=(1, 2)) > math.exp(10)
-            if bad.any():
-                i = lo + int(np.argmax(bad))
-                raise StepUnstable(f"transport step {i + 1} of {n} at "
-                                   f"z={complex(nodes[2 * i]):.6g} is not "
-                                   f"finite or exceeds e^10")
-            for block in _fold_blocks(steps):
-                xport.push_left(block)
+    ns = [max(2, int(math.ceil(abs(seg) / h))) for _, seg in segs]
+    # segment i takes steps stops[i] - ns[i] ... stops[i] - 1; its nodes
+    # 2 (stops[i] - ns[i]) ... 2 stops[i] overlap the next segment's at one
+    # joint, which takes the next segment's start point
+    stops = np.cumsum(ns)
+    nodes = np.empty(2 * stops[-1] + 1, dtype=complex)
+    dz = np.empty(stops[-1], dtype=complex)
+    for (a, seg), n, stop in zip(segs, ns, stops):
+        nodes[2 * (stop - n):2 * stop + 1] = a + seg * (np.arange(2 * n + 1)
+                                                        / (2 * n))
+        dz[stop - n:stop] = seg * (1.0 / n)
+    # a field that returns one value for all nodes still gives one per node
+    phi = np.broadcast_to(sol.phi_at(nodes), nodes.shape)
+    dz_phi = np.broadcast_to(sol.dz_phi_at(nodes), nodes.shape)
+    fold = _fold_steps(s, h)
+    chunk = fold * (_CHUNK_STEPS // fold)
+    for lo in range(0, len(dz), chunk):
+        hi = min(lo + chunk, len(dz))
+        part = slice(2 * lo, 2 * hi + 1)
+        # a non-finite field or step is reported below, not warned about
+        with np.errstate(invalid="ignore", over="ignore"):
+            ephi = np.exp(phi[part])
+            q = s * nodes[part] ** sol.k
+            coeffs = (0.5 * ephi, q / ephi, q.conjugate() / ephi, dz_phi[part])
+            # RK4 on X' = A(t) X, A at the start, middle and end of each step
+            f1, mid, end = (
+                _transport_generators([c[role] for c in coeffs], dz[lo:hi])
+                for role in (slice(0, -1, 2), slice(1, None, 2),
+                             slice(2, None, 2)))
+            f2 = mid @ (_I3 + 0.5 * f1)
+            f3 = mid @ (_I3 + 0.5 * f2)
+            f4 = end @ (_I3 + f3)
+            steps = _I3 + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
+            bad = ~np.isfinite(steps).all(axis=(1, 2))
+            bad |= np.abs(steps).max(axis=(1, 2)) > math.exp(10)
+        if bad.any():
+            i = lo + int(np.argmax(bad))
+            j = int(np.searchsorted(stops, i, side="right"))
+            raise StepUnstable(f"transport step {i - stops[j] + ns[j] + 1} of "
+                               f"{ns[j]} at z={complex(nodes[2 * i]):.6g} is "
+                               f"not finite or exceeds e^10")
+        # X <- step X: a run's product is its steps multiplied last first
+        width = min(fold, len(steps))
+        pad = -len(steps) % width
+        if pad:
+            steps = np.concatenate([steps, np.broadcast_to(_I3, (pad, 3, 3))])
+        for block in _ordered_product(steps.reshape(-1, width, 3, 3)[:, ::-1]):
+            xport.push_left(block)
     return xport
 
 
@@ -312,13 +355,14 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
 
 
 def _ordered_product(P):
-    """P[0] @ P[1] @ ... @ P[-1] by pairwise batched products, an odd run
-    padded with the identity at its end."""
-    while len(P) > 1:
-        if len(P) % 2:
-            P = np.concatenate([P, _I3[None]])
-        P = P[0::2] @ P[1::2]
-    return P[0]
+    """P[..., 0, :, :] @ P[..., 1, :, :] @ ... over the axis -3 by pairwise
+    batched products, an odd run padded with the identity at its end."""
+    while P.shape[-3] > 1:
+        if P.shape[-3] % 2:
+            eye = np.broadcast_to(_I3, P.shape[:-3] + (1, 3, 3))
+            P = np.concatenate([P, eye], axis=-3)
+        P = P[..., 0::2, :, :] @ P[..., 1::2, :, :]
+    return P[..., 0, :, :]
 
 
 def transport_weyl_exponents(sol, path, s: float):

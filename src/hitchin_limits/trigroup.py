@@ -291,7 +291,8 @@ def spectrum(curve_classes) -> SpectrumVector:
     for path in curve_classes:
         if not getattr(path, "closed", False):
             raise ValueError("spectrum expects closed geodesic paths")
-        values.append(tropical.path_singular_exponents(path))
+        values.append(tropical.path_singular_exponents(
+            seg.period for seg in path.segments))
     if values:
         stacked = np.array([w.as_tuple() for w in values]).ravel()
         norm = np.linalg.norm(stacked)

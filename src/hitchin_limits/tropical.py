@@ -73,21 +73,14 @@ def segment_exponents(period: complex) -> SegmentExponents:
     return SegmentExponents(nu=nu, weyl=weyl, multiplicity_top=mult)
 
 
-def _segment_periods(path):
-    """Accept a GeodesicPath-like object or a bare iterable of periods."""
-    segments = getattr(path, "segments", None)
-    if segments is not None:
-        return [seg.period for seg in segments]
-    return [complex(p) for p in path]
-
-
-def path_singular_exponents(path) -> WeylVector:
-    """Componentwise sum over segments of each segment's sorted triple.
+def path_singular_exponents(periods) -> WeylVector:
+    """Componentwise sum of the sorted triples of a path's segments, given
+    the iterable of their chart periods.
 
     Sums use math.fsum (exactly rounded), so reversal antisymmetry holds
     bitwise.
     """
-    triples = [segment_exponents(p).weyl for p in _segment_periods(path)]
+    triples = [segment_exponents(p).weyl for p in periods]
     return WeylVector(math.fsum(w.x1 for w in triples),
                       math.fsum(w.x2 for w in triples),
                       math.fsum(w.x3 for w in triples))

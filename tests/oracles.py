@@ -175,6 +175,48 @@ def titeica_log_singular_values(displacement: complex):
 
 
 # ---------------------------------------------------------------------------
+# reference transport
+# ---------------------------------------------------------------------------
+
+def reference_transport(sol, path, s: float, fold_every: int = 10):
+    """frame.integrate_transport's RK4 steps, folded one short run at a time.
+
+    Each segment is sampled on its own 2n+1 nodes and every run of
+    ``fold_every`` steps is multiplied out in order and folded into the
+    factored transport, so no product spans a large growth.  Reference for
+    the fold granularity of the package's transport.
+    """
+    I3 = np.eye(3, dtype=complex)
+    xport = frame.FrameTransport()
+    pts = [complex(z) for z in path]
+    h = frame._step_size(s)
+    for a, b in zip(pts[:-1], pts[1:]):
+        seg = b - a
+        if seg == 0:
+            continue
+        n = max(2, int(math.ceil(abs(seg) / h)))
+        dz = seg * (1.0 / n)
+        nodes = a + seg * (np.arange(2 * n + 1) / (2 * n))
+        U, V = frame.structure_coefficients(sol.phi_at(nodes),
+                                            sol.dz_phi_at(nodes),
+                                            s * nodes ** sol.k)
+        W = U * dz + V * dz.conjugate()
+        W -= np.trace(W, axis1=1, axis2=2)[:, None, None] / 3.0 * I3
+        G = -W
+        f1, mid, end = G[:-1:2], G[1::2], G[2::2]
+        f2 = mid @ (I3 + 0.5 * f1)
+        f3 = mid @ (I3 + 0.5 * f2)
+        f4 = end @ (I3 + f3)
+        steps = I3 + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
+        for lo in range(0, n, fold_every):
+            block = I3
+            for step in steps[lo:lo + fold_every]:
+                block = step @ block
+            xport.push_left(block)
+    return xport
+
+
+# ---------------------------------------------------------------------------
 # read-outs of a frame.FrameTransport
 # ---------------------------------------------------------------------------
 

@@ -263,8 +263,9 @@ def test_acceptance_7_weak_convexity():
     corner_ok = 0
     for _ in range(100):
         path = building.random_corner_path(rng)
-        deficit = (tropical.path_singular_exponents(path).x1
-                   - polygon.tropical_norm_exponent(path))
+        total = tropical.path_singular_exponents(
+            seg.period for seg in path.segments)
+        deficit = total.x1 - polygon.tropical_norm_exponent(path)
         if not building.weak_convexity_check(path) and deficit > 1e-9:
             corner_ok += 1
     report(7, geod_ok == 100 and corner_ok == 100,

@@ -1,10 +1,11 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
-from hitchin_limits import frame, polygon, tropical, wang
+from hitchin_limits import cli, frame, polygon, tropical, wang
 from hitchin_limits.errors import StepUnstable
 
 import oracles
@@ -276,3 +277,86 @@ def test_field_nan_past_a_radius_names_the_first_bad_step(monkeypatch):
         with pytest.raises(StepUnstable,
                            match=rf"step {(n + 1) // 2} of {n} at z="):
             frame.integrate_transport(sol, [0.3, 0.9], s)
+
+
+class _FlatField:
+    """The exact k = 0 Wang solution, e^(3 phi) = 2 s^2, at any s without a
+    disk solve."""
+
+    k = 0
+
+    def __init__(self, s):
+        self.s = s
+        self.phi = math.log(2.0 * s * s) / 3.0
+
+    def phi_at(self, z):
+        return np.full(np.shape(z), self.phi)
+
+    def dz_phi_at(self, z):
+        return np.zeros(np.shape(z), dtype=complex)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_chunk_folds_match_ten_step_folds(k, monkeypatch):
+    # folding once per chunk (and sampling the whole path at once) gives the
+    # normalized exponents of folding every 10 steps per segment, on a
+    # one-segment radial and on the sweep's 47-segment chord
+    radial = [0.3 * cmath.exp(0.27j), 0.9 * cmath.exp(0.27j)]
+    chord, _ = cli._sweep_path("chord:0.5487,0.0662,0.3208,0.4480", k, 1.0)
+    assert len(chord) - 1 >= 40
+    for s in (1.0, 1e2, 1e4):
+        sol = wang.solve_disk(k, s, 1.0)
+        for path in (radial, chord):
+            got = frame.transport_weyl_exponents(sol, path, s)
+            with monkeypatch.context() as m:
+                m.setattr(frame, "integrate_transport",
+                          oracles.reference_transport)
+                want = frame.transport_weyl_exponents(sol, path, s)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("s, length", [(1e8, 0.2), (1e10, 0.05),
+                                       (1e12, 0.01)])
+def test_folds_stay_accurate_at_extreme_s(s, length):
+    # past s ~ 1.5e8 the 1e-5 step floor lets a chunk of _CHUNK_STEPS steps
+    # grow the frame by more than e^_FOLD_GROWTH; folding such chunks whole
+    # loses the small directions (error 0.1 at s = 1e10, 160 at s = 1e12,
+    # where ten-step folds give 2.0e-6 and 9.6e-4)
+    sol = _FlatField(s)
+    z0, z1 = 0.05, 0.05 + length
+    want = np.sort(oracles.titeica_log_singular_values(s ** (1 / 3) * length))
+    errs = []
+    for transport in (frame.integrate_transport, oracles.reference_transport):
+        got = _natural_log_sv(transport(sol, [z0, z1], s), sol, s, z0, z1)
+        errs.append(np.max(np.abs(np.sort(got) - want)))
+    assert errs[0] <= 2 * errs[1]
+
+
+def test_step_error_names_the_step_within_its_segment(monkeypatch):
+    # three segments and a zero-length one; phi is NaN only in a disc inside
+    # the middle segment, whose steps start several chunks into the path
+    s = 1e4
+    sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=40))
+    hole, radius = 0.5 + 0.2j, 0.05
+    phi_at = wang.WangSolution.phi_at
+    shapes = []
+
+    def nan_in_hole(self, z):
+        shapes.append(np.shape(z))
+        return np.where(np.abs(z - hole) < radius, math.nan, phi_at(self, z))
+    monkeypatch.setattr(wang.WangSolution, "phi_at", nan_in_hole)
+    pts = [0.3, 0.5, 0.5, 0.5 + 0.4j, 0.2 + 0.4j]
+    h = frame._step_size(s)
+    n = [math.ceil(abs(b - a) / h) for a, b in zip(pts, pts[1:]) if b != a]
+    assert n[0] > frame._CHUNK_STEPS
+    # the first step of the middle segment with a node in the disc
+    a, b = pts[2], pts[3]
+    nodes = a + (b - a) * (np.arange(2 * n[1] + 1) / (2 * n[1]))
+    j = next(i for i in range(n[1])
+             if (np.abs(nodes[2 * i:2 * i + 3] - hole) < radius).any())
+    assert 0 < j < n[1] - 1
+    want = f"step {j + 1} of {n[1]} at z={complex(nodes[2 * j]):.6g} "
+    with pytest.raises(StepUnstable, match=re.escape(want)):
+        frame.integrate_transport(sol, pts, s)
+    # one sample of the path's shared nodes; the zero-length segment has none
+    assert shapes == [(2 * sum(n) + 1,)]

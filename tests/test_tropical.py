@@ -167,4 +167,5 @@ def test_closed_unit_cycle_value():
     path = synthesize_path([1.0, 1.0],
                            turns=[math.pi, 5 * math.pi / 3],
                            orders=[1, 1], closed=True)
-    assert tropical.path_singular_exponents(path).x1 == pytest.approx(2 / CBRT2, abs=1e-12)
+    total = tropical.path_singular_exponents(seg.period for seg in path.segments)
+    assert total.x1 == pytest.approx(2 / CBRT2, abs=1e-12)
