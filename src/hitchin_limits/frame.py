@@ -11,10 +11,10 @@ Transport and arc comparisons work on arrays: the Wang field is sampled once
 on all RK4 nodes of a path or arc (neighbouring steps share their common
 node, also across the joints of a path's segments), and the generators, RK4
 propagators and their ordered products are batched (..., 3, 3) matmuls, in
-chunks of bounded size.  Transport folds the product of each run of steps
-into the factored form once, the discrete QR method of Dieci, Russell &
-Van Vleck (SIAM J. Numer. Anal. 34, 1997); a run is as long as a chunk
-unless its growth bound makes it shorter.
+chunks of bounded size.  Transport folds the product of each chunk into
+the factored form once, the discrete QR method of Dieci, Russell & Van Vleck
+(SIAM J. Numer. Anal. 34, 1997); a transport chunk is shortened where its
+growth bound would otherwise exceed what double precision resolves.
 
 The constant differential has the classical closed-form frame (Titeica); its
 eigenbasis S conjugates every asymptotic formula in the polygon module.
@@ -37,9 +37,9 @@ BETA = (-2.0 * math.pi / 3.0, 0.0, 2.0 * math.pi / 3.0)
 
 # transport: RK4 truncation target per unit length.  Transport and arcs form
 # at most _CHUNK_STEPS steps at a time, which bounds the transient (m, 3, 3)
-# arrays.  One QR fold takes a run of steps whose growth bound stays within
-# e^_FOLD_GROWTH: e^8 times the unit roundoff is 7e-13, so the run's product
-# still resolves its smallest direction
+# arrays.  A transport chunk, folded by one QR step, is also capped so its
+# growth bound stays within e^_FOLD_GROWTH: e^8 times the unit roundoff is
+# 7e-13, so the chunk's product still resolves its smallest direction
 _STEP_TOL = 1e-10
 _CHUNK_STEPS = 640
 _FOLD_GROWTH = 8.0
@@ -166,34 +166,25 @@ def _step_size(s: float) -> float:
 
 
 def _fold_steps(s: float, h: float) -> int:
-    """Steps per QR fold: _CHUNK_STEPS, or fewer where that many steps of
-    size h could grow the frame by more than e^_FOLD_GROWTH."""
+    """Steps per transport chunk and QR fold: _CHUNK_STEPS, or fewer where
+    that many steps of size h could grow the frame by more than
+    e^_FOLD_GROWTH."""
     return max(1, min(_CHUNK_STEPS, int(_FOLD_GROWTH / (_growth_rate(s) * h))))
 
 
-def _transport_generators(coeffs, dz):
-    """-(U dz + V dzbar) made trace-free, one (m, 3, 3) generator per dz.
-
-    ``coeffs`` holds the nonzero entries of structure_coefficients at the
-    step's nodes, (0.5 e^phi, q e^-phi, qbar e^-phi, dz phi); entry by entry
-    each sum rounds as the full 3x3 products do.
-    """
-    half_ephi, q_ephi, qbar_ephi, dz_phi = coeffs
-    dzb = dz.conjugate()
-    W = np.empty(dz.shape + (3, 3), dtype=complex)
-    W[:, 0, 1] = half_ephi * dzb
-    W[:, 0, 2] = half_ephi * dz
-    W[:, 1, 0] = dz
-    W[:, 1, 2] = qbar_ephi * dzb
-    W[:, 2, 0] = dzb
-    W[:, 2, 1] = q_ephi * dz
-    w11 = dz_phi * dz
-    w22 = dz_phi.conjugate() * dzb
-    third = (w11 + w22) / 3.0
-    W[:, 0, 0] = -third
-    W[:, 1, 1] = w11 - third
-    W[:, 2, 2] = w22 - third
-    return -W
+def _transport_generators(phi, dz_phi, q, dz):
+    """-(U dz + V dzbar) made trace-free at the start, middle and end node of
+    each step: three (m, 3, 3) arrays for the m steps dz over nodes 0 .. 2m,
+    with (U, V) from structure_coefficients at the nodes."""
+    U, V = structure_coefficients(phi, dz_phi, q)
+    dz, dzb = dz[:, None, None], dz.conjugate()[:, None, None]
+    d = np.arange(3)
+    gens = []
+    for role in (slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)):
+        W = U[role] * dz + V[role] * dzb
+        W[:, d, d] -= (np.trace(W, axis1=1, axis2=2) / 3.0)[:, None]
+        gens.append(-W)
+    return gens
 
 
 def integrate_transport(sol, path, s: float) -> FrameTransport:
@@ -209,10 +200,10 @@ def integrate_transport(sol, path, s: float) -> FrameTransport:
     segments are skipped.  The nodes of the whole path (start, middle and
     end of every step; a step's end node is the next one's start, across
     segment joints too) are sampled in one phi_at and one dz_phi_at call.
-    The RK4 propagators are formed as batched 3x3 matmuls, at most
-    _CHUNK_STEPS steps at a time so transient arrays stay small.  Each run
-    of _fold_steps consecutive steps is multiplied out pairwise and folded
-    into the factored transport once: a run grows the frame by at most about
+    The generators and RK4 propagators are formed as batched 3x3 matmuls,
+    _fold_steps (at most _CHUNK_STEPS) steps at a time so transient arrays
+    stay small; each such chunk is multiplied out pairwise and folded into
+    the factored transport once.  A chunk grows the frame by at most about
     e^_FOLD_GROWTH, so its product still resolves the small directions.  A
     step that is not finite or has an entry above e^10 raises StepUnstable
     naming the first such step as step j of n within its segment.
@@ -237,21 +228,16 @@ def integrate_transport(sol, path, s: float) -> FrameTransport:
     # a field that returns one value for all nodes still gives one per node
     phi = np.broadcast_to(sol.phi_at(nodes), nodes.shape)
     dz_phi = np.broadcast_to(sol.dz_phi_at(nodes), nodes.shape)
-    fold = _fold_steps(s, h)
-    chunk = fold * (_CHUNK_STEPS // fold)
+    chunk = _fold_steps(s, h)
     for lo in range(0, len(dz), chunk):
         hi = min(lo + chunk, len(dz))
         part = slice(2 * lo, 2 * hi + 1)
         # a non-finite field or step is reported below, not warned about
         with np.errstate(invalid="ignore", over="ignore"):
-            ephi = np.exp(phi[part])
-            q = s * nodes[part] ** sol.k
-            coeffs = (0.5 * ephi, q / ephi, q.conjugate() / ephi, dz_phi[part])
             # RK4 on X' = A(t) X, A at the start, middle and end of each step
-            f1, mid, end = (
-                _transport_generators([c[role] for c in coeffs], dz[lo:hi])
-                for role in (slice(0, -1, 2), slice(1, None, 2),
-                             slice(2, None, 2)))
+            f1, mid, end = _transport_generators(phi[part], dz_phi[part],
+                                                 s * nodes[part] ** sol.k,
+                                                 dz[lo:hi])
             f2 = mid @ (_I3 + 0.5 * f1)
             f3 = mid @ (_I3 + 0.5 * f2)
             f4 = end @ (_I3 + f3)
@@ -264,13 +250,8 @@ def integrate_transport(sol, path, s: float) -> FrameTransport:
             raise StepUnstable(f"transport step {i - stops[j] + ns[j] + 1} of "
                                f"{ns[j]} at z={complex(nodes[2 * i]):.6g} is "
                                f"not finite or exceeds e^10")
-        # X <- step X: a run's product is its steps multiplied last first
-        width = min(fold, len(steps))
-        pad = -len(steps) % width
-        if pad:
-            steps = np.concatenate([steps, np.broadcast_to(_I3, (pad, 3, 3))])
-        for block in _ordered_product(steps.reshape(-1, width, 3, 3)[:, ::-1]):
-            xport.push_left(block)
+        # X <- step X: the chunk's product is its steps multiplied last first
+        xport.push_left(_ordered_product(steps[::-1]))
     return xport
 
 
@@ -355,14 +336,13 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
 
 
 def _ordered_product(P):
-    """P[..., 0, :, :] @ P[..., 1, :, :] @ ... over the axis -3 by pairwise
-    batched products, an odd run padded with the identity at its end."""
-    while P.shape[-3] > 1:
-        if P.shape[-3] % 2:
-            eye = np.broadcast_to(_I3, P.shape[:-3] + (1, 3, 3))
-            P = np.concatenate([P, eye], axis=-3)
-        P = P[..., 0::2, :, :] @ P[..., 1::2, :, :]
-    return P[..., 0, :, :]
+    """P[0] @ P[1] @ ... @ P[-1] by pairwise batched products, an odd run
+    padded with the identity at its end."""
+    while len(P) > 1:
+        if len(P) % 2:
+            P = np.concatenate([P, _I3[None]])
+        P = P[0::2] @ P[1::2]
+    return P[0]
 
 
 def transport_weyl_exponents(sol, path, s: float):

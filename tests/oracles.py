@@ -178,12 +178,12 @@ def titeica_log_singular_values(displacement: complex):
 # reference transport
 # ---------------------------------------------------------------------------
 
-def reference_transport(sol, path, s: float, fold_every: int = 10):
+def reference_transport(sol, path, s: float):
     """frame.integrate_transport's RK4 steps, folded one short run at a time.
 
-    Each segment is sampled on its own 2n+1 nodes and every run of
-    ``fold_every`` steps is multiplied out in order and folded into the
-    factored transport, so no product spans a large growth.  Reference for
+    Each segment is sampled on its own 2n+1 nodes and every run of 10 steps
+    is multiplied out in order and folded into the factored transport, so no
+    product spans a large growth.  Reference for
     the fold granularity of the package's transport.
     """
     I3 = np.eye(3, dtype=complex)
@@ -208,9 +208,9 @@ def reference_transport(sol, path, s: float, fold_every: int = 10):
         f3 = mid @ (I3 + 0.5 * f2)
         f4 = end @ (I3 + f3)
         steps = I3 + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
-        for lo in range(0, n, fold_every):
+        for lo in range(0, n, 10):
             block = I3
-            for step in steps[lo:lo + fold_every]:
+            for step in steps[lo:lo + 10]:
                 block = step @ block
             xport.push_left(block)
     return xport
