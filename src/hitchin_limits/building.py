@@ -18,6 +18,7 @@ import numpy as np
 
 from . import polygon, tropical
 from .errors import OriginSingular
+from .frame import natural_coordinate, titeica_exponents
 from .surface import GeodesicPath, Junction, SaddleConnection, synthesize_path
 from .tropical import CBRT4, OMEGA
 
@@ -129,12 +130,6 @@ def loop_closure_is_identity(atlas: SectorAtlas) -> bool:
     return all(abs(a - b) < 1e-9 for a, b in zip(branch_end, want))
 
 
-def _natural_w(z: complex, k: int) -> complex:
-    psi = cmath.phase(z) % TWO_PI
-    p = (k + 3) / 3.0
-    return 3.0 / (k + 3) * abs(z) ** p * cmath.exp(1j * p * psi)
-
-
 def local_model_eval(k: int, z: complex, atlas: SectorAtlas = None) -> ApartmentPoint:
     """u_k(z): the triple of -2^(2/3) Re of the cube-root integrals from the
     zero, in the branch of the sector containing z."""
@@ -143,7 +138,7 @@ def local_model_eval(k: int, z: complex, atlas: SectorAtlas = None) -> Apartment
         raise OriginSingular("local model undefined at the cone point")
     atlas = atlas or sector_atlas(k)
     sec = atlas.sector_of(z)
-    w = _natural_w(z, k)
+    w = natural_coordinate(z, k, math.pi)   # the branch arg z in [0, 2 pi]
     vals = [-CBRT4 * (c * w).real for c in sec.branch]
     vals[2] = -(vals[0] + vals[1])  # kill the rounding part of the trace
     return ApartmentPoint(*vals)
@@ -167,7 +162,8 @@ def sector_image_angle(atlas: SectorAtlas, m: int) -> float:
 
 def cone_distance(k: int, p: complex, q: complex) -> float:
     """|q0|^(2/3)-distance on the model cone (natural units)."""
-    wp, wq = _natural_w(p, k), _natural_w(q, k)
+    wp = natural_coordinate(p, k, math.pi)
+    wq = natural_coordinate(q, k, math.pi)
     cone = TWO_PI * (1.0 + k / 3.0)
     dpsi = abs((cmath.phase(p) - cmath.phase(q)) % TWO_PI)
     dth = min(dpsi, TWO_PI - dpsi) * (k + 3) / 3.0
@@ -198,15 +194,9 @@ def flat_isometry_check(k: int, sample_pairs, atlas: SectorAtlas = None) -> floa
         if gap == 0:
             uq = local_model_eval(k, q, atlas).as_array()
         else:
-            # continue p's branch across the shared wall: the unfolded chart
-            psi = cmath.phase(q) % TWO_PI
-            # unwind the mod-2pi jump for the 0 <-> last sector adjacency
-            if sp.index == atlas.count - 1 and sq.index == 0:
-                psi += TWO_PI
-            elif sp.index == 0 and sq.index == atlas.count - 1:
-                psi -= TWO_PI
-            p_exp = (k + 3) / 3.0
-            w = 3.0 / (k + 3) * abs(q) ** p_exp * cmath.exp(1j * p_exp * psi)
+            # continue p's branch across the shared wall: the unfolded chart,
+            # on the lift of arg q nearest p's angle in [0, 2 pi)
+            w = natural_coordinate(q, k, cmath.phase(p) % TWO_PI)
             uq = np.array([-CBRT4 * (c * w).real for c in sp.branch])
         d_building = float(np.linalg.norm(up - uq))
         d_flat = cone_distance(k, p, q)
@@ -215,17 +205,6 @@ def flat_isometry_check(k: int, sample_pairs, atlas: SectorAtlas = None) -> floa
         dev = abs(d_building - SCALE * d_flat) / (SCALE * d_flat)
         worst = max(worst, dev)
     return worst
-
-
-def _continuous_slot_exponents(k: int, z: complex):
-    """-2^(2/3) Re of the cube-root integrals in the continuous branch over
-    arg z in [0, 2 pi), ordered by the polygon module's slot convention
-    (slot j carries the branch cos(theta - BETA_j) <-> factors omega, 1,
-    omega^2)."""
-    w = _natural_w(z, k)
-    return np.array([-CBRT4 * (OMEGA * w).real,
-                     -CBRT4 * w.real,
-                     -CBRT4 * (OMEGA ** 2 * w).real])
 
 
 def ambient_separation(atlas: SectorAtlas, p: complex, q: complex) -> float:
@@ -240,8 +219,10 @@ def ambient_separation(atlas: SectorAtlas, p: complex, q: complex) -> float:
     """
     k = atlas.k
     lifts = polygon.regular_lifts(k + 3)
-    dp = _continuous_slot_exponents(k, p)
-    dq = _continuous_slot_exponents(k, q)
+    # -2^(2/3) Re of the cube-root integrals in the continuous branch over
+    # arg z in [0, 2 pi), in the polygon module's slot order
+    dp = -titeica_exponents(natural_coordinate(p, k, math.pi))
+    dq = -titeica_exponents(natural_coordinate(q, k, math.pi))
 
     def theta_w(z):
         psi = cmath.phase(z) % TWO_PI
@@ -255,12 +236,7 @@ def ambient_separation(atlas: SectorAtlas, p: complex, q: complex) -> float:
 
     def one_sided(da, db, th_a, th_b):
         U = polygon.arc_unipotent(lifts, nudge(th_b), nudge(th_a))
-        best = -np.inf
-        for a_ in range(3):
-            for b_ in range(3):
-                if abs(U[a_, b_]) > 1e-12:
-                    best = max(best, da[a_] - db[b_])
-        return best
+        return np.max(da + polygon.max_plus_step(-db, U))
 
     a = one_sided(dp, dq, theta_w(p), theta_w(q))
     b = one_sided(dq, dp, theta_w(q), theta_w(p))

@@ -34,6 +34,7 @@ from .tropical import CBRT4, OMEGA, segment_exponents
 # slot j of every diagonal carries the cosine branch cos(theta - BETA[j]);
 # this matches the Stokes-flip bookkeeping of the polygon module
 BETA = (-2.0 * math.pi / 3.0, 0.0, 2.0 * math.pi / 3.0)
+_SLOT_PHASES = np.array([cmath.exp(-1j * b) for b in BETA])
 
 # transport: RK4 truncation target per unit length.  Transport and arcs form
 # at most _CHUNK_STEPS steps at a time, which bounds the transient (m, 3, 3)
@@ -96,9 +97,12 @@ def titeica_frame():
     return S, S.conj().T / (3.0 * np.array([1.0, CBRT4, CBRT4]))
 
 
-def _titeica_exponents(x: complex) -> np.ndarray:
-    """Log-eigenvalues 2^(2/3) Re(x e^(-i BETA_j)) of the Titeica transport."""
-    return np.array([CBRT4 * (x * cmath.exp(-1j * b)).real for b in BETA])
+def titeica_exponents(x) -> np.ndarray:
+    """The slot triple 2^(2/3) Re(x e^(-i BETA_j)): log-eigenvalues of the
+    Titeica transport over a natural-chart displacement x.  x is a complex
+    scalar or array; the slot axis is appended last."""
+    x = np.asarray(x, dtype=complex)
+    return CBRT4 * (x[..., None] * _SLOT_PHASES).real
 
 
 def _log_singular_values_of_factored(A, logd, B):
@@ -305,7 +309,6 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
     U_T, V_T = titeica_structure()
     p = (k + 3) / 3.0
     rnat = s ** (1.0 / 3.0) * (3.0 / (k + 3)) * radius ** p
-    omega_phases = np.array([cmath.exp(-1j * b) for b in BETA])
 
     # the field at the start, middle and end of every step
     h = (theta1 - theta0) / n_steps
@@ -313,7 +316,7 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
     z = radius * np.exp(1j * t)
     wp = s ** (1.0 / 3.0) * radius ** (k / 3.0) * np.exp(1j * t * k / 3.0)
     xdot = wp * (1j * z)
-    D = CBRT4 * (rnat * np.exp(1j * p * t)[:, None] * omega_phases).real
+    D = titeica_exponents(rnat * np.exp(1j * p * t))
     phi_w = sol.phi_at(z) - 2.0 * np.log(np.abs(wp))
     dphi_w = (sol.dz_phi_at(z) - (k / 3.0) / z) / wp
 

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationInvalid, StokesEndpoint, WallAmbiguity
-from .frame import BETA, titeica_frame
+from .frame import titeica_exponents, titeica_frame
 from .surface import GeodesicPath, classify_direction
-from .tropical import CBRT4
 
 PI = math.pi
 _STOKES_TOL = 1e-10
@@ -275,13 +274,6 @@ class LeadingTerm:
                 / self.s ** (1.0 / 3.0))
 
 
-def _segment_diag_exponents(period: complex, chart_angle: float, s: float):
-    """Slot exponents of D(segment)^(-1) in the junction-aligned chart."""
-    L = abs(period)
-    return np.array([-CBRT4 * s ** (1.0 / 3.0) * L * math.cos(chart_angle - b)
-                     for b in BETA])
-
-
 def _perturb_stokes_segments(path: GeodesicPath):
     """Tilt Stokes-direction segments by +-_STOKES_ETA so every arc at a zero
     of order >= 1 keeps a subtended angle > pi; prefer the ccw sign."""
@@ -331,7 +323,8 @@ def _path_factors(path: GeodesicPath):
     theta_in, theta_out = _perturb_stokes_segments(path)
     for i, seg in enumerate(path.segments):
         phase = cmath.phase(seg.period)
-        yield ("diag", _segment_diag_exponents(seg.period, phase, 1.0))
+        # the slot exponents of D(segment)^(-1) in the segment's chart
+        yield ("diag", -titeica_exponents(seg.period))
         ja = path.junction_after(i)
         if ja is None:
             continue
@@ -398,6 +391,18 @@ def leading_term(path: GeodesicPath, s: float = 1.0) -> LeadingTerm:
 # tropical (max-plus) top exponent through the unipotent patterns
 # ---------------------------------------------------------------------------
 
+def max_plus_step(state, M) -> np.ndarray:
+    """Max-plus product of M's nonzero pattern with the slot vector state:
+    entry r is the largest state[c] over the c with |M[r, c]| above
+    _PATTERN_TOL, -inf where row r has none."""
+    new = np.full(3, -np.inf)
+    for r in range(3):
+        for c in range(3):
+            if abs(M[r, c]) > _PATTERN_TOL:
+                new[r] = max(new[r], state[c])
+    return new
+
+
 def tropical_norm_exponent(path: GeodesicPath) -> float:
     """Max-plus top exponent of the leading product: per-slot exponents chain
     through the nonzero pattern of each arc unipotent.
@@ -406,19 +411,10 @@ def tropical_norm_exponent(path: GeodesicPath) -> float:
     corner whose direction change exceeds the dominant branch width breaks
     the eigenvalue alignment and produces a strict deficit.
     """
-
-    def apply_pattern(state, M):
-        new = np.full(3, -np.inf)
-        for r in range(3):
-            for c in range(3):
-                if abs(M[r, c]) > _PATTERN_TOL:
-                    new[r] = max(new[r], state[c])
-        return new
-
     state = np.zeros(3)  # max-plus column vector over slots
     for factor in _path_factors(path):
         if factor[0] == "diag":
             state = state + factor[1]
         else:
-            state = apply_pattern(state, factor[1])
+            state = max_plus_step(state, factor[1])
     return float(np.max(state))

@@ -309,37 +309,31 @@ class CubicSurface:
     # -- combinatorics ------------------------------------------------------
 
     def _build_vertex_classes(self):
-        corners = [(t, v) for t in range(len(self.triangles)) for v in range(3)]
-        parent = {c: c for c in corners}
-
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-        for g in self.gluings:
-            ta, sa = g.edge_a
-            tb, sb = g.edge_b
-            union((ta, sa), (tb, (sb + 1) % 3))
-            union((ta, (sa + 1) % 3), (tb, sb))
-        classes = {}
-        for c in corners:
-            classes.setdefault(find(c), []).append(c)
-        reps = sorted(classes)
+        """Number the vertex classes by walking the fan of each corner not
+        yet seen, in corner order; a class's members are its fan's corners.
+        (A non-involutive gluing, which validate reports, can lead the walk
+        away from its start corner; that corner still joins the class.)"""
         self._class_of = {}
+        self._fan_offset = {}
         self.vertex_classes = []
-        for idx, rep in enumerate(reps):
-            members = sorted(classes[rep])
-            self.vertex_classes.append(members)
-            for c in members:
-                self._class_of[c] = idx
-        self._build_fans()
+        self.fans = []
+        self.fan_closed = []
+        self.cone_angles = []
+        for t in range(len(self.triangles)):
+            for v in range(3):
+                if (t, v) in self._class_of:
+                    continue
+                fan, closed = walk_fan(self._edge_map, (t, v))
+                self._class_of[(t, v)] = len(self.fans)
+                angle = 0.0
+                for corner in fan:
+                    self._class_of[corner] = len(self.fans)
+                    self._fan_offset[corner] = angle
+                    angle += self.corner_angle(*corner)
+                self.vertex_classes.append(sorted({(t, v), *fan}))
+                self.fans.append(fan)
+                self.fan_closed.append(closed)
+                self.cone_angles.append(angle)
 
     def corner_angle(self, tri: int, v: int) -> float:
         p = self.coords(tri, v)
@@ -347,21 +341,6 @@ class CubicSurface:
         r = self.coords(tri, v + 2)
         ang = cmath.phase((r - p) / (q - p)) % TWO_PI
         return ang
-
-    def _build_fans(self):
-        self.fans = []
-        self.fan_closed = []
-        self.cone_angles = []
-        self._fan_offset = {}
-        for members in self.vertex_classes:
-            fan, closed = walk_fan(self._edge_map, members[0])
-            angle = 0.0
-            for corner in fan:
-                self._fan_offset[corner] = angle
-                angle += self.corner_angle(*corner)
-            self.fans.append(fan)
-            self.fan_closed.append(closed)
-            self.cone_angles.append(angle)
 
     def class_of(self, tri: int, v: int) -> int:
         return self._class_of[(tri, v % 3)]

@@ -37,6 +37,12 @@ class GridSpec:
     ratio: float = 1.05
 
 
+def _flat(k, s, log_r):
+    """The flat part (1/3) log(2 |q_s|^2) = (1/3) log(2 s^2 r^(2k)) at
+    log r: the strict lower bound for phi, and its Dirichlet value."""
+    return (math.log(2.0) + 2.0 * math.log(s) + 2.0 * k * log_r) / 3.0
+
+
 class WangSolution:
     """Discrete conformal factor of the Blaschke metric on a model disk, as a
     radial profile."""
@@ -56,17 +62,6 @@ class WangSolution:
         self.residual_norm = residual_norm
         self.residual_history = list(residual_history)
 
-    # -- analytic references ------------------------------------------------
-
-    def flat_log(self, r):
-        """(1/3) log(2 |q_s|^2) at radius r (the strict lower bound for phi)."""
-        with np.errstate(divide="ignore"):
-            return self._flat_of_log(np.log(np.asarray(r, dtype=float)))
-
-    def _flat_of_log(self, log_r):
-        return (math.log(2.0) + 2.0 * math.log(self.s)
-                + 2.0 * self.k * log_r) / 3.0
-
     # -- interpolation --------------------------------------------------------
     #
     # phi is split as flat + F with flat = (1/3) log(2 s^2 r^(2k)) handled
@@ -81,7 +76,7 @@ class WangSolution:
 
     @cached_property
     def _F(self):
-        return self.phi - self.flat_log(self.rs)
+        return self.phi - _flat(self.k, self.s, self._log_rs)
 
     @cached_property
     def _dF(self):
@@ -106,7 +101,7 @@ class WangSolution:
         r, log_r = self._log_radius(z)
         w = np.square(r / self.rs[0])
         center = (1 - w) * self.phi_center + w * self.phi[0]
-        ring = (self._flat_of_log(log_r)
+        ring = (_flat(self.k, self.s, log_r)
                 + np.interp(log_r, self._log_rs, self._F))
         phi = np.where(r <= self.rs[0], center, ring)
         return phi if phi.ndim else float(phi)
@@ -125,11 +120,11 @@ def _radial_nodes(R: float, nr: int, ratio: float):
 
 
 def _radial_operator(rs):
-    """Radial Laplacian on [center, ring 1, ..., ring n-1] in (1, 1) band
-    storage: row 0 the super-, row 1 the main, row 2 the sub-diagonal
-    (entry (i, j) at band[1 + i - j, j]).  Ring i sits at rs[i-1]; ring n
-    (rs[-1], the Dirichlet boundary) is eliminated into the returned rhs
-    coefficient.
+    """Radial Laplacian on [center, ring 1, ..., ring n-1] as three rows
+    aligned with the unknowns: row 0 the sub-, row 1 the main, row 2 the
+    super-diagonal (entry (i, i-1) at band[0, i], (i, i+1) at band[2, i];
+    band[0, 0] = band[2, -1] = 0).  Ring i sits at rs[i-1]; ring n (rs[-1],
+    the Dirichlet boundary) is eliminated into the returned rhs coefficient.
     """
     r = rs[:-1]
     hm = r - np.concatenate([[0.0], rs[:-2]])   # ring 1's inner neighbor is the center
@@ -143,11 +138,11 @@ def _radial_operator(rs):
     c_center = 4.0 / rs[0] ** 2
     n = len(rs)
     band = np.zeros((3, n))
-    band[0, 1] = c_center
-    band[0, 2:] = c_p[:-1]
+    band[0, 1:] = c_m
     band[1, 0] = -c_center
     band[1, 1:] = c_0
-    band[2, :-1] = c_m
+    band[2, 0] = c_center
+    band[2, 1:-1] = c_p[:-1]
     rhs_bound = np.zeros(n)  # coefficient multiplying phi_boundary
     rhs_bound[-1] = c_p[-1]
     return band, rhs_bound
@@ -155,23 +150,20 @@ def _radial_operator(rs):
 
 def _apply_band(band, u):
     """band @ u, summed in stencil order c_m u[i-1] + c_0 u[i] + c_p u[i+1]."""
-    out = np.zeros_like(u)
-    out[1:] = band[2, :-1] * u[:-1]
-    out += band[1] * u
-    out[:-1] += band[0, 1:] * u[1:]
+    out = band[1] * u
+    out[1:] += band[0, 1:] * u[:-1]
+    out[:-1] += band[2, :-1] * u[1:]
     return out
 
 
 def _solve_tridiagonal(band, rhs):
-    """Solve band @ x = rhs, band in the (1, 1) storage of _radial_operator,
+    """Solve band @ x = rhs, band in the aligned rows of _radial_operator,
     by Thomas elimination without pivoting.  The Newton Jacobians are
     strictly diagonally dominant (c_m + c_p = -c_0, and the nonlinear term
     only deepens the diagonal), so no pivot is needed."""
-    sub = [0.0] + band[2, :-1].tolist()
-    sup = band[0, 1:].tolist() + [0.0]
     w, y = [], []           # eliminated super-diagonal and right-hand side
     w_i = y_i = 0.0
-    for a, b, c, r in zip(sub, band[1].tolist(), sup, rhs.tolist()):
+    for a, b, c, r in zip(*band.tolist(), rhs.tolist()):
         pivot = b - a * w_i
         w_i, y_i = c / pivot, (r - a * y_i) / pivot
         w.append(w_i)
@@ -199,16 +191,14 @@ def solve_disk(k: int, s: float, R: float,
     rs = _radial_nodes(R, nr, ratio)
     L, rhs_bound = _radial_operator(rs)
 
-    phi_boundary = (math.log(2.0) + 2 * math.log(s) + 2 * k * math.log(R)) / 3.0
+    phi_boundary = _flat(k, s, math.log(R))
     # |q_s|^2 at the unknowns
     radii = np.concatenate([[0.0], rs[:-1]])
     q2 = s ** 2 * radii ** (2 * k) if k > 0 else np.full(nr, s ** 2)
     if k > 0:
         q2[0] = 0.0
 
-    with np.errstate(divide="ignore"):
-        flat = (math.log(2.0) + 2 * math.log(s)
-                + 2 * k * np.log(np.maximum(radii, 1e-300))) / 3.0
+    flat = _flat(k, s, np.log(np.maximum(radii, 1e-300)))
     flat[0] = -math.inf if k > 0 else flat[0]
 
     # measure the residual row-scaled: inner rings carry 1/h^2 stencil weights
@@ -279,7 +269,7 @@ def pointwise_lower_bound_check(sol: WangSolution) -> bool:
 def error_values(sol: WangSolution):
     """F on the interior rings (boundary ring excluded: F = 0 there by the
     Dirichlet choice; center excluded: F diverges at a zero)."""
-    return sol.phi[:-1] - sol.flat_log(sol.rs[:-1])
+    return sol._F[:-1]
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ def titeica_transport(displacement: complex) -> np.ndarray:
     """Transport of the constant-differential frame over a natural-chart
     displacement: S exp(diag of 2^(2/3) Re(x e^(-i BETA_j))) S^(-1)."""
     S, S_inv = frame.titeica_frame()
-    d = frame._titeica_exponents(complex(displacement))
+    d = frame.titeica_exponents(complex(displacement))
     return (S * np.exp(d)) @ S_inv
 
 
@@ -170,7 +170,7 @@ def titeica_log_singular_values(displacement: complex):
     """Log singular values of the closed-form transport, computed stably in
     the factored form (oracle for large displacements)."""
     S, S_inv = frame.titeica_frame()
-    d = frame._titeica_exponents(complex(displacement))
+    d = frame.titeica_exponents(complex(displacement))
     return frame._log_singular_values_of_factored(S, d, S_inv)
 
 

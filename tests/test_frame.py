@@ -30,7 +30,7 @@ def test_titeica_frame_diagonalizes_structure():
     for x in (0.8 * cmath.exp(0.23j), 1.0, -2.5 + 0.7j, 3j,
               1e3 * cmath.exp(2j)):
         D = S_inv @ (x * U + x.conjugate() * V) @ S
-        want = np.diag(frame._titeica_exponents(x))
+        want = np.diag(frame.titeica_exponents(x))
         assert np.max(np.abs(D - want)) <= 1e-14 * (1 + abs(x))
 
 

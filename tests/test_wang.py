@@ -81,7 +81,7 @@ def test_solve_tridiagonal_matches_dense(data, n):
     main = sign * (np.abs(np.append(sub, 0.0)) + np.abs(np.append(0.0, sup))
                    + slack)
     band = np.zeros((3, n))
-    band[0, 1:], band[1], band[2, :-1] = sup, main, sub
+    band[0, 1:], band[1], band[2, :-1] = sub, main, sup
     dense = np.diag(main) + np.diag(sup, 1) + np.diag(sub, -1)
     want = np.linalg.solve(dense, rhs)
     got = wang._solve_tridiagonal(band, rhs)
@@ -99,7 +99,7 @@ def test_solve_tridiagonal_on_wang_jacobian():
     u = np.append(sol.phi_center, sol.phi[:-1])
     radii = np.append(0.0, sol.rs[:-1])
     J[1] -= 2 * np.exp(u) + 8 * np.exp(-2 * u) * s ** 2 * radii ** 2
-    dense = np.diag(J[1]) + np.diag(J[0, 1:], 1) + np.diag(J[2, :-1], -1)
+    dense = np.diag(J[1]) + np.diag(J[2, :-1], 1) + np.diag(J[0, 1:], -1)
     rhs = np.random.default_rng(0).normal(size=len(u))
     want = np.linalg.solve(dense, rhs)
     got = wang._solve_tridiagonal(J, rhs)
