@@ -428,6 +428,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as err:
+        # a ValueError subclass, but a numerical failure
+        _diag(f"error: LinAlgError: {err}")
+        return EXIT_NUMERICAL
     except (ValueError, FileNotFoundError) as err:
         _diag(f"error: {err}")
         return EXIT_VALIDATION

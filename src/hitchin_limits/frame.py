@@ -145,7 +145,9 @@ class FrameTransport:
         ph = ph / np.abs(ph)
         Q2 = Q2 * ph
         R = (R.T * ph.conjugate()).T
-        RD = R * np.exp(self.logd - self.logd[:, None])  # R[i,j] e^(d_j - d_i)
+        # R[i,j] e^(d_j - d_i) on the upper triangle; the exponent is zeroed
+        # below it, where R is 0 and e^(d_j - d_i) could overflow
+        RD = R * np.exp(np.triu(self.logd - self.logd[:, None]))
         newd = self.logd + np.log(np.abs(np.diag(R)))
         T2 = RD / np.diag(R)[:, None]
         Tn = T2 @ self.T
@@ -281,14 +283,18 @@ def natural_coordinate(z: complex, k: int, branch_angle: float = 0.0) -> complex
 def natural_frame_diag(z: complex, k: int, s: float,
                        branch_angle: float = 0.0) -> np.ndarray:
     """Frame change from the chart frame (1, d/dz, d/dzbar) to the natural
-    frame of q_s at z: diag(1, 1/w', 1/conj(w')) with w' = s^(1/3) z^(k/3).
+    frame of q_s at z: |w'|^(2/3) diag(1, 1/w', 1/conj(w')) with
+    w' = s^(1/3) z^(k/3).
 
     Asymptotic transport formulas live in the natural frame; conjugating by
-    these diagonals removes the polynomially-growing frame mismatch.
+    these diagonals removes the polynomially-growing frame mismatch.  The
+    factor |w'|^(2/3) makes the determinant 1, so a unimodular transport
+    stays unimodular in the natural frame and its exponents sum to 0.
     """
     r, th = _polar_on_branch(z, branch_angle)
     wp = s ** (1.0 / 3.0) * r ** (k / 3.0) * cmath.exp(1j * th * k / 3.0)
-    return np.array([1.0, 1.0 / wp, 1.0 / wp.conjugate()], dtype=complex)
+    diag = np.array([1.0, 1.0 / wp, 1.0 / wp.conjugate()], dtype=complex)
+    return abs(wp) ** (2.0 / 3.0) * diag
 
 
 def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
@@ -351,19 +357,25 @@ def _ordered_product(P):
 def transport_weyl_exponents(sol, path, s: float):
     """s^(-1/3)-normalized sorted log singular values of the holonomy.
 
-    The transport is expressed in the natural frame at the endpoints and
-    conjugated by the Titeica eigenbasis S, which removes the
+    The transport is expressed in the unimodular natural frame at the
+    endpoints and conjugated by the Titeica eigenbasis S, which removes the
     O(log cond S)/s^(1/3) offset between singular and asymptotic exponents
-    (exact for the constant differential).
+    (exact for the constant differential).  Both frame changes have
+    determinant 1, so the triple sums to 0 up to rounding.  A numpy
+    LinAlgError in the transport or the read-out is raised as StepUnstable
+    naming the transport layer.
     """
-    xport = integrate_transport(sol, path, s)
     a, b = complex(path[0]), complex(path[-1])
     da = natural_frame_diag(a, sol.k, s, cmath.phase(a))
     db = natural_frame_diag(b, sol.k, s, cmath.phase(b))
     S, S_inv = titeica_frame()
-    A = S_inv * (1.0 / db)[None, :] @ xport.Q
-    B = (xport.T * da) @ S
-    vals = _log_singular_values_of_factored(A, xport.logd, B)
+    try:
+        xport = integrate_transport(sol, path, s)
+        A = S_inv * (1.0 / db)[None, :] @ xport.Q
+        B = (xport.T * da) @ S
+        vals = _log_singular_values_of_factored(A, xport.logd, B)
+    except np.linalg.LinAlgError as err:
+        raise StepUnstable(f"transport: {err}") from err
     return np.sort(vals)[::-1] / s ** (1.0 / 3.0)
 
 

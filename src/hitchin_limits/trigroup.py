@@ -189,13 +189,16 @@ def trace_cycle(orb: TriangleOrbifoldSurface, start_class: int,
     Starting at an interior vertex instance along a chart direction, each leg
     runs to the first marked point; ``turns[i]`` is the ccw side angle taken
     there.  The walk counts as closed when its last leg ends at a vertex of
-    the starting orbifold type; only that type is checked, not the final
-    direction.  Segments carry the orbifold type ids, so the resulting path
-    is closed at the orbifold level.
+    the starting orbifold type and the direction it leaves in there has the
+    start's cubic phase (d/|d|)^3, within 1e-9; the cubic phase is the same
+    in every chart, since charts differ by cube roots of unity.  Segments
+    carry the orbifold type ids, so the resulting path is closed at the
+    orbifold level.
     """
     surf = orb.surface
     t0, v0 = surf.fans[start_class][0]
     (t, v), d = claim_corner(surf, t0, v0, start_direction)
+    phase0 = (d / abs(d)) ** 3
     legs = []
     cls = start_class
     for turn in turns:
@@ -209,6 +212,8 @@ def trace_cycle(orb: TriangleOrbifoldSurface, start_class: int,
         cls = hit.cls
     if orb.orbifold_type[cls] != orb.orbifold_type[start_class]:
         raise DegeneratePath("cycle does not close on the orbifold labels")
+    if abs((d / abs(d)) ** 3 - phase0) > 1e-9:
+        raise DegeneratePath("cycle does not close in the start's direction")
     segments = [SaddleConnection(orb.orbifold_type[c],
                                  orb.orbifold_type[hit.cls], hit.point)
                 for c, hit in legs]

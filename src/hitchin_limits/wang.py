@@ -76,7 +76,9 @@ class WangSolution:
 
     @cached_property
     def _F(self):
-        return self.phi - _flat(self.k, self.s, self._log_rs)
+        F = self.phi - _flat(self.k, self.s, self._log_rs)
+        F.flags.writeable = False    # error_values hands out a view of it
+        return F
 
     @cached_property
     def _dF(self):

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from hitchin_limits import frame
-from hitchin_limits.surface import ZETA, CubicSurface, Gluing
+from hitchin_limits.surface import ZETA, CubicSurface, Gluing, glue, walk_fan
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,6 +116,48 @@ def develop_fan_closure(surface: CubicSurface, cls: int):
         w = ZETA ** ((-rot) % 3)
         u, b = u * w, b - u * w * trans
     return u, b
+
+
+def reference_vertex_classes(surface: CubicSurface):
+    """The vertex partition by union-find: the two corner pairs an edge
+    gluing identifies are joined, and classes are ordered by their smallest
+    corner.  Returns (classes, fans, cone_angles), each class a sorted corner
+    list, its fan walked from that smallest corner, and the fan's total
+    angle summed in fan order.  Reference for CubicSurface's fan-walk
+    numbering on involutive gluings."""
+    corners = [(t, v) for t in range(len(surface.triangles)) for v in range(3)]
+    parent = {c: c for c in corners}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    edge_map = {}
+    for g in surface.gluings:
+        glue(edge_map, g.edge_a, g.edge_b, g.rot, g.trans)
+        (ta, sa), (tb, sb) = g.edge_a, g.edge_b
+        union((ta, sa), (tb, (sb + 1) % 3))
+        union((ta, (sa + 1) % 3), (tb, sb))
+    members = {}
+    for c in corners:
+        members.setdefault(find(c), []).append(c)
+    classes = [sorted(members[rep]) for rep in sorted(members)]
+    fans, angles = [], []
+    for cls in classes:
+        fan, _ = walk_fan(edge_map, cls[0])
+        angle = 0.0
+        for corner in fan:
+            angle += surface.corner_angle(*corner)
+        fans.append(fan)
+        angles.append(angle)
+    return classes, fans, angles
 
 
 # ---------------------------------------------------------------------------

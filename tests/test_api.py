@@ -2,7 +2,8 @@
 
 Every public top-level function and class of ``src/hitchin_limits`` must be
 referred to by package code outside its own definition, or be one of the
-checks in VERIFICATION_API, which only the acceptance suite calls.  A helper
+checks in VERIFICATION_API, which only the acceptance suite calls; every
+private top-level function must be referred to by package code.  A helper
 that only tests reach belongs in the tests (see ``oracles.py``).
 
 The package needs numpy alone at run time: importing scipy would double a
@@ -77,18 +78,33 @@ def _references(module, tree, defined):
     return found
 
 
-def test_every_public_name_is_used_by_the_package_or_declared():
+def _package_uses():
+    """(modules, defined, used): the parsed modules, the names each defines
+    and the (module, name) pairs package code refers to."""
     modules = _modules()
     defined = {name: _defined(tree) for name, tree in modules.items()}
     used = set()
     for name, tree in modules.items():
         used |= _references(name, tree, defined)
+    return modules, defined, used
+
+
+def test_every_public_name_is_used_by_the_package_or_declared():
+    _, defined, used = _package_uses()
     public = {(module, name) for module, names in defined.items()
               for name in names if not name.startswith("_")}
     assert sorted(public - used - set(VERIFICATION_API)) == []
     # a declared check that disappears, or that a command comes to call,
     # leaves the list
     assert sorted(set(VERIFICATION_API) - (public - used)) == []
+
+
+def test_every_private_function_is_used_by_the_package():
+    modules, _, used = _package_uses()
+    private = {(module, node.name) for module, tree in modules.items()
+               for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_")}
+    assert sorted(private - used) == []
 
 
 def test_commands_and_solvers_import_no_scipy():

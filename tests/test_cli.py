@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,3 +293,46 @@ def test_unstable_transport_exits_2_naming_the_step(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: StepUnstable: transport step 1 of ")
     assert err.count("\n") == 1
+
+
+def _sweep_gaps(tmp_path, argv):
+    out = tmp_path / "sweep.csv"
+    assert run(["verify", "sweep", *argv, "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    return [max(map(float, ln.split(",")[-3:])) for ln in lines[1:]]
+
+
+@pytest.mark.parametrize("k, bound", [(1, 1e-9), (3, 0.05)])
+def test_verify_sweep_gap_at_1e4(tmp_path, k, bound):
+    # the unimodular natural frame leaves no offset on the default radial:
+    # k = 1 is at rounding level, k = 3 within acceptance 2's 5%
+    gaps = _sweep_gaps(tmp_path, ["--k", str(k), "--s", "1e4"])
+    assert gaps[-1] <= bound
+
+
+def test_verify_sweep_far_field_folds_without_overflow(tmp_path):
+    # at s = 1e8 the default radial spans log-d differences past e^709;
+    # the fold must not exponentiate the lower triangle
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gaps = _sweep_gaps(tmp_path, ["--k", "0", "--s", "1e8"])
+    assert gaps[-1] <= 1e-9
+
+
+def _raise_linalg(*args, **kwargs):
+    raise np.linalg.LinAlgError("injected failure")
+
+
+def test_transport_linalg_error_exits_2_naming_the_layer(monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(np.linalg, "qr", _raise_linalg)
+    assert run(["verify", "sweep", "--k", "0", "--s", "1e2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: StepUnstable: transport: injected failure\n"
+
+
+def test_other_linalg_error_exits_2_with_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "inv", _raise_linalg)
+    assert run(["verify", "arc", "--k", "1", "--s", "1e2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: LinAlgError: injected failure\n"

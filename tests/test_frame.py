@@ -151,6 +151,18 @@ def test_radial_transport_vs_tropical_k1(sol_k1_s1000):
     assert np.max(np.abs(numeric - target)) / scale < 0.05
 
 
+@pytest.mark.parametrize("path", [
+    [0.3 * cmath.exp(0.27j), 0.9 * cmath.exp(0.27j)],
+    [0.3 + 0.1j, 0.45 + 0.6j],
+], ids=["radial", "chord"])
+def test_natural_frame_triple_sums_to_zero(sol_k1_s1000, path):
+    # the natural frame changes have determinant 1, so the exponents of a
+    # unimodular transport sum to 0, also between endpoints at different |z|
+    numeric = frame.transport_weyl_exponents(sol_k1_s1000, path,
+                                             sol_k1_s1000.s)
+    assert abs(float(np.sum(numeric))) <= 1e-12 * np.max(np.abs(numeric))
+
+
 def test_arc_numeric_no_crossing_identity():
     s = 2000.0
     sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=40))

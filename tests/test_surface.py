@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hitchin_limits import cli, trigroup
 from hitchin_limits import surface as sf
-from hitchin_limits import trigroup
 
 import oracles
 
@@ -345,3 +345,56 @@ def test_path_roundtrip(tmp_path):
         assert a.period == b.period
     for a, b in zip(p.junctions, back.junctions):
         assert a.theta_in == b.theta_in and a.theta_out == b.theta_out
+
+
+@pytest.mark.parametrize("build", [
+    oracles.build_square_torus, oracles.build_l_surface,
+    lambda: oracles.barycentric_refine(oracles.build_square_torus()),
+    lambda: oracles.barycentric_refine(oracles.build_l_surface()),
+    *[lambda k=k: sf.build_polynomial_disk(k, 1.0) for k in range(4)],
+    lambda: trigroup.build_orbifold(3, 3, 4, layers=12).surface,
+    lambda: trigroup.build_orbifold(4, 4, 4, layers=7).surface,
+], ids=["torus", "l-surface", "torus-refined", "l-surface-refined",
+        "disk-k0", "disk-k1", "disk-k2", "disk-k3", "orbifold-334-12",
+        "orbifold-444-7"])
+def test_fan_walk_classes_match_union_find(build):
+    surf = build()
+    classes, fans, angles = oracles.reference_vertex_classes(surf)
+    assert surf.vertex_classes == classes
+    assert surf.fans == fans
+    assert surf.cone_angles == angles
+    for cls, members in enumerate(classes):
+        assert all(surf.class_of(t, v) == cls for t, v in members)
+
+
+def _gluing(a, b, trans=(0.0, 0.0)):
+    return {"edgeA": list(a), "edgeB": list(b), "rot": 0, "trans": list(trans)}
+
+
+_SQUARE = [[[0, 0], [1, 0], [0, 1]], [[1, 1], [0, 1], [1, 0]]]
+_TORUS = [_gluing((0, 1), (1, 1)), _gluing((0, 0), (1, 0), (0, 1)),
+          _gluing((0, 2), (1, 2), (1, 0))]
+_WEDGES = [[[0, 0], [1, 0], [0.5, 0.8]], [[0, 0], [0.5, 0.8], [-0.5, 0.8]],
+           [[0, 0], [-0.5, 0.8], [-1, 0]]]
+
+
+@pytest.mark.parametrize("triangles, gluings, boundary, want", [
+    (_SQUARE, _TORUS + _TORUS[:1], [],
+     ["NotInvolutive: ((0, 1),)", "NotInvolutive: ((1, 1),)"]),
+    (_SQUARE, [_gluing((0, 0), (0, 0)), _TORUS[0], _TORUS[2]], [[1, 0]],
+     ["FixedEdge: ((0, 0),)", "NotInvolutive: ((0, 0),)",
+      "UnmarkedConical: (0, 3.141592653589793)"]),
+    (_WEDGES, [_gluing((0, 2), (1, 0)), _gluing((1, 2), (2, 0)),
+               _gluing((2, 2), (0, 0))], [],
+     ["TransitionMismatch: ((2, 2), (0, 0))", "UnpairedEdge: ((0, 1),)",
+      "UnpairedEdge: ((1, 1),)", "UnpairedEdge: ((2, 1),)",
+      "UnmarkedConical: (0, 3.1415926535897936)"]),
+], ids=["duplicated-edge", "self-glued-edge", "inconsistent-chain"])
+def test_validate_lines_on_malformed_gluings(tmp_path, capsys, triangles,
+                                            gluings, boundary, want):
+    # the lines the union-find classes gave on these malformed gluings
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"triangles": triangles, "gluings": gluings,
+                                "vertexOrders": {}, "boundary": boundary}))
+    assert cli.main(["surface", "validate", "--in", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == want

@@ -6,7 +6,7 @@ import pytest
 
 from hitchin_limits import surface as sf
 from hitchin_limits import trigroup, tropical
-from hitchin_limits.errors import NonDeformable
+from hitchin_limits.errors import DegeneratePath, NonDeformable
 
 import oracles
 
@@ -87,6 +87,26 @@ def test_straight_median_cycle(orb334):
     assert sf.validate_path(cyc) == []
     for s in cyc.segments:
         assert s.length == pytest.approx(math.sqrt(3), abs=1e-9)
+
+
+def test_cycle_closing_in_another_phase_is_rejected(orb334):
+    # the legs of the positive cycle, but the last turn leaves the start's
+    # orbifold type rotated by pi/3: the labels match, the cubic phase
+    # (d/|d|)^3 is flipped
+    surf = orb334.surface
+    start = next(c for c in sorted({surf.class_of(0, v) for v in range(3)})
+                 if surf.fan_closed[c] and surf.vertex_orders[c] == 1)
+    for (t, v) in surf.fans[start]:
+        vec = surf.edge_vector(t, v)
+        try:
+            trigroup.trace_cycle(orb334, start, vec, [math.pi] * 3)
+        except DegeneratePath:
+            continue
+        with pytest.raises(DegeneratePath, match="direction"):
+            trigroup.trace_cycle(orb334, start, vec,
+                                 [math.pi, math.pi, math.pi + math.pi / 3])
+        return
+    pytest.fail("no positive cycle from the order-1 class")
 
 
 def test_rotation_identity_bit_exact(orb334):
