@@ -52,7 +52,6 @@ class ApartmentPoint:
 class Sector:
     index: int
     z_interval: tuple        # z-argument range
-    w_interval: tuple        # natural-chart angle range (lifted)
     branch: tuple            # cube-root factor per coordinate slot
     wall_type_start: str     # type of the wall at the lower boundary
 
@@ -102,15 +101,13 @@ def sector_atlas(k: int) -> SectorAtlas:
     sectors = []
     branch = (1.0 + 0.0j, OMEGA, OMEGA ** 2)  # phi_1 real positive at angle 0
     for m in range(n):
-        w_lo = m * math.pi / 3.0
-        w_hi = (m + 1) * math.pi / 3.0
         wall_type = "II" if m % 2 == 0 else "I"
         sectors.append(Sector(index=m,
                               z_interval=(m * width_z, (m + 1) * width_z),
-                              w_interval=(w_lo, w_hi),
                               branch=branch,
                               wall_type_start=wall_type))
-        branch = _wall_swap(branch, w_hi)
+        # the wall closing sector m sits at natural-chart angle (m+1) pi/3
+        branch = _wall_swap(branch, (m + 1) * math.pi / 3.0)
     atlas = SectorAtlas(k=k, sectors=tuple(sectors))
     if not loop_closure_is_identity(atlas):
         raise AssertionError("sector atlas does not close up around the zero")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import building, frame, polygon, trigroup, tropical, wang
 from . import surface as surf_mod
-from .errors import HitchinLimitsError
+from .errors import ConfigurationInvalid, HitchinLimitsError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -120,23 +120,20 @@ def cmd_polygon_unipotent(args):
     print("U(theta_in, theta_out)^-1 =")
     for row in U:
         print("  [" + ", ".join(_fmt(v) for v in row) + "]")
-    cone = 2 * math.pi * args.n / 3
-    subtend = args.theta_out - args.theta_in
-    if math.pi - 1e-9 <= subtend <= cone - math.pi + 1e-9:
+    try:
         out = polygon.check_entry_nonzero(lifts, args.theta_in, args.theta_out)
-        print(f"paired entry {out['entry']}: {_fmt(out['value'])} (positive)")
-    else:
+    except ConfigurationInvalid:
         print("turn outside the geodesic range; no entry check")
+    else:
+        print(f"paired entry {out['entry']}: {_fmt(out['value'])} (positive)")
     return EXIT_OK
 
 
 def cmd_polygon_scheme(args):
-    rows = polygon.scheme_trace(args.flips)
-    for st in rows:
-        lo, hi = st.sector_angle
-        basis = " ".join(f"{kind}{idx}" for kind, idx in st.basis)
-        tags = "".join(st.eigen_order)
-        print(f"({_fmt(lo)}, {_fmt(hi)})  basis: {basis:24s} eigen: {tags}")
+    for (lo, hi), basis, tags in polygon.scheme_trace(args.flips):
+        labels = " ".join(f"{kind}{idx}" for kind, idx in basis)
+        print(f"({_fmt(lo)}, {_fmt(hi)})  basis: {labels:24s} "
+              f"eigen: {''.join(tags)}")
     return EXIT_OK
 
 
@@ -205,16 +202,18 @@ def _sweep_path(spec, k, radius):
 def cmd_verify_sweep(args):
     s_list = _parse_s_list(args.s)
     pts, period = _sweep_path(args.path, args.k, args.radius)
-    sols = {s: wang.solve_disk(args.k, s, args.radius, wang.decay_fit_grid(s))
-            for s in s_list}
-    rows = frame.convergence_sweep(sols, pts, period, s_list)
-    gaps = [float(np.max(row["gaps"])) for row in rows]
+    target = np.array(tropical.segment_exponents(period).weyl.as_tuple())
+    scale = float(np.max(np.abs(target)))
+    rows = []
+    for s in s_list:
+        sol = wang.solve_disk(args.k, s, args.radius, wang.decay_fit_grid(s))
+        numeric = frame.transport_weyl_exponents(sol, pts, s)
+        rows.append((s, *numeric, *target, *(np.abs(numeric - target) / scale)))
+    gaps = [max(row[-3:]) for row in rows]
     monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
     _write_csv(args.out, ["s", "num_x1", "num_x2", "num_x3",
                           "trop_x1", "trop_x2", "trop_x3",
-                          "gap_x1", "gap_x2", "gap_x3"],
-               [(row["s"], *row["numeric"], *row["tropical"], *row["gaps"])
-                for row in rows])
+                          "gap_x1", "gap_x2", "gap_x3"], rows)
     _diag(f"max relative gap at s={s_list[-1]:g}: {gaps[-1]:.4f}"
           f" (monotone: {monotone})")
     return EXIT_OK

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import StepUnstable
-from .tropical import CBRT4, OMEGA, segment_exponents
+from .tropical import CBRT4, OMEGA
 
 # slot j of every diagonal carries the cosine branch cos(theta - BETA[j]);
 # this matches the Stokes-flip bookkeeping of the polygon module
@@ -262,7 +262,7 @@ def integrate_transport(sol, path, s: float) -> FrameTransport:
 
 
 # ---------------------------------------------------------------------------
-# arcs and sweeps
+# arcs and read-outs
 # ---------------------------------------------------------------------------
 
 def _polar_on_branch(z: complex, branch_angle: float):
@@ -377,21 +377,3 @@ def transport_weyl_exponents(sol, path, s: float):
     except np.linalg.LinAlgError as err:
         raise StepUnstable(f"transport: {err}") from err
     return np.sort(vals)[::-1] / s ** (1.0 / 3.0)
-
-
-def convergence_sweep(solutions: dict, pts, period: complex, s_list):
-    """Numeric-vs-tropical table over a ray sweep.
-
-    solutions maps s to a Wang solution; pts is the chart polyline; period
-    is the natural-chart period of the traced segment.  Rows:
-    (s, numeric triple, tropical triple, relative gaps).
-    """
-    target = np.array(segment_exponents(period).weyl.as_tuple())
-    scale = float(np.max(np.abs(target)))
-    rows = []
-    for s in s_list:
-        numeric = transport_weyl_exponents(solutions[s], pts, s)
-        gaps = np.abs(numeric - target) / scale
-        rows.append({"s": s, "numeric": numeric, "tropical": target,
-                     "gaps": gaps})
-    return rows

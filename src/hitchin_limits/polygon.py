@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationInvalid, StokesEndpoint, WallAmbiguity
 from .frame import titeica_exponents, titeica_frame
-from .surface import GeodesicPath, classify_direction
+from .surface import GeodesicPath
 
 PI = math.pi
 _STOKES_TOL = 1e-10
@@ -98,13 +98,19 @@ def classify_angle_is_special(theta: float, tol: float = 1e-6) -> bool:
     return min(r, PI / 3 - r) <= tol or abs(r - PI / 6) <= tol
 
 
-def sector_of(theta: float) -> int:
-    """Stokes sector index; raises if theta sits on a Stokes ray."""
+def _on_stokes_ray(theta: float) -> bool:
+    """Whether theta lies within _STOKES_TOL of a Stokes ray pi/6 mod pi/3."""
     x = (theta + PI / 6) / (PI / 3)
     frac = x - math.floor(x)
-    if min(frac, 1 - frac) * (PI / 3) <= _STOKES_TOL:
+    return min(frac, 1 - frac) * (PI / 3) <= _STOKES_TOL
+
+
+def sector_of(theta: float) -> int:
+    """Stokes sector index; raises if theta sits on a Stokes ray."""
+    if _on_stokes_ray(theta):
         raise StokesEndpoint(f"angle {theta} lies on a Stokes ray")
-    return int(math.floor(x))
+    return int(math.floor((theta + PI / 6) / (PI / 3)))
+
 
 def wall_interval_of(theta: float) -> int:
     """Wall-to-wall interval index tau with theta in (tau pi/3, (tau+1) pi/3)."""
@@ -128,46 +134,6 @@ def basis_matrix(lifts: PolygonLifts, sigma: int) -> np.ndarray:
 
 def slot_with_tag(theta: float, tag: str) -> int:
     return eigen_tags(wall_interval_of(theta)).index(tag)
-
-
-@dataclass(frozen=True)
-class FlipState:
-    """Position in the flip scheme: a half-sector between consecutive
-    Stokes/wall lines, with its basis and eigenvalue-rank tags."""
-
-    half_sector: int  # interval (h pi/6, (h+1) pi/6)
-
-    @property
-    def sector(self) -> int:
-        return (self.half_sector + 1) // 2
-
-    @property
-    def wall_interval(self) -> int:
-        return self.half_sector // 2
-
-    @property
-    def basis(self):
-        return basis_labels(self.sector)
-
-    @property
-    def eigen_order(self):
-        return eigen_tags(self.wall_interval)
-
-    @property
-    def sector_angle(self):
-        return (self.half_sector * PI / 6, (self.half_sector + 1) * PI / 6)
-
-
-def initial_state() -> FlipState:
-    """The scheme's starting state: basis (r_-1, r_0, r_1) just past the wall
-    at angle 0."""
-    return FlipState(half_sector=0)
-
-
-def flip(state: FlipState) -> FlipState:
-    """Advance past the next Stokes ray (crossing any wall in between)."""
-    h = state.half_sector
-    return FlipState(half_sector=h + 1 if h % 2 == 0 else h + 2)
 
 
 def flip_matrix(lifts: PolygonLifts, sigma: int) -> np.ndarray:
@@ -219,12 +185,19 @@ def check_entry_nonzero(lifts: PolygonLifts, theta_in: float, theta_out: float):
 
 
 def scheme_trace(flips: int):
-    """Basis/eigen-order trace of the scheme over a number of flips."""
-    state = initial_state()
-    rows = [state]
-    for _ in range(flips):
-        state = flip(state)
-        rows.append(state)
+    """The flip scheme's states over a number of Stokes flips, one row
+    ((lo, hi), basis labels, eigenvalue-rank tags) per state.
+
+    A state is a half-sector (h pi/6, (h+1) pi/6) between consecutive
+    Stokes/wall lines: the start h = 0 holds basis (r_-1, r_0, r_1) just
+    past the wall at angle 0, and flip f, past the next Stokes ray (and any
+    wall before it), leads to h = 2f - 1.
+    """
+    rows = []
+    for f in range(flips + 1):
+        h = max(0, 2 * f - 1)
+        rows.append(((h * PI / 6, (h + 1) * PI / 6),
+                     basis_labels((h + 1) // 2), eigen_tags(h // 2)))
     return rows
 
 
@@ -262,7 +235,6 @@ class LeadingTerm:
     s: float
     log_scale: float
     matrix: np.ndarray            # unit max-norm
-    expression: tuple
     wall_ambiguity: bool = False
 
     def norm_exponent(self) -> float:
@@ -287,7 +259,7 @@ def _perturb_stokes_segments(path: GeodesicPath):
         jb = path.junction_after(i - 1)
         ja = path.junction_after(i)
         direction = theta_out[jb] if jb is not None else cmath.phase(seg.period)
-        if classify_direction(direction).tag != "Stokes":
+        if not _on_stokes_ray(direction):
             continue
         for delta in (_STOKES_ETA, -_STOKES_ETA):
             ok = True
@@ -316,8 +288,8 @@ def _path_factors(path: GeodesicPath):
     unipotents live in their junction's chart; a chart change rotating
     directions by 2 pi m/3 contributes the branch permutation P(-m) between
     the factors it separates (closed-path wraps, reversed paths).
-    Yields ("diag", exponent triple per unit s^(1/3)) | ("perm", matrix) |
-    ("uni", matrix, junction index).
+    Yields ("diag", exponent triple per unit s^(1/3)) | ("matrix", M) for a
+    permutation or an arc unipotent.
     """
     n = len(path.segments)
     theta_in, theta_out = _perturb_stokes_segments(path)
@@ -331,13 +303,13 @@ def _path_factors(path: GeodesicPath):
         jn = path.junctions[ja]
         m_in = _chart_mismatch(phase + PI, theta_in[ja])
         if m_in:
-            yield ("perm", _branch_permutation(-m_in))
+            yield ("matrix", _branch_permutation(-m_in))
         lifts = regular_lifts(jn.order + 3)
-        yield ("uni", arc_unipotent(lifts, theta_in[ja], theta_out[ja]), ja)
+        yield ("matrix", arc_unipotent(lifts, theta_in[ja], theta_out[ja]))
         nxt = path.segments[(i + 1) % n]
         m_out = _chart_mismatch(theta_out[ja], cmath.phase(nxt.period))
         if m_out:
-            yield ("perm", _branch_permutation(-m_out))
+            yield ("matrix", _branch_permutation(-m_out))
 
 
 def leading_term(path: GeodesicPath, s: float = 1.0) -> LeadingTerm:
@@ -352,7 +324,6 @@ def leading_term(path: GeodesicPath, s: float = 1.0) -> LeadingTerm:
     S, S_inv = titeica_frame()
     log_scale = 0.0
     M = np.eye(3, dtype=complex)
-    expression = []
     wall_flag = False
 
     def push(factor, ls=0.0):
@@ -362,20 +333,15 @@ def leading_term(path: GeodesicPath, s: float = 1.0) -> LeadingTerm:
         M = M / scale
         log_scale += math.log(scale) + ls
 
-    for idx, factor in enumerate(_path_factors(path)):
-        if factor[0] == "diag":
-            exps = factor[1] * s ** (1.0 / 3.0)
+    for kind, factor in _path_factors(path):
+        if kind == "diag":
+            exps = factor * s ** (1.0 / 3.0)
             top = float(np.max(exps))
             if np.sum(exps >= top - 1e-9 * max(1.0, abs(top))) > 1:
                 wall_flag = True
             push(np.diag(np.exp(exps - top)).astype(complex), ls=top)
-            expression.append(("D_inv", idx, tuple(exps)))
-        elif factor[0] == "perm":
-            push(factor[1].astype(complex))
-            expression.append(("seam", idx))
         else:
-            push(factor[1].astype(complex))
-            expression.append(("U_inv", idx, factor[2]))
+            push(factor.astype(complex))
 
     if wall_flag:
         warnings.warn("a segment runs along a Weyl wall; the leading term "
@@ -383,8 +349,7 @@ def leading_term(path: GeodesicPath, s: float = 1.0) -> LeadingTerm:
     A = S @ M @ S_inv
     scale = float(np.max(np.abs(A)))
     return LeadingTerm(s=s, log_scale=log_scale + math.log(scale),
-                       matrix=A / scale, expression=tuple(expression),
-                       wall_ambiguity=wall_flag)
+                       matrix=A / scale, wall_ambiguity=wall_flag)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +377,9 @@ def tropical_norm_exponent(path: GeodesicPath) -> float:
     the eigenvalue alignment and produces a strict deficit.
     """
     state = np.zeros(3)  # max-plus column vector over slots
-    for factor in _path_factors(path):
-        if factor[0] == "diag":
-            state = state + factor[1]
+    for kind, factor in _path_factors(path):
+        if kind == "diag":
+            state = state + factor
         else:
-            state = max_plus_step(state, factor[1])
+            state = max_plus_step(state, factor)
     return float(np.max(state))

@@ -22,7 +22,6 @@ TWO_PI = 2.0 * math.pi
 
 _ANGLE_TOL = 1e-9       # cone-angle closure and turn-angle comparisons
 _EDGE_TOL = 1e-12       # relative tolerance on glued edge lengths
-_DIRECTION_TOL = 1e-10  # Stokes / Weyl-wall classification
 _POS_TOL = 1e-9         # absolute position tolerance in developments
 
 
@@ -74,27 +73,6 @@ class SaddleConnection:
 
     def reversed(self) -> "SaddleConnection":
         return SaddleConnection(self.end, self.start, -self.period)
-
-
-@dataclass(frozen=True)
-class DirectionClass:
-    tag: str  # "Regular" | "Stokes" | "WeylWall"
-    chart_angle: float
-
-
-def classify_direction(chart_angle: float) -> DirectionClass:
-    """Classify a natural-chart direction.
-
-    Stokes directions sit at pi/6 mod pi/3, Weyl walls at 0 mod pi/3.
-    """
-    if not math.isfinite(chart_angle):
-        raise ValueError("chart angle must be finite")
-    r = chart_angle % (math.pi / 3.0)
-    if min(r, math.pi / 3.0 - r) <= _DIRECTION_TOL:
-        return DirectionClass("WeylWall", chart_angle)
-    if abs(r - math.pi / 6.0) <= _DIRECTION_TOL:
-        return DirectionClass("Stokes", chart_angle)
-    return DirectionClass("Regular", chart_angle)
 
 
 @dataclass(frozen=True)
@@ -207,34 +185,24 @@ def synthesize_path(lengths, turns, orders, start_angle=0.0, closed=False):
     if len(turns) != want or len(orders) != want:
         raise ValueError("need one turn/order per junction")
     angles = [start_angle]
-    juncs_open = []
-    for i in range(n - 1):
-        k = orders[i]
+    juncs = []
+    for i, (ccw, k) in enumerate(zip(turns, orders)):
         cone = TWO_PI * (1.0 + k / 3.0)
-        ccw = turns[i]
         if ccw < math.pi - _ANGLE_TOL or ccw > cone - math.pi + _ANGLE_TOL:
             raise ValueError(f"turn {ccw} out of geodesic range at junction {i}")
         theta_in = angles[-1] + math.pi
         theta_out = theta_in + ccw
-        juncs_open.append(Junction(order=k, theta_in=theta_in, theta_out=theta_out))
+        juncs.append(Junction(order=k, theta_in=theta_in, theta_out=theta_out))
         angles.append(theta_out)
     segs = tuple(SaddleConnection(-1, -1, L * cmath.exp(1j * a))
                  for L, a in zip(lengths, angles))
-    if not closed:
-        return GeodesicPath(segs, tuple(juncs_open), False)
-    k = orders[-1]
-    cone = TWO_PI * (1.0 + k / 3.0)
-    ccw = turns[-1]
-    if ccw < math.pi - _ANGLE_TOL or ccw > cone - math.pi + _ANGLE_TOL:
-        raise ValueError("wrap-around turn out of geodesic range")
-    theta_in = angles[-1] + math.pi
-    theta_out = theta_in + ccw
-    resid = (theta_out - start_angle) % (TWO_PI / 3.0)
-    if min(resid, TWO_PI / 3.0 - resid) > 1e-7:
-        raise ValueError("wrap-around turn incompatible with the start angle "
-                         "(must close up modulo 2*pi/3)")
-    wrap = Junction(order=k, theta_in=theta_in, theta_out=theta_out)
-    return GeodesicPath(segs, (wrap,) + tuple(juncs_open), True)
+    if closed:
+        resid = (angles[-1] - start_angle) % (TWO_PI / 3.0)
+        if min(resid, TWO_PI / 3.0 - resid) > 1e-7:
+            raise ValueError("wrap-around turn incompatible with the start "
+                             "angle (must close up modulo 2*pi/3)")
+        juncs.insert(0, juncs.pop())     # the wrap-around is junctions[0]
+    return GeodesicPath(segs, tuple(juncs), closed)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +511,6 @@ class RayHit:
     """
 
     cls: int
-    distance: float
     point: complex
     tri: int
     vertex: int
@@ -640,7 +607,7 @@ def _trace(surface, tri, vtx, u, b, d, max_len, diag, examine):
             if dist > max_len + _POS_TOL:
                 return None
             if surface.is_marked(cls):
-                return RayHit(cls, dist, pos, tri, vtx, u)
+                return RayHit(cls, pos, tri, vtx, u)
             if not surface.is_flat(cls):
                 diag.clipped += 1
                 return None
@@ -748,8 +715,9 @@ def _segment_min_dist(p, q):
 
 
 def _wedge_search(surface, seed_tri, seed_v, max_len, diag, record):
-    """Develop the view from corner (seed_tri, seed_v), recording every
-    marked vertex visible strictly inside the corner wedge within max_len."""
+    """Develop the view from corner (seed_tri, seed_v), recording (as a
+    RayHit) every marked vertex visible strictly inside the corner wedge
+    within max_len."""
     b0 = -complex(surface.coords(seed_tri, seed_v))
     lo = surface.edge_vector(seed_tri, seed_v)
     hi = -surface.edge_vector(seed_tri, (seed_v + 2) % 3)
@@ -782,12 +750,10 @@ def _wedge_search(surface, seed_tri, seed_v, max_len, diag, record):
             cls = surface.class_of(tri, apex)
             if abs(pa) <= max_len + _POS_TOL:
                 if surface.is_marked(cls):
-                    record(cls, pa, tri, apex, u)
+                    record(RayHit(cls, pa, tri, apex, u))
                 elif surface.is_flat(cls):
-                    hit = _trace(surface, tri, apex, u, b, da, max_len, diag,
-                                 examine=False)
-                    if hit is not None:
-                        record(hit.cls, hit.point, hit.tri, hit.vertex, hit.u)
+                    record(_trace(surface, tri, apex, u, b, da, max_len, diag,
+                                  examine=False))
             children = [(wlo, da), (da, whi)]
         else:
             children = [(wlo, whi)]
@@ -825,41 +791,40 @@ def enumerate_saddle_connections(surface: CubicSurface,
     hits = []
 
     def make_recorder(start_cls, dep_tri, dep_v):
-        def record(end_cls, period, tri, vtx, u):
+        def record(hit):
+            """Keep a RayHit (a ray that found none is None)."""
+            if hit is None:
+                return
+            period = hit.point
             if abs(period) <= _POS_TOL or abs(period) > max_length + _POS_TOL:
                 return
             d = period / abs(period)
             dep_key = (dep_tri, dep_v, round(cmath.phase(d) % TWO_PI, 7))
-            (t, v), back = claim_corner(surface, tri, vtx,
-                                        (-d) * u.conjugate())
+            (t, v), back = claim_corner(surface, hit.tri, hit.vertex,
+                                        (-d) * hit.u.conjugate())
             arr_key = (t, v, round(cmath.phase(back) % TWO_PI, 7))
-            hits.append(_DirectedHit(start_cls, end_cls, period, dep_key, arr_key))
+            hits.append(_DirectedHit(start_cls, hit.cls, period, dep_key,
+                                     arr_key))
         return record
 
     for cls in surface.marked_classes():
         fan = surface.fans[cls]
         for idx, (t, v) in enumerate(fan):
             record = make_recorder(cls, t, v)
-            _follow_edge(surface, t, v, (v + 1) % 3, max_length, diag, record)
+            # the rays along the corner's first edge, and along the open
+            # fan's last edge, continuing straight past flat endpoints
+            ends = [v + 1]
             if not surface.fan_closed[cls] and idx == len(fan) - 1:
-                _follow_edge(surface, t, v, (v + 2) % 3, max_length, diag,
-                             record)
+                ends.append(v + 2)
+            for w in ends:
+                edge = surface.coords(t, w) - surface.coords(t, v)
+                record(_trace(surface, t, v, 1.0 + 0j,
+                              -complex(surface.coords(t, v)), edge / abs(edge),
+                              max_length, diag, examine=False))
             _wedge_search(surface, t, v, max_length, diag, record)
 
     conns = _dedup_hits(hits)
     return EnumerationResult(conns, diag.clipped)
-
-
-def _follow_edge(surface, t, v, w, max_length, diag, record):
-    """Record the segment from vertex v of triangle t along its edge to
-    vertex w (continuing straight past unmarked flat endpoints)."""
-    vec = surface.coords(t, w) - surface.coords(t, v)
-    if abs(vec) > max_length + _POS_TOL:
-        return
-    hit = _trace(surface, t, w, 1.0 + 0j, -complex(surface.coords(t, v)),
-                 vec / abs(vec), max_length, diag, examine=True)
-    if hit is not None:
-        record(hit.cls, hit.point, hit.tri, hit.vertex, hit.u)
 
 
 def _dedup_hits(hits):

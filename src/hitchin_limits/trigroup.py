@@ -334,7 +334,6 @@ def distinct_direction_count(curve_classes) -> int:
 class BoundaryProbe:
     min_pairwise: float
     insufficient_family: bool
-    theta_count: int
 
 
 def boundary_injectivity_probe(curve_classes, theta_grid) -> BoundaryProbe:
@@ -348,8 +347,7 @@ def boundary_injectivity_probe(curve_classes, theta_grid) -> BoundaryProbe:
     insufficient = distinct_direction_count(curve_classes) < 2
     if len(thetas) < 2:
         return BoundaryProbe(min_pairwise=math.inf,
-                             insufficient_family=insufficient,
-                             theta_count=len(thetas))
+                             insufficient_family=insufficient)
     spectra = []
     for th in thetas:
         spectra.append(spectrum(rotated_paths(curve_classes, th))
@@ -358,5 +356,4 @@ def boundary_injectivity_probe(curve_classes, theta_grid) -> BoundaryProbe:
     for i in range(len(thetas)):
         for j in range(i + 1, len(thetas)):
             best = min(best, float(np.linalg.norm(spectra[i] - spectra[j])))
-    return BoundaryProbe(min_pairwise=best, insufficient_family=insufficient,
-                         theta_count=len(thetas))
+    return BoundaryProbe(min_pairwise=best, insufficient_family=insufficient)

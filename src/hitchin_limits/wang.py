@@ -276,10 +276,7 @@ def error_values(sol: WangSolution):
 
 @dataclass(frozen=True)
 class ErrorField:
-    rs: np.ndarray
-    F: np.ndarray                 # F on the interior rings
     fitted_exponent: float        # m_hat from log F ~ -m_hat * natural radius
-    points_used: int = 0
 
 
 def natural_radius(r, k):
@@ -289,7 +286,7 @@ def natural_radius(r, k):
 
 
 def error_field(sol: WangSolution) -> ErrorField:
-    """F on the rings plus the fitted radial decay exponent.
+    """The fitted radial decay exponent of F on the rings.
 
     F behaves like a screened-Laplacian kernel, exp(-m rho)/sqrt(rho) in the
     natural radius rho, so the regression fits log(F sqrt(rho)) against rho;
@@ -312,8 +309,7 @@ def error_field(sol: WangSolution) -> ErrorField:
     x = natural_radius(rs[mask], sol.k)
     y = np.log(F[mask]) + 0.5 * np.log(x)
     slope, _ = np.polyfit(x, y, 1)
-    return ErrorField(rs=rs, F=F, fitted_exponent=float(-slope),
-                      points_used=int(mask.sum()))
+    return ErrorField(fitted_exponent=float(-slope))
 
 
 def decay_fit_grid(s: float) -> GridSpec:

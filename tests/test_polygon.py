@@ -92,23 +92,24 @@ def test_scheme_trace_matches_table():
         (("r", 2), ("r", 3), ("q", 2)),
         (("r", 2), ("r", 3), ("r", 4)),
     ]
-    assert [st.basis for st in rows] == expected
-    assert rows[0].eigen_order == ("s", "l", "m")
+    assert [basis for _, basis, _ in rows] == expected
+    assert rows[0][2] == ("s", "l", "m")
+    # the start half-sector (0, pi/6), then (2f - 1) pi/6 onward after flip f
+    assert [lo for (lo, _), _, _ in rows] == pytest.approx(
+        [0.0] + [(2 * f - 1) * PI / 6 for f in range(1, 7)])
     # six flips advance all indices by 3
-    assert rows[6].basis == tuple((kind, idx + 3) for kind, idx in rows[0].basis)
+    assert rows[6][1] == tuple((kind, idx + 3) for kind, idx in rows[0][1])
 
 
 def test_flip_replaces_smallest_slot():
     # the replaced slot carries the smallest eigenvalue at the crossing; the
     # tags at the crossing are those of the wall interval containing the
     # Stokes ray, i.e. the post-flip half-sector
-    state = pg.initial_state()
-    for _ in range(24):
-        nxt = pg.flip(state)
-        changed = [i for i in range(3) if state.basis[i] != nxt.basis[i]]
+    rows = pg.scheme_trace(24)
+    for (_, basis, _), (_, nxt, tags) in zip(rows, rows[1:]):
+        changed = [i for i in range(3) if basis[i] != nxt[i]]
         assert len(changed) == 1
-        assert nxt.eigen_order[changed[0]] == "s"
-        state = nxt
+        assert tags[changed[0]] == "s"
 
 
 def test_tags_match_cosine_ranks():

@@ -5,8 +5,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hitchin_limits import cli, trigroup
+from hitchin_limits import cli, polygon, trigroup
 from hitchin_limits import surface as sf
+from hitchin_limits.errors import StokesEndpoint
 
 import oracles
 
@@ -41,15 +42,21 @@ def test_disk_stokes_ray_count():
               if (a := math.pi / 6 + m * math.pi / 3) < cone - 1e-12]
     assert len(stokes) == 2 * (k + 3) == 12
     for a in stokes:
-        assert sf.classify_direction(a).tag == "Stokes"
+        with pytest.raises(StokesEndpoint):
+            polygon.sector_of(a)
 
 
-def test_classify_direction():
-    assert sf.classify_direction(math.pi / 6).tag == "Stokes"
-    assert sf.classify_direction(0.0).tag == "WeylWall"
-    assert sf.classify_direction(0.2).tag == "Regular"
-    assert sf.classify_direction(math.pi / 3).tag == "WeylWall"
-    assert sf.classify_direction(math.pi / 6 + 5 * math.pi / 3).tag == "Stokes"
+def test_stokes_rays_and_weyl_walls():
+    # Stokes rays at pi/6 mod pi/3 have no sector; walls at 0 mod pi/3 are
+    # special directions but not Stokes rays, 0.2 is neither
+    for a in (math.pi / 6, math.pi / 6 + 5 * math.pi / 3):
+        with pytest.raises(StokesEndpoint):
+            polygon.sector_of(a)
+    for a in (0.0, math.pi / 3):
+        polygon.sector_of(a)
+        assert polygon.classify_angle_is_special(a)
+    polygon.sector_of(0.2)
+    assert not polygon.classify_angle_is_special(0.2)
 
 
 def test_torus_valid_and_flat():
