@@ -11,7 +11,8 @@ Transport and arc comparisons work on arrays: the Wang field is sampled once
 on all RK4 nodes of a path or arc (neighbouring steps share their common
 node, also across the joints of a path's segments), and the generators, RK4
 propagators and their ordered products are batched (..., 3, 3) matmuls, in
-chunks of bounded size.  Transport folds the product of each chunk into
+chunks of bounded size.  Both form their propagators with one RK4 step
+formula, which also rejects a step that is not finite or exceeds e^10.  Transport folds the product of each chunk into
 the factored form once, the discrete QR method of Dieci, Russell & Van Vleck
 (SIAM J. Numer. Anal. 34, 1997); a transport chunk is shortened where its
 growth bound would otherwise exceed what double precision resolves.
@@ -193,6 +194,20 @@ def _transport_generators(phi, dz_phi, q, dz):
     return gens
 
 
+def _rk4_steps(f1, mid, end):
+    """RK4 propagators I + (f1 + 2 f2 + 2 f3 + f4) / 6 of X' = A(t) X over m
+    steps, from the (m, 3, 3) generators h A at the start, middle and end of
+    each step; and the index of the first step that is not finite or has an
+    entry above e^10, or -1 when there is none."""
+    f2 = mid @ (_I3 + 0.5 * f1)
+    f3 = mid @ (_I3 + 0.5 * f2)
+    f4 = end @ (_I3 + f3)
+    steps = _I3 + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
+    bad = ~np.isfinite(steps).all(axis=(1, 2))
+    bad |= np.abs(steps).max(axis=(1, 2)) > math.exp(10)
+    return steps, (int(np.argmax(bad)) if bad.any() else -1)
+
+
 def integrate_transport(sol, path, s: float) -> FrameTransport:
     """RK4 transport of the structure-equation connection along a polyline.
 
@@ -240,18 +255,10 @@ def integrate_transport(sol, path, s: float) -> FrameTransport:
         part = slice(2 * lo, 2 * hi + 1)
         # a non-finite field or step is reported below, not warned about
         with np.errstate(invalid="ignore", over="ignore"):
-            # RK4 on X' = A(t) X, A at the start, middle and end of each step
-            f1, mid, end = _transport_generators(phi[part], dz_phi[part],
-                                                 s * nodes[part] ** sol.k,
-                                                 dz[lo:hi])
-            f2 = mid @ (_I3 + 0.5 * f1)
-            f3 = mid @ (_I3 + 0.5 * f2)
-            f4 = end @ (_I3 + f3)
-            steps = _I3 + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
-            bad = ~np.isfinite(steps).all(axis=(1, 2))
-            bad |= np.abs(steps).max(axis=(1, 2)) > math.exp(10)
-        if bad.any():
-            i = lo + int(np.argmax(bad))
+            steps, bad = _rk4_steps(*_transport_generators(
+                phi[part], dz_phi[part], s * nodes[part] ** sol.k, dz[lo:hi]))
+        if bad >= 0:
+            i = lo + bad
             j = int(np.searchsorted(stops, i, side="right"))
             raise StepUnstable(f"transport step {i - stops[j] + ns[j] + 1} of "
                                f"{ns[j]} at z={complex(nodes[2 * i]):.6g} is "
@@ -308,7 +315,8 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
     triple product (which loses all precision at desk scale) never appears.
     In the natural chart the connection keeps the structure-equation form with
     q = 1 and phi_w = phi - 2 log|w'|; for the constant differential the
-    integrand vanishes identically.
+    integrand vanishes identically.  A step that is not finite or has an
+    entry above e^10 raises StepUnstable naming it as arc step j of n.
     """
     n_steps = max(256, int(96 * abs(theta1 - theta0) * s ** (1 / 3)))
     S, S_inv = titeica_frame()
@@ -326,21 +334,24 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
     phi_w = sol.phi_at(z) - 2.0 * np.log(np.abs(wp))
     dphi_w = (sol.dz_phi_at(z) - (k / 3.0) / z) / wp
 
-    # RK4 on M' = M A: M advances by M P with one propagator P per step
+    # M' = M A is X' = A^T X for X = M^T: RK4 steps of X, transposed back,
+    # advance M by M P with one propagator P per step
     M = _I3
     for lo in range(0, n_steps, _CHUNK_STEPS):
         part = slice(2 * lo, 2 * min(lo + _CHUNK_STEPS, n_steps) + 1)
-        U_w, V_w = structure_coefficients(phi_w[part], dphi_w[part], 1.0)
-        xd = xdot[part, None, None]
-        W = (U_w - U_T) * xd + (V_w - V_T) * xd.conjugate()
-        Dp = D[part]
-        A = (S_inv @ W @ S) * np.exp(Dp[:, :, None] - Dp[:, None, :])
-        A1, A2, A4 = A[:-1:2], A[1::2], A[2::2]
-        K2 = (_I3 + 0.5 * h * A1) @ A2
-        K3 = (_I3 + 0.5 * h * K2) @ A2
-        K4 = (_I3 + h * K3) @ A4
-        steps = _I3 + (h / 6.0) * (A1 + 2 * K2 + 2 * K3 + K4)
-        M = M @ _ordered_product(steps)
+        with np.errstate(invalid="ignore", over="ignore"):
+            U_w, V_w = structure_coefficients(phi_w[part], dphi_w[part], 1.0)
+            xd = xdot[part, None, None]
+            W = (U_w - U_T) * xd + (V_w - V_T) * xd.conjugate()
+            Dp = D[part]
+            A = (S_inv @ W @ S) * np.exp(Dp[:, :, None] - Dp[:, None, :])
+            hAT = h * A.transpose(0, 2, 1)
+            steps, bad = _rk4_steps(hAT[:-1:2], hAT[1::2], hAT[2::2])
+        if bad >= 0:
+            j = lo + bad
+            raise StepUnstable(f"arc step {j + 1} of {n_steps} at theta="
+                               f"{t[2 * j]:.6g} is not finite or exceeds e^10")
+        M = M @ _ordered_product(steps.transpose(0, 2, 1))
     return S @ M @ S_inv
 
 

@@ -280,7 +280,8 @@ class CubicSurface:
         """Number the vertex classes by walking the fan of each corner not
         yet seen, in corner order; a class's members are its fan's corners.
         (A non-involutive gluing, which validate reports, can lead the walk
-        away from its start corner; that corner still joins the class.)"""
+        away from its start corner, even onto a fan that already has a
+        class; the start corner joins the class of the fan it lands on.)"""
         self._class_of = {}
         self._fan_offset = {}
         self.vertex_classes = []
@@ -292,6 +293,12 @@ class CubicSurface:
                 if (t, v) in self._class_of:
                     continue
                 fan, closed = walk_fan(self._edge_map, (t, v))
+                if fan[0] in self._class_of:
+                    cls = self._class_of[fan[0]]
+                    self._class_of[(t, v)] = cls
+                    self.vertex_classes[cls] = sorted(
+                        {(t, v), *self.vertex_classes[cls]})
+                    continue
                 self._class_of[(t, v)] = len(self.fans)
                 angle = 0.0
                 for corner in fan:

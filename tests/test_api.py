@@ -107,6 +107,34 @@ def test_every_private_function_is_used_by_the_package():
     assert sorted(private - used) == []
 
 
+def _is_dataclass(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a package dataclass is read as an attribute (an AST
+    Load) by package code or by a test.  Reads are matched by name only, so
+    a field that shares its name with an attribute read elsewhere passes
+    unread: a field ``rs`` would pass on the reads of ``sol.rs``."""
+    modules = _modules()
+    tests = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "tests").glob("*.py"))]
+    read = {node.attr for tree in [*modules.values(), *tests]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    fields = [(module, node.name, item.target.id)
+              for module, tree in modules.items() for node in tree.body
+              if isinstance(node, ast.ClassDef)
+              and any(map(_is_dataclass, node.decorator_list))
+              for item in node.body if isinstance(item, ast.AnnAssign)
+              and isinstance(item.target, ast.Name)]
+    assert fields
+    assert [f for f in fields if f[2] not in read] == []
+
+
 def test_commands_and_solvers_import_no_scipy():
     # a fresh interpreter: the CLI module, the Titeica frame and one Wang
     # solve leave no scipy module behind

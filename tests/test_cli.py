@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -293,6 +294,39 @@ def test_unstable_transport_exits_2_naming_the_step(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: StepUnstable: transport step 1 of ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, argv", [
+    (lambda self, z: math.nan, ["--s", "1e2"]),
+    (None, ["--s", "3e5", "--theta0", "0.04", "--theta1", "0.75"]),
+], ids=["nan-field", "s-3e5"])
+def test_unstable_arc_exits_2_naming_the_step(monkeypatch, capsys, field,
+                                              argv):
+    # a NaN field, and the F-precision blow-up at k = 1, s = 3e5, which
+    # used to print an error of 2e9 with exit 0
+    if field is not None:
+        monkeypatch.setattr(cli.wang.WangSolution, "phi_at", field)
+    assert run(["verify", "arc", "--k", "1", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: StepUnstable: arc step ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, monotone", [
+    (["--k", "0", "--s", "1e2,1e4,1e8"], True),
+    (["--k", "0", "--s", "1e2,1e10", "--path", "radial:0.5,0.55,0.27"],
+     False),
+])
+def test_sweep_monotone_flag_forgives_rounding_level_gaps(tmp_path, capsys,
+                                                         argv, monotone):
+    # gaps 1.5e-12, 2.8e-13, 2.1e-11 are rounding-level; 1.0e-8 at s = 1e10
+    # is the step-floor error, not rounding
+    assert run(["verify", "sweep", *argv,
+                "--out", str(tmp_path / "sweep.csv")]) == 0
+    err = capsys.readouterr().err
+    line = re.fullmatch(r"max relative gap at s=\S+: \d\.\d{3}e-\d\d "
+                        r"\(monotone: (\w+)\)\n", err)
+    assert line and line[1] == str(monotone)
 
 
 def _sweep_gaps(tmp_path, argv):

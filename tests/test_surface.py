@@ -396,7 +396,13 @@ _WEDGES = [[[0, 0], [1, 0], [0.5, 0.8]], [[0, 0], [0.5, 0.8], [-0.5, 0.8]],
      ["TransitionMismatch: ((2, 2), (0, 0))", "UnpairedEdge: ((0, 1),)",
       "UnpairedEdge: ((1, 1),)", "UnpairedEdge: ((2, 1),)",
       "UnmarkedConical: (0, 3.1415926535897936)"]),
-], ids=["duplicated-edge", "self-glued-edge", "inconsistent-chain"])
+    (_SQUARE, _TORUS + [_gluing((0, 1), (1, 2))], [],
+     ["EdgeLengthMismatch: ((0, 1), (1, 2))",
+      "TransitionMismatch: ((0, 1), (1, 2))",
+      "NotInvolutive: ((0, 1),)", "NotInvolutive: ((1, 2),)",
+      "UnmarkedConical: (0, 2.356194490192345)"]),
+], ids=["duplicated-edge", "self-glued-edge", "inconsistent-chain",
+        "extra-gluing"])
 def test_validate_lines_on_malformed_gluings(tmp_path, capsys, triangles,
                                             gluings, boundary, want):
     # the lines the union-find classes gave on these malformed gluings
