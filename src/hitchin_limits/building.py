@@ -45,110 +45,54 @@ class ApartmentPoint:
 
 
 # ---------------------------------------------------------------------------
-# sector atlas
+# sectors and their branches
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sector:
-    index: int
-    z_interval: tuple        # z-argument range
-    branch: tuple            # cube-root factor per coordinate slot
-    wall_type_start: str     # type of the wall at the lower boundary
-
-
-@dataclass(frozen=True)
-class SectorAtlas:
-    k: int
-    sectors: tuple
-
-    @property
-    def count(self):
-        return len(self.sectors)
-
-    def sector_of(self, z: complex) -> Sector:
-        if z == 0:
-            raise OriginSingular("the cone point is not in any sector chart")
-        psi = cmath.phase(z) % TWO_PI
-        width = math.pi / (self.k + 3)
-        idx = min(int(psi / width), len(self.sectors) - 1)
-        return self.sectors[idx]
-
-
-def _wall_swap(branch, wall_angle):
-    """Swap the two coordinates whose branch values collide on the wall."""
-    vals = [cmath.exp(1j * wall_angle) * c for c in branch]
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    best = min(pairs, key=lambda ab: abs(vals[ab[0]].real - vals[ab[1]].real))
-    a, b = best
-    if abs(vals[a].real - vals[b].real) > 1e-9:
-        raise ValueError("no colliding pair on the wall")
-    out = list(branch)
-    out[a], out[b] = out[b], out[a]
-    return tuple(out)
-
-
-def sector_atlas(k: int) -> SectorAtlas:
-    """Wall-bounded sector charts with continuity-propagated branch labels.
-
-    Sector 0 starts at the type-II wall along the positive axis, where the
-    first cube root is fixed real and positive; each wall crossing swaps the
-    two colliding labels (a single Weyl reflection).
-    """
+def sector_index(k: int, z: complex) -> int:
+    """Index m of the sector arg z in [m pi/(k+3), (m+1) pi/(k+3)), with arg z
+    taken in [0, 2 pi).  Sector 0 starts at the type-II wall along the
+    positive axis; the walls alternate type II, I around the zero."""
     if k < 0:
         raise ValueError("zero order must be >= 0")
-    n = 2 * (k + 3)
-    width_z = math.pi / (k + 3)
-    sectors = []
-    branch = (1.0 + 0.0j, OMEGA, OMEGA ** 2)  # phi_1 real positive at angle 0
-    for m in range(n):
-        wall_type = "II" if m % 2 == 0 else "I"
-        sectors.append(Sector(index=m,
-                              z_interval=(m * width_z, (m + 1) * width_z),
-                              branch=branch,
-                              wall_type_start=wall_type))
-        # the wall closing sector m sits at natural-chart angle (m+1) pi/3
-        branch = _wall_swap(branch, (m + 1) * math.pi / 3.0)
-    atlas = SectorAtlas(k=k, sectors=tuple(sectors))
-    if not loop_closure_is_identity(atlas):
-        raise AssertionError("sector atlas does not close up around the zero")
-    return atlas
+    if z == 0:
+        raise OriginSingular("the cone point is not in any sector chart")
+    psi = cmath.phase(z) % TWO_PI
+    width = math.pi / (k + 3)
+    return min(int(psi / width), 2 * (k + 3) - 1)
 
 
-def loop_closure_is_identity(atlas: SectorAtlas) -> bool:
-    """Composing all wall transitions once around the puncture must return
-    the starting labels, after accounting for the chart monodromy w ->
-    e^(2 pi i (k+3)/3) w."""
-    k = atlas.k
-    n = atlas.count
-    branch_end = _wall_swap(atlas.sectors[-1].branch,
-                            n * math.pi / 3.0)
-    mono = cmath.exp(-2j * math.pi * (k + 3) / 3.0)
-    want = tuple(c * mono for c in atlas.sectors[0].branch)
-    return all(abs(a - b) < 1e-9 for a, b in zip(branch_end, want))
+def _branch(w: complex) -> tuple:
+    """The cube roots (1, omega, omega^2) in slot order at natural coordinate
+    w: the values -Re(c w) as (smallest, largest, middle).
+
+    This is the labelling that continuation from sector 0 gives: each wall
+    swaps exactly the two values that cross on it (one Weyl reflection), so
+    every sector keeps sector 0's order, and the chart monodromy w -> omega^k
+    w only permutes the roots, so the labels close up around the zero."""
+    lo, mid, hi = sorted((1.0 + 0.0j, OMEGA, OMEGA ** 2),
+                         key=lambda c: -(c * w).real)
+    return lo, hi, mid
 
 
-def local_model_eval(k: int, z: complex, atlas: SectorAtlas = None) -> ApartmentPoint:
+def local_model_eval(k: int, z: complex) -> ApartmentPoint:
     """u_k(z): the triple of -2^(2/3) Re of the cube-root integrals from the
     zero, in the branch of the sector containing z."""
     z = complex(z)
     if z == 0:
         raise OriginSingular("local model undefined at the cone point")
-    atlas = atlas or sector_atlas(k)
-    sec = atlas.sector_of(z)
     w = natural_coordinate(z, k, math.pi)   # the branch arg z in [0, 2 pi]
-    vals = [-CBRT4 * (c * w).real for c in sec.branch]
+    vals = [-CBRT4 * (c * w).real for c in _branch(w)]
     vals[2] = -(vals[0] + vals[1])  # kill the rounding part of the trace
     return ApartmentPoint(*vals)
 
 
-def sector_image_angle(atlas: SectorAtlas, m: int) -> float:
+def sector_image_angle(k: int, m: int) -> float:
     """Opening angle in the apartment of the image of sector m."""
-    k = atlas.k
-    sec = atlas.sectors[m]
-    z_lo = cmath.exp(1j * (sec.z_interval[0] + 1e-12))
-    z_hi = cmath.exp(1j * (sec.z_interval[1] - 1e-12))
-    a = local_model_eval(k, z_lo, atlas).as_array()
-    b = local_model_eval(k, z_hi, atlas).as_array()
+    width = math.pi / (k + 3)
+    z_lo = cmath.exp(1j * (m * width + 1e-12))
+    z_hi = cmath.exp(1j * ((m + 1) * width - 1e-12))
+    a = local_model_eval(k, z_lo).as_array()
+    b = local_model_eval(k, z_hi).as_array()
     cosang = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
     return float(math.acos(max(-1.0, min(1.0, cosang))))
 
@@ -161,7 +105,6 @@ def cone_distance(k: int, p: complex, q: complex) -> float:
     """|q0|^(2/3)-distance on the model cone (natural units)."""
     wp = natural_coordinate(p, k, math.pi)
     wq = natural_coordinate(q, k, math.pi)
-    cone = TWO_PI * (1.0 + k / 3.0)
     dpsi = abs((cmath.phase(p) - cmath.phase(q)) % TWO_PI)
     dth = min(dpsi, TWO_PI - dpsi) * (k + 3) / 3.0
     if dth >= math.pi:
@@ -169,7 +112,7 @@ def cone_distance(k: int, p: complex, q: complex) -> float:
     return abs(abs(wp) - abs(wq) * cmath.exp(1j * dth))
 
 
-def flat_isometry_check(k: int, sample_pairs, atlas: SectorAtlas = None) -> float:
+def flat_isometry_check(k: int, sample_pairs) -> float:
     """Max relative deviation of |u(p) - u(q)| from sqrt(3) 2^(1/6) d_q0(p,q).
 
     Pairs must lie in one sector or adjacent sectors; for adjacent pairs the
@@ -177,24 +120,24 @@ def flat_isometry_check(k: int, sample_pairs, atlas: SectorAtlas = None) -> floa
     neighbor chart across the shared wall (equivalently, continuing the
     first sector's branch across the wall).
     """
-    atlas = atlas or sector_atlas(k)
+    n = 2 * (k + 3)
     worst = 0.0
     for p, q in sample_pairs:
         p, q = complex(p), complex(q)
-        sp, sq = atlas.sector_of(p), atlas.sector_of(q)
-        gap = (sq.index - sp.index) % atlas.count
-        if gap > atlas.count // 2:
-            gap = atlas.count - gap
+        gap = (sector_index(k, q) - sector_index(k, p)) % n
+        if gap > n // 2:
+            gap = n - gap
         if gap > 1:
             raise ValueError("sample pair spans non-adjacent sectors")
-        up = local_model_eval(k, p, atlas).as_array()
+        up = local_model_eval(k, p).as_array()
         if gap == 0:
-            uq = local_model_eval(k, q, atlas).as_array()
+            uq = local_model_eval(k, q).as_array()
         else:
             # continue p's branch across the shared wall: the unfolded chart,
             # on the lift of arg q nearest p's angle in [0, 2 pi)
+            branch = _branch(natural_coordinate(p, k, math.pi))
             w = natural_coordinate(q, k, cmath.phase(p) % TWO_PI)
-            uq = np.array([-CBRT4 * (c * w).real for c in sp.branch])
+            uq = np.array([-CBRT4 * (c * w).real for c in branch])
         d_building = float(np.linalg.norm(up - uq))
         d_flat = cone_distance(k, p, q)
         if d_flat < 1e-12:
@@ -204,7 +147,7 @@ def flat_isometry_check(k: int, sample_pairs, atlas: SectorAtlas = None) -> floa
     return worst
 
 
-def ambient_separation(atlas: SectorAtlas, p: complex, q: complex) -> float:
+def ambient_separation(k: int, p: complex, q: complex) -> float:
     """Tropical lower bound for the building distance between u(p) and u(q).
 
     Realized through the holonomy model in the continuous chart chain: the
@@ -214,7 +157,6 @@ def ambient_separation(atlas: SectorAtlas, p: complex, q: complex) -> float:
     building distance dominates it.  Zero for coinciding points, strictly
     positive for points of non-adjacent sectors away from the tip.
     """
-    k = atlas.k
     lifts = polygon.regular_lifts(k + 3)
     # -2^(2/3) Re of the cube-root integrals in the continuous branch over
     # arg z in [0, 2 pi), in the polygon module's slot order

@@ -246,16 +246,17 @@ def cmd_verify_arc(args):
 
 
 def cmd_building_localmodel(args):
-    atlas = building.sector_atlas(args.k)
+    if args.k < 0:
+        raise ValueError("zero order must be >= 0")
     rng = np.random.default_rng(args.seed)
     rows = []
     for _ in range(args.samples):
         psi = rng.uniform(0.0, 2 * math.pi)
         r = rng.uniform(0.05, 1.0)
         z = r * cmath.exp(1j * psi)
-        sec = atlas.sector_of(z)
-        u = building.local_model_eval(args.k, z, atlas)
-        rows.append((sec.index, z.real, z.imag, u.x1, u.x2, u.x3))
+        u = building.local_model_eval(args.k, z)
+        rows.append((building.sector_index(args.k, z), z.real, z.imag,
+                     u.x1, u.x2, u.x3))
     _write_csv(args.out, ["sector", "re_z", "im_z", "x1", "x2", "x3"], rows)
     return EXIT_OK
 

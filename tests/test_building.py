@@ -6,43 +6,70 @@ import pytest
 
 from hitchin_limits import building
 from hitchin_limits.errors import OriginSingular
+from hitchin_limits.frame import natural_coordinate
 from hitchin_limits.surface import GeodesicPath, Junction, SaddleConnection, synthesize_path
 
 PI = math.pi
+TWO_PI = 2 * PI
 CBRT4 = 2 ** (2 / 3)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_sector_count_and_angles(k):
-    atlas = building.sector_atlas(k)
-    assert atlas.count == 2 * (k + 3)
-    for m in range(atlas.count):
-        ang = building.sector_image_angle(atlas, m)
+    n = 2 * (k + 3)
+    for m in range(n):
+        ang = building.sector_image_angle(k, m)
         assert ang == pytest.approx(PI / 3, abs=1e-10)
     # total image cone angle
-    assert atlas.count * PI / 3 == pytest.approx(2 * PI * (1 + k / 3), abs=1e-12)
+    assert n * PI / 3 == pytest.approx(2 * PI * (1 + k / 3), abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_sector_index_walls_and_last_sector(k):
+    n = 2 * (k + 3)
+    width = PI / (k + 3)
+    for m in range(n):
+        # wall m opens sector m and closes sector m - 1 (the angle of a
+        # point exactly on the wall is only known to rounding)
+        above = 0.5 * cmath.exp(1j * (m * width + 1e-12))
+        below = 0.5 * cmath.exp(1j * (m * width - 1e-12))
+        assert building.sector_index(k, above) == m
+        assert building.sector_index(k, below) == (m - 1) % n
+    # arg z just below 2 pi, reached from below the positive axis
+    assert building.sector_index(k, complex(0.5, -1e-300)) == n - 1
+    assert building.sector_index(k, cmath.exp(1j * (TWO_PI - 1e-15))) == n - 1
+
+
+def test_sector_index_rejects_negative_order_and_origin():
+    with pytest.raises(ValueError, match="zero order must be >= 0"):
+        building.sector_index(-1, 0.5)
+    with pytest.raises(OriginSingular):
+        building.sector_index(1, 0.0)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_adjacent_branches_single_reflection(k):
-    atlas = building.sector_atlas(k)
-    for m in range(atlas.count - 1):
-        a = atlas.sectors[m].branch
-        b = atlas.sectors[m + 1].branch
+    # the branches at consecutive sector midpoints differ by one transposition
+    width = PI / (k + 3)
+    branches = []
+    for m in range(2 * (k + 3)):
+        z = 0.7 * cmath.exp(1j * (m + 0.5) * width)
+        branches.append(building._branch(natural_coordinate(z, k, PI)))
+    for a, b in zip(branches, branches[1:]):
         diffs = [i for i in range(3) if abs(a[i] - b[i]) > 1e-12]
-        assert len(diffs) == 2  # one transposition
+        assert len(diffs) == 2
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_loop_closure(k):
-    atlas = building.sector_atlas(k)
-    assert building.loop_closure_is_identity(atlas)
-
-
-def test_wall_types_alternate():
-    atlas = building.sector_atlas(1)
-    types = [sec.wall_type_start for sec in atlas.sectors]
-    assert types == ["II", "I"] * 4
+    # the labels close up around the zero: u is continuous across the seam
+    # arg z = 0, where the chart monodromy w -> omega^k w meets sector 0
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        r = rng.uniform(0.05, 1.0)
+        above = building.local_model_eval(k, r * cmath.exp(1e-9j)).as_array()
+        below = building.local_model_eval(k, r * cmath.exp(-1e-9j)).as_array()
+        assert np.max(np.abs(above - below)) < 1e-8
 
 
 def test_local_model_k0_radial():
@@ -64,10 +91,9 @@ def test_local_model_wall_lands_on_wall():
     # points on wall directions map to walls of the apartment (two equal
     # coordinates)
     for k in (0, 1, 2):
-        atlas = building.sector_atlas(k)
         for m in range(2 * (k + 3)):
             psi = m * PI / (k + 3) + 1e-15
-            u = building.local_model_eval(k, 0.5 * cmath.exp(1j * psi), atlas)
+            u = building.local_model_eval(k, 0.5 * cmath.exp(1j * psi))
             x = sorted(u.as_array())
             gaps = [abs(x[0] - x[1]), abs(x[1] - x[2])]
             assert min(gaps) < 1e-9
@@ -76,28 +102,26 @@ def test_local_model_wall_lands_on_wall():
 def test_local_model_continuity_across_walls():
     rng = np.random.default_rng(3)
     for k in (1, 2):
-        atlas = building.sector_atlas(k)
         for m in range(2 * (k + 3)):
             psi = (m + 1) * PI / (k + 3)
             r = rng.uniform(0.2, 1.0)
             below = r * cmath.exp(1j * (psi - 1e-9))
             above = r * cmath.exp(1j * (psi + 1e-9))
-            ub = building.local_model_eval(k, below, atlas).as_array()
-            ua = building.local_model_eval(k, above, atlas).as_array()
+            ub = building.local_model_eval(k, below).as_array()
+            ua = building.local_model_eval(k, above).as_array()
             assert np.max(np.abs(ub - ua)) < 1e-6
 
 
 def test_model_rotation_equivariance():
     # the model symmetry z -> e^(2 pi i/(k+3)) z permutes apartment coordinates
     for k in (0, 1, 2, 3):
-        atlas = building.sector_atlas(k)
         rot = cmath.exp(2j * PI / (k + 3))
         rng = np.random.default_rng(k)
         for _ in range(10):
             z = rng.uniform(0.2, 1.0) * cmath.exp(1j * rng.uniform(0.02, 0.95)
                                                   * PI / (k + 3))
-            u = np.sort(building.local_model_eval(k, z, atlas).as_array())
-            v = np.sort(building.local_model_eval(k, rot * z, atlas).as_array())
+            u = np.sort(building.local_model_eval(k, z).as_array())
+            v = np.sort(building.local_model_eval(k, rot * z).as_array())
             assert np.max(np.abs(u - v)) < 1e-9
 
 
@@ -105,21 +129,16 @@ def test_sector_bisectors_distinct_k1():
     # pairwise distinctness of the 8 bisector rays in the building: sectors
     # six apart share apartment coordinates, so distinctness is witnessed by
     # the tropical ambient separation, not the coordinate chart
-    atlas = building.sector_atlas(1)
-    pts = []
-    for m in range(8):
-        lo, hi = atlas.sectors[m].z_interval
-        pts.append(0.7 * cmath.exp(1j * (lo + hi) / 2))
+    pts = [0.7 * cmath.exp(1j * (m + 0.5) * PI / 4) for m in range(8)]
     for i in range(8):
         for j in range(i + 1, 8):
             if abs(i - j) in (1, 7):
                 continue  # adjacent sectors genuinely share a wall
-            assert building.ambient_separation(atlas, pts[i], pts[j]) > 1e-6
+            assert building.ambient_separation(1, pts[i], pts[j]) > 1e-6
 
 
 def test_flat_isometry_within_sector():
     k = 2
-    atlas = building.sector_atlas(k)
     rng = np.random.default_rng(11)
     pairs = []
     width = PI / (k + 3)
@@ -129,13 +148,12 @@ def test_flat_isometry_within_sector():
         b = (m + rng.uniform(0.05, 0.95)) * width
         pairs.append((rng.uniform(0.1, 1.0) * cmath.exp(1j * a),
                       rng.uniform(0.1, 1.0) * cmath.exp(1j * b)))
-    dev = building.flat_isometry_check(k, pairs, atlas)
+    dev = building.flat_isometry_check(k, pairs)
     assert dev <= 1e-10
 
 
 def test_flat_isometry_cross_wall():
     k = 1
-    atlas = building.sector_atlas(k)
     rng = np.random.default_rng(13)
     width = PI / (k + 3)
     pairs = []
@@ -145,7 +163,7 @@ def test_flat_isometry_cross_wall():
         b = (m + 1 + rng.uniform(0.05, 0.45)) * width
         pairs.append((rng.uniform(0.2, 1.0) * cmath.exp(1j * a),
                       rng.uniform(0.2, 1.0) * cmath.exp(1j * b)))
-    dev = building.flat_isometry_check(k, pairs, atlas)
+    dev = building.flat_isometry_check(k, pairs)
     assert dev <= 1e-9
 
 
@@ -157,8 +175,7 @@ def test_radial_pairs_exact():
 
 def test_nonadjacent_sectors_separated():
     for k in (1, 2):
-        atlas = building.sector_atlas(k)
-        n = atlas.count
+        n = 2 * (k + 3)
         width = PI / (k + 3)
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -169,13 +186,12 @@ def test_nonadjacent_sectors_separated():
                 continue
             p = rng.uniform(0.1, 1.0) * cmath.exp(1j * (ma + rng.uniform(0.02, 0.98)) * width)
             q = rng.uniform(0.1, 1.0) * cmath.exp(1j * (mb + rng.uniform(0.02, 0.98)) * width)
-            assert building.ambient_separation(atlas, p, q) > 1e-6
+            assert building.ambient_separation(k, p, q) > 1e-6
 
 
 def test_same_point_zero_separation():
-    atlas = building.sector_atlas(1)
     z = 0.6 * cmath.exp(0.2j)
-    assert building.ambient_separation(atlas, z, z) == pytest.approx(0.0, abs=1e-9)
+    assert building.ambient_separation(1, z, z) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_weak_convexity_geodesic_and_corner():

@@ -108,6 +108,15 @@ def test_building_localmodel_deterministic(tmp_path):
     assert header == "sector,re_z,im_z,x1,x2,x3"
 
 
+def test_building_localmodel_negative_order_exits_1(tmp_path, capsys):
+    # refused before sampling, so also when there is nothing to sample
+    assert run(["building", "localmodel", "--k", "-1", "--samples", "0",
+                "--out", str(tmp_path / "pts.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: zero order must be >= 0\n"
+    assert not (tmp_path / "pts.csv").exists()
+
+
 def test_building_convexity(capsys):
     assert run(["building", "convexity", "--paths", "25", "--corners", "25",
                 "--seed", "3"]) == 0
