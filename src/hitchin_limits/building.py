@@ -19,10 +19,10 @@ import numpy as np
 from . import polygon, tropical
 from .errors import OriginSingular
 from .frame import natural_coordinate, titeica_exponents
-from .surface import GeodesicPath, Junction, SaddleConnection, synthesize_path
+from .surface import (TWO_PI, GeodesicPath, Junction, SaddleConnection,
+                      synthesize_path)
 from .tropical import CBRT4, OMEGA
 
-TWO_PI = 2.0 * math.pi
 SCALE = math.sqrt(3.0) * 2.0 ** (1.0 / 6.0)  # metric factor of the limit map
 
 
@@ -101,7 +101,7 @@ def sector_image_angle(k: int, m: int) -> float:
 # metric checks
 # ---------------------------------------------------------------------------
 
-def cone_distance(k: int, p: complex, q: complex) -> float:
+def _cone_distance(k: int, p: complex, q: complex) -> float:
     """|q0|^(2/3)-distance on the model cone (natural units)."""
     wp = natural_coordinate(p, k, math.pi)
     wq = natural_coordinate(q, k, math.pi)
@@ -139,7 +139,7 @@ def flat_isometry_check(k: int, sample_pairs) -> float:
             w = natural_coordinate(q, k, cmath.phase(p) % TWO_PI)
             uq = np.array([-CBRT4 * (c * w).real for c in branch])
         d_building = float(np.linalg.norm(up - uq))
-        d_flat = cone_distance(k, p, q)
+        d_flat = _cone_distance(k, p, q)
         if d_flat < 1e-12:
             continue
         dev = abs(d_building - SCALE * d_flat) / (SCALE * d_flat)
@@ -168,10 +168,7 @@ def ambient_separation(k: int, p: complex, q: complex) -> float:
         return (k + 3) / 3.0 * psi
 
     def nudge(th):
-        r = (th - math.pi / 6) % (math.pi / 3)
-        if min(r, math.pi / 3 - r) <= 1e-9:
-            return th + 1e-4
-        return th
+        return th + 1e-4 if polygon.on_stokes_ray(th) else th
 
     def one_sided(da, db, th_a, th_b):
         U = polygon.arc_unipotent(lifts, nudge(th_b), nudge(th_a))

@@ -98,7 +98,7 @@ def classify_angle_is_special(theta: float, tol: float = 1e-6) -> bool:
     return min(r, PI / 3 - r) <= tol or abs(r - PI / 6) <= tol
 
 
-def _on_stokes_ray(theta: float) -> bool:
+def on_stokes_ray(theta: float) -> bool:
     """Whether theta lies within _STOKES_TOL of a Stokes ray pi/6 mod pi/3."""
     x = (theta + PI / 6) / (PI / 3)
     frac = x - math.floor(x)
@@ -107,7 +107,7 @@ def _on_stokes_ray(theta: float) -> bool:
 
 def sector_of(theta: float) -> int:
     """Stokes sector index; raises if theta sits on a Stokes ray."""
-    if _on_stokes_ray(theta):
+    if on_stokes_ray(theta):
         raise StokesEndpoint(f"angle {theta} lies on a Stokes ray")
     return int(math.floor((theta + PI / 6) / (PI / 3)))
 
@@ -259,7 +259,7 @@ def _perturb_stokes_segments(path: GeodesicPath):
         jb = path.junction_after(i - 1)
         ja = path.junction_after(i)
         direction = theta_out[jb] if jb is not None else cmath.phase(seg.period)
-        if not _on_stokes_ray(direction):
+        if not on_stokes_ray(direction):
             continue
         for delta in (_STOKES_ETA, -_STOKES_ETA):
             ok = True

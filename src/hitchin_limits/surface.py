@@ -2,9 +2,9 @@
 
 A surface is a collection of oriented Euclidean triangles with complex vertex
 coordinates in charts where the differential is dz^3, glued edge-to-edge by
-transitions z -> zeta^m z + c with zeta = e^(2*pi*i/3).  Cone points carry an
-order k >= 0 and total angle 2*pi*(1 + k/3).  Straight segments between marked
-points (saddle connections) are traced by developing triangle chains.
+transitions z -> omega^m z + c with omega = e^(2*pi*i/3).  Cone points carry
+an order k >= 0 and total angle 2*pi*(1 + k/3).  Straight segments between
+marked points (saddle connections) are traced by developing triangle chains.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegeneratePath, NotConverged
+from .tropical import OMEGA
 
-ZETA = complex(-0.5, math.sqrt(3.0) / 2.0)  # e^(2*pi*i/3)
 TWO_PI = 2.0 * math.pi
 
 _ANGLE_TOL = 1e-9       # cone-angle closure and turn-angle comparisons
@@ -37,7 +37,7 @@ def _cross(a: complex, b: complex) -> float:
 class Gluing:
     """Identifies edge_a of one triangle with edge_b of another.
 
-    The transition T(z) = zeta^rot * z + trans maps the chart of edge_a's
+    The transition T(z) = omega^rot * z + trans maps the chart of edge_a's
     triangle to the chart of edge_b's triangle, sending the directed edge
     (v_a -> v_a+1) onto the reversed directed edge (v_b+1 -> v_b).
     """
@@ -48,7 +48,7 @@ class Gluing:
     trans: complex
 
     def map_a_to_b(self, z: complex) -> complex:
-        return ZETA ** self.rot * z + self.trans
+        return OMEGA ** self.rot * z + self.trans
 
 
 @dataclass(frozen=True)
@@ -210,11 +210,11 @@ def synthesize_path(lengths, turns, orders, start_angle=0.0, closed=False):
 # ---------------------------------------------------------------------------
 
 def glue(edge_map, e_a, e_b, rot, trans):
-    """Record in edge_map the gluing of e_a to e_b by z -> zeta^rot z + trans
+    """Record in edge_map the gluing of e_a to e_b by z -> omega^rot z + trans
     and its inverse transition from e_b back to e_a."""
     edge_map[e_a] = (e_b, rot, trans)
     minus = (-rot) % 3
-    edge_map[e_b] = (e_a, minus, -(ZETA ** minus) * trans)
+    edge_map[e_b] = (e_a, minus, -(OMEGA ** minus) * trans)
 
 
 def walk_fan(edge_map, corner):
@@ -344,7 +344,7 @@ class CubicSurface:
     def neighbor(self, tri: int, side: int):
         """((tri2, side2), rot, trans) across the edge, or None on boundary.
 
-        The transition z -> zeta^rot z + trans maps this triangle's chart to
+        The transition z -> omega^rot z + trans maps this triangle's chart to
         the neighbor's chart.
         """
         return self._edge_map.get((tri, side))
@@ -425,7 +425,7 @@ def build_polynomial_disk(k: int, radius: float) -> CubicSurface:
         gluings.append(Gluing((j, 2), (j + 1, 0), 0, 0.0))
     # closing seam: the transition from the last wedge's chart back to the
     # first runs clockwise through the full cone angle 2*pi*(k+3)/3, so its
-    # rotation part is zeta^(-k)
+    # rotation part is omega^(-k)
     gluings.append(Gluing((n - 1, 2), (0, 0), (-k) % 3, 0.0))
     boundary = {(j, 1) for j in range(n)}
     return CubicSurface(tris, gluings, vertex_orders={0: k}, boundary=boundary)
@@ -534,7 +534,7 @@ def _compose_across(surface, u, b, tri, side):
     if nb is None:
         return None
     (t2, s2), rot, trans = nb
-    w = ZETA ** ((-rot) % 3)
+    w = OMEGA ** ((-rot) % 3)
     return t2, s2, u * w, b - u * w * trans
 
 
@@ -683,7 +683,7 @@ def claim_corner(surface, tri, vtx, chart_dir):
         if info is None:
             return corner, d
         (t2, s2), rot, _ = info
-        d = d * ZETA ** rot
+        d = d * OMEGA ** rot
         corner = (t2, (s2 + 1) % 3) if cw else (t2, s2)
     raise NotConverged("claim_corner failed to settle")
 

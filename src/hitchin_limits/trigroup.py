@@ -20,11 +20,11 @@ import numpy as np
 
 from . import tropical
 from .errors import DegeneratePath, NonDeformable
-from .surface import (CubicSurface, GeodesicPath, Gluing, Junction,
-                      SaddleConnection, ZETA, enumerate_saddle_connections,
+from .surface import (TWO_PI, CubicSurface, GeodesicPath, Gluing, Junction,
+                      SaddleConnection, enumerate_saddle_connections,
                       glue, shoot, claim_corner, walk_fan)
+from .tropical import OMEGA
 
-TWO_PI = 2.0 * math.pi
 _MAX_LEG = 10.0        # longest cycle leg traced on a patch
 
 
@@ -43,7 +43,7 @@ def _zip_fans(coords, edge_map, corner_type, valence, work):
     reached its full valence.
 
     A fan with 2*ord corners and both boundary edges free is glued shut with
-    the rigid motion matching the edge endpoints (a zeta-power rotation).
+    the rigid motion matching the edge endpoints (an omega-power rotation).
     That gluing joins the far endpoints of the two glued edges into one
     vertex, whose fan may then be full in turn, so its corner joins the work.
     """
@@ -69,9 +69,9 @@ def _zip_fans(coords, edge_map, corner_type, valence, work):
         b2 = coords[e_b[0]][(e_b[1] + 1) % 3]
         rot = (b2 - b1) / (a1 - a2)
         m = round((cmath.phase(rot) % TWO_PI) / (TWO_PI / 3))
-        if abs(rot - ZETA ** (m % 3)) > 1e-9:
+        if abs(rot - OMEGA ** (m % 3)) > 1e-9:
             raise RuntimeError("zip rotation is not a cube root of unity")
-        trans = b2 - ZETA ** (m % 3) * a1
+        trans = b2 - OMEGA ** (m % 3) * a1
         glue(edge_map, e_a, e_b, m % 3, trans)
         work.append((tf, (vf + 1) % 3))
 
@@ -150,32 +150,6 @@ def build_orbifold(p: int, q: int, r: int, layers: int = 4) -> TriangleOrbifoldS
     return TriangleOrbifoldSurface(p=p, q=q, r=r, surface=surface,
                                    orbifold_type=tuple(types),
                                    euclidean=euclidean)
-
-
-# ---------------------------------------------------------------------------
-# rotation of the differential
-# ---------------------------------------------------------------------------
-
-def rotate_differential(orb: TriangleOrbifoldSurface, theta: float) -> TriangleOrbifoldSurface:
-    """Replace q0 by e^(i theta) q0: all chart coordinates (hence all periods)
-    rotate by e^(i theta/3); the flat metric is unchanged.
-
-    theta is reduced modulo 2*pi first, so a full rotation is the identity
-    bit for bit.
-    """
-    theta = float(theta) % TWO_PI
-    if theta == 0.0:
-        return orb
-    w = cmath.exp(1j * theta / 3.0)
-    surf = orb.surface
-    tris = [tuple(w * z for z in tri) for tri in surf.triangles]
-    gluings = [Gluing(g.edge_a, g.edge_b, g.rot, w * g.trans)
-               for g in surf.gluings]
-    rotated = CubicSurface(tris, gluings, vertex_orders=surf.vertex_orders,
-                           boundary=surf.boundary)
-    return TriangleOrbifoldSurface(p=orb.p, q=orb.q, r=orb.r, surface=rotated,
-                                   orbifold_type=orb.orbifold_type,
-                                   euclidean=orb.euclidean)
 
 
 # ---------------------------------------------------------------------------

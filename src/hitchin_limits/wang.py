@@ -51,16 +51,17 @@ class WangSolution:
     thetas = np.zeros(1)
     thetas.flags.writeable = False
 
-    def __init__(self, k, s, R, rs, phi_center, phi, residual_norm,
-                 residual_history):
+    def __init__(self, k, s, R, rs, phi_center, phi, residual_history,
+                 residual_nodes):
         self.k = k
         self.s = s
         self.R = R
         self.rs = rs                # radial nodes, rs[0] > 0, rs[-1] = R
         self.phi_center = phi_center
         self.phi = phi              # phi at rs
-        self.residual_norm = residual_norm
         self.residual_history = list(residual_history)
+        self.residual_norm = self.residual_history[-1]
+        self.residual_nodes = residual_nodes    # row-scaled, at rs
 
     # -- interpolation --------------------------------------------------------
     #
@@ -251,10 +252,8 @@ def solve_disk(k: int, s: float, R: float,
         raise NewtonDiverged("Newton did not reach tolerance", history)
 
     phi = np.append(u[1:], phi_boundary)
-    sol = WangSolution(k, s, R, rs, u[0], phi,
-                       residual_norm=history[-1], residual_history=history)
-    sol.residual_nodes = np.append((res * row_scale)[1:], 0.0)
-    return sol
+    return WangSolution(k, s, R, rs, u[0], phi, history,
+                        np.append((res * row_scale)[1:], 0.0))
 
 
 def pointwise_lower_bound_check(sol: WangSolution) -> bool:

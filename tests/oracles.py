@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from hitchin_limits import frame
-from hitchin_limits.surface import ZETA, CubicSurface, Gluing, glue, walk_fan
-
-TWO_PI = 2.0 * math.pi
+from hitchin_limits.surface import (TWO_PI, CubicSurface, Gluing, glue,
+                                    walk_fan)
+from hitchin_limits.tropical import OMEGA
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def develop_fan_closure(surface: CubicSurface, cls: int):
     u, b = 1.0 + 0j, 0.0 + 0j
     for (t, v) in surface.fans[cls]:
         _, rot, trans = surface.neighbor(t, (v + 2) % 3)
-        w = ZETA ** ((-rot) % 3)
+        w = OMEGA ** ((-rot) % 3)
         u, b = u * w, b - u * w * trans
     return u, b
 

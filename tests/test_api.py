@@ -29,7 +29,6 @@ VERIFICATION_API = (
     ("building", "flat_isometry_check"),
     ("building", "ambient_separation"),
     ("building", "sector_image_angle"),
-    ("trigroup", "rotate_differential"),
     ("polygon", "leading_term"),
 )
 

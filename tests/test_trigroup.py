@@ -110,26 +110,10 @@ def test_cycle_closing_in_another_phase_is_rejected(orb334):
 
 
 def test_rotation_identity_bit_exact(orb334):
-    rotated = trigroup.rotate_differential(orb334, 2 * math.pi)
-    assert rotated is orb334
     families = [trigroup.straight_positive_cycle(orb334)]
     a = trigroup.spectrum(families)
     b = trigroup.spectrum(trigroup.rotated_paths(families, 2 * math.pi))
     assert a.projectivized.tobytes() == b.projectivized.tobytes()
-
-
-def test_rotation_theta_zero_noop(orb334):
-    rot = trigroup.rotate_differential(orb334, 0.0)
-    assert rot is orb334
-
-
-def test_rotation_rotates_periods(orb334):
-    th = 0.7
-    rot = trigroup.rotate_differential(orb334, th)
-    w = cmath.exp(1j * th / 3)
-    for a, b in zip(orb334.surface.triangles[0], rot.surface.triangles[0]):
-        assert b == pytest.approx(w * a, abs=1e-12)
-    assert sf.validate(rot.surface) == []
 
 
 def test_spectrum_values(orb334):
@@ -198,7 +182,7 @@ def test_orbifold_fan_closure_rotation(orb334):
     for cls in surf.marked_classes():
         k = surf.vertex_orders[cls]
         u, _ = oracles.develop_fan_closure(surf, cls)
-        assert abs(u - sf.ZETA ** (k % 3)) < 1e-9
+        assert abs(u - tropical.OMEGA ** (k % 3)) < 1e-9
 
 
 @pytest.mark.parametrize("pqr", [(3, 3, 4), (3, 4, 5), (4, 4, 4), (3, 3, 7)])

@@ -44,8 +44,8 @@ def test_lower_bound_detects_corruption(sol_k1_s100):
     bad = wang.WangSolution(sol_k1_s100.k, sol_k1_s100.s, sol_k1_s100.R,
                             sol_k1_s100.rs, sol_k1_s100.phi_center,
                             sol_k1_s100.phi.copy(),
-                            sol_k1_s100.residual_norm,
-                            sol_k1_s100.residual_history)
+                            sol_k1_s100.residual_history,
+                            sol_k1_s100.residual_nodes)
     bad.phi[-40:-1] -= 0.1
     assert not wang.pointwise_lower_bound_check(bad)
 
