@@ -54,7 +54,7 @@ def _diag(msg):
 
 
 def _parse_s_list(text):
-    vals = [float(tok) for tok in text.split(",") if tok]
+    vals = [_real(tok) for tok in text.split(",") if tok]
     if not vals:
         raise ValueError("s-list is empty")
     if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -70,7 +70,7 @@ def _parse_s_list(text):
 
 def cmd_surface_build(args):
     if args.disk is not None:
-        k, radius = int(args.disk[0]), float(args.disk[1])
+        k, radius = int(args.disk[0]), _real(args.disk[1])
         surf = surf_mod.build_polynomial_disk(k, radius)
     elif args.orbifold:
         p, q, r = (int(t) for t in args.orbifold.split(","))
@@ -168,7 +168,7 @@ def _sweep_path(spec, k, radius):
     kind, _, rest = spec.partition(":")
     if kind not in _PATH_ARITY:
         raise ValueError(f"unknown path spec {spec!r}")
-    vals = [float(t) for t in rest.split(",")] if rest else []
+    vals = [_real(t) for t in rest.split(",")] if rest else []
     if len(vals) != _PATH_ARITY[kind]:
         raise ValueError(f"path spec {spec!r}: {kind} takes "
                          f"{_PATH_ARITY[kind]} values, got {len(vals)}")
@@ -338,6 +338,19 @@ def _count(least):
     return count
 
 
+def _real(text):
+    """argparse type, and the parser of s-list and path spec tokens: a
+    finite number."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return x
+
+
 def build_parser():
     ap = _Parser(prog="hitchin-limits")
     sub = ap.add_subparsers(dest="group", required=True)
@@ -362,8 +375,8 @@ def build_parser():
     g = sub.add_parser("polygon").add_subparsers(dest="action", required=True)
     u = g.add_parser("unipotent")
     u.add_argument("--n", type=_count(3), required=True)
-    u.add_argument("--theta-in", dest="theta_in", type=float, required=True)
-    u.add_argument("--theta-out", dest="theta_out", type=float, required=True)
+    u.add_argument("--theta-in", dest="theta_in", type=_real, required=True)
+    u.add_argument("--theta-out", dest="theta_out", type=_real, required=True)
     u.set_defaults(func=cmd_polygon_unipotent)
     sch = g.add_parser("scheme")
     sch.add_argument("--flips", type=_count(0), default=6)
@@ -372,10 +385,10 @@ def build_parser():
     g = sub.add_parser("wang").add_subparsers(dest="action", required=True)
     w = g.add_parser("solve")
     w.add_argument("--k", type=int, required=True)
-    w.add_argument("--s", type=float, required=True)
-    w.add_argument("--radius", type=float, default=1.0)
+    w.add_argument("--s", type=_real, required=True)
+    w.add_argument("--radius", type=_real, default=1.0)
     w.add_argument("--nr", type=int, default=200)
-    w.add_argument("--ratio", type=float, default=1.05)
+    w.add_argument("--ratio", type=_real, default=1.05)
     w.add_argument("--out", default="-")
     w.set_defaults(func=cmd_wang_solve)
 
@@ -384,16 +397,16 @@ def build_parser():
     sw.add_argument("--k", type=int, required=True)
     sw.add_argument("--s", default="1e2,1e3,1e4")
     sw.add_argument("--path", default="radial:0.3,0.9,0.27")
-    sw.add_argument("--radius", type=float, default=1.0)
+    sw.add_argument("--radius", type=_real, default=1.0)
     sw.add_argument("--out", default="-")
     sw.set_defaults(func=cmd_verify_sweep)
     arc = g.add_parser("arc")
     arc.add_argument("--k", type=int, required=True)
     arc.add_argument("--s", default="1e2,1e3,1e4")
-    arc.add_argument("--theta0", type=float, default=0.3)
-    arc.add_argument("--theta1", type=float, default=0.8)
-    arc.add_argument("--radius", type=float, default=0.5)
-    arc.add_argument("--radius-disk", dest="radius_disk", type=float, default=1.0)
+    arc.add_argument("--theta0", type=_real, default=0.3)
+    arc.add_argument("--theta1", type=_real, default=0.8)
+    arc.add_argument("--radius", type=_real, default=0.5)
+    arc.add_argument("--radius-disk", dest="radius_disk", type=_real, default=1.0)
     arc.add_argument("--out", default="-")
     arc.set_defaults(func=cmd_verify_arc)
 
@@ -413,7 +426,7 @@ def build_parser():
     g = sub.add_parser("trigroup").add_subparsers(dest="action", required=True)
     ts = g.add_parser("spectrum")
     ts.add_argument("--pqr", default="3,3,4")
-    ts.add_argument("--maxlen", type=float, default=1.01)
+    ts.add_argument("--maxlen", type=_real, default=1.01)
     ts.add_argument("--thetas", type=_count(1), default=12)
     ts.add_argument("--layers", type=_count(0), default=9)
     ts.add_argument("--out", default="-")
@@ -436,7 +449,7 @@ def main(argv=None) -> int:
         # a ValueError subclass, but a numerical failure
         _diag(f"error: LinAlgError: {err}")
         return EXIT_NUMERICAL
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, FileNotFoundError, argparse.ArgumentTypeError) as err:
         _diag(f"error: {err}")
         return EXIT_VALIDATION
     except HitchinLimitsError as err:

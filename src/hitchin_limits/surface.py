@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import DegeneratePath, NotConverged
 from .tropical import OMEGA
 
@@ -712,75 +714,155 @@ class EnumerationResult(tuple):
         return obj
 
 
-def _segment_min_dist(p, q):
-    e = q - p
-    L2 = (e * e.conjugate()).real
-    if L2 == 0:
-        return abs(p)
-    t = max(0.0, min(1.0, -((p * e.conjugate()).real) / L2))
-    return abs(p + t * e)
+_MAX_DEVELOPED = 500000   # triangles one corner's wedge may develop
+_SEED_BLOCK = 256         # corners developed together; bounds the frontier
+_OTHER_SIDES = np.array([[1, 2], [0, 2], [0, 1]])   # by gate side
+_OMEGA_POWERS = np.array([OMEGA ** m for m in range(3)])
 
 
-def _wedge_search(surface, seed_tri, seed_v, max_len, diag, record):
-    """Develop the view from corner (seed_tri, seed_v), recording (as a
-    RayHit) every marked vertex visible strictly inside the corner wedge
-    within max_len."""
-    b0 = -complex(surface.coords(seed_tri, seed_v))
-    lo = surface.edge_vector(seed_tri, seed_v)
-    hi = -surface.edge_vector(seed_tri, (seed_v + 2) % 3)
-    lo, hi = lo / abs(lo), hi / abs(hi)
+def _mul(a, b):
+    """a * b on complex arrays, rounded as Python's complex product (numpy's
+    own complex multiply may fuse it into FMA instructions)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    np.subtract(a.real * b.real, a.imag * b.imag, out=out.real)
+    np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
+    return out
+
+
+def _unit(a):
+    """a / abs(a) on a complex array, rounded as Python's."""
+    r = np.hypot(a.real, a.imag)
+    out = np.empty_like(a)
+    np.divide(a.real, r, out=out.real)
+    np.divide(a.imag, r, out=out.imag)
+    return out
+
+
+class _Tables:
+    """The surface as arrays.  Per triangle: vertex coordinates and classes,
+    and across each side the neighbour triangle (-1 on the boundary), its
+    side, (-rot) % 3 and the translation.  Per class: marked, and flat but
+    unmarked."""
+
+    def __init__(self, surface):
+        n = len(surface.triangles)
+        self.coords = np.array(surface.triangles, dtype=complex).reshape(n, 3)
+        self.cls = np.array([surface.class_of(t, v) for t in range(n)
+                             for v in range(3)], dtype=np.int32).reshape(n, 3)
+        self.nb_tri = np.full((n, 3), -1, dtype=np.int32)
+        self.nb_side, self.rot = np.zeros((2, n, 3), dtype=np.int8)
+        self.trans = np.zeros((n, 3), dtype=complex)
+        for (t, s), ((t2, s2), rot, trans) in surface._edge_map.items():
+            self.nb_tri[t, s], self.nb_side[t, s] = t2, s2
+            self.rot[t, s], self.trans[t, s] = -rot % 3, trans
+        classes = range(surface.n_classes())
+        self.marked = np.array([surface.is_marked(c) for c in classes], bool)
+        self.flat = np.array([surface.is_flat(c) for c in classes], bool)
+        self.flat &= ~self.marked
+
+
+def _across(tab, tri, side, p, e, u, b, max_len, diag):
+    """Cross the sides ``side`` (from p to p + e) of the triangles ``tri``
+    placed by z -> u z + b, where they come within max_len of the origin:
+    the indices crossed, and the neighbours' triangle, entry side and
+    placement.  Boundary sides count as clipped."""
+    l2 = e.real * e.real + e.imag * e.imag
+    t = -(p.real * e.real + p.imag * e.imag) / l2
+    t = np.where(t < 1.0, t, 1.0)
+    t = np.where(t > 0.0, t, 0.0)
+    dist = np.where(l2 == 0, np.hypot(p.real, p.imag),
+                    np.hypot(p.real + t * e.real, p.imag + t * e.imag))
+    nb = tab.nb_tri[tri, side]
+    near = ~(dist > max_len)
+    diag.clipped += int(np.count_nonzero(near & (nb < 0)))
+    keep = np.flatnonzero(near & (nb >= 0))
+    tri, side = tri[keep], side[keep]
+    uw = _mul(u[keep], _OMEGA_POWERS[tab.rot[tri, side]])
+    return (keep, nb[keep], tab.nb_side[tri, side], uw,
+            b[keep] - _mul(uw, tab.trans[tri, side]))
+
+
+def _exit_side(p, e, d):
+    """For rays from the origin along the unit directions d, the side each
+    leaves by, chosen as _exit chooses, of the two sides from p[:, k] to
+    p[:, k] + e[:, k]: k, or -1 for none."""
+    d = d[:, None]
+    denom = _cross(d, e)
+    t = _cross(p, e) / denom
+    sig = _cross(p, d) / denom
+    ok = ~((np.abs(denom) < 1e-16) | (t <= _POS_TOL) | (sig < -1e-9)
+           | (sig > 1 + 1e-9))
+    second = ok[:, 1] & (~ok[:, 0] | (t[:, 1] < t[:, 0]))
+    return np.where(second, 1, ok[:, 0] - 1)
+
+
+def _develop_wedges(surface, tab, seeds, first, max_len, diag, record):
+    """Develop the view strictly inside the wedge of each marked corner
+    (cls, tri, v) of ``seeds`` within max_len, breadth first and all seeds
+    at once; record(first + seed index, 1, RayHit) each point seen.
+
+    A node is a triangle entered through its gate side, its placement
+    z -> u z + b in the seed's chart, and the wedge (lo, hi) of unit
+    directions that reach it.  An apex strictly inside the wedge splits it;
+    a marked apex is a hit, a flat unmarked one continues as a ray.  The
+    arithmetic is Python's complex arithmetic written out, so nodes are
+    placed exactly as a search of one corner with complex scalars would.
+    """
+    seed_cls, seed_tri, seed_v = seeds.T
+    rows = np.arange(len(seeds))
+    z = tab.coords[seed_tri]
+    b = -z[rows, seed_v]
+    lo = _unit(z[rows, (seed_v + 1) % 3] - z[rows, seed_v])
+    hi = _unit(-(z[rows, seed_v] - z[rows, (seed_v + 2) % 3]))
+    u = np.ones(len(seeds), dtype=complex)
+    z = _mul(u[:, None], z) + b[:, None]
     gate = (seed_v + 1) % 3
-    coords0 = [_place(1.0, b0, surface.coords(seed_tri, i)) for i in range(3)]
-    if _segment_min_dist(coords0[gate], coords0[(gate + 1) % 3]) > max_len:
-        return
-    step = _compose_across(surface, 1.0 + 0j, b0, seed_tri, gate)
-    if step is None:
-        diag.clipped += 1
-        return
-    t2, s2, u2, b2 = step
-    stack = [(t2, s2, u2, b2, lo, hi)]
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 500000:
+    p = z[rows, gate]
+    seed, tri, gate, u, b = _across(tab, seed_tri, gate, p,
+                                    z[rows, (gate + 1) % 3] - p, u, b,
+                                    max_len, diag)
+    lo, hi = lo[seed], hi[seed]
+    developed = np.zeros(len(seeds), dtype=np.intp)
+    while len(tri):
+        developed += np.bincount(seed, minlength=len(seeds))
+        if developed.max() > _MAX_DEVELOPED:
             raise NotConverged("saddle connection search exploded")
-        tri, gate_side, u, b, wlo, whi = stack.pop()
-        apex = (gate_side + 2) % 3
-        coords = [_place(u, b, surface.coords(tri, i)) for i in range(3)]
-        pa = coords[apex]
-        if pa == 0:
-            continue
-        da = pa / abs(pa)
-        c_lo = _cross(wlo, da)
-        c_hi = _cross(da, whi)
-        if c_lo > 1e-12 and c_hi > 1e-12:
-            cls = surface.class_of(tri, apex)
-            if abs(pa) <= max_len + _POS_TOL:
-                if surface.is_marked(cls):
-                    record(RayHit(cls, pa, tri, apex, u))
-                elif surface.is_flat(cls):
-                    record(_trace(surface, tri, apex, u, b, da, max_len, diag,
-                                  examine=False))
-            children = [(wlo, da), (da, whi)]
-        else:
-            children = [(wlo, whi)]
-        for clo, chi in children:
-            if _cross(clo, chi) <= 1e-12:
-                continue
-            dmid = clo + chi
-            dmid = dmid / abs(dmid)
-            crossing = _exit(coords, 0j, dmid, gate_side)
-            if crossing is None:
-                continue
-            side = crossing[1]
-            if _segment_min_dist(coords[side], coords[(side + 1) % 3]) > max_len:
-                continue
-            step = _compose_across(surface, u, b, tri, side)
-            if step is None:
-                diag.clipped += 1
-                continue
-            nt, ns, nu, nb = step
-            stack.append((nt, ns, nu, nb, clo, chi))
+        rows = np.arange(len(tri))
+        z = _mul(u[:, None], tab.coords[tri]) + b[:, None]
+        apex = (gate + 2) % 3
+        pa = z[rows, apex]
+        da = _unit(pa)
+        alive = pa != 0
+        inside = alive & (_cross(lo, da) > 1e-12) & (_cross(da, hi) > 1e-12)
+        cls = tab.cls[tri, apex]
+        seen = inside & (np.hypot(pa.real, pa.imag) <= max_len + _POS_TOL)
+        hit = np.flatnonzero(seen & tab.marked[cls] & (seed_cls[seed] <= cls))
+        for s, *h in zip(*(a[hit].tolist()
+                           for a in (seed, cls, pa, tri, apex, u))):
+            record(first + s, 1, RayHit(*h))
+        for i in np.flatnonzero(seen & tab.flat[cls]):
+            record(first + int(seed[i]), 1, _trace(
+                surface, int(tri[i]), int(apex[i]), complex(u[i]),
+                complex(b[i]), complex(da[i]), max_len, diag, examine=False))
+        # children: each half of a split wedge, or the whole wedge
+        nchild = alive.astype(np.intp) + inside
+        parent = np.repeat(rows, nchild)
+        clo = np.where(inside, da, lo)[parent]
+        chi = hi[parent]
+        second = np.cumsum(nchild)[inside] - 1
+        clo[second] = lo[inside]
+        chi[second] = da[inside]
+        sides = _OTHER_SIDES[gate[parent]]
+        p = z[parent[:, None], sides]
+        e = z[parent[:, None], (sides + 1) % 3] - p
+        k = _exit_side(p, e, _unit(clo + chi))
+        keep = np.flatnonzero(~(_cross(clo, chi) <= 1e-12) & (k >= 0))
+        k, parent = k[keep], parent[keep]
+        kept, tri, gate, u, b = _across(
+            tab, tri[parent], sides[keep, k], p[keep, k], e[keep, k],
+            u[parent], b[parent], max_len, diag)
+        seed = seed[parent[kept]]
+        lo, hi = clo[keep[kept]], chi[keep[kept]]
 
 
 def enumerate_saddle_connections(surface: CubicSurface,
@@ -792,46 +874,56 @@ def enumerate_saddle_connections(surface: CubicSurface,
     (length, angle, start class).  Segments clipped by a surface boundary are
     dropped and counted in the ``clipped`` diagnostic.
     """
-    if max_length <= 0:
-        raise ValueError("max_length must be positive")
+    if not 0 < max_length < math.inf:
+        raise ValueError("max_length must be positive and finite")
     diag = _Diag()
-    hits = []
+    seeds = [(cls, t, v) for cls in surface.marked_classes()
+             for t, v in surface.fans[cls]]
+    found = []   # (seed index, 0 along an edge or 1 inside the wedge, hit)
 
-    def make_recorder(start_cls, dep_tri, dep_v):
-        def record(hit):
-            """Keep a RayHit (a ray that found none is None)."""
-            if hit is None:
-                return
-            period = hit.point
-            if abs(period) <= _POS_TOL or abs(period) > max_length + _POS_TOL:
-                return
+    def record(seed, kind, hit):
+        """Keep a RayHit (a ray that found none is None) from the seed's
+        class to one no smaller, where each segment is reported."""
+        start, t, v = seeds[seed]
+        if hit is None or hit.cls < start:
+            return
+        period = hit.point
+        if abs(period) <= _POS_TOL or abs(period) > max_length + _POS_TOL:
+            return
+        dep_key = arr_key = None
+        if hit.cls == start:   # _dedup_hits reads the keys of self-loops
             d = period / abs(period)
-            dep_key = (dep_tri, dep_v, round(cmath.phase(d) % TWO_PI, 7))
+            dep_key = (t, v, round(cmath.phase(d) % TWO_PI, 7))
             (t, v), back = claim_corner(surface, hit.tri, hit.vertex,
                                         (-d) * hit.u.conjugate())
             arr_key = (t, v, round(cmath.phase(back) % TWO_PI, 7))
-            hits.append(_DirectedHit(start_cls, hit.cls, period, dep_key,
-                                     arr_key))
-        return record
+        found.append((seed, kind, _DirectedHit(start, hit.cls, period,
+                                               dep_key, arr_key)))
 
-    for cls in surface.marked_classes():
-        fan = surface.fans[cls]
-        for idx, (t, v) in enumerate(fan):
-            record = make_recorder(cls, t, v)
-            # the rays along the corner's first edge, and along the open
-            # fan's last edge, continuing straight past flat endpoints
-            ends = [v + 1]
-            if not surface.fan_closed[cls] and idx == len(fan) - 1:
-                ends.append(v + 2)
-            for w in ends:
-                edge = surface.coords(t, w) - surface.coords(t, v)
-                record(_trace(surface, t, v, 1.0 + 0j,
-                              -complex(surface.coords(t, v)), edge / abs(edge),
-                              max_length, diag, examine=False))
-            _wedge_search(surface, t, v, max_length, diag, record)
-
-    conns = _dedup_hits(hits)
-    return EnumerationResult(conns, diag.clipped)
+    tab = _Tables(surface)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for first in range(0, len(seeds), _SEED_BLOCK):
+            block = np.array(seeds[first:first + _SEED_BLOCK], dtype=np.intp)
+            _develop_wedges(surface, tab, block, first, max_length, diag,
+                            record)
+    for seed, (cls, t, v) in enumerate(seeds):
+        # the rays along the corner's first edge, and along the open
+        # fan's last edge, continuing straight past flat endpoints
+        ends = [v + 1]
+        if not surface.fan_closed[cls] and (t, v) == surface.fans[cls][-1]:
+            ends.append(v + 2)
+        for w in ends:
+            edge = surface.coords(t, w) - surface.coords(t, v)
+            record(seed, 0, _trace(
+                surface, t, v, 1.0 + 0j, -complex(surface.coords(t, v)),
+                edge / abs(edge), max_length, diag, examine=False))
+    # _dedup_hits' stable sorts keep the corners' order among equal keys;
+    # within a corner the hits lie in distinct directions, which those
+    # sorts tell apart (to 1e-9 rad, 1e-7 for self-loops), so their order
+    # there is immaterial
+    found.sort(key=lambda f: f[:2])
+    return EnumerationResult(_dedup_hits([h for _, _, h in found]),
+                             diag.clipped)
 
 
 def _dedup_hits(hits):

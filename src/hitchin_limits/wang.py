@@ -184,8 +184,8 @@ def solve_disk(k: int, s: float, R: float,
     Starts from the constant Dirichlet value (a supersolution); iterates are
     checked to stay between the flat subsolution and the start value.
     """
-    if k < 0 or s <= 0 or R <= 0:
-        raise ValueError("need k >= 0, s > 0, R > 0")
+    if k < 0 or not 0 < s < math.inf or not 0 < R < math.inf:
+        raise ValueError("need k >= 0 and finite s > 0, R > 0")
     grid = grid or GridSpec()
     nr, ratio = grid.nr, grid.ratio
     if nr < 2 or not ratio > 1.0:

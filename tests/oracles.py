@@ -2,7 +2,8 @@
 
 Surfaces and path files the tests build on, closed forms the numerical code
 is checked against, read-outs of a frame transport beyond the ones the
-verify commands use, and orbifold bookkeeping.  No command of the package
+verify commands use, orbifold bookkeeping, and the corner-by-corner saddle
+connection search the batched one must match.  No command of the package
 reaches any of this, so it lives with the tests.
 """
 
@@ -13,6 +14,8 @@ import math
 import numpy as np
 
 from hitchin_limits import frame
+from hitchin_limits import surface as sf
+from hitchin_limits.errors import NotConverged
 from hitchin_limits.surface import (TWO_PI, CubicSurface, Gluing, glue,
                                     walk_fan)
 from hitchin_limits.tropical import OMEGA
@@ -158,6 +161,125 @@ def reference_vertex_classes(surface: CubicSurface):
         fans.append(fan)
         angles.append(angle)
     return classes, fans, angles
+
+
+# ---------------------------------------------------------------------------
+# saddle connections, corner by corner
+# ---------------------------------------------------------------------------
+
+def _segment_min_dist(p, q):
+    e = q - p
+    L2 = (e * e.conjugate()).real
+    if L2 == 0:
+        return abs(p)
+    t = max(0.0, min(1.0, -((p * e.conjugate()).real) / L2))
+    return abs(p + t * e)
+
+
+def _wedge_search(surface, seed_tri, seed_v, max_len, diag, record):
+    """Develop the view from corner (seed_tri, seed_v) depth first with
+    complex scalars, recording (as a RayHit) every marked vertex visible
+    strictly inside the corner wedge within max_len."""
+    b0 = -complex(surface.coords(seed_tri, seed_v))
+    lo = surface.edge_vector(seed_tri, seed_v)
+    hi = -surface.edge_vector(seed_tri, (seed_v + 2) % 3)
+    lo, hi = lo / abs(lo), hi / abs(hi)
+    gate = (seed_v + 1) % 3
+    coords0 = [sf._place(1.0, b0, surface.coords(seed_tri, i))
+               for i in range(3)]
+    if _segment_min_dist(coords0[gate], coords0[(gate + 1) % 3]) > max_len:
+        return
+    step = sf._compose_across(surface, 1.0 + 0j, b0, seed_tri, gate)
+    if step is None:
+        diag.clipped += 1
+        return
+    t2, s2, u2, b2 = step
+    stack = [(t2, s2, u2, b2, lo, hi)]
+    guard = 0
+    while stack:
+        guard += 1
+        if guard > sf._MAX_DEVELOPED:
+            raise NotConverged("saddle connection search exploded")
+        tri, gate_side, u, b, wlo, whi = stack.pop()
+        apex = (gate_side + 2) % 3
+        coords = [sf._place(u, b, surface.coords(tri, i)) for i in range(3)]
+        pa = coords[apex]
+        if pa == 0:
+            continue
+        da = pa / abs(pa)
+        c_lo = sf._cross(wlo, da)
+        c_hi = sf._cross(da, whi)
+        if c_lo > 1e-12 and c_hi > 1e-12:
+            cls = surface.class_of(tri, apex)
+            if abs(pa) <= max_len + sf._POS_TOL:
+                if surface.is_marked(cls):
+                    record(sf.RayHit(cls, pa, tri, apex, u))
+                elif surface.is_flat(cls):
+                    record(sf._trace(surface, tri, apex, u, b, da, max_len,
+                                     diag, examine=False))
+            children = [(wlo, da), (da, whi)]
+        else:
+            children = [(wlo, whi)]
+        for clo, chi in children:
+            if sf._cross(clo, chi) <= 1e-12:
+                continue
+            dmid = clo + chi
+            dmid = dmid / abs(dmid)
+            crossing = sf._exit(coords, 0j, dmid, gate_side)
+            if crossing is None:
+                continue
+            side = crossing[1]
+            if _segment_min_dist(coords[side], coords[(side + 1) % 3]) \
+                    > max_len:
+                continue
+            step = sf._compose_across(surface, u, b, tri, side)
+            if step is None:
+                diag.clipped += 1
+                continue
+            nt, ns, nu, nb = step
+            stack.append((nt, ns, nu, nb, clo, chi))
+
+
+def reference_saddle_connections(surface, max_length):
+    """sf.enumerate_saddle_connections with each corner's wedge developed on
+    its own, depth first, with complex scalars.  Reference for the batched
+    array development, which must return the same result bit for bit."""
+    diag = sf._Diag()
+    hits = []
+
+    def make_recorder(start_cls, dep_tri, dep_v):
+        def record(hit):
+            """Keep a RayHit (a ray that found none is None)."""
+            if hit is None:
+                return
+            period = hit.point
+            if abs(period) <= sf._POS_TOL \
+                    or abs(period) > max_length + sf._POS_TOL:
+                return
+            d = period / abs(period)
+            dep_key = (dep_tri, dep_v, round(cmath.phase(d) % TWO_PI, 7))
+            (t, v), back = sf.claim_corner(surface, hit.tri, hit.vertex,
+                                           (-d) * hit.u.conjugate())
+            arr_key = (t, v, round(cmath.phase(back) % TWO_PI, 7))
+            hits.append(sf._DirectedHit(start_cls, hit.cls, period, dep_key,
+                                        arr_key))
+        return record
+
+    for cls in surface.marked_classes():
+        fan = surface.fans[cls]
+        for idx, (t, v) in enumerate(fan):
+            record = make_recorder(cls, t, v)
+            ends = [v + 1]
+            if not surface.fan_closed[cls] and idx == len(fan) - 1:
+                ends.append(v + 2)
+            for w in ends:
+                edge = surface.coords(t, w) - surface.coords(t, v)
+                record(sf._trace(surface, t, v, 1.0 + 0j,
+                                 -complex(surface.coords(t, v)),
+                                 edge / abs(edge), max_length, diag,
+                                 examine=False))
+            _wedge_search(surface, t, v, max_length, diag, record)
+    return sf.EnumerationResult(sf._dedup_hits(hits), diag.clipped)
 
 
 # ---------------------------------------------------------------------------

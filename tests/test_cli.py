@@ -133,6 +133,21 @@ def test_trigroup_spectrum_csv(tmp_path):
     assert len(lines) == 1 + 4 * 2
 
 
+def test_trigroup_spectrum_reports_the_enumeration(tmp_path, capsys):
+    assert run(["trigroup", "spectrum", "--pqr", "3,3,4", "--maxlen", "1.8",
+                "--layers", "9", "--out", str(tmp_path / "spec.csv")]) == 0
+    assert "saddle connections up to 1.8: 257 (clipped: 457)\n" in \
+        capsys.readouterr().err
+
+
+def test_enumeration_explosion_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sf, "_MAX_DEVELOPED", 3)
+    assert run(["trigroup", "spectrum", "--pqr", "3,3,4", "--maxlen", "1.8",
+                "--layers", "9", "--out", str(tmp_path / "spec.csv")]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: NotConverged: saddle connection search exploded\n")
+
+
 def test_trigroup_boundary(capsys):
     assert run(["trigroup", "boundary", "--pqr", "3,3,4", "--thetas", "6",
                 "--layers", "9"]) == 0
@@ -274,6 +289,46 @@ def test_count_out_of_range_exits_1(tmp_path, capsys, argv):
     assert exc.value.code == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["trigroup", "spectrum", "--maxlen", "nan"],
+    ["trigroup", "spectrum", "--maxlen", "inf"],
+    ["verify", "arc", "--k", "1", "--theta1", "inf"],
+    ["verify", "sweep", "--k", "1", "--radius", "nan"],
+    ["wang", "solve", "--k", "1", "--s", "inf"],
+    ["wang", "solve", "--k", "1", "--s", "nan"],
+    ["polygon", "unipotent", "--n", "4", "--theta-in=-inf",
+     "--theta-out", "1"],
+], ids=["maxlen-nan", "maxlen-inf", "theta1-inf", "sweep-radius-nan",
+        "s-inf", "s-nan", "theta-in-inf"])
+def test_non_finite_number_exits_1(monkeypatch, capsys, argv):
+    # nan maxlen used to enumerate 147 connections and inf the whole patch;
+    # inf theta1 raised OverflowError, and inf s or nan radius NewtonDiverged
+    monkeypatch.setattr(cli.wang, "solve_disk", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "expected a finite number" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sweep", "--k", "1", "--s", "1e2,nan"],
+    ["verify", "sweep", "--k", "1", "--s", "inf"],
+    ["verify", "arc", "--k", "1", "--s", "1e2,1e3,inf"],
+    ["verify", "sweep", "--k", "1", "--path", "radial:0.3,nan,0.27"],
+    ["verify", "sweep", "--k", "2", "--path", "chord:0.2,0.1,inf,0.4"],
+    ["surface", "build", "--disk", "1", "nan", "--out", "disk.json"],
+], ids=["s-list-nan", "s-list-inf", "arc-s-list-inf", "radial-nan",
+        "chord-inf", "disk-radius-nan"])
+def test_non_finite_token_exits_1_before_solving(monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli.wang, "solve_disk", no_solve)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected a finite number")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

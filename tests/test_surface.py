@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hitchin_limits import cli, polygon, trigroup
 from hitchin_limits import surface as sf
-from hitchin_limits.errors import StokesEndpoint
+from hitchin_limits.errors import NotConverged, StokesEndpoint
 from hitchin_limits.tropical import OMEGA
 
 import oracles
@@ -235,20 +235,24 @@ def test_enumerate_finds_rim_chords():
     # through the rim before it meets another marked point
     (lambda: sf.build_polynomial_disk(1, 1.0), 0, 16),
     (lambda: trigroup.build_orbifold(3, 3, 4, layers=9).surface, 257, 457),
-], ids=["disk", "orbifold-334"])
+    (lambda: trigroup.build_orbifold(3, 3, 4, layers=12).surface, 828, 1266),
+], ids=["disk", "orbifold-334", "orbifold-334-12"])
 def test_enumerate_counts_rays_clipped_by_the_boundary(build, count, clipped):
     result = sf.enumerate_saddle_connections(build(), 1.8)
     assert len(result) == count
     assert result.clipped == clipped
 
 
-def test_enumerate_passes_through_unmarked_flat_vertex():
-    # unmark the center of the flat disk: diameters become single segments
+def _unmarked_center_disk():
     disk = sf.build_polynomial_disk(0, 1.0)
     orders = {cls: 0 for cls in range(disk.n_classes()) if cls != 0}
-    surf = sf.CubicSurface(disk.triangles, disk.gluings, vertex_orders=orders,
+    return sf.CubicSurface(disk.triangles, disk.gluings, vertex_orders=orders,
                            boundary=disk.boundary)
-    result = sf.enumerate_saddle_connections(surf, 2.01)
+
+
+def test_enumerate_passes_through_unmarked_flat_vertex():
+    # unmark the center of the flat disk: diameters become single segments
+    result = sf.enumerate_saddle_connections(_unmarked_center_disk(), 2.01)
     diameters = [c for c in result if abs(c.length - 2.0) < 1e-9]
     assert len(diameters) == 3
 
@@ -284,6 +288,74 @@ def test_enumeration_deterministic_order():
         [(c.start, c.end, c.period) for c in r2]
     keys = [(round(c.length, 9), round(c.angle, 9), c.start) for c in r1]
     assert keys == sorted(keys)
+
+
+def _bits(result):
+    return ([(c.start, c.end, c.period.real.hex(), c.period.imag.hex())
+             for c in result], result.clipped)
+
+
+def _orbifold(p, q, r, layers):
+    return lambda: trigroup.build_orbifold(p, q, r, layers=layers).surface
+
+
+@pytest.mark.parametrize("build, max_length", [
+    (_orbifold(3, 3, 4, 8), 2.3),
+    (_orbifold(3, 3, 4, 12), 1.8),
+    (_orbifold(3, 4, 5, 9), 1.8),
+    (_orbifold(4, 4, 4, 9), 1.8),
+    (_orbifold(3, 4, 4, 10), 1.8),
+    (_orbifold(3, 3, 3, 9), 1.8),
+    (lambda: sf.build_polynomial_disk(0, 2.5), 3.1),
+    (lambda: sf.build_polynomial_disk(3, 2.5), 3.1),
+    (hexagon_fan_surface, 2.01),
+    (lambda: oracles.barycentric_refine(hexagon_fan_surface()), 2.3),
+    (_unmarked_center_disk, 2.01),
+    (oracles.build_l_surface, 3.1),
+    (lambda: oracles.barycentric_refine(oracles.build_l_surface()), 2.3),
+    (lambda: oracles.barycentric_refine(_orbifold(3, 3, 4, 6)()), 2.3),
+], ids=["334-8", "334-12", "345-9", "444-9", "344-10", "333-9", "disk0",
+        "disk3", "hexagon-fan", "hexagon-fan-refined", "unmarked-center",
+        "l-surface", "l-surface-refined", "334-6-refined"])
+def test_enumeration_matches_corner_by_corner_search(build, max_length):
+    # the same connections, periods, order and clipped count, bit for bit;
+    # the L-surfaces' connections are all self-loops, and refined surfaces
+    # have unmarked flat vertices that rays pass straight
+    surf = build()
+    assert _bits(sf.enumerate_saddle_connections(surf, max_length)) == \
+        _bits(oracles.reference_saddle_connections(surf, max_length))
+
+
+@pytest.mark.parametrize("max_length", [0.0, -1.0, math.nan, math.inf])
+def test_enumerate_rejects_bad_length(max_length):
+    with pytest.raises(ValueError, match="positive and finite"):
+        sf.enumerate_saddle_connections(hexagon_fan_surface(), max_length)
+
+
+def test_enumeration_explosion_guard(monkeypatch):
+    surf = trigroup.build_orbifold(3, 3, 4, layers=9).surface
+    monkeypatch.setattr(sf, "_MAX_DEVELOPED", 3)
+    with pytest.raises(NotConverged, match="saddle connection search exploded"):
+        sf.enumerate_saddle_connections(surf, 1.8)
+
+
+def test_explosion_guard_counts_as_the_corner_by_corner_search(monkeypatch):
+    # every limit either trips both searches or neither: the guard counts
+    # the triangles each corner develops
+    surf = oracles.barycentric_refine(oracles.build_l_surface())
+    tripped = []
+    for limit in range(18, 26):
+        monkeypatch.setattr(sf, "_MAX_DEVELOPED", limit)
+        outcomes = []
+        for search in (sf.enumerate_saddle_connections,
+                       oracles.reference_saddle_connections):
+            try:
+                outcomes.append(_bits(search(surf, 1.6)))
+            except NotConverged:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
+        tripped.append(outcomes[0] is None)
+    assert tripped[0] and not tripped[-1]
 
 
 @pytest.mark.parametrize("build", [

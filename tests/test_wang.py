@@ -204,3 +204,11 @@ def test_invalid_inputs():
         wang.solve_disk(-1, 10.0, 1.0)
     with pytest.raises(ValueError):
         wang.solve_disk(1, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("s, R", [(math.nan, 1.0), (math.inf, 1.0),
+                                  (10.0, math.nan), (10.0, math.inf)])
+def test_non_finite_s_or_radius_rejected(s, R):
+    # nan used to pass the sign checks; inf ended in NewtonDiverged
+    with pytest.raises(ValueError, match="finite"):
+        wang.solve_disk(1, s, R)
