@@ -40,9 +40,6 @@ class ApartmentPoint:
     def as_array(self):
         return np.array([self.x1, self.x2, self.x3])
 
-    def norm(self):
-        return float(np.linalg.norm(self.as_array()))
-
 
 # ---------------------------------------------------------------------------
 # sectors and their branches

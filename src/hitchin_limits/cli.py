@@ -73,8 +73,8 @@ def cmd_surface_build(args):
         k, radius = int(args.disk[0]), _real(args.disk[1])
         surf = surf_mod.build_polynomial_disk(k, radius)
     elif args.orbifold:
-        p, q, r = (int(t) for t in args.orbifold.split(","))
-        surf = trigroup.build_orbifold(p, q, r, layers=args.layers).surface
+        surf = trigroup.build_orbifold(*args.orbifold,
+                                       layers=args.layers).surface
     else:
         raise ValueError("choose --disk K RADIUS or --orbifold p,q,r")
     violations = surf_mod.validate(surf)
@@ -210,8 +210,8 @@ def cmd_verify_sweep(args):
     scale = float(np.max(np.abs(target)))
     rows = []
     for s in s_list:
-        sol = wang.solve_disk(args.k, s, args.radius, wang.decay_fit_grid(s))
-        numeric = frame.transport_weyl_exponents(sol, pts, s)
+        sol = wang.solve_disk(args.k, s, args.radius)
+        numeric = frame.transport_weyl_exponents(sol, pts)
         rows.append((s, *numeric, *target, *(np.abs(numeric - target) / scale)))
     gaps = [max(row[-3:]) for row in rows]
     monotone = all(b <= max(a, _GAP_FLOOR) for a, b in zip(gaps, gaps[1:]))
@@ -236,8 +236,8 @@ def cmd_verify_arc(args):
     pred = S @ np.linalg.inv(U) @ S_inv
     errs = []
     for s in s_list:
-        sol = wang.solve_disk(k, s, args.radius_disk, wang.decay_fit_grid(s))
-        G = frame.arc_unipotent_numeric(sol, k, s, args.theta0, args.theta1,
+        sol = wang.solve_disk(k, s, args.radius_disk)
+        G = frame.arc_unipotent_numeric(sol, args.theta0, args.theta1,
                                         radius=args.radius)
         errs.append(float(np.max(np.abs(G - pred))))
     _write_csv(args.out, ["s", "entrywise_error"], zip(s_list, errs))
@@ -279,8 +279,7 @@ def cmd_building_convexity(args):
 
 
 def cmd_trigroup_spectrum(args):
-    p, q, r = (int(t) for t in args.pqr.split(","))
-    orb = trigroup.build_orbifold(p, q, r, layers=args.layers)
+    orb = trigroup.build_orbifold(*args.pqr, layers=args.layers)
     classes = [trigroup.straight_positive_cycle(orb)]
     try:
         classes.append(trigroup.straight_median_cycle(orb))
@@ -300,8 +299,7 @@ def cmd_trigroup_spectrum(args):
 
 
 def cmd_trigroup_boundary(args):
-    p, q, r = (int(t) for t in args.pqr.split(","))
-    orb = trigroup.build_orbifold(p, q, r, layers=args.layers)
+    orb = trigroup.build_orbifold(*args.pqr, layers=args.layers)
     classes = [trigroup.straight_positive_cycle(orb),
                trigroup.straight_median_cycle(orb)]
     thetas = [2 * math.pi * i / args.thetas for i in range(args.thetas)]
@@ -351,6 +349,16 @@ def _real(text):
     return x
 
 
+def _pqr(text):
+    """argparse type: the three integers p,q,r of a triangle group."""
+    try:
+        p, q, r = (int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected three integers p,q,r, got {text!r}") from None
+    return p, q, r
+
+
 def build_parser():
     ap = _Parser(prog="hitchin-limits")
     sub = ap.add_subparsers(dest="group", required=True)
@@ -358,7 +366,7 @@ def build_parser():
     g = sub.add_parser("surface").add_subparsers(dest="action", required=True)
     b = g.add_parser("build")
     b.add_argument("--disk", nargs=2, metavar=("K", "RADIUS"))
-    b.add_argument("--orbifold", type=str, default=None)
+    b.add_argument("--orbifold", type=_pqr, default=None)
     b.add_argument("--layers", type=_count(0), default=6)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_surface_build)
@@ -387,8 +395,8 @@ def build_parser():
     w.add_argument("--k", type=int, required=True)
     w.add_argument("--s", type=_real, required=True)
     w.add_argument("--radius", type=_real, default=1.0)
-    w.add_argument("--nr", type=int, default=200)
-    w.add_argument("--ratio", type=_real, default=1.05)
+    w.add_argument("--nr", type=int, default=wang.GridSpec.nr)
+    w.add_argument("--ratio", type=_real, default=wang.GridSpec.ratio)
     w.add_argument("--out", default="-")
     w.set_defaults(func=cmd_wang_solve)
 
@@ -425,14 +433,14 @@ def build_parser():
 
     g = sub.add_parser("trigroup").add_subparsers(dest="action", required=True)
     ts = g.add_parser("spectrum")
-    ts.add_argument("--pqr", default="3,3,4")
+    ts.add_argument("--pqr", type=_pqr, default="3,3,4")
     ts.add_argument("--maxlen", type=_real, default=1.01)
     ts.add_argument("--thetas", type=_count(1), default=12)
     ts.add_argument("--layers", type=_count(0), default=9)
     ts.add_argument("--out", default="-")
     ts.set_defaults(func=cmd_trigroup_spectrum)
     tb = g.add_parser("boundary")
-    tb.add_argument("--pqr", default="3,3,4")
+    tb.add_argument("--pqr", type=_pqr, default="3,3,4")
     tb.add_argument("--thetas", type=_count(2), default=12)
     tb.add_argument("--layers", type=_count(0), default=9)
     tb.set_defaults(func=cmd_trigroup_boundary)
@@ -449,7 +457,7 @@ def main(argv=None) -> int:
         # a ValueError subclass, but a numerical failure
         _diag(f"error: LinAlgError: {err}")
         return EXIT_NUMERICAL
-    except (ValueError, FileNotFoundError, argparse.ArgumentTypeError) as err:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as err:
         _diag(f"error: {err}")
         return EXIT_VALIDATION
     except HitchinLimitsError as err:

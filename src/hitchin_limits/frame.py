@@ -32,9 +32,10 @@ import numpy as np
 from .errors import StepUnstable
 from .tropical import CBRT4, OMEGA
 
-# slot j of every diagonal carries the cosine branch cos(theta - BETA[j]);
-# this matches the Stokes-flip bookkeeping of the polygon module
+# slot j of every diagonal carries the cosine branch cos(theta - BETA[j]) and
+# the Titeica eigenvector of branch SLOT_BRANCH[j], as polygon's flips expect
 BETA = (-2.0 * math.pi / 3.0, 0.0, 2.0 * math.pi / 3.0)
+SLOT_BRANCH = (1, 0, 2)
 _SLOT_PHASES = np.array([cmath.exp(-1j * b) for b in BETA])
 
 # transport: RK4 truncation target per unit length.  Transport and arcs form
@@ -87,14 +88,14 @@ def titeica_frame():
     """(S, S_inv): eigenbasis of the Titeica monodromy, in closed form.
 
     Column j is (1, 2^(1/3) w^(2m), 2^(1/3) w^m) with w = e^(2 pi i/3) and
-    m = (1, 0, 2)[j], so slot j carries the branch cos(theta - BETA[j]).
+    m = SLOT_BRANCH[j], so slot j carries the branch cos(theta - BETA[j]).
     S = diag(1, 2^(1/3), 2^(1/3)) F with F the 3-point Fourier matrix up to
     the order of its rows and columns, so F^H F = 3 and
     S^(-1) = S^H diag(1, 2^(2/3), 2^(2/3))^(-1) / 3.
     """
     c = 2.0 ** (1.0 / 3.0)
     S = np.array([[1.0, c * OMEGA ** (2 * m), c * OMEGA ** m]
-                  for m in (1, 0, 2)], dtype=complex).T
+                  for m in SLOT_BRANCH], dtype=complex).T
     return S, S.conj().T / (3.0 * np.array([1.0, CBRT4, CBRT4]))
 
 
@@ -208,14 +209,14 @@ def _rk4_steps(f1, mid, end):
     return steps, (int(np.argmax(bad)) if bad.any() else -1)
 
 
-def integrate_transport(sol, path, s: float) -> FrameTransport:
+def integrate_transport(sol, path) -> FrameTransport:
     """RK4 transport of the structure-equation connection along a polyline.
 
     ``sol`` provides phi_at(z) and dz_phi_at(z) on arrays of chart points
-    plus field k (a Wang solution); ``path`` is a sequence of complex chart
-    points.  The connection is taken trace-free (the scalar e^(phi)-gauge is
-    removed), so the result is unimodular; asymptotic exponents are
-    unaffected.
+    plus fields k and s (a Wang solution); ``path`` is a sequence of complex
+    chart points.  The connection is taken trace-free (the scalar
+    e^(phi)-gauge is removed), so the result is unimodular; asymptotic
+    exponents are unaffected.
 
     Each straight segment takes n equal steps of its own dz; zero-length
     segments are skipped.  The nodes of the whole path (start, middle and
@@ -234,6 +235,7 @@ def integrate_transport(sol, path, s: float) -> FrameTransport:
     segs = [(a, b - a) for a, b in zip(pts[:-1], pts[1:]) if b != a]
     if not segs:
         return xport
+    s = sol.s
     h = _step_size(s)
     ns = [max(2, int(math.ceil(abs(seg) / h))) for _, seg in segs]
     # segment i takes steps stops[i] - ns[i] ... stops[i] - 1; its nodes
@@ -304,7 +306,7 @@ def natural_frame_diag(z: complex, k: int, s: float,
     return abs(wp) ** (2.0 / 3.0) * diag
 
 
-def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
+def arc_unipotent_numeric(sol, theta0: float, theta1: float,
                           radius: float) -> np.ndarray:
     """G_{theta0}^(-1) G_{theta1} for the arc |z| = radius between the two
     angles, converging to the conjugated Stokes unipotent product as s grows.
@@ -318,6 +320,7 @@ def arc_unipotent_numeric(sol, k: int, s: float, theta0: float, theta1: float,
     integrand vanishes identically.  A step that is not finite or has an
     entry above e^10 raises StepUnstable naming it as arc step j of n.
     """
+    k, s = sol.k, sol.s
     n_steps = max(256, int(96 * abs(theta1 - theta0) * s ** (1 / 3)))
     S, S_inv = titeica_frame()
     U_T, V_T = titeica_structure()
@@ -365,7 +368,7 @@ def _ordered_product(P):
     return P[0]
 
 
-def transport_weyl_exponents(sol, path, s: float):
+def transport_weyl_exponents(sol, path):
     """s^(-1/3)-normalized sorted log singular values of the holonomy.
 
     The transport is expressed in the unimodular natural frame at the
@@ -377,14 +380,14 @@ def transport_weyl_exponents(sol, path, s: float):
     naming the transport layer.
     """
     a, b = complex(path[0]), complex(path[-1])
-    da = natural_frame_diag(a, sol.k, s, cmath.phase(a))
-    db = natural_frame_diag(b, sol.k, s, cmath.phase(b))
+    da = natural_frame_diag(a, sol.k, sol.s, cmath.phase(a))
+    db = natural_frame_diag(b, sol.k, sol.s, cmath.phase(b))
     S, S_inv = titeica_frame()
     try:
-        xport = integrate_transport(sol, path, s)
+        xport = integrate_transport(sol, path)
         A = S_inv * (1.0 / db)[None, :] @ xport.Q
         B = (xport.T * da) @ S
         vals = _log_singular_values_of_factored(A, xport.logd, B)
     except np.linalg.LinAlgError as err:
         raise StepUnstable(f"transport: {err}") from err
-    return np.sort(vals)[::-1] / s ** (1.0 / 3.0)
+    return np.sort(vals)[::-1] / sol.s ** (1.0 / 3.0)

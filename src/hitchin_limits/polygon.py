@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationInvalid, StokesEndpoint, WallAmbiguity
-from .frame import titeica_exponents, titeica_frame
+from .frame import SLOT_BRANCH, titeica_exponents, titeica_frame
 from .surface import GeodesicPath
 
 PI = math.pi
@@ -39,17 +39,6 @@ _BASIS_PATTERN = (
     (("r", 2), ("q", 1), ("r", 1)),
     (("r", 2), ("r", 3), ("r", 1)),
     (("r", 2), ("r", 3), ("q", 2)),
-)
-
-# eigenvalue-rank tags per wall-to-wall interval (tau pi/3, (tau+1) pi/3);
-# tags rank the slot branches cos(theta - BETA[slot]) of the frame
-_TAG_TABLE = (
-    ("s", "l", "m"),  # tau = 0: (0, pi/3)
-    ("s", "m", "l"),
-    ("m", "s", "l"),
-    ("l", "s", "m"),
-    ("l", "m", "s"),
-    ("m", "l", "s"),  # tau = 5 == -1: (-pi/3, 0)
 )
 
 
@@ -124,7 +113,10 @@ def basis_labels(sigma: int):
 
 
 def eigen_tags(tau: int):
-    return _TAG_TABLE[tau % 6]
+    """Rank tags s/m/l of the slot exponents on the wall-to-wall interval
+    (tau pi/3, (tau+1) pi/3), read at its middle angle."""
+    exps = titeica_exponents(cmath.exp(1j * (tau + 0.5) * PI / 3))
+    return tuple("sml"[rank] for rank in np.argsort(np.argsort(exps)))
 
 
 def basis_matrix(lifts: PolygonLifts, sigma: int) -> np.ndarray:
@@ -205,17 +197,11 @@ def scheme_trace(flips: int):
 # leading term of the holonomy along a ray
 # ---------------------------------------------------------------------------
 
-# slot holding the Titeica eigenvector with branch index j (see frame.BETA)
-_SLOT_OF_BRANCH = {0: 1, 1: 0, 2: 2}
-
-
 def _branch_permutation(m: int) -> np.ndarray:
     """Frame-change permutation in the S-gauge for a chart rotation zeta^m:
     the eigenvector of branch j moves to the slot of branch j + m."""
-    P = np.zeros((3, 3))
-    for j in range(3):
-        P[_SLOT_OF_BRANCH[(j + m) % 3], _SLOT_OF_BRANCH[j]] = 1.0
-    return P
+    branch = np.array(SLOT_BRANCH)
+    return (branch[:, None] == (branch + m) % 3).astype(float)
 
 
 def _chart_mismatch(angle_expected: float, angle_actual: float) -> int:

@@ -598,16 +598,17 @@ def _ray_walk(surface, tri, u, b, x0, d, max_len, diag):
     raise NotConverged("ray developed too many triangles")
 
 
-def _trace(surface, tri, vtx, u, b, d, max_len, diag, examine):
+def _trace(surface, tri, vtx, u, b, d, max_len, diag):
     """Follow the ray along the unit direction d from vertex (tri, vtx),
     placed by z -> u z + b, to the first marked point within max_len: a
     RayHit, or None.
 
-    Each vertex the ray stands on is examined (the first one only if
-    ``examine``): a marked one is the hit, a flat one is passed straight,
-    any other clips the ray.  The ray then leaves the vertex along an edge
-    or into the corner that holds d, walking the fan as needed.
+    Each vertex the ray stands on after the first is examined: a marked one
+    is the hit, a flat one is passed straight, any other clips the ray.  The
+    ray then leaves the vertex along an edge or into the corner that holds
+    d, walking the fan as needed.
     """
+    examine = False
     while True:
         pos = _place(u, b, surface.coords(tri, vtx))
         cls = surface.class_of(tri, vtx)
@@ -656,8 +657,7 @@ def shoot(surface, tri, vtx, chart_dir, max_len):
     """
     d = chart_dir / abs(chart_dir)
     b = -complex(surface.coords(tri, vtx))
-    return _trace(surface, tri, vtx, 1.0 + 0j, b, d, max_len, _Diag(),
-                  examine=False)
+    return _trace(surface, tri, vtx, 1.0 + 0j, b, d, max_len, _Diag())
 
 
 def claim_corner(surface, tri, vtx, chart_dir):
@@ -843,7 +843,7 @@ def _develop_wedges(surface, tab, seeds, first, max_len, diag, record):
         for i in np.flatnonzero(seen & tab.flat[cls]):
             record(first + int(seed[i]), 1, _trace(
                 surface, int(tri[i]), int(apex[i]), complex(u[i]),
-                complex(b[i]), complex(da[i]), max_len, diag, examine=False))
+                complex(b[i]), complex(da[i]), max_len, diag))
         # children: each half of a split wedge, or the whole wedge
         nchild = alive.astype(np.intp) + inside
         parent = np.repeat(rows, nchild)
@@ -916,7 +916,7 @@ def enumerate_saddle_connections(surface: CubicSurface,
             edge = surface.coords(t, w) - surface.coords(t, v)
             record(seed, 0, _trace(
                 surface, t, v, 1.0 + 0j, -complex(surface.coords(t, v)),
-                edge / abs(edge), max_length, diag, examine=False))
+                edge / abs(edge), max_length, diag))
     # _dedup_hits' stable sorts keep the corners' order among equal keys;
     # within a corner the hits lie in distinct directions, which those
     # sorts tell apart (to 1e-9 rad, 1e-7 for self-loops), so their order

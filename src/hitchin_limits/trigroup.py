@@ -35,7 +35,6 @@ class TriangleOrbifoldSurface:
     r: int
     surface: CubicSurface
     orbifold_type: tuple       # vertex class -> 0/1/2 (the p/q/r corner)
-    euclidean: bool
 
 
 def _zip_fans(coords, edge_map, corner_type, valence, work):
@@ -89,7 +88,6 @@ def build_orbifold(p: int, q: int, r: int, layers: int = 4) -> TriangleOrbifoldS
             raise NonDeformable(
                 "a (p,q,r) group with an order-2 vertex carries no nonzero "
                 "cubic differential")
-    euclidean = (p, q, r) == (3, 3, 3)
     valence = (p, q, r)
 
     coords = []
@@ -148,8 +146,7 @@ def build_orbifold(p: int, q: int, r: int, layers: int = 4) -> TriangleOrbifoldS
         if surface.fan_closed[cls]:
             surface.vertex_orders[cls] = valence[types[cls]] - 3
     return TriangleOrbifoldSurface(p=p, q=q, r=r, surface=surface,
-                                   orbifold_type=tuple(types),
-                                   euclidean=euclidean)
+                                   orbifold_type=tuple(types))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +256,6 @@ def straight_median_cycle(orb: TriangleOrbifoldSurface) -> GeodesicPath:
 
 @dataclass(frozen=True)
 class SpectrumVector:
-    curve_count: int
     values: tuple          # WeylVector per class
     projectivized: np.ndarray
 
@@ -278,8 +274,7 @@ def spectrum(curve_classes) -> SpectrumVector:
         proj = stacked / norm if norm > 0 else stacked
     else:
         proj = np.zeros(0)
-    return SpectrumVector(curve_count=len(values), values=tuple(values),
-                          projectivized=proj)
+    return SpectrumVector(values=tuple(values), projectivized=proj)
 
 
 def rotated_paths(curve_classes, theta):

@@ -19,10 +19,6 @@ from .errors import ZeroPeriod
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 CBRT4 = 2.0 ** (2.0 / 3.0)
 
-# Two entries of a triple tie at the top only when the direction sits on a
-# Weyl wall; tolerance is angular (radians) times the segment length.
-_TIE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class WeylVector:
@@ -54,7 +50,6 @@ class SegmentExponents:
 
     nu: tuple  # (nu_1, nu_2, nu_3), unsorted, cube-root order
     weyl: WeylVector
-    multiplicity_top: int
 
 
 def segment_exponents(period: complex) -> SegmentExponents:
@@ -67,10 +62,7 @@ def segment_exponents(period: complex) -> SegmentExponents:
     if period == 0:
         raise ZeroPeriod("segment period must be nonzero")
     nu = tuple(-CBRT4 * (OMEGA ** j * period).real for j in range(3))
-    weyl = WeylVector.from_values(nu)
-    tol = _TIE_TOL * max(1.0, abs(period))
-    mult = 1 + (weyl.x1 - weyl.x2 <= tol)
-    return SegmentExponents(nu=nu, weyl=weyl, multiplicity_top=mult)
+    return SegmentExponents(nu=nu, weyl=WeylVector.from_values(nu))
 
 
 def path_singular_exponents(periods) -> WeylVector:

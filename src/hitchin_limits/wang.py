@@ -29,6 +29,7 @@ _NEWTON_MAX_ITER = 80
 _NEWTON_TOL = 1e-12                  # row-scaled residual at convergence
 _FIT_INNER, _FIT_OUTER = 0.35, 0.8   # decay-fit annulus, in units of R
 _FIT_FLOOR = 1e-11                   # F below this is rounding noise
+_MAX_RINGS = 500_000                 # ~330 B each: decay-fit s <= 1.7e12
 
 
 @dataclass(frozen=True)
@@ -179,30 +180,43 @@ def _solve_tridiagonal(band, rhs):
 
 def solve_disk(k: int, s: float, R: float,
                grid: GridSpec = None) -> WangSolution:
-    """Damped-Newton solve of the discrete Wang equation on the model disk.
+    """Damped-Newton solve of the discrete Wang equation on the model disk,
+    on ``grid`` (by default decay_fit_grid(s)).
 
     Starts from the constant Dirichlet value (a supersolution); iterates are
-    checked to stay between the flat subsolution and the start value.
+    checked to stay between the flat subsolution and the start value.  A
+    degenerate grid, one over _MAX_RINGS rings, or a disk whose stencil,
+    |q_s|^2 or start residual overflows is refused with a ValueError.
     """
     if k < 0 or not 0 < s < math.inf or not 0 < R < math.inf:
         raise ValueError("need k >= 0 and finite s > 0, R > 0")
-    grid = grid or GridSpec()
+    grid = grid or decay_fit_grid(s)
     nr, ratio = grid.nr, grid.ratio
     if nr < 2 or not ratio > 1.0:
-        raise ValueError(f"grid needs nr >= 2 and ratio > 1, "
+        raise ValueError(f"grid for s={s:g} needs nr >= 2 and ratio > 1, "
                          f"got nr={nr}, ratio={ratio:g}")
-    rs = _radial_nodes(R, nr, ratio)
-    L, rhs_bound = _radial_operator(rs)
-
+    if nr > _MAX_RINGS:
+        raise ValueError(f"grid for s={s:g} has {nr} rings, over the "
+                         f"budget of {_MAX_RINGS}")
     phi_boundary = _flat(k, s, math.log(R))
-    # |q_s|^2 at the unknowns
-    radii = np.concatenate([[0.0], rs[:-1]])
-    q2 = s ** 2 * radii ** (2 * k) if k > 0 else np.full(nr, s ** 2)
-    if k > 0:
-        q2[0] = 0.0
 
-    flat = _flat(k, s, np.log(np.maximum(radii, 1e-300)))
-    flat[0] = -math.inf if k > 0 else flat[0]
+    def residual(u):
+        return _apply_band(L, u) + rhs_bound * phi_boundary - (
+            2 * np.exp(u) - 4 * np.exp(-2 * u) * q2)
+
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            rs = _radial_nodes(R, nr, ratio)
+            L, rhs_bound = _radial_operator(rs)
+            # |q_s|^2 at the unknowns, the center first (0 ** 0 = 1 for k = 0)
+            q2 = s ** 2 * np.append(0.0, rs[:-1]) ** (2 * k)
+            u = start = np.full(nr, phi_boundary)
+            res = residual(u)
+    except (FloatingPointError, OverflowError) as err:
+        raise ValueError(f"s={s:g}, R={R:g}: the stencil, |q_s|^2 or the "
+                         f"start residual overflows") from err
+    # the flat subsolution; its center value, -inf for k > 0, is not checked
+    flat = np.append(-math.inf, _flat(k, s, np.log(rs[:-1])))
 
     # measure the residual row-scaled: inner rings carry 1/h^2 stencil weights
     # around 1e11, so the raw residual has a cancellation floor far above the
@@ -210,16 +224,9 @@ def solve_disk(k: int, s: float, R: float,
     # directions
     row_scale = 1.0 / (1.0 + np.abs(L[1]))
 
-    def residual(u):
-        return _apply_band(L, u) + rhs_bound * phi_boundary - (
-            2 * np.exp(u) - 4 * np.exp(-2 * u) * q2)
-
     def norm(res):
         return float(np.max(np.abs(res * row_scale)))
 
-    u = np.full(nr, phi_boundary)
-    start = u.copy()
-    res = residual(u)
     history = [norm(res)]
     for _ in range(_NEWTON_MAX_ITER):
         if history[-1] <= _NEWTON_TOL:
@@ -242,10 +249,7 @@ def solve_disk(k: int, s: float, R: float,
             raise NewtonDiverged("residual increased", history)
         # sub/supersolution enclosure: transient excursions are bounded by
         # the residual; the converged iterate must sit inside the bracket
-        with np.errstate(invalid="ignore"):
-            violation = max(float(np.max(u - start)),
-                            float(np.nanmax(np.where(np.isfinite(flat),
-                                                     flat - u, -np.inf))))
+        violation = max(np.max(u - start), np.max(flat - u))
         if violation > max(1e-8, 1e3 * history[-1]):
             raise GridTooCoarse("Newton iterate left the sub/supersolution bracket")
     else:
@@ -318,5 +322,6 @@ def decay_fit_grid(s: float) -> GridSpec:
     with s so the fitted exponent stays dispersion-free across a sweep.
     """
     ratio = 1.0 + 0.22 * s ** (-1.0 / 3.0)
-    nr = int(math.ceil(math.log(1e4) / math.log(ratio)))
+    # past s ~ 1e46 the ratio rounds to 1: no rings, which solve_disk refuses
+    nr = int(math.ceil(math.log(1e4) / math.log(ratio))) if ratio > 1 else 0
     return GridSpec(nr=nr, ratio=ratio)

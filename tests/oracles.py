@@ -216,7 +216,7 @@ def _wedge_search(surface, seed_tri, seed_v, max_len, diag, record):
                     record(sf.RayHit(cls, pa, tri, apex, u))
                 elif surface.is_flat(cls):
                     record(sf._trace(surface, tri, apex, u, b, da, max_len,
-                                     diag, examine=False))
+                                     diag))
             children = [(wlo, da), (da, whi)]
         else:
             children = [(wlo, whi)]
@@ -276,8 +276,7 @@ def reference_saddle_connections(surface, max_length):
                 edge = surface.coords(t, w) - surface.coords(t, v)
                 record(sf._trace(surface, t, v, 1.0 + 0j,
                                  -complex(surface.coords(t, v)),
-                                 edge / abs(edge), max_length, diag,
-                                 examine=False))
+                                 edge / abs(edge), max_length, diag))
             _wedge_search(surface, t, v, max_length, diag, record)
     return sf.EnumerationResult(sf._dedup_hits(hits), diag.clipped)
 
@@ -342,7 +341,7 @@ def titeica_log_singular_values(displacement: complex):
 # reference transport
 # ---------------------------------------------------------------------------
 
-def reference_transport(sol, path, s: float):
+def reference_transport(sol, path):
     """frame.integrate_transport's RK4 steps, folded one short run at a time.
 
     Each segment is sampled on its own 2n+1 nodes and every run of 10 steps
@@ -353,7 +352,7 @@ def reference_transport(sol, path, s: float):
     I3 = np.eye(3, dtype=complex)
     xport = frame.FrameTransport()
     pts = [complex(z) for z in path]
-    h = frame._step_size(s)
+    h = frame._step_size(sol.s)
     for a, b in zip(pts[:-1], pts[1:]):
         seg = b - a
         if seg == 0:
@@ -363,7 +362,7 @@ def reference_transport(sol, path, s: float):
         nodes = a + seg * (np.arange(2 * n + 1) / (2 * n))
         U, V = frame.structure_coefficients(sol.phi_at(nodes),
                                             sol.dz_phi_at(nodes),
-                                            s * nodes ** sol.k)
+                                            sol.s * nodes ** sol.k)
         W = U * dz + V * dz.conjugate()
         W -= np.trace(W, axis1=1, axis2=2)[:, None, None] / 3.0 * I3
         G = -W

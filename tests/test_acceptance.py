@@ -50,7 +50,7 @@ def test_acceptance_1_titeica_exactness():
         sol = wang.solve_disk(0, s, 1.2 * L, wang.GridSpec(nr=40))
         z0 = 0.05 * cmath.exp(1j * theta)
         z1 = z0 + L * cmath.exp(1j * theta)
-        xport = frame.integrate_transport(sol, [z0, z1], s)
+        xport = frame.integrate_transport(sol, [z0, z1])
         da = frame.natural_frame_diag(z0, 0, s)
         db = frame.natural_frame_diag(z1, 0, s)
         got = oracles.log_singular_values(xport, left_diag=db, right_diag=da)
@@ -95,7 +95,7 @@ def test_acceptance_2_tropical_convergence():
             gaps = []
             for s in s_list:
                 sol = solve_cached(k, s)
-                numeric = frame.transport_weyl_exponents(sol, pts, s)
+                numeric = frame.transport_weyl_exponents(sol, pts)
                 gaps.append(float(np.max(np.abs(numeric - target))) / scale)
             monotone = gaps[0] > gaps[1] > gaps[2]
             final_ok = gaps[2] <= 0.05
@@ -128,7 +128,7 @@ def test_acceptance_3_arc_unipotents():
             offs = {}
             for s in (1e2, 1e4):
                 sol = solve_cached(k, s, "decay")
-                G = frame.arc_unipotent_numeric(sol, k, s, zf * nat0, zf * nat1,
+                G = frame.arc_unipotent_numeric(sol, zf * nat0, zf * nat1,
                                                 radius=radius[k])
                 errs[s] = float(np.max(np.abs(G - pred)))
                 Uhat = S_inv @ G @ S

@@ -1,7 +1,9 @@
 import json
 import math
 import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,3 +436,70 @@ def test_other_linalg_error_exits_2_with_one_line(monkeypatch, capsys):
     assert run(["verify", "arc", "--k", "1", "--s", "1e2"]) == 2
     err = capsys.readouterr().err
     assert err == "error: LinAlgError: injected failure\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sweep", "--k", "1", "--s", "1e20"],
+    ["verify", "sweep", "--k", "1", "--s", "1e48"],
+    ["verify", "arc", "--k", "1", "--s", "1e20"],
+    ["wang", "solve", "--k", "0", "--s", "1e300"],
+    ["wang", "solve", "--k", "1", "--s", "1e3", "--radius", "1e-300"],
+    ["wang", "solve", "--k", "1", "--s", "1e3", "--radius", "1e300"],
+], ids=["sweep-s1e20", "sweep-s1e48", "arc-s1e20", "solve-s1e300",
+        "solve-radius1e-300", "solve-radius1e300"])
+def test_out_of_range_s_or_radius_exits_1_with_one_line(monkeypatch, capsys,
+                                                        argv):
+    # s = 1e20 used to size a 194-million-ring grid, s = 1e48 divided by
+    # zero, s = 1e300 overflowed s ** 2, and the radii printed warnings
+    nodes = cli.wang._radial_nodes
+
+    def small_nodes(R, nr, ratio):
+        assert nr <= 1000, "allocated a refused grid"
+        return nodes(R, nr, ratio)
+    monkeypatch.setattr(cli.wang, "_radial_nodes", small_nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "validate", "--in"],
+    ["tropical", "spectrum", "--path"],
+    ["verify", "sweep", "--k", "0", "--s", "1e2", "--out"],
+], ids=["in", "path", "out"])
+def test_directory_for_a_file_exits_1_with_one_line(tmp_path, capsys, argv):
+    assert run(argv + [str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["3,3", "a,b,c", "3,3,4,5"])
+@pytest.mark.parametrize("argv", [
+    ["trigroup", "spectrum", "--pqr"],
+    ["trigroup", "boundary", "--pqr"],
+    ["surface", "build", "--out", "orb.json", "--orbifold"],
+], ids=["spectrum", "boundary", "build"])
+def test_malformed_pqr_exits_1_with_one_line(capsys, argv, text):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [text])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: argument {argv[-1]}: expected three integers "
+                   f"p,q,r, got '{text}'\n")
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # every command of the README's CLI block, in order, in one directory
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI")[1].split("```sh\n")[1].split("```")[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("hitchin-limits ")]
+    assert len(commands) >= 13
+    monkeypatch.chdir(tmp_path)
+    oracles.save_path(sf.synthesize_path([1.0, 0.7], turns=[3.6], orders=[1],
+                                         start_angle=0.4), "path.json")
+    for argv in commands:
+        assert run(argv) == 0, argv

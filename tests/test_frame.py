@@ -92,7 +92,7 @@ def test_integrator_matches_closed_form_k0(sol_k0):
     s = 800.0
     sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=40))
     for z0, z1 in [(0.1 + 0.05j, 0.9 + 0.4j), (0.6j, 0.1 - 0.7j)]:
-        xport = frame.integrate_transport(sol, [z0, z1], s)
+        xport = frame.integrate_transport(sol, [z0, z1])
         x = s ** (1 / 3) * (z1 - z0)
         want = oracles.titeica_log_singular_values(x)
         got = _natural_log_sv(xport, sol, s, z0, z1)
@@ -104,7 +104,7 @@ def test_integrator_closed_form_long_displacement():
     s = 6.4e4
     sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=30))
     z0, z1 = 0.05, 0.05 + 1.0
-    xport = frame.integrate_transport(sol, [z0, z1], s)
+    xport = frame.integrate_transport(sol, [z0, z1])
     x = s ** (1 / 3) * (z1 - z0)
     want = oracles.titeica_log_singular_values(x)
     got = _natural_log_sv(xport, sol, s, z0, z1)
@@ -112,24 +112,23 @@ def test_integrator_closed_form_long_displacement():
 
 
 def test_reversed_path_inverse(sol_k1_s1000):
-    s = sol_k1_s1000.s
     path = [0.35 + 0.1j, 0.7 + 0.3j]
-    fwd = frame.integrate_transport(sol_k1_s1000, path, s)
-    bwd = frame.integrate_transport(sol_k1_s1000, path[::-1], s)
+    fwd = frame.integrate_transport(sol_k1_s1000, path)
+    bwd = frame.integrate_transport(sol_k1_s1000, path[::-1])
     a = oracles.log_singular_values(fwd)
     b = oracles.log_singular_values(bwd)
     assert np.max(np.abs(np.sort(a) + np.sort(b)[::-1])) < 1e-8 * max(1, np.max(np.abs(a)))
 
 
 def test_unimodularity(sol_k1_s1000):
-    xport = frame.integrate_transport(sol_k1_s1000, [0.3, 0.8j], sol_k1_s1000.s)
+    xport = frame.integrate_transport(sol_k1_s1000, [0.3, 0.8j])
     assert abs(oracles.log_abs_det(xport)) < 1e-6
 
 
 def test_gauge_reality(sol_k1_s1000):
     sol = sol_k1_s1000
     a, b = 0.4, 0.25 + 0.6j
-    xport = frame.integrate_transport(sol, [a, b], sol.s)
+    xport = frame.integrate_transport(sol, [a, b])
     psi = oracles.transport_matrix(xport)
     Ca = oracles.orthonormal_gauge(sol.phi_at(a))
     Cb = oracles.orthonormal_gauge(sol.phi_at(b))
@@ -139,11 +138,10 @@ def test_gauge_reality(sol_k1_s1000):
 
 def test_radial_transport_vs_tropical_k1(sol_k1_s1000):
     sol = sol_k1_s1000
-    s = sol.s
     theta_z = 0.27
     z0 = 0.3 * cmath.exp(1j * theta_z)
     z1 = 0.9 * cmath.exp(1j * theta_z)
-    numeric = frame.transport_weyl_exponents(sol, [z0, z1], s)
+    numeric = frame.transport_weyl_exponents(sol, [z0, z1])
     period = (frame.natural_coordinate(z1, 1, (4 / 3) * theta_z)
               - frame.natural_coordinate(z0, 1, (4 / 3) * theta_z))
     target = np.array(tropical.segment_exponents(period).weyl.as_tuple())
@@ -158,8 +156,7 @@ def test_radial_transport_vs_tropical_k1(sol_k1_s1000):
 def test_natural_frame_triple_sums_to_zero(sol_k1_s1000, path):
     # the natural frame changes have determinant 1, so the exponents of a
     # unimodular transport sum to 0, also between endpoints at different |z|
-    numeric = frame.transport_weyl_exponents(sol_k1_s1000, path,
-                                             sol_k1_s1000.s)
+    numeric = frame.transport_weyl_exponents(sol_k1_s1000, path)
     assert abs(float(np.sum(numeric))) <= 1e-12 * np.max(np.abs(numeric))
 
 
@@ -167,7 +164,7 @@ def test_arc_numeric_no_crossing_identity():
     s = 2000.0
     sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=40))
     # arc inside one Stokes sector of the k=0 model: z-angles = chart angles
-    G = frame.arc_unipotent_numeric(sol, 0, s, 0.62, 0.98, radius=0.5)
+    G = frame.arc_unipotent_numeric(sol, 0.62, 0.98, radius=0.5)
     assert np.max(np.abs(G - np.eye(3))) < 0.02
 
 
@@ -176,7 +173,7 @@ def test_arc_numeric_k0_crossing_identity_limit():
     # comparison is the identity up to (s-amplified) solver noise at every s
     for s in (1e2, 1e4):
         sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=40))
-        G = frame.arc_unipotent_numeric(sol, 0, s, 0.3, 0.8, radius=0.5)
+        G = frame.arc_unipotent_numeric(sol, 0.3, 0.8, radius=0.5)
         assert np.max(np.abs(G - np.eye(3))) < 5e-3
 
 
@@ -191,7 +188,7 @@ def test_arc_numeric_k1_converges_to_flip_product():
     errs = []
     for s in (1e2, 1e4):
         sol = wang.solve_disk(1, s, 1.0, wang.GridSpec(nr=200))
-        G = frame.arc_unipotent_numeric(sol, 1, s, th0, th1, radius=0.5)
+        G = frame.arc_unipotent_numeric(sol, th0, th1, radius=0.5)
         errs.append(np.max(np.abs(G - pred)))
     assert errs[1] < 0.05
     assert errs[1] < errs[0] / 10
@@ -204,7 +201,7 @@ def test_convergence_sweep_k0():
     target = np.array(tropical.segment_exponents(period).weyl.as_tuple())
     for s in (1e2, 1e3):
         sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=30))
-        numeric = frame.transport_weyl_exponents(sol, pts, s)
+        numeric = frame.transport_weyl_exponents(sol, pts)
         gaps = np.abs(numeric - target) / np.max(np.abs(target))
         assert np.max(gaps) < 5e-3
 
@@ -245,7 +242,7 @@ def test_two_segment_turn_leading_vs_numeric():
     gaps = []
     for s in (1e3, 1e4):
         sol = wang.solve_disk(k, s, 1.0, wang.GridSpec(nr=200))
-        numeric = frame.transport_weyl_exponents(sol, pts, s)[0]
+        numeric = frame.transport_weyl_exponents(sol, pts)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             lt = polygon.leading_term(path, s=s)
@@ -263,9 +260,9 @@ def test_nan_field_stops_transport_at_the_first_step(sol_k0, monkeypatch):
         return np.full(np.shape(z), math.nan)
     monkeypatch.setattr(wang.WangSolution, "phi_at", nan_phi)
     with pytest.raises(StepUnstable, match=r"step 1 of \d+ at z="):
-        frame.integrate_transport(sol_k0, [0.3, 0.9], 100.0)
+        frame.integrate_transport(sol_k0, [0.3, 0.9])
     # one phi_at call for the one segment, given all 2n+1 nodes
-    n = math.ceil(0.6 / frame._step_size(100.0))
+    n = math.ceil(0.6 / frame._step_size(sol_k0.s))
     assert len(calls) == 1
     assert np.shape(calls[0]) == (2 * n + 1,)
 
@@ -288,7 +285,7 @@ def test_field_nan_past_a_radius_names_the_first_bad_step(monkeypatch):
         assert n % 2 == 1 and n > 4 * frame._CHUNK_STEPS
         with pytest.raises(StepUnstable,
                            match=rf"step {(n + 1) // 2} of {n} at z="):
-            frame.integrate_transport(sol, [0.3, 0.9], s)
+            frame.integrate_transport(sol, [0.3, 0.9])
 
 
 class _FlatField:
@@ -319,11 +316,11 @@ def test_chunk_folds_match_ten_step_folds(k, monkeypatch):
     for s in (1.0, 1e2, 1e4):
         sol = wang.solve_disk(k, s, 1.0)
         for path in (radial, chord):
-            got = frame.transport_weyl_exponents(sol, path, s)
+            got = frame.transport_weyl_exponents(sol, path)
             with monkeypatch.context() as m:
                 m.setattr(frame, "integrate_transport",
                           oracles.reference_transport)
-                want = frame.transport_weyl_exponents(sol, path, s)
+                want = frame.transport_weyl_exponents(sol, path)
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -339,7 +336,7 @@ def test_folds_stay_accurate_at_extreme_s(s, length):
     want = np.sort(oracles.titeica_log_singular_values(s ** (1 / 3) * length))
     errs = []
     for transport in (frame.integrate_transport, oracles.reference_transport):
-        got = _natural_log_sv(transport(sol, [z0, z1], s), sol, s, z0, z1)
+        got = _natural_log_sv(transport(sol, [z0, z1]), sol, s, z0, z1)
         errs.append(np.max(np.abs(np.sort(got) - want)))
     assert errs[0] <= 2 * errs[1]
 
@@ -369,6 +366,6 @@ def test_step_error_names_the_step_within_its_segment(monkeypatch):
     assert 0 < j < n[1] - 1
     want = f"step {j + 1} of {n[1]} at z={complex(nodes[2 * j]):.6g} "
     with pytest.raises(StepUnstable, match=re.escape(want)):
-        frame.integrate_transport(sol, pts, s)
+        frame.integrate_transport(sol, pts)
     # one sample of the path's shared nodes; the zero-length segment has none
     assert shapes == [(2 * sum(n) + 1,)]

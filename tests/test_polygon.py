@@ -123,6 +123,14 @@ def test_tags_match_cosine_ranks():
         assert tuple(tags) == pg.eigen_tags(tau)
 
 
+def test_eigen_tags_table():
+    # the six wall-to-wall intervals, tau = 0 at (0, pi/3); period 6
+    table = [("s", "l", "m"), ("s", "m", "l"), ("m", "s", "l"),
+             ("l", "s", "m"), ("l", "m", "s"), ("m", "l", "s")]
+    for tau in range(-6, 12):
+        assert pg.eigen_tags(tau) == table[tau % 6]
+
+
 def test_arc_unipotent_zero_crossings_identity():
     lifts = pg.regular_lifts(5)
     U = pg.arc_unipotent(lifts, 0.05, 0.45)

@@ -37,7 +37,7 @@ def test_nondeformable_rejected():
 
 def test_333_euclidean_tiles_plane():
     orb = trigroup.build_orbifold(3, 3, 3, layers=6)
-    assert orb.euclidean
+    assert (orb.p, orb.q, orb.r) == (3, 3, 3)
     assert sf.validate(orb.surface) == []
     # the development genuinely tiles: distinct triangles have distinct
     # centroids in the common plane development
@@ -119,14 +119,14 @@ def test_rotation_identity_bit_exact(orb334):
 def test_spectrum_values(orb334):
     cyc = trigroup.straight_positive_cycle(orb334)
     spec = trigroup.spectrum([cyc])
-    assert spec.curve_count == 1
+    assert len(spec.values) == 1
     assert spec.values[0].x1 == pytest.approx(3 / CBRT2, abs=1e-12)
     assert np.linalg.norm(spec.projectivized) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectrum_empty_family(orb334):
     spec = trigroup.spectrum([])
-    assert spec.curve_count == 0
+    assert len(spec.values) == 0
     assert spec.projectivized.size == 0
 
 

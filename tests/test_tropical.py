@@ -16,7 +16,6 @@ def test_segment_period_one():
     se = tropical.segment_exponents(1.0)
     assert se.weyl.as_tuple() == pytest.approx(
         (1 / CBRT2, 1 / CBRT2, -CBRT2 ** 2), abs=1e-12)
-    assert se.multiplicity_top == 2
 
 
 def test_segment_period_i():
@@ -24,7 +23,6 @@ def test_segment_period_i():
     root3 = math.sqrt(3.0)
     assert se.weyl.as_tuple() == pytest.approx(
         (root3 / CBRT2, 0.0, -root3 / CBRT2), abs=1e-12)
-    assert se.multiplicity_top == 1
 
 
 def _quadrature_exponents(period, n=4000):
@@ -80,18 +78,19 @@ def test_sorted_triple_invariances():
         assert conj == pytest.approx(base, abs=1e-12)
 
 
-def test_multiplicity_top_iff_positive_wall():
+def test_walls_tie_the_top_or_bottom_pair():
     # walls where the differential is real positive (angle 0 mod 2*pi/3)
     # double the top pair; the other walls double the bottom pair
     for m in range(6):
         theta = m * math.pi / 3.0
-        se = tropical.segment_exponents(cmath.exp(1j * theta))
-        if m % 2 == 0:
-            assert se.multiplicity_top == 2
-        else:
-            assert se.multiplicity_top == 1
-    se = tropical.segment_exponents(cmath.exp(1j * 0.2))
-    assert se.multiplicity_top == 1
+        x1, x2, x3 = tropical.segment_exponents(
+            cmath.exp(1j * theta)).weyl.as_tuple()
+        tied, apart = ((x1, x2), (x2, x3)) if m % 2 == 0 else ((x2, x3),
+                                                               (x1, x2))
+        assert tied[0] == pytest.approx(tied[1], abs=1e-12)
+        assert apart[0] - apart[1] > 1.0
+    x1, x2, x3 = tropical.segment_exponents(cmath.exp(0.2j)).weyl.as_tuple()
+    assert x1 - x2 > 0.1 and x2 - x3 > 0.1
 
 
 def test_path_sum_two_segments():

@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -212,3 +214,43 @@ def test_non_finite_s_or_radius_rejected(s, R):
     # nan used to pass the sign checks; inf ended in NewtonDiverged
     with pytest.raises(ValueError, match="finite"):
         wang.solve_disk(1, s, R)
+
+
+def test_default_grid_is_the_decay_fit_grid():
+    s = 1e3
+    sol = wang.solve_disk(1, s, 1.0)
+    ref = wang.solve_disk(1, s, 1.0, wang.decay_fit_grid(s))
+    assert len(sol.rs) == 424
+    assert sol.rs.tobytes() == ref.rs.tobytes()
+    assert sol.phi.tobytes() == ref.phi.tobytes()
+
+
+def test_ring_budget_admits_s_1e12():
+    assert wang.decay_fit_grid(1e12).nr == 418_657 <= wang._MAX_RINGS
+
+
+@pytest.mark.parametrize("s, grid, match", [
+    (1e20, None, "s=1e+20 has 194320973 rings, over the budget"),
+    (1e48, None, "s=1e+48 needs nr >= 2 and ratio > 1, got nr=0"),
+    (1e3, wang.GridSpec(nr=wang._MAX_RINGS + 1), "s=1000 has 500001 rings"),
+], ids=["s1e20", "s1e48-degenerate", "nr-over-budget"])
+def test_grid_refused_before_allocating(monkeypatch, s, grid, match):
+    # s = 1e20 would ask for 194 million rings, and at s >= 1e46 the decay
+    # grid's ratio rounds to 1
+    def no_nodes(*args):
+        raise AssertionError("allocated a refused grid")
+    monkeypatch.setattr(wang, "_radial_nodes", no_nodes)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        wang.solve_disk(1, s, 1.0, grid)
+
+
+@pytest.mark.parametrize("k, s, R", [(0, 1e300, 1.0), (0, 1e-300, 1.0),
+                                     (1, 1e3, 1e-300), (1, 1e3, 1e300),
+                                     (0, 1e3, 1e300)])
+def test_out_of_range_s_or_radius_refused(k, s, R):
+    # s ** 2, the 1/h^2 stencil weights or e^(-2 phi) leave the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"s={s:g}, R={R:g}: ")):
+            wang.solve_disk(k, s, R, wang.GridSpec())
