@@ -4,7 +4,7 @@ Modules:
     surface   -- flat cone surfaces of cubic differentials, saddle connections
     tropical  -- asymptotic exponent formulas for geodesic paths
     polygon   -- regular-polygon vertex lifts, Stokes flips, leading terms
-    wang      -- Wang-equation solver on model disks
+    wang      -- the cubic differential's closed forms, Wang-equation solver
     frame     -- frame-field ODE transport and Titeica closed forms
     building  -- A2 apartment model, local maps at zeros, convexity checks
     trigroup  -- triangle-group flat orbifolds and tropical spectra

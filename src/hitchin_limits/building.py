@@ -18,10 +18,11 @@ import numpy as np
 
 from . import polygon, tropical
 from .errors import OriginSingular
-from .frame import natural_coordinate, titeica_exponents
+from .frame import titeica_exponents
 from .surface import (TWO_PI, GeodesicPath, Junction, SaddleConnection,
                       synthesize_path)
 from .tropical import CBRT4, OMEGA
+from .wang import CubicDifferential
 
 SCALE = math.sqrt(3.0) * 2.0 ** (1.0 / 6.0)  # metric factor of the limit map
 
@@ -71,13 +72,19 @@ def _branch(w: complex) -> tuple:
     return lo, hi, mid
 
 
+def _natural(k: int, z: complex, branch: float) -> complex:
+    """w of z^k dz^3 at z, on the branch continuous near arg z = branch."""
+    q = CubicDifferential(k)
+    return q.natural(*q.on_branch(z, branch))
+
+
 def local_model_eval(k: int, z: complex) -> ApartmentPoint:
     """u_k(z): the triple of -2^(2/3) Re of the cube-root integrals from the
     zero, in the branch of the sector containing z."""
     z = complex(z)
     if z == 0:
         raise OriginSingular("local model undefined at the cone point")
-    w = natural_coordinate(z, k, math.pi)   # the branch arg z in [0, 2 pi]
+    w = _natural(k, z, math.pi)   # the branch arg z in [0, 2 pi]
     vals = [-CBRT4 * (c * w).real for c in _branch(w)]
     vals[2] = -(vals[0] + vals[1])  # kill the rounding part of the trace
     return ApartmentPoint(*vals)
@@ -100,10 +107,10 @@ def sector_image_angle(k: int, m: int) -> float:
 
 def _cone_distance(k: int, p: complex, q: complex) -> float:
     """|q0|^(2/3)-distance on the model cone (natural units)."""
-    wp = natural_coordinate(p, k, math.pi)
-    wq = natural_coordinate(q, k, math.pi)
+    wp = _natural(k, p, math.pi)
+    wq = _natural(k, q, math.pi)
     dpsi = abs((cmath.phase(p) - cmath.phase(q)) % TWO_PI)
-    dth = min(dpsi, TWO_PI - dpsi) * (k + 3) / 3.0
+    dth = CubicDifferential(k).natural_angle(min(dpsi, TWO_PI - dpsi))
     if dth >= math.pi:
         return abs(wp) + abs(wq)
     return abs(abs(wp) - abs(wq) * cmath.exp(1j * dth))
@@ -132,8 +139,8 @@ def flat_isometry_check(k: int, sample_pairs) -> float:
         else:
             # continue p's branch across the shared wall: the unfolded chart,
             # on the lift of arg q nearest p's angle in [0, 2 pi)
-            branch = _branch(natural_coordinate(p, k, math.pi))
-            w = natural_coordinate(q, k, cmath.phase(p) % TWO_PI)
+            branch = _branch(_natural(k, p, math.pi))
+            w = _natural(k, q, cmath.phase(p) % TWO_PI)
             uq = np.array([-CBRT4 * (c * w).real for c in branch])
         d_building = float(np.linalg.norm(up - uq))
         d_flat = _cone_distance(k, p, q)
@@ -157,12 +164,11 @@ def ambient_separation(k: int, p: complex, q: complex) -> float:
     lifts = polygon.regular_lifts(k + 3)
     # -2^(2/3) Re of the cube-root integrals in the continuous branch over
     # arg z in [0, 2 pi), in the polygon module's slot order
-    dp = -titeica_exponents(natural_coordinate(p, k, math.pi))
-    dq = -titeica_exponents(natural_coordinate(q, k, math.pi))
+    dp = -titeica_exponents(_natural(k, p, math.pi))
+    dq = -titeica_exponents(_natural(k, q, math.pi))
 
     def theta_w(z):
-        psi = cmath.phase(z) % TWO_PI
-        return (k + 3) / 3.0 * psi
+        return CubicDifferential(k).natural_angle(cmath.phase(z) % TWO_PI)
 
     def nudge(th):
         return th + 1e-4 if polygon.on_stokes_ray(th) else th

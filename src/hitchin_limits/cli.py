@@ -59,8 +59,6 @@ def _parse_s_list(text):
         raise ValueError("s-list is empty")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError("s-list must be strictly increasing")
-    if any(v <= 0 for v in vals):
-        raise ValueError("s values must be positive")
     return vals
 
 
@@ -155,11 +153,11 @@ def cmd_wang_solve(args):
 _PATH_ARITY = {"radial": 3, "chord": 4}
 
 
-def _sweep_path(spec, k, radius):
-    """Chart polyline and natural-chart period for a sweep path spec
-    'radial:r0,r1,theta' or 'chord:w0re,w0im,w1re,w1im' (natural-coordinate
-    chord mapped to the chart), inside the punctured solved disk
-    0 < |z| <= radius.
+def _sweep_path(spec, q, radius):
+    """Chart polyline and natural-chart period of the cubic differential q
+    for a sweep path spec 'radial:r0,r1,theta' or 'chord:w0re,w0im,w1re,w1im'
+    (natural-coordinate chord mapped to the chart), inside the punctured
+    solved disk 0 < |z| <= radius.
 
     A chord is mapped on the branch continued along it from the principal
     one at its start, so a chord across the negative real w-axis stays one
@@ -178,19 +176,15 @@ def _sweep_path(spec, k, radius):
         branch = cmath.phase(pts[-1])
     else:
         w0, w1 = complex(vals[0], vals[1]), complex(vals[2], vals[3])
-        p = 3.0 / (k + 3)
         pts = []
-        arg = cmath.phase(w0)
+        arg, branch = cmath.phase(w0), 0.0
         for t in np.linspace(0.0, 1.0, 48):
             w = w0 + (w1 - w0) * t
-            # the lift of arg w nearest the previous point's
+            # the lifts of arg w and of arg z nearest the previous point's
             sheet = round((arg - cmath.phase(w)) / (2 * math.pi))
             arg = cmath.phase(w) + 2 * math.pi * sheet
-            z = (w * (k + 3) / 3.0) ** p
-            if sheet:
-                z *= cmath.exp(2j * math.pi * sheet * p)
-            pts.append(z)
-        branch = p * arg
+            pts.append(q.chart_point(w, sheet))
+            _, branch = q.on_branch(pts[-1], branch)
     if pts[0] == pts[-1]:
         raise ValueError(f"path spec {spec!r} has zero length")
     if (kind == "radial" and r0 * r1 < 0) or \
@@ -198,56 +192,65 @@ def _sweep_path(spec, k, radius):
         raise ValueError(f"path spec {spec!r} leaves the punctured disk "
                          f"0 < |z| <= {radius:g}")
     a = complex(pts[0])
-    period = (frame.natural_coordinate(complex(pts[-1]), k, branch)
-              - frame.natural_coordinate(a, k, cmath.phase(a)))
+    period = (q.natural(*q.on_branch(complex(pts[-1]), branch))
+              - q.natural(*q.on_branch(a, cmath.phase(a))))
     return pts, period
 
 
 def cmd_verify_sweep(args):
+    q = wang.CubicDifferential(args.k)
     s_list = _parse_s_list(args.s)
-    pts, period = _sweep_path(args.path, args.k, args.radius)
+    pts, period = _sweep_path(args.path, q, args.radius)
     target = np.array(tropical.segment_exponents(period).weyl.as_tuple())
     scale = float(np.max(np.abs(target)))
     rows = []
-    for s in s_list:
-        sol = wang.solve_disk(args.k, s, args.radius)
-        numeric = frame.transport_weyl_exponents(sol, pts)
-        rows.append((s, *numeric, *target, *(np.abs(numeric - target) / scale)))
+    try:
+        for s in s_list:
+            sol = wang.solve_disk(q.k, s, args.radius)
+            numeric = frame.transport_weyl_exponents(sol, pts)
+            rows.append((s, *numeric, *target,
+                         *(np.abs(numeric - target) / scale)))
+    finally:
+        # the rows that finished, also when a later s fails
+        if rows:
+            _write_csv(args.out, ["s", "num_x1", "num_x2", "num_x3",
+                                  "trop_x1", "trop_x2", "trop_x3",
+                                  "gap_x1", "gap_x2", "gap_x3"], rows)
     gaps = [max(row[-3:]) for row in rows]
     monotone = all(b <= max(a, _GAP_FLOOR) for a, b in zip(gaps, gaps[1:]))
-    _write_csv(args.out, ["s", "num_x1", "num_x2", "num_x3",
-                          "trop_x1", "trop_x2", "trop_x3",
-                          "gap_x1", "gap_x2", "gap_x3"], rows)
     _diag(f"max relative gap at s={s_list[-1]:g}: {gaps[-1]:.3e}"
           f" (monotone: {monotone})")
     return EXIT_OK
 
 
 def cmd_verify_arc(args):
+    q = wang.CubicDifferential(args.k)
     s_list = _parse_s_list(args.s)
     if not 0 < args.radius <= args.radius_disk:
         raise ValueError(f"arc radius {args.radius:g} is outside the solved "
                          f"disk (0, {args.radius_disk:g}]")
-    k = args.k
-    lifts = polygon.regular_lifts(k + 3)
-    scalef = (k + 3) / 3.0
-    U = polygon.arc_unipotent(lifts, scalef * args.theta0, scalef * args.theta1)
+    lifts = polygon.regular_lifts(q.k + 3)
+    U = polygon.arc_unipotent(lifts, q.natural_angle(args.theta0),
+                              q.natural_angle(args.theta1))
     S, S_inv = frame.titeica_frame()
     pred = S @ np.linalg.inv(U) @ S_inv
     errs = []
-    for s in s_list:
-        sol = wang.solve_disk(k, s, args.radius_disk)
-        G = frame.arc_unipotent_numeric(sol, args.theta0, args.theta1,
-                                        radius=args.radius)
-        errs.append(float(np.max(np.abs(G - pred))))
-    _write_csv(args.out, ["s", "entrywise_error"], zip(s_list, errs))
+    try:
+        for s in s_list:
+            sol = wang.solve_disk(q.k, s, args.radius_disk)
+            G = frame.arc_unipotent_numeric(sol, args.theta0, args.theta1,
+                                            radius=args.radius)
+            errs.append(float(np.max(np.abs(G - pred))))
+    finally:
+        # the rows that finished, also when a later s fails
+        if errs:
+            _write_csv(args.out, ["s", "entrywise_error"], zip(s_list, errs))
     _diag(f"entrywise error at s={s_list[-1]:g}: {errs[-1]:.4e}")
     return EXIT_OK
 
 
 def cmd_building_localmodel(args):
-    if args.k < 0:
-        raise ValueError("zero order must be >= 0")
+    wang.CubicDifferential(args.k)   # refuses a negative zero order
     rng = np.random.default_rng(args.seed)
     rows = []
     for _ in range(args.samples):

@@ -213,8 +213,8 @@ def integrate_transport(sol, path) -> FrameTransport:
     """RK4 transport of the structure-equation connection along a polyline.
 
     ``sol`` provides phi_at(z) and dz_phi_at(z) on arrays of chart points
-    plus fields k and s (a Wang solution); ``path`` is a sequence of complex
-    chart points.  The connection is taken trace-free (the scalar
+    and the cubic differential q (a Wang solution); ``path`` is a sequence
+    of complex chart points.  The connection is taken trace-free (the scalar
     e^(phi)-gauge is removed), so the result is unimodular; asymptotic
     exponents are unaffected.
 
@@ -235,8 +235,8 @@ def integrate_transport(sol, path) -> FrameTransport:
     segs = [(a, b - a) for a, b in zip(pts[:-1], pts[1:]) if b != a]
     if not segs:
         return xport
-    s = sol.s
-    h = _step_size(s)
+    q = sol.q
+    h = _step_size(q.s)
     ns = [max(2, int(math.ceil(abs(seg) / h))) for _, seg in segs]
     # segment i takes steps stops[i] - ns[i] ... stops[i] - 1; its nodes
     # 2 (stops[i] - ns[i]) ... 2 stops[i] overlap the next segment's at one
@@ -251,14 +251,14 @@ def integrate_transport(sol, path) -> FrameTransport:
     # a field that returns one value for all nodes still gives one per node
     phi = np.broadcast_to(sol.phi_at(nodes), nodes.shape)
     dz_phi = np.broadcast_to(sol.dz_phi_at(nodes), nodes.shape)
-    chunk = _fold_steps(s, h)
+    chunk = _fold_steps(q.s, h)
     for lo in range(0, len(dz), chunk):
         hi = min(lo + chunk, len(dz))
         part = slice(2 * lo, 2 * hi + 1)
         # a non-finite field or step is reported below, not warned about
         with np.errstate(invalid="ignore", over="ignore"):
             steps, bad = _rk4_steps(*_transport_generators(
-                phi[part], dz_phi[part], s * nodes[part] ** sol.k, dz[lo:hi]))
+                phi[part], dz_phi[part], q(nodes[part]), dz[lo:hi]))
         if bad >= 0:
             i = lo + bad
             j = int(np.searchsorted(stops, i, side="right"))
@@ -274,34 +274,17 @@ def integrate_transport(sol, path) -> FrameTransport:
 # arcs and read-outs
 # ---------------------------------------------------------------------------
 
-def _polar_on_branch(z: complex, branch_angle: float):
-    """(|z|, arg z) with the argument lifted to within pi of branch_angle."""
-    th = cmath.phase(z)
-    th += round((branch_angle - th) / (2 * math.pi)) * 2 * math.pi
-    return abs(z), th
-
-
-def natural_coordinate(z: complex, k: int, branch_angle: float = 0.0) -> complex:
-    """w = 3/(k+3) z^((k+3)/3), the branch continuous near arg z =
-    branch_angle."""
-    r, th = _polar_on_branch(z, branch_angle)
-    p = (k + 3) / 3.0
-    return 3.0 / (k + 3) * r ** p * cmath.exp(1j * p * th)
-
-
-def natural_frame_diag(z: complex, k: int, s: float,
-                       branch_angle: float = 0.0) -> np.ndarray:
+def natural_frame_diag(q, z: complex, branch_angle: float = 0.0) -> np.ndarray:
     """Frame change from the chart frame (1, d/dz, d/dzbar) to the natural
-    frame of q_s at z: |w'|^(2/3) diag(1, 1/w', 1/conj(w')) with
-    w' = s^(1/3) z^(k/3).
+    frame of q at z: |w'|^(2/3) diag(1, 1/w', 1/conj(w')) with w' =
+    q.cube_root on the branch continuous near arg z = branch_angle.
 
     Asymptotic transport formulas live in the natural frame; conjugating by
     these diagonals removes the polynomially-growing frame mismatch.  The
     factor |w'|^(2/3) makes the determinant 1, so a unimodular transport
     stays unimodular in the natural frame and its exponents sum to 0.
     """
-    r, th = _polar_on_branch(z, branch_angle)
-    wp = s ** (1.0 / 3.0) * r ** (k / 3.0) * cmath.exp(1j * th * k / 3.0)
+    wp = q.cube_root(*q.on_branch(z, branch_angle))
     diag = np.array([1.0, 1.0 / wp, 1.0 / wp.conjugate()], dtype=complex)
     return abs(wp) ** (2.0 / 3.0) * diag
 
@@ -320,22 +303,20 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     integrand vanishes identically.  A step that is not finite or has an
     entry above e^10 raises StepUnstable naming it as arc step j of n.
     """
-    k, s = sol.k, sol.s
-    n_steps = max(256, int(96 * abs(theta1 - theta0) * s ** (1 / 3)))
+    q = sol.q
+    n_steps = max(256, int(96 * abs(theta1 - theta0) * q.s ** (1 / 3)))
     S, S_inv = titeica_frame()
     U_T, V_T = titeica_structure()
-    p = (k + 3) / 3.0
-    rnat = s ** (1.0 / 3.0) * (3.0 / (k + 3)) * radius ** p
 
     # the field at the start, middle and end of every step
     h = (theta1 - theta0) / n_steps
     t = theta0 + (h / 2) * np.arange(2 * n_steps + 1)
     z = radius * np.exp(1j * t)
-    wp = s ** (1.0 / 3.0) * radius ** (k / 3.0) * np.exp(1j * t * k / 3.0)
+    wp = q.cube_root(radius, t)
     xdot = wp * (1j * z)
-    D = titeica_exponents(rnat * np.exp(1j * p * t))
+    D = titeica_exponents(q.natural(radius, t))
     phi_w = sol.phi_at(z) - 2.0 * np.log(np.abs(wp))
-    dphi_w = (sol.dz_phi_at(z) - (k / 3.0) / z) / wp
+    dphi_w = (sol.dz_phi_at(z) - q.dz_flat(z)) / wp
 
     # M' = M A is X' = A^T X for X = M^T: RK4 steps of X, transposed back,
     # advance M by M P with one propagator P per step
@@ -380,8 +361,8 @@ def transport_weyl_exponents(sol, path):
     naming the transport layer.
     """
     a, b = complex(path[0]), complex(path[-1])
-    da = natural_frame_diag(a, sol.k, sol.s, cmath.phase(a))
-    db = natural_frame_diag(b, sol.k, sol.s, cmath.phase(b))
+    da = natural_frame_diag(sol.q, a, cmath.phase(a))
+    db = natural_frame_diag(sol.q, b, cmath.phase(b))
     S, S_inv = titeica_frame()
     try:
         xport = integrate_transport(sol, path)
@@ -390,4 +371,4 @@ def transport_weyl_exponents(sol, path):
         vals = _log_singular_values_of_factored(A, xport.logd, B)
     except np.linalg.LinAlgError as err:
         raise StepUnstable(f"transport: {err}") from err
-    return np.sort(vals)[::-1] / sol.s ** (1.0 / 3.0)
+    return np.sort(vals)[::-1] / sol.q.s ** (1.0 / 3.0)

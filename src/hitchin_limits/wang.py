@@ -11,11 +11,13 @@ The radial grid is geometric (default ratio 1.05).  On such a grid the
 discrete radial Laplacian annihilates log r exactly, so the singular flat
 solution phi_flat = (1/3) log(2 s^2 r^(2k)) lies in the kernel of the scheme
 and the discrete solution inherits the strict lower bound
-e^phi > 2^(1/3) |q_s|^(2/3) down to rounding noise.
+e^phi > 2^(1/3) |q_s|^(2/3) down to rounding noise.  CubicDifferential
+owns q_s and its closed forms; a WangSolution carries the one it solves.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,10 +40,65 @@ class GridSpec:
     ratio: float = 1.05
 
 
-def _flat(k, s, log_r):
-    """The flat part (1/3) log(2 |q_s|^2) = (1/3) log(2 s^2 r^(2k)) at
-    log r: the strict lower bound for phi, and its Dirichlet value."""
-    return (math.log(2.0) + 2.0 * math.log(s) + 2.0 * k * log_r) / 3.0
+def _exp(x):
+    return cmath.exp(x) if isinstance(x, complex) else np.exp(x)
+
+
+@dataclass(frozen=True)
+class CubicDifferential:
+    """q_s = s z^k dz^3 and its closed forms, each written once: s z^k,
+    |q_s|^2, the flat part (1/3) log(2 |q_s|^2) at log r and its d/dz, the
+    cube root w' = s^(1/3) z^(k/3), the natural coordinate w = int w' dz,
+    its modulus and argument, and its inverse on a continued sheet.  Points
+    are polar (r, theta) on the caller's branch (on_branch lifts arg z near
+    one), as Python scalars (e^x by cmath) or numpy arrays, which round
+    differently; each form has one operation order."""
+
+    k: int
+    s: float = 1.0
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError("zero order must be >= 0")
+        if not 0 < self.s < math.inf:
+            raise ValueError(f"need a finite s > 0, got {self.s!r}")
+
+    def __call__(self, z):
+        return self.s * z ** self.k
+
+    def abs2(self, r):
+        return self.s ** 2 * r ** (2 * self.k)
+
+    def flat(self, log_r):
+        return (math.log(2.0) + 2.0 * math.log(self.s)
+                + 2.0 * self.k * log_r) / 3.0
+
+    def dz_flat(self, z):
+        return self.k / (3.0 * z)
+
+    def cube_root(self, r, theta):
+        return (self.s ** (1.0 / 3.0) * r ** (self.k / 3.0)
+                * _exp(1j * theta * self.k / 3.0))
+
+    def natural_radius(self, r):
+        return (self.s ** (1.0 / 3.0) * (3.0 / (self.k + 3))
+                * r ** ((self.k + 3) / 3.0))
+
+    def natural_angle(self, theta):
+        return (self.k + 3) / 3.0 * theta
+
+    def natural(self, r, theta):
+        return self.natural_radius(r) * _exp(1j * self.natural_angle(theta))
+
+    def chart_point(self, w: complex, sheet: int = 0) -> complex:
+        p = 3.0 / (self.k + 3)
+        z = (w * (self.k + 3) / 3.0 / self.s ** (1.0 / 3.0)) ** p
+        return z * cmath.exp(2j * math.pi * sheet * p) if sheet else z
+
+    @staticmethod
+    def on_branch(z: complex, branch: float):
+        th = cmath.phase(z)
+        return abs(z), th + round((branch - th) / (2 * math.pi)) * 2 * math.pi
 
 
 class WangSolution:
@@ -52,10 +109,9 @@ class WangSolution:
     thetas = np.zeros(1)
     thetas.flags.writeable = False
 
-    def __init__(self, k, s, R, rs, phi_center, phi, residual_history,
+    def __init__(self, q, R, rs, phi_center, phi, residual_history,
                  residual_nodes):
-        self.k = k
-        self.s = s
+        self.q = q                  # the CubicDifferential solved for
         self.R = R
         self.rs = rs                # radial nodes, rs[0] > 0, rs[-1] = R
         self.phi_center = phi_center
@@ -78,7 +134,7 @@ class WangSolution:
 
     @cached_property
     def _F(self):
-        F = self.phi - _flat(self.k, self.s, self._log_rs)
+        F = self.phi - self.q.flat(self._log_rs)
         F.flags.writeable = False    # error_values hands out a view of it
         return F
 
@@ -105,8 +161,7 @@ class WangSolution:
         r, log_r = self._log_radius(z)
         w = np.square(r / self.rs[0])
         center = (1 - w) * self.phi_center + w * self.phi[0]
-        ring = (_flat(self.k, self.s, log_r)
-                + np.interp(log_r, self._log_rs, self._F))
+        ring = self.q.flat(log_r) + np.interp(log_r, self._log_rs, self._F)
         phi = np.where(r <= self.rs[0], center, ring)
         return phi if phi.ndim else float(phi)
 
@@ -114,7 +169,7 @@ class WangSolution:
         z = np.asarray(z, dtype=complex)
         _, log_r = self._log_radius(z)
         dr = np.interp(log_r, self._log_rs, self._dF)
-        dphi = self.k / (3.0 * z) + 0.5 * np.exp(-1j * np.angle(z)) * dr
+        dphi = self.q.dz_flat(z) + 0.5 * np.exp(-1j * np.angle(z)) * dr
         return dphi if dphi.ndim else complex(dphi)
 
 
@@ -188,8 +243,9 @@ def solve_disk(k: int, s: float, R: float,
     degenerate grid, one over _MAX_RINGS rings, or a disk whose stencil,
     |q_s|^2 or start residual overflows is refused with a ValueError.
     """
-    if k < 0 or not 0 < s < math.inf or not 0 < R < math.inf:
-        raise ValueError("need k >= 0 and finite s > 0, R > 0")
+    q = CubicDifferential(k, s)
+    if not 0 < R < math.inf:
+        raise ValueError(f"need a finite R > 0, got {R!r}")
     grid = grid or decay_fit_grid(s)
     nr, ratio = grid.nr, grid.ratio
     if nr < 2 or not ratio > 1.0:
@@ -198,7 +254,7 @@ def solve_disk(k: int, s: float, R: float,
     if nr > _MAX_RINGS:
         raise ValueError(f"grid for s={s:g} has {nr} rings, over the "
                          f"budget of {_MAX_RINGS}")
-    phi_boundary = _flat(k, s, math.log(R))
+    phi_boundary = q.flat(math.log(R))
 
     def residual(u):
         return _apply_band(L, u) + rhs_bound * phi_boundary - (
@@ -209,14 +265,14 @@ def solve_disk(k: int, s: float, R: float,
             rs = _radial_nodes(R, nr, ratio)
             L, rhs_bound = _radial_operator(rs)
             # |q_s|^2 at the unknowns, the center first (0 ** 0 = 1 for k = 0)
-            q2 = s ** 2 * np.append(0.0, rs[:-1]) ** (2 * k)
+            q2 = q.abs2(np.append(0.0, rs[:-1]))
             u = start = np.full(nr, phi_boundary)
             res = residual(u)
     except (FloatingPointError, OverflowError) as err:
         raise ValueError(f"s={s:g}, R={R:g}: the stencil, |q_s|^2 or the "
                          f"start residual overflows") from err
     # the flat subsolution; its center value, -inf for k > 0, is not checked
-    flat = np.append(-math.inf, _flat(k, s, np.log(rs[:-1])))
+    flat = np.append(-math.inf, q.flat(np.log(rs[:-1])))
 
     # measure the residual row-scaled: inner rings carry 1/h^2 stencil weights
     # around 1e11, so the raw residual has a cancellation floor far above the
@@ -256,7 +312,7 @@ def solve_disk(k: int, s: float, R: float,
         raise NewtonDiverged("Newton did not reach tolerance", history)
 
     phi = np.append(u[1:], phi_boundary)
-    return WangSolution(k, s, R, rs, u[0], phi, history,
+    return WangSolution(q, R, rs, u[0], phi, history,
                         np.append((res * row_scale)[1:], 0.0))
 
 
@@ -282,19 +338,13 @@ class ErrorField:
     fitted_exponent: float        # m_hat from log F ~ -m_hat * natural radius
 
 
-def natural_radius(r, k):
-    """|q0|^(2/3)-distance from the zero: 3/(k+3) r^((k+3)/3)."""
-    r = np.asarray(r, dtype=float)
-    return 3.0 / (k + 3) * r ** ((k + 3) / 3.0)
-
-
 def error_field(sol: WangSolution) -> ErrorField:
     """The fitted radial decay exponent of F on the rings.
 
     F behaves like a screened-Laplacian kernel, exp(-m rho)/sqrt(rho) in the
-    natural radius rho, so the regression fits log(F sqrt(rho)) against rho;
-    the plain log fit would carry a 1/(2 rho) bias of several percent at desk
-    scale.  The annulus [0.35 R, 0.8 R] keeps clear of both the nonlinear
+    natural radius rho of z^k dz^3 (s = 1), so the regression fits
+    log(F sqrt(rho)) against rho; the plain log fit would carry a 1/(2 rho)
+    bias of several percent at desk scale.  The annulus [0.35 R, 0.8 R] keeps clear of both the nonlinear
     core and the Dirichlet truncation at the rim; nodes below the noise floor
     are dropped.
     """
@@ -309,7 +359,7 @@ def error_field(sol: WangSolution) -> ErrorField:
         keep = np.where(mask)[0][order][-12:]
         mask = np.zeros_like(mask)
         mask[keep] = True
-    x = natural_radius(rs[mask], sol.k)
+    x = CubicDifferential(sol.q.k).natural_radius(rs[mask])
     y = np.log(F[mask]) + 0.5 * np.log(x)
     slope, _ = np.polyfit(x, y, 1)
     return ErrorField(fitted_exponent=float(-slope))

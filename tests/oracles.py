@@ -352,7 +352,7 @@ def reference_transport(sol, path):
     I3 = np.eye(3, dtype=complex)
     xport = frame.FrameTransport()
     pts = [complex(z) for z in path]
-    h = frame._step_size(sol.s)
+    h = frame._step_size(sol.q.s)
     for a, b in zip(pts[:-1], pts[1:]):
         seg = b - a
         if seg == 0:
@@ -362,7 +362,7 @@ def reference_transport(sol, path):
         nodes = a + seg * (np.arange(2 * n + 1) / (2 * n))
         U, V = frame.structure_coefficients(sol.phi_at(nodes),
                                             sol.dz_phi_at(nodes),
-                                            sol.s * nodes ** sol.k)
+                                            sol.q(nodes))
         W = U * dz + V * dz.conjugate()
         W -= np.trace(W, axis1=1, axis2=2)[:, None, None] / 3.0 * I3
         G = -W

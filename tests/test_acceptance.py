@@ -51,8 +51,8 @@ def test_acceptance_1_titeica_exactness():
         z0 = 0.05 * cmath.exp(1j * theta)
         z1 = z0 + L * cmath.exp(1j * theta)
         xport = frame.integrate_transport(sol, [z0, z1])
-        da = frame.natural_frame_diag(z0, 0, s)
-        db = frame.natural_frame_diag(z1, 0, s)
+        da = frame.natural_frame_diag(sol.q, z0)
+        db = frame.natural_frame_diag(sol.q, z1)
         got = oracles.log_singular_values(xport, left_diag=db, right_diag=da)
         want = oracles.titeica_log_singular_values(s ** (1 / 3) * (z1 - z0))
         worst = max(worst, float(np.max(np.abs(np.sort(got) - np.sort(want)))))
@@ -84,8 +84,9 @@ def test_acceptance_2_tropical_convergence():
         radial_theta = 0.27 * 3 / (k + 3)
         z0 = 0.25 * cmath.exp(1j * radial_theta)
         z1 = 0.95 * cmath.exp(1j * radial_theta)
-        wa = frame.natural_coordinate(z0, k, radial_theta)
-        wb = frame.natural_coordinate(z1, k, radial_theta)
+        q = wang.CubicDifferential(k)
+        wa = q.natural(*q.on_branch(z0, radial_theta))
+        wb = q.natural(*q.on_branch(z1, radial_theta))
         chord_pts, chord_period = _chord_points(k)
         for name, pts, period in (
                 ("radial", [z0, z1], wb - wa),

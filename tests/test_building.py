@@ -6,8 +6,8 @@ import pytest
 
 from hitchin_limits import building
 from hitchin_limits.errors import OriginSingular
-from hitchin_limits.frame import natural_coordinate
 from hitchin_limits.surface import GeodesicPath, Junction, SaddleConnection, synthesize_path
+from hitchin_limits.wang import CubicDifferential
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -51,10 +51,11 @@ def test_sector_index_rejects_negative_order_and_origin():
 def test_adjacent_branches_single_reflection(k):
     # the branches at consecutive sector midpoints differ by one transposition
     width = PI / (k + 3)
+    q = CubicDifferential(k)
     branches = []
     for m in range(2 * (k + 3)):
         z = 0.7 * cmath.exp(1j * (m + 0.5) * width)
-        branches.append(building._branch(natural_coordinate(z, k, PI)))
+        branches.append(building._branch(q.natural(*q.on_branch(z, PI))))
     for a, b in zip(branches, branches[1:]):
         diffs = [i for i in range(3) if abs(a[i] - b[i]) > 1e-12]
         assert len(diffs) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hitchin_limits import cli, frame, polygon
+from hitchin_limits import cli, frame, polygon, wang
 from hitchin_limits import surface as sf
+from hitchin_limits.errors import NewtonDiverged
 
 import oracles
 
@@ -503,3 +505,85 @@ def test_readme_commands_run(tmp_path, monkeypatch):
                                          start_angle=0.4), "path.json")
     for argv in commands:
         assert run(argv) == 0, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sweep", "--k", "-3"],
+    ["verify", "arc", "--k", "-1"],
+    ["wang", "solve", "--k", "-1", "--s", "1e3"],
+], ids=["sweep", "arc", "solve"])
+def test_negative_zero_order_exits_1_with_one_line(capsys, argv):
+    # the sweep used to divide by zero in its chord map, the arc to name the
+    # polygon's vertex count
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: zero order must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sweep", "--k", "1", "--s", "1e2,1e3,1e4"],
+    ["verify", "arc", "--k", "1", "--s", "1e2,1e3,1e4"],
+], ids=["sweep", "arc"])
+def test_failing_s_keeps_the_rows_that_finished(tmp_path, monkeypatch, capsys,
+                                               argv):
+    full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+    assert run(argv + ["--out", str(full)]) == 0
+    solve = wang.solve_disk
+
+    def fail_second(k, s, R, grid=None):
+        if s == 1e3:
+            raise NewtonDiverged("injected failure")
+        return solve(k, s, R, grid)
+    monkeypatch.setattr(cli.wang, "solve_disk", fail_second)
+    capsys.readouterr()
+    assert run(argv + ["--out", str(part)]) == 2
+    assert capsys.readouterr().err == \
+        "error: NewtonDiverged: injected failure\n"
+    assert part.read_text().splitlines() == \
+        full.read_text().splitlines()[:2]
+
+
+# sha256 of each command's CSV: the bench's seed-0 sweep and arc commands, a
+# chord across the negative w-axis, and sweeps, solves, local models and a
+# spectrum over k.  Any change of a bit in these outputs fails here
+PINNED_CSV = {
+    "verify sweep --k 1 --s 1e2,1e3,1e4 --path radial:0.3,0.9,0.27":
+        "4df5dd8041d91328aa33878b2f49ef74a9df4acd4012fd10f209b1095f4cda99",
+    "verify sweep --k 2 --s 1e2,1e3,1e4 "
+    "--path chord:0.5480,0.0661,0.3211,0.4490":
+        "5c4d47f1c6469f05ee7bbc0b5c29d9ed6eb95a5fca9d94ea27176fa17350d54b",
+    "verify arc --k 1 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
+        "a59e587a27ed6ced31fcd552d0ffdb00f4d07a9b6c8d69d88bbeffe65646c15c",
+    "verify arc --k 2 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
+        "f0ec6fa0f41e2c0200a3df16e531e7dc907e4eb87ed99520307224f4e75206dd",
+    "verify sweep --k 2 --s 1e2,1e3 "
+    "--path chord:-0.494996,0.070560,0.355457,-0.351640":
+        "09f649a97725dfcbf1e71acdc904808104c2150c094896995001fe57821fe86e",
+    "verify sweep --k 0 --s 1e2,1e8":
+        "0020205c8b709c8d0b77411603f4f0b2d163e4d4f45b13ea53e02a9f43c2142f",
+    "verify sweep --k 3":
+        "a440ee8e257bf1f348abd878b6e5a90eb1f7402157f872c6a5ed3d562dadc517",
+    "wang solve --k 0 --s 1e3":
+        "cb966c5eb105b11c0f8ff75054caa528507529a0bf19aaa675a379071f77a190",
+    "wang solve --k 1 --s 1e3":
+        "3c08f404496a6196733a6b3ee4b89b0ac9152c76a57afeb9261ce80fd7eb2849",
+    "wang solve --k 2 --s 1e3":
+        "ac32cc4771a042107e1dfc04ceb6f99ba8953c74f0ca4457330ea92d68fd8069",
+    "building localmodel --k 0":
+        "03c377071953d61ca6cbbde357f5b2a06679cf797ce6c6e290113c9a636b503a",
+    "building localmodel --k 2":
+        "e5b9d03b91daae1259db251cfc81df1c07321afd2be302dcd26426478aef2dc3",
+    "building localmodel --k 3":
+        "8900ce7ab9b09be3e300dd932c732fb61893d767cc0095ce9878b9849a6a4209",
+    "trigroup spectrum --pqr 3,3,4 --maxlen 1.8":
+        "7622c3126abadbe4b2542dd3eaacccd0f98ad7d7ba76cef189a72f35d8f0a4d5",
+}
+
+
+def test_pinned_outputs_are_byte_identical(tmp_path):
+    out = tmp_path / "out.csv"
+    got = {}
+    for command in PINNED_CSV:
+        assert run(command.split() + ["--out", str(out)]) == 0, command
+        got[command] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == PINNED_CSV

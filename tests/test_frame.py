@@ -81,10 +81,9 @@ def test_factored_transport_extreme_range():
     assert abs(oracles.log_abs_det(xp)) < 1e-8
 
 
-def _natural_log_sv(xport, sol, s, z0, z1):
-    import cmath
-    da = frame.natural_frame_diag(z0, sol.k, s, cmath.phase(complex(z0)))
-    db = frame.natural_frame_diag(z1, sol.k, s, cmath.phase(complex(z1)))
+def _natural_log_sv(xport, sol, z0, z1):
+    da = frame.natural_frame_diag(sol.q, z0, cmath.phase(complex(z0)))
+    db = frame.natural_frame_diag(sol.q, z1, cmath.phase(complex(z1)))
     return oracles.log_singular_values(xport, left_diag=db, right_diag=da)
 
 
@@ -95,7 +94,7 @@ def test_integrator_matches_closed_form_k0(sol_k0):
         xport = frame.integrate_transport(sol, [z0, z1])
         x = s ** (1 / 3) * (z1 - z0)
         want = oracles.titeica_log_singular_values(x)
-        got = _natural_log_sv(xport, sol, s, z0, z1)
+        got = _natural_log_sv(xport, sol, z0, z1)
         assert np.max(np.abs(np.sort(got) - np.sort(want))) < 1e-8
 
 
@@ -107,7 +106,7 @@ def test_integrator_closed_form_long_displacement():
     xport = frame.integrate_transport(sol, [z0, z1])
     x = s ** (1 / 3) * (z1 - z0)
     want = oracles.titeica_log_singular_values(x)
-    got = _natural_log_sv(xport, sol, s, z0, z1)
+    got = _natural_log_sv(xport, sol, z0, z1)
     assert np.max(np.abs(np.sort(got) - np.sort(want))) < 1e-7 * max(1, abs(x))
 
 
@@ -142,8 +141,9 @@ def test_radial_transport_vs_tropical_k1(sol_k1_s1000):
     z0 = 0.3 * cmath.exp(1j * theta_z)
     z1 = 0.9 * cmath.exp(1j * theta_z)
     numeric = frame.transport_weyl_exponents(sol, [z0, z1])
-    period = (frame.natural_coordinate(z1, 1, (4 / 3) * theta_z)
-              - frame.natural_coordinate(z0, 1, (4 / 3) * theta_z))
+    q = wang.CubicDifferential(1)
+    period = (q.natural(*q.on_branch(z1, (4 / 3) * theta_z))
+              - q.natural(*q.on_branch(z0, (4 / 3) * theta_z)))
     target = np.array(tropical.segment_exponents(period).weyl.as_tuple())
     scale = np.max(np.abs(target))
     assert np.max(np.abs(numeric - target)) / scale < 0.05
@@ -228,7 +228,7 @@ def test_two_segment_turn_leading_vs_numeric():
     r_out, eps = 0.85, 0.2
     t_in = 4 * psi_in / 3
     turn = 4 * (psi_out - psi_in) / 3
-    ell = wang.natural_radius(r_out, k)
+    ell = wang.CubicDifferential(k).natural_radius(r_out)
     p0 = ell * cmath.exp(1j * (t_in + math.pi))
     p1 = ell * cmath.exp(1j * (t_in + turn))
     path = GeodesicPath(
@@ -262,7 +262,7 @@ def test_nan_field_stops_transport_at_the_first_step(sol_k0, monkeypatch):
     with pytest.raises(StepUnstable, match=r"step 1 of \d+ at z="):
         frame.integrate_transport(sol_k0, [0.3, 0.9])
     # one phi_at call for the one segment, given all 2n+1 nodes
-    n = math.ceil(0.6 / frame._step_size(sol_k0.s))
+    n = math.ceil(0.6 / frame._step_size(sol_k0.q.s))
     assert len(calls) == 1
     assert np.shape(calls[0]) == (2 * n + 1,)
 
@@ -292,10 +292,8 @@ class _FlatField:
     """The exact k = 0 Wang solution, e^(3 phi) = 2 s^2, at any s without a
     disk solve."""
 
-    k = 0
-
     def __init__(self, s):
-        self.s = s
+        self.q = wang.CubicDifferential(0, s)
         self.phi = math.log(2.0 * s * s) / 3.0
 
     def phi_at(self, z):
@@ -311,7 +309,8 @@ def test_chunk_folds_match_ten_step_folds(k, monkeypatch):
     # normalized exponents of folding every 10 steps per segment, on a
     # one-segment radial and on the sweep's 47-segment chord
     radial = [0.3 * cmath.exp(0.27j), 0.9 * cmath.exp(0.27j)]
-    chord, _ = cli._sweep_path("chord:0.5487,0.0662,0.3208,0.4480", k, 1.0)
+    chord, _ = cli._sweep_path("chord:0.5487,0.0662,0.3208,0.4480",
+                               wang.CubicDifferential(k), 1.0)
     assert len(chord) - 1 >= 40
     for s in (1.0, 1e2, 1e4):
         sol = wang.solve_disk(k, s, 1.0)
@@ -336,7 +335,7 @@ def test_folds_stay_accurate_at_extreme_s(s, length):
     want = np.sort(oracles.titeica_log_singular_values(s ** (1 / 3) * length))
     errs = []
     for transport in (frame.integrate_transport, oracles.reference_transport):
-        got = _natural_log_sv(transport(sol, [z0, z1]), sol, s, z0, z1)
+        got = _natural_log_sv(transport(sol, [z0, z1]), sol, z0, z1)
         errs.append(np.max(np.abs(np.sort(got) - want)))
     assert errs[0] <= 2 * errs[1]
 

@@ -43,7 +43,7 @@ def test_lower_bound_boundary_case_k0():
 def test_lower_bound_detects_corruption(sol_k1_s100):
     # near a zero the bound has slack, so corrupt where F is small (the outer
     # annulus); also check the k=0 case, where any decrease breaks the bound
-    bad = wang.WangSolution(sol_k1_s100.k, sol_k1_s100.s, sol_k1_s100.R,
+    bad = wang.WangSolution(sol_k1_s100.q, sol_k1_s100.R,
                             sol_k1_s100.rs, sol_k1_s100.phi_center,
                             sol_k1_s100.phi.copy(),
                             sol_k1_s100.residual_history,
@@ -62,7 +62,7 @@ def test_error_field_bound_lemma(sol_k1_s100):
     sol = sol_k1_s100
     i = int(np.argmin(np.abs(sol.rs - 0.5)))
     F_half = wang.error_values(sol)[i]
-    r0 = wang.natural_radius(0.5, 1)
+    r0 = wang.CubicDifferential(1).natural_radius(0.5)
     m = math.sqrt(3) * 2 ** (2 / 3) * 0.9 * 100 ** (1 / 3) * r0 / 1.1
     assert 0 < F_half < 100 ** (1 / 6) * math.exp(-m)
 
@@ -122,7 +122,7 @@ def test_field_rotation_invariance(sol_k1_s100, r, theta, alpha):
     phi = sol.phi_at(z)
     assert abs(sol.phi_at(rot * z) - phi) <= 1e-13 * abs(phi)
     dphi = sol.dz_phi_at(z)
-    scale = abs(dphi) + sol.k / (3 * r)
+    scale = abs(dphi) + sol.q.k / (3 * r)
     assert abs(rot * sol.dz_phi_at(rot * z) - dphi) <= 1e-13 * scale
 
 
@@ -254,3 +254,43 @@ def test_out_of_range_s_or_radius_refused(k, s, R):
         with pytest.raises(ValueError,
                            match=re.escape(f"s={s:g}, R={R:g}: ")):
             wang.solve_disk(k, s, R, wang.GridSpec())
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("s", [1.0, 1e3])
+def test_cubic_differential_closed_forms_agree(k, s):
+    q = wang.CubicDifferential(k, s)
+    r, h = 0.7, 1e-6
+
+    def flat(z):
+        return q.flat(math.log(abs(z)))
+    # chart angles continued past pi, so arg w passes pi onto later sheets
+    for theta in np.linspace(-3.0, 6.0, 19):
+        z = r * cmath.exp(1j * theta)
+        w = q.natural(r, theta)
+        sheet = round((q.natural_angle(theta) - cmath.phase(w))
+                      / (2 * math.pi))
+        assert abs(q.chart_point(w, sheet) - z) <= 1e-13
+        wp = q.cube_root(r, theta)
+        assert abs(wp ** 3 - q(z)) <= 1e-13 * abs(q(z))
+        dw = (q.natural(*q.on_branch(z + h, theta))
+              - q.natural(*q.on_branch(z - h, theta))) / (2 * h)
+        assert abs(dw - wp) <= 1e-8 * abs(wp)
+        assert abs(w) == pytest.approx(q.natural_radius(r), rel=1e-14)
+        # the flat part is (1/3) log(2 |q|^2); its d/dz by Wirtinger's rule
+        assert math.exp(3 * flat(z)) == pytest.approx(2 * q.abs2(r),
+                                                      rel=1e-13)
+        dflat = ((flat(z + h) - flat(z - h))
+                 - 1j * (flat(z + 1j * h) - flat(z - 1j * h))) / (4 * h)
+        assert abs(dflat - q.dz_flat(z)) <= 1e-8 * abs(q.dz_flat(z)) + 1e-9
+        for branch in (-7.0, 0.0, math.pi, 9.5):
+            rb, tb = q.on_branch(z, branch)
+            assert rb == abs(z) and abs(tb - branch) <= math.pi
+            assert abs(cmath.exp(1j * tb) - z / abs(z)) <= 1e-14
+
+
+@pytest.mark.parametrize("k, s", [(-1, 1.0), (1, 0.0), (1, -2.0),
+                                  (1, math.inf), (1, math.nan)])
+def test_cubic_differential_refuses_bad_order_or_scale(k, s):
+    with pytest.raises(ValueError, match="zero order" if k < 0 else "finite"):
+        wang.CubicDifferential(k, s)
