@@ -10,12 +10,15 @@ values stay accurate.
 Transport and arc comparisons work on arrays: the Wang field is sampled once
 on all RK4 nodes of a path or arc (neighbouring steps share their common
 node, also across the joints of a path's segments), and the generators, RK4
-propagators and their ordered products are batched (..., 3, 3) matmuls, in
-chunks of bounded size.  Both form their propagators with one RK4 step
-formula, which also rejects a step that is not finite or exceeds e^10.  Transport folds the product of each chunk into
-the factored form once, the discrete QR method of Dieci, Russell & Van Vleck
-(SIAM J. Numer. Anal. 34, 1997); a transport chunk is shortened where its
-growth bound would otherwise exceed what double precision resolves.
+propagators and their ordered products are batches of 3x3 matrices stored
+entry-major, shape (3, 3, m), and multiplied by _batch_mul, in chunks of
+bounded size.  A path or arc of more than _MAX_STEPS steps is refused before
+its nodes are allocated.  Both form their propagators with one RK4 step
+formula, which also rejects a step that is not finite or exceeds e^10.
+Transport folds the product of each chunk into the factored form once, the
+discrete QR method of Dieci, Russell & Van Vleck (SIAM J. Numer. Anal. 34,
+1997); a transport chunk is shortened where its growth bound would
+otherwise exceed what double precision resolves.
 
 The constant differential has the classical closed-form frame (Titeica); its
 eigenbasis S conjugates every asymptotic formula in the polygon module.
@@ -39,14 +42,18 @@ SLOT_BRANCH = (1, 0, 2)
 _SLOT_PHASES = np.array([cmath.exp(-1j * b) for b in BETA])
 
 # transport: RK4 truncation target per unit length.  Transport and arcs form
-# at most _CHUNK_STEPS steps at a time, which bounds the transient (m, 3, 3)
+# at most _CHUNK_STEPS steps at a time, which bounds the transient (3, 3, m)
 # arrays.  A transport chunk, folded by one QR step, is also capped so its
 # growth bound stays within e^_FOLD_GROWTH: e^8 times the unit roundoff is
 # 7e-13, so the chunk's product still resolves its smallest direction
 _STEP_TOL = 1e-10
 _CHUNK_STEPS = 640
 _FOLD_GROWTH = 8.0
-_I3 = np.eye(3, dtype=complex)
+# a path or arc holds all its nodes at once, ~210 B per transport step and
+# ~320 B per arc step, so this budget keeps them to ~160 MB, next to the
+# ~165 MB of wang._MAX_RINGS
+_MAX_STEPS = 500_000
+_I3 = np.eye(3, dtype=complex)[:, :, None]     # the identity, a batch of one
 
 
 # ---------------------------------------------------------------------------
@@ -56,20 +63,21 @@ _I3 = np.eye(3, dtype=complex)
 def structure_coefficients(phi, dz_phi, q):
     """(U, V) from the conformal factor, its z-derivative and the cubic
     differential value q (already including the ray parameter s).  The
-    arguments broadcast; U and V have shape (..., 3, 3)."""
+    arguments broadcast; U and V have the entry axes first, shape
+    (3, 3, ...), so a batch of them is entry-major."""
     phi, dz_phi, q = np.broadcast_arrays(phi, np.asarray(dz_phi, complex),
                                          np.asarray(q, complex))
     ephi = np.exp(phi)
-    U = np.zeros(phi.shape + (3, 3), dtype=complex)
+    U = np.zeros((3, 3) + phi.shape, dtype=complex)
     V = np.zeros_like(U)
-    U[..., 0, 2] = 0.5 * ephi
-    U[..., 1, 0] = 1.0
-    U[..., 1, 1] = dz_phi
-    U[..., 2, 1] = q / ephi
-    V[..., 0, 1] = 0.5 * ephi
-    V[..., 1, 2] = q.conjugate() / ephi
-    V[..., 2, 0] = 1.0
-    V[..., 2, 2] = dz_phi.conjugate()
+    U[0, 2] = 0.5 * ephi
+    U[1, 0] = 1.0
+    U[1, 1] = dz_phi
+    U[2, 1] = q / ephi
+    V[0, 1] = 0.5 * ephi
+    V[1, 2] = q.conjugate() / ephi
+    V[2, 0] = 1.0
+    V[2, 2] = dz_phi.conjugate()
     return U, V
 
 
@@ -182,30 +190,38 @@ def _fold_steps(s: float, h: float) -> int:
 
 def _transport_generators(phi, dz_phi, q, dz):
     """-(U dz + V dzbar) made trace-free at the start, middle and end node of
-    each step: three (m, 3, 3) arrays for the m steps dz over nodes 0 .. 2m,
-    with (U, V) from structure_coefficients at the nodes."""
+    each step: three (3, 3, m) batches for the m steps dz over nodes
+    0 .. 2m, with (U, V) from structure_coefficients at the nodes."""
     U, V = structure_coefficients(phi, dz_phi, q)
-    dz, dzb = dz[:, None, None], dz.conjugate()[:, None, None]
-    d = np.arange(3)
+    dzb = dz.conjugate()
     gens = []
     for role in (slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)):
-        W = U[role] * dz + V[role] * dzb
-        W[:, d, d] -= (np.trace(W, axis1=1, axis2=2) / 3.0)[:, None]
+        W = U[..., role] * dz + V[..., role] * dzb
+        trace = (W[0, 0] + W[1, 1] + W[2, 2]) / 3.0
+        for i in range(3):
+            W[i, i] -= trace
         gens.append(-W)
     return gens
 
 
+def _batch_mul(A, B):
+    """The products A[..., i] @ B[..., i] of two entry-major (3, 3, m)
+    batches, as three broadcast multiply-adds over whole entry rows (a
+    matmul of (m, 3, 3) stacks makes one small BLAS call per matrix)."""
+    return A[:, 0, None] * B[0] + A[:, 1, None] * B[1] + A[:, 2, None] * B[2]
+
+
 def _rk4_steps(f1, mid, end):
     """RK4 propagators I + (f1 + 2 f2 + 2 f3 + f4) / 6 of X' = A(t) X over m
-    steps, from the (m, 3, 3) generators h A at the start, middle and end of
-    each step; and the index of the first step that is not finite or has an
-    entry above e^10, or -1 when there is none."""
-    f2 = mid @ (_I3 + 0.5 * f1)
-    f3 = mid @ (_I3 + 0.5 * f2)
-    f4 = end @ (_I3 + f3)
+    steps, from the (3, 3, m) batches of generators h A at the start, middle
+    and end of each step; and the index of the first step that is not
+    finite or has an entry above e^10, or -1 when there is none."""
+    f2 = _batch_mul(mid, _I3 + 0.5 * f1)
+    f3 = _batch_mul(mid, _I3 + 0.5 * f2)
+    f4 = _batch_mul(end, _I3 + f3)
     steps = _I3 + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
-    bad = ~np.isfinite(steps).all(axis=(1, 2))
-    bad |= np.abs(steps).max(axis=(1, 2)) > math.exp(10)
+    bad = ~np.isfinite(steps).all(axis=(0, 1))
+    bad |= np.abs(steps).max(axis=(0, 1)) > math.exp(10)
     return steps, (int(np.argmax(bad)) if bad.any() else -1)
 
 
@@ -222,13 +238,15 @@ def integrate_transport(sol, path) -> FrameTransport:
     segments are skipped.  The nodes of the whole path (start, middle and
     end of every step; a step's end node is the next one's start, across
     segment joints too) are sampled in one phi_at and one dz_phi_at call.
-    The generators and RK4 propagators are formed as batched 3x3 matmuls,
-    _fold_steps (at most _CHUNK_STEPS) steps at a time so transient arrays
-    stay small; each such chunk is multiplied out pairwise and folded into
-    the factored transport once.  A chunk grows the frame by at most about
-    e^_FOLD_GROWTH, so its product still resolves the small directions.  A
-    step that is not finite or has an entry above e^10 raises StepUnstable
-    naming the first such step as step j of n within its segment.
+    The generators and RK4 propagators are formed as entry-major batches of
+    3x3 matrices, _fold_steps (at most _CHUNK_STEPS) steps at a time so
+    transient arrays stay small; each such chunk is multiplied out pairwise
+    and folded into the factored transport once.  A chunk grows the frame
+    by at most about e^_FOLD_GROWTH, so its product still resolves the small
+    directions.  A step that is not finite or has an entry above e^10
+    raises StepUnstable naming the first such step as step j of n within
+    its segment.  A path of more than _MAX_STEPS steps is refused with a
+    ValueError before any node is allocated.
     """
     xport = FrameTransport()
     pts = [complex(z) for z in path]
@@ -238,6 +256,9 @@ def integrate_transport(sol, path) -> FrameTransport:
     q = sol.q
     h = _step_size(q.s)
     ns = [max(2, int(math.ceil(abs(seg) / h))) for _, seg in segs]
+    if sum(ns) > _MAX_STEPS:
+        raise ValueError(f"path takes {sum(ns)} transport steps at "
+                         f"s={q.s:g}, over the budget of {_MAX_STEPS}")
     # segment i takes steps stops[i] - ns[i] ... stops[i] - 1; its nodes
     # 2 (stops[i] - ns[i]) ... 2 stops[i] overlap the next segment's at one
     # joint, which takes the next segment's start point
@@ -266,7 +287,7 @@ def integrate_transport(sol, path) -> FrameTransport:
                                f"{ns[j]} at z={complex(nodes[2 * i]):.6g} is "
                                f"not finite or exceeds e^10")
         # X <- step X: the chunk's product is its steps multiplied last first
-        xport.push_left(_ordered_product(steps[::-1]))
+        xport.push_left(_ordered_product(steps[..., ::-1]))
     return xport
 
 
@@ -301,10 +322,15 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     In the natural chart the connection keeps the structure-equation form with
     q = 1 and phi_w = phi - 2 log|w'|; for the constant differential the
     integrand vanishes identically.  A step that is not finite or has an
-    entry above e^10 raises StepUnstable naming it as arc step j of n.
+    entry above e^10 raises StepUnstable naming it as arc step j of n.  An
+    arc of more than _MAX_STEPS steps is refused with a ValueError before
+    any node is allocated.
     """
     q = sol.q
     n_steps = max(256, int(96 * abs(theta1 - theta0) * q.s ** (1 / 3)))
+    if n_steps > _MAX_STEPS:
+        raise ValueError(f"arc takes {n_steps} steps at s={q.s:g}, over the "
+                         f"budget of {_MAX_STEPS}")
     S, S_inv = titeica_frame()
     U_T, V_T = titeica_structure()
 
@@ -320,33 +346,39 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
 
     # M' = M A is X' = A^T X for X = M^T: RK4 steps of X, transposed back,
     # advance M by M P with one propagator P per step
-    M = _I3
+    M = np.eye(3, dtype=complex)
     for lo in range(0, n_steps, _CHUNK_STEPS):
         part = slice(2 * lo, 2 * min(lo + _CHUNK_STEPS, n_steps) + 1)
         with np.errstate(invalid="ignore", over="ignore"):
             U_w, V_w = structure_coefficients(phi_w[part], dphi_w[part], 1.0)
-            xd = xdot[part, None, None]
-            W = (U_w - U_T) * xd + (V_w - V_T) * xd.conjugate()
-            Dp = D[part]
-            A = (S_inv @ W @ S) * np.exp(Dp[:, :, None] - Dp[:, None, :])
-            hAT = h * A.transpose(0, 2, 1)
-            steps, bad = _rk4_steps(hAT[:-1:2], hAT[1::2], hAT[2::2])
+            xd = xdot[part]
+            W = ((U_w - U_T[..., None]) * xd
+                 + (V_w - V_T[..., None]) * xd.conjugate())
+            # S^(-1) W S; the outer tensordot puts S's column axis last
+            SWS = np.moveaxis(np.tensordot(np.tensordot(S_inv, W, (1, 0)), S,
+                                           (1, 0)), 2, 1)
+            Dp = D[part].T
+            A = SWS * np.exp(Dp[:, None] - Dp[None, :])
+            hAT = h * A.swapaxes(0, 1)
+            steps, bad = _rk4_steps(hAT[..., :-1:2], hAT[..., 1::2],
+                                    hAT[..., 2::2])
         if bad >= 0:
             j = lo + bad
             raise StepUnstable(f"arc step {j + 1} of {n_steps} at theta="
                                f"{t[2 * j]:.6g} is not finite or exceeds e^10")
-        M = M @ _ordered_product(steps.transpose(0, 2, 1))
+        M = M @ _ordered_product(steps.swapaxes(0, 1))
     return S @ M @ S_inv
 
 
 def _ordered_product(P):
-    """P[0] @ P[1] @ ... @ P[-1] by pairwise batched products, an odd run
-    padded with the identity at its end."""
-    while len(P) > 1:
-        if len(P) % 2:
-            P = np.concatenate([P, _I3[None]])
-        P = P[0::2] @ P[1::2]
-    return P[0]
+    """P[..., 0] @ P[..., 1] @ ... @ P[..., -1] of an entry-major (3, 3, m)
+    batch by pairwise batched products, an odd run padded with the identity
+    at its end."""
+    while P.shape[-1] > 1:
+        if P.shape[-1] % 2:
+            P = np.concatenate([P, _I3], axis=-1)
+        P = _batch_mul(P[..., 0::2], P[..., 1::2])
+    return P[..., 0]
 
 
 def transport_weyl_exponents(sol, path):

@@ -338,7 +338,7 @@ def titeica_log_singular_values(displacement: complex):
 
 
 # ---------------------------------------------------------------------------
-# reference transport
+# reference transport and arc
 # ---------------------------------------------------------------------------
 
 def reference_transport(sol, path):
@@ -360,9 +360,10 @@ def reference_transport(sol, path):
         n = max(2, int(math.ceil(abs(seg) / h)))
         dz = seg * (1.0 / n)
         nodes = a + seg * (np.arange(2 * n + 1) / (2 * n))
-        U, V = frame.structure_coefficients(sol.phi_at(nodes),
-                                            sol.dz_phi_at(nodes),
-                                            sol.q(nodes))
+        U, V = (np.moveaxis(c, (0, 1), (-2, -1)) for c in
+                frame.structure_coefficients(sol.phi_at(nodes),
+                                             sol.dz_phi_at(nodes),
+                                             sol.q(nodes)))
         W = U * dz + V * dz.conjugate()
         W -= np.trace(W, axis1=1, axis2=2)[:, None, None] / 3.0 * I3
         G = -W
@@ -377,6 +378,42 @@ def reference_transport(sol, path):
                 block = step @ block
             xport.push_left(block)
     return xport
+
+
+def reference_arc_unipotent(sol, theta0, theta1, radius):
+    """frame.arc_unipotent_numeric on row-major (m, 3, 3) stacks with
+    np.matmul: the whole arc's integrand S^(-1) W S and its RK4 steps formed
+    at once, and the steps multiplied out one by one in order.  Reference
+    for the entry-major batches and chunked products of the package's arc.
+    """
+    I3 = np.eye(3, dtype=complex)
+    q = sol.q
+    n = max(256, int(96 * abs(theta1 - theta0) * q.s ** (1 / 3)))
+    S, S_inv = frame.titeica_frame()
+    U_T, V_T = frame.titeica_structure()
+    h = (theta1 - theta0) / n
+    t = theta0 + (h / 2) * np.arange(2 * n + 1)
+    z = radius * np.exp(1j * t)
+    wp = q.cube_root(radius, t)
+    xd = (wp * (1j * z))[:, None, None]
+    D = frame.titeica_exponents(q.natural(radius, t))
+    U_w, V_w = (np.moveaxis(c, (0, 1), (-2, -1)) for c in
+                frame.structure_coefficients(
+                    sol.phi_at(z) - 2.0 * np.log(np.abs(wp)),
+                    (sol.dz_phi_at(z) - q.dz_flat(z)) / wp, 1.0))
+    W = (U_w - U_T) * xd + (V_w - V_T) * xd.conjugate()
+    A = (S_inv @ W @ S) * np.exp(D[:, :, None] - D[:, None, :])
+    # M' = M A is X' = A^T X for X = M^T
+    G = h * A.transpose(0, 2, 1)
+    f1, mid, end = G[:-1:2], G[1::2], G[2::2]
+    f2 = mid @ (I3 + 0.5 * f1)
+    f3 = mid @ (I3 + 0.5 * f2)
+    f4 = end @ (I3 + f3)
+    steps = I3 + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
+    M = I3
+    for step in steps.transpose(0, 2, 1):
+        M = M @ step
+    return S @ M @ S_inv
 
 
 # ---------------------------------------------------------------------------

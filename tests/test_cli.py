@@ -380,6 +380,15 @@ def test_unstable_arc_exits_2_naming_the_step(monkeypatch, capsys, field,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["sweep"], ["arc"]])
+def test_over_budget_path_exits_1_with_one_line(monkeypatch, capsys, argv):
+    monkeypatch.setattr(frame, "_MAX_STEPS", 1000)
+    assert run(["verify", *argv, "--k", "1", "--s", "1e4"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: (path takes \d+ transport|arc takes \d+) "
+                        r"steps at s=10000, over the budget of 1000\n", err)
+
+
 @pytest.mark.parametrize("argv, monotone", [
     (["--k", "0", "--s", "1e2,1e4,1e8"], True),
     (["--k", "0", "--s", "1e2,1e10", "--path", "radial:0.5,0.55,0.27"],
@@ -548,21 +557,21 @@ def test_failing_s_keeps_the_rows_that_finished(tmp_path, monkeypatch, capsys,
 # spectrum over k.  Any change of a bit in these outputs fails here
 PINNED_CSV = {
     "verify sweep --k 1 --s 1e2,1e3,1e4 --path radial:0.3,0.9,0.27":
-        "4df5dd8041d91328aa33878b2f49ef74a9df4acd4012fd10f209b1095f4cda99",
+        "f723a06ffa75f0a0fa9587dfbe01baae421273f272001587070805b6e6b097f3",
     "verify sweep --k 2 --s 1e2,1e3,1e4 "
     "--path chord:0.5480,0.0661,0.3211,0.4490":
-        "5c4d47f1c6469f05ee7bbc0b5c29d9ed6eb95a5fca9d94ea27176fa17350d54b",
+        "52f70f3f35c9ed21aa5168547089ebe00a1a7d7bc67af05b3bd84c762258df0c",
     "verify arc --k 1 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
         "a59e587a27ed6ced31fcd552d0ffdb00f4d07a9b6c8d69d88bbeffe65646c15c",
     "verify arc --k 2 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "f0ec6fa0f41e2c0200a3df16e531e7dc907e4eb87ed99520307224f4e75206dd",
+        "814a05e812e7bdf21b1a847dd6478f3deefdbfd646495a9c7b76a94484b787bf",
     "verify sweep --k 2 --s 1e2,1e3 "
     "--path chord:-0.494996,0.070560,0.355457,-0.351640":
-        "09f649a97725dfcbf1e71acdc904808104c2150c094896995001fe57821fe86e",
+        "8917e50e2a1b8f74f06f4455c072ddc2e1005324e1291471680e1c7a39f78e62",
     "verify sweep --k 0 --s 1e2,1e8":
-        "0020205c8b709c8d0b77411603f4f0b2d163e4d4f45b13ea53e02a9f43c2142f",
+        "8a96aa9f6abdbe0f82d1f14cafbdc2d8abd9bcafd9071f5b92c876030e0eff65",
     "verify sweep --k 3":
-        "a440ee8e257bf1f348abd878b6e5a90eb1f7402157f872c6a5ed3d562dadc517",
+        "2252dd306d4f81fa9d85a07996e9def7db58e809fd07f6b3215e59f27fbc3f3d",
     "wang solve --k 0 --s 1e3":
         "cb966c5eb105b11c0f8ff75054caa528507529a0bf19aaa675a379071f77a190",
     "wang solve --k 1 --s 1e3":

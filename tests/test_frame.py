@@ -194,6 +194,38 @@ def test_arc_numeric_k1_converges_to_flip_product():
     assert errs[1] < errs[0] / 10
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_arc_matches_row_major_reference(k):
+    # the entry-major batches and chunked pairwise products reorder only
+    # rounding against the matmul stacks multiplied out step by step
+    for s in (1e2, 1e4):
+        sol = wang.solve_disk(k, s, 1.0)
+        got = frame.arc_unipotent_numeric(sol, 0.04, 0.75, radius=0.5)
+        want = oracles.reference_arc_unipotent(sol, 0.04, 0.75, radius=0.5)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_arc_nan_past_an_angle_names_the_first_bad_step():
+    # phi is NaN only past the angle of one step's middle node, several
+    # chunks into the arc: that step is the first with a NaN node, and the
+    # chunked check must neither skip ahead nor stop early
+    s, theta0, theta1, radius = 1e4, 0.1, 3.0, 0.5
+    sol = _FlatField(s)
+    n = max(256, int(96 * (theta1 - theta0) * s ** (1 / 3)))
+    j = 3 * frame._CHUNK_STEPS + 17
+    assert j < n - 1
+    t = theta0 + ((theta1 - theta0) / n / 2) * np.arange(2 * n + 1)
+    cut = t[2 * j + 1]
+    flat = sol.phi_at
+
+    def nan_past_cut(z):
+        return np.where(np.angle(z) > cut, math.nan, flat(z))
+    sol.phi_at = nan_past_cut
+    with pytest.raises(StepUnstable,
+                       match=rf"^arc step {j + 1} of {n} at theta="):
+        frame.arc_unipotent_numeric(sol, theta0, theta1, radius)
+
+
 def test_convergence_sweep_k0():
     period = 0.8 * cmath.exp(0.3j)
     z0 = 0.05 + 0.02j
@@ -286,6 +318,31 @@ def test_field_nan_past_a_radius_names_the_first_bad_step(monkeypatch):
         with pytest.raises(StepUnstable,
                            match=rf"step {(n + 1) // 2} of {n} at z="):
             frame.integrate_transport(sol, [0.3, 0.9])
+
+
+def test_step_budget_refuses_paths_and_arcs_before_sampling(monkeypatch):
+    # a path at the budget runs; one step over it, and an arc over it, are
+    # refused before the field is sampled on any node
+    sol = wang.solve_disk(0, 1e4, 1.2, wang.GridSpec(nr=40))
+    n = math.ceil(0.6 / frame._step_size(1e4))
+    monkeypatch.setattr(frame, "_MAX_STEPS", n)
+    frame.integrate_transport(sol, [0.3, 0.9])
+    calls = []
+
+    def no_phi(self, z):
+        calls.append(z)
+        return math.nan
+    monkeypatch.setattr(wang.WangSolution, "phi_at", no_phi)
+    monkeypatch.setattr(frame, "_MAX_STEPS", n - 1)
+    with pytest.raises(ValueError, match=rf"^path takes {n} transport steps "
+                                         rf"at s=10000, over the budget of "
+                                         rf"{n - 1}$"):
+        frame.integrate_transport(sol, [0.3, 0.9])
+    monkeypatch.setattr(frame, "_MAX_STEPS", 1000)
+    with pytest.raises(ValueError, match=r"^arc takes 1468 steps at "
+                                         r"s=10000, over the budget of 1000$"):
+        frame.arc_unipotent_numeric(sol, 0.04, 0.75, radius=0.5)
+    assert calls == []
 
 
 class _FlatField:
