@@ -1,24 +1,26 @@
 """Frame-field transport along paths in affine-sphere charts.
 
-The structure equations give a flat connection with matrices U, V built from
-the conformal factor phi and the cubic differential.  Transport over long
-distances reaches condition numbers far beyond double precision, so the
-inverse transport is accumulated in a factored form Q * diag(e^d) * T with Q
-unitary and T a mild upper-triangular remainder; all three log singular
-values stay accurate.
+The structure equations give a flat connection -(U dz + V dzbar) built from
+the conformal factor phi and the cubic differential in the chart frame
+(1, d/dz, d/dzbar).  It is real in the constant unitary frame _C, as
+conj(U) = P V P with P the swap of slots 1 and 2, so transport and arcs are
+integrated there in float64.  Transport over long distances reaches
+condition numbers far beyond double precision, so the inverse transport is
+accumulated in a factored form Q * diag(e^d) * T with Q unitary; all three
+log singular values stay accurate.
 
 Transport and arc comparisons work on arrays: the Wang field is sampled once
 on all RK4 nodes of a path or arc (neighbouring steps share their common
 node, also across the joints of a path's segments), and the generators, RK4
-propagators and their ordered products are batches of 3x3 matrices stored
-entry-major, shape (3, 3, m), and multiplied by _batch_mul, in chunks of
-bounded size.  A path or arc of more than _MAX_STEPS steps is refused before
-its nodes are allocated.  Both form their propagators with one RK4 step
-formula, which also rejects a step that is not finite or exceeds e^10.
-Transport folds the product of each chunk into the factored form once, the
-discrete QR method of Dieci, Russell & Van Vleck (SIAM J. Numer. Anal. 34,
-1997); a transport chunk is shortened where its growth bound would
-otherwise exceed what double precision resolves.
+propagators and their ordered products are real batches of 3x3 matrices
+stored entry-major, shape (3, 3, m), and multiplied by _batch_mul, in chunks
+of bounded size.  A path or arc of more than _MAX_STEPS steps is refused
+before its nodes are allocated.  Both form their propagators with one RK4
+step formula, which also rejects a step that is not finite or has an entry
+above e^10/3.  Transport folds the product of each chunk into the factored
+form once, the discrete QR method of Dieci, Russell & Van Vleck (SIAM J.
+Numer. Anal. 34, 1997); a transport chunk is shortened where its growth
+bound would otherwise exceed what double precision resolves.
 
 The constant differential has the classical closed-form frame (Titeica); its
 eigenbasis S conjugates every asymptotic formula in the polygon module.
@@ -53,43 +55,18 @@ _FOLD_GROWTH = 8.0
 # ~320 B per arc step, so this budget keeps them to ~160 MB, next to the
 # ~165 MB of wang._MAX_RINGS
 _MAX_STEPS = 500_000
-_I3 = np.eye(3, dtype=complex)[:, :, None]     # the identity, a batch of one
-
-
-# ---------------------------------------------------------------------------
-# structure coefficients
-# ---------------------------------------------------------------------------
-
-def structure_coefficients(phi, dz_phi, q):
-    """(U, V) from the conformal factor, its z-derivative and the cubic
-    differential value q (already including the ray parameter s).  The
-    arguments broadcast; U and V have the entry axes first, shape
-    (3, 3, ...), so a batch of them is entry-major."""
-    phi, dz_phi, q = np.broadcast_arrays(phi, np.asarray(dz_phi, complex),
-                                         np.asarray(q, complex))
-    ephi = np.exp(phi)
-    U = np.zeros((3, 3) + phi.shape, dtype=complex)
-    V = np.zeros_like(U)
-    U[0, 2] = 0.5 * ephi
-    U[1, 0] = 1.0
-    U[1, 1] = dz_phi
-    U[2, 1] = q / ephi
-    V[0, 1] = 0.5 * ephi
-    V[1, 2] = q.conjugate() / ephi
-    V[2, 0] = 1.0
-    V[2, 2] = dz_phi.conjugate()
-    return U, V
+_I3 = np.eye(3)[:, :, None]                    # the identity, a batch of one
+# a chart-frame matrix P is C P_r C^H.  max |P| <= |P|_F = |P_r|_F <= 3 max
+# |P_r|, so a step with a chart-frame entry above e^10 exceeds _STEP_BOUND
+_C = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1j], [0.0, 1.0, -1j]])
+_C[1:, 1:] *= math.sqrt(0.5)
+_STEP_BOUND = math.exp(10) / 3.0
+_CBRT2 = 2.0 ** (1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
 # Titeica closed form
 # ---------------------------------------------------------------------------
-
-def titeica_structure():
-    """Constant (U, V) of dz^3 with its flat conformal factor e^phi = 2^(1/3)."""
-    phi = math.log(2.0) / 3.0
-    return structure_coefficients(phi, 0.0 + 0.0j, 1.0 + 0.0j)
-
 
 @lru_cache(maxsize=1)
 def titeica_frame():
@@ -135,35 +112,29 @@ def _log_singular_values_of_factored(A, logd, B):
 class FrameTransport:
     """Inverse transport X = Psi^(-1) kept as Q * diag(e^logd) * T.
 
-    Q is unitary, T upper triangular with O(1) rows; logd carries the
-    Lyapunov-style per-direction log factors, so all three log singular
-    values of the holonomy are recoverable at any dynamic range.
+    Q is unitary, T has O(1) rows (push_left keeps it upper triangular, and
+    the final change of frame in integrate_transport, T <- T C^H, does not)
+    and logd carries the Lyapunov-style per-direction log factors, so all
+    three log singular values of the holonomy are recoverable at any range.
     """
 
     def __init__(self):
-        self.Q = np.eye(3, dtype=complex)
+        self.Q = np.eye(3)
         self.logd = np.zeros(3)
-        self.T = np.eye(3, dtype=complex)
+        self.T = np.eye(3)
 
     def push_left(self, P: np.ndarray):
         """Fold X <- P X, keeping the factored form."""
-        A = P @ self.Q
-        Q2, R = np.linalg.qr(A)
-        # positive-diagonal convention
-        ph = np.diag(R).copy()
-        ph[np.abs(ph) == 0] = 1.0
-        ph = ph / np.abs(ph)
-        Q2 = Q2 * ph
-        R = (R.T * ph.conjugate()).T
+        Q2, R = np.linalg.qr(P @ self.Q)
         # R[i,j] e^(d_j - d_i) on the upper triangle; the exponent is zeroed
-        # below it, where R is 0 and e^(d_j - d_i) could overflow
+        # below it, where R is 0 and e^(d_j - d_i) could overflow.  Row i of
+        # R D is carried by |R[i,i]|, its phase stays in T
         RD = R * np.exp(np.triu(self.logd - self.logd[:, None]))
-        newd = self.logd + np.log(np.abs(np.diag(R)))
-        T2 = RD / np.diag(R)[:, None]
-        Tn = T2 @ self.T
+        r = np.abs(np.diag(R))
+        Tn = (RD / r[:, None]) @ self.T
         scale = np.maximum(np.max(np.abs(Tn), axis=1), 1e-300)
         self.Q = Q2
-        self.logd = newd + np.log(scale)
+        self.logd = self.logd + np.log(r) + np.log(scale)
         self.T = Tn / scale[:, None]
 
 
@@ -189,39 +160,46 @@ def _fold_steps(s: float, h: float) -> int:
 
 
 def _transport_generators(phi, dz_phi, q, dz):
-    """-(U dz + V dzbar) made trace-free at the start, middle and end node of
-    each step: three (3, 3, m) batches for the m steps dz over nodes
-    0 .. 2m, with (U, V) from structure_coefficients at the nodes."""
-    U, V = structure_coefficients(phi, dz_phi, q)
-    dzb = dz.conjugate()
-    gens = []
-    for role in (slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)):
-        W = U[..., role] * dz + V[..., role] * dzb
-        trace = (W[0, 0] + W[1, 1] + W[2, 2]) / 3.0
-        for i in range(3):
-            W[i, i] -= trace
-        gens.append(-W)
-    return gens
+    """-(U dz + V dzbar) made trace-free, in the real frame, at the start,
+    middle and end node of each of the m steps dz over nodes 0 .. 2m: three
+    (3, 3, m) float64 batches.  In the chart frame U[0,2] = V[0,1] =
+    e^phi / 2, U[1,0] = V[2,0] = 1, U[1,1] = conj(V[2,2]) = dz_phi and
+    U[2,1] = conj(V[1,2]) = q e^(-phi).  With dz = x + iy, p = dz_phi dz,
+    beta = q e^(-phi) dz, r = Re p / 3 and a = e^phi / sqrt(2), the real
+    frame's generator is [[2r, -a x, -a y], [-sqrt(2) x, -r - Re beta,
+    Im p + Im beta], [-sqrt(2) y, Im beta - Im p, Re beta - r]]."""
+    ephi = np.exp(phi)
+    fields = np.stack((dz_phi, q * (1.0 / ephi), ephi))
+    # roles[:, j, i] is node 2i + j, the start, middle or end of step i
+    roles = np.stack((fields[:, :-1:2], fields[:, 1::2], fields[:, 2::2]), 1)
+    p, beta = roles[:2] * dz
+    a, r, x, y = roles[2].real * math.sqrt(0.5), p.real / 3.0, dz.real, dz.imag
+    G = np.empty((3, 3, 3, len(dz)))        # entry, entry, role, step
+    G[0] = 2.0 * r, -a * x, -a * y
+    G[1:, 0] = -math.sqrt(2.0) * np.stack((x, y))[:, None]
+    G[1, 1:] = -r - beta.real, p.imag + beta.imag
+    G[2, 1:] = beta.imag - p.imag, beta.real - r
+    return G.transpose(2, 0, 1, 3)
 
 
 def _batch_mul(A, B):
     """The products A[..., i] @ B[..., i] of two entry-major (3, 3, m)
-    batches, as three broadcast multiply-adds over whole entry rows (a
-    matmul of (m, 3, 3) stacks makes one small BLAS call per matrix)."""
-    return A[:, 0, None] * B[0] + A[:, 1, None] * B[1] + A[:, 2, None] * B[2]
+    batches (a matmul of (m, 3, 3) stacks makes one small BLAS call per
+    matrix, and on float64 broadcast multiply-adds take twice as long)."""
+    return np.einsum("ijm,jkm->ikm", A, B)
 
 
 def _rk4_steps(f1, mid, end):
     """RK4 propagators I + (f1 + 2 f2 + 2 f3 + f4) / 6 of X' = A(t) X over m
     steps, from the (3, 3, m) batches of generators h A at the start, middle
     and end of each step; and the index of the first step that is not
-    finite or has an entry above e^10, or -1 when there is none."""
+    finite or has an entry above _STEP_BOUND, or -1 when there is none."""
     f2 = _batch_mul(mid, _I3 + 0.5 * f1)
     f3 = _batch_mul(mid, _I3 + 0.5 * f2)
     f4 = _batch_mul(end, _I3 + f3)
     steps = _I3 + (f1 + 2 * f2 + 2 * f3 + f4) / 6.0
-    bad = ~np.isfinite(steps).all(axis=(0, 1))
-    bad |= np.abs(steps).max(axis=(0, 1)) > math.exp(10)
+    # a NaN or infinite entry fails the comparison too
+    bad = ~(np.abs(steps).max(axis=(0, 1)) <= _STEP_BOUND)
     return steps, (int(np.argmax(bad)) if bad.any() else -1)
 
 
@@ -238,15 +216,16 @@ def integrate_transport(sol, path) -> FrameTransport:
     segments are skipped.  The nodes of the whole path (start, middle and
     end of every step; a step's end node is the next one's start, across
     segment joints too) are sampled in one phi_at and one dz_phi_at call.
-    The generators and RK4 propagators are formed as entry-major batches of
-    3x3 matrices, _fold_steps (at most _CHUNK_STEPS) steps at a time so
-    transient arrays stay small; each such chunk is multiplied out pairwise
-    and folded into the factored transport once.  A chunk grows the frame
-    by at most about e^_FOLD_GROWTH, so its product still resolves the small
-    directions.  A step that is not finite or has an entry above e^10
-    raises StepUnstable naming the first such step as step j of n within
-    its segment.  A path of more than _MAX_STEPS steps is refused with a
-    ValueError before any node is allocated.
+    The real-frame generators and RK4 propagators are formed as entry-major
+    batches, _fold_steps (at most _CHUNK_STEPS) steps at a time so transient
+    arrays stay small; each such chunk is multiplied out pairwise and folded
+    into the factored transport once, which ends in the chart frame.  A
+    chunk grows the frame by at most about e^_FOLD_GROWTH, so its product
+    still resolves the small directions.  A step that is not finite or has
+    a real-frame entry above e^10/3 raises StepUnstable naming the first
+    such step as step j of n within its segment.  A path of more than
+    _MAX_STEPS steps is refused with a ValueError before any node is
+    allocated.
     """
     xport = FrameTransport()
     pts = [complex(z) for z in path]
@@ -285,9 +264,12 @@ def integrate_transport(sol, path) -> FrameTransport:
             j = int(np.searchsorted(stops, i, side="right"))
             raise StepUnstable(f"transport step {i - stops[j] + ns[j] + 1} of "
                                f"{ns[j]} at z={complex(nodes[2 * i]):.6g} is "
-                               f"not finite or exceeds e^10")
+                               f"not finite or has a real-frame entry above "
+                               f"e^10/3")
         # X <- step X: the chunk's product is its steps multiplied last first
         xport.push_left(_ordered_product(steps[..., ::-1]))
+    # the chart-frame transport is C X C^H
+    xport.Q, xport.T = _C @ xport.Q, xport.T @ _C.conj().T
     return xport
 
 
@@ -322,7 +304,7 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     In the natural chart the connection keeps the structure-equation form with
     q = 1 and phi_w = phi - 2 log|w'|; for the constant differential the
     integrand vanishes identically.  A step that is not finite or has an
-    entry above e^10 raises StepUnstable naming it as arc step j of n.  An
+    entry above e^10/3 raises StepUnstable naming it as arc step j of n.  An
     arc of more than _MAX_STEPS steps is refused with a ValueError before
     any node is allocated.
     """
@@ -331,9 +313,6 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     if n_steps > _MAX_STEPS:
         raise ValueError(f"arc takes {n_steps} steps at s={q.s:g}, over the "
                          f"budget of {_MAX_STEPS}")
-    S, S_inv = titeica_frame()
-    U_T, V_T = titeica_structure()
-
     # the field at the start, middle and end of every step
     h = (theta1 - theta0) / n_steps
     t = theta0 + (h / 2) * np.arange(2 * n_steps + 1)
@@ -346,28 +325,47 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
 
     # M' = M A is X' = A^T X for X = M^T: RK4 steps of X, transposed back,
     # advance M by M P with one propagator P per step
-    M = np.eye(3, dtype=complex)
+    M = np.eye(3)
     for lo in range(0, n_steps, _CHUNK_STEPS):
         part = slice(2 * lo, 2 * min(lo + _CHUNK_STEPS, n_steps) + 1)
         with np.errstate(invalid="ignore", over="ignore"):
-            U_w, V_w = structure_coefficients(phi_w[part], dphi_w[part], 1.0)
-            xd = xdot[part]
-            W = ((U_w - U_T[..., None]) * xd
-                 + (V_w - V_T[..., None]) * xd.conjugate())
-            # S^(-1) W S; the outer tensordot puts S's column axis last
-            SWS = np.moveaxis(np.tensordot(np.tensordot(S_inv, W, (1, 0)), S,
-                                           (1, 0)), 2, 1)
-            Dp = D[part].T
-            A = SWS * np.exp(Dp[:, None] - Dp[None, :])
+            A = _arc_integrand(phi_w[part], dphi_w[part], xdot[part], D[part])
             hAT = h * A.swapaxes(0, 1)
             steps, bad = _rk4_steps(hAT[..., :-1:2], hAT[..., 1::2],
                                     hAT[..., 2::2])
         if bad >= 0:
             j = lo + bad
             raise StepUnstable(f"arc step {j + 1} of {n_steps} at theta="
-                               f"{t[2 * j]:.6g} is not finite or exceeds e^10")
+                               f"{t[2 * j]:.6g} is not finite or has an "
+                               f"entry above e^10/3")
         M = M @ _ordered_product(steps.swapaxes(0, 1))
+    S, S_inv = titeica_frame()
     return S @ M @ S_inv
+
+
+def _arc_integrand(phi_w, dphi_w, xdot, D):
+    """S^(-1) W S e^(D_i - D_j) on the nodes of an arc (D holds the slot
+    exponents, a row per node), a real (3, 3, m) batch.  W = (U_w - U_T) xdot
+    + (V_w - V_T) conj(xdot) is the natural-chart connection (q = 1, the
+    conformal factor phi_w, its z-derivative dphi_w) less the Titeica one.
+    S^(-1) W S = S_r^(-1) W_r S_r with the real S_r = C^H S and W_r =
+    C^H W C = [[0, E x, E y], [0, Re p + G x, -Im p - G y], [0, Im p - G y,
+    Re p - G x]], where E = (e^phi_w - 2^(1/3)) / sqrt(2), G = e^(-phi_w) -
+    2^(-1/3), xdot = x + iy and p = dphi_w xdot."""
+    S, S_inv = titeica_frame()
+    ephi = np.exp(phi_w)
+    E = (ephi - _CBRT2) * math.sqrt(0.5)
+    G = 1.0 / ephi - 1.0 / _CBRT2
+    x, y, p = xdot.real, xdot.imag, dphi_w * xdot
+    W = np.zeros((3, 3) + ephi.shape)
+    W[0, 1:] = E * x, E * y
+    W[1, 1:] = p.real + G * x, -p.imag - G * y
+    W[2, 1:] = p.imag - G * y, p.real - G * x
+    # S_r^(-1) W_r S_r; the outer tensordot puts S_r's column axis last
+    SW = np.tensordot((S_inv @ _C).real, W, (1, 0))
+    SWS = np.moveaxis(np.tensordot(SW, (_C.conj().T @ S).real, (1, 0)), 2, 1)
+    D = D.T
+    return SWS * np.exp(D[:, None] - D[None, :])
 
 
 def _ordered_product(P):

@@ -338,16 +338,56 @@ def titeica_log_singular_values(displacement: complex):
 
 
 # ---------------------------------------------------------------------------
-# reference transport and arc
+# the connection in the chart frame, reference transport and arc
 # ---------------------------------------------------------------------------
 
+def structure_coefficients(phi, dz_phi, q):
+    """(U, V) in the chart frame (1, d/dz, d/dzbar) from the conformal
+    factor, its z-derivative and the cubic differential value q (already
+    including the ray parameter s).  The arguments broadcast; U and V have
+    the entry axes first, shape (3, 3, ...).  The complex reference for the
+    real-frame generators of frame."""
+    phi, dz_phi, q = np.broadcast_arrays(phi, np.asarray(dz_phi, complex),
+                                         np.asarray(q, complex))
+    ephi = np.exp(phi)
+    U = np.zeros((3, 3) + phi.shape, dtype=complex)
+    V = np.zeros_like(U)
+    U[0, 2] = 0.5 * ephi
+    U[1, 0] = 1.0
+    U[1, 1] = dz_phi
+    U[2, 1] = q / ephi
+    V[0, 1] = 0.5 * ephi
+    V[1, 2] = q.conjugate() / ephi
+    V[2, 0] = 1.0
+    V[2, 2] = dz_phi.conjugate()
+    return U, V
+
+
+def titeica_structure():
+    """Constant (U, V) of dz^3 with its flat conformal factor e^phi = 2^(1/3)."""
+    phi = math.log(2.0) / 3.0
+    return structure_coefficients(phi, 0.0 + 0.0j, 1.0 + 0.0j)
+
+
+def chart_generators(phi, dz_phi, q, dz):
+    """-(U dz + V dzbar) made trace-free, as row-major (m, 3, 3) complex
+    stacks, for field values and steps dz that broadcast to shape (m,)."""
+    U, V = (np.moveaxis(c, (0, 1), (-2, -1))
+            for c in structure_coefficients(phi, dz_phi, q))
+    dz = np.asarray(dz)[..., None, None]
+    W = U * dz + V * dz.conjugate()
+    W -= np.trace(W, axis1=-2, axis2=-1)[..., None, None] / 3.0 * np.eye(3)
+    return -W
+
+
 def reference_transport(sol, path):
-    """frame.integrate_transport's RK4 steps, folded one short run at a time.
+    """frame.integrate_transport's RK4 steps in the complex chart frame,
+    folded one short run at a time.
 
     Each segment is sampled on its own 2n+1 nodes and every run of 10 steps
     is multiplied out in order and folded into the factored transport, so no
-    product spans a large growth.  Reference for
-    the fold granularity of the package's transport.
+    product spans a large growth.  Reference for the fold granularity of the
+    package's transport and for its real-frame generators.
     """
     I3 = np.eye(3, dtype=complex)
     xport = frame.FrameTransport()
@@ -360,13 +400,8 @@ def reference_transport(sol, path):
         n = max(2, int(math.ceil(abs(seg) / h)))
         dz = seg * (1.0 / n)
         nodes = a + seg * (np.arange(2 * n + 1) / (2 * n))
-        U, V = (np.moveaxis(c, (0, 1), (-2, -1)) for c in
-                frame.structure_coefficients(sol.phi_at(nodes),
-                                             sol.dz_phi_at(nodes),
-                                             sol.q(nodes)))
-        W = U * dz + V * dz.conjugate()
-        W -= np.trace(W, axis1=1, axis2=2)[:, None, None] / 3.0 * I3
-        G = -W
+        G = chart_generators(sol.phi_at(nodes), sol.dz_phi_at(nodes),
+                             sol.q(nodes), dz)
         f1, mid, end = G[:-1:2], G[1::2], G[2::2]
         f2 = mid @ (I3 + 0.5 * f1)
         f3 = mid @ (I3 + 0.5 * f2)
@@ -383,14 +418,15 @@ def reference_transport(sol, path):
 def reference_arc_unipotent(sol, theta0, theta1, radius):
     """frame.arc_unipotent_numeric on row-major (m, 3, 3) stacks with
     np.matmul: the whole arc's integrand S^(-1) W S and its RK4 steps formed
-    at once, and the steps multiplied out one by one in order.  Reference
-    for the entry-major batches and chunked products of the package's arc.
+    at once from the complex chart-frame W, and the steps multiplied out one
+    by one in order.  Reference for the real-frame integrand, entry-major
+    batches and chunked products of the package's arc.
     """
     I3 = np.eye(3, dtype=complex)
     q = sol.q
     n = max(256, int(96 * abs(theta1 - theta0) * q.s ** (1 / 3)))
     S, S_inv = frame.titeica_frame()
-    U_T, V_T = frame.titeica_structure()
+    U_T, V_T = titeica_structure()
     h = (theta1 - theta0) / n
     t = theta0 + (h / 2) * np.arange(2 * n + 1)
     z = radius * np.exp(1j * t)
@@ -398,7 +434,7 @@ def reference_arc_unipotent(sol, theta0, theta1, radius):
     xd = (wp * (1j * z))[:, None, None]
     D = frame.titeica_exponents(q.natural(radius, t))
     U_w, V_w = (np.moveaxis(c, (0, 1), (-2, -1)) for c in
-                frame.structure_coefficients(
+                structure_coefficients(
                     sol.phi_at(z) - 2.0 * np.log(np.abs(wp)),
                     (sol.dz_phi_at(z) - q.dz_flat(z)) / wp, 1.0))
     W = (U_w - U_T) * xd + (V_w - V_T) * xd.conjugate()

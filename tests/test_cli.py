@@ -557,21 +557,21 @@ def test_failing_s_keeps_the_rows_that_finished(tmp_path, monkeypatch, capsys,
 # spectrum over k.  Any change of a bit in these outputs fails here
 PINNED_CSV = {
     "verify sweep --k 1 --s 1e2,1e3,1e4 --path radial:0.3,0.9,0.27":
-        "f723a06ffa75f0a0fa9587dfbe01baae421273f272001587070805b6e6b097f3",
+        "db2b88e27a90325fbf4eca4d9460d70ea99427ce61027235b6fc23f5d6decb8a",
     "verify sweep --k 2 --s 1e2,1e3,1e4 "
     "--path chord:0.5480,0.0661,0.3211,0.4490":
-        "52f70f3f35c9ed21aa5168547089ebe00a1a7d7bc67af05b3bd84c762258df0c",
+        "f0945d5744d2f517906e8aee1fc35d7babe77afcebada8165156322e251dafec",
     "verify arc --k 1 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "a59e587a27ed6ced31fcd552d0ffdb00f4d07a9b6c8d69d88bbeffe65646c15c",
+        "4c1dccaad5b9479e378b169dd0ae0369d10b681e73df6afb0a416dc146998c3a",
     "verify arc --k 2 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "814a05e812e7bdf21b1a847dd6478f3deefdbfd646495a9c7b76a94484b787bf",
+        "f7d0bd6714cdc9693d58f32ce19e83b9a777e113f1778f9e528d6d731c674526",
     "verify sweep --k 2 --s 1e2,1e3 "
     "--path chord:-0.494996,0.070560,0.355457,-0.351640":
-        "8917e50e2a1b8f74f06f4455c072ddc2e1005324e1291471680e1c7a39f78e62",
+        "2b724dc0840d10ba4a66d84afff8e7aeef7cbdcf65625e05255215cb9970f7c7",
     "verify sweep --k 0 --s 1e2,1e8":
-        "8a96aa9f6abdbe0f82d1f14cafbdc2d8abd9bcafd9071f5b92c876030e0eff65",
+        "a593d9bd924aa9475d1ec423195bb23d049a83219c56768862d60beacb1d0d43",
     "verify sweep --k 3":
-        "2252dd306d4f81fa9d85a07996e9def7db58e809fd07f6b3215e59f27fbc3f3d",
+        "25bc14e4c1baa1ed137c427e7fe276be28598fbde4095e8b912dd56cf8f0061b",
     "wang solve --k 0 --s 1e3":
         "cb966c5eb105b11c0f8ff75054caa528507529a0bf19aaa675a379071f77a190",
     "wang solve --k 1 --s 1e3":

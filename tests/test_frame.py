@@ -25,13 +25,124 @@ def test_titeica_frame_diagonalizes_structure():
     # whatever way S is built, S^(-1) (x U + xbar V) S is diagonal with the
     # exponents of slot j's branch cos(theta - BETA[j]) for every x
     S, S_inv = frame.titeica_frame()
-    U, V = frame.titeica_structure()
+    U, V = oracles.titeica_structure()
     assert np.allclose(S @ S_inv, np.eye(3), atol=1e-14)
     for x in (0.8 * cmath.exp(0.23j), 1.0, -2.5 + 0.7j, 3j,
               1e3 * cmath.exp(2j)):
         D = S_inv @ (x * U + x.conjugate() * V) @ S
         want = np.diag(frame.titeica_exponents(x))
         assert np.max(np.abs(D - want)) <= 1e-14 * (1 + abs(x))
+
+
+def _random_nodes(rng, m):
+    """Field values on 2m+1 nodes and a different dz for each of m steps,
+    over the ranges of the verify commands' paths."""
+    phi = rng.uniform(-2.0, 9.0, size=2 * m + 1)
+    dz_phi = 50.0 * (rng.normal(size=2 * m + 1)
+                     + 1j * rng.normal(size=2 * m + 1))
+    q = 10 ** rng.uniform(0, 4) * (rng.normal(size=2 * m + 1)
+                                    + 1j * rng.normal(size=2 * m + 1))
+    dz = 10 ** rng.uniform(-5, -1) * (rng.normal(size=m)
+                                      + 1j * rng.normal(size=m))
+    return phi, dz_phi, q, dz
+
+
+def test_real_generators_are_the_chart_generators_in_the_real_frame():
+    # C^H G C of the complex chart-frame generator, matrix by matrix.  Node
+    # 2i + 2 ends step i and starts step i + 1, which take different dz, as
+    # on the two sides of a joint between a path's segments
+    C = frame._C
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        phi, dz_phi, q, dz = _random_nodes(rng, 6)
+        G = frame._transport_generators(phi, dz_phi, q, dz)
+        assert G.dtype == np.float64 and G.shape == (3, 3, 3, 6)
+        for role in range(3):
+            nodes = 2 * np.arange(6) + role
+            want = C.conj().T @ oracles.chart_generators(
+                phi[nodes], dz_phi[nodes], q[nodes], dz) @ C
+            scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+            assert np.max(np.abs(want.imag) / scale) <= 1e-15
+            got = np.moveaxis(G[role], -1, 0)
+            assert np.max(np.abs(got - want) / scale) <= 1e-15
+        assert not np.array_equal(G[2][..., 0], G[0][..., 1])
+
+
+def test_real_arc_integrand_is_the_chart_frame_integrand():
+    # S_r = C^H S is real, and the real integrand is S^(-1) W S e^(D_i -
+    # D_j) of the chart-frame W, to rounding of the triple product
+    C = frame._C
+    S, S_inv = frame.titeica_frame()
+    assert np.max(np.abs((C.conj().T @ S).imag)) <= 1e-15 * np.max(np.abs(S))
+    assert np.max(np.abs((S_inv @ C).imag)) <= 1e-15 * np.max(np.abs(S_inv))
+    U_T, V_T = oracles.titeica_structure()
+    rng = np.random.default_rng(6)
+    m = 7
+    for _ in range(20):
+        phi_w = math.log(2.0) / 3.0 + rng.normal(scale=0.3, size=m)
+        dphi_w = rng.normal(size=m) + 1j * rng.normal(size=m)
+        xdot = 10 ** rng.uniform(-1, 1) * (rng.normal(size=m)
+                                           + 1j * rng.normal(size=m))
+        D = rng.normal(scale=5.0, size=(m, 3))
+        U_w, V_w = oracles.structure_coefficients(phi_w, dphi_w, 1.0)
+        W = ((U_w - U_T[..., None]) * xdot
+             + (V_w - V_T[..., None]) * xdot.conj())
+        scaling = np.exp(D[:, :, None] - D[:, None, :]).transpose(1, 2, 0)
+        want = np.einsum("ij,jkm,kl->ilm", S_inv, W, S) * scaling
+        bound = np.einsum("ij,jkm,kl->ilm", np.abs(S_inv), np.abs(W),
+                          np.abs(S)) * scaling
+        got = frame._arc_integrand(phi_w, dphi_w, xdot, D)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want) / bound) <= 2e-15
+
+
+def test_step_check_rejects_every_step_with_a_chart_entry_above_e10():
+    # the check reads real-frame steps R against e^10/3.  A chart-frame step
+    # C R C^H has its largest entry at most sqrt(2) times R's, so one just
+    # above e^10 is rejected; among them the step where the ratio is sqrt(2)
+    # (chart entry (1, 1) = (1 + i) r) and random ones
+    C = frame._C
+    chart_max = math.exp(10) * (1 + 1e-9)
+    worst = np.eye(3)
+    worst[1:, 1:] = [[1.0, -1.0], [1.0, 1.0]]
+    rng = np.random.default_rng(3)
+    R = np.stack([worst] + [rng.normal(size=(3, 3)) for _ in range(200)])
+    R *= (chart_max / np.abs(C @ R @ C.conj().T).max(axis=(1, 2)))[:, None,
+                                                                     None]
+    # generators whose RK4 step is I + f1/6 = R
+    f1 = np.moveaxis(6.0 * (R - np.eye(3)), 0, -1)
+    zero = np.zeros_like(f1)
+    for j in range(len(R)):
+        steps, bad = frame._rk4_steps(f1[..., j:j + 1], zero[..., :1],
+                                      zero[..., :1])
+        assert bad == 0, j
+    # one just under the bound in the real frame passes
+    R = np.full((3, 3, 1), math.exp(10) / 3 * (1 - 1e-9))
+    assert frame._rk4_steps(6.0 * (R - frame._I3), 0 * R, 0 * R)[1] == -1
+
+
+def test_transport_and_arc_steps_are_float64(sol_k1_s1000, monkeypatch):
+    # one complex constant would upcast every batch to complex128, and
+    # every other test would still pass
+    seen = []
+    rk4 = frame._rk4_steps
+
+    def spy_rk4(*gens):
+        steps, bad = rk4(*gens)
+        seen.extend([g.dtype for g in gens] + [steps.dtype])
+        return steps, bad
+    push_left = frame.FrameTransport.push_left
+    folds = []
+
+    def spy_push(self, P):
+        folds.append(P.dtype)
+        return push_left(self, P)
+    monkeypatch.setattr(frame, "_rk4_steps", spy_rk4)
+    monkeypatch.setattr(frame.FrameTransport, "push_left", spy_push)
+    frame.integrate_transport(sol_k1_s1000, [0.3, 0.5 + 0.4j, 0.8j])
+    assert folds and set(folds) == {np.dtype(np.float64)}
+    frame.arc_unipotent_numeric(sol_k1_s1000, 0.3, 0.8, radius=0.5)
+    assert seen and set(seen) == {np.dtype(np.float64)}
 
 
 def test_titeica_transport_zero_displacement():
@@ -49,7 +160,7 @@ def test_titeica_transport_real_displacement_eigenvalues():
 
 
 def test_titeica_structure_commutes():
-    U, V = frame.titeica_structure()
+    U, V = oracles.titeica_structure()
     assert np.max(np.abs(U @ V - V @ U)) < 1e-14
     assert np.max(np.abs(np.linalg.matrix_power(U, 3) - 0.5 * np.eye(3))) < 1e-14
 
@@ -222,7 +333,8 @@ def test_arc_nan_past_an_angle_names_the_first_bad_step():
         return np.where(np.angle(z) > cut, math.nan, flat(z))
     sol.phi_at = nan_past_cut
     with pytest.raises(StepUnstable,
-                       match=rf"^arc step {j + 1} of {n} at theta="):
+                       match=rf"^arc step {j + 1} of {n} at theta=.* is "
+                             rf"not finite or has an entry above e\^10/3$"):
         frame.arc_unipotent_numeric(sol, theta0, theta1, radius)
 
 
@@ -291,7 +403,8 @@ def test_nan_field_stops_transport_at_the_first_step(sol_k0, monkeypatch):
         calls.append(z)
         return np.full(np.shape(z), math.nan)
     monkeypatch.setattr(wang.WangSolution, "phi_at", nan_phi)
-    with pytest.raises(StepUnstable, match=r"step 1 of \d+ at z="):
+    with pytest.raises(StepUnstable, match=r"step 1 of \d+ at z=.* is not "
+                       r"finite or has a real-frame entry above e\^10/3$"):
         frame.integrate_transport(sol_k0, [0.3, 0.9])
     # one phi_at call for the one segment, given all 2n+1 nodes
     n = math.ceil(0.6 / frame._step_size(sol_k0.q.s))
