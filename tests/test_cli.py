@@ -596,3 +596,27 @@ def test_pinned_outputs_are_byte_identical(tmp_path):
         assert run(command.split() + ["--out", str(out)]) == 0, command
         got[command] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == PINNED_CSV
+
+
+# sha256 of each command's stdout: the polygon, convexity and boundary
+# commands that read the arc unipotents and the leading-term factors
+PINNED_STDOUT = {
+    "polygon unipotent --n 4 --theta-in 0.3 --theta-out 4.0":
+        "94af8ddc33430785f240ffd7a570aa709fc827ff8dc7be928be6a43ada701bc0",
+    "polygon scheme --flips 6":
+        "2da8be239d821228779f7c1f7568d23cccd65ac07c2e9c86976200019f4ae159",
+    "building convexity --paths 100 --corners 100 --seed 0":
+        "58c658bc4a099c6ad259bc18d154fff7789fc985a66445eef14f3fdaa80de925",
+    "trigroup boundary --pqr 3,3,4 --thetas 12":
+        "42603c8d8f3ab77404ebd1cd64709dd0d98094f84ba79589b0f0d1cafa208db0",
+}
+
+
+def test_pinned_stdout_is_byte_identical(capsys):
+    got = {}
+    for command in PINNED_STDOUT:
+        capsys.readouterr()
+        assert run(command.split()) == 0, command
+        out = capsys.readouterr().out
+        got[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PINNED_STDOUT
