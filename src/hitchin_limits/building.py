@@ -170,11 +170,9 @@ def ambient_separation(k: int, p: complex, q: complex) -> float:
     def theta_w(z):
         return CubicDifferential(k).natural_angle(cmath.phase(z) % TWO_PI)
 
-    def nudge(th):
-        return th + 1e-4 if polygon.on_stokes_ray(th) else th
-
     def one_sided(da, db, th_a, th_b):
-        U = polygon.arc_unipotent(lifts, nudge(th_b), nudge(th_a))
+        U = polygon.arc_unipotent(lifts, polygon.off_stokes_ray(th_b),
+                                  polygon.off_stokes_ray(th_a))
         return np.max(da + polygon.max_plus_step(-db, U))
 
     a = one_sided(dp, dq, theta_w(p), theta_w(q))

@@ -27,7 +27,7 @@ from .surface import GeodesicPath
 
 PI = math.pi
 _STOKES_TOL = 1e-10
-_STOKES_ETA = 1e-3     # tilt (radians) of Stokes-direction segments
+_STOKES_ETA = 1e-4     # ccw step (radians) off a Stokes ray
 _PATTERN_TOL = 1e-12   # unipotent entries below this are structural zeros
 
 # basis pattern per Stokes sector (sector sigma covers angles
@@ -94,6 +94,13 @@ def on_stokes_ray(theta: float) -> bool:
     return min(frac, 1 - frac) * (PI / 3) <= _STOKES_TOL
 
 
+def off_stokes_ray(theta: float) -> float:
+    """theta + _STOKES_ETA on a Stokes ray, else theta: the limit eps -> 0+
+    of the differential e^(i eps) q, which turns every natural-chart
+    direction ccw by eps/3, so each arc keeps its subtended angle."""
+    return theta + _STOKES_ETA if on_stokes_ray(theta) else theta
+
+
 def sector_of(theta: float) -> int:
     """Stokes sector index; raises if theta sits on a Stokes ray."""
     if on_stokes_ray(theta):
@@ -140,7 +147,7 @@ def arc_unipotent(lifts: PolygonLifts, theta_in: float,
     every Stokes ray the arc crosses, composed in crossing order.
 
     Angles are natural-chart lifts; arcs may wind several times around the
-    zero.  Endpoints on Stokes rays are rejected.
+    zero.  Endpoints on Stokes rays are rejected; see off_stokes_ray.
     """
     s_in = sector_of(theta_in)
     s_out = sector_of(theta_out)
@@ -232,68 +239,34 @@ class LeadingTerm:
                 / self.s ** (1.0 / 3.0))
 
 
-def _perturb_stokes_segments(path: GeodesicPath):
-    """Tilt Stokes-direction segments by +-_STOKES_ETA so every arc at a zero
-    of order >= 1 keeps a subtended angle > pi; prefer the ccw sign."""
-    theta_in = []
-    theta_out = []
-    for j in path.junctions:
-        theta_in.append(j.theta_in)
-        theta_out.append(j.theta_out)
-
-    for i, seg in enumerate(path.segments):
-        jb = path.junction_after(i - 1)
-        ja = path.junction_after(i)
-        direction = theta_out[jb] if jb is not None else cmath.phase(seg.period)
-        if not on_stokes_ray(direction):
-            continue
-        for delta in (_STOKES_ETA, -_STOKES_ETA):
-            ok = True
-            if jb is not None and path.junctions[jb].order >= 1:
-                if (theta_out[jb] + delta) - theta_in[jb] <= PI:
-                    ok = False
-            if ja is not None and path.junctions[ja].order >= 1:
-                if theta_out[ja] - (theta_in[ja] + delta) <= PI:
-                    ok = False
-            if ok:
-                if jb is not None:
-                    theta_out[jb] += delta
-                if ja is not None:
-                    theta_in[ja] += delta
-                break
-        else:
-            raise ConfigurationInvalid(
-                "no Stokes perturbation keeps both arcs above pi")
-    return theta_in, theta_out
-
-
 def _path_factors(path: GeodesicPath):
     """Factor sequence of the leading product in traversal order.
 
     Every segment diagonal is expressed in the segment's own chart; arc
     unipotents live in their junction's chart; a chart change rotating
     directions by 2 pi m/3 contributes the branch permutation P(-m) between
-    the factors it separates (closed-path wraps, reversed paths).
+    the factors it separates (closed-path wraps, reversed paths).  Arc
+    endpoints pass through off_stokes_ray (the ccw rule); the chart changes
+    read the junction's own angles.
     Yields ("diag", exponent triple per unit s^(1/3)) | ("matrix", M) for a
     permutation or an arc unipotent.
     """
     n = len(path.segments)
-    theta_in, theta_out = _perturb_stokes_segments(path)
     for i, seg in enumerate(path.segments):
-        phase = cmath.phase(seg.period)
         # the slot exponents of D(segment)^(-1) in the segment's chart
         yield ("diag", -titeica_exponents(seg.period))
         ja = path.junction_after(i)
         if ja is None:
             continue
         jn = path.junctions[ja]
-        m_in = _chart_mismatch(phase + PI, theta_in[ja])
+        m_in = _chart_mismatch(cmath.phase(seg.period) + PI, jn.theta_in)
         if m_in:
             yield ("matrix", _branch_permutation(-m_in))
-        lifts = regular_lifts(jn.order + 3)
-        yield ("matrix", arc_unipotent(lifts, theta_in[ja], theta_out[ja]))
+        yield ("matrix", arc_unipotent(regular_lifts(jn.order + 3),
+                                       off_stokes_ray(jn.theta_in),
+                                       off_stokes_ray(jn.theta_out)))
         nxt = path.segments[(i + 1) % n]
-        m_out = _chart_mismatch(theta_out[ja], cmath.phase(nxt.period))
+        m_out = _chart_mismatch(jn.theta_out, cmath.phase(nxt.period))
         if m_out:
             yield ("matrix", _branch_permutation(-m_out))
 

@@ -208,3 +208,22 @@ def test_weak_convexity_geodesic_and_corner():
         (SaddleConnection(-1, -1, p0), SaddleConnection(-1, -1, p1)),
         (Junction(order=1, theta_in=theta_in, theta_out=theta_out),), False)
     assert not building.weak_convexity_check(corner)
+
+
+def _stokes_direction_path(rng):
+    """Two to four segments along Stokes directions (pi/6 mod pi/3), joined
+    at zeros of order 0..3 by turns that are multiples of pi/3 inside the
+    geodesic range, so every junction angle lies on a Stokes ray."""
+    n = int(rng.integers(2, 5))
+    lengths = rng.uniform(0.4, 2.5, size=n)
+    orders = [int(rng.integers(0, 4)) for _ in range(n - 1)]
+    turns = [PI + int(rng.integers(0, 2 * k + 1)) * PI / 3 for k in orders]
+    start = PI / 6 + int(rng.integers(0, 6)) * PI / 3
+    return synthesize_path(list(lengths), turns, orders, start_angle=start)
+
+
+def test_weak_convexity_on_stokes_direction_paths():
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        path = _stokes_direction_path(rng)
+        assert building.weak_convexity_check(path), path

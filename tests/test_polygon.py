@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from hitchin_limits import polygon as pg
-from hitchin_limits import tropical
+from hitchin_limits import trigroup, tropical
 from hitchin_limits.errors import ConfigurationInvalid, StokesEndpoint
 from hitchin_limits.frame import BETA, titeica_frame
-from hitchin_limits.surface import synthesize_path
+from hitchin_limits.surface import (GeodesicPath, Junction, SaddleConnection,
+                                    synthesize_path)
 
 PI = math.pi
 
@@ -160,6 +161,15 @@ def test_arc_unipotent_rejects_stokes_endpoint():
         pg.arc_unipotent(lifts, PI / 6, 2.0)
 
 
+def test_off_stokes_ray_steps_ccw_only_on_a_stokes_ray():
+    for m in range(-3, 4):
+        theta = PI / 6 + m * PI / 3
+        moved = pg.off_stokes_ray(theta)
+        assert theta < moved < theta + 1e-3
+        assert pg.sector_of(moved) == pg.sector_of(theta + 0.1)
+    assert pg.off_stokes_ray(0.3) == 0.3
+
+
 def test_check_entry_requires_geodesic_turn():
     lifts = pg.regular_lifts(4)
     with pytest.raises(ConfigurationInvalid):
@@ -261,6 +271,47 @@ def test_leading_term_closed_cycle_slope():
         gaps.append(abs(lt.norm_exponent() - target))
     assert gaps[1] < gaps[0]
     assert gaps[1] < 2e-3 * target
+
+
+def _median_cycle(pqr):
+    return trigroup.straight_median_cycle(
+        trigroup.build_orbifold(*pqr, layers=9))
+
+
+def _turned(path, delta):
+    """The path of the differential e^(3 i delta) q: every period and every
+    junction angle turned ccw by delta."""
+    w = cmath.exp(1j * delta)
+    segs = tuple(SaddleConnection(seg.start, seg.end, w * seg.period)
+                 for seg in path.segments)
+    juncs = tuple(Junction(j.order, j.theta_in + delta, j.theta_out + delta,
+                           j.zero) for j in path.junctions)
+    return GeodesicPath(segs, juncs, path.closed)
+
+
+def test_leading_term_gap_on_a_stokes_cycle_shrinks_like_s_to_minus_third():
+    # every segment of the median cycle runs along a Stokes direction, so
+    # every arc endpoint lies on a Stokes ray
+    path = _median_cycle((3, 3, 4))
+    x1 = tropical.path_singular_exponents(
+        seg.period for seg in path.segments).x1
+    scaled = [(pg.leading_term(path, s).norm_exponent() - x1) * s ** (1 / 3)
+              for s in (1e3, 1e6, 1e9)]
+    assert scaled[0] < -0.5
+    assert scaled == pytest.approx([scaled[0]] * 3, rel=1e-3)
+
+
+def test_stokes_endpoints_follow_the_ccw_turned_differential():
+    # on the (4,4,4) median cycle the two sides of the Stokes rays give
+    # different arcs; the path factors read the ccw side, the limit of
+    # e^(i eps) q as eps -> 0+
+    path = _median_cycle((4, 4, 4))
+    s = 1e3
+    log_scale = pg.leading_term(path, s).log_scale
+    ccw = pg.leading_term(_turned(path, 1e-6), s).log_scale
+    cw = pg.leading_term(_turned(path, -1e-6), s).log_scale
+    assert ccw == pytest.approx(log_scale, abs=1e-4)
+    assert abs(cw - log_scale) > 0.1
 
 
 def test_leading_term_wall_flag():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hitchin_limits import surface as sf
-from hitchin_limits import trigroup, tropical
+from hitchin_limits import building, polygon, trigroup, tropical
 from hitchin_limits.errors import DegeneratePath, NonDeformable
 
 import oracles
@@ -200,3 +200,20 @@ def test_zip_leaves_no_full_fan_open(pqr):
         corners.extend(fan)
     assert sorted(corners) == [(t, v) for t in range(len(surf.triangles))
                                for v in range(3)]
+
+
+@pytest.mark.parametrize("cycle", [trigroup.straight_positive_cycle,
+                                   trigroup.straight_median_cycle],
+                         ids=["positive", "median"])
+@pytest.mark.parametrize("pqr", [(3, 3, 4), (3, 4, 5), (4, 4, 4), (3, 4, 4)])
+def test_cycles_are_weakly_convex(pqr, cycle):
+    # the median cycles run along Stokes directions, with turns of exactly
+    # pi at their zeros on (4,4,4)
+    path = cycle(trigroup.build_orbifold(*pqr, layers=9))
+    total = tropical.path_singular_exponents(
+        seg.period for seg in path.segments)
+    assert building.weak_convexity_check(path)
+    assert polygon.tropical_norm_exponent(path) == pytest.approx(
+        total.x1, abs=1e-12)
+    assert -polygon.tropical_norm_exponent(path.reversed()) == pytest.approx(
+        total.x3, abs=1e-12)
