@@ -105,12 +105,12 @@ def cmd_tropical_spectrum(args):
         kind, i, detail = violations[0]
         raise ValueError(f"path is not geodesic: {kind} at the junction "
                          f"after segment {i} ({detail})")
+    periods = [seg.period for seg in path.segments]
     rows = []
-    run = np.zeros(3)
-    for i, seg in enumerate(path.segments):
-        se = tropical.segment_exponents(seg.period)
-        run = run + np.array(se.weyl.as_tuple())
-        rows.append((i, *se.nu, *run))
+    for i, period in enumerate(periods):
+        run = tropical.path_singular_exponents(periods[:i + 1])
+        rows.append((i, *tropical.segment_exponents(period).nu,
+                     *run.as_tuple()))
     _write_csv(args.out, ["segment", "nu1", "nu2", "nu3",
                           "run_x1", "run_x2", "run_x3"], rows)
     return EXIT_OK

@@ -248,9 +248,8 @@ def integrate_transport(sol, path) -> FrameTransport:
         nodes[2 * (stop - n):2 * stop + 1] = a + seg * (np.arange(2 * n + 1)
                                                         / (2 * n))
         dz[stop - n:stop] = seg * (1.0 / n)
-    # a field that returns one value for all nodes still gives one per node
-    phi = np.broadcast_to(sol.phi_at(nodes), nodes.shape)
-    dz_phi = np.broadcast_to(sol.dz_phi_at(nodes), nodes.shape)
+    phi = sol.phi_at(nodes)
+    dz_phi = sol.dz_phi_at(nodes)
     chunk = _fold_steps(q.s, h)
     for lo in range(0, len(dz), chunk):
         hi = min(lo + chunk, len(dz))

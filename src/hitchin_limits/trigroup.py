@@ -26,6 +26,9 @@ from .surface import (TWO_PI, CubicSurface, GeodesicPath, Gluing, Junction,
 from .tropical import OMEGA
 
 _MAX_LEG = 10.0        # longest cycle leg traced on a patch
+# a patch takes ~2.4 kB per triangle (build and surface), so this budget
+# keeps it to ~160 MB, next to wang._MAX_RINGS and frame._MAX_STEPS
+_MAX_TRIANGLES = 65_000
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,9 @@ def build_orbifold(p: int, q: int, r: int, layers: int = 4) -> TriangleOrbifoldS
 
     Every vertex within ``layers`` triangle generations of the seed acquires
     its full fan (valence 2p/2q/2r); remaining edges stay as boundary.
+    The patch grows exponentially in ``layers``; one of more than
+    _MAX_TRIANGLES triangles is refused with a ValueError when the first
+    triangle over the budget is to be added.
     """
     for v in (p, q, r):
         if v < 2:
@@ -97,6 +103,10 @@ def build_orbifold(p: int, q: int, r: int, layers: int = 4) -> TriangleOrbifoldS
 
     def add_triangle(vertex_types, pts, gen):
         t = len(coords)
+        if t == _MAX_TRIANGLES:
+            raise ValueError(f"({p},{q},{r}) orbifold at {layers} layers "
+                             f"takes more than the budget of "
+                             f"{_MAX_TRIANGLES} triangles")
         coords.append(tuple(pts))
         for v in range(3):
             corner_type[(t, v)] = vertex_types[v]

@@ -129,8 +129,8 @@ class WangSolution:
     # F and dF/dr are linear in log r between rings (one np.interp against
     # the cached log rs); radii past the rim clamp to the rim ring, radii
     # inside the first ring to the first ring, where phi_at blends toward
-    # the center value instead.  Both samplers take a chart point or an
-    # array of them.
+    # the center value instead.  Both samplers take an array of chart
+    # points and return an array of the same shape.
 
     @cached_property
     def _F(self):
@@ -162,15 +162,13 @@ class WangSolution:
         w = np.square(r / self.rs[0])
         center = (1 - w) * self.phi_center + w * self.phi[0]
         ring = self.q.flat(log_r) + np.interp(log_r, self._log_rs, self._F)
-        phi = np.where(r <= self.rs[0], center, ring)
-        return phi if phi.ndim else float(phi)
+        return np.where(r <= self.rs[0], center, ring)
 
     def dz_phi_at(self, z):
         z = np.asarray(z, dtype=complex)
         _, log_r = self._log_radius(z)
         dr = np.interp(log_r, self._log_rs, self._dF)
-        dphi = self.q.dz_flat(z) + 0.5 * np.exp(-1j * np.angle(z)) * dr
-        return dphi if dphi.ndim else complex(dphi)
+        return self.q.dz_flat(z) + 0.5 * np.exp(-1j * np.angle(z)) * dr
 
 
 def _radial_nodes(R: float, nr: int, ratio: float):

@@ -49,6 +49,32 @@ def test_tropical_spectrum_one_segment(tmp_path):
     assert len(lines) == 2
 
 
+def test_tropical_spectrum_rows_are_the_path_sums_of_each_prefix(tmp_path):
+    # the fourth of seed 1's random geodesic paths: a running float sum of
+    # its sorted triples ends off the exactly rounded path sum
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        p = cli.building.random_geodesic_path(rng)
+    periods = [seg.period for seg in p.segments]
+    running = np.zeros(3)
+    for period in periods:
+        running = running + cli.tropical.segment_exponents(
+            period).weyl.as_tuple()
+    total = cli.tropical.path_singular_exponents(periods)
+    assert tuple(running) != total.as_tuple()
+    pf, out = tmp_path / "path.json", tmp_path / "spec.csv"
+    oracles.save_path(p, str(pf))
+    assert run(["tropical", "spectrum", "--path", str(pf),
+                "--out", str(out)]) == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == len(periods)
+    for i, row in enumerate(rows):
+        want = cli.tropical.path_singular_exponents(periods[:i + 1])
+        assert tuple(row[4:]) == want.as_tuple()
+    assert tuple(rows[-1][4:]) == total.as_tuple()
+
+
 def test_polygon_unipotent_prints(capsys):
     assert run(["polygon", "unipotent", "--n", "4",
                 "--theta-in", "0.3", "--theta-out", "4.0"]) == 0
@@ -357,7 +383,7 @@ def test_path_outside_solved_disk_exits_1_before_solving(monkeypatch, capsys,
 
 def test_unstable_transport_exits_2_naming_the_step(monkeypatch, capsys):
     monkeypatch.setattr(cli.wang.WangSolution, "phi_at",
-                        lambda self, z: math.nan)
+                        lambda self, z: np.full(np.shape(z), math.nan))
     assert run(["verify", "sweep", "--k", "0", "--s", "1e2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: StepUnstable: transport step 1 of ")
@@ -365,7 +391,7 @@ def test_unstable_transport_exits_2_naming_the_step(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("field, argv", [
-    (lambda self, z: math.nan, ["--s", "1e2"]),
+    (lambda self, z: np.full(np.shape(z), math.nan), ["--s", "1e2"]),
     (None, ["--s", "3e5", "--theta0", "0.04", "--theta1", "0.75"]),
 ], ids=["nan-field", "s-3e5"])
 def test_unstable_arc_exits_2_naming_the_step(monkeypatch, capsys, field,
@@ -387,6 +413,23 @@ def test_over_budget_path_exits_1_with_one_line(monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: (path takes \d+ transport|arc takes \d+) "
                         r"steps at s=10000, over the budget of 1000\n", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trigroup", "spectrum"],
+    ["trigroup", "boundary"],
+    ["surface", "build", "--orbifold", "3,3,4", "--layers", "9",
+     "--out", "orb.json"],
+], ids=["spectrum", "boundary", "surface-build"])
+def test_over_budget_orbifold_exits_1_with_one_line(monkeypatch, capsys,
+                                                    tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.trigroup, "_MAX_TRIANGLES", 100)
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: (3,3,4) orbifold at 9 layers takes "
+                                 "more than the budget of 100 triangles\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, monotone", [

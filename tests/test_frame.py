@@ -444,7 +444,7 @@ def test_step_budget_refuses_paths_and_arcs_before_sampling(monkeypatch):
 
     def no_phi(self, z):
         calls.append(z)
-        return math.nan
+        return np.full(np.shape(z), math.nan)
     monkeypatch.setattr(wang.WangSolution, "phi_at", no_phi)
     monkeypatch.setattr(frame, "_MAX_STEPS", n - 1)
     with pytest.raises(ValueError, match=rf"^path takes {n} transport steps "

@@ -177,6 +177,18 @@ def test_other_groups_build():
         assert oracles.lifted_order_bookkeeping(orb)
 
 
+def test_triangle_budget_refuses_the_build_naming_the_group(monkeypatch):
+    # a patch at the budget builds; one triangle over it is refused
+    n = len(trigroup.build_orbifold(3, 4, 5, layers=6).surface.triangles)
+    monkeypatch.setattr(trigroup, "_MAX_TRIANGLES", n)
+    assert len(trigroup.build_orbifold(3, 4, 5, layers=6).surface.triangles) == n
+    monkeypatch.setattr(trigroup, "_MAX_TRIANGLES", n - 1)
+    with pytest.raises(ValueError, match=rf"^\(3,4,5\) orbifold at 6 layers "
+                                         rf"takes more than the budget of "
+                                         rf"{n - 1} triangles$"):
+        trigroup.build_orbifold(3, 4, 5, layers=6)
+
+
 def test_orbifold_fan_closure_rotation(orb334):
     surf = orb334.surface
     for cls in surf.marked_classes():
