@@ -38,10 +38,8 @@ class StepUnstable(HitchinLimitsError):
 
 
 class StokesEndpoint(HitchinLimitsError):
-    """An arc endpoint lies on a Stokes ray.  polygon.off_stokes_ray moves
-    such an endpoint ccw off the ray, the limit of the differential
-    e^(i eps) q as eps -> 0+; the path factors and ambient_separation read
-    their arc endpoints through it."""
+    """An arc endpoint lies on a Stokes ray; polygon.off_stokes_ray moves it
+    ccw off the ray (the limit of the differential e^(i eps) q, eps -> 0+)."""
 
 
 class ConfigurationInvalid(HitchinLimitsError):
