@@ -596,8 +596,8 @@ def test_failing_s_keeps_the_rows_that_finished(tmp_path, monkeypatch, capsys,
 
 
 # sha256 of each command's CSV: the bench's seed-0 sweep and arc commands, a
-# chord across the negative w-axis, and sweeps, solves, local models and a
-# spectrum over k.  Any change of a bit in these outputs fails here
+# chord across the negative w-axis, sweeps, solves, local models and a
+# spectrum over k, and arcs across several Stokes rays at k = 0 and 3.  Any change of a bit in these outputs fails here
 PINNED_CSV = {
     "verify sweep --k 1 --s 1e2,1e3,1e4 --path radial:0.3,0.9,0.27":
         "db2b88e27a90325fbf4eca4d9460d70ea99427ce61027235b6fc23f5d6decb8a",
@@ -629,6 +629,10 @@ PINNED_CSV = {
         "8900ce7ab9b09be3e300dd932c732fb61893d767cc0095ce9878b9849a6a4209",
     "trigroup spectrum --pqr 3,3,4 --maxlen 1.8":
         "7622c3126abadbe4b2542dd3eaacccd0f98ad7d7ba76cef189a72f35d8f0a4d5",
+    "verify arc --k 3 --s 1e2,1e3 --theta0 -0.5 --theta1 2.5":
+        "e0e4e9e99bf1ebec9c50bb3244fa66d1ce61cc35df17cd87f0cb34efa1f624ec",
+    "verify arc --k 0 --s 1e2 --theta0 0.1 --theta1 3.0":
+        "fac074311d0e4c4c2d4d42c4b0bf1f5cc801040b46e0c5a444b98963a2a02c0a",
 }
 
 
@@ -646,6 +650,10 @@ def test_pinned_outputs_are_byte_identical(tmp_path):
 PINNED_STDOUT = {
     "polygon unipotent --n 4 --theta-in 0.3 --theta-out 4.0":
         "94af8ddc33430785f240ffd7a570aa709fc827ff8dc7be928be6a43ada701bc0",
+    "polygon unipotent --n 5 --theta-in -1.2 --theta-out 9.0":
+        "10bb405e550da493799d0342114c12f05e67407858d19717fb99a8c34be53586",
+    "polygon unipotent --n 7 --theta-in 0.3 --theta-out 4.0":
+        "6e8c730e2fa079bb574cbe95f15ba25505c0f0a127839c2c11b75107ea51e2d6",
     "polygon scheme --flips 6":
         "2da8be239d821228779f7c1f7568d23cccd65ac07c2e9c86976200019f4ae159",
     "building convexity --paths 100 --corners 100 --seed 0":
