@@ -171,8 +171,7 @@ def ambient_separation(k: int, p: complex, q: complex) -> float:
         return CubicDifferential(k).natural_angle(cmath.phase(z) % TWO_PI)
 
     def one_sided(da, db, th_a, th_b):
-        U = polygon.arc_unipotent(lifts, polygon.off_stokes_ray(th_b),
-                                  polygon.off_stokes_ray(th_a))
+        U = polygon.arc_unipotent(lifts, th_b, th_a)
         return np.max(da + polygon.max_plus_step(-db, U))
 
     a = one_sided(dp, dq, theta_w(p), theta_w(q))

@@ -229,9 +229,13 @@ def cmd_verify_arc(args):
     if not 0 < args.radius <= args.radius_disk:
         raise ValueError(f"arc radius {args.radius:g} is outside the solved "
                          f"disk (0, {args.radius_disk:g}]")
-    lifts = polygon.regular_lifts(q.k + 3)
-    U = polygon.arc_unipotent(lifts, q.natural_angle(args.theta0),
-                              q.natural_angle(args.theta1))
+    nat0, nat1 = q.natural_angle(args.theta0), q.natural_angle(args.theta1)
+    for theta, nat in ((args.theta0, nat0), (args.theta1, nat1)):
+        # the osculation estimate holds strictly inside Stokes sectors only
+        if polygon.on_stokes_ray(nat):
+            raise ValueError(f"arc endpoint {theta:g} lies on a Stokes ray "
+                             f"(natural angle {nat:g})")
+    U = polygon.arc_unipotent(polygon.regular_lifts(q.k + 3), nat0, nat1)
     S, S_inv = frame.titeica_frame()
     pred = S @ np.linalg.inv(U) @ S_inv
     errs = []

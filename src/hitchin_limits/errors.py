@@ -37,11 +37,6 @@ class StepUnstable(HitchinLimitsError):
     """An ODE integration step is not finite or grew beyond the stable range."""
 
 
-class StokesEndpoint(HitchinLimitsError):
-    """An arc endpoint lies on a Stokes ray; polygon.off_stokes_ray moves it
-    ccw off the ray (the limit of the differential e^(i eps) q, eps -> 0+)."""
-
-
 class ConfigurationInvalid(HitchinLimitsError):
     """A turn configuration violates the geodesic angle condition."""
 

@@ -21,17 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationInvalid, StokesEndpoint, WallAmbiguity
+from .errors import ConfigurationInvalid, WallAmbiguity
 from .frame import SLOT_BRANCH, titeica_exponents, titeica_frame
 from .surface import GeodesicPath
 
 PI = math.pi
 _STOKES_TOL = 1e-10
-_STOKES_ETA = 1e-4     # ccw step (radians) off a Stokes ray
 _PATTERN_TOL = 1e-12   # unipotent entries below this are structural zeros
 
 # basis pattern per Stokes sector (sector sigma covers angles
-# ((2 sigma - 1) pi/6, (2 sigma + 1) pi/6)); six sectors advance indices by 3
+# [(2 sigma - 1) pi/6, (2 sigma + 1) pi/6)); six sectors advance indices by 3
 _BASIS_PATTERN = (
     (("r", -1), ("r", 0), ("r", 1)),
     (("q", 0), ("r", 0), ("r", 1)),
@@ -94,18 +93,14 @@ def on_stokes_ray(theta: float) -> bool:
     return min(frac, 1 - frac) * (PI / 3) <= _STOKES_TOL
 
 
-def off_stokes_ray(theta: float) -> float:
-    """theta + _STOKES_ETA on a Stokes ray, else theta: the limit eps -> 0+
-    of the differential e^(i eps) q, which turns every natural-chart
-    direction ccw by eps/3, so each arc keeps its subtended angle."""
-    return theta + _STOKES_ETA if on_stokes_ray(theta) else theta
-
-
 def sector_of(theta: float) -> int:
-    """Stokes sector index; raises if theta sits on a Stokes ray."""
-    if on_stokes_ray(theta):
-        raise StokesEndpoint(f"angle {theta} lies on a Stokes ray")
-    return int(math.floor((theta + PI / 6) / (PI / 3)))
+    """Stokes sector index sigma with theta in the half-open sector
+    [(2 sigma - 1) pi/6, (2 sigma + 1) pi/6), widened by _STOKES_TOL below:
+    an angle on a Stokes ray counts in the sector ccw of it.  That is the
+    limit eps -> 0+ of the differential e^(i eps) q, which turns every
+    natural-chart direction ccw by eps/3, so each arc keeps its subtended
+    angle."""
+    return int(math.floor((theta + PI / 6 + _STOKES_TOL) / (PI / 3)))
 
 
 def wall_interval_of(theta: float) -> int:
@@ -135,30 +130,19 @@ def slot_with_tag(theta: float, tag: str) -> int:
     return eigen_tags(wall_interval_of(theta)).index(tag)
 
 
-def flip_matrix(lifts: PolygonLifts, sigma: int) -> np.ndarray:
-    """Change of basis B(sigma+1)^(-1) B(sigma) for one Stokes crossing."""
-    return np.linalg.solve(basis_matrix(lifts, sigma + 1),
-                           basis_matrix(lifts, sigma))
-
-
 def arc_unipotent(lifts: PolygonLifts, theta_in: float,
                   theta_out: float) -> np.ndarray:
-    """U(theta_in, theta_out)^(-1): the product of per-flip unipotents for
-    every Stokes ray the arc crosses, composed in crossing order.
+    """U(theta_in, theta_out)^(-1) = B(sigma_out)^(-1) B(sigma_in) for the
+    Stokes sectors of the endpoints.
 
-    Angles are natural-chart lifts; arcs may wind several times around the
-    zero.  Endpoints on Stokes rays are rejected; see off_stokes_ray.
+    The product of the unipotent flips B(sigma+1)^(-1) B(sigma) of every
+    Stokes ray the arc crosses, in crossing order (inverted on a cw arc),
+    telescopes to this one change of basis.  Angles are natural-chart lifts;
+    arcs may wind several times around the zero.  An endpoint on a Stokes
+    ray counts in the sector ccw of it (sector_of).
     """
-    s_in = sector_of(theta_in)
-    s_out = sector_of(theta_out)
-    U = np.eye(3)
-    if s_out >= s_in:
-        for sigma in range(s_out - 1, s_in - 1, -1):
-            U = U @ flip_matrix(lifts, sigma)
-    else:
-        for sigma in range(s_out, s_in):
-            U = U @ np.linalg.inv(flip_matrix(lifts, sigma))
-    return U
+    return np.linalg.solve(basis_matrix(lifts, sector_of(theta_out)),
+                           basis_matrix(lifts, sector_of(theta_in)))
 
 
 def check_entry_nonzero(lifts: PolygonLifts, theta_in: float, theta_out: float):
@@ -245,9 +229,8 @@ def _path_factors(path: GeodesicPath):
     Every segment diagonal is expressed in the segment's own chart; arc
     unipotents live in their junction's chart; a chart change rotating
     directions by 2 pi m/3 contributes the branch permutation P(-m) between
-    the factors it separates (closed-path wraps, reversed paths).  Arc
-    endpoints pass through off_stokes_ray (the ccw rule); the chart changes
-    read the junction's own angles.
+    the factors it separates (closed-path wraps, reversed paths).  An arc
+    endpoint on a Stokes ray counts in the sector ccw of it (sector_of).
     Yields ("diag", exponent triple per unit s^(1/3)) | ("matrix", M) for a
     permutation or an arc unipotent.
     """
@@ -263,8 +246,7 @@ def _path_factors(path: GeodesicPath):
         if m_in:
             yield ("matrix", _branch_permutation(-m_in))
         yield ("matrix", arc_unipotent(regular_lifts(jn.order + 3),
-                                       off_stokes_ray(jn.theta_in),
-                                       off_stokes_ray(jn.theta_out)))
+                                       jn.theta_in, jn.theta_out))
         nxt = path.segments[(i + 1) % n]
         m_out = _chart_mismatch(jn.theta_out, cmath.phase(nxt.period))
         if m_out:
@@ -319,12 +301,7 @@ def max_plus_step(state, M) -> np.ndarray:
     """Max-plus product of M's nonzero pattern with the slot vector state:
     entry r is the largest state[c] over the c with |M[r, c]| above
     _PATTERN_TOL, -inf where row r has none."""
-    new = np.full(3, -np.inf)
-    for r in range(3):
-        for c in range(3):
-            if abs(M[r, c]) > _PATTERN_TOL:
-                new[r] = max(new[r], state[c])
-    return new
+    return np.max(np.where(np.abs(M) > _PATTERN_TOL, state, -np.inf), axis=1)
 
 
 def tropical_norm_exponent(path: GeodesicPath) -> float:

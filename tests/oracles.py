@@ -2,9 +2,10 @@
 
 Surfaces and path files the tests build on, closed forms the numerical code
 is checked against, read-outs of a frame transport beyond the ones the
-verify commands use, orbifold bookkeeping, and the corner-by-corner saddle
-connection search the batched one must match.  No command of the package
-reaches any of this, so it lives with the tests.
+verify commands use, orbifold bookkeeping, the corner-by-corner saddle
+connection search the batched one must match, and the flip-by-flip product
+of the Stokes unipotents.  No command of the package reaches any of this, so
+it lives with the tests.
 """
 
 import cmath
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from hitchin_limits import frame
+from hitchin_limits import frame, polygon
 from hitchin_limits import surface as sf
 from hitchin_limits.errors import NotConverged
 from hitchin_limits.surface import (TWO_PI, CubicSurface, Gluing, glue,
@@ -279,6 +280,31 @@ def reference_saddle_connections(surface, max_length):
                                  edge / abs(edge), max_length, diag))
             _wedge_search(surface, t, v, max_length, diag, record)
     return sf.EnumerationResult(sf._dedup_hits(hits), diag.clipped)
+
+
+# ---------------------------------------------------------------------------
+# Stokes flips
+# ---------------------------------------------------------------------------
+
+def flip_matrix(lifts, sigma: int) -> np.ndarray:
+    """Change of basis B(sigma+1)^(-1) B(sigma) for one Stokes crossing."""
+    return np.linalg.solve(polygon.basis_matrix(lifts, sigma + 1),
+                           polygon.basis_matrix(lifts, sigma))
+
+
+def flip_product(lifts, theta_in: float, theta_out: float) -> np.ndarray:
+    """polygon.arc_unipotent as a product of one flip per crossed Stokes ray
+    in crossing order, each flip inverted on a clockwise arc."""
+    s_in = polygon.sector_of(theta_in)
+    s_out = polygon.sector_of(theta_out)
+    U = np.eye(3)
+    if s_out >= s_in:
+        for sigma in range(s_out - 1, s_in - 1, -1):
+            U = U @ flip_matrix(lifts, sigma)
+    else:
+        for sigma in range(s_out, s_in):
+            U = U @ np.linalg.inv(flip_matrix(lifts, sigma))
+    return U
 
 
 # ---------------------------------------------------------------------------

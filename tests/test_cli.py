@@ -82,6 +82,16 @@ def test_polygon_unipotent_prints(capsys):
     assert "paired entry" in text
 
 
+def test_polygon_unipotent_on_a_stokes_ray_takes_the_ccw_sector(capsys):
+    # an endpoint on a Stokes ray prints the arc from just ccw of the ray
+    outs = []
+    for theta in (math.pi / 6, math.pi / 6 + 1e-4):
+        assert run(["polygon", "unipotent", "--n", "4",
+                    f"--theta-in={theta!r}", "--theta-out", "4.0"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_polygon_scheme_trace(capsys):
     assert run(["polygon", "scheme", "--flips", "6"]) == 0
     text = capsys.readouterr().out
@@ -381,6 +391,24 @@ def test_path_outside_solved_disk_exits_1_before_solving(monkeypatch, capsys,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k,flag,theta", [
+    (1, "--theta0", math.pi / 8),
+    (1, "--theta1", 7 * math.pi / 8),
+    (0, "--theta0", -math.pi / 6),
+    (3, "--theta1", math.pi / 4),
+], ids=["k1-theta0", "k1-theta1", "k0-negative", "k3-theta1"])
+def test_arc_endpoint_on_a_stokes_ray_exits_1_before_solving(
+        monkeypatch, capsys, k, flag, theta):
+    # natural angles pi/6, 7 pi/6, -pi/6 and pi/2: the osculation estimate
+    # holds strictly inside Stokes sectors only
+    monkeypatch.setattr(cli.wang, "solve_disk", no_solve)
+    assert run(["verify", "arc", "--k", str(k), "--s", "1e2",
+                f"{flag}={theta!r}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: arc endpoint") and "Stokes ray" in err
+    assert err.count("\n") == 1
+
+
 def test_unstable_transport_exits_2_naming_the_step(monkeypatch, capsys):
     monkeypatch.setattr(cli.wang.WangSolution, "phi_at",
                         lambda self, z: np.full(np.shape(z), math.nan))
@@ -630,9 +658,9 @@ PINNED_CSV = {
     "trigroup spectrum --pqr 3,3,4 --maxlen 1.8":
         "7622c3126abadbe4b2542dd3eaacccd0f98ad7d7ba76cef189a72f35d8f0a4d5",
     "verify arc --k 3 --s 1e2,1e3 --theta0 -0.5 --theta1 2.5":
-        "e0e4e9e99bf1ebec9c50bb3244fa66d1ce61cc35df17cd87f0cb34efa1f624ec",
+        "58e24015404ca011ef976677269f519a3d5307dbf567601a1443e5eae44c664c",
     "verify arc --k 0 --s 1e2 --theta0 0.1 --theta1 3.0":
-        "fac074311d0e4c4c2d4d42c4b0bf1f5cc801040b46e0c5a444b98963a2a02c0a",
+        "282225530bab729043cdc4b5d3c93d42f4b2875514cf93c3588f56bbb4b720c6",
 }
 
 
@@ -649,11 +677,11 @@ def test_pinned_outputs_are_byte_identical(tmp_path):
 # commands that read the arc unipotents and the leading-term factors
 PINNED_STDOUT = {
     "polygon unipotent --n 4 --theta-in 0.3 --theta-out 4.0":
-        "94af8ddc33430785f240ffd7a570aa709fc827ff8dc7be928be6a43ada701bc0",
+        "5467178a3c0cc475b847d22142a24ce5d46828f48305f413c47cff76e0ddeccf",
     "polygon unipotent --n 5 --theta-in -1.2 --theta-out 9.0":
-        "10bb405e550da493799d0342114c12f05e67407858d19717fb99a8c34be53586",
+        "21bc6b88743fc6d34f009b3445f833a4fd63596e45ea7c9ce357e6cf6d8ef99a",
     "polygon unipotent --n 7 --theta-in 0.3 --theta-out 4.0":
-        "6e8c730e2fa079bb574cbe95f15ba25505c0f0a127839c2c11b75107ea51e2d6",
+        "d43d69829ceb3aeae94296c2f222a793e0572fe21f065cc17f5790266fb1a1e4",
     "polygon scheme --flips 6":
         "2da8be239d821228779f7c1f7568d23cccd65ac07c2e9c86976200019f4ae159",
     "building convexity --paths 100 --corners 100 --seed 0":

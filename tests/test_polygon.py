@@ -6,10 +6,12 @@ import pytest
 
 from hitchin_limits import polygon as pg
 from hitchin_limits import trigroup, tropical
-from hitchin_limits.errors import ConfigurationInvalid, StokesEndpoint
+from hitchin_limits.errors import ConfigurationInvalid
 from hitchin_limits.frame import BETA, titeica_frame
 from hitchin_limits.surface import (GeodesicPath, Junction, SaddleConnection,
                                     synthesize_path)
+
+import oracles
 
 PI = math.pi
 
@@ -58,7 +60,7 @@ def test_incidence_dichotomy(n):
 def test_flips_unipotent(n):
     lifts = pg.regular_lifts(n)
     for sigma in range(-3, 2 * n + 3):
-        M = pg.flip_matrix(lifts, sigma)
+        M = oracles.flip_matrix(lifts, sigma)
         N = M - np.eye(3)
         assert np.max(np.abs(N @ N @ N)) < 1e-9
         # exactly one off-diagonal entry (possibly zero for n = 3)
@@ -146,28 +148,47 @@ def test_arc_unipotent_single_crossing():
 
 
 def test_arc_unipotent_matches_direct_solve():
-    for n in (4, 5, 7):
-        lifts = pg.regular_lifts(n)
-        for th0, th1 in [(0.05, 2.3), (0.3, 4.9), (2.3, 0.05), (-1.2, 3.3)]:
-            U = pg.arc_unipotent(lifts, th0, th1)
-            direct = np.linalg.solve(pg.basis_matrix(lifts, pg.sector_of(th1)),
-                                     pg.basis_matrix(lifts, pg.sector_of(th0)))
-            assert np.allclose(U, direct, atol=1e-9)
+    # the one solve against the product of one flip per crossed Stokes ray,
+    # on arcs of either orientation winding up to six times around the zero
+    rng = np.random.default_rng(20)
+    lifts = {n: pg.regular_lifts(n) for n in range(3, 9)}
+    for _ in range(2000):
+        n = int(rng.integers(3, 9))
+        th0, th1 = rng.uniform(-20.0, 20.0, size=2)
+        U = pg.arc_unipotent(lifts[n], th0, th1)
+        want = oracles.flip_product(lifts[n], th0, th1)
+        assert np.max(np.abs(U - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(np.abs(U) > pg._PATTERN_TOL,
+                              np.abs(want) > pg._PATTERN_TOL)
 
 
-def test_arc_unipotent_rejects_stokes_endpoint():
+def _stokes_ray(m):
+    return PI / 6 + m * PI / 3
+
+
+def test_arc_unipotent_takes_a_stokes_endpoint_ccw():
+    # an endpoint on a Stokes ray gives the arc from just ccw of the ray
     lifts = pg.regular_lifts(4)
-    with pytest.raises(StokesEndpoint):
-        pg.arc_unipotent(lifts, PI / 6, 2.0)
-
-
-def test_off_stokes_ray_steps_ccw_only_on_a_stokes_ray():
     for m in range(-3, 4):
-        theta = PI / 6 + m * PI / 3
-        moved = pg.off_stokes_ray(theta)
-        assert theta < moved < theta + 1e-3
-        assert pg.sector_of(moved) == pg.sector_of(theta + 0.1)
-    assert pg.off_stokes_ray(0.3) == 0.3
+        ray = _stokes_ray(m)
+        want = pg.arc_unipotent(lifts, ray + 1e-4, 2.0)
+        for d in (-1e-11, 0.0, 1e-11):
+            assert np.array_equal(pg.arc_unipotent(lifts, ray + d, 2.0), want)
+        assert not np.allclose(pg.arc_unipotent(lifts, ray - 1e-4, 2.0), want)
+
+
+def test_sector_of_puts_a_stokes_ray_in_the_sector_ccw_of_it():
+    # sector m + 1 begins at the ray pi/6 + m pi/3; the ray and angles within
+    # 1e-11 of it on either side belong to that sector, not to sector m
+    for m in range(-3, 4):
+        ray = _stokes_ray(m)
+        for d in (-1e-11, 0.0, 1e-11):
+            assert pg.on_stokes_ray(ray + d)
+            assert pg.sector_of(ray + d) == m + 1
+        assert pg.sector_of(ray - 1e-4) == m
+        assert pg.sector_of(ray + 1e-4) == m + 1
+        assert not pg.on_stokes_ray(ray - 1e-4)
+    assert not pg.on_stokes_ray(0.3)
 
 
 def test_check_entry_requires_geodesic_turn():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hitchin_limits import cli, polygon, trigroup
 from hitchin_limits import surface as sf
-from hitchin_limits.errors import NotConverged, StokesEndpoint
+from hitchin_limits.errors import NotConverged
 from hitchin_limits.tropical import OMEGA
 
 import oracles
@@ -42,21 +42,28 @@ def test_disk_stokes_ray_count():
     stokes = [a for m in range(200)
               if (a := math.pi / 6 + m * math.pi / 3) < cone - 1e-12]
     assert len(stokes) == 2 * (k + 3) == 12
-    for a in stokes:
-        with pytest.raises(StokesEndpoint):
-            polygon.sector_of(a)
+    # each ray, and angles within 1e-11 of it, open the sector ccw of it
+    for m, a in enumerate(stokes):
+        for d in (-1e-11, 0.0, 1e-11):
+            assert polygon.on_stokes_ray(a + d)
+            assert polygon.sector_of(a + d) == m + 1
 
 
 def test_stokes_rays_and_weyl_walls():
-    # Stokes rays at pi/6 mod pi/3 have no sector; walls at 0 mod pi/3 are
-    # special directions but not Stokes rays, 0.2 is neither
-    for a in (math.pi / 6, math.pi / 6 + 5 * math.pi / 3):
-        with pytest.raises(StokesEndpoint):
-            polygon.sector_of(a)
-    for a in (0.0, math.pi / 3):
-        polygon.sector_of(a)
+    # Stokes rays at pi/6 mod pi/3 belong to the sector ccw of them; walls at
+    # 0 mod pi/3 are special directions but not Stokes rays, 0.2 is neither
+    for m in (0, 5):
+        a = math.pi / 6 + m * math.pi / 3
+        for d in (-1e-11, 0.0, 1e-11):
+            assert polygon.on_stokes_ray(a + d)
+            assert polygon.sector_of(a + d) == m + 1
+    for m in (0, 1):
+        a = m * math.pi / 3
+        assert not polygon.on_stokes_ray(a)
+        assert polygon.sector_of(a) == m
         assert polygon.classify_angle_is_special(a)
-    polygon.sector_of(0.2)
+    assert not polygon.on_stokes_ray(0.2)
+    assert polygon.sector_of(0.2) == 0
     assert not polygon.classify_angle_is_special(0.2)
 
 
