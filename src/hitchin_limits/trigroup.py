@@ -288,15 +288,19 @@ def spectrum(curve_classes) -> SpectrumVector:
 
 
 def rotated_paths(curve_classes, theta):
-    """The family with every period multiplied by e^(i theta/3): the paths of
-    the differential e^(i theta) q0.  theta is reduced modulo 2*pi first, so
-    a full rotation leaves the periods bit for bit unchanged."""
-    w = cmath.exp(1j * (theta % TWO_PI) / 3.0)
+    """The family of the differential e^(i theta) q0: every period is turned
+    by e^(i a) and every junction angle by a, with a = theta/3.  theta is
+    reduced modulo 2*pi first, so a full rotation leaves the paths bit for
+    bit unchanged."""
+    a = (theta % TWO_PI) / 3.0
+    w = cmath.exp(1j * a)
     out = []
     for path in curve_classes:
         segs = tuple(SaddleConnection(s.start, s.end, w * s.period)
                      for s in path.segments)
-        out.append(GeodesicPath(segs, path.junctions, path.closed))
+        juncs = tuple(Junction(j.order, j.theta_in + a, j.theta_out + a,
+                               j.zero) for j in path.junctions)
+        out.append(GeodesicPath(segs, juncs, path.closed))
     return out
 
 

@@ -112,8 +112,10 @@ def test_cycle_closing_in_another_phase_is_rejected(orb334):
 def test_rotation_identity_bit_exact(orb334):
     families = [trigroup.straight_positive_cycle(orb334)]
     a = trigroup.spectrum(families)
-    b = trigroup.spectrum(trigroup.rotated_paths(families, 2 * math.pi))
+    turned = trigroup.rotated_paths(families, 2 * math.pi)
+    b = trigroup.spectrum(turned)
     assert a.projectivized.tobytes() == b.projectivized.tobytes()
+    assert turned[0].junctions == families[0].junctions
 
 
 def test_spectrum_values(orb334):
@@ -229,3 +231,16 @@ def test_cycles_are_weakly_convex(pqr, cycle):
         total.x1, abs=1e-12)
     assert -polygon.tropical_norm_exponent(path.reversed()) == pytest.approx(
         total.x3, abs=1e-12)
+
+
+@pytest.mark.parametrize("pqr", [(3, 3, 4), (3, 4, 5), (4, 4, 4), (3, 4, 4)])
+def test_rotated_cycles_stay_geodesic_and_weakly_convex(pqr):
+    # turning the differential turns the junction angles with the periods,
+    # so every rotated cycle stays chart-aligned at its zeros
+    orb = trigroup.build_orbifold(*pqr, layers=9)
+    family = [trigroup.straight_positive_cycle(orb),
+              trigroup.straight_median_cycle(orb)]
+    for i in range(12):
+        for path in trigroup.rotated_paths(family, 2 * math.pi * i / 12):
+            assert sf.validate_path(path) == []
+            assert building.weak_convexity_check(path)
