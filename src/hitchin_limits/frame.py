@@ -145,11 +145,10 @@ def _growth_rate(s: float) -> float:
 
 
 def _step_size(s: float) -> float:
-    """Step size: capped at min(0.01, 0.5 s^(-1/3)) and tightened so the RK4
-    truncation stays near _STEP_TOL per unit length."""
-    cap = min(0.01, 0.5 * s ** (-1.0 / 3.0))
+    """Step size: capped at 0.01 and tightened so the RK4 truncation stays
+    near _STEP_TOL per unit length, floored at 1e-5."""
     h_acc = (120.0 * _STEP_TOL / _growth_rate(s) ** 5) ** 0.25
-    return max(min(cap, h_acc), 1e-5)
+    return max(min(0.01, h_acc), 1e-5)
 
 
 def _fold_steps(s: float, h: float) -> int:
