@@ -625,7 +625,9 @@ def test_failing_s_keeps_the_rows_that_finished(tmp_path, monkeypatch, capsys,
 
 # sha256 of each command's CSV: the bench's seed-0 sweep and arc commands, a
 # chord across the negative w-axis, sweeps, solves, local models and a
-# spectrum over k, and arcs across several Stokes rays at k = 0 and 3.  Any change of a bit in these outputs fails here
+# spectrum over k, three triangle-group spectra, and arcs across several
+# Stokes rays at k = 0 and 3.  Any change of a bit in these outputs fails
+# here
 PINNED_CSV = {
     "verify sweep --k 1 --s 1e2,1e3,1e4 --path radial:0.3,0.9,0.27":
         "db2b88e27a90325fbf4eca4d9460d70ea99427ce61027235b6fc23f5d6decb8a",
@@ -657,6 +659,10 @@ PINNED_CSV = {
         "8900ce7ab9b09be3e300dd932c732fb61893d767cc0095ce9878b9849a6a4209",
     "trigroup spectrum --pqr 3,3,4 --maxlen 1.8":
         "7622c3126abadbe4b2542dd3eaacccd0f98ad7d7ba76cef189a72f35d8f0a4d5",
+    "trigroup spectrum --pqr 4,4,4 --maxlen 1.8":
+        "55753eaf127d82f7cc1052f8d4f1acaadd6b62eecb5847c5178a27023d9ceb50",
+    "trigroup spectrum --pqr 3,4,5 --maxlen 1.8":
+        "aed58f38db6819c1fec9b654c9218c37a5f57b993fe25c57c68e418e6d2ef8d4",
     "verify arc --k 3 --s 1e2,1e3 --theta0 -0.5 --theta1 2.5":
         "58e24015404ca011ef976677269f519a3d5307dbf567601a1443e5eae44c664c",
     "verify arc --k 0 --s 1e2 --theta0 0.1 --theta1 3.0":
@@ -688,6 +694,8 @@ PINNED_STDOUT = {
         "58c658bc4a099c6ad259bc18d154fff7789fc985a66445eef14f3fdaa80de925",
     "trigroup boundary --pqr 3,3,4 --thetas 12":
         "42603c8d8f3ab77404ebd1cd64709dd0d98094f84ba79589b0f0d1cafa208db0",
+    "trigroup boundary --pqr 4,4,4 --thetas 12":
+        "847dfbe3e47e322877fd3e00dceb1f670a1ddbf834308bab58c7aec2f6075971",
 }
 
 
