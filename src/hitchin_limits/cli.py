@@ -33,7 +33,7 @@ _GAP_FLOOR = 1e-9
 
 
 def _fmt(x) -> str:
-    return "%.17g" % float(x)
+    return "%.17g" % (float(x) + 0.0)   # + 0.0 turns -0 into 0
 
 
 def _write_csv(path, header, rows):

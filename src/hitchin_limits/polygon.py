@@ -80,17 +80,21 @@ def regular_lifts(n: int) -> PolygonLifts:
 # scheme bookkeeping
 # ---------------------------------------------------------------------------
 
+def _line_offset(theta: float, phase: float) -> float:
+    """Angular distance from theta to the nearest line phase mod pi/3: the
+    Weyl walls at phase 0, the Stokes rays at phase pi/6."""
+    x = (theta - phase) / (PI / 3)
+    return abs(x - round(x)) * (PI / 3)
+
+
 def classify_angle_is_special(theta: float, tol: float = 1e-6) -> bool:
     """True near a Stokes ray or a Weyl wall (used to skip degenerate sweeps)."""
-    r = theta % (PI / 3)
-    return min(r, PI / 3 - r) <= tol or abs(r - PI / 6) <= tol
+    return min(_line_offset(theta, 0.0), _line_offset(theta, PI / 6)) <= tol
 
 
 def on_stokes_ray(theta: float) -> bool:
     """Whether theta lies within _STOKES_TOL of a Stokes ray pi/6 mod pi/3."""
-    x = (theta + PI / 6) / (PI / 3)
-    frac = x - math.floor(x)
-    return min(frac, 1 - frac) * (PI / 3) <= _STOKES_TOL
+    return _line_offset(theta, PI / 6) <= _STOKES_TOL
 
 
 def sector_of(theta: float) -> int:

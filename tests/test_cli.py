@@ -683,11 +683,11 @@ def test_pinned_outputs_are_byte_identical(tmp_path):
 # commands that read the arc unipotents and the leading-term factors
 PINNED_STDOUT = {
     "polygon unipotent --n 4 --theta-in 0.3 --theta-out 4.0":
-        "5467178a3c0cc475b847d22142a24ce5d46828f48305f413c47cff76e0ddeccf",
+        "ef60747b5e3385e1f2e47e0de82f413605eea4bb8c5aae1ab6c498e1cac293be",
     "polygon unipotent --n 5 --theta-in -1.2 --theta-out 9.0":
         "21bc6b88743fc6d34f009b3445f833a4fd63596e45ea7c9ce357e6cf6d8ef99a",
     "polygon unipotent --n 7 --theta-in 0.3 --theta-out 4.0":
-        "d43d69829ceb3aeae94296c2f222a793e0572fe21f065cc17f5790266fb1a1e4",
+        "a5f229eaa11cd9b50c69fa28d993f7950db273ac34656d49d5a1e9f7dfda2be9",
     "polygon scheme --flips 6":
         "2da8be239d821228779f7c1f7568d23cccd65ac07c2e9c86976200019f4ae159",
     "building convexity --paths 100 --corners 100 --seed 0":
