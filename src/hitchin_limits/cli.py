@@ -287,11 +287,8 @@ def cmd_building_convexity(args):
 
 def cmd_trigroup_spectrum(args):
     orb = trigroup.build_orbifold(*args.pqr, layers=args.layers)
-    classes = [trigroup.straight_positive_cycle(orb)]
-    try:
-        classes.append(trigroup.straight_median_cycle(orb))
-    except HitchinLimitsError:
-        _diag("no median cycle on this patch; single-class family")
+    classes = [trigroup.straight_positive_cycle(*args.pqr),
+               trigroup.straight_median_cycle(*args.pqr)]
     conns = surf_mod.enumerate_saddle_connections(orb.surface, args.maxlen)
     _diag(f"saddle connections up to {args.maxlen}: {len(conns)} "
           f"(clipped: {conns.clipped})")
@@ -306,9 +303,8 @@ def cmd_trigroup_spectrum(args):
 
 
 def cmd_trigroup_boundary(args):
-    orb = trigroup.build_orbifold(*args.pqr, layers=args.layers)
-    classes = [trigroup.straight_positive_cycle(orb),
-               trigroup.straight_median_cycle(orb)]
+    classes = [trigroup.straight_positive_cycle(*args.pqr),
+               trigroup.straight_median_cycle(*args.pqr)]
     thetas = [2 * math.pi * i / args.thetas for i in range(args.thetas)]
     probe = trigroup.boundary_injectivity_probe(classes, thetas)
     print(f"min pairwise projectivized distance: {_fmt(probe.min_pairwise)}")
@@ -449,7 +445,6 @@ def build_parser():
     tb = g.add_parser("boundary")
     tb.add_argument("--pqr", type=_pqr, default="3,3,4")
     tb.add_argument("--thetas", type=_count(2), default=12)
-    tb.add_argument("--layers", type=_count(0), default=9)
     tb.set_defaults(func=cmd_trigroup_boundary)
 
     return ap

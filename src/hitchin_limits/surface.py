@@ -285,7 +285,6 @@ class CubicSurface:
         away from its start corner, even onto a fan that already has a
         class; the start corner joins the class of the fan it lands on.)"""
         self._class_of = {}
-        self._fan_offset = {}
         self.vertex_classes = []
         self.fans = []
         self.fan_closed = []
@@ -305,7 +304,6 @@ class CubicSurface:
                 angle = 0.0
                 for corner in fan:
                     self._class_of[corner] = len(self.fans)
-                    self._fan_offset[corner] = angle
                     angle += self.corner_angle(*corner)
                 self.vertex_classes.append(sorted({(t, v), *fan}))
                 self.fans.append(fan)
@@ -350,37 +348,6 @@ class CubicSurface:
         the neighbor's chart.
         """
         return self._edge_map.get((tri, side))
-
-    def fan_angle(self, tri: int, v: int, chart_dir: complex) -> float:
-        """Metric angle of a direction at a vertex, in its class's fan frame.
-
-        chart_dir is expressed in the chart of triangle tri; the corner that
-        claims it is found first.  The result is measured ccw from the fan's
-        first edge.
-        """
-        (tri, v), d = claim_corner(self, tri, v, chart_dir)
-        base = self.edge_vector(tri, v)
-        rel = cmath.phase(d / base) % TWO_PI
-        span = self.corner_angle(tri, v)
-        if rel >= TWO_PI - 1e-7:
-            rel = 0.0
-        if rel > span + 1e-7:
-            raise ValueError("direction not inside the given corner")
-        return self._fan_offset[(tri, v)] + rel
-
-    def direction_at_fan_angle(self, cls: int, angle: float):
-        """The inverse of fan_angle: the corner of class cls that claims the
-        direction at fan angle ``angle`` (taken modulo the fan's total
-        angle), and that unit direction in the corner's chart, as
-        ((tri, v), direction)."""
-        angle = angle % self.cone_angles[cls]
-        for (t, v) in self.fans[cls]:
-            lo = self._fan_offset[(t, v)]
-            if lo - 1e-12 <= angle <= lo + self.corner_angle(t, v) + 1e-12:
-                base = self.edge_vector(t, v)
-                d = base / abs(base) * cmath.exp(1j * (angle - lo))
-                return claim_corner(self, t, v, d)
-        raise ValueError("fan angle outside the fan")
 
     # -- Euler characteristic -------------------------------------------------
 
@@ -502,7 +469,7 @@ def validate(surface: CubicSurface) -> list:
 
 
 # ---------------------------------------------------------------------------
-# development: ray shooting through the triangulation
+# development: rays traced through the triangulation
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -646,18 +613,6 @@ def _trace(surface, tri, vtx, u, b, d, max_len, diag):
             tri, vtx, u, b = step
         else:
             raise NotConverged("direction not found in vertex fan")
-
-
-def shoot(surface, tri, vtx, chart_dir, max_len):
-    """Shoot a ray from vertex (tri, vtx) of the surface along chart_dir.
-
-    chart_dir is expressed in the triangle's own chart and must point into
-    the closed corner wedge at the vertex.  Returns the first marked point
-    within max_len as a RayHit, or None.
-    """
-    d = chart_dir / abs(chart_dir)
-    b = -complex(surface.coords(tri, vtx))
-    return _trace(surface, tri, vtx, 1.0 + 0j, b, d, max_len, _Diag())
 
 
 def claim_corner(surface, tri, vtx, chart_dir):

@@ -3,11 +3,17 @@ orbifolds, their tropical length spectra, and the boundary-circle probe.
 
 The canonical differential makes the orbifold a union of unit equilateral
 triangles with the outgoing edges at each vertex along the directions where
-the differential is real and positive.  The orbifold is represented by a
-finite developed patch: triangles are attached across free edges and vertex
-fans are zipped shut when they reach their full valence 2p, giving honest
-interior cone points of order p - 3 surrounded by enough collar for saddle
-connection enumeration.
+the differential is real and positive.  Developed from one triangle, every
+vertex lies on the Eisenstein lattice a + b e^(i pi/3), with type
+(a - b) mod 3 (the p/q/r corner), and a vertex of valence 2v is a cone point
+of order v - 3.  The closed geodesics are walked on that lattice with
+integer vectors, and their periods are exact lattice vectors.
+
+The saddle connection enumeration needs the orbifold itself, represented by
+a finite developed patch: triangles are attached across free edges and
+vertex fans are zipped shut when they reach their full valence 2p, giving
+honest interior cone points of order p - 3 surrounded by enough collar for
+the enumeration.
 """
 
 from __future__ import annotations
@@ -22,10 +28,10 @@ from . import tropical
 from .errors import DegeneratePath, NonDeformable
 from .surface import (TWO_PI, CubicSurface, GeodesicPath, Gluing, Junction,
                       SaddleConnection, enumerate_saddle_connections,
-                      glue, shoot, claim_corner, walk_fan)
+                      glue, walk_fan)
 from .tropical import OMEGA
 
-_MAX_LEG = 10.0        # longest cycle leg traced on a patch
+_ETA = complex(0.5, math.sqrt(3) / 2)   # e^(i pi/3)
 # a patch takes ~2.4 kB per triangle (build and surface), so this budget
 # keeps it to ~160 MB, next to wang._MAX_RINGS and frame._MAX_STEPS
 _MAX_TRIANGLES = 65_000
@@ -38,6 +44,19 @@ class TriangleOrbifoldSurface:
     r: int
     surface: CubicSurface
     orbifold_type: tuple       # vertex class -> 0/1/2 (the p/q/r corner)
+
+
+def _valences(p: int, q: int, r: int) -> tuple:
+    """The vertex valences (p, q, r) of a group whose orbifold carries a
+    nonzero cubic differential, or the error saying why it carries none."""
+    for v in (p, q, r):
+        if v < 2:
+            raise ValueError("triangle group orders must be >= 2")
+        if v == 2:
+            raise NonDeformable(
+                "a (p,q,r) group with an order-2 vertex carries no nonzero "
+                "cubic differential")
+    return (p, q, r)
 
 
 def _zip_fans(coords, edge_map, corner_type, valence, work):
@@ -87,14 +106,7 @@ def build_orbifold(p: int, q: int, r: int, layers: int = 4) -> TriangleOrbifoldS
     _MAX_TRIANGLES triangles is refused with a ValueError when the first
     triangle over the budget is to be added.
     """
-    for v in (p, q, r):
-        if v < 2:
-            raise ValueError("triangle group orders must be >= 2")
-        if v == 2:
-            raise NonDeformable(
-                "a (p,q,r) group with an order-2 vertex carries no nonzero "
-                "cubic differential")
-    valence = (p, q, r)
+    valence = _valences(p, q, r)
 
     coords = []
     corner_type = {}
@@ -160,104 +172,70 @@ def build_orbifold(p: int, q: int, r: int, layers: int = 4) -> TriangleOrbifoldS
 
 
 # ---------------------------------------------------------------------------
-# closed geodesics on the orbifold
+# closed geodesics on the Eisenstein lattice
 # ---------------------------------------------------------------------------
 
-def trace_cycle(orb: TriangleOrbifoldSurface, start_class: int,
-                start_direction: complex, turns) -> GeodesicPath:
-    """Follow a closed orbifold geodesic on the patch.
+def trace_cycle(pqr, start_type: int, direction, turns) -> GeodesicPath:
+    """Follow a closed orbifold geodesic on the Eisenstein lattice.
 
-    Starting at an interior vertex instance along a chart direction, each leg
-    runs to the first marked point; ``turns[i]`` is the ccw side angle taken
-    there.  The walk counts as closed when its last leg ends at a vertex of
-    the starting orbifold type and the direction it leaves in there has the
-    start's cubic phase (d/|d|)^3, within 1e-9; the cubic phase is the same
-    in every chart, since charts differ by cube roots of unity.  Segments
-    carry the orbifold type ids, so the resulting path is closed at the
-    orbifold level.
+    ``direction`` is a lattice vector (a, b), standing for a + b*_ETA.  Each
+    leg runs from a vertex of type t along it to the first lattice point,
+    (a, b)/gcd(a, b), a vertex of type (t + a - b) mod 3; ``turns[i]``, a
+    multiple of pi/3, is the ccw side angle taken there, which rotates the
+    way back (-a, -b) by (a, b) -> (-b, a + b) per pi/3.  Charts of the
+    orbifold differ by cube roots of unity, so the walk counts as closed
+    when its last leg ends at a vertex of the start's type and leaves it in
+    the start's direction up to a turn by 2*pi/3.  Segments carry the
+    vertex types, so the resulting path is closed at the orbifold level.
     """
-    surf = orb.surface
-    t0, v0 = surf.fans[start_class][0]
-    (t, v), d = claim_corner(surf, t0, v0, start_direction)
-    phase0 = (d / abs(d)) ** 3
-    legs = []
-    cls = start_class
-    for turn in turns:
-        hit = shoot(surf, t, v, d, _MAX_LEG)
-        if hit is None:
-            raise DegeneratePath("cycle leg left the patch; increase layers")
-        legs.append((cls, hit))
-        # fan angle of the way back, seen in the arrival chart
-        a_in = surf.fan_angle(hit.tri, hit.vertex, -(d * hit.u.conjugate()))
-        (t, v), d = surf.direction_at_fan_angle(hit.cls, a_in + turn)
-        cls = hit.cls
-    if orb.orbifold_type[cls] != orb.orbifold_type[start_class]:
-        raise DegeneratePath("cycle does not close on the orbifold labels")
-    if abs((d / abs(d)) ** 3 - phase0) > 1e-9:
-        raise DegeneratePath("cycle does not close in the start's direction")
-    segments = [SaddleConnection(orb.orbifold_type[c],
-                                 orb.orbifold_type[hit.cls], hit.point)
-                for c, hit in legs]
+    valence = _valences(*pqr)
+    a, b = direction
+    g = math.gcd(a, b)
+    if g == 0:
+        raise ValueError("cycle direction must be a nonzero lattice vector")
+    a, b = a // g, b // g
+    start = (a, b)
+    t = start_type
+    segments = []
     junctions = []
-    for seg, (_, hit), turn in zip(segments, legs, turns):
+    for turn in turns:
+        k = round(turn / (math.pi / 3))
+        if abs(turn - k * math.pi / 3) > 1e-9:
+            raise ValueError(f"cycle turn {turn!r} is not a multiple of pi/3")
+        end = (t + a - b) % 3
+        seg = SaddleConnection(t, end, a + b * _ETA)
         # junction i+1 joins segment i to segment i+1; wrap goes to slot 0
         theta_in = cmath.phase(seg.period) + math.pi
-        junctions.append(Junction(order=surf.vertex_orders[hit.cls],
-                                  theta_in=theta_in,
-                                  theta_out=theta_in + turn,
-                                  zero=orb.orbifold_type[hit.cls]))
+        segments.append(seg)
+        junctions.append(Junction(order=valence[end] - 3, theta_in=theta_in,
+                                  theta_out=theta_in + turn, zero=end))
+        a, b = -a, -b
+        for _ in range(k % 6):
+            a, b = -b, a + b
+        t = end
+    if t != start_type:
+        raise DegeneratePath("cycle does not close on the orbifold labels")
+    if start not in ((a, b), (-a - b, a), (b, -a - b)):
+        raise DegeneratePath("cycle does not close in the start's direction")
     juncs = tuple(junctions[-1:] + junctions[:-1])
     return GeodesicPath(tuple(segments), juncs, closed=True)
 
 
-def straight_positive_cycle(orb: TriangleOrbifoldSurface) -> GeodesicPath:
+def straight_positive_cycle(p: int, q: int, r: int) -> GeodesicPath:
     """The closed geodesic chaining unit edges along the positive directions
     of the canonical differential, passing each flat vertex straight and
-    turning pi (against cone angle - pi) at the order >= 1 vertex.
-
-    Seeds at a central vertex and tries its positive outgoing edges until the
-    whole walk stays on interior vertices of the patch.
-    """
-    surf = orb.surface
-    # corners of the seed triangle are the most interior points of the patch
-    candidates = sorted({surf.class_of(0, v) for v in range(3)},
-                        key=lambda c: -surf.vertex_orders.get(c, -1))
-    last_err = None
-    for start in candidates:
-        if not surf.fan_closed[start]:
-            continue
-        for (t, v) in surf.fans[start]:
-            vec = surf.edge_vector(t, v)
-            ang = cmath.phase(vec) % (TWO_PI / 3)
-            if min(ang, TWO_PI / 3 - ang) > 1e-9:
-                continue  # not a positive direction
-            try:
-                return trace_cycle(orb, start, vec,
-                                   [math.pi, math.pi, math.pi])
-            except DegeneratePath as err:
-                last_err = err
-    raise last_err or DegeneratePath("no positive cycle found; increase layers")
+    turning pi (against cone angle - pi) at the order >= 1 vertex.  It
+    starts at the first vertex type of highest valence."""
+    return trace_cycle((p, q, r), (p, q, r).index(max(p, q, r)), (1, 0),
+                       [math.pi] * 3)
 
 
-def straight_median_cycle(orb: TriangleOrbifoldSurface) -> GeodesicPath:
-    """A closed geodesic running along triangle medians (length sqrt(3)
-    segments at pi/6 to the positive edge directions), passing every vertex
-    it meets straight."""
-    surf = orb.surface
-    candidates = sorted({surf.class_of(0, v) for v in range(3)},
-                        key=lambda c: surf.vertex_orders.get(c, 9))
-    last_err = None
-    for start in candidates:
-        if not surf.fan_closed[start]:
-            continue
-        for (t, v) in surf.fans[start]:
-            base = surf.edge_vector(t, v)
-            d = base / abs(base) * cmath.exp(1j * math.pi / 6)
-            try:
-                return trace_cycle(orb, start, d, [math.pi, math.pi])
-            except (DegeneratePath, ValueError) as err:
-                last_err = err
-    raise last_err or DegeneratePath("no median cycle found; increase layers")
+def straight_median_cycle(p: int, q: int, r: int) -> GeodesicPath:
+    """A closed geodesic running along triangle medians: two segments
+    i*sqrt(3) between vertices of one type, the first of lowest valence,
+    passing each of them straight."""
+    return trace_cycle((p, q, r), (p, q, r).index(min(p, q, r)), (-1, 2),
+                       [math.pi] * 2)
 
 
 # ---------------------------------------------------------------------------

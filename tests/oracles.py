@@ -3,9 +3,10 @@
 Surfaces and path files the tests build on, closed forms the numerical code
 is checked against, read-outs of a frame transport beyond the ones the
 verify commands use, orbifold bookkeeping, the corner-by-corner saddle
-connection search the batched one must match, and the flip-by-flip product
-of the Stokes unipotents.  No command of the package reaches any of this, so
-it lives with the tests.
+connection search the batched one must match, the flip-by-flip product of
+the Stokes unipotents, and the triangle-group cycles traced on a developed
+patch, which the lattice cycles must match.  No command of the package
+reaches any of this, so it lives with the tests.
 """
 
 import cmath
@@ -16,7 +17,7 @@ import numpy as np
 
 from hitchin_limits import frame, polygon
 from hitchin_limits import surface as sf
-from hitchin_limits.errors import NotConverged
+from hitchin_limits.errors import DegeneratePath, NotConverged
 from hitchin_limits.surface import (TWO_PI, CubicSurface, Gluing, glue,
                                     walk_fan)
 from hitchin_limits.tropical import OMEGA
@@ -552,3 +553,143 @@ def lifted_order_bookkeeping(orb) -> bool:
             return False
         total += 3.0 * (angle / (TWO_PI * ord_) - 1.0)
     return abs(total - (-6.0)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# triangle-group cycles traced on a developed patch
+# ---------------------------------------------------------------------------
+
+_MAX_LEG = 10.0        # longest cycle leg traced on a patch
+
+
+def _fan_offset(surface, tri, v):
+    """Metric angle from the first edge of the corner's fan to the corner's
+    first edge."""
+    fan = surface.fans[surface.class_of(tri, v)]
+    return sum(surface.corner_angle(*c) for c in fan[:fan.index((tri, v))])
+
+
+def fan_angle(surface, tri, v, chart_dir):
+    """Metric angle of a direction at a vertex, in its class's fan frame.
+
+    chart_dir is expressed in the chart of triangle tri; the corner that
+    claims it is found first.  The result is measured ccw from the fan's
+    first edge.
+    """
+    (tri, v), d = sf.claim_corner(surface, tri, v, chart_dir)
+    base = surface.edge_vector(tri, v)
+    rel = cmath.phase(d / base) % TWO_PI
+    span = surface.corner_angle(tri, v)
+    if rel >= TWO_PI - 1e-7:
+        rel = 0.0
+    if rel > span + 1e-7:
+        raise ValueError("direction not inside the given corner")
+    return _fan_offset(surface, tri, v) + rel
+
+
+def direction_at_fan_angle(surface, cls, angle):
+    """The inverse of fan_angle: the corner of class cls that claims the
+    direction at fan angle ``angle`` (taken modulo the fan's total angle),
+    and that unit direction in the corner's chart, as ((tri, v), direction).
+    """
+    angle = angle % surface.cone_angles[cls]
+    for (t, v) in surface.fans[cls]:
+        lo = _fan_offset(surface, t, v)
+        if lo - 1e-12 <= angle <= lo + surface.corner_angle(t, v) + 1e-12:
+            base = surface.edge_vector(t, v)
+            d = base / abs(base) * cmath.exp(1j * (angle - lo))
+            return sf.claim_corner(surface, t, v, d)
+    raise ValueError("fan angle outside the fan")
+
+
+def shoot(surface, tri, vtx, chart_dir, max_len):
+    """The first marked point within max_len on the ray from vertex
+    (tri, vtx) along chart_dir (in the triangle's own chart, pointing into
+    the closed corner wedge), as a RayHit, or None."""
+    d = chart_dir / abs(chart_dir)
+    b = -complex(surface.coords(tri, vtx))
+    return sf._trace(surface, tri, vtx, 1.0 + 0j, b, d, max_len, sf._Diag())
+
+
+def patch_trace_cycle(orb, start_class, start_direction, turns):
+    """Follow a closed orbifold geodesic on the patch of ``orb``.
+
+    Starting at an interior vertex instance along a chart direction, each
+    leg runs to the first marked point; ``turns[i]`` is the ccw side angle
+    taken there.  The walk counts as closed when its last leg ends at a
+    vertex of the starting orbifold type and the direction it leaves in
+    there has the start's cubic phase (d/|d|)^3, within 1e-9.
+    """
+    surf = orb.surface
+    t0, v0 = surf.fans[start_class][0]
+    (t, v), d = sf.claim_corner(surf, t0, v0, start_direction)
+    phase0 = (d / abs(d)) ** 3
+    legs = []
+    cls = start_class
+    for turn in turns:
+        hit = shoot(surf, t, v, d, _MAX_LEG)
+        if hit is None:
+            raise DegeneratePath("cycle leg left the patch; increase layers")
+        legs.append((cls, hit))
+        # fan angle of the way back, seen in the arrival chart
+        a_in = fan_angle(surf, hit.tri, hit.vertex, -(d * hit.u.conjugate()))
+        (t, v), d = direction_at_fan_angle(surf, hit.cls, a_in + turn)
+        cls = hit.cls
+    if orb.orbifold_type[cls] != orb.orbifold_type[start_class]:
+        raise DegeneratePath("cycle does not close on the orbifold labels")
+    if abs((d / abs(d)) ** 3 - phase0) > 1e-9:
+        raise DegeneratePath("cycle does not close in the start's direction")
+    segments = [sf.SaddleConnection(orb.orbifold_type[c],
+                                    orb.orbifold_type[hit.cls], hit.point)
+                for c, hit in legs]
+    junctions = []
+    for seg, (_, hit), turn in zip(segments, legs, turns):
+        theta_in = cmath.phase(seg.period) + math.pi
+        junctions.append(sf.Junction(order=surf.vertex_orders[hit.cls],
+                                     theta_in=theta_in,
+                                     theta_out=theta_in + turn,
+                                     zero=orb.orbifold_type[hit.cls]))
+    juncs = tuple(junctions[-1:] + junctions[:-1])
+    return sf.GeodesicPath(tuple(segments), juncs, closed=True)
+
+
+def _seed_classes(orb, key):
+    surf = orb.surface
+    return [c for c in sorted({surf.class_of(0, v) for v in range(3)}, key=key)
+            if surf.fan_closed[c]]
+
+
+def patch_positive_cycle(orb):
+    """The straight positive cycle found on the patch: seeded at a corner
+    class of the seed triangle, highest order first, along each positive
+    outgoing edge until one walk closes."""
+    surf = orb.surface
+    last_err = None
+    for start in _seed_classes(orb, lambda c: -surf.vertex_orders.get(c, -1)):
+        for (t, v) in surf.fans[start]:
+            vec = surf.edge_vector(t, v)
+            ang = cmath.phase(vec) % (TWO_PI / 3)
+            if min(ang, TWO_PI / 3 - ang) > 1e-9:
+                continue  # not a positive direction
+            try:
+                return patch_trace_cycle(orb, start, vec, [math.pi] * 3)
+            except DegeneratePath as err:
+                last_err = err
+    raise last_err or DegeneratePath("no positive cycle found")
+
+
+def patch_median_cycle(orb):
+    """The straight median cycle found on the patch: seeded at a corner
+    class of the seed triangle, lowest order first, along each fan edge
+    turned by pi/6 until one walk closes."""
+    surf = orb.surface
+    last_err = None
+    for start in _seed_classes(orb, lambda c: surf.vertex_orders.get(c, 9)):
+        for (t, v) in surf.fans[start]:
+            base = surf.edge_vector(t, v)
+            d = base / abs(base) * cmath.exp(1j * math.pi / 6)
+            try:
+                return patch_trace_cycle(orb, start, d, [math.pi] * 2)
+            except (DegeneratePath, ValueError) as err:
+                last_err = err
+    raise last_err or DegeneratePath("no median cycle found")

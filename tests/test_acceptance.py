@@ -292,8 +292,8 @@ def test_acceptance_8_triangle_groups():
     struct_ok = (sf.validate(surf) == []
                  and sorted(valences.values()) == [6, 6, 8]
                  and sorted(orders.values()) == [0, 0, 1])
-    fam = [trigroup.straight_positive_cycle(orb),
-           trigroup.straight_median_cycle(orb)]
+    fam = [trigroup.straight_positive_cycle(3, 3, 4),
+           trigroup.straight_median_cycle(3, 3, 4)]
     grid = [2 * PI * i / 12 for i in range(12)]
     probe = trigroup.boundary_injectivity_probe(fam, grid)
     probe_ok = (not probe.insufficient_family) and probe.min_pairwise > 1e-6

@@ -189,9 +189,19 @@ def test_enumeration_explosion_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_trigroup_boundary(capsys):
-    assert run(["trigroup", "boundary", "--pqr", "3,3,4", "--thetas", "6",
-                "--layers", "9"]) == 0
+    assert run(["trigroup", "boundary", "--pqr", "3,3,4", "--thetas", "6"]) == 0
     assert "min pairwise" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pqr", ["5,5,5", "6,6,6", "3,3,10"])
+def test_trigroup_commands_trace_both_cycles_on_any_group(tmp_path, capsys,
+                                                          pqr):
+    # the cycles live on the lattice, so no group runs out of patch
+    out = tmp_path / "spec.csv"
+    assert run(["trigroup", "spectrum", "--pqr", pqr, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 12 * 2
+    assert run(["trigroup", "boundary", "--pqr", pqr]) == 0
+    assert capsys.readouterr().out.startswith("min pairwise")
 
 
 @pytest.mark.parametrize("chord, image", [
@@ -316,11 +326,10 @@ def test_usage_error_exits_1_with_one_line(capsys, argv):
     ["trigroup", "spectrum", "--thetas", "0"],
     ["trigroup", "boundary", "--thetas", "1"],
     ["trigroup", "spectrum", "--layers", "-1"],
-    ["trigroup", "boundary", "--layers", "-1"],
     ["surface", "build", "--orbifold", "3,3,4", "--layers", "-1"],
 ], ids=["flips-1", "paths-1", "corners-1", "samples-1",
         "spectrum-thetas0", "boundary-thetas1", "spectrum-layers-1",
-        "boundary-layers-1", "build-layers-1"])
+        "build-layers-1"])
 def test_count_out_of_range_exits_1(tmp_path, capsys, argv):
     if argv[0] == "surface":
         argv = argv + ["--out", str(tmp_path / "orb.json")]
@@ -445,10 +454,9 @@ def test_over_budget_path_exits_1_with_one_line(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["trigroup", "spectrum"],
-    ["trigroup", "boundary"],
     ["surface", "build", "--orbifold", "3,3,4", "--layers", "9",
      "--out", "orb.json"],
-], ids=["spectrum", "boundary", "surface-build"])
+], ids=["spectrum", "surface-build"])
 def test_over_budget_orbifold_exits_1_with_one_line(monkeypatch, capsys,
                                                     tmp_path, argv):
     monkeypatch.chdir(tmp_path)
@@ -658,11 +666,11 @@ PINNED_CSV = {
     "building localmodel --k 3":
         "8900ce7ab9b09be3e300dd932c732fb61893d767cc0095ce9878b9849a6a4209",
     "trigroup spectrum --pqr 3,3,4 --maxlen 1.8":
-        "7622c3126abadbe4b2542dd3eaacccd0f98ad7d7ba76cef189a72f35d8f0a4d5",
+        "571036f681e200e7dc9ec051cf81e3bd4a7e87a0933ca930a2b056ef4f383462",
     "trigroup spectrum --pqr 4,4,4 --maxlen 1.8":
-        "55753eaf127d82f7cc1052f8d4f1acaadd6b62eecb5847c5178a27023d9ceb50",
+        "571036f681e200e7dc9ec051cf81e3bd4a7e87a0933ca930a2b056ef4f383462",
     "trigroup spectrum --pqr 3,4,5 --maxlen 1.8":
-        "aed58f38db6819c1fec9b654c9218c37a5f57b993fe25c57c68e418e6d2ef8d4",
+        "571036f681e200e7dc9ec051cf81e3bd4a7e87a0933ca930a2b056ef4f383462",
     "verify arc --k 3 --s 1e2,1e3 --theta0 -0.5 --theta1 2.5":
         "58e24015404ca011ef976677269f519a3d5307dbf567601a1443e5eae44c664c",
     "verify arc --k 0 --s 1e2 --theta0 0.1 --theta1 3.0":
@@ -693,9 +701,9 @@ PINNED_STDOUT = {
     "building convexity --paths 100 --corners 100 --seed 0":
         "58c658bc4a099c6ad259bc18d154fff7789fc985a66445eef14f3fdaa80de925",
     "trigroup boundary --pqr 3,3,4 --thetas 12":
-        "42603c8d8f3ab77404ebd1cd64709dd0d98094f84ba79589b0f0d1cafa208db0",
+        "24af80d89d7d3d30926d70dff307d2173382d2d8a3afaff95b9ce84fa790eaaa",
     "trigroup boundary --pqr 4,4,4 --thetas 12":
-        "847dfbe3e47e322877fd3e00dceb1f670a1ddbf834308bab58c7aec2f6075971",
+        "24af80d89d7d3d30926d70dff307d2173382d2d8a3afaff95b9ce84fa790eaaa",
 }
 
 

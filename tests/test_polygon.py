@@ -294,11 +294,6 @@ def test_leading_term_closed_cycle_slope():
     assert gaps[1] < 2e-3 * target
 
 
-def _median_cycle(pqr):
-    return trigroup.straight_median_cycle(
-        trigroup.build_orbifold(*pqr, layers=9))
-
-
 def _turned(path, delta):
     """The path of the differential e^(3 i delta) q: every period and every
     junction angle turned ccw by delta."""
@@ -313,7 +308,7 @@ def _turned(path, delta):
 def test_leading_term_gap_on_a_stokes_cycle_shrinks_like_s_to_minus_third():
     # every segment of the median cycle runs along a Stokes direction, so
     # every arc endpoint lies on a Stokes ray
-    path = _median_cycle((3, 3, 4))
+    path = trigroup.straight_median_cycle(3, 3, 4)
     x1 = tropical.path_singular_exponents(
         seg.period for seg in path.segments).x1
     scaled = [(pg.leading_term(path, s).norm_exponent() - x1) * s ** (1 / 3)
@@ -326,7 +321,7 @@ def test_stokes_endpoints_follow_the_ccw_turned_differential():
     # on the (4,4,4) median cycle the two sides of the Stokes rays give
     # different arcs; the path factors read the ccw side, the limit of
     # e^(i eps) q as eps -> 0+
-    path = _median_cycle((4, 4, 4))
+    path = trigroup.straight_median_cycle(4, 4, 4)
     s = 1e3
     log_scale = pg.leading_term(path, s).log_scale
     ccw = pg.leading_term(_turned(path, 1e-6), s).log_scale

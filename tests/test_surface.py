@@ -378,11 +378,11 @@ def test_direction_at_fan_angle_inverts_fan_angle(build):
             base = surf.edge_vector(t, v)
             for frac in (0.0, 0.3, 0.7):
                 d = base * cmath.exp(1j * frac * surf.corner_angle(t, v))
-                angle = surf.fan_angle(t, v, d)
-                (t2, v2), d2 = surf.direction_at_fan_angle(cls, angle)
+                angle = oracles.fan_angle(surf, t, v, d)
+                (t2, v2), d2 = oracles.direction_at_fan_angle(surf, cls, angle)
                 assert surf.class_of(t2, v2) == cls
-                assert surf.fan_angle(t2, v2, d2) == pytest.approx(angle,
-                                                                   abs=1e-9)
+                assert oracles.fan_angle(surf, t2, v2, d2) == pytest.approx(
+                    angle, abs=1e-9)
 
 
 # -- geodesic paths ----------------------------------------------------------

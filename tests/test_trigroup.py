@@ -72,8 +72,8 @@ def test_median_connections_enumerated(orb334):
         assert min(r, math.pi / 3 - r) < 1e-9
 
 
-def test_straight_positive_cycle(orb334):
-    cyc = trigroup.straight_positive_cycle(orb334)
+def test_straight_positive_cycle():
+    cyc = trigroup.straight_positive_cycle(3, 3, 4)
     assert cyc.closed and len(cyc.segments) == 3
     assert sf.validate_path(cyc) == []
     assert {s.start for s in cyc.segments} == {0, 1, 2}
@@ -81,36 +81,34 @@ def test_straight_positive_cycle(orb334):
     assert total.x1 == pytest.approx(3 / CBRT2, abs=1e-12)
 
 
-def test_straight_median_cycle(orb334):
-    cyc = trigroup.straight_median_cycle(orb334)
+def test_straight_median_cycle():
+    cyc = trigroup.straight_median_cycle(3, 3, 4)
     assert cyc.closed and len(cyc.segments) == 2
     assert sf.validate_path(cyc) == []
     for s in cyc.segments:
         assert s.length == pytest.approx(math.sqrt(3), abs=1e-9)
 
 
-def test_cycle_closing_in_another_phase_is_rejected(orb334):
+def test_cycle_closing_in_another_phase_is_rejected():
     # the legs of the positive cycle, but the last turn leaves the start's
-    # orbifold type rotated by pi/3: the labels match, the cubic phase
-    # (d/|d|)^3 is flipped
-    surf = orb334.surface
-    start = next(c for c in sorted({surf.class_of(0, v) for v in range(3)})
-                 if surf.fan_closed[c] and surf.vertex_orders[c] == 1)
-    for (t, v) in surf.fans[start]:
-        vec = surf.edge_vector(t, v)
-        try:
-            trigroup.trace_cycle(orb334, start, vec, [math.pi] * 3)
-        except DegeneratePath:
-            continue
-        with pytest.raises(DegeneratePath, match="direction"):
-            trigroup.trace_cycle(orb334, start, vec,
-                                 [math.pi, math.pi, math.pi + math.pi / 3])
-        return
-    pytest.fail("no positive cycle from the order-1 class")
+    # orbifold type rotated by pi/3: the labels match, the direction is off
+    # every turn by 2*pi/3 of the start's
+    assert trigroup.trace_cycle((3, 3, 4), 2, (1, 0), [math.pi] * 3).closed
+    with pytest.raises(DegeneratePath, match="direction"):
+        trigroup.trace_cycle((3, 3, 4), 2, (1, 0),
+                             [math.pi, math.pi, math.pi + math.pi / 3])
+    with pytest.raises(DegeneratePath, match="labels"):
+        trigroup.trace_cycle((3, 3, 4), 2, (1, 0), [math.pi] * 2)
 
 
-def test_rotation_identity_bit_exact(orb334):
-    families = [trigroup.straight_positive_cycle(orb334)]
+@pytest.mark.parametrize("turn", [math.pi / 2, 1.0, math.pi + 1e-6])
+def test_trace_cycle_rejects_a_turn_off_the_lattice(turn):
+    with pytest.raises(ValueError, match="not a multiple of pi/3"):
+        trigroup.trace_cycle((3, 3, 4), 2, (1, 0), [math.pi, turn, math.pi])
+
+
+def test_rotation_identity_bit_exact():
+    families = [trigroup.straight_positive_cycle(3, 3, 4)]
     a = trigroup.spectrum(families)
     turned = trigroup.rotated_paths(families, 2 * math.pi)
     b = trigroup.spectrum(turned)
@@ -118,40 +116,35 @@ def test_rotation_identity_bit_exact(orb334):
     assert turned[0].junctions == families[0].junctions
 
 
-def test_spectrum_values(orb334):
-    cyc = trigroup.straight_positive_cycle(orb334)
+def test_spectrum_values():
+    cyc = trigroup.straight_positive_cycle(3, 3, 4)
     spec = trigroup.spectrum([cyc])
     assert len(spec.values) == 1
     assert spec.values[0].x1 == pytest.approx(3 / CBRT2, abs=1e-12)
     assert np.linalg.norm(spec.projectivized) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_spectrum_empty_family(orb334):
+def test_spectrum_empty_family():
     spec = trigroup.spectrum([])
     assert len(spec.values) == 0
     assert spec.projectivized.size == 0
 
 
-def test_spectrum_respects_symmetry(orb334):
+def test_spectrum_respects_symmetry():
     # the two order-3 vertices play symmetric roles: seeding the median cycle
     # at either gives the same spectrum values
-    surf = orb334.surface
-    a_cls = oracles.interior_classes_of_type(orb334, 0)[0]
-    b_cls = oracles.interior_classes_of_type(orb334, 1)[0]
-    cycles = []
-    for cls in (a_cls, b_cls):
-        t, v = surf.fans[cls][0]
-        base = surf.edge_vector(t, v)
-        d = base / abs(base) * cmath.exp(1j * math.pi / 6)
-        cycles.append(trigroup.trace_cycle(orb334, cls, d, [math.pi, math.pi]))
+    cycles = [trigroup.trace_cycle((3, 3, 4), t, (-1, 2), [math.pi] * 2)
+              for t in (0, 1)]
+    assert [j.order for j in cycles[0].junctions] == \
+        [j.order for j in cycles[1].junctions]
     s0, s1 = (tropical.path_singular_exponents(
         seg.period for seg in cyc.segments).as_tuple() for cyc in cycles)
-    assert s0 == pytest.approx(s1, abs=1e-12)
+    assert s0 == s1
 
 
-def test_boundary_probe_positive(orb334):
-    fam = [trigroup.straight_positive_cycle(orb334),
-           trigroup.straight_median_cycle(orb334)]
+def test_boundary_probe_positive():
+    fam = [trigroup.straight_positive_cycle(3, 3, 4),
+           trigroup.straight_median_cycle(3, 3, 4)]
     assert trigroup.distinct_direction_count(fam) >= 2
     grid = [2 * math.pi * i / 12 for i in range(12)]
     probe = trigroup.boundary_injectivity_probe(fam, grid)
@@ -159,14 +152,14 @@ def test_boundary_probe_positive(orb334):
     assert probe.min_pairwise > 1e-4
 
 
-def test_boundary_probe_single_theta_vacuous(orb334):
-    fam = [trigroup.straight_positive_cycle(orb334)]
+def test_boundary_probe_single_theta_vacuous():
+    fam = [trigroup.straight_positive_cycle(3, 3, 4)]
     probe = trigroup.boundary_injectivity_probe(fam, [0.0])
     assert probe.min_pairwise == math.inf
 
 
-def test_boundary_probe_single_class_flagged(orb334):
-    fam = [trigroup.straight_positive_cycle(orb334)]
+def test_boundary_probe_single_class_flagged():
+    fam = [trigroup.straight_positive_cycle(3, 3, 4)]
     grid = [2 * math.pi * i / 12 for i in range(12)]
     probe = trigroup.boundary_injectivity_probe(fam, grid)
     assert probe.insufficient_family
@@ -223,7 +216,7 @@ def test_zip_leaves_no_full_fan_open(pqr):
 def test_cycles_are_weakly_convex(pqr, cycle):
     # the median cycles run along Stokes directions, with turns of exactly
     # pi at their zeros on (4,4,4)
-    path = cycle(trigroup.build_orbifold(*pqr, layers=9))
+    path = cycle(*pqr)
     total = tropical.path_singular_exponents(
         seg.period for seg in path.segments)
     assert building.weak_convexity_check(path)
@@ -233,14 +226,47 @@ def test_cycles_are_weakly_convex(pqr, cycle):
         total.x3, abs=1e-12)
 
 
-@pytest.mark.parametrize("pqr", [(3, 3, 4), (3, 4, 5), (4, 4, 4), (3, 4, 4)])
+@pytest.mark.parametrize("pqr", [(3, 3, 4), (3, 4, 5), (4, 4, 4), (3, 4, 4),
+                                 (5, 5, 5), (6, 6, 6), (3, 3, 10)])
 def test_rotated_cycles_stay_geodesic_and_weakly_convex(pqr):
     # turning the differential turns the junction angles with the periods,
     # so every rotated cycle stays chart-aligned at its zeros
-    orb = trigroup.build_orbifold(*pqr, layers=9)
-    family = [trigroup.straight_positive_cycle(orb),
-              trigroup.straight_median_cycle(orb)]
+    family = [trigroup.straight_positive_cycle(*pqr),
+              trigroup.straight_median_cycle(*pqr)]
     for i in range(12):
         for path in trigroup.rotated_paths(family, 2 * math.pi * i / 12):
             assert sf.validate_path(path) == []
             assert building.weak_convexity_check(path)
+
+
+def _same_cycle(lattice, patch):
+    """Whether the two closed paths agree up to a cyclic shift of their
+    segments, with each patch period a cube root of unity times the
+    lattice one (charts differ by those) to 1e-15."""
+    n = len(lattice.segments)
+    if len(patch.segments) != n:
+        return False
+    for shift in range(n):
+        if all((lattice.junctions[i].order, lattice.junctions[i].zero)
+               == (patch.junctions[(i + shift) % n].order,
+                   patch.junctions[(i + shift) % n].zero)
+               and min(abs(lattice.segments[i].period - tropical.OMEGA ** k
+                           * patch.segments[(i + shift) % n].period)
+                       for k in range(3)) <= 1e-15
+               for i in range(n)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("pqr", [(3, 3, 4), (3, 4, 5), (4, 4, 4), (3, 4, 4),
+                                 (3, 3, 3)])
+def test_lattice_cycles_match_the_patch_walk(pqr):
+    # the cycles the parent patch walk found on a 9-layer patch; on (4,4,4)
+    # the patch's median runs the other way round
+    orb = trigroup.build_orbifold(*pqr, layers=9)
+    assert _same_cycle(trigroup.straight_positive_cycle(*pqr),
+                       oracles.patch_positive_cycle(orb))
+    median = oracles.patch_median_cycle(orb)
+    if pqr == (4, 4, 4):
+        median = median.reversed()
+    assert _same_cycle(trigroup.straight_median_cycle(*pqr), median)
