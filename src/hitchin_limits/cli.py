@@ -67,14 +67,8 @@ def _parse_s_list(text):
 # ---------------------------------------------------------------------------
 
 def cmd_surface_build(args):
-    if args.disk is not None:
-        k, radius = int(args.disk[0]), _real(args.disk[1])
-        surf = surf_mod.build_polynomial_disk(k, radius)
-    elif args.orbifold:
-        surf = trigroup.build_orbifold(*args.orbifold,
-                                       layers=args.layers).surface
-    else:
-        raise ValueError("choose --disk K RADIUS or --orbifold p,q,r")
+    k, radius = int(args.disk[0]), _real(args.disk[1])
+    surf = surf_mod.build_polynomial_disk(k, radius)
     violations = surf_mod.validate(surf)
     if violations:
         for v in violations:
@@ -368,9 +362,7 @@ def build_parser():
 
     g = sub.add_parser("surface").add_subparsers(dest="action", required=True)
     b = g.add_parser("build")
-    b.add_argument("--disk", nargs=2, metavar=("K", "RADIUS"))
-    b.add_argument("--orbifold", type=_pqr, default=None)
-    b.add_argument("--layers", type=_count(0), default=6)
+    b.add_argument("--disk", nargs=2, metavar=("K", "RADIUS"), required=True)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_surface_build)
     v = g.add_parser("validate")

@@ -10,9 +10,8 @@ accumulated in a factored form Q * diag(e^d) * T with Q unitary; all three
 log singular values stay accurate.
 
 Transport and arc comparisons work on arrays: the Wang field is sampled once
-on all RK4 nodes of a path or arc (neighbouring steps share their common
-node, also across the joints of a path's segments), and the generators, RK4
-propagators and their ordered products are real batches of 3x3 matrices
+on all RK4 nodes of a path, and read once at an arc's radius; generators,
+RK4 propagators and their ordered products are real batches of 3x3 matrices
 stored entry-major, shape (3, 3, m), and multiplied by _batch_mul, in chunks
 of bounded size.  A path or arc of more than _MAX_STEPS steps is refused
 before its nodes are allocated.  Both form their propagators with one RK4
@@ -52,7 +51,7 @@ _STEP_TOL = 1e-10
 _CHUNK_STEPS = 640
 _FOLD_GROWTH = 8.0
 # a path or arc holds all its nodes at once, ~210 B per transport step and
-# ~320 B per arc step, so this budget keeps them to ~160 MB, next to the
+# ~220 B per arc step, so this budget keeps them to ~160 MB, next to the
 # ~165 MB of wang._MAX_RINGS
 _MAX_STEPS = 500_000
 _I3 = np.eye(3)[:, :, None]                    # the identity, a batch of one
@@ -299,9 +298,10 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     N' = N * F_T (omega_w - omega_T) F_T^(-1), integrated in the eigen-gauge
     with entrywise exponential scaling, so the dynamic range of the direct
     triple product (which loses all precision at desk scale) never appears.
-    In the natural chart the connection keeps the structure-equation form with
-    q = 1 and phi_w = phi - 2 log|w'|; for the constant differential the
-    integrand vanishes identically.  A step that is not finite or has an
+    In the natural chart the connection has the structure-equation form with
+    q = 1 and phi_w = log 2^(1/3) + F, where F and dF/dr are constants on the
+    arc (sol.radial_profile, read once); the integrand vanishes where F = 0,
+    as for the constant differential.  A step that is not finite or has an
     entry above e^10/3 raises StepUnstable naming it as arc step j of n.  An
     arc of more than _MAX_STEPS steps is refused with a ValueError before
     any node is allocated.
@@ -311,24 +311,22 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     if n_steps > _MAX_STEPS:
         raise ValueError(f"arc takes {n_steps} steps at s={q.s:g}, over the "
                          f"budget of {_MAX_STEPS}")
-    # the field at the start, middle and end of every step
+    # dw/dtheta and the slot exponents on the start, middle and end nodes
     h = (theta1 - theta0) / n_steps
     t = theta0 + (h / 2) * np.arange(2 * n_steps + 1)
-    z = radius * np.exp(1j * t)
-    wp = q.cube_root(radius, t)
-    xdot = wp * (1j * z)
-    D = titeica_exponents(q.natural(radius, t))
-    phi_w = sol.phi_at(z) - 2.0 * np.log(np.abs(wp))
-    dphi_w = (sol.dz_phi_at(z) - q.dz_flat(z)) / wp
-
-    # M' = M A is X' = A^T X for X = M^T: RK4 steps of X, transposed back,
-    # advance M by M P with one propagator P per step
+    xdot = q.cube_root(radius, t) * (1j * radius * np.exp(1j * t))
+    D = titeica_exponents(q.natural(radius, t)).T
+    # M' = M A for the integrand A = (x A_x + y A_y + A_0) e^(D_i - D_j),
+    # xdot = x + iy.  That is X' = A^T X for X = M^T: RK4 steps of X,
+    # transposed back, advance M by M P with one propagator P per step
+    A = _arc_coefficients(*sol.radial_profile(radius), radius)
+    hA_x, hA_y, hA_0 = h * A.swapaxes(1, 2)[..., None]
     M = np.eye(3)
     for lo in range(0, n_steps, _CHUNK_STEPS):
         part = slice(2 * lo, 2 * min(lo + _CHUNK_STEPS, n_steps) + 1)
+        x, y, d = xdot[part].real, xdot[part].imag, D[:, part]
         with np.errstate(invalid="ignore", over="ignore"):
-            A = _arc_integrand(phi_w[part], dphi_w[part], xdot[part], D[part])
-            hAT = h * A.swapaxes(0, 1)
+            hAT = (hA_x * x + hA_y * y + hA_0) * np.exp(d - d[:, None])
             steps, bad = _rk4_steps(hAT[..., :-1:2], hAT[..., 1::2],
                                     hAT[..., 2::2])
         if bad >= 0:
@@ -341,29 +339,21 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     return S @ M @ S_inv
 
 
-def _arc_integrand(phi_w, dphi_w, xdot, D):
-    """S^(-1) W S e^(D_i - D_j) on the nodes of an arc (D holds the slot
-    exponents, a row per node), a real (3, 3, m) batch.  W = (U_w - U_T) xdot
-    + (V_w - V_T) conj(xdot) is the natural-chart connection (q = 1, the
-    conformal factor phi_w, its z-derivative dphi_w) less the Titeica one.
-    S^(-1) W S = S_r^(-1) W_r S_r with the real S_r = C^H S and W_r =
-    C^H W C = [[0, E x, E y], [0, Re p + G x, -Im p - G y], [0, Im p - G y,
-    Re p - G x]], where E = (e^phi_w - 2^(1/3)) / sqrt(2), G = e^(-phi_w) -
-    2^(-1/3), xdot = x + iy and p = dphi_w xdot."""
+def _arc_coefficients(F, dF, radius):
+    """(A_x, A_y, A_0), a real (3, 3, 3) stack with S^(-1) W S = x A_x +
+    y A_y + A_0 for W = (U_w - U_T) xdot + (V_w - V_T) conj(xdot) on the arc
+    |z| = radius, xdot = x + iy.  It is S_r^(-1) W_r S_r with the real S_r =
+    C^H S and W_r = C^H W C = [[0, E x, E y], [0, G x, -P - G y], [0, P - G y,
+    -G x]]: E = 2^(1/3) expm1(F) / sqrt(2), G = 2^(-1/3) expm1(-F), and
+    dphi_w xdot = i P with P = radius F' / 2."""
     S, S_inv = titeica_frame()
-    ephi = np.exp(phi_w)
-    E = (ephi - _CBRT2) * math.sqrt(0.5)
-    G = 1.0 / ephi - 1.0 / _CBRT2
-    x, y, p = xdot.real, xdot.imag, dphi_w * xdot
-    W = np.zeros((3, 3) + ephi.shape)
-    W[0, 1:] = E * x, E * y
-    W[1, 1:] = p.real + G * x, -p.imag - G * y
-    W[2, 1:] = p.imag - G * y, p.real - G * x
-    # S_r^(-1) W_r S_r; the outer tensordot puts S_r's column axis last
-    SW = np.tensordot((S_inv @ _C).real, W, (1, 0))
-    SWS = np.moveaxis(np.tensordot(SW, (_C.conj().T @ S).real, (1, 0)), 2, 1)
-    D = D.T
-    return SWS * np.exp(D[:, None] - D[None, :])
+    E = _CBRT2 * np.expm1(F) * math.sqrt(0.5)
+    G = np.expm1(-F) / _CBRT2
+    P = 0.5 * radius * dF
+    W = np.array([[[0, E, 0], [0, G, 0], [0, 0, -G]],
+                  [[0, 0, E], [0, 0, -G], [0, -G, 0]],
+                  [[0, 0, 0], [0, 0, -P], [0, P, 0]]], dtype=float)
+    return (S_inv @ _C).real @ W @ (_C.conj().T @ S).real
 
 
 def _ordered_product(P):

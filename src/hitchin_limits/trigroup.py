@@ -189,6 +189,8 @@ def trace_cycle(pqr, start_type: int, direction, turns) -> GeodesicPath:
     vertex types, so the resulting path is closed at the orbifold level.
     """
     valence = _valences(*pqr)
+    if start_type not in (0, 1, 2):
+        raise ValueError(f"cycle start type {start_type!r} is not 0, 1 or 2")
     a, b = direction
     g = math.gcd(a, b)
     if g == 0:

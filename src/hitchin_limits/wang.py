@@ -116,6 +116,8 @@ class WangSolution:
         self.rs = rs                # radial nodes, rs[0] > 0, rs[-1] = R
         self.phi_center = phi_center
         self.phi = phi              # phi at rs
+        # d phi / d(r^2) inside the first ring, where phi blends in r^2
+        self._center_slope = (phi[0] - phi_center) / rs[0] ** 2
         self.residual_history = list(residual_history)
         self.residual_norm = self.residual_history[-1]
         self.residual_nodes = residual_nodes    # row-scaled, at rs
@@ -125,12 +127,11 @@ class WangSolution:
     # phi is split as flat + F with flat = (1/3) log(2 s^2 r^(2k)) handled
     # analytically: interpolating or differencing the log part numerically
     # would leave O(h^2) residues that dwarf the exponentially small F far
-    # from the zero (and get amplified by e^(Delta D) in arc comparisons).
-    # F and dF/dr are linear in log r between rings (one np.interp against
-    # the cached log rs); radii past the rim clamp to the rim ring, radii
-    # inside the first ring to the first ring, where phi_at blends toward
-    # the center value instead.  Both samplers take an array of chart
-    # points and return an array of the same shape.
+    # from the zero.  F and dF/dr are linear in log r between rings (one
+    # np.interp against the cached log rs), and radii past the rim clamp to
+    # the rim ring.  Inside the first ring phi blends from the center value
+    # to phi[0] in r^2.  phi_at and dz_phi_at map an array of chart points
+    # to an array of the same shape; radial_profile reads F and dF/dr alone.
 
     @cached_property
     def _F(self):
@@ -157,18 +158,33 @@ class WangSolution:
         r = np.abs(z)
         return r, np.log(np.maximum(r, self.rs[0]))
 
+    def _blend(self, r):
+        """phi inside the first ring."""
+        w = np.square(r / self.rs[0])
+        return (1 - w) * self.phi_center + w * self.phi[0]
+
     def phi_at(self, z):
         r, log_r = self._log_radius(z)
-        w = np.square(r / self.rs[0])
-        center = (1 - w) * self.phi_center + w * self.phi[0]
         ring = self.q.flat(log_r) + np.interp(log_r, self._log_rs, self._F)
-        return np.where(r <= self.rs[0], center, ring)
+        return np.where(r <= self.rs[0], self._blend(r), ring)
 
     def dz_phi_at(self, z):
         z = np.asarray(z, dtype=complex)
-        _, log_r = self._log_radius(z)
+        r, log_r = self._log_radius(z)
         dr = np.interp(log_r, self._log_rs, self._dF)
-        return self.q.dz_flat(z) + 0.5 * np.exp(-1j * np.angle(z)) * dr
+        with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 blends
+            ring = self.q.dz_flat(z) + 0.5 * np.exp(-1j * np.angle(z)) * dr
+        return np.where(r <= self.rs[0], self._center_slope * z.conj(), ring)
+
+    def radial_profile(self, r):
+        """(F, dF/dr) at radii r > 0 as the samplers read them: phi_at(r) -
+        flat(log r) and 2 Re(dz_phi_at(r) - dz_flat(r))."""
+        r, log_r = self._log_radius(r)
+        F = np.interp(log_r, self._log_rs, self._F)
+        dF = np.interp(log_r, self._log_rs, self._dF)
+        inner, slope = r <= self.rs[0], self._center_slope
+        return (np.where(inner, self._blend(r) - self.q.flat(np.log(r)), F),
+                np.where(inner, 2.0 * (slope * r - self.q.dz_flat(r)), dF))
 
 
 def _radial_nodes(R: float, nr: int, ratio: float):

@@ -442,29 +442,43 @@ def reference_transport(sol, path):
     return xport
 
 
+def arc_chart_difference(F, dF, q, radius, t):
+    """W = (U_w - U_T) xdot + (V_w - V_T) conj(xdot) in the chart frame, a
+    row-major (m, 3, 3) complex stack, on the arc |z| = radius at the angles
+    t, with xdot = dw/dt: the natural-chart connection (q = 1, conformal
+    factor phi_w = log 2^(1/3) + F) less the Titeica one.  Its entries are
+    formed in closed form from the radial profile F, F' (scalars, or arrays
+    that broadcast with t): 2^(1/3) expm1(F) / 2 at U[0, 2] and V[0, 1],
+    2^(-1/3) expm1(-F) at U[2, 1] and V[1, 2], and dphi_w = e^(-it) F' /
+    (2 w') at U[1, 1] and conjugated at V[2, 2]."""
+    t = np.asarray(t, dtype=float)
+    wp = q.cube_root(radius, t)
+    xd = (wp * (1j * radius * np.exp(1j * t)))[:, None, None]
+    e, g = 2.0 ** (1 / 3) * np.expm1(F) / 2, np.expm1(-F) / 2.0 ** (1 / 3)
+    dphi_w = 0.5 * np.exp(-1j * t) * dF / wp
+    dU = np.zeros((len(t), 3, 3), dtype=complex)
+    dV = np.zeros_like(dU)
+    dU[:, 0, 2], dU[:, 1, 1], dU[:, 2, 1] = e, dphi_w, g
+    dV[:, 0, 1], dV[:, 2, 2], dV[:, 1, 2] = e, dphi_w.conjugate(), g
+    return dU * xd + dV * xd.conjugate()
+
+
 def reference_arc_unipotent(sol, theta0, theta1, radius):
     """frame.arc_unipotent_numeric on row-major (m, 3, 3) stacks with
-    np.matmul: the whole arc's integrand S^(-1) W S and its RK4 steps formed
-    at once from the complex chart-frame W, and the steps multiplied out one
-    by one in order.  Reference for the real-frame integrand, entry-major
-    batches and chunked products of the package's arc.
+    np.matmul: the whole arc's integrand S^(-1) W S e^(D_i - D_j) formed from
+    the complex chart-frame W of arc_chart_difference at every node, its RK4
+    steps formed at once, and the steps multiplied out one by one in order.
+    Reference for the real constant-coefficient integrand, the entry-major
+    batches and the chunked products of the package's arc.
     """
     I3 = np.eye(3, dtype=complex)
     q = sol.q
     n = max(256, int(96 * abs(theta1 - theta0) * q.s ** (1 / 3)))
     S, S_inv = frame.titeica_frame()
-    U_T, V_T = titeica_structure()
     h = (theta1 - theta0) / n
     t = theta0 + (h / 2) * np.arange(2 * n + 1)
-    z = radius * np.exp(1j * t)
-    wp = q.cube_root(radius, t)
-    xd = (wp * (1j * z))[:, None, None]
     D = frame.titeica_exponents(q.natural(radius, t))
-    U_w, V_w = (np.moveaxis(c, (0, 1), (-2, -1)) for c in
-                structure_coefficients(
-                    sol.phi_at(z) - 2.0 * np.log(np.abs(wp)),
-                    (sol.dz_phi_at(z) - q.dz_flat(z)) / wp, 1.0))
-    W = (U_w - U_T) * xd + (V_w - V_T) * xd.conjugate()
+    W = arc_chart_difference(*sol.radial_profile(radius), q, radius, t)
     A = (S_inv @ W @ S) * np.exp(D[:, :, None] - D[:, None, :])
     # M' = M A is X' = A^T X for X = M^T
     G = h * A.transpose(0, 2, 1)

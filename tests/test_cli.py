@@ -309,7 +309,9 @@ def no_solve(*args, **kwargs):
     ["verify", "sweep"],
     ["surface"],
     ["tropical", "spectrum", "--path", "path.json", "--surface", "s.json"],
-], ids=["not-an-int", "missing-k", "missing-action", "surface-flag"])
+    ["surface", "build", "--orbifold", "3,3,4", "--out", "x.json"],
+], ids=["not-an-int", "missing-k", "missing-action", "surface-flag",
+        "build-orbifold"])
 def test_usage_error_exits_1_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -326,13 +328,9 @@ def test_usage_error_exits_1_with_one_line(capsys, argv):
     ["trigroup", "spectrum", "--thetas", "0"],
     ["trigroup", "boundary", "--thetas", "1"],
     ["trigroup", "spectrum", "--layers", "-1"],
-    ["surface", "build", "--orbifold", "3,3,4", "--layers", "-1"],
 ], ids=["flips-1", "paths-1", "corners-1", "samples-1",
-        "spectrum-thetas0", "boundary-thetas1", "spectrum-layers-1",
-        "build-layers-1"])
-def test_count_out_of_range_exits_1(tmp_path, capsys, argv):
-    if argv[0] == "surface":
-        argv = argv + ["--out", str(tmp_path / "orb.json")]
+        "spectrum-thetas0", "boundary-thetas1", "spectrum-layers-1"])
+def test_count_out_of_range_exits_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 1
@@ -427,16 +425,16 @@ def test_unstable_transport_exits_2_naming_the_step(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("field, argv", [
-    (lambda self, z: np.full(np.shape(z), math.nan), ["--s", "1e2"]),
+@pytest.mark.parametrize("profile, argv", [
+    (lambda self, r: (math.nan, math.nan), ["--s", "1e2"]),
     (None, ["--s", "3e5", "--theta0", "0.04", "--theta1", "0.75"]),
 ], ids=["nan-field", "s-3e5"])
-def test_unstable_arc_exits_2_naming_the_step(monkeypatch, capsys, field,
+def test_unstable_arc_exits_2_naming_the_step(monkeypatch, capsys, profile,
                                               argv):
-    # a NaN field, and the F-precision blow-up at k = 1, s = 3e5, which
-    # used to print an error of 2e9 with exit 0
-    if field is not None:
-        monkeypatch.setattr(cli.wang.WangSolution, "phi_at", field)
+    # a NaN field profile, and the F-precision blow-up at k = 1, s = 3e5,
+    # which used to print an error of 2e9 with exit 0
+    if profile is not None:
+        monkeypatch.setattr(cli.wang.WangSolution, "radial_profile", profile)
     assert run(["verify", "arc", "--k", "1", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: StepUnstable: arc step ")
@@ -452,11 +450,8 @@ def test_over_budget_path_exits_1_with_one_line(monkeypatch, capsys, argv):
                         r"steps at s=10000, over the budget of 1000\n", err)
 
 
-@pytest.mark.parametrize("argv", [
-    ["trigroup", "spectrum"],
-    ["surface", "build", "--orbifold", "3,3,4", "--layers", "9",
-     "--out", "orb.json"],
-], ids=["spectrum", "surface-build"])
+@pytest.mark.parametrize("argv", [["trigroup", "spectrum"]],
+                         ids=["spectrum"])
 def test_over_budget_orbifold_exits_1_with_one_line(monkeypatch, capsys,
                                                     tmp_path, argv):
     monkeypatch.chdir(tmp_path)
@@ -569,8 +564,7 @@ def test_directory_for_a_file_exits_1_with_one_line(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["trigroup", "spectrum", "--pqr"],
     ["trigroup", "boundary", "--pqr"],
-    ["surface", "build", "--out", "orb.json", "--orbifold"],
-], ids=["spectrum", "boundary", "build"])
+], ids=["spectrum", "boundary"])
 def test_malformed_pqr_exits_1_with_one_line(capsys, argv, text):
     with pytest.raises(SystemExit) as exc:
         run(argv + [text])
@@ -643,9 +637,9 @@ PINNED_CSV = {
     "--path chord:0.5480,0.0661,0.3211,0.4490":
         "f0945d5744d2f517906e8aee1fc35d7babe77afcebada8165156322e251dafec",
     "verify arc --k 1 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "4c1dccaad5b9479e378b169dd0ae0369d10b681e73df6afb0a416dc146998c3a",
+        "4b27645932437ed3b8c1dc2720f2925c2a5e81e796af05ea11c89014084e5fcc",
     "verify arc --k 2 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "f7d0bd6714cdc9693d58f32ce19e83b9a777e113f1778f9e528d6d731c674526",
+        "63a6dca061ed3d499f0ca1f3aeff428533efc8993d0f8a8e1bc701d0db636a1b",
     "verify sweep --k 2 --s 1e2,1e3 "
     "--path chord:-0.494996,0.070560,0.355457,-0.351640":
         "2b724dc0840d10ba4a66d84afff8e7aeef7cbdcf65625e05255215cb9970f7c7",
@@ -672,9 +666,9 @@ PINNED_CSV = {
     "trigroup spectrum --pqr 3,4,5 --maxlen 1.8":
         "571036f681e200e7dc9ec051cf81e3bd4a7e87a0933ca930a2b056ef4f383462",
     "verify arc --k 3 --s 1e2,1e3 --theta0 -0.5 --theta1 2.5":
-        "58e24015404ca011ef976677269f519a3d5307dbf567601a1443e5eae44c664c",
+        "84267466530d6276c1558c54e6ef1d5f9dd97ebb815ed161d5e226d43af54121",
     "verify arc --k 0 --s 1e2 --theta0 0.1 --theta1 3.0":
-        "282225530bab729043cdc4b5d3c93d42f4b2875514cf93c3588f56bbb4b720c6",
+        "d1374e2190ca04516d89e4b732e93be8601ee1a03295ea534d8bdee38eada234",
 }
 
 

@@ -69,30 +69,33 @@ def test_real_generators_are_the_chart_generators_in_the_real_frame():
 
 
 def test_real_arc_integrand_is_the_chart_frame_integrand():
-    # S_r = C^H S is real, and the real integrand is S^(-1) W S e^(D_i -
-    # D_j) of the chart-frame W, to rounding of the triple product
+    # S_r = C^H S is real, and the real integrand (x A_x + y A_y + A_0)
+    # e^(D_i - D_j) is S^(-1) W S e^(D_i - D_j) of the chart-frame W formed
+    # from F in closed form, to rounding of the triple product, for F down
+    # to 1e-12 on arcs of k = 0 ... 3
     C = frame._C
     S, S_inv = frame.titeica_frame()
     assert np.max(np.abs((C.conj().T @ S).imag)) <= 1e-15 * np.max(np.abs(S))
     assert np.max(np.abs((S_inv @ C).imag)) <= 1e-15 * np.max(np.abs(S_inv))
-    U_T, V_T = oracles.titeica_structure()
     rng = np.random.default_rng(6)
-    m = 7
-    for _ in range(20):
-        phi_w = math.log(2.0) / 3.0 + rng.normal(scale=0.3, size=m)
-        dphi_w = rng.normal(size=m) + 1j * rng.normal(size=m)
-        xdot = 10 ** rng.uniform(-1, 1) * (rng.normal(size=m)
-                                           + 1j * rng.normal(size=m))
+    m = 10
+    for _ in range(300):
+        q = wang.CubicDifferential(int(rng.integers(4)),
+                                   10 ** rng.uniform(0, 6))
+        radius = rng.uniform(0.05, 1.0)
+        F = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, 0)
+        dF = rng.normal(scale=10 ** rng.uniform(-3, 3))
+        t = rng.uniform(-4.0, 4.0, size=m)
         D = rng.normal(scale=5.0, size=(m, 3))
-        U_w, V_w = oracles.structure_coefficients(phi_w, dphi_w, 1.0)
-        W = ((U_w - U_T[..., None]) * xdot
-             + (V_w - V_T[..., None]) * xdot.conj())
+        W = oracles.arc_chart_difference(F, dF, q, radius, t)
+        xdot = q.cube_root(radius, t) * (1j * radius * np.exp(1j * t))
         scaling = np.exp(D[:, :, None] - D[:, None, :]).transpose(1, 2, 0)
-        want = np.einsum("ij,jkm,kl->ilm", S_inv, W, S) * scaling
-        bound = np.einsum("ij,jkm,kl->ilm", np.abs(S_inv), np.abs(W),
+        want = np.einsum("ij,mjk,kl->ilm", S_inv, W, S) * scaling
+        bound = np.einsum("ij,mjk,kl->ilm", np.abs(S_inv), np.abs(W),
                           np.abs(S)) * scaling
-        got = frame._arc_integrand(phi_w, dphi_w, xdot, D)
-        assert got.dtype == np.float64
+        A_x, A_y, A_0 = frame._arc_coefficients(F, dF, radius)[..., None]
+        assert A_x.dtype == np.float64
+        got = (A_x * xdot.real + A_y * xdot.imag + A_0) * scaling
         assert np.max(np.abs(got - want) / bound) <= 2e-15
 
 
@@ -280,12 +283,49 @@ def test_arc_numeric_no_crossing_identity():
 
 
 def test_arc_numeric_k0_crossing_identity_limit():
-    # for the constant differential the flip unipotents are trivial: the arc
-    # comparison is the identity up to (s-amplified) solver noise at every s
+    # for the constant differential the flip unipotents are trivial and F
+    # vanishes: the arc comparison is the identity up to rounding at every s
     for s in (1e2, 1e4):
         sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=40))
         G = frame.arc_unipotent_numeric(sol, 0.3, 0.8, radius=0.5)
-        assert np.max(np.abs(G - np.eye(3))) < 5e-3
+        assert np.max(np.abs(G - np.eye(3))) < 1e-14
+
+
+@pytest.mark.parametrize("s", [1e2, 1e4, 1e6])
+def test_k0_arcs_equal_the_prediction_to_rounding(s):
+    # F = 0 makes the integrand vanish identically, so no e^(Delta D) can
+    # amplify a rounding of the field, out to the rim and up to s = 1e6
+    # (there the natural radius of |z| = 0.9 is 90)
+    sol = wang.solve_disk(0, s, 1.0)
+    S, S_inv = frame.titeica_frame()
+    lifts = polygon.regular_lifts(3)
+    for theta0, theta1 in [(0.05, 1.00), (0.05, 2.05), (0.05, 3.10)]:
+        pred = S @ np.linalg.inv(polygon.arc_unipotent(lifts, theta0,
+                                                       theta1)) @ S_inv
+        for radius in (0.4, 0.5, 0.9):
+            G = frame.arc_unipotent_numeric(sol, theta0, theta1, radius)
+            assert np.max(np.abs(G - pred)) <= 1e-15
+
+
+def test_arc_reads_the_radial_profile_not_the_samplers(sol_k1_s1000,
+                                                       monkeypatch):
+    # the arc reads (F, dF/dr) once at its radius and samples no node
+    want = frame.arc_unipotent_numeric(sol_k1_s1000, 0.3, 0.8, radius=0.5)
+    reads = []
+    profile = wang.WangSolution.radial_profile
+
+    def count(self, r):
+        reads.append(r)
+        return profile(self, r)
+
+    def refuse(self, z):
+        raise AssertionError("the arc sampled the field")
+    monkeypatch.setattr(wang.WangSolution, "radial_profile", count)
+    monkeypatch.setattr(wang.WangSolution, "phi_at", refuse)
+    monkeypatch.setattr(wang.WangSolution, "dz_phi_at", refuse)
+    got = frame.arc_unipotent_numeric(sol_k1_s1000, 0.3, 0.8, radius=0.5)
+    assert reads == [0.5]
+    assert np.array_equal(got, want)
 
 
 def test_arc_numeric_k1_converges_to_flip_product():
@@ -316,10 +356,10 @@ def test_arc_matches_row_major_reference(k):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_arc_nan_past_an_angle_names_the_first_bad_step():
-    # phi is NaN only past the angle of one step's middle node, several
-    # chunks into the arc: that step is the first with a NaN node, and the
-    # chunked check must neither skip ahead nor stop early
+def test_arc_nan_past_an_angle_names_the_first_bad_step(monkeypatch):
+    # the natural coordinate is NaN only past the angle of one step's middle
+    # node, several chunks into the arc: that step is the first with a NaN
+    # node, and the chunked check must neither skip ahead nor stop early
     s, theta0, theta1, radius = 1e4, 0.1, 3.0, 0.5
     sol = _FlatField(s)
     n = max(256, int(96 * (theta1 - theta0) * s ** (1 / 3)))
@@ -327,11 +367,11 @@ def test_arc_nan_past_an_angle_names_the_first_bad_step():
     assert j < n - 1
     t = theta0 + ((theta1 - theta0) / n / 2) * np.arange(2 * n + 1)
     cut = t[2 * j + 1]
-    flat = sol.phi_at
+    natural = wang.CubicDifferential.natural
 
-    def nan_past_cut(z):
-        return np.where(np.angle(z) > cut, math.nan, flat(z))
-    sol.phi_at = nan_past_cut
+    def nan_past_cut(self, r, theta):
+        return np.where(theta > cut, math.nan, natural(self, r, theta))
+    monkeypatch.setattr(wang.CubicDifferential, "natural", nan_past_cut)
     with pytest.raises(StepUnstable,
                        match=rf"^arc step {j + 1} of {n} at theta=.* is "
                              rf"not finite or has an entry above e\^10/3$"):
@@ -446,6 +486,7 @@ def test_step_budget_refuses_paths_and_arcs_before_sampling(monkeypatch):
         calls.append(z)
         return np.full(np.shape(z), math.nan)
     monkeypatch.setattr(wang.WangSolution, "phi_at", no_phi)
+    monkeypatch.setattr(wang.WangSolution, "radial_profile", no_phi)
     monkeypatch.setattr(frame, "_MAX_STEPS", n - 1)
     with pytest.raises(ValueError, match=rf"^path takes {n} transport steps "
                                          rf"at s=10000, over the budget of "
@@ -471,6 +512,9 @@ class _FlatField:
 
     def dz_phi_at(self, z):
         return np.zeros(np.shape(z), dtype=complex)
+
+    def radial_profile(self, r):
+        return 0.0, 0.0
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

@@ -106,6 +106,14 @@ def test_trace_cycle_rejects_a_turn_off_the_lattice(turn):
         trigroup.trace_cycle((3, 3, 4), 2, (1, 0), [math.pi, turn, math.pi])
 
 
+@pytest.mark.parametrize("start_type", [3, -1])
+def test_trace_cycle_rejects_a_start_type_outside_0_to_2(start_type):
+    # a bad argument, not a cycle that fails to close on the labels
+    with pytest.raises(ValueError, match=rf"^cycle start type {start_type} "
+                                         r"is not 0, 1 or 2$"):
+        trigroup.trace_cycle((3, 3, 4), start_type, (1, 0), [math.pi] * 3)
+
+
 def test_rotation_identity_bit_exact():
     families = [trigroup.straight_positive_cycle(3, 3, 4)]
     a = trigroup.spectrum(families)

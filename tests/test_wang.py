@@ -201,6 +201,42 @@ def test_interpolation_consistency(sol_k1_s100):
     assert sol.phi_at(z) == pytest.approx(sol.phi[i], abs=1e-9)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_radial_profile_is_what_the_samplers_read(k):
+    # at ring nodes, between them and inside the first ring, (F, dF/dr) is
+    # phi_at less the flat part and twice the real part of dz_phi_at less
+    # its flat part, to the rounding of those differences
+    sol = wang.solve_disk(k, 1e3, 1.0)
+    q, rs = sol.q, sol.rs
+    r = np.concatenate([rs[::37], np.sqrt(rs[:-1:29] * rs[1::29]),
+                        rs[0] * np.array([1e-6, 0.3, 0.99])])
+    F, dF = sol.radial_profile(r)
+    flat, dflat = q.flat(np.log(r)), q.dz_flat(r)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(F - (sol.phi_at(r) - flat))
+                  <= 4 * eps * (np.abs(flat) + np.abs(F)))
+    assert np.all(np.abs(dF - 2 * (sol.dz_phi_at(r) - dflat).real)
+                  <= 4 * eps * (np.abs(dflat) + np.abs(dF)))
+    # a scalar radius gives the array's values
+    assert sol.radial_profile(float(r[5])) == (F[5], dF[5])
+
+
+def test_dz_phi_blends_inside_the_first_ring(sol_k1_s100):
+    # inside the first ring dz phi is d/dz of phi_at's blend, finite down
+    # to the zero (k/(3z) + F'/2 there was 3.3e5 at r = 1e-6 for k = 1)
+    sol = sol_k1_s100
+    rs0, h = sol.rs[0], 0.05 * sol.rs[0]
+    assert sol.dz_phi_at(0j) == 0
+    for r in (1e-6, 0.3 * rs0, 0.9 * rs0):
+        for theta in (0.0, 1.0, -2.5):
+            z = r * cmath.exp(1j * theta)
+            fd = ((sol.phi_at(z + h) - sol.phi_at(z - h))
+                  - 1j * (sol.phi_at(z + 1j * h) - sol.phi_at(z - 1j * h))
+                  ) / (4 * h)
+            assert abs(sol.dz_phi_at(z) - fd) <= 1e-9
+    assert abs(sol.dz_phi_at(1e-6)) < 1e-5
+
+
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         wang.solve_disk(-1, 10.0, 1.0)
