@@ -136,9 +136,8 @@ def cmd_polygon_scheme(args):
 def cmd_wang_solve(args):
     grid = wang.GridSpec(nr=args.nr, ratio=args.ratio)
     sol = wang.solve_disk(args.k, args.s, args.radius, grid)
-    F = np.append(wang.error_values(sol), 0.0)
     _write_csv(args.out, ["r", "phi", "F", "residual"],
-               zip(sol.rs, sol.phi, F, sol.residual_nodes))
+               zip(sol.rs, sol.phi, sol.F, sol.residual_nodes))
     _diag(f"residual norm {sol.residual_norm:.3e} after "
           f"{len(sol.residual_history) - 1} Newton steps")
     return EXIT_OK

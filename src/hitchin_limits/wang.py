@@ -4,15 +4,20 @@ Solves  Delta phi = 2 e^phi - 4 e^(-2 phi) |q_s|^2,  q_s = s z^k dz^3,
 on |z| <= R with Dirichlet data phi = (1/3) log(2 s^2 R^(2k)), by damped
 Newton on a radial finite-difference grid.  |q_s|^2 = s^2 r^(2k) and the
 boundary data are constant, so the solution is radial and the equation is an
-ODE in r: phi'' + phi'/r = 2 e^phi - 4 e^(-2 phi) s^2 r^(2k), with a center
-node for r = 0 and a tridiagonal Newton system.
+ODE in r, with a center node for r = 0 and a tridiagonal Newton system.
 
-The radial grid is geometric (default ratio 1.05).  On such a grid the
-discrete radial Laplacian annihilates log r exactly, so the singular flat
-solution phi_flat = (1/3) log(2 s^2 r^(2k)) lies in the kernel of the scheme
-and the discrete solution inherits the strict lower bound
-e^phi > 2^(1/3) |q_s|^(2/3) down to rounding noise.  CubicDifferential
-owns q_s and its closed forms; a WangSolution carries the one it solves.
+The unknown is F = phi - flat, flat = (1/3) log(2 s^2 r^(2k)) the singular
+flat solution, so the exponentially small F far from the zero is never a
+difference of O(1) numbers; F = 0 on the Dirichlet ring.  The radial grid is
+geometric (default ratio 1.05), and on it the discrete radial Laplacian
+annihilates log r exactly: L flat vanishes on every ring but the first,
+whose inner neighbor, the center, takes ring 1's flat value, so the one
+source is c_p (flat(r_2) - flat(r_1)) on ring 1.  The nonlinearity is
+a expm1(F) - b expm1(-2F) + (a - b), a = 2 e^flat, b = a on the rings and 0
+at a zero's center.  The discrete solution inherits the strict lower bound
+F > 0, e^phi > 2^(1/3) |q_s|^(2/3), down to rounding noise.
+CubicDifferential owns q_s and its closed forms; a WangSolution carries the
+one it solves.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .errors import GridTooCoarse, NewtonDiverged
 _FLAG_TOL = 1e-13  # nodes this close to the strict bound are flagged, not failed
 _NEWTON_MAX_ITER = 80
 _NEWTON_TOL = 1e-12                  # row-scaled residual at convergence
+_BRACKET_TOL = 1e-8                  # converged F's slack past 0 <= F <= start
 _FIT_INNER, _FIT_OUTER = 0.35, 0.8   # decay-fit annulus, in units of R
 _FIT_FLOOR = 1e-11                   # F below this is rounding noise
 _MAX_RINGS = 500_000                 # ~330 B each: decay-fit s <= 1.7e12
@@ -109,40 +115,37 @@ class WangSolution:
     thetas = np.zeros(1)
     thetas.flags.writeable = False
 
-    def __init__(self, q, R, rs, phi_center, phi, residual_history,
+    def __init__(self, q, R, rs, F_center, F, residual_history,
                  residual_nodes):
         self.q = q                  # the CubicDifferential solved for
         self.R = R
         self.rs = rs                # radial nodes, rs[0] > 0, rs[-1] = R
-        self.phi_center = phi_center
-        self.phi = phi              # phi at rs
+        self.F = F                  # phi - flat at rs, read-only; F[-1] = 0
+        F.flags.writeable = False
+        # phi = flat + F, derived once; the center takes ring 1's flat part
+        self.phi = q.flat(self._log_rs) + F
+        self.phi_center = q.flat(self._log_rs[0]) + F_center
         # d phi / d(r^2) inside the first ring, where phi blends in r^2
-        self._center_slope = (phi[0] - phi_center) / rs[0] ** 2
+        self._center_slope = (F[0] - F_center) / rs[0] ** 2
         self.residual_history = list(residual_history)
         self.residual_norm = self.residual_history[-1]
         self.residual_nodes = residual_nodes    # row-scaled, at rs
 
     # -- interpolation --------------------------------------------------------
     #
-    # phi is split as flat + F with flat = (1/3) log(2 s^2 r^(2k)) handled
+    # phi is read as flat + F with flat = (1/3) log(2 s^2 r^(2k)) handled
     # analytically: interpolating or differencing the log part numerically
     # would leave O(h^2) residues that dwarf the exponentially small F far
-    # from the zero.  F and dF/dr are linear in log r between rings (one
-    # np.interp against the cached log rs), and radii past the rim clamp to
-    # the rim ring.  Inside the first ring phi blends from the center value
-    # to phi[0] in r^2.  phi_at and dz_phi_at map an array of chart points
-    # to an array of the same shape; radial_profile reads F and dF/dr alone.
-
-    @cached_property
-    def _F(self):
-        F = self.phi - self.q.flat(self._log_rs)
-        F.flags.writeable = False    # error_values hands out a view of it
-        return F
+    # from the zero.  The stored F and dF/dr are linear in log r between
+    # rings (one np.interp against the cached log rs), and radii past the rim
+    # clamp to the rim ring.  Inside the first ring phi blends from phi_center
+    # to phi[0] in r^2.  phi_at and dz_phi_at map an array of chart points to
+    # an array of the same shape; radial_profile reads F and dF/dr alone.
 
     @cached_property
     def _dF(self):
         """dF/dr on the grid by finite differences."""
-        rs, F = self.rs, self._F
+        rs, F = self.rs, self.F
         dr = np.empty_like(F)
         dr[1:-1] = (F[2:] - F[:-2]) / (rs[2:] - rs[:-2])
         dr[0] = (F[1] - F[0]) / (rs[1] - rs[0])
@@ -165,7 +168,7 @@ class WangSolution:
 
     def phi_at(self, z):
         r, log_r = self._log_radius(z)
-        ring = self.q.flat(log_r) + np.interp(log_r, self._log_rs, self._F)
+        ring = self.q.flat(log_r) + np.interp(log_r, self._log_rs, self.F)
         return np.where(r <= self.rs[0], self._blend(r), ring)
 
     def dz_phi_at(self, z):
@@ -180,7 +183,7 @@ class WangSolution:
         """(F, dF/dr) at radii r > 0 as the samplers read them: phi_at(r) -
         flat(log r) and 2 Re(dz_phi_at(r) - dz_flat(r))."""
         r, log_r = self._log_radius(r)
-        F = np.interp(log_r, self._log_rs, self._F)
+        F = np.interp(log_r, self._log_rs, self.F)
         dF = np.interp(log_r, self._log_rs, self._dF)
         inner, slope = r <= self.rs[0], self._center_slope
         return (np.where(inner, self._blend(r) - self.q.flat(np.log(r)), F),
@@ -196,8 +199,9 @@ def _radial_operator(rs):
     """Radial Laplacian on [center, ring 1, ..., ring n-1] as three rows
     aligned with the unknowns: row 0 the sub-, row 1 the main, row 2 the
     super-diagonal (entry (i, i-1) at band[0, i], (i, i+1) at band[2, i];
-    band[0, 0] = band[2, -1] = 0).  Ring i sits at rs[i-1]; ring n (rs[-1],
-    the Dirichlet boundary) is eliminated into the returned rhs coefficient.
+    band[0, 0] = 0).  Ring i sits at rs[i-1]; band[2, -1] weighs ring n
+    (rs[-1], the Dirichlet boundary, where F = 0), which no product or solve
+    reads.
     """
     r = rs[:-1]
     hm = r - np.concatenate([[0.0], rs[:-2]])   # ring 1's inner neighbor is the center
@@ -209,16 +213,13 @@ def _radial_operator(rs):
         raise GridTooCoarse("radial stencil loses the maximum principle")
     # center: Delta phi(0) ~ 4 (ring1 - center) / r1^2
     c_center = 4.0 / rs[0] ** 2
-    n = len(rs)
-    band = np.zeros((3, n))
+    band = np.zeros((3, len(rs)))
     band[0, 1:] = c_m
     band[1, 0] = -c_center
     band[1, 1:] = c_0
     band[2, 0] = c_center
-    band[2, 1:-1] = c_p[:-1]
-    rhs_bound = np.zeros(n)  # coefficient multiplying phi_boundary
-    rhs_bound[-1] = c_p[-1]
-    return band, rhs_bound
+    band[2, 1:] = c_p
+    return band
 
 
 def _apply_band(band, u):
@@ -249,13 +250,14 @@ def _solve_tridiagonal(band, rhs):
 
 def solve_disk(k: int, s: float, R: float,
                grid: GridSpec = None) -> WangSolution:
-    """Damped-Newton solve of the discrete Wang equation on the model disk,
-    on ``grid`` (by default decay_fit_grid(s)).
+    """Damped-Newton solve of the discrete Wang equation for F = phi - flat
+    on the model disk, on ``grid`` (by default decay_fit_grid(s)).
 
-    Starts from the constant Dirichlet value (a supersolution); iterates are
-    checked to stay between the flat subsolution and the start value.  A
-    degenerate grid, one over _MAX_RINGS rings, or a disk whose stencil,
-    |q_s|^2 or start residual overflows is refused with a ValueError.
+    Starts from the constant Dirichlet value (a supersolution); the
+    converged F must lie between 0 (the flat subsolution) on the rings and
+    the start.  A degenerate grid, one over _MAX_RINGS rings, or a disk
+    whose stencil, |q_s|^2 or start residual overflows is refused with a
+    ValueError.
     """
     q = CubicDifferential(k, s)
     if not 0 < R < math.inf:
@@ -268,25 +270,31 @@ def solve_disk(k: int, s: float, R: float,
     if nr > _MAX_RINGS:
         raise ValueError(f"grid for s={s:g} has {nr} rings, over the "
                          f"budget of {_MAX_RINGS}")
-    phi_boundary = q.flat(math.log(R))
 
-    def residual(u):
-        return _apply_band(L, u) + rhs_bound * phi_boundary - (
-            2 * np.exp(u) - 4 * np.exp(-2 * u) * q2)
+    def residual(F):
+        # (a - b) is 0 on the rings; adding a before b would absorb a expm1(F)
+        return _apply_band(L, F) + source - (
+            a * np.expm1(F) - b * np.expm1(-2 * F) + (a - b))
 
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             rs = _radial_nodes(R, nr, ratio)
-            L, rhs_bound = _radial_operator(rs)
-            # |q_s|^2 at the unknowns, the center first (0 ** 0 = 1 for k = 0)
-            q2 = q.abs2(np.append(0.0, rs[:-1]))
-            u = start = np.full(nr, phi_boundary)
-            res = residual(u)
+            L = _radial_operator(rs)
+            q.abs2(R)    # |q_s|^2 in float range: it is largest at the rim
+            flat = q.flat(np.log(rs))
+            # flat part at the unknowns: the center takes ring 1's
+            offset = np.append(flat[0], flat[:-1])
+            source = np.zeros(nr)
+            source[1] = L[2, 1] * (flat[1] - flat[0])
+            a = 2 * np.exp(offset)
+            b = a.copy()             # 4 e^(-2 flat) |q_s|^2 = 2 e^flat
+            if k:
+                b[0] = 0.0           # |q_s|^2 = 0 at a zero
+            F = start = flat[-1] - offset
+            res = residual(F)
     except (FloatingPointError, OverflowError) as err:
         raise ValueError(f"s={s:g}, R={R:g}: the stencil, |q_s|^2 or the "
                          f"start residual overflows") from err
-    # the flat subsolution; its center value, -inf for k > 0, is not checked
-    flat = np.append(-math.inf, q.flat(np.log(rs[:-1])))
 
     # measure the residual row-scaled: inner rings carry 1/h^2 stencil weights
     # around 1e11, so the raw residual has a cancellation floor far above the
@@ -302,31 +310,28 @@ def solve_disk(k: int, s: float, R: float,
         if history[-1] <= _NEWTON_TOL:
             break
         J = L.copy()
-        J[1] -= 2 * np.exp(u) + 8 * np.exp(-2 * u) * q2
+        J[1] -= a * np.exp(F) + 2 * b * np.exp(-2 * F)
         delta = _solve_tridiagonal(J, -res)
         lam = 1.0
         for _ in range(40):
-            trial = u + lam * delta
+            trial = F + lam * delta
             res_trial = residual(trial)
             if norm(res_trial) < (1 - 0.25 * lam) * history[-1]:
                 break
             lam *= 0.5
         else:
             raise NewtonDiverged("line search failed", history)
-        u, res = trial, res_trial
+        F, res = trial, res_trial
         history.append(norm(res))
         if history[-1] > history[-2]:
             raise NewtonDiverged("residual increased", history)
-        # sub/supersolution enclosure: transient excursions are bounded by
-        # the residual; the converged iterate must sit inside the bracket
-        violation = max(np.max(u - start), np.max(flat - u))
-        if violation > max(1e-8, 1e3 * history[-1]):
-            raise GridTooCoarse("Newton iterate left the sub/supersolution bracket")
     else:
         raise NewtonDiverged("Newton did not reach tolerance", history)
+    # sub/supersolution enclosure of the converged F; iterates may leave it
+    if max(np.max(F - start), np.max(-F[1:])) > _BRACKET_TOL:
+        raise GridTooCoarse("converged F left the sub/supersolution bracket")
 
-    phi = np.append(u[1:], phi_boundary)
-    return WangSolution(q, R, rs, u[0], phi, history,
+    return WangSolution(q, R, rs, F[0], np.append(F[1:], 0.0), history,
                         np.append((res * row_scale)[1:], 0.0))
 
 
@@ -336,15 +341,9 @@ def pointwise_lower_bound_check(sol: WangSolution) -> bool:
     Equivalently F = phi - (1/3) log(2 |q_s|^2) > 0.  Nodes within 1e-13 of
     equality are flagged (counted on sol.lower_bound_flagged) and pass.
     """
-    F = error_values(sol)
+    F = sol.F[:-1]
     sol.lower_bound_flagged = int(np.sum(np.abs(F) <= _FLAG_TOL))
     return bool(np.all(F > -_FLAG_TOL))
-
-
-def error_values(sol: WangSolution):
-    """F on the interior rings (boundary ring excluded: F = 0 there by the
-    Dirichlet choice; center excluded: F diverges at a zero)."""
-    return sol._F[:-1]
 
 
 @dataclass(frozen=True)
@@ -362,8 +361,7 @@ def error_field(sol: WangSolution) -> ErrorField:
     core and the Dirichlet truncation at the rim; nodes below the noise floor
     are dropped.
     """
-    F = error_values(sol)
-    rs = sol.rs[:-1]
+    F, rs = sol.F[:-1], sol.rs[:-1]
     mask = ((rs >= _FIT_INNER * sol.R) & (rs <= _FIT_OUTER * sol.R)
             & (F > _FIT_FLOOR))
     if int(mask.sum()) < 4:

@@ -427,12 +427,12 @@ def test_unstable_transport_exits_2_naming_the_step(monkeypatch, capsys):
 
 @pytest.mark.parametrize("profile, argv", [
     (lambda self, r: (math.nan, math.nan), ["--s", "1e2"]),
-    (None, ["--s", "3e5", "--theta0", "0.04", "--theta1", "0.75"]),
-], ids=["nan-field", "s-3e5"])
+    (None, ["--s", "1e6"]),
+], ids=["nan-field", "s-1e6"])
 def test_unstable_arc_exits_2_naming_the_step(monkeypatch, capsys, profile,
                                               argv):
-    # a NaN field profile, and the F-precision blow-up at k = 1, s = 3e5,
-    # which used to print an error of 2e9 with exit 0
+    # a NaN field profile, and the real field at k = 1, s = 1e6, whose first
+    # arc step on the default window already grows past e^10
     if profile is not None:
         monkeypatch.setattr(cli.wang.WangSolution, "radial_profile", profile)
     assert run(["verify", "arc", "--k", "1", *argv]) == 2
@@ -480,6 +480,30 @@ def test_sweep_monotone_flag_forgives_rounding_level_gaps(tmp_path, capsys,
     assert line and line[1] == str(monotone)
 
 
+def _arc_errors(tmp_path, argv):
+    out = tmp_path / "arc.csv"
+    assert run(["verify", "arc", *argv, "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    return [float(ln.split(",")[1]) for ln in lines[1:]]
+
+
+README_WINDOW = ["--theta0", "0.04", "--theta1", "0.75"]
+
+
+def test_arc_far_field_with_exit_0(tmp_path):
+    # with phi - flat as the solve's unknown, F keeps its relative precision:
+    # the phi form printed 282.3 (README window) and 213.3 (default window)
+    # at k = 1, s = 1e5 with exit 0, and exited 2 at 3e5; k = 2 stays
+    # within 1% of the phi form's 0.069347 and 0.034363
+    k1 = _arc_errors(tmp_path, ["--k", "1", "--s", "1e5,3e5", *README_WINDOW])
+    assert max(k1) < 0.05
+    assert _arc_errors(tmp_path, ["--k", "1", "--s", "1e5"])[0] < 0.1
+    k2 = _arc_errors(tmp_path, ["--k", "2", "--s", "3e4,1e5", *README_WINDOW])
+    assert k2 == pytest.approx([0.069347, 0.034363], rel=0.01)
+    assert _arc_errors(tmp_path, ["--k", "2", "--s", "1e6",
+                                  *README_WINDOW])[0] < 0.05
+
+
 def _sweep_gaps(tmp_path, argv):
     out = tmp_path / "sweep.csv"
     assert run(["verify", "sweep", *argv, "--out", str(out)]) == 0
@@ -502,6 +526,16 @@ def test_verify_sweep_far_field_folds_without_overflow(tmp_path):
         warnings.simplefilter("error", RuntimeWarning)
         gaps = _sweep_gaps(tmp_path, ["--k", "0", "--s", "1e8"])
     assert gaps[-1] <= 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "1", "--s", "1e6,1e7,1e8"],
+    ["--k", "2", "--s", "1e6", "--path", "chord:0.5480,0.0661,0.3211,0.4490"],
+], ids=["k1-radial", "k2-chord"])
+def test_verify_sweep_past_1e6(tmp_path, argv):
+    # the bracket is checked on the converged solve alone; checked on every
+    # Newton iterate it raised GridTooCoarse at s = 1e6
+    assert max(_sweep_gaps(tmp_path, argv)) <= 5e-11
 
 
 def _raise_linalg(*args, **kwargs):
@@ -632,27 +666,27 @@ def test_failing_s_keeps_the_rows_that_finished(tmp_path, monkeypatch, capsys,
 # here
 PINNED_CSV = {
     "verify sweep --k 1 --s 1e2,1e3,1e4 --path radial:0.3,0.9,0.27":
-        "db2b88e27a90325fbf4eca4d9460d70ea99427ce61027235b6fc23f5d6decb8a",
+        "93e4fca19a9c18156e96a521230c6764caeb97ef866ca718983cc087e49c4971",
     "verify sweep --k 2 --s 1e2,1e3,1e4 "
     "--path chord:0.5480,0.0661,0.3211,0.4490":
-        "f0945d5744d2f517906e8aee1fc35d7babe77afcebada8165156322e251dafec",
+        "c7a3a1d21129631302a06943e4840d9b72d26c910ee110aa7cb69568f2805e43",
     "verify arc --k 1 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "4b27645932437ed3b8c1dc2720f2925c2a5e81e796af05ea11c89014084e5fcc",
+        "fae95d68a23c1e24473dd200a97f7cb22857e36cef058fbd2e1f2714403813fd",
     "verify arc --k 2 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "63a6dca061ed3d499f0ca1f3aeff428533efc8993d0f8a8e1bc701d0db636a1b",
+        "8463805bb481418572ca35f5a23848cf144a0a63aa3b8c477165ad5a55b1f199",
     "verify sweep --k 2 --s 1e2,1e3 "
     "--path chord:-0.494996,0.070560,0.355457,-0.351640":
-        "2b724dc0840d10ba4a66d84afff8e7aeef7cbdcf65625e05255215cb9970f7c7",
+        "51a05f33d607391b7c28e1d576d002e143e759fb3b6d607b813b2ee3732eadd2",
     "verify sweep --k 0 --s 1e2,1e8":
         "a593d9bd924aa9475d1ec423195bb23d049a83219c56768862d60beacb1d0d43",
     "verify sweep --k 3":
-        "25bc14e4c1baa1ed137c427e7fe276be28598fbde4095e8b912dd56cf8f0061b",
+        "8949c9623f7729578ab38e9086f2b4b2b3269eb73dccbafdcfdec837a00624c8",
     "wang solve --k 0 --s 1e3":
-        "cb966c5eb105b11c0f8ff75054caa528507529a0bf19aaa675a379071f77a190",
+        "2fe59fc0e73fb26ecdde3ac64550047937faa37353265247be991d1dc875e991",
     "wang solve --k 1 --s 1e3":
-        "3c08f404496a6196733a6b3ee4b89b0ac9152c76a57afeb9261ce80fd7eb2849",
+        "c5d4f737dfc39d09ffab04985445574861f982f58d1464372b6e30424601d87c",
     "wang solve --k 2 --s 1e3":
-        "ac32cc4771a042107e1dfc04ceb6f99ba8953c74f0ca4457330ea92d68fd8069",
+        "39ed55e68fdab31eced562b2c054568fe60a849b9f5011d779803fa4556f4d83",
     "building localmodel --k 0":
         "03c377071953d61ca6cbbde357f5b2a06679cf797ce6c6e290113c9a636b503a",
     "building localmodel --k 2":
@@ -666,7 +700,7 @@ PINNED_CSV = {
     "trigroup spectrum --pqr 3,4,5 --maxlen 1.8":
         "571036f681e200e7dc9ec051cf81e3bd4a7e87a0933ca930a2b056ef4f383462",
     "verify arc --k 3 --s 1e2,1e3 --theta0 -0.5 --theta1 2.5":
-        "84267466530d6276c1558c54e6ef1d5f9dd97ebb815ed161d5e226d43af54121",
+        "a665c59f839ded870603bb4b09042f061848aa6b8fddf32734ad84aa1455b3fa",
     "verify arc --k 0 --s 1e2 --theta0 0.1 --theta1 3.0":
         "d1374e2190ca04516d89e4b732e93be8601ee1a03295ea534d8bdee38eada234",
 }

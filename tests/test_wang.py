@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hitchin_limits import wang
+from hitchin_limits.errors import GridTooCoarse
 
 
 @pytest.fixture(scope="module")
@@ -40,20 +41,29 @@ def test_lower_bound_boundary_case_k0():
     assert sol.lower_bound_flagged > 0  # the flat case sits on the bound
 
 
+def _corrupted(sol, rings, by):
+    """sol with F lowered by ``by`` on ``rings``."""
+    F = sol.F.copy()
+    F[rings] -= by
+    F_center = sol.phi_center - sol.q.flat(math.log(sol.rs[0]))
+    return wang.WangSolution(sol.q, sol.R, sol.rs, F_center, F,
+                             sol.residual_history, sol.residual_nodes)
+
+
 def test_lower_bound_detects_corruption(sol_k1_s100):
     # near a zero the bound has slack, so corrupt where F is small (the outer
     # annulus); also check the k=0 case, where any decrease breaks the bound
-    bad = wang.WangSolution(sol_k1_s100.q, sol_k1_s100.R,
-                            sol_k1_s100.rs, sol_k1_s100.phi_center,
-                            sol_k1_s100.phi.copy(),
-                            sol_k1_s100.residual_history,
-                            sol_k1_s100.residual_nodes)
-    bad.phi[-40:-1] -= 0.1
+    bad = _corrupted(sol_k1_s100, slice(-40, -1), 0.1)
     assert not wang.pointwise_lower_bound_check(bad)
 
     flat = wang.solve_disk(0, 10.0, 1.0, wang.GridSpec(nr=40))
-    flat.phi[5:20] -= 0.1
-    assert not wang.pointwise_lower_bound_check(flat)
+    assert not wang.pointwise_lower_bound_check(
+        _corrupted(flat, slice(5, 20), 0.1))
+
+
+def test_stored_F_is_read_only(sol_k1_s100):
+    with pytest.raises(ValueError, match="read-only"):
+        sol_k1_s100.F[0] = 0.0
 
 
 def test_error_field_bound_lemma(sol_k1_s100):
@@ -61,7 +71,7 @@ def test_error_field_bound_lemma(sol_k1_s100):
     # delta = 1.1, a = 0.9
     sol = sol_k1_s100
     i = int(np.argmin(np.abs(sol.rs - 0.5)))
-    F_half = wang.error_values(sol)[i]
+    F_half = sol.F[i]
     r0 = wang.CubicDifferential(1).natural_radius(0.5)
     m = math.sqrt(3) * 2 ** (2 / 3) * 0.9 * 100 ** (1 / 3) * r0 / 1.1
     assert 0 < F_half < 100 ** (1 / 6) * math.exp(-m)
@@ -92,20 +102,51 @@ def test_solve_tridiagonal_matches_dense(data, n):
 
 def test_solve_tridiagonal_on_wang_jacobian():
     # the Newton Jacobian at the converged k=1, s=1e4 solution on the
-    # s-adapted grid, whose inner rows carry ~1e11 stencil weights
+    # s-adapted grid, whose inner rows carry ~1e11 stencil weights: the
+    # radial operator less a e^F + 2 b e^(-2F), a = 2 e^flat at the unknowns
+    # (the center takes ring 1's flat part), b = a but 0 at the zero
     s = 1e4
     grid = wang.decay_fit_grid(s)
     sol = wang.solve_disk(1, s, 1.0, grid)
     assert len(sol.rs) == 907
-    J, _ = wang._radial_operator(sol.rs)
-    u = np.append(sol.phi_center, sol.phi[:-1])
-    radii = np.append(0.0, sol.rs[:-1])
-    J[1] -= 2 * np.exp(u) + 8 * np.exp(-2 * u) * s ** 2 * radii ** 2
+    J = wang._radial_operator(sol.rs)
+    flat = sol.q.flat(np.log(sol.rs))
+    F = np.append(sol.phi_center - flat[0], sol.F[:-1])
+    a = 2 * np.exp(np.append(flat[0], flat[:-1]))
+    b = np.append(0.0, a[1:])
+    J[1] -= a * np.exp(F) + 2 * b * np.exp(-2 * F)
     dense = np.diag(J[1]) + np.diag(J[2, :-1], 1) + np.diag(J[0, 1:], -1)
-    rhs = np.random.default_rng(0).normal(size=len(u))
+    rhs = np.random.default_rng(0).normal(size=len(F))
     want = np.linalg.solve(dense, rhs)
     got = wang._solve_tridiagonal(J, rhs)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("s", [1e-300, 3e8, 1e9, 1e10])
+def test_k0_start_is_the_solution_at_any_scale(s):
+    # F = 0 is the start and the exact discrete solution; the phi form
+    # raised NewtonDiverged("line search failed") here from s = 3e8 on, and
+    # refused s = 1e-300, whose e^(-2 phi) overflowed in the start residual
+    sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=30))
+    assert sol.residual_history == [0.0]
+    assert not np.any(sol.F)
+
+
+def test_converged_solution_outside_the_bracket_is_refused():
+    # a first ring at 0.75 R leaves the center node too far from it: the
+    # discrete solution dips below the flat subsolution (F = -1.3e-3)
+    with pytest.raises(GridTooCoarse, match="left the sub/supersolution"):
+        wang.solve_disk(1, 100.0, 1.0, wang.GridSpec(nr=30, ratio=1.01))
+
+
+def test_far_field_F_keeps_relative_precision():
+    # F(0.5) at k = 1 is 3.685e-18 at s = 1e5 and 1.569e-25 at 3e5; as
+    # phi - flat of the phi form it was rounding noise (4.4e-15, 1.8e-15)
+    want = {1e5: 3.685e-18, 3e5: 1.569e-25}
+    for s, F_half in want.items():
+        sol = wang.solve_disk(1, s, 1.0)
+        assert sol.radial_profile(0.5)[0] == pytest.approx(F_half, rel=1e-3)
+        assert wang.pointwise_lower_bound_check(sol)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -280,11 +321,10 @@ def test_grid_refused_before_allocating(monkeypatch, s, grid, match):
         wang.solve_disk(1, s, 1.0, grid)
 
 
-@pytest.mark.parametrize("k, s, R", [(0, 1e300, 1.0), (0, 1e-300, 1.0),
-                                     (1, 1e3, 1e-300), (1, 1e3, 1e300),
-                                     (0, 1e3, 1e300)])
+@pytest.mark.parametrize("k, s, R", [(0, 1e300, 1.0), (1, 1e3, 1e-300),
+                                     (1, 1e3, 1e300), (0, 1e3, 1e300)])
 def test_out_of_range_s_or_radius_refused(k, s, R):
-    # s ** 2, the 1/h^2 stencil weights or e^(-2 phi) leave the float range
+    # s ** 2 or the 1/h^2 stencil weights leave the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError,
