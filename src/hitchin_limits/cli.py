@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 
@@ -355,7 +356,10 @@ def _pqr(text):
     return p, q, r
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: parse_args reads it and
+    returns a fresh namespace, so no value or default leaks between calls."""
     ap = _Parser(prog="hitchin-limits")
     sub = ap.add_subparsers(dest="group", required=True)
 

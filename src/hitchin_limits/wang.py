@@ -16,6 +16,18 @@ source is c_p (flat(r_2) - flat(r_1)) on ring 1.  The nonlinearity is
 a expm1(F) - b expm1(-2F) + (a - b), a = 2 e^flat, b = a on the rings and 0
 at a zero's center.  The discrete solution inherits the strict lower bound
 F > 0, e^phi > 2^(1/3) |q_s|^(2/3), down to rounding noise.
+
+Newton starts at the flat metric outside the natural unit disk |w| < 1 of
+the zero, r >= r_1 = |z(w = 1)|, and holds flat(r_1) inside it: F_0 =
+max(flat(min(r_1, R)) - flat(r), 0).  Away from the zero the Blaschke metric
+is exponentially close to the flat one (Dumas & Wolf, GAFA 25, 2015), so
+only the core is left to converge, and far-field F grows from 0 instead of
+being cancelled down from an O(1) start.  The start need not bound the
+solution: the residual is concave in F, so every full Newton step lands on
+a supersolution, and the Jacobians are M-matrices up to sign, so from there
+the iterates decrease onto the solution.  The converged F is still checked
+against the constant Dirichlet value flat(R) - flat(r), a supersolution.
+
 CubicDifferential owns q_s and its closed forms; a WangSolution carries the
 one it solves.
 """
@@ -34,7 +46,7 @@ from .errors import GridTooCoarse, NewtonDiverged
 _FLAG_TOL = 1e-13  # nodes this close to the strict bound are flagged, not failed
 _NEWTON_MAX_ITER = 80
 _NEWTON_TOL = 1e-12                  # row-scaled residual at convergence
-_BRACKET_TOL = 1e-8                  # converged F's slack past 0 <= F <= start
+_BRACKET_TOL = 1e-8                  # converged F's slack past 0 <= F <= upper
 _FIT_INNER, _FIT_OUTER = 0.35, 0.8   # decay-fit annulus, in units of R
 _FIT_FLOOR = 1e-11                   # F below this is rounding noise
 _MAX_RINGS = 500_000                 # ~330 B each: decay-fit s <= 1.7e12
@@ -253,11 +265,12 @@ def solve_disk(k: int, s: float, R: float,
     """Damped-Newton solve of the discrete Wang equation for F = phi - flat
     on the model disk, on ``grid`` (by default decay_fit_grid(s)).
 
-    Starts from the constant Dirichlet value (a supersolution); the
-    converged F must lie between 0 (the flat subsolution) on the rings and
-    the start.  A degenerate grid, one over _MAX_RINGS rings, or a disk
-    whose stencil, |q_s|^2 or start residual overflows is refused with a
-    ValueError.
+    Starts from the flat metric outside |w| < 1 and its value at |w| = 1
+    inside (the constant Dirichlet value when |w(R)| <= 1); the converged F
+    must lie between 0 (the flat subsolution) on the rings and the constant
+    Dirichlet value (a supersolution).  A degenerate grid, one over
+    _MAX_RINGS rings, or a disk whose stencil, |q_s|^2 or start residual
+    overflows is refused with a ValueError.
     """
     q = CubicDifferential(k, s)
     if not 0 < R < math.inf:
@@ -290,7 +303,10 @@ def solve_disk(k: int, s: float, R: float,
             b = a.copy()             # 4 e^(-2 flat) |q_s|^2 = 2 e^flat
             if k:
                 b[0] = 0.0           # |q_s|^2 = 0 at a zero
-            F = start = flat[-1] - offset
+            upper = flat[-1] - offset      # the constant Dirichlet value
+            # the flat metric outside |w| < 1, held constant inside it
+            r1 = min(abs(q.chart_point(1.0)), R)
+            F = np.maximum(q.flat(math.log(r1)) - offset, 0.0)
             res = residual(F)
     except (FloatingPointError, OverflowError) as err:
         raise ValueError(f"s={s:g}, R={R:g}: the stencil, |q_s|^2 or the "
@@ -328,7 +344,7 @@ def solve_disk(k: int, s: float, R: float,
     else:
         raise NewtonDiverged("Newton did not reach tolerance", history)
     # sub/supersolution enclosure of the converged F; iterates may leave it
-    if max(np.max(F - start), np.max(-F[1:])) > _BRACKET_TOL:
+    if max(np.max(F - upper), np.max(-F[1:])) > _BRACKET_TOL:
         raise GridTooCoarse("converged F left the sub/supersolution bracket")
 
     return WangSolution(q, R, rs, F[0], np.append(F[1:], 0.0), history,

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -320,6 +323,28 @@ def test_usage_error_exits_1_with_one_line(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main reuses one parser per process: an arc at --radius 0.4, a usage
+    # error after --radius 0.45 was read, then the same arc on the default
+    # radius must print what a fresh interpreter prints
+    assert cli.build_parser() is cli.build_parser()
+    arc = ["verify", "arc", "--k", "1", "--s", "1e2"]
+    moved, out = tmp_path / "moved.csv", tmp_path / "arc.csv"
+    assert run(arc + ["--radius", "0.4", "--out", str(moved)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(arc + ["--radius", "0.45", "--theta1", "nan"])
+    assert exc.value.code == 1
+    assert run(arc + ["--out", str(out)]) == 0
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-m", "hitchin_limits.cli", *arc],
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=path))
+    assert fresh.returncode == 0, fresh.stderr
+    assert out.read_text() == fresh.stdout
+    assert moved.read_text() != fresh.stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["polygon", "scheme", "--flips", "-1"],
     ["building", "convexity", "--paths", "-1"],
@@ -425,17 +450,12 @@ def test_unstable_transport_exits_2_naming_the_step(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("profile, argv", [
-    (lambda self, r: (math.nan, math.nan), ["--s", "1e2"]),
-    (None, ["--s", "1e6"]),
-], ids=["nan-field", "s-1e6"])
-def test_unstable_arc_exits_2_naming_the_step(monkeypatch, capsys, profile,
-                                              argv):
-    # a NaN field profile, and the real field at k = 1, s = 1e6, whose first
-    # arc step on the default window already grows past e^10
-    if profile is not None:
-        monkeypatch.setattr(cli.wang.WangSolution, "radial_profile", profile)
-    assert run(["verify", "arc", "--k", "1", *argv]) == 2
+@pytest.mark.parametrize("profile", [lambda self, r: (math.nan, math.nan)],
+                         ids=["nan-field"])
+def test_unstable_arc_exits_2_naming_the_step(monkeypatch, capsys, profile):
+    # a NaN field profile: the first arc step already fails
+    monkeypatch.setattr(cli.wang.WangSolution, "radial_profile", profile)
+    assert run(["verify", "arc", "--k", "1", "--s", "1e2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: StepUnstable: arc step ")
     assert err.count("\n") == 1
@@ -502,6 +522,20 @@ def test_arc_far_field_with_exit_0(tmp_path):
     assert k2 == pytest.approx([0.069347, 0.034363], rel=0.01)
     assert _arc_errors(tmp_path, ["--k", "2", "--s", "1e6",
                                   *README_WINDOW])[0] < 0.05
+
+
+@pytest.mark.parametrize("window, bounds", [
+    (README_WINDOW, [0.05, 0.05, 0.05]),
+    ([], [0.1, 0.1, 0.05]),
+], ids=["readme-window", "default-window"])
+def test_k1_arc_runs_to_1e6_with_exit_0(tmp_path, window, bounds):
+    # started at the flat metric, the solve leaves F(0.5) positive at 1e6
+    # (the constant start left -7.7e-28 there, and the arc exited 2 with
+    # StepUnstable on both windows); the default window's 0.087 and 0.063 at
+    # 1e5 and 3e5 are the grid's relative error near a Stokes ray
+    errs = _arc_errors(tmp_path, ["--k", "1", "--s", "1e5,3e5,1e6", *window])
+    assert len(errs) == 3
+    assert all(e < b for e, b in zip(errs, bounds)), errs
 
 
 def _sweep_gaps(tmp_path, argv):
@@ -666,27 +700,27 @@ def test_failing_s_keeps_the_rows_that_finished(tmp_path, monkeypatch, capsys,
 # here
 PINNED_CSV = {
     "verify sweep --k 1 --s 1e2,1e3,1e4 --path radial:0.3,0.9,0.27":
-        "93e4fca19a9c18156e96a521230c6764caeb97ef866ca718983cc087e49c4971",
+        "b8e281ea9f66e0fe4ca07a67e4fcb29d3cd21d70601945f930eb134ea40bf118",
     "verify sweep --k 2 --s 1e2,1e3,1e4 "
     "--path chord:0.5480,0.0661,0.3211,0.4490":
-        "c7a3a1d21129631302a06943e4840d9b72d26c910ee110aa7cb69568f2805e43",
+        "124d6e53a4b2b35439f2346b0278d8a719c75c63b9e43a66259ea2a6d391cdde",
     "verify arc --k 1 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "fae95d68a23c1e24473dd200a97f7cb22857e36cef058fbd2e1f2714403813fd",
+        "2fe8f31a79d4b70b9de3d399acf828eda9cf229c51fe789d8eadfe9ef00b71cf",
     "verify arc --k 2 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "8463805bb481418572ca35f5a23848cf144a0a63aa3b8c477165ad5a55b1f199",
+        "077c1c6223a11ac6cd616003df43dfd0b514dab90ac0d617467f46e0904b9dec",
     "verify sweep --k 2 --s 1e2,1e3 "
     "--path chord:-0.494996,0.070560,0.355457,-0.351640":
-        "51a05f33d607391b7c28e1d576d002e143e759fb3b6d607b813b2ee3732eadd2",
+        "1cb085c39f0f4b24992cc68959fa5ed8a5d074e165530cf9126500e5102eea27",
     "verify sweep --k 0 --s 1e2,1e8":
         "a593d9bd924aa9475d1ec423195bb23d049a83219c56768862d60beacb1d0d43",
     "verify sweep --k 3":
-        "8949c9623f7729578ab38e9086f2b4b2b3269eb73dccbafdcfdec837a00624c8",
+        "208d94e4992e78ceb7454b9b9c33d90a9d7f36539b4edd2ef7ced68c80bc56e8",
     "wang solve --k 0 --s 1e3":
         "2fe59fc0e73fb26ecdde3ac64550047937faa37353265247be991d1dc875e991",
     "wang solve --k 1 --s 1e3":
-        "c5d4f737dfc39d09ffab04985445574861f982f58d1464372b6e30424601d87c",
+        "a73ce173a19b89a7afabf5761d298b887328cd37703a0f6868d21f003c8241e4",
     "wang solve --k 2 --s 1e3":
-        "39ed55e68fdab31eced562b2c054568fe60a849b9f5011d779803fa4556f4d83",
+        "f919ec68a1f44a750d291cbd6d539b34c50ae981f8208271a10b5c9be44924c9",
     "building localmodel --k 0":
         "03c377071953d61ca6cbbde357f5b2a06679cf797ce6c6e290113c9a636b503a",
     "building localmodel --k 2":
@@ -700,7 +734,7 @@ PINNED_CSV = {
     "trigroup spectrum --pqr 3,4,5 --maxlen 1.8":
         "571036f681e200e7dc9ec051cf81e3bd4a7e87a0933ca930a2b056ef4f383462",
     "verify arc --k 3 --s 1e2,1e3 --theta0 -0.5 --theta1 2.5":
-        "a665c59f839ded870603bb4b09042f061848aa6b8fddf32734ad84aa1455b3fa",
+        "ddd148940ec1fc307908aacdff7e5495edd676ce3fd18fd381d2e9b0b326df64",
     "verify arc --k 0 --s 1e2 --theta0 0.1 --theta1 3.0":
         "d1374e2190ca04516d89e4b732e93be8601ee1a03295ea534d8bdee38eada234",
 }

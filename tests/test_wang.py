@@ -140,13 +140,27 @@ def test_converged_solution_outside_the_bracket_is_refused():
 
 
 def test_far_field_F_keeps_relative_precision():
-    # F(0.5) at k = 1 is 3.685e-18 at s = 1e5 and 1.569e-25 at 3e5; as
-    # phi - flat of the phi form it was rounding noise (4.4e-15, 1.8e-15)
-    want = {1e5: 3.685e-18, 3e5: 1.569e-25}
+    # F(0.5) at k = 1 is 3.685e-18 at s = 1e5, 1.575e-25 at 3e5 and
+    # 2.355e-37 at 1e6; as phi - flat of the phi form it was rounding noise
+    # (4.4e-15, 1.8e-15).  The constant start stopped one Newton step short,
+    # at 1.569e-25 and -7.7e-28 (where the arc exited 2 on both windows)
+    want = {1e5: 3.685e-18, 3e5: 1.575e-25, 1e6: 2.355e-37}
     for s, F_half in want.items():
         sol = wang.solve_disk(1, s, 1.0)
-        assert sol.radial_profile(0.5)[0] == pytest.approx(F_half, rel=1e-3)
+        assert sol.radial_profile(0.5)[0] == pytest.approx(F_half, rel=1e-3,
+                                                           abs=0)
         assert wang.pointwise_lower_bound_check(sol)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_flat_start_newton_budget(k):
+    # the flat start leaves only the core |w| < 1 to converge: at most 5
+    # steps on every decay-fit grid to s = 1e8 (about 19k rings); the
+    # constant start took up to 11 here
+    for s in 10.0 ** np.arange(2, 9):
+        for R in (0.5, 1.0, 2.0):
+            sol = wang.solve_disk(k, s, R)
+            assert len(sol.residual_history) - 1 <= 5, (s, R)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
