@@ -28,9 +28,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-# sweep gaps up to this size are rounding-level (ten times under acceptance
-# 1's 1e-8), so a later gap below it still counts as no larger
-_GAP_FLOOR = 1e-9
+# sweep gaps up to this size are rounding-level: a gap below the one before
+# it, or at most this, keeps the sweep monotone
+_GAP_FLOOR = 1e-14
 
 
 def _fmt(x) -> str:
@@ -211,7 +211,7 @@ def cmd_verify_sweep(args):
                                   "trop_x1", "trop_x2", "trop_x3",
                                   "gap_x1", "gap_x2", "gap_x3"], rows)
     gaps = [max(row[-3:]) for row in rows]
-    monotone = all(b <= max(a, _GAP_FLOOR) for a, b in zip(gaps, gaps[1:]))
+    monotone = all(b < a or b <= _GAP_FLOOR for a, b in zip(gaps, gaps[1:]))
     _diag(f"max relative gap at s={s_list[-1]:g}: {gaps[-1]:.3e}"
           f" (monotone: {monotone})")
     return EXIT_OK

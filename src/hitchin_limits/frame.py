@@ -1,25 +1,17 @@
 """Frame-field transport along paths in affine-sphere charts.
 
-The structure equations give a flat connection -(U dz + V dzbar) built from
-the conformal factor phi and the cubic differential in the chart frame
-(1, d/dz, d/dzbar).  It is real in the constant unitary frame _C, as
-conj(U) = P V P with P the swap of slots 1 and 2, so transport and arcs are
-integrated there in float64.  Transport over long distances reaches
-condition numbers far beyond double precision, so the inverse transport is
-accumulated in a factored form Q * diag(e^d) * T with Q unitary; all three
-log singular values stay accurate.
-
-Transport and arc comparisons work on arrays: the Wang field is sampled once
-on all RK4 nodes of a path, and read once at an arc's radius; generators,
-RK4 propagators and their ordered products are real batches of 3x3 matrices
-stored entry-major, shape (3, 3, m), and multiplied by _batch_mul, in chunks
-of bounded size.  A path or arc of more than _MAX_STEPS steps is refused
-before its nodes are allocated.  Both form their propagators with one RK4
-step formula, which also rejects a step that is not finite or has an entry
-above e^10/3.  Transport folds the product of each chunk into the factored
-form once, the discrete QR method of Dieci, Russell & Van Vleck (SIAM J.
-Numer. Anal. 34, 1997); a transport chunk is shortened where its growth
-bound would otherwise exceed what double precision resolves.
+The structure equations give a flat connection -(U dz + V dzbar) from the
+conformal factor phi and the cubic differential in the chart frame (1, d/dz,
+d/dzbar).  In the natural chart w of q it is the Titeica (constant
+differential) connection plus a remainder driven by F = phi - flat alone.
+Transport and arcs integrate only the remainder, in the Titeica eigenbasis S:
+the Titeica factor is diag(e^D) in closed form, D = titeica_exponents(w),
+and the integrand e^(D_i - D_j) (S^(-1) dW S)_ij is real, O(1) at any s (F
+decays like e^(-m|w|), m = 2^(2/3) sqrt 3 the largest rate of D_i - D_j)
+and an exact zero wherever F is.  Both form RK4 propagators with one step
+formula as entry-major float64 batches, shape (3, 3, m), in chunks of at
+most _CHUNK_STEPS steps, reject a step that is not finite or has an entry
+above e^10/3, and refuse more than _MAX_STEPS steps before allocating nodes.
 
 The constant differential has the classical closed-form frame (Titeica); its
 eigenbasis S conjugates every asymptotic formula in the polygon module.
@@ -42,24 +34,26 @@ BETA = (-2.0 * math.pi / 3.0, 0.0, 2.0 * math.pi / 3.0)
 SLOT_BRANCH = (1, 0, 2)
 _SLOT_PHASES = np.array([cmath.exp(-1j * b) for b in BETA])
 
-# transport: RK4 truncation target per unit length.  Transport and arcs form
-# at most _CHUNK_STEPS steps at a time, which bounds the transient (3, 3, m)
-# arrays.  A transport chunk, folded by one QR step, is also capped so its
-# growth bound stays within e^_FOLD_GROWTH: e^8 times the unit roundoff is
-# 7e-13, so the chunk's product still resolves its smallest direction
-_STEP_TOL = 1e-10
+# transport steps follow F's scales: F and D_i - D_j change at O(1) rates
+# per unit of natural length, and near the zero F ~ log r changes on the
+# scale r.  A scan at natural spacing _SCAN_STEP finds where the remainder
+# is not zero.  Transport and arcs form at most _CHUNK_STEPS steps at a
+# time, which bounds the transient (3, 3, m) arrays
+_NATURAL_STEP = 0.02
+_ZERO_STEP = 0.0015
+_SCAN_STEP = 1.0
 _CHUNK_STEPS = 640
-_FOLD_GROWTH = 8.0
-# a path or arc holds all its nodes at once, ~210 B per transport step and
-# ~220 B per arc step, so this budget keeps them to ~160 MB, next to the
+# a path or arc holds all its nodes at once, ~250 B per transport step and
+# ~220 B per arc step, so this budget keeps them to ~125 MB, next to the
 # ~165 MB of wang._MAX_RINGS
 _MAX_STEPS = 500_000
 _I3 = np.eye(3)[:, :, None]                    # the identity, a batch of one
-# a chart-frame matrix P is C P_r C^H.  max |P| <= |P|_F = |P_r|_F <= 3 max
-# |P_r|, so a step with a chart-frame entry above e^10 exceeds _STEP_BOUND
+# the real frame of the chart frame: C^H (U dz + V dzbar) C is real
 _C = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1j], [0.0, 1.0, -1j]])
 _C[1:, 1:] *= math.sqrt(0.5)
 _STEP_BOUND = math.exp(10) / 3.0
+# a remainder within four roundings of its flat part is that rounding
+_FLAT_ROUNDING = 4 * np.finfo(float).eps
 _CBRT2 = 2.0 ** (1.0 / 3.0)
 
 
@@ -91,93 +85,56 @@ def titeica_exponents(x) -> np.ndarray:
     return CBRT4 * (x[..., None] * _SLOT_PHASES).real
 
 
-def _log_singular_values_of_factored(A, logd, B):
-    """Sorted log singular values of A diag(e^logd) B without overflow."""
-    m = float(np.max(logd))
-    G = (A * np.exp(logd - m)) @ B
-    s1 = m + math.log(np.linalg.norm(G, 2))
-    m2 = float(np.max(-logd))
-    Ginv = (np.linalg.inv(B) * np.exp(-logd - m2)) @ np.linalg.inv(A)
-    s3 = -(m2 + math.log(np.linalg.norm(Ginv, 2)))
-    det = np.linalg.slogdet(A)[1] + float(np.sum(logd)) + np.linalg.slogdet(B)[1]
-    s2 = det - s1 - s3
-    return np.array([s1, s2, s3])
+@lru_cache(maxsize=1)
+def _s_gauge():
+    """The real table S_r^(-1) M S_r, S_r = C^H S, of the six matrices M
+    of the trace-free remainder in the real frame: C^H dW_0 C = E x M_0 +
+    E y M_1 + G x M_2 + G y M_3 + Im p M_4 + Re p M_5 over a natural step
+    x + iy, with E = 2^(1/3) expm1(F) / sqrt(2), G = 2^(-1/3) expm1(-F)
+    and p = dphi_w (x + iy); M_0 = e01, M_1 = e02, M_2 = e11 - e22,
+    M_3 = -e12 - e21, M_4 = e21 - e12 and M_5 = diag(-2, 1, 1) / 3."""
+    S, S_inv = titeica_frame()
+    M = np.zeros((6, 3, 3))
+    M[0, 0, 1] = M[1, 0, 2] = M[2, 1, 1] = M[4, 2, 1] = 1.0
+    M[2, 2, 2] = M[3, 1, 2] = M[3, 2, 1] = M[4, 1, 2] = -1.0
+    M[5] = np.diag([-2.0, 1.0, 1.0]) / 3.0
+    return (S_inv @ _C).real @ M @ (_C.conj().T @ S).real
+
+
+def _graded_log_singular_values(alpha, Y, beta):
+    """Log singular values (largest, middle, smallest) of diag(e^alpha) Y
+    diag(e^beta) for an O(1) Y, the top ones of it and of its inverse from
+    entries scaled in log space, the middle one from the determinant.  Entry
+    (i, j) meets e^(alpha_i + beta_j), so the inverse is formed by cofactors,
+    which keep each entry to its own relative precision."""
+    def top(a, M, b):
+        with np.errstate(divide="ignore"):     # a zero entry stays zero
+            L = np.log(np.abs(M)) + (a[:, None] + b)
+        m = float(np.max(L))
+        return m + math.log(np.linalg.norm(np.sign(M) * np.exp(L - m), 2))
+    cof = np.cross(Y[[1, 2, 0]], Y[[2, 0, 1]])      # row i: Y_i+1 x Y_i+2
+    det = float(Y[0] @ cof[0])
+    s1 = top(alpha, Y, beta)
+    s3 = -top(-beta, cof.T / det, -alpha)
+    logdet = float(np.sum(alpha) + np.sum(beta)) + math.log(abs(det))
+    return np.array([s1, logdet - s1 - s3, s3])
 
 
 # ---------------------------------------------------------------------------
-# factored transport accumulation
+# transport
 # ---------------------------------------------------------------------------
 
 class FrameTransport:
-    """Inverse transport X = Psi^(-1) kept as Q * diag(e^logd) * T.
-
-    Q is unitary, T has O(1) rows (push_left keeps it upper triangular, and
-    the final change of frame in integrate_transport, T <- T C^H, does not)
-    and logd carries the Lyapunov-style per-direction log factors, so all
-    three log singular values of the holonomy are recoverable at any range.
-    """
+    """The product Y of a path's transport chunks, multiplied out as it is:
+    the remainder transport stays O(1), so each entry keeps its own relative
+    precision."""
 
     def __init__(self):
-        self.Q = np.eye(3)
-        self.logd = np.zeros(3)
         self.T = np.eye(3)
 
     def push_left(self, P: np.ndarray):
-        """Fold X <- P X, keeping the factored form."""
-        Q2, R = np.linalg.qr(P @ self.Q)
-        # R[i,j] e^(d_j - d_i) on the upper triangle; the exponent is zeroed
-        # below it, where R is 0 and e^(d_j - d_i) could overflow.  Row i of
-        # R D is carried by |R[i,i]|, its phase stays in T
-        RD = R * np.exp(np.triu(self.logd - self.logd[:, None]))
-        r = np.abs(np.diag(R))
-        Tn = (RD / r[:, None]) @ self.T
-        scale = np.maximum(np.max(np.abs(Tn), axis=1), 1e-300)
-        self.Q = Q2
-        self.logd = self.logd + np.log(r) + np.log(scale)
-        self.T = Tn / scale[:, None]
-
-
-def _growth_rate(s: float) -> float:
-    """Bound on the log growth of the frame per unit length of the chart:
-    the spread 1.5 * 2^(2/3) s^(1/3) of the Titeica exponents."""
-    return CBRT4 * s ** (1.0 / 3.0) * 1.5
-
-
-def _step_size(s: float) -> float:
-    """Step size: capped at 0.01 and tightened so the RK4 truncation stays
-    near _STEP_TOL per unit length, floored at 1e-5."""
-    h_acc = (120.0 * _STEP_TOL / _growth_rate(s) ** 5) ** 0.25
-    return max(min(0.01, h_acc), 1e-5)
-
-
-def _fold_steps(s: float, h: float) -> int:
-    """Steps per transport chunk and QR fold: _CHUNK_STEPS, or fewer where
-    that many steps of size h could grow the frame by more than
-    e^_FOLD_GROWTH."""
-    return max(1, min(_CHUNK_STEPS, int(_FOLD_GROWTH / (_growth_rate(s) * h))))
-
-
-def _transport_generators(phi, dz_phi, q, dz):
-    """-(U dz + V dzbar) made trace-free, in the real frame, at the start,
-    middle and end node of each of the m steps dz over nodes 0 .. 2m: three
-    (3, 3, m) float64 batches.  In the chart frame U[0,2] = V[0,1] =
-    e^phi / 2, U[1,0] = V[2,0] = 1, U[1,1] = conj(V[2,2]) = dz_phi and
-    U[2,1] = conj(V[1,2]) = q e^(-phi).  With dz = x + iy, p = dz_phi dz,
-    beta = q e^(-phi) dz, r = Re p / 3 and a = e^phi / sqrt(2), the real
-    frame's generator is [[2r, -a x, -a y], [-sqrt(2) x, -r - Re beta,
-    Im p + Im beta], [-sqrt(2) y, Im beta - Im p, Re beta - r]]."""
-    ephi = np.exp(phi)
-    fields = np.stack((dz_phi, q * (1.0 / ephi), ephi))
-    # roles[:, j, i] is node 2i + j, the start, middle or end of step i
-    roles = np.stack((fields[:, :-1:2], fields[:, 1::2], fields[:, 2::2]), 1)
-    p, beta = roles[:2] * dz
-    a, r, x, y = roles[2].real * math.sqrt(0.5), p.real / 3.0, dz.real, dz.imag
-    G = np.empty((3, 3, 3, len(dz)))        # entry, entry, role, step
-    G[0] = 2.0 * r, -a * x, -a * y
-    G[1:, 0] = -math.sqrt(2.0) * np.stack((x, y))[:, None]
-    G[1, 1:] = -r - beta.real, p.imag + beta.imag
-    G[2, 1:] = beta.imag - p.imag, beta.real - r
-    return G.transpose(2, 0, 1, 3)
+        """Y <- P Y."""
+        self.T = P @ self.T
 
 
 def _batch_mul(A, B):
@@ -201,93 +158,144 @@ def _rk4_steps(f1, mid, end):
     return steps, (int(np.argmax(bad)) if bad.any() else -1)
 
 
-def integrate_transport(sol, path) -> FrameTransport:
-    """RK4 transport of the structure-equation connection along a polyline.
+def _nearest(a: complex, seg: complex) -> float:
+    """The parameter t in [0, 1] of the point a + t seg nearest the zero."""
+    return min(max(-(a * seg.conjugate()).real / abs(seg) ** 2, 0.0), 1.0)
 
-    ``sol`` provides phi_at(z) and dz_phi_at(z) on arrays of chart points
-    and the cubic differential q (a Wang solution); ``path`` is a sequence
-    of complex chart points.  The connection is taken trace-free (the scalar
-    e^(phi)-gauge is removed), so the result is unimodular; asymptotic
-    exponents are unaffected.
 
-    Each straight segment takes n equal steps of its own dz; zero-length
-    segments are skipped.  The nodes of the whole path (start, middle and
-    end of every step; a step's end node is the next one's start, across
-    segment joints too) are sampled in one phi_at and one dz_phi_at call.
-    The real-frame generators and RK4 propagators are formed as entry-major
-    batches, _fold_steps (at most _CHUNK_STEPS) steps at a time so transient
-    arrays stay small; each such chunk is multiplied out pairwise and folded
-    into the factored transport once, which ends in the chart frame.  A
-    chunk grows the frame by at most about e^_FOLD_GROWTH, so its product
-    still resolves the small directions.  A step that is not finite or has
-    a real-frame entry above e^10/3 raises StepUnstable naming the first
-    such step as step j of n within its segment.  A path of more than
-    _MAX_STEPS steps is refused with a ValueError before any node is
-    allocated.
-    """
-    xport = FrameTransport()
+def _segment_steps(q, a: complex, b: complex, part: float = 1.0) -> int:
+    """RK4 steps for a part of the chart segment a -> b, each at most
+    _NATURAL_STEP long in the natural chart and, for k >= 1, _ZERO_STEP
+    times the segment's closest approach to the zero."""
+    near = abs(a + _nearest(a, b - a) * (b - a))
+    h = _NATURAL_STEP / abs(q.cube_root(max(abs(a), abs(b)), 0.0))
+    return max(2, math.ceil(part * abs(b - a) / (min(h, _ZERO_STEP * near)
+                                                  if q.k else h)))
+
+
+def _remainder_generators(F, F_z, dz, wp, D):
+    """h B = -e^(D_i - D_j) (S^(-1) dW_0 S)_ij at m nodes, a real (3, 3, m)
+    batch, dW_0 the trace-free remainder over a chart step dz in closed form
+    from F, F_z, the cube root wp = w' and the slot exponents D (3, m); an
+    exact zero of the remainder stays zero where e^(D_i - D_j) overflows."""
+    dw, p = wp * dz, F_z * dz
+    E = _CBRT2 * np.expm1(F) * math.sqrt(0.5)
+    G = np.expm1(-F) / _CBRT2
+    coeffs = np.stack((E * dw.real, E * dw.imag, G * dw.real, G * dw.imag,
+                       p.imag, p.real))
+    K = np.einsum("cij,cm->ijm", _s_gauge(), coeffs)
+    return np.where(K == 0, 0.0, -K * np.exp(D[:, None] - D[None, :]))
+
+
+def integrate_transport(sol, path):
+    """RK4 transport of the Titeica remainder along a polyline of complex
+    chart points; ``sol`` provides phi_at and dz_phi_at on arrays of chart
+    points and the cubic differential q (a Wang solution).  Returns (Y, D0,
+    D1): the inverse transport, in the natural frame conjugated by S, is
+    diag(e^-D1) Y diag(e^D0), with D0, D1 the slot exponents of w at the
+    ends (arg z continued from the principal arg of the start) and Y the
+    solution of Y' = B Y, B = _remainder_generators, from the identity.
+    F = phi - flat and F_z = dphi - dflat are formed with the flat parts as
+    the samplers add them, so far-field terms cancel to exact zeros, and a
+    difference within _FLAT_ROUNDING of its flat part (that part's rounding)
+    is taken as zero too.
+
+    One sampler call of each scans every segment at natural spacing
+    _SCAN_STEP and at its closest approach to the zero.  Between the scan
+    points next to a segment's first and last nonzero remainder it takes
+    _segment_steps equal steps, whose nodes are sampled in one more call of
+    each; each chunk of steps is multiplied out into Y.  A step that is not
+    finite or has an entry above e^10/3 raises StepUnstable naming it as
+    step j of n within its segment.  A path of more than _MAX_STEPS steps,
+    or for k >= 1 with a segment through z = 0 (F ~ log r there), is refused
+    with a ValueError before its step nodes are allocated."""
+    q = sol.q
+
+    def remainder(z):
+        # z = 0 is sampled only at k = 0, where the flat parts are constants
+        zf = np.where(z == 0, 1.0, z)
+        flat, dz_flat = q.flat(np.log(np.abs(zf))), q.dz_flat(zf)
+        F, F_z = sol.phi_at(z) - flat, sol.dz_phi_at(z) - dz_flat
+        return (np.where(np.abs(F) <= _FLAT_ROUNDING * np.abs(flat), 0.0, F),
+                np.where(np.abs(F_z) <= _FLAT_ROUNDING * np.abs(dz_flat), 0.0,
+                         F_z))
     pts = [complex(z) for z in path]
     segs = [(a, b - a) for a, b in zip(pts[:-1], pts[1:]) if b != a]
+    # arg z continued along the path: a segment clear of z = 0 turns it by
+    # less than pi, so arg(z / a) is continuous on it; k = 0 reads arg z
+    # only mod 2 pi
+    theta = [cmath.phase(pts[0])]
+    for a, seg in segs:
+        if a + _nearest(a, seg) * seg != 0:
+            theta.append(theta[-1] + cmath.phase(1 + seg / a))
+        elif q.k:
+            raise ValueError(f"path segment {a:.6g} -> {a + seg:.6g} passes "
+                             f"through z = 0")
+        else:
+            theta.append(cmath.phase(a + seg))
+    D0, D1 = (titeica_exponents(q.natural(abs(z), th))
+              for z, th in ((pts[0], theta[0]), (pts[-1], theta[-1])))
+    xport = FrameTransport()
     if not segs:
-        return xport
-    q = sol.q
-    h = _step_size(q.s)
-    ns = [max(2, int(math.ceil(abs(seg) / h))) for _, seg in segs]
-    if sum(ns) > _MAX_STEPS:
-        raise ValueError(f"path takes {sum(ns)} transport steps at "
-                         f"s={q.s:g}, over the budget of {_MAX_STEPS}")
-    # segment i takes steps stops[i] - ns[i] ... stops[i] - 1; its nodes
-    # 2 (stops[i] - ns[i]) ... 2 stops[i] overlap the next segment's at one
-    # joint, which takes the next segment's start point
+        return xport.T, D0, D1
+    scans = []
+    for a, seg in segs:
+        n = math.ceil(abs(seg) * abs(q.cube_root(max(abs(a), abs(a + seg)),
+                                                 0.0)) / _SCAN_STEP)
+        scans.append(sorted([i / n for i in range(n + 1)]
+                            + [_nearest(a, seg)]))
+    F, F_z = remainder(np.array([a + seg * t for (a, seg), ts in
+                                 zip(segs, scans) for t in ts]))
+    live = np.split((F != 0) | (F_z != 0), np.cumsum(list(map(len, scans))))
+    pieces = []                   # (a, arg z at a, offset from a, dz, n)
+    for (a, seg), th, t, on in zip(segs, theta, scans, live):
+        if on.any():
+            i, j = np.flatnonzero(on)[[0, -1]]
+            lo, hi = t[max(i - 1, 0)], t[min(j + 1, len(t) - 1)]
+            n = _segment_steps(q, a, a + seg, hi - lo)
+            pieces.append((a, th, seg * lo, seg * ((hi - lo) / n), n))
+    if sum(n for *_, n in pieces) > _MAX_STEPS:
+        raise ValueError(f"path takes {sum(n for *_, n in pieces)} transport "
+                         f"steps at s={q.s:g}, over the budget of {_MAX_STEPS}")
+    if not pieces:
+        return xport.T, D0, D1
+    # piece p has nodes 0 .. 2 n_p of its own, and its step j starts at 2 j
+    a, th, off, dz, ns = (np.array(v) for v in zip(*pieces))
+    size = 2 * ns + 1
+    piece = np.repeat(np.arange(len(ns)), size)
+    local = np.arange(len(piece)) - (np.cumsum(size) - size)[piece]
+    x = off[piece] + dz[piece] * (local / 2)
+    nodes, a, dz = a[piece] + x, a[piece], dz[piece]
+    args = th[piece] + np.angle(1 + x / a) if q.k else np.angle(nodes)
+    first = np.flatnonzero((local % 2 == 0) & (local < 2 * ns[piece]))
+    del piece, local, x, a
     stops = np.cumsum(ns)
-    nodes = np.empty(2 * stops[-1] + 1, dtype=complex)
-    dz = np.empty(stops[-1], dtype=complex)
-    for (a, seg), n, stop in zip(segs, ns, stops):
-        nodes[2 * (stop - n):2 * stop + 1] = a + seg * (np.arange(2 * n + 1)
-                                                        / (2 * n))
-        dz[stop - n:stop] = seg * (1.0 / n)
-    phi = sol.phi_at(nodes)
-    dz_phi = sol.dz_phi_at(nodes)
-    chunk = _fold_steps(q.s, h)
-    for lo in range(0, len(dz), chunk):
-        hi = min(lo + chunk, len(dz))
-        part = slice(2 * lo, 2 * hi + 1)
+    F, F_z = remainder(nodes)
+    for lo in range(0, len(first), _CHUNK_STEPS):
+        idx = first[lo:lo + _CHUNK_STEPS]
+        part = slice(idx[0], idx[-1] + 3)
+        r, th = np.abs(nodes[part]), args[part]
         # a non-finite field or step is reported below, not warned about
         with np.errstate(invalid="ignore", over="ignore"):
-            steps, bad = _rk4_steps(*_transport_generators(
-                phi[part], dz_phi[part], q(nodes[part]), dz[lo:hi]))
+            hB = _remainder_generators(F[part], F_z[part], dz[part],
+                                       q.cube_root(r, th),
+                                       titeica_exponents(q.natural(r, th)).T)
+            steps, bad = _rk4_steps(*(hB[..., idx - idx[0] + role]
+                                      for role in range(3)))
         if bad >= 0:
             i = lo + bad
-            j = int(np.searchsorted(stops, i, side="right"))
-            raise StepUnstable(f"transport step {i - stops[j] + ns[j] + 1} of "
-                               f"{ns[j]} at z={complex(nodes[2 * i]):.6g} is "
-                               f"not finite or has a real-frame entry above "
-                               f"e^10/3")
-        # X <- step X: the chunk's product is its steps multiplied last first
+            k = int(np.searchsorted(stops, i, side="right"))
+            raise StepUnstable(f"transport step {i - stops[k] + ns[k] + 1} of "
+                               f"{ns[k]} at z={complex(nodes[first[i]]):.6g} "
+                               f"is not finite or has an entry above e^10/3")
+        # Y <- step Y: the chunk's product is its steps multiplied last first
         xport.push_left(_ordered_product(steps[..., ::-1]))
-    # the chart-frame transport is C X C^H
-    xport.Q, xport.T = _C @ xport.Q, xport.T @ _C.conj().T
-    return xport
+    return xport.T, D0, D1
 
 
 # ---------------------------------------------------------------------------
 # arcs and read-outs
 # ---------------------------------------------------------------------------
-
-def natural_frame_diag(q, z: complex, branch_angle: float = 0.0) -> np.ndarray:
-    """Frame change from the chart frame (1, d/dz, d/dzbar) to the natural
-    frame of q at z: |w'|^(2/3) diag(1, 1/w', 1/conj(w')) with w' =
-    q.cube_root on the branch continuous near arg z = branch_angle.
-
-    Asymptotic transport formulas live in the natural frame; conjugating by
-    these diagonals removes the polynomially-growing frame mismatch.  The
-    factor |w'|^(2/3) makes the determinant 1, so a unimodular transport
-    stays unimodular in the natural frame and its exponents sum to 0.
-    """
-    wp = q.cube_root(*q.on_branch(z, branch_angle))
-    diag = np.array([1.0, 1.0 / wp, 1.0 / wp.conjugate()], dtype=complex)
-    return abs(wp) ** (2.0 / 3.0) * diag
-
 
 def arc_unipotent_numeric(sol, theta0: float, theta1: float,
                           radius: float) -> np.ndarray:
@@ -295,16 +303,13 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     angles, converging to the conjugated Stokes unipotent product as s grows.
 
     Computed as the osculation comparison N(t) = F_T(x(t0)) Psi_w F_T(x(t))^(-1):
-    N' = N * F_T (omega_w - omega_T) F_T^(-1), integrated in the eigen-gauge
-    with entrywise exponential scaling, so the dynamic range of the direct
-    triple product (which loses all precision at desk scale) never appears.
-    In the natural chart the connection has the structure-equation form with
-    q = 1 and phi_w = log 2^(1/3) + F, where F and dF/dr are constants on the
-    arc (sol.radial_profile, read once); the integrand vanishes where F = 0,
-    as for the constant differential.  A step that is not finite or has an
-    entry above e^10/3 raises StepUnstable naming it as arc step j of n.  An
-    arc of more than _MAX_STEPS steps is refused with a ValueError before
-    any node is allocated.
+    N' = N * F_T (omega_w - omega_T) F_T^(-1), the remainder in the eigen-gauge
+    with entrywise exponential scaling.  F and dF/dr are constants on the arc
+    (sol.radial_profile, read once), so the integrand has three constant
+    matrices.  A step that is not finite or has an entry above e^10/3 raises
+    StepUnstable naming it as arc step j of n.  An arc of more than
+    _MAX_STEPS steps is refused with a ValueError before any node is
+    allocated.
     """
     q = sol.q
     n_steps = max(256, int(96 * abs(theta1 - theta0) * q.s ** (1 / 3)))
@@ -340,20 +345,14 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
 
 
 def _arc_coefficients(F, dF, radius):
-    """(A_x, A_y, A_0), a real (3, 3, 3) stack with S^(-1) W S = x A_x +
-    y A_y + A_0 for W = (U_w - U_T) xdot + (V_w - V_T) conj(xdot) on the arc
-    |z| = radius, xdot = x + iy.  It is S_r^(-1) W_r S_r with the real S_r =
-    C^H S and W_r = C^H W C = [[0, E x, E y], [0, G x, -P - G y], [0, P - G y,
-    -G x]]: E = 2^(1/3) expm1(F) / sqrt(2), G = 2^(-1/3) expm1(-F), and
-    dphi_w xdot = i P with P = radius F' / 2."""
-    S, S_inv = titeica_frame()
+    """(A_x, A_y, A_0) from the _s_gauge table, S^(-1) W S = x A_x + y A_y
+    + A_0 for the remainder W on the arc |z| = radius over xdot = x + iy:
+    there dphi_w xdot = i P, P = radius F' / 2, so W is trace-free."""
+    T = _s_gauge()
     E = _CBRT2 * np.expm1(F) * math.sqrt(0.5)
     G = np.expm1(-F) / _CBRT2
-    P = 0.5 * radius * dF
-    W = np.array([[[0, E, 0], [0, G, 0], [0, 0, -G]],
-                  [[0, 0, E], [0, 0, -G], [0, -G, 0]],
-                  [[0, 0, 0], [0, 0, -P], [0, P, 0]]], dtype=float)
-    return (S_inv @ _C).real @ W @ (_C.conj().T @ S).real
+    return np.stack((E * T[0] + G * T[2], E * T[1] + G * T[3],
+                     (0.5 * radius * dF) * T[4]))
 
 
 def _ordered_product(P):
@@ -368,25 +367,15 @@ def _ordered_product(P):
 
 
 def transport_weyl_exponents(sol, path):
-    """s^(-1/3)-normalized sorted log singular values of the holonomy.
-
-    The transport is expressed in the unimodular natural frame at the
-    endpoints and conjugated by the Titeica eigenbasis S, which removes the
-    O(log cond S)/s^(1/3) offset between singular and asymptotic exponents
-    (exact for the constant differential).  Both frame changes have
-    determinant 1, so the triple sums to 0 up to rounding.  A numpy
-    LinAlgError in the transport or the read-out is raised as StepUnstable
-    naming the transport layer.
-    """
-    a, b = complex(path[0]), complex(path[-1])
-    da = natural_frame_diag(sol.q, a, cmath.phase(a))
-    db = natural_frame_diag(sol.q, b, cmath.phase(b))
-    S, S_inv = titeica_frame()
+    """s^(-1/3)-normalized sorted log singular values of the holonomy in the
+    unimodular natural frames of the endpoints conjugated by S, which leaves
+    no O(log cond S)/s^(1/3) offset: diag(e^-D1) Y diag(e^D0) of
+    integrate_transport, read in log space.  The triple sums to 0 up to
+    rounding.  A numpy LinAlgError in the transport or the read-out is raised
+    as StepUnstable naming the transport layer."""
     try:
-        xport = integrate_transport(sol, path)
-        A = S_inv * (1.0 / db)[None, :] @ xport.Q
-        B = (xport.T * da) @ S
-        vals = _log_singular_values_of_factored(A, xport.logd, B)
+        Y, D0, D1 = integrate_transport(sol, path)
+        vals = _graded_log_singular_values(-D1, Y, D0)
     except np.linalg.LinAlgError as err:
         raise StepUnstable(f"transport: {err}") from err
     return np.sort(vals)[::-1] / sol.q.s ** (1.0 / 3.0)

@@ -186,9 +186,9 @@ class WangSolution:
     def dz_phi_at(self, z):
         z = np.asarray(z, dtype=complex)
         r, log_r = self._log_radius(z)
-        dr = np.interp(log_r, self._log_rs, self._dF)
         with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 blends
-            ring = self.q.dz_flat(z) + 0.5 * np.exp(-1j * np.angle(z)) * dr
+            c = np.interp(log_r, self._log_rs, self._dF) / (2.0 * r)
+            ring = self.q.dz_flat(z) + c * z.conj()    # e^(-i arg z) = zbar/r
         return np.where(r <= self.rs[0], self._center_slope * z.conj(), ring)
 
     def radial_profile(self, r):

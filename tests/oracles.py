@@ -1,11 +1,12 @@
 """Fixtures and reference implementations shared by the tests.
 
 Surfaces and path files the tests build on, closed forms the numerical code
-is checked against, read-outs of a frame transport beyond the ones the
-verify commands use, orbifold bookkeeping, the corner-by-corner saddle
-connection search the batched one must match, the flip-by-flip product of
-the Stokes unipotents, and the triangle-group cycles traced on a developed
-patch, which the lattice cycles must match.  No command of the package
+is checked against, the chart-frame transport integrator the remainder
+integrator is checked against, read-outs of a frame transport beyond the
+ones the verify commands use, orbifold bookkeeping, the corner-by-corner
+saddle connection search the batched one must match, the flip-by-flip
+product of the Stokes unipotents, and the triangle-group cycles traced on a
+developed patch, which the lattice cycles must match.  No command of the package
 reaches any of this, so it lives with the tests.
 """
 
@@ -361,7 +362,20 @@ def titeica_log_singular_values(displacement: complex):
     the factored form (oracle for large displacements)."""
     S, S_inv = frame.titeica_frame()
     d = frame.titeica_exponents(complex(displacement))
-    return frame._log_singular_values_of_factored(S, d, S_inv)
+    return log_singular_values_of_factored(S, d, S_inv)
+
+
+def log_singular_values_of_factored(A, logd, B):
+    """Log singular values (largest, middle, smallest) of
+    A diag(e^logd) B without overflow, for well-conditioned A and B."""
+    m = float(np.max(logd))
+    G = (A * np.exp(logd - m)) @ B
+    s1 = m + math.log(np.linalg.norm(G, 2))
+    m2 = float(np.max(-logd))
+    Ginv = (np.linalg.inv(B) * np.exp(-logd - m2)) @ np.linalg.inv(A)
+    s3 = -(m2 + math.log(np.linalg.norm(Ginv, 2)))
+    det = np.linalg.slogdet(A)[1] + float(np.sum(logd)) + np.linalg.slogdet(B)[1]
+    return np.array([s1, det - s1 - s3, s3])
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +386,7 @@ def structure_coefficients(phi, dz_phi, q):
     """(U, V) in the chart frame (1, d/dz, d/dzbar) from the conformal
     factor, its z-derivative and the cubic differential value q (already
     including the ray parameter s).  The arguments broadcast; U and V have
-    the entry axes first, shape (3, 3, ...).  The complex reference for the
-    real-frame generators of frame."""
+    the entry axes first, shape (3, 3, ...)."""
     phi, dz_phi, q = np.broadcast_arrays(phi, np.asarray(dz_phi, complex),
                                          np.asarray(q, complex))
     ephi = np.exp(phi)
@@ -407,19 +420,56 @@ def chart_generators(phi, dz_phi, q, dz):
     return -W
 
 
-def reference_transport(sol, path):
-    """frame.integrate_transport's RK4 steps in the complex chart frame,
-    folded one short run at a time.
+def reference_step_size(s: float) -> float:
+    """The chart-frame integrator's step: capped at 0.01 and tightened so
+    the RK4 truncation stays near 1e-10 per unit length against the Titeica
+    growth rate 1.5 * 2^(2/3) s^(1/3), floored at 1e-5."""
+    rate = 1.5 * 2.0 ** (2.0 / 3.0) * s ** (1.0 / 3.0)
+    return max(min(0.01, (120.0 * 1e-10 / rate ** 5) ** 0.25), 1e-5)
 
-    Each segment is sampled on its own 2n+1 nodes and every run of 10 steps
-    is multiplied out in order and folded into the factored transport, so no
-    product spans a large growth.  Reference for the fold granularity of the
-    package's transport and for its real-frame generators.
+
+class FoldedTransport:
+    """A product of transport chunks kept as Q * diag(e^logd) * T: Q is
+    orthogonal, T has O(1) rows and logd carries the per-direction log
+    factors, so all three log singular values stay recoverable at any range
+    (the discrete QR method of Dieci, Russell & Van Vleck, SIAM J. Numer.
+    Anal. 34, 1997)."""
+
+    def __init__(self):
+        self.Q = np.eye(3)
+        self.logd = np.zeros(3)
+        self.T = np.eye(3)
+
+    def push_left(self, P):
+        """Fold X <- P X by a QR factorization of P Q."""
+        Q2, R = np.linalg.qr(P @ self.Q)
+        # R[i,j] e^(d_j - d_i) on the upper triangle; the exponent is zeroed
+        # below it, where R is 0 and e^(d_j - d_i) could overflow.  Row i of
+        # R D is carried by |R[i,i]|, its sign stays in T
+        RD = R * np.exp(np.triu(self.logd - self.logd[:, None]))
+        r = np.abs(np.diag(R))
+        Tn = (RD / r[:, None]) @ self.T
+        scale = np.maximum(np.max(np.abs(Tn), axis=1), 1e-300)
+        self.Q = Q2
+        self.logd = self.logd + np.log(r) + np.log(scale)
+        self.T = Tn / scale[:, None]
+
+
+def reference_transport(sol, path):
+    """RK4 transport of the full structure-equation connection in the
+    complex chart frame, folded one short run at a time: the chart-frame
+    integrator that frame.integrate_transport's remainder integrator
+    replaced.
+
+    Each segment takes n equal steps of reference_step_size, is sampled on
+    its own 2n+1 nodes, and every run of 10 steps is multiplied out in order
+    and folded into a FoldedTransport, so no product spans a large growth.
+    Returns the inverse transport X = Psi^(-1) in the chart frame.
     """
     I3 = np.eye(3, dtype=complex)
-    xport = frame.FrameTransport()
+    xport = FoldedTransport()
     pts = [complex(z) for z in path]
-    h = frame._step_size(sol.q.s)
+    h = reference_step_size(sol.q.s)
     for a, b in zip(pts[:-1], pts[1:]):
         seg = b - a
         if seg == 0:
@@ -442,25 +492,77 @@ def reference_transport(sol, path):
     return xport
 
 
-def arc_chart_difference(F, dF, q, radius, t):
+def natural_frame_diag(q, z: complex, branch_angle: float = 0.0):
+    """Frame change from the chart frame (1, d/dz, d/dzbar) to the natural
+    frame of q at z: |w'|^(2/3) diag(1, 1/w', 1/conj(w')) with w' =
+    q.cube_root on the branch continuous near arg z = branch_angle; its
+    determinant is 1."""
+    wp = q.cube_root(*q.on_branch(z, branch_angle))
+    diag = np.array([1.0, 1.0 / wp, 1.0 / wp.conjugate()], dtype=complex)
+    return abs(wp) ** (2.0 / 3.0) * diag
+
+
+def reference_weyl_exponents(sol, path):
+    """frame.transport_weyl_exponents of reference_transport: the log
+    singular values of S^(-1) X S in the natural frames of the endpoints,
+    sorted and divided by s^(1/3)."""
+    a, b = complex(path[0]), complex(path[-1])
+    da = natural_frame_diag(sol.q, a, cmath.phase(a))
+    db = natural_frame_diag(sol.q, b, cmath.phase(b))
+    S, S_inv = frame.titeica_frame()
+    xport = reference_transport(sol, path)
+    vals = log_singular_values_of_factored(S_inv * (1.0 / db)[None, :] @ xport.Q,
+                                           xport.logd, (xport.T * da) @ S)
+    return np.sort(vals)[::-1] / sol.q.s ** (1.0 / 3.0)
+
+
+def natural_transport_matrix(sol, path):
+    """Psi, the transport of frame.integrate_transport in the chart frame as
+    a dense matrix (use only at moderate range): X = Psi^(-1) is
+    D_b S diag(e^-D1) Y diag(e^D0) S^(-1) D_a^(-1) with D_a, D_b the
+    natural frame changes at the ends, on the branch continued along the
+    path."""
+    Y, D0, D1 = frame.integrate_transport(sol, path)
+    S, S_inv = frame.titeica_frame()
+    pts = [complex(z) for z in path]
+    theta = cmath.phase(pts[0])
+    da = natural_frame_diag(sol.q, pts[0], theta)
+    for a, b in zip(pts[:-1], pts[1:]):
+        theta += cmath.phase(b / a)
+    db = natural_frame_diag(sol.q, pts[-1], theta)
+    X = (db[:, None] * (S * np.exp(-D1)) @ Y @ (np.exp(D0)[:, None] * S_inv)
+         / da[None, :])
+    return np.linalg.inv(X)
+
+
+def remainder_chart_difference(F, dphi_w, xdot):
     """W = (U_w - U_T) xdot + (V_w - V_T) conj(xdot) in the chart frame, a
-    row-major (m, 3, 3) complex stack, on the arc |z| = radius at the angles
-    t, with xdot = dw/dt: the natural-chart connection (q = 1, conformal
-    factor phi_w = log 2^(1/3) + F) less the Titeica one.  Its entries are
-    formed in closed form from the radial profile F, F' (scalars, or arrays
-    that broadcast with t): 2^(1/3) expm1(F) / 2 at U[0, 2] and V[0, 1],
-    2^(-1/3) expm1(-F) at U[2, 1] and V[1, 2], and dphi_w = e^(-it) F' /
-    (2 w') at U[1, 1] and conjugated at V[2, 2]."""
-    t = np.asarray(t, dtype=float)
-    wp = q.cube_root(radius, t)
-    xd = (wp * (1j * radius * np.exp(1j * t)))[:, None, None]
+    row-major (m, 3, 3) complex stack: the natural-chart connection (q = 1,
+    conformal factor phi_w = log 2^(1/3) + F, d phi_w / dw = dphi_w) less the
+    Titeica one over natural displacements xdot.  F, dphi_w and xdot are
+    arrays of shape (m,) (or broadcast to it).  Its entries are formed in
+    closed form: 2^(1/3) expm1(F) / 2 at U[0, 2] and V[0, 1], 2^(-1/3)
+    expm1(-F) at U[2, 1] and V[1, 2], and dphi_w at U[1, 1] and conjugated
+    at V[2, 2]."""
+    F, dphi_w, xd = np.broadcast_arrays(F, np.asarray(dphi_w, complex),
+                                        np.asarray(xdot, complex))
     e, g = 2.0 ** (1 / 3) * np.expm1(F) / 2, np.expm1(-F) / 2.0 ** (1 / 3)
-    dphi_w = 0.5 * np.exp(-1j * t) * dF / wp
-    dU = np.zeros((len(t), 3, 3), dtype=complex)
+    dU = np.zeros(F.shape + (3, 3), dtype=complex)
     dV = np.zeros_like(dU)
     dU[:, 0, 2], dU[:, 1, 1], dU[:, 2, 1] = e, dphi_w, g
     dV[:, 0, 1], dV[:, 2, 2], dV[:, 1, 2] = e, dphi_w.conjugate(), g
+    xd = xd[:, None, None]
     return dU * xd + dV * xd.conjugate()
+
+
+def arc_chart_difference(F, dF, q, radius, t):
+    """remainder_chart_difference on the arc |z| = radius at the angles t,
+    with xdot = dw/dt, from the radial profile F, F' (scalars, or arrays
+    that broadcast with t): there dphi_w = e^(-it) F' / (2 w')."""
+    t = np.asarray(t, dtype=float)
+    wp = q.cube_root(radius, t)
+    return remainder_chart_difference(F, 0.5 * np.exp(-1j * t) * dF / wp,
+                                      wp * (1j * radius * np.exp(1j * t)))
 
 
 def reference_arc_unipotent(sol, theta0, theta1, radius):
@@ -494,7 +596,7 @@ def reference_arc_unipotent(sol, theta0, theta1, radius):
 
 
 # ---------------------------------------------------------------------------
-# read-outs of a frame.FrameTransport
+# read-outs of a FoldedTransport
 # ---------------------------------------------------------------------------
 
 def log_singular_values_inverse(xport, left_diag=None, right_diag=None):
@@ -505,7 +607,7 @@ def log_singular_values_inverse(xport, left_diag=None, right_diag=None):
     """
     A = xport.Q if left_diag is None else (xport.Q.T / np.asarray(left_diag)).T
     B = xport.T if right_diag is None else xport.T * np.asarray(right_diag)
-    vals = frame._log_singular_values_of_factored(A, xport.logd, B)
+    vals = log_singular_values_of_factored(A, xport.logd, B)
     return np.sort(vals)[::-1]
 
 

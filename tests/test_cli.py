@@ -489,9 +489,16 @@ def test_over_budget_orbifold_exits_1_with_one_line(monkeypatch, capsys,
      False),
 ])
 def test_sweep_monotone_flag_forgives_rounding_level_gaps(tmp_path, capsys,
-                                                         argv, monotone):
-    # gaps 1.5e-12, 2.8e-13, 2.1e-11 are rounding-level; 1.0e-8 at s = 1e10
-    # is the step-floor error, not rounding
+                                                         monkeypatch, argv,
+                                                         monotone):
+    # k = 0 gaps are rounding-level (at most 1e-15) at every s, so they pass
+    # in any order; the second sweep's exponents at s = 1e10 are shifted by
+    # 1e-9, a gap of 1.2e-8 after 1e-16, which is a rise above the floor
+    if not monotone:
+        exponents = frame.transport_weyl_exponents
+        monkeypatch.setattr(frame, "transport_weyl_exponents",
+                            lambda sol, path: exponents(sol, path)
+                            + (1e-9 if sol.q.s > 1e9 else 0.0))
     assert run(["verify", "sweep", *argv,
                 "--out", str(tmp_path / "sweep.csv")]) == 0
     err = capsys.readouterr().err
@@ -578,7 +585,8 @@ def _raise_linalg(*args, **kwargs):
 
 def test_transport_linalg_error_exits_2_naming_the_layer(monkeypatch,
                                                          capsys):
-    monkeypatch.setattr(np.linalg, "qr", _raise_linalg)
+    # the read-out's norm: a k = 0 transport takes no step, so no QR fold
+    monkeypatch.setattr(np.linalg, "norm", _raise_linalg)
     assert run(["verify", "sweep", "--k", "0", "--s", "1e2"]) == 2
     err = capsys.readouterr().err
     assert err == "error: StepUnstable: transport: injected failure\n"
@@ -700,21 +708,21 @@ def test_failing_s_keeps_the_rows_that_finished(tmp_path, monkeypatch, capsys,
 # here
 PINNED_CSV = {
     "verify sweep --k 1 --s 1e2,1e3,1e4 --path radial:0.3,0.9,0.27":
-        "b8e281ea9f66e0fe4ca07a67e4fcb29d3cd21d70601945f930eb134ea40bf118",
+        "d710bd5a8472b9b0ad7f317ad5ba0799fb26875129e91f32b3392e153718dfd9",
     "verify sweep --k 2 --s 1e2,1e3,1e4 "
     "--path chord:0.5480,0.0661,0.3211,0.4490":
-        "124d6e53a4b2b35439f2346b0278d8a719c75c63b9e43a66259ea2a6d391cdde",
+        "9f4d4c02ca550e312df6d1e08a35fa7cc4abb05d6949bd24ac0e3190e4631705",
     "verify arc --k 1 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
         "2fe8f31a79d4b70b9de3d399acf828eda9cf229c51fe789d8eadfe9ef00b71cf",
     "verify arc --k 2 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "077c1c6223a11ac6cd616003df43dfd0b514dab90ac0d617467f46e0904b9dec",
+        "923e494dcd5944d2d7ef33b612bc10e7563a561c13265fd5f837fa4d9fae039f",
     "verify sweep --k 2 --s 1e2,1e3 "
     "--path chord:-0.494996,0.070560,0.355457,-0.351640":
-        "1cb085c39f0f4b24992cc68959fa5ed8a5d074e165530cf9126500e5102eea27",
+        "ff5598acffd6a384720306ee2de7feccf0050d05fc17cfa47ca064e504a35a3d",
     "verify sweep --k 0 --s 1e2,1e8":
-        "a593d9bd924aa9475d1ec423195bb23d049a83219c56768862d60beacb1d0d43",
+        "24486603d74f2945f61a872e2c4e717140b744dee0d8f396e85f91b9150aa175",
     "verify sweep --k 3":
-        "208d94e4992e78ceb7454b9b9c33d90a9d7f36539b4edd2ef7ced68c80bc56e8",
+        "af446b44fb12da7b9541130f82ca31b4b9a03401518e0823a26302312d568c5a",
     "wang solve --k 0 --s 1e3":
         "2fe59fc0e73fb26ecdde3ac64550047937faa37353265247be991d1dc875e991",
     "wang solve --k 1 --s 1e3":
@@ -734,7 +742,7 @@ PINNED_CSV = {
     "trigroup spectrum --pqr 3,4,5 --maxlen 1.8":
         "571036f681e200e7dc9ec051cf81e3bd4a7e87a0933ca930a2b056ef4f383462",
     "verify arc --k 3 --s 1e2,1e3 --theta0 -0.5 --theta1 2.5":
-        "ddd148940ec1fc307908aacdff7e5495edd676ce3fd18fd381d2e9b0b326df64",
+        "b5e28b9dc82f3f4cd8f11d1f224658b2d9fc3220dbbaa047b2e0c959bc75422d",
     "verify arc --k 0 --s 1e2 --theta0 0.1 --theta1 3.0":
         "d1374e2190ca04516d89e4b732e93be8601ee1a03295ea534d8bdee38eada234",
 }

@@ -34,38 +34,35 @@ def test_titeica_frame_diagonalizes_structure():
         assert np.max(np.abs(D - want)) <= 1e-14 * (1 + abs(x))
 
 
-def _random_nodes(rng, m):
-    """Field values on 2m+1 nodes and a different dz for each of m steps,
-    over the ranges of the verify commands' paths."""
-    phi = rng.uniform(-2.0, 9.0, size=2 * m + 1)
-    dz_phi = 50.0 * (rng.normal(size=2 * m + 1)
-                     + 1j * rng.normal(size=2 * m + 1))
-    q = 10 ** rng.uniform(0, 4) * (rng.normal(size=2 * m + 1)
-                                    + 1j * rng.normal(size=2 * m + 1))
-    dz = 10 ** rng.uniform(-5, -1) * (rng.normal(size=m)
-                                      + 1j * rng.normal(size=m))
-    return phi, dz_phi, q, dz
-
-
 def test_real_generators_are_the_chart_generators_in_the_real_frame():
-    # C^H G C of the complex chart-frame generator, matrix by matrix.  Node
-    # 2i + 2 ends step i and starts step i + 1, which take different dz, as
-    # on the two sides of a joint between a path's segments
-    C = frame._C
+    # the real S-gauge remainder generators are -(S^(-1) (W - tr W / 3) S)
+    # e^(D_i - D_j) of the chart-frame remainder W over a natural step dw =
+    # w' dz, with dphi_w = F_z / w', formed in closed form, for random F
+    # (down to 1e-12), F_z, w', dz and slot exponents D
+    S, S_inv = frame.titeica_frame()
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        phi, dz_phi, q, dz = _random_nodes(rng, 6)
-        G = frame._transport_generators(phi, dz_phi, q, dz)
-        assert G.dtype == np.float64 and G.shape == (3, 3, 3, 6)
-        for role in range(3):
-            nodes = 2 * np.arange(6) + role
-            want = C.conj().T @ oracles.chart_generators(
-                phi[nodes], dz_phi[nodes], q[nodes], dz) @ C
-            scale = np.abs(want).max(axis=(1, 2))[:, None, None]
-            assert np.max(np.abs(want.imag) / scale) <= 1e-15
-            got = np.moveaxis(G[role], -1, 0)
-            assert np.max(np.abs(got - want) / scale) <= 1e-15
-        assert not np.array_equal(G[2][..., 0], G[0][..., 1])
+    m = 12
+    for _ in range(200):
+        F = rng.choice([-1.0, 1.0], m) * 10 ** rng.uniform(-12, 0.5, m)
+        F_z = 10 ** rng.uniform(-3, 3, m) * np.exp(2j * np.pi * rng.random(m))
+        wp = 10 ** rng.uniform(-1, 4, m) * np.exp(2j * np.pi * rng.random(m))
+        dz = 10 ** rng.uniform(-6, -2) * np.exp(2j * np.pi * rng.random())
+        D = rng.normal(scale=5.0, size=(3, m))
+        W = oracles.remainder_chart_difference(F, F_z / wp, wp * dz)
+        W -= np.trace(W, axis1=1, axis2=2)[:, None, None] / 3 * np.eye(3)
+        scaling = np.exp(D[:, None] - D[None, :])
+        want = -np.einsum("ij,mjk,kl->ilm", S_inv, W, S) * scaling
+        bound = np.einsum("ij,mjk,kl->ilm", np.abs(S_inv), np.abs(W),
+                          np.abs(S)) * scaling
+        got = frame._remainder_generators(F, F_z, dz, wp, D)
+        assert got.dtype == np.float64 and got.shape == (3, 3, m)
+        assert np.max(np.abs(got - want) / bound) <= 2e-15
+    # an exact zero stays zero where e^(D_i - D_j) overflows
+    D = np.array([[1e4, 0.0], [0.0, 0.0], [-1e4, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = frame._remainder_generators(np.zeros(2), np.zeros(2), 1e-3,
+                                          np.ones(2), D)
+    assert np.array_equal(got, np.zeros((3, 3, 2)))
 
 
 def test_real_arc_integrand_is_the_chart_frame_integrand():
@@ -182,9 +179,10 @@ def test_titeica_singular_exponents_match_tropical():
 
 
 def test_factored_transport_extreme_range():
-    # push_left must recover all three exponents at condition numbers ~ e^80
+    # the reference integrator's QR fold must recover all three exponents at
+    # condition numbers ~ e^80
     rng = np.random.default_rng(0)
-    xp = frame.FrameTransport()
+    xp = oracles.FoldedTransport()
     d = np.array([40.0, -5.0, -35.0]) / 200
     base = np.linalg.qr(rng.normal(size=(3, 3)))[0]
     M = base @ np.diag(np.exp(d)) @ base.T
@@ -195,54 +193,57 @@ def test_factored_transport_extreme_range():
     assert abs(oracles.log_abs_det(xp)) < 1e-8
 
 
-def _natural_log_sv(xport, sol, z0, z1):
-    da = frame.natural_frame_diag(sol.q, z0, cmath.phase(complex(z0)))
-    db = frame.natural_frame_diag(sol.q, z1, cmath.phase(complex(z1)))
-    return oracles.log_singular_values(xport, left_diag=db, right_diag=da)
+def _titeica_weyl_exponents(x, s):
+    """The closed form of transport_weyl_exponents for q = s dz^3 over a
+    natural displacement x: S^(-1) of the inverse Titeica transport is
+    diag(e^(-titeica_exponents(x)))."""
+    return np.sort(-frame.titeica_exponents(x))[::-1] / s ** (1 / 3)
 
 
 def test_integrator_matches_closed_form_k0(sol_k0):
     s = 800.0
     sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=40))
     for z0, z1 in [(0.1 + 0.05j, 0.9 + 0.4j), (0.6j, 0.1 - 0.7j)]:
-        xport = frame.integrate_transport(sol, [z0, z1])
-        x = s ** (1 / 3) * (z1 - z0)
-        want = oracles.titeica_log_singular_values(x)
-        got = _natural_log_sv(xport, sol, z0, z1)
-        assert np.max(np.abs(np.sort(got) - np.sort(want))) < 1e-8
+        got = frame.transport_weyl_exponents(sol, [z0, z1])
+        want = _titeica_weyl_exponents(s ** (1 / 3) * (z1 - z0), s)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_integrator_closed_form_long_displacement():
-    # displacement * s^(1/3) up to 40: needs the factored accumulation
+    # displacement * s^(1/3) = 40: the exponents spread over 95, far past
+    # what a dense matrix resolves, and are read in log space
     s = 6.4e4
     sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=30))
     z0, z1 = 0.05, 0.05 + 1.0
-    xport = frame.integrate_transport(sol, [z0, z1])
-    x = s ** (1 / 3) * (z1 - z0)
-    want = oracles.titeica_log_singular_values(x)
-    got = _natural_log_sv(xport, sol, z0, z1)
-    assert np.max(np.abs(np.sort(got) - np.sort(want))) < 1e-7 * max(1, abs(x))
+    got = frame.transport_weyl_exponents(sol, [z0, z1])
+    want = _titeica_weyl_exponents(s ** (1 / 3) * (z1 - z0), s)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_reversed_path_inverse(sol_k1_s1000):
+    # the reversed path transports by the inverse: its exponents negate and
+    # reverse
     path = [0.35 + 0.1j, 0.7 + 0.3j]
-    fwd = frame.integrate_transport(sol_k1_s1000, path)
-    bwd = frame.integrate_transport(sol_k1_s1000, path[::-1])
-    a = oracles.log_singular_values(fwd)
-    b = oracles.log_singular_values(bwd)
-    assert np.max(np.abs(np.sort(a) + np.sort(b)[::-1])) < 1e-8 * max(1, np.max(np.abs(a)))
+    fwd = frame.transport_weyl_exponents(sol_k1_s1000, path)
+    bwd = frame.transport_weyl_exponents(sol_k1_s1000, path[::-1])
+    assert np.max(np.abs(fwd + bwd[::-1])) < 1e-12 * np.max(np.abs(fwd))
 
 
 def test_unimodularity(sol_k1_s1000):
-    xport = frame.integrate_transport(sol_k1_s1000, [0.3, 0.8j])
-    assert abs(oracles.log_abs_det(xport)) < 1e-6
+    # the remainder is trace-free, so Y has determinant 1
+    Y, _, _ = frame.integrate_transport(sol_k1_s1000, [0.3, 0.8j])
+    assert abs(np.linalg.det(Y) - 1) < 1e-12
 
 
 def test_gauge_reality(sol_k1_s1000):
+    # mapped back to the chart frame, the remainder transport is the
+    # chart-frame transport of the full connection (the reference
+    # integrator), and real in the orthonormal gauge
     sol = sol_k1_s1000
     a, b = 0.4, 0.25 + 0.6j
-    xport = frame.integrate_transport(sol, [a, b])
-    psi = oracles.transport_matrix(xport)
+    psi = oracles.natural_transport_matrix(sol, [a, b])
+    ref = oracles.transport_matrix(oracles.reference_transport(sol, [a, b]))
+    assert np.max(np.abs(psi - ref)) < 1e-8 * np.max(np.abs(ref))
     Ca = oracles.orthonormal_gauge(sol.phi_at(a))
     Cb = oracles.orthonormal_gauge(sol.phi_at(b))
     R = np.linalg.inv(Ca) @ psi @ Cb
@@ -444,68 +445,85 @@ def test_nan_field_stops_transport_at_the_first_step(sol_k0, monkeypatch):
         return np.full(np.shape(z), math.nan)
     monkeypatch.setattr(wang.WangSolution, "phi_at", nan_phi)
     with pytest.raises(StepUnstable, match=r"step 1 of \d+ at z=.* is not "
-                       r"finite or has a real-frame entry above e\^10/3$"):
+                       r"finite or has an entry above e\^10/3$"):
         frame.integrate_transport(sol_k0, [0.3, 0.9])
-    # one phi_at call for the one segment, given all 2n+1 nodes
-    n = math.ceil(0.6 / frame._step_size(sol_k0.q.s))
-    assert len(calls) == 1
-    assert np.shape(calls[0]) == (2 * n + 1,)
+    # the scan finds a nonzero (NaN) remainder, so the whole segment takes
+    # steps: one phi_at call for the scan and one given all 2n+1 nodes
+    n = frame._segment_steps(sol_k0.q, 0.3, 0.9)
+    assert len(calls) == 2
+    assert np.shape(calls[1]) == (2 * n + 1,)
 
 
 def test_field_nan_past_a_radius_names_the_first_bad_step(monkeypatch):
-    # phi is NaN only for |z| > 0.6 on [0.3, 0.9], and a step-by-step loop
-    # stops at the first step with a node past 0.6.  For odd n that is step
-    # (n + 1)/2: its middle node sits on 0.6 and its end node lies past it,
-    # while every node of the steps before lies below 0.6 by at least half a
-    # step, so rounding of the nodes cannot move the index.  The chunked
-    # check must neither skip ahead nor stop early.
+    # phi is NaN only for |z| > cut on [0.1, 0.9], and a step-by-step loop
+    # stops at the first step with a node past the cut.  The cut sits half
+    # a node spacing past step j's middle node, so every node of the steps
+    # before lies below it by a whole spacing and rounding of the nodes
+    # cannot move the index.  The chunked check must neither skip ahead nor
+    # stop early.  F is nonzero on the whole segment at k = 1, so all of it
+    # takes steps
     phi_at = wang.WangSolution.phi_at
-
-    def nan_outside(self, z):
-        return np.where(np.abs(z) > 0.6, math.nan, phi_at(self, z))
-    monkeypatch.setattr(wang.WangSolution, "phi_at", nan_outside)
     for s in (2000.0, 1e4):
-        sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=40))
-        n = math.ceil(0.6 / frame._step_size(s))
-        assert n % 2 == 1 and n > 4 * frame._CHUNK_STEPS
+        sol = wang.solve_disk(1, s, 1.0)
+        n = frame._segment_steps(sol.q, 0.1, 0.9)
+        j = 3 * frame._CHUNK_STEPS + 17
+        assert n > j + 1
+        cut = 0.1 + 0.8 * (2 * j + 1.5) / (2 * n)
+        monkeypatch.setattr(wang.WangSolution, "phi_at", lambda self, z: np.where(
+            np.abs(z) > cut, math.nan, phi_at(self, z)))
         with pytest.raises(StepUnstable,
-                           match=rf"step {(n + 1) // 2} of {n} at z="):
-            frame.integrate_transport(sol, [0.3, 0.9])
+                           match=rf"step {j + 1} of {n} at z="):
+            frame.integrate_transport(sol, [0.1, 0.9])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_segment_through_the_zero_is_refused(k):
+    # F ~ log r is singular there for k >= 1 (k = 0 transports through it:
+    # test_shifted_flat_transport_is_the_product_of_exponentials)
+    sol = wang.solve_disk(k, 1e3, 1.0)
+    for path in ([0.5j, 0.5, -0.5], [0.5j, 0.0]):
+        with pytest.raises(ValueError, match=r"passes through z = 0$"):
+            frame.integrate_transport(sol, path)
 
 
 def test_step_budget_refuses_paths_and_arcs_before_sampling(monkeypatch):
-    # a path at the budget runs; one step over it, and an arc over it, are
-    # refused before the field is sampled on any node
-    sol = wang.solve_disk(0, 1e4, 1.2, wang.GridSpec(nr=40))
-    n = math.ceil(0.6 / frame._step_size(1e4))
+    # a path at the budget runs; one step over it is refused after the scan
+    # and before its step nodes are sampled, and an arc over the budget is
+    # refused before any node is sampled
+    sol = wang.solve_disk(1, 1e3, 1.0)
+    n = frame._segment_steps(sol.q, 0.3, 0.9)
     monkeypatch.setattr(frame, "_MAX_STEPS", n)
     frame.integrate_transport(sol, [0.3, 0.9])
     calls = []
+    phi_at = wang.WangSolution.phi_at
 
-    def no_phi(self, z):
-        calls.append(z)
-        return np.full(np.shape(z), math.nan)
-    monkeypatch.setattr(wang.WangSolution, "phi_at", no_phi)
-    monkeypatch.setattr(wang.WangSolution, "radial_profile", no_phi)
+    def count(self, z):
+        calls.append(np.size(z))
+        return phi_at(self, z)
+    monkeypatch.setattr(wang.WangSolution, "phi_at", count)
     monkeypatch.setattr(frame, "_MAX_STEPS", n - 1)
     with pytest.raises(ValueError, match=rf"^path takes {n} transport steps "
-                                         rf"at s=10000, over the budget of "
+                                         rf"at s=1000, over the budget of "
                                          rf"{n - 1}$"):
         frame.integrate_transport(sol, [0.3, 0.9])
+    assert len(calls) == 1 and calls[0] < 20            # the scan alone
+    sol = wang.solve_disk(0, 1e4, 1.2, wang.GridSpec(nr=40))
+    monkeypatch.setattr(wang.WangSolution, "radial_profile", count)
     monkeypatch.setattr(frame, "_MAX_STEPS", 1000)
     with pytest.raises(ValueError, match=r"^arc takes 1468 steps at "
                                          r"s=10000, over the budget of 1000$"):
         frame.arc_unipotent_numeric(sol, 0.04, 0.75, radius=0.5)
-    assert calls == []
+    assert len(calls) == 1
 
 
 class _FlatField:
     """The exact k = 0 Wang solution, e^(3 phi) = 2 s^2, at any s without a
-    disk solve."""
+    disk solve; phi is the flat part as CubicDifferential writes it, shifted
+    by a constant c (then it solves no Wang equation)."""
 
-    def __init__(self, s):
+    def __init__(self, s, c=0.0):
         self.q = wang.CubicDifferential(0, s)
-        self.phi = math.log(2.0 * s * s) / 3.0
+        self.phi = self.q.flat(0.0) + c
 
     def phi_at(self, z):
         return np.full(np.shape(z), self.phi)
@@ -517,11 +535,84 @@ class _FlatField:
         return 0.0, 0.0
 
 
+def _shifted_flat_weyl_exponents(path, s, c):
+    """transport_weyl_exponents for k = 0 and phi = flat + c: the natural-chart
+    connection x U + xbar V is constant on each segment, so the inverse
+    transport is expm(-G_n) ... expm(-G_1) over the segments' natural
+    displacements, each exponential from an eigen-decomposition.  The largest
+    log singular value of its S-conjugate and of the inverse are read from
+    dense products, the middle one from the determinant 1."""
+    U, V = oracles.structure_coefficients(math.log(2.0) / 3.0 + c, 0.0, 1.0)
+    S, S_inv = frame.titeica_frame()
+    X = X_inv = np.eye(3)
+    for a, b in zip(path[:-1], path[1:]):
+        x = s ** (1 / 3) * (b - a)
+        lam, P = np.linalg.eig(x * U + x.conjugate() * V)
+        P_inv = np.linalg.inv(P)
+        X = (P * np.exp(-lam)) @ P_inv @ X
+        X_inv = X_inv @ (P * np.exp(lam)) @ P_inv
+    s1 = math.log(np.linalg.norm(S_inv @ X @ S, 2))
+    s3 = -math.log(np.linalg.norm(S_inv @ X_inv @ S, 2))
+    return np.array([s1, -s1 - s3, s3]) / s ** (1 / 3)
+
+
+def test_shifted_flat_transport_is_the_product_of_exponentials(monkeypatch):
+    # phi = flat + c makes the remainder a nonzero constant F = c, so B =
+    # e^(D_i - D_j) (S^(-1) dW_0 S)_ij varies along the path and every
+    # segment takes steps; on a chord, a polyline and paths through and to
+    # z = 0 (a regular point at k = 0) the transport is the exact product of
+    # exponentials to the step error (3.7e-10; 1e-14 at 1/8 the step)
+    steps = []
+    rk4 = frame._rk4_steps
+
+    def count(*gens):
+        steps.append(gens[0].shape[-1])
+        return rk4(*gens)
+    monkeypatch.setattr(frame, "_rk4_steps", count)
+    s, c = 1e2, 0.1
+    sol = _FlatField(s, c)
+    for path in ([0.1 + 0.05j, 0.5 + 0.3j], [0.3, 0.2 + 0.4j, -0.3 + 0.1j],
+                 [0.5j, 0.5, -0.5], [0.5j, 0.0]):
+        steps.clear()
+        got = frame.transport_weyl_exponents(sol, path)
+        want = _shifted_flat_weyl_exponents(path, s, c)
+        assert sum(steps) >= sum(frame._segment_steps(sol.q, a, b)
+                                 for a, b in zip(path[:-1], path[1:]))
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    # the real k = 0 solve has F = 0 and transports through z = 0 in closed
+    # form
+    sol = wang.solve_disk(0, 1e3, 1.0)
+    for path in ([0.5j, 0.5, -0.5], [0.5j, 0.0]):
+        got = frame.transport_weyl_exponents(sol, path)
+        want = _titeica_weyl_exponents(1e3 ** (1 / 3) * (path[-1] - path[0]),
+                                       1e3)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("s", [1e2, 1e8, 1e12])
+def test_flat_part_rounding_takes_no_step(s, monkeypatch):
+    # a sampler whose flat part differs from CubicDifferential's in the last
+    # bits (a different formula, or a 2D solve) leaves a remainder of that
+    # rounding everywhere; it is taken as zero, so a length-1.9 chord takes
+    # no step (a step rule over the whole chord would pass _MAX_STEPS at s =
+    # 1e12, and e^(D_i - D_j) would overflow) and equals the closed form
+    sol = _FlatField(s)
+    sol.phi += 3 * math.ulp(sol.phi)
+    assert sol.phi_at(0.5)[()] != sol.q.flat(0.0)
+    monkeypatch.setattr(frame.FrameTransport, "push_left", None)
+    path = [-0.9 + 0.3j, 0.9 + 0.4j]
+    got = frame.transport_weyl_exponents(sol, path)
+    want = _titeica_weyl_exponents(s ** (1 / 3) * (path[1] - path[0]), s)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_chunk_folds_match_ten_step_folds(k, monkeypatch):
     # folding once per chunk (and sampling the whole path at once) gives the
-    # normalized exponents of folding every 10 steps per segment, on a
-    # one-segment radial and on the sweep's 47-segment chord
+    # normalized exponents of folding every 10 steps, on a one-segment
+    # radial and on the sweep's 47-segment chord; and the remainder
+    # integrator agrees with the chart-frame reference integrator (10-step
+    # QR folds, its own step rule) to the larger step error of the two
     radial = [0.3 * cmath.exp(0.27j), 0.9 * cmath.exp(0.27j)]
     chord, _ = cli._sweep_path("chord:0.5487,0.0662,0.3208,0.4480",
                                wang.CubicDifferential(k), 1.0)
@@ -531,34 +622,45 @@ def test_chunk_folds_match_ten_step_folds(k, monkeypatch):
         for path in (radial, chord):
             got = frame.transport_weyl_exponents(sol, path)
             with monkeypatch.context() as m:
-                m.setattr(frame, "integrate_transport",
-                          oracles.reference_transport)
+                m.setattr(frame, "_CHUNK_STEPS", 10)
                 want = frame.transport_weyl_exponents(sol, path)
-            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.max(np.abs(got - want)) <= 1e-14
+            # the reference's 0.01 step is off by up to 2.4e-7 at s = 1
+            ref = oracles.reference_weyl_exponents(sol, path)
+            assert np.max(np.abs(got - ref)) <= (1e-9 if s > 1 else 1e-6)
 
 
 @pytest.mark.parametrize("s, length", [(1e8, 0.2), (1e10, 0.05),
                                        (1e12, 0.01)])
 def test_folds_stay_accurate_at_extreme_s(s, length):
-    # past s ~ 1.5e8 the 1e-5 step floor lets a chunk of _CHUNK_STEPS steps
-    # grow the frame by more than e^_FOLD_GROWTH; folding such chunks whole
-    # loses the small directions (error 0.1 at s = 1e10, 160 at s = 1e12,
-    # where ten-step folds give 2.0e-6 and 9.6e-4)
+    # the k = 0 remainder is an exact zero, so the transport is the closed
+    # Titeica form to rounding at any s; the chart-frame reference with its
+    # 1e-5 step floor is off by 3.6e-9, 2.0e-6 and 9.6e-4 here
     sol = _FlatField(s)
     z0, z1 = 0.05, 0.05 + length
-    want = np.sort(oracles.titeica_log_singular_values(s ** (1 / 3) * length))
-    errs = []
-    for transport in (frame.integrate_transport, oracles.reference_transport):
-        got = _natural_log_sv(transport(sol, [z0, z1]), sol, z0, z1)
-        errs.append(np.max(np.abs(np.sort(got) - want)))
-    assert errs[0] <= 2 * errs[1]
+    x = s ** (1 / 3) * length
+    want = _titeica_weyl_exponents(x, s)
+    got = frame.transport_weyl_exponents(sol, [z0, z1])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    ref = oracles.reference_weyl_exponents(sol, [z0, z1])
+    assert np.max(np.abs(got - want)) <= np.max(np.abs(ref - want))
+
+
+@pytest.mark.parametrize("s", [1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+def test_k0_transport_is_the_closed_form_at_any_s(s):
+    # on the default radial, a chord and a path across the branch cut
+    sol = _FlatField(s)
+    for path in ([0.3 * cmath.exp(0.27j), 0.9 * cmath.exp(0.27j)],
+                 [0.3 + 0.1j, 0.45 + 0.6j, -0.5 + 0.2j, -0.4 - 0.3j]):
+        got = frame.transport_weyl_exponents(sol, path)
+        want = _titeica_weyl_exponents(s ** (1 / 3) * (path[-1] - path[0]), s)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_step_error_names_the_step_within_its_segment(monkeypatch):
     # three segments and a zero-length one; phi is NaN only in a disc inside
     # the middle segment, whose steps start several chunks into the path
-    s = 1e4
-    sol = wang.solve_disk(0, s, 1.2, wang.GridSpec(nr=40))
+    sol = wang.solve_disk(1, 1e3, 1.0)
     hole, radius = 0.5 + 0.2j, 0.05
     phi_at = wang.WangSolution.phi_at
     shapes = []
@@ -567,18 +669,33 @@ def test_step_error_names_the_step_within_its_segment(monkeypatch):
         shapes.append(np.shape(z))
         return np.where(np.abs(z - hole) < radius, math.nan, phi_at(self, z))
     monkeypatch.setattr(wang.WangSolution, "phi_at", nan_in_hole)
-    pts = [0.3, 0.5, 0.5, 0.5 + 0.4j, 0.2 + 0.4j]
-    h = frame._step_size(s)
-    n = [math.ceil(abs(b - a) / h) for a, b in zip(pts, pts[1:]) if b != a]
+    pts = [0.1, 0.5, 0.5, 0.5 + 0.4j, 0.2 + 0.4j]
+    n = [frame._segment_steps(sol.q, a, b) for a, b in zip(pts, pts[1:])
+         if b != a]
     assert n[0] > frame._CHUNK_STEPS
     # the first step of the middle segment with a node in the disc
     a, b = pts[2], pts[3]
-    nodes = a + (b - a) * (np.arange(2 * n[1] + 1) / (2 * n[1]))
+    nodes = a + (b - a) / n[1] * (np.arange(2 * n[1] + 1) / 2)
     j = next(i for i in range(n[1])
              if (np.abs(nodes[2 * i:2 * i + 3] - hole) < radius).any())
     assert 0 < j < n[1] - 1
     want = f"step {j + 1} of {n[1]} at z={complex(nodes[2 * j]):.6g} "
     with pytest.raises(StepUnstable, match=re.escape(want)):
         frame.integrate_transport(sol, pts)
-    # one sample of the path's shared nodes; the zero-length segment has none
-    assert shapes == [(2 * sum(n) + 1,)]
+    # the scan's sample, then one of each step segment's own 2n+1 nodes; the
+    # zero-length segment has none
+    assert len(shapes) == 2 and shapes[1] == (sum(2 * m + 1 for m in n),)
+
+
+@pytest.mark.parametrize("s", [1e4, 1e5])
+def test_arc_polyline_and_chord_agree(s):
+    # the holonomy is path independent: a 120-segment polyline of |z| = 0.8
+    # and the chord to the same endpoint give the same exponents, also where
+    # they pass the zero on different sides of the remainder's support
+    sol = wang.solve_disk(1, s, 1.0)
+    for psi in (0.5, 1.0, 2.0):
+        arc = list(0.8 * np.exp(1j * np.linspace(0.0, psi, 121)))
+        chord = [arc[0], arc[-1]]
+        a = frame.transport_weyl_exponents(sol, arc)
+        b = frame.transport_weyl_exponents(sol, chord)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))

@@ -153,6 +153,21 @@ def test_far_field_F_keeps_relative_precision():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
+def test_solve_is_exact_under_natural_unit_scaling(k):
+    # in the natural coordinate the F equation has constant coefficients, and
+    # s -> 8 s with R -> R 2^(-3/(k+3)) keeps the natural radius of every
+    # ring of one GridSpec: both solves give the same F (at the parent of
+    # this test the worst ring was 1.7e-11 relative)
+    for s in (1e2, 1e3, 1e4, 1e5, 1e6):
+        grid = wang.decay_fit_grid(s)
+        a = wang.solve_disk(k, s, 1.0, grid)
+        b = wang.solve_disk(k, 8 * s, 2.0 ** (-3 / (k + 3)), grid)
+        live = a.F != 0
+        assert np.array_equal(live, b.F != 0) and live.sum() > 100
+        assert np.max(np.abs(b.F[live] / a.F[live] - 1)) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_flat_start_newton_budget(k):
     # the flat start leaves only the core |w| < 1 to converge: at most 5
     # steps on every decay-fit grid to s = 1e8 (about 19k rings); the
