@@ -34,11 +34,11 @@ BETA = (-2.0 * math.pi / 3.0, 0.0, 2.0 * math.pi / 3.0)
 SLOT_BRANCH = (1, 0, 2)
 _SLOT_PHASES = np.array([cmath.exp(-1j * b) for b in BETA])
 
-# transport steps follow F's scales: F and D_i - D_j change at O(1) rates
-# per unit of natural length, and near the zero F ~ log r changes on the
-# scale r.  A scan at natural spacing _SCAN_STEP finds where the remainder
-# is not zero.  Transport and arcs form at most _CHUNK_STEPS steps at a
-# time, which bounds the transient (3, 3, m) arrays
+# steps follow F's scales where each is taken: F and D_i - D_j change at
+# O(1) rates per unit of natural length (and angle, on arcs), and near the
+# zero F ~ log r changes on the scale r.  A scan at natural spacing
+# _SCAN_STEP finds where the remainder is not zero.  Transport and arcs form
+# at most _CHUNK_STEPS steps at a time, bounding the (3, 3, m) transients
 _NATURAL_STEP = 0.02
 _ZERO_STEP = 0.0015
 _SCAN_STEP = 1.0
@@ -163,14 +163,22 @@ def _nearest(a: complex, seg: complex) -> float:
     return min(max(-(a * seg.conjugate()).real / abs(seg) ** 2, 0.0), 1.0)
 
 
-def _segment_steps(q, a: complex, b: complex, part: float = 1.0) -> int:
-    """RK4 steps for a part of the chart segment a -> b, each at most
-    _NATURAL_STEP long in the natural chart and, for k >= 1, _ZERO_STEP
-    times the segment's closest approach to the zero."""
+def _scan_points(q, a: complex, seg: complex) -> list:
+    """Parameters t in [0, 1] on the chart segment a -> a + seg at natural
+    spacing _SCAN_STEP, and that of its closest approach to the zero."""
+    n = math.ceil(abs(seg) * abs(q.cube_root(max(abs(a), abs(a + seg)), 0.0))
+                  / _SCAN_STEP)
+    return sorted({i / n for i in range(n + 1)} | {_nearest(a, seg)})
+
+
+def _segment_steps(q, a: complex, b: complex) -> int:
+    """RK4 steps for the chart segment a -> b, each at most _NATURAL_STEP
+    long in the natural chart and, for k >= 1, _ZERO_STEP times the
+    segment's closest approach to the zero."""
     near = abs(a + _nearest(a, b - a) * (b - a))
     h = _NATURAL_STEP / abs(q.cube_root(max(abs(a), abs(b)), 0.0))
-    return max(2, math.ceil(part * abs(b - a) / (min(h, _ZERO_STEP * near)
-                                                  if q.k else h)))
+    return max(2, math.ceil(abs(b - a) / (min(h, _ZERO_STEP * near)
+                                          if q.k else h)))
 
 
 def _remainder_generators(F, F_z, dz, wp, D):
@@ -200,15 +208,15 @@ def integrate_transport(sol, path):
     difference within _FLAT_ROUNDING of its flat part (that part's rounding)
     is taken as zero too.
 
-    One sampler call of each scans every segment at natural spacing
-    _SCAN_STEP and at its closest approach to the zero.  Between the scan
-    points next to a segment's first and last nonzero remainder it takes
-    _segment_steps equal steps, whose nodes are sampled in one more call of
-    each; each chunk of steps is multiplied out into Y.  A step that is not
-    finite or has an entry above e^10/3 raises StepUnstable naming it as
-    step j of n within its segment.  A path of more than _MAX_STEPS steps,
-    or for k >= 1 with a segment through z = 0 (F ~ log r there), is refused
-    with a ValueError before its step nodes are allocated."""
+    One sampler call of each scans every segment at _scan_points.  Each
+    interval between the scan points next to a segment's first and last
+    nonzero remainder takes its own _segment_steps equal steps, whose nodes
+    are sampled in one more call of each; each chunk of steps is multiplied
+    out into Y.  A step that is not finite or has an entry above e^10/3
+    raises StepUnstable naming it as step j of n within its segment.  A
+    path of more than _MAX_STEPS steps, or for k >= 1 with a segment through
+    z = 0 (F ~ log r there), is refused with a ValueError before its step
+    nodes are allocated."""
     q = sol.q
 
     def remainder(z):
@@ -238,29 +246,26 @@ def integrate_transport(sol, path):
     xport = FrameTransport()
     if not segs:
         return xport.T, D0, D1
-    scans = []
-    for a, seg in segs:
-        n = math.ceil(abs(seg) * abs(q.cube_root(max(abs(a), abs(a + seg)),
-                                                 0.0)) / _SCAN_STEP)
-        scans.append(sorted([i / n for i in range(n + 1)]
-                            + [_nearest(a, seg)]))
+    scans = [_scan_points(q, a, seg) for a, seg in segs]
     F, F_z = remainder(np.array([a + seg * t for (a, seg), ts in
                                  zip(segs, scans) for t in ts]))
     live = np.split((F != 0) | (F_z != 0), np.cumsum(list(map(len, scans))))
-    pieces = []                   # (a, arg z at a, offset from a, dz, n)
-    for (a, seg), th, t, on in zip(segs, theta, scans, live):
+    pieces = []                   # (segment, offset from its start, dz, n)
+    for g, ((a, seg), t, on) in enumerate(zip(segs, scans, live)):
         if on.any():
             i, j = np.flatnonzero(on)[[0, -1]]
-            lo, hi = t[max(i - 1, 0)], t[min(j + 1, len(t) - 1)]
-            n = _segment_steps(q, a, a + seg, hi - lo)
-            pieces.append((a, th, seg * lo, seg * ((hi - lo) / n), n))
+            ts = t[max(i - 1, 0):j + 2]
+            for lo, hi in zip(ts, ts[1:]):
+                n = _segment_steps(q, a + seg * lo, a + seg * hi)
+                pieces.append((g, seg * lo, seg * ((hi - lo) / n), n))
     if sum(n for *_, n in pieces) > _MAX_STEPS:
         raise ValueError(f"path takes {sum(n for *_, n in pieces)} transport "
                          f"steps at s={q.s:g}, over the budget of {_MAX_STEPS}")
     if not pieces:
         return xport.T, D0, D1
     # piece p has nodes 0 .. 2 n_p of its own, and its step j starts at 2 j
-    a, th, off, dz, ns = (np.array(v) for v in zip(*pieces))
+    g, off, dz, ns = (np.array(v) for v in zip(*pieces))
+    a, th = np.array([a for a, _ in segs])[g], np.array(theta)[g]
     size = 2 * ns + 1
     piece = np.repeat(np.arange(len(ns)), size)
     local = np.arange(len(piece)) - (np.cumsum(size) - size)[piece]
@@ -269,7 +274,6 @@ def integrate_transport(sol, path):
     args = th[piece] + np.angle(1 + x / a) if q.k else np.angle(nodes)
     first = np.flatnonzero((local % 2 == 0) & (local < 2 * ns[piece]))
     del piece, local, x, a
-    stops = np.cumsum(ns)
     F, F_z = remainder(nodes)
     for lo in range(0, len(first), _CHUNK_STEPS):
         idx = first[lo:lo + _CHUNK_STEPS]
@@ -283,11 +287,12 @@ def integrate_transport(sol, path):
             steps, bad = _rk4_steps(*(hB[..., idx - idx[0] + role]
                                       for role in range(3)))
         if bad >= 0:
-            i = lo + bad
-            k = int(np.searchsorted(stops, i, side="right"))
-            raise StepUnstable(f"transport step {i - stops[k] + ns[k] + 1} of "
-                               f"{ns[k]} at z={complex(nodes[first[i]]):.6g} "
-                               f"is not finite or has an entry above e^10/3")
+            i, step_seg = lo + bad, np.repeat(g, ns)   # each step's segment
+            mine = np.flatnonzero(step_seg == step_seg[i])
+            raise StepUnstable(f"transport step {i - mine[0] + 1} of "
+                               f"{len(mine)} at z="
+                               f"{complex(nodes[first[i]]):.6g} is not finite "
+                               f"or has an entry above e^10/3")
         # Y <- step Y: the chunk's product is its steps multiplied last first
         xport.push_left(_ordered_product(steps[..., ::-1]))
     return xport.T, D0, D1
@@ -306,13 +311,13 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     N' = N * F_T (omega_w - omega_T) F_T^(-1), the remainder in the eigen-gauge
     with entrywise exponential scaling.  F and dF/dr are constants on the arc
     (sol.radial_profile, read once), so the integrand has three constant
-    matrices.  A step that is not finite or has an entry above e^10/3 raises
-    StepUnstable naming it as arc step j of n.  An arc of more than
-    _MAX_STEPS steps is refused with a ValueError before any node is
-    allocated.
+    matrices; it takes _arc_steps equal steps in theta.  A step that is not
+    finite or has an entry above e^10/3 raises StepUnstable naming it as arc
+    step j of n.  An arc of more than _MAX_STEPS steps is refused with a
+    ValueError before any node is allocated.
     """
     q = sol.q
-    n_steps = max(256, int(96 * abs(theta1 - theta0) * q.s ** (1 / 3)))
+    n_steps = _arc_steps(q, theta0, theta1, radius)
     if n_steps > _MAX_STEPS:
         raise ValueError(f"arc takes {n_steps} steps at s={q.s:g}, over the "
                          f"budget of {_MAX_STEPS}")
@@ -342,6 +347,13 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
         M = M @ _ordered_product(steps.swapaxes(0, 1))
     S, S_inv = titeica_frame()
     return S @ M @ S_inv
+
+
+def _arc_steps(q, theta0: float, theta1: float, radius: float) -> int:
+    """RK4 steps for the arc |z| = radius from theta0 to theta1, each at
+    most _NATURAL_STEP of natural length and of natural angle."""
+    return max(2, math.ceil(abs(q.natural_angle(theta1 - theta0)) * max(
+        q.natural_radius(radius), 1.0) / _NATURAL_STEP))
 
 
 def _arc_coefficients(F, dF, radius):

@@ -575,7 +575,7 @@ def reference_arc_unipotent(sol, theta0, theta1, radius):
     """
     I3 = np.eye(3, dtype=complex)
     q = sol.q
-    n = max(256, int(96 * abs(theta1 - theta0) * q.s ** (1 / 3)))
+    n = frame._arc_steps(q, theta0, theta1, radius)
     S, S_inv = frame.titeica_frame()
     h = (theta1 - theta0) / n
     t = theta0 + (h / 2) * np.arange(2 * n + 1)

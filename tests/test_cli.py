@@ -463,11 +463,12 @@ def test_unstable_arc_exits_2_naming_the_step(monkeypatch, capsys, profile):
 
 @pytest.mark.parametrize("argv", [["sweep"], ["arc"]])
 def test_over_budget_path_exits_1_with_one_line(monkeypatch, capsys, argv):
-    monkeypatch.setattr(frame, "_MAX_STEPS", 1000)
+    # the default radial takes 804 steps and the default arc 214 here
+    monkeypatch.setattr(frame, "_MAX_STEPS", 100)
     assert run(["verify", *argv, "--k", "1", "--s", "1e4"]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: (path takes \d+ transport|arc takes \d+) "
-                        r"steps at s=10000, over the budget of 1000\n", err)
+                        r"steps at s=10000, over the budget of 100\n", err)
 
 
 @pytest.mark.parametrize("argv", [["trigroup", "spectrum"]],
@@ -708,21 +709,21 @@ def test_failing_s_keeps_the_rows_that_finished(tmp_path, monkeypatch, capsys,
 # here
 PINNED_CSV = {
     "verify sweep --k 1 --s 1e2,1e3,1e4 --path radial:0.3,0.9,0.27":
-        "d710bd5a8472b9b0ad7f317ad5ba0799fb26875129e91f32b3392e153718dfd9",
+        "0e16f13ec61c4cda3803bea768a7ef5005598413c51cede426bb4d2751b14b04",
     "verify sweep --k 2 --s 1e2,1e3,1e4 "
     "--path chord:0.5480,0.0661,0.3211,0.4490":
-        "9f4d4c02ca550e312df6d1e08a35fa7cc4abb05d6949bd24ac0e3190e4631705",
+        "9abba206acad4bec7e2ba5e197ec80f3a147449dbc910b5f2e27336af0278861",
     "verify arc --k 1 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "2fe8f31a79d4b70b9de3d399acf828eda9cf229c51fe789d8eadfe9ef00b71cf",
+        "cd967e5446d6f07dc248c5839f6eaa5838076f21656cbe44ac4856ce5f1279f8",
     "verify arc --k 2 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "923e494dcd5944d2d7ef33b612bc10e7563a561c13265fd5f837fa4d9fae039f",
+        "cd230de52d9389ba51ce78ebe59e0d72b2cdfb897d3b4c87e4828df55f5aa225",
     "verify sweep --k 2 --s 1e2,1e3 "
     "--path chord:-0.494996,0.070560,0.355457,-0.351640":
-        "ff5598acffd6a384720306ee2de7feccf0050d05fc17cfa47ca064e504a35a3d",
+        "d69eb42d11008b8d0708bf28110ac8d43123b66c20078825dba68a25060b9c10",
     "verify sweep --k 0 --s 1e2,1e8":
         "24486603d74f2945f61a872e2c4e717140b744dee0d8f396e85f91b9150aa175",
     "verify sweep --k 3":
-        "af446b44fb12da7b9541130f82ca31b4b9a03401518e0823a26302312d568c5a",
+        "0986842202acedfc8e9e99ed159a38713a89a0d371405974549d9b9cd86f3e0e",
     "wang solve --k 0 --s 1e3":
         "2fe59fc0e73fb26ecdde3ac64550047937faa37353265247be991d1dc875e991",
     "wang solve --k 1 --s 1e3":
@@ -742,7 +743,7 @@ PINNED_CSV = {
     "trigroup spectrum --pqr 3,4,5 --maxlen 1.8":
         "571036f681e200e7dc9ec051cf81e3bd4a7e87a0933ca930a2b056ef4f383462",
     "verify arc --k 3 --s 1e2,1e3 --theta0 -0.5 --theta1 2.5":
-        "b5e28b9dc82f3f4cd8f11d1f224658b2d9fc3220dbbaa047b2e0c959bc75422d",
+        "b025b43d2c13804853952fd1e366d207836c16f17e886134bdff612462352472",
     "verify arc --k 0 --s 1e2 --theta0 0.1 --theta1 3.0":
         "d1374e2190ca04516d89e4b732e93be8601ee1a03295ea534d8bdee38eada234",
 }

@@ -361,9 +361,9 @@ def test_arc_nan_past_an_angle_names_the_first_bad_step(monkeypatch):
     # the natural coordinate is NaN only past the angle of one step's middle
     # node, several chunks into the arc: that step is the first with a NaN
     # node, and the chunked check must neither skip ahead nor stop early
-    s, theta0, theta1, radius = 1e4, 0.1, 3.0, 0.5
+    s, theta0, theta1, radius = 1e5, 0.1, 3.0, 0.5
     sol = _FlatField(s)
-    n = max(256, int(96 * (theta1 - theta0) * s ** (1 / 3)))
+    n = frame._arc_steps(sol.q, theta0, theta1, radius)
     j = 3 * frame._CHUNK_STEPS + 17
     assert j < n - 1
     t = theta0 + ((theta1 - theta0) / n / 2) * np.arange(2 * n + 1)
@@ -437,6 +437,21 @@ def test_two_segment_turn_leading_vs_numeric():
     assert gaps[-1] < gaps[0]
 
 
+def _live_segment_steps(q, a, b):
+    """The package's step count of each scan interval of the segment a -> b
+    and the start, middle and end nodes of each step, as integrate_transport
+    lays them out when the remainder is nonzero at every scan point."""
+    seg, ns, steps = b - a, [], []
+    ts = frame._scan_points(q, a, seg)
+    for lo, hi in zip(ts, ts[1:]):
+        n = frame._segment_steps(q, a + seg * lo, a + seg * hi)
+        dz = seg * ((hi - lo) / n)
+        nodes = a + (seg * lo + dz * (np.arange(2 * n + 1) / 2))
+        ns.append(n)
+        steps += [nodes[2 * i:2 * i + 3] for i in range(n)]
+    return ns, steps
+
+
 def test_nan_field_stops_transport_at_the_first_step(sol_k0, monkeypatch):
     calls = []
 
@@ -448,32 +463,33 @@ def test_nan_field_stops_transport_at_the_first_step(sol_k0, monkeypatch):
                        r"finite or has an entry above e\^10/3$"):
         frame.integrate_transport(sol_k0, [0.3, 0.9])
     # the scan finds a nonzero (NaN) remainder, so the whole segment takes
-    # steps: one phi_at call for the scan and one given all 2n+1 nodes
-    n = frame._segment_steps(sol_k0.q, 0.3, 0.9)
+    # steps: one phi_at call for the scan and one given the 2n+1 nodes of
+    # each scan interval's n steps
+    ns, _ = _live_segment_steps(sol_k0.q, 0.3, 0.9)
     assert len(calls) == 2
-    assert np.shape(calls[1]) == (2 * n + 1,)
+    assert np.shape(calls[1]) == (sum(2 * n + 1 for n in ns),)
 
 
 def test_field_nan_past_a_radius_names_the_first_bad_step(monkeypatch):
-    # phi is NaN only for |z| > cut on [0.1, 0.9], and a step-by-step loop
-    # stops at the first step with a node past the cut.  The cut sits half
-    # a node spacing past step j's middle node, so every node of the steps
-    # before lies below it by a whole spacing and rounding of the nodes
-    # cannot move the index.  The chunked check must neither skip ahead nor
-    # stop early.  F is nonzero on the whole segment at k = 1, so all of it
-    # takes steps
+    # phi is NaN only for |z| > cut on [0.05, 0.9], and a step-by-step loop
+    # stops at the first step with a node past the cut.  The cut sits
+    # halfway between step j's middle and last nodes, so every node of the
+    # steps before lies below it by half a node spacing or more and rounding
+    # of the nodes cannot move the index.  The chunked check must neither
+    # skip ahead nor stop early.  F is nonzero on the whole segment at k = 1,
+    # so all of it takes steps
     phi_at = wang.WangSolution.phi_at
     for s in (2000.0, 1e4):
         sol = wang.solve_disk(1, s, 1.0)
-        n = frame._segment_steps(sol.q, 0.1, 0.9)
+        _, steps = _live_segment_steps(sol.q, 0.05, 0.9)
         j = 3 * frame._CHUNK_STEPS + 17
-        assert n > j + 1
-        cut = 0.1 + 0.8 * (2 * j + 1.5) / (2 * n)
+        assert len(steps) > j + 1
+        n, cut = len(steps), float(np.mean(steps[j][1:].real))
         monkeypatch.setattr(wang.WangSolution, "phi_at", lambda self, z: np.where(
             np.abs(z) > cut, math.nan, phi_at(self, z)))
         with pytest.raises(StepUnstable,
                            match=rf"step {j + 1} of {n} at z="):
-            frame.integrate_transport(sol, [0.1, 0.9])
+            frame.integrate_transport(sol, [0.05, 0.9])
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -491,7 +507,7 @@ def test_step_budget_refuses_paths_and_arcs_before_sampling(monkeypatch):
     # and before its step nodes are sampled, and an arc over the budget is
     # refused before any node is sampled
     sol = wang.solve_disk(1, 1e3, 1.0)
-    n = frame._segment_steps(sol.q, 0.3, 0.9)
+    n = sum(_live_segment_steps(sol.q, 0.3, 0.9)[0])
     monkeypatch.setattr(frame, "_MAX_STEPS", n)
     frame.integrate_transport(sol, [0.3, 0.9])
     calls = []
@@ -509,11 +525,70 @@ def test_step_budget_refuses_paths_and_arcs_before_sampling(monkeypatch):
     assert len(calls) == 1 and calls[0] < 20            # the scan alone
     sol = wang.solve_disk(0, 1e4, 1.2, wang.GridSpec(nr=40))
     monkeypatch.setattr(wang.WangSolution, "radial_profile", count)
-    monkeypatch.setattr(frame, "_MAX_STEPS", 1000)
-    with pytest.raises(ValueError, match=r"^arc takes 1468 steps at "
-                                         r"s=10000, over the budget of 1000$"):
+    n = frame._arc_steps(sol.q, 0.04, 0.75, 0.5)
+    monkeypatch.setattr(frame, "_MAX_STEPS", n - 1)
+    with pytest.raises(ValueError, match=rf"^arc takes {n} steps at s=10000, "
+                                         rf"over the budget of {n - 1}$"):
         frame.arc_unipotent_numeric(sol, 0.04, 0.75, radius=0.5)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_arc_steps_converge(k, monkeypatch):
+    # steps of at most _NATURAL_STEP of natural length and angle agree with
+    # steps 8 times finer entrywise within 1e-8 of max(1, |G|) (7.3e-10 at
+    # worst), on both README windows at the bench radius and inside the
+    # natural unit circle, where the angle bounds the step
+    for s in (1e2, 1e3, 1e4, 1e5, 1e6):
+        sol = wang.solve_disk(k, s, 1.0)
+        for radius in (0.5, 0.05):
+            for window in ((0.04, 0.75), (0.3, 0.8)):
+                got = frame.arc_unipotent_numeric(sol, *window, radius)
+                with monkeypatch.context() as m:
+                    m.setattr(frame, "_NATURAL_STEP", frame._NATURAL_STEP / 8)
+                    want = frame.arc_unipotent_numeric(sol, *window, radius)
+                assert np.max(np.abs(got - want)
+                              / np.maximum(1.0, np.abs(want))) <= 1e-8
+
+
+def test_scan_intervals_take_fewer_steps_than_one_segment_rule(monkeypatch):
+    # each scan interval of the k = 1 radial 0.3 -> 0.9 sizes its steps by
+    # its own closest approach and largest w'; one rule for the whole
+    # segment takes 1,334 steps, all sized by r = 0.3
+    steps = []
+    rk4 = frame._rk4_steps
+
+    def count(*gens):
+        steps.append(gens[0].shape[-1])
+        return rk4(*gens)
+    monkeypatch.setattr(frame, "_rk4_steps", count)
+    sol = wang.solve_disk(1, 1e4, 1.0)
+    a, b = 0.3 * cmath.exp(0.27j), 0.9 * cmath.exp(0.27j)
+    frame.integrate_transport(sol, [a, b])
+    whole = frame._segment_steps(sol.q, a, b)
+    assert whole == 1334
+    assert sum(steps) == sum(_live_segment_steps(sol.q, a, b)[0]) < whole
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_steps_near_the_zero_stay_in_budget(k, monkeypatch):
+    # radials each way, a chord and the same chord in 47 segments, all
+    # passing 0.01 from the zero, take at most 29,446 steps (k = 1, s = 1e2,
+    # the one-segment chord; 133,327 with one step rule per segment), read
+    # from the budget refusal after the scan.  s = 1e11 and 1e12 take fewer
+    # steps too, and are left out because each of their solves takes ~1 s
+    monkeypatch.setattr(frame, "_MAX_STEPS", -1)
+    x = math.sqrt(1 - 1e-4)
+    chord = [complex(-x, 0.01), complex(x, 0.01)]
+    paths = ([0.01 * cmath.exp(0.27j), cmath.exp(0.27j)],
+             [cmath.exp(0.27j), 0.01 * cmath.exp(0.27j)], chord,
+             list(np.linspace(*chord, 48)))
+    for s in (1e2, 1e3, 1e4, 1e6, 1e8, 1e10):
+        sol = wang.solve_disk(k, s, 1.0)
+        for path in paths:
+            with pytest.raises(ValueError, match=r"^path takes") as err:
+                frame.integrate_transport(sol, path)
+            assert int(str(err.value).split()[2]) <= 29_446
 
 
 class _FlatField:
@@ -576,7 +651,7 @@ def test_shifted_flat_transport_is_the_product_of_exponentials(monkeypatch):
         steps.clear()
         got = frame.transport_weyl_exponents(sol, path)
         want = _shifted_flat_weyl_exponents(path, s, c)
-        assert sum(steps) >= sum(frame._segment_steps(sol.q, a, b)
+        assert sum(steps) == sum(sum(_live_segment_steps(sol.q, a, b)[0])
                                  for a, b in zip(path[:-1], path[1:]))
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
     # the real k = 0 solve has F = 0 and transports through z = 0 in closed
@@ -670,21 +745,21 @@ def test_step_error_names_the_step_within_its_segment(monkeypatch):
         return np.where(np.abs(z - hole) < radius, math.nan, phi_at(self, z))
     monkeypatch.setattr(wang.WangSolution, "phi_at", nan_in_hole)
     pts = [0.1, 0.5, 0.5, 0.5 + 0.4j, 0.2 + 0.4j]
-    n = [frame._segment_steps(sol.q, a, b) for a, b in zip(pts, pts[1:])
-         if b != a]
-    assert n[0] > frame._CHUNK_STEPS
+    ns = [_live_segment_steps(sol.q, a, b)[0] for a, b in zip(pts, pts[1:])
+          if b != a]
+    assert sum(ns[0]) > frame._CHUNK_STEPS
     # the first step of the middle segment with a node in the disc
-    a, b = pts[2], pts[3]
-    nodes = a + (b - a) / n[1] * (np.arange(2 * n[1] + 1) / 2)
-    j = next(i for i in range(n[1])
-             if (np.abs(nodes[2 * i:2 * i + 3] - hole) < radius).any())
-    assert 0 < j < n[1] - 1
-    want = f"step {j + 1} of {n[1]} at z={complex(nodes[2 * j]):.6g} "
+    _, steps = _live_segment_steps(sol.q, pts[2], pts[3])
+    j = next(i for i, z in enumerate(steps)
+             if (np.abs(z - hole) < radius).any())
+    assert 0 < j < len(steps) - 1
+    want = f"step {j + 1} of {len(steps)} at z={complex(steps[j][0]):.6g} "
     with pytest.raises(StepUnstable, match=re.escape(want)):
         frame.integrate_transport(sol, pts)
-    # the scan's sample, then one of each step segment's own 2n+1 nodes; the
-    # zero-length segment has none
-    assert len(shapes) == 2 and shapes[1] == (sum(2 * m + 1 for m in n),)
+    # the scan's sample, then one of each scan interval's own 2n+1 nodes;
+    # the zero-length segment has none
+    assert len(shapes) == 2
+    assert shapes[1] == (sum(2 * n + 1 for m in ns for n in m),)
 
 
 @pytest.mark.parametrize("s", [1e4, 1e5])
