@@ -63,6 +63,19 @@ def _parse_s_list(text):
     return vals
 
 
+def _rows_per_s(s_list, row, out, header):
+    """The CSV rows row(s) for each s in turn, written to out under header;
+    the rows that finished are written also when a later s fails."""
+    rows = []
+    try:
+        for s in s_list:
+            rows.append(row(s))
+    finally:
+        if rows:
+            _write_csv(out, header, rows)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -197,20 +210,15 @@ def cmd_verify_sweep(args):
     pts, period = _sweep_path(args.path, q, args.radius)
     target = np.array(tropical.segment_exponents(period).weyl.as_tuple())
     scale = float(np.max(np.abs(target)))
-    rows = []
-    try:
-        for s in s_list:
-            sol = wang.solve_disk(q.k, s, args.radius)
-            numeric = frame.transport_weyl_exponents(sol, pts)
-            rows.append((s, *numeric, *target,
-                         *(np.abs(numeric - target) / scale)))
-    finally:
-        # the rows that finished, also when a later s fails
-        if rows:
-            _write_csv(args.out, ["s", "num_x1", "num_x2", "num_x3",
-                                  "trop_x1", "trop_x2", "trop_x3",
-                                  "gap_x1", "gap_x2", "gap_x3"], rows)
-    gaps = [max(row[-3:]) for row in rows]
+
+    def row(s):
+        sol = wang.solve_disk(q.k, s, args.radius)
+        numeric = frame.transport_weyl_exponents(sol, pts)
+        return (s, *numeric, *target, *(np.abs(numeric - target) / scale))
+    rows = _rows_per_s(s_list, row, args.out,
+                       ["s", "num_x1", "num_x2", "num_x3", "trop_x1",
+                        "trop_x2", "trop_x3", "gap_x1", "gap_x2", "gap_x3"])
+    gaps = [max(r[-3:]) for r in rows]
     monotone = all(b < a or b <= _GAP_FLOOR for a, b in zip(gaps, gaps[1:]))
     _diag(f"max relative gap at s={s_list[-1]:g}: {gaps[-1]:.3e}"
           f" (monotone: {monotone})")
@@ -232,18 +240,14 @@ def cmd_verify_arc(args):
     U = polygon.arc_unipotent(polygon.regular_lifts(q.k + 3), nat0, nat1)
     S, S_inv = frame.titeica_frame()
     pred = S @ np.linalg.inv(U) @ S_inv
-    errs = []
-    try:
-        for s in s_list:
-            sol = wang.solve_disk(q.k, s, args.radius_disk)
-            G = frame.arc_unipotent_numeric(sol, args.theta0, args.theta1,
-                                            radius=args.radius)
-            errs.append(float(np.max(np.abs(G - pred))))
-    finally:
-        # the rows that finished, also when a later s fails
-        if errs:
-            _write_csv(args.out, ["s", "entrywise_error"], zip(s_list, errs))
-    _diag(f"entrywise error at s={s_list[-1]:g}: {errs[-1]:.4e}")
+
+    def row(s):
+        sol = wang.solve_disk(q.k, s, args.radius_disk)
+        G = frame.arc_unipotent_numeric(sol, args.theta0, args.theta1,
+                                        radius=args.radius)
+        return s, float(np.max(np.abs(G - pred)))
+    rows = _rows_per_s(s_list, row, args.out, ["s", "entrywise_error"])
+    _diag(f"entrywise error at s={s_list[-1]:g}: {rows[-1][1]:.4e}")
     return EXIT_OK
 
 
@@ -279,14 +283,19 @@ def cmd_building_convexity(args):
     return EXIT_OK if fails == 0 and corner_fails == 0 else EXIT_NUMERICAL
 
 
+def _cycles_and_thetas(args):
+    """The two straight cycles of args.pqr and args.thetas angles 2 pi i/n."""
+    return ([trigroup.straight_positive_cycle(*args.pqr),
+             trigroup.straight_median_cycle(*args.pqr)],
+            [2 * math.pi * i / args.thetas for i in range(args.thetas)])
+
+
 def cmd_trigroup_spectrum(args):
     orb = trigroup.build_orbifold(*args.pqr, layers=args.layers)
-    classes = [trigroup.straight_positive_cycle(*args.pqr),
-               trigroup.straight_median_cycle(*args.pqr)]
+    classes, thetas = _cycles_and_thetas(args)
     conns = surf_mod.enumerate_saddle_connections(orb.surface, args.maxlen)
     _diag(f"saddle connections up to {args.maxlen}: {len(conns)} "
           f"(clipped: {conns.clipped})")
-    thetas = [2 * math.pi * i / args.thetas for i in range(args.thetas)]
     rows = []
     for th in thetas:
         spec = trigroup.spectrum(trigroup.rotated_paths(classes, th))
@@ -297,9 +306,7 @@ def cmd_trigroup_spectrum(args):
 
 
 def cmd_trigroup_boundary(args):
-    classes = [trigroup.straight_positive_cycle(*args.pqr),
-               trigroup.straight_median_cycle(*args.pqr)]
-    thetas = [2 * math.pi * i / args.thetas for i in range(args.thetas)]
+    classes, thetas = _cycles_and_thetas(args)
     probe = trigroup.boundary_injectivity_probe(classes, thetas)
     print(f"min pairwise projectivized distance: {_fmt(probe.min_pairwise)}")
     if probe.insufficient_family:

@@ -8,10 +8,12 @@ Transport and arcs integrate only the remainder, in the Titeica eigenbasis S:
 the Titeica factor is diag(e^D) in closed form, D = titeica_exponents(w),
 and the integrand e^(D_i - D_j) (S^(-1) dW S)_ij is real, O(1) at any s (F
 decays like e^(-m|w|), m = 2^(2/3) sqrt 3 the largest rate of D_i - D_j)
-and an exact zero wherever F is.  Both form RK4 propagators with one step
-formula as entry-major float64 batches, shape (3, 3, m), in chunks of at
-most _CHUNK_STEPS steps, reject a step that is not finite or has an entry
-above e^10/3, and refuse more than _MAX_STEPS steps before allocating nodes.
+and an exact zero wherever F is.  An arc is the remainder transport from
+its end angle back to its start, so both go through one stepping core: RK4
+propagators as entry-major float64 batches, shape (3, 3, m), in chunks of at
+most _CHUNK_STEPS steps, each step rejected when it is not finite or has an
+entry above e^10/3; both refuse more than _MAX_STEPS steps before
+allocating nodes.
 
 The constant differential has the classical closed-form frame (Titeica); its
 eigenbasis S conjugates every asymptotic formula in the polygon module.
@@ -43,8 +45,8 @@ _NATURAL_STEP = 0.02
 _ZERO_STEP = 0.0015
 _SCAN_STEP = 1.0
 _CHUNK_STEPS = 640
-# a path or arc holds all its nodes at once, ~250 B per transport step and
-# ~220 B per arc step, so this budget keeps them to ~125 MB, next to the
+# a path or arc holds all its nodes at once, ~330 B per transport step and
+# ~150 B per arc step, so this budget keeps them to ~165 MB, next to the
 # ~165 MB of wang._MAX_RINGS
 _MAX_STEPS = 500_000
 _I3 = np.eye(3)[:, :, None]                    # the identity, a batch of one
@@ -195,6 +197,37 @@ def _remainder_generators(F, F_z, dz, wp, D):
     return np.where(K == 0, 0.0, -K * np.exp(D[:, None] - D[None, :]))
 
 
+def _remainder_transport(q, r, theta, F, F_z, dz, first, where):
+    """Y of Y' = B Y from the identity, B = _remainder_generators, over RK4
+    steps whose start, middle and end nodes are first, first + 1 and first +
+    2 of the nodes at radii r and continued angles theta, with F, F_z and
+    the chart step dz there; r and F may be one scalar for every node.  Each
+    chunk of at most _CHUNK_STEPS steps is multiplied out into Y.  A step
+    that is not finite or has an entry above e^10/3 raises StepUnstable
+    naming it as where(i), i its index among the steps."""
+    xport = FrameTransport()
+    for lo in range(0, len(first), _CHUNK_STEPS):
+        idx = first[lo:lo + _CHUNK_STEPS]
+        part = slice(idx[0], idx[-1] + 3)
+        radii, th, *field = (v[part] if getattr(v, "ndim", 0) else v
+                             for v in (r, theta, F, F_z, dz))
+        # a non-finite field or step is reported below, not warned about
+        with np.errstate(invalid="ignore", over="ignore"):
+            hB = _remainder_generators(
+                *field, q.cube_root(radii, th),
+                titeica_exponents(q.natural(radii, th)).T)
+            # entry-major (3, 3, m) slices keep every einsum contiguous
+            rel = idx - idx[0]
+            steps, bad = _rk4_steps(*(hB.take(rel + role, axis=2)
+                                      for role in range(3)))
+        if bad >= 0:
+            raise StepUnstable(f"{where(lo + bad)} is not finite or has an "
+                               f"entry above e^10/3")
+        # Y <- step Y: the chunk's product is its steps multiplied last first
+        xport.push_left(_ordered_product(steps[..., ::-1]))
+    return xport.T
+
+
 def integrate_transport(sol, path):
     """RK4 transport of the Titeica remainder along a polyline of complex
     chart points; ``sol`` provides phi_at and dz_phi_at on arrays of chart
@@ -243,9 +276,8 @@ def integrate_transport(sol, path):
             theta.append(cmath.phase(a + seg))
     D0, D1 = (titeica_exponents(q.natural(abs(z), th))
               for z, th in ((pts[0], theta[0]), (pts[-1], theta[-1])))
-    xport = FrameTransport()
     if not segs:
-        return xport.T, D0, D1
+        return np.eye(3), D0, D1
     scans = [_scan_points(q, a, seg) for a, seg in segs]
     F, F_z = remainder(np.array([a + seg * t for (a, seg), ts in
                                  zip(segs, scans) for t in ts]))
@@ -262,7 +294,7 @@ def integrate_transport(sol, path):
         raise ValueError(f"path takes {sum(n for *_, n in pieces)} transport "
                          f"steps at s={q.s:g}, over the budget of {_MAX_STEPS}")
     if not pieces:
-        return xport.T, D0, D1
+        return np.eye(3), D0, D1
     # piece p has nodes 0 .. 2 n_p of its own, and its step j starts at 2 j
     g, off, dz, ns = (np.array(v) for v in zip(*pieces))
     a, th = np.array([a for a, _ in segs])[g], np.array(theta)[g]
@@ -275,27 +307,14 @@ def integrate_transport(sol, path):
     first = np.flatnonzero((local % 2 == 0) & (local < 2 * ns[piece]))
     del piece, local, x, a
     F, F_z = remainder(nodes)
-    for lo in range(0, len(first), _CHUNK_STEPS):
-        idx = first[lo:lo + _CHUNK_STEPS]
-        part = slice(idx[0], idx[-1] + 3)
-        r, th = np.abs(nodes[part]), args[part]
-        # a non-finite field or step is reported below, not warned about
-        with np.errstate(invalid="ignore", over="ignore"):
-            hB = _remainder_generators(F[part], F_z[part], dz[part],
-                                       q.cube_root(r, th),
-                                       titeica_exponents(q.natural(r, th)).T)
-            steps, bad = _rk4_steps(*(hB[..., idx - idx[0] + role]
-                                      for role in range(3)))
-        if bad >= 0:
-            i, step_seg = lo + bad, np.repeat(g, ns)   # each step's segment
-            mine = np.flatnonzero(step_seg == step_seg[i])
-            raise StepUnstable(f"transport step {i - mine[0] + 1} of "
-                               f"{len(mine)} at z="
-                               f"{complex(nodes[first[i]]):.6g} is not finite "
-                               f"or has an entry above e^10/3")
-        # Y <- step Y: the chunk's product is its steps multiplied last first
-        xport.push_left(_ordered_product(steps[..., ::-1]))
-    return xport.T, D0, D1
+    step_seg = np.repeat(g, ns)                        # each step's segment
+
+    def where(i):
+        mine = np.flatnonzero(step_seg == step_seg[i])
+        return (f"transport step {i - mine[0] + 1} of {len(mine)} at "
+                f"z={complex(nodes[first[i]]):.6g}")
+    return _remainder_transport(q, np.abs(nodes), args, F, F_z, dz, first,
+                                where), D0, D1
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +326,13 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     """G_{theta0}^(-1) G_{theta1} for the arc |z| = radius between the two
     angles, converging to the conjugated Stokes unipotent product as s grows.
 
-    Computed as the osculation comparison N(t) = F_T(x(t0)) Psi_w F_T(x(t))^(-1):
-    N' = N * F_T (omega_w - omega_T) F_T^(-1), the remainder in the eigen-gauge
-    with entrywise exponential scaling.  F and dF/dr are constants on the arc
-    (sol.radial_profile, read once), so the integrand has three constant
-    matrices; it takes _arc_steps equal steps in theta.  A step that is not
-    finite or has an entry above e^10/3 raises StepUnstable naming it as arc
-    step j of n.  An arc of more than _MAX_STEPS steps is refused with a
+    It is S Y S^(-1) for the remainder transport Y of integrate_transport
+    from theta1 back to theta0, so no inverse is formed.  F and F' = dF/dr
+    are constants on the arc (sol.radial_profile, read once), so F_z = F'
+    conj(z) / 2r and the chart step is dz = i z dtheta; it takes _arc_steps
+    equal steps in theta.  A step that is not finite or has an entry above
+    e^10/3 raises StepUnstable naming it as arc step j of n, counted from
+    theta1.  An arc of more than _MAX_STEPS steps is refused with a
     ValueError before any node is allocated.
     """
     q = sol.q
@@ -321,32 +340,16 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     if n_steps > _MAX_STEPS:
         raise ValueError(f"arc takes {n_steps} steps at s={q.s:g}, over the "
                          f"budget of {_MAX_STEPS}")
-    # dw/dtheta and the slot exponents on the start, middle and end nodes
-    h = (theta1 - theta0) / n_steps
-    t = theta0 + (h / 2) * np.arange(2 * n_steps + 1)
-    xdot = q.cube_root(radius, t) * (1j * radius * np.exp(1j * t))
-    D = titeica_exponents(q.natural(radius, t)).T
-    # M' = M A for the integrand A = (x A_x + y A_y + A_0) e^(D_i - D_j),
-    # xdot = x + iy.  That is X' = A^T X for X = M^T: RK4 steps of X,
-    # transposed back, advance M by M P with one propagator P per step
-    A = _arc_coefficients(*sol.radial_profile(radius), radius)
-    hA_x, hA_y, hA_0 = h * A.swapaxes(1, 2)[..., None]
-    M = np.eye(3)
-    for lo in range(0, n_steps, _CHUNK_STEPS):
-        part = slice(2 * lo, 2 * min(lo + _CHUNK_STEPS, n_steps) + 1)
-        x, y, d = xdot[part].real, xdot[part].imag, D[:, part]
-        with np.errstate(invalid="ignore", over="ignore"):
-            hAT = (hA_x * x + hA_y * y + hA_0) * np.exp(d - d[:, None])
-            steps, bad = _rk4_steps(hAT[..., :-1:2], hAT[..., 1::2],
-                                    hAT[..., 2::2])
-        if bad >= 0:
-            j = lo + bad
-            raise StepUnstable(f"arc step {j + 1} of {n_steps} at theta="
-                               f"{t[2 * j]:.6g} is not finite or has an "
-                               f"entry above e^10/3")
-        M = M @ _ordered_product(steps.swapaxes(0, 1))
+    F, dF = sol.radial_profile(radius)
+    h = (theta0 - theta1) / n_steps
+    t = theta1 + (h / 2) * np.arange(2 * n_steps + 1)
+    z = radius * np.exp(1j * t)
+    Y = _remainder_transport(q, radius, t, F, (0.5 * dF / radius) * z.conj(),
+                             (1j * h) * z, np.arange(0, 2 * n_steps, 2),
+                             lambda j: f"arc step {j + 1} of {n_steps} at "
+                                       f"theta={t[2 * j]:.6g}")
     S, S_inv = titeica_frame()
-    return S @ M @ S_inv
+    return S @ Y @ S_inv
 
 
 def _arc_steps(q, theta0: float, theta1: float, radius: float) -> int:
@@ -354,17 +357,6 @@ def _arc_steps(q, theta0: float, theta1: float, radius: float) -> int:
     most _NATURAL_STEP of natural length and of natural angle."""
     return max(2, math.ceil(abs(q.natural_angle(theta1 - theta0)) * max(
         q.natural_radius(radius), 1.0) / _NATURAL_STEP))
-
-
-def _arc_coefficients(F, dF, radius):
-    """(A_x, A_y, A_0) from the _s_gauge table, S^(-1) W S = x A_x + y A_y
-    + A_0 for the remainder W on the arc |z| = radius over xdot = x + iy:
-    there dphi_w xdot = i P, P = radius F' / 2, so W is trace-free."""
-    T = _s_gauge()
-    E = _CBRT2 * np.expm1(F) * math.sqrt(0.5)
-    G = np.expm1(-F) / _CBRT2
-    return np.stack((E * T[0] + G * T[2], E * T[1] + G * T[3],
-                     (0.5 * radius * dF) * T[4]))
 
 
 def _ordered_product(P):

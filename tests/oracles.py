@@ -569,9 +569,10 @@ def reference_arc_unipotent(sol, theta0, theta1, radius):
     """frame.arc_unipotent_numeric on row-major (m, 3, 3) stacks with
     np.matmul: the whole arc's integrand S^(-1) W S e^(D_i - D_j) formed from
     the complex chart-frame W of arc_chart_difference at every node, its RK4
-    steps formed at once, and the steps multiplied out one by one in order.
-    Reference for the real constant-coefficient integrand, the entry-major
-    batches and the chunked products of the package's arc.
+    steps formed at once, and the steps multiplied out one by one in order:
+    M' = M A from theta0 forward.  Reference for the package's arc, the real
+    remainder transport from theta1 back to theta0 on entry-major batches
+    with chunked products.
     """
     I3 = np.eye(3, dtype=complex)
     q = sol.q

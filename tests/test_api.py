@@ -106,6 +106,23 @@ def test_every_private_function_is_used_by_the_package():
     assert sorted(private - used) == []
 
 
+def test_one_function_steps_and_multiplies_out_transport():
+    # transport and arcs reach the RK4 step formula and the chunk product
+    # through one shared core, so a second step loop cannot come back
+    modules, defined, _ = _package_uses()
+    users = {}
+    for module, tree in modules.items():
+        imports = [node for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                part = ast.Module(body=imports + [node], type_ignores=[])
+                for target in _references(module, part, defined):
+                    users.setdefault(target, set()).add(node.name)
+    for name in ("_rk4_steps", "FrameTransport"):
+        assert users[("frame", name)] == {"_remainder_transport"}, name
+
+
 def _is_dataclass(decorator):
     if isinstance(decorator, ast.Call):
         decorator = decorator.func

@@ -714,9 +714,9 @@ PINNED_CSV = {
     "--path chord:0.5480,0.0661,0.3211,0.4490":
         "9abba206acad4bec7e2ba5e197ec80f3a147449dbc910b5f2e27336af0278861",
     "verify arc --k 1 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "cd967e5446d6f07dc248c5839f6eaa5838076f21656cbe44ac4856ce5f1279f8",
+        "317dbc78919fb37d254e37b0f5b34ba220bd5c005b0a169c893c1f784fdd2ef1",
     "verify arc --k 2 --s 1e2,1e3,1e4 --theta0 0.04 --theta1 0.75":
-        "cd230de52d9389ba51ce78ebe59e0d72b2cdfb897d3b4c87e4828df55f5aa225",
+        "1269a4871f3933e68465c3e9b6fb7a537521c0aef035cfbe0107073443fa64cf",
     "verify sweep --k 2 --s 1e2,1e3 "
     "--path chord:-0.494996,0.070560,0.355457,-0.351640":
         "d69eb42d11008b8d0708bf28110ac8d43123b66c20078825dba68a25060b9c10",
@@ -743,7 +743,7 @@ PINNED_CSV = {
     "trigroup spectrum --pqr 3,4,5 --maxlen 1.8":
         "571036f681e200e7dc9ec051cf81e3bd4a7e87a0933ca930a2b056ef4f383462",
     "verify arc --k 3 --s 1e2,1e3 --theta0 -0.5 --theta1 2.5":
-        "b025b43d2c13804853952fd1e366d207836c16f17e886134bdff612462352472",
+        "1e558e5d805bd5a79ae673a08806b9a002025197be51f8d391858a1d2ffd2b96",
     "verify arc --k 0 --s 1e2 --theta0 0.1 --theta1 3.0":
         "d1374e2190ca04516d89e4b732e93be8601ee1a03295ea534d8bdee38eada234",
 }

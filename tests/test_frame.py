@@ -35,11 +35,27 @@ def test_titeica_frame_diagonalizes_structure():
 
 
 def test_real_generators_are_the_chart_generators_in_the_real_frame():
-    # the real S-gauge remainder generators are -(S^(-1) (W - tr W / 3) S)
-    # e^(D_i - D_j) of the chart-frame remainder W over a natural step dw =
-    # w' dz, with dphi_w = F_z / w', formed in closed form, for random F
-    # (down to 1e-12), F_z, w', dz and slot exponents D
+    # S_r = C^H S is real, and the real S-gauge remainder generators are
+    # -(S^(-1) (W - tr W / 3) S) e^(D_i - D_j) of the chart-frame remainder
+    # W over a natural step dw = w' dz, with dphi_w = F_z / w', formed in
+    # closed form, to rounding of the triple product: for random F (down to
+    # 1e-12), F_z, w', dz and slot exponents D, and on arcs |z| = r of k = 0
+    # ... 3 with F constant, F_z = F' conj(z) / 2r and dz = i z dtheta,
+    # against the arc's own chart-frame remainder
+    C = frame._C
     S, S_inv = frame.titeica_frame()
+    assert np.max(np.abs((C.conj().T @ S).imag)) <= 1e-15 * np.max(np.abs(S))
+    assert np.max(np.abs((S_inv @ C).imag)) <= 1e-15 * np.max(np.abs(S_inv))
+
+    def check(F, F_z, dz, wp, D, W):
+        W = W - np.trace(W, axis1=1, axis2=2)[:, None, None] / 3 * np.eye(3)
+        scaling = np.exp(D[:, None] - D[None, :])
+        want = -np.einsum("ij,mjk,kl->ilm", S_inv, W, S) * scaling
+        bound = np.einsum("ij,mjk,kl->ilm", np.abs(S_inv), np.abs(W),
+                          np.abs(S)) * scaling
+        got = frame._remainder_generators(F, F_z, dz, wp, D)
+        assert got.dtype == np.float64 and got.shape == (3, 3, len(W))
+        assert np.max(np.abs(got - want) / bound) <= 2e-15
     rng = np.random.default_rng(5)
     m = 12
     for _ in range(200):
@@ -48,32 +64,8 @@ def test_real_generators_are_the_chart_generators_in_the_real_frame():
         wp = 10 ** rng.uniform(-1, 4, m) * np.exp(2j * np.pi * rng.random(m))
         dz = 10 ** rng.uniform(-6, -2) * np.exp(2j * np.pi * rng.random())
         D = rng.normal(scale=5.0, size=(3, m))
-        W = oracles.remainder_chart_difference(F, F_z / wp, wp * dz)
-        W -= np.trace(W, axis1=1, axis2=2)[:, None, None] / 3 * np.eye(3)
-        scaling = np.exp(D[:, None] - D[None, :])
-        want = -np.einsum("ij,mjk,kl->ilm", S_inv, W, S) * scaling
-        bound = np.einsum("ij,mjk,kl->ilm", np.abs(S_inv), np.abs(W),
-                          np.abs(S)) * scaling
-        got = frame._remainder_generators(F, F_z, dz, wp, D)
-        assert got.dtype == np.float64 and got.shape == (3, 3, m)
-        assert np.max(np.abs(got - want) / bound) <= 2e-15
-    # an exact zero stays zero where e^(D_i - D_j) overflows
-    D = np.array([[1e4, 0.0], [0.0, 0.0], [-1e4, 0.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = frame._remainder_generators(np.zeros(2), np.zeros(2), 1e-3,
-                                          np.ones(2), D)
-    assert np.array_equal(got, np.zeros((3, 3, 2)))
-
-
-def test_real_arc_integrand_is_the_chart_frame_integrand():
-    # S_r = C^H S is real, and the real integrand (x A_x + y A_y + A_0)
-    # e^(D_i - D_j) is S^(-1) W S e^(D_i - D_j) of the chart-frame W formed
-    # from F in closed form, to rounding of the triple product, for F down
-    # to 1e-12 on arcs of k = 0 ... 3
-    C = frame._C
-    S, S_inv = frame.titeica_frame()
-    assert np.max(np.abs((C.conj().T @ S).imag)) <= 1e-15 * np.max(np.abs(S))
-    assert np.max(np.abs((S_inv @ C).imag)) <= 1e-15 * np.max(np.abs(S_inv))
+        check(F, F_z, dz, wp, D,
+              oracles.remainder_chart_difference(F, F_z / wp, wp * dz))
     rng = np.random.default_rng(6)
     m = 10
     for _ in range(300):
@@ -83,17 +75,17 @@ def test_real_arc_integrand_is_the_chart_frame_integrand():
         F = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, 0)
         dF = rng.normal(scale=10 ** rng.uniform(-3, 3))
         t = rng.uniform(-4.0, 4.0, size=m)
-        D = rng.normal(scale=5.0, size=(m, 3))
-        W = oracles.arc_chart_difference(F, dF, q, radius, t)
-        xdot = q.cube_root(radius, t) * (1j * radius * np.exp(1j * t))
-        scaling = np.exp(D[:, :, None] - D[:, None, :]).transpose(1, 2, 0)
-        want = np.einsum("ij,mjk,kl->ilm", S_inv, W, S) * scaling
-        bound = np.einsum("ij,mjk,kl->ilm", np.abs(S_inv), np.abs(W),
-                          np.abs(S)) * scaling
-        A_x, A_y, A_0 = frame._arc_coefficients(F, dF, radius)[..., None]
-        assert A_x.dtype == np.float64
-        got = (A_x * xdot.real + A_y * xdot.imag + A_0) * scaling
-        assert np.max(np.abs(got - want) / bound) <= 2e-15
+        dtheta = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-5, -1)
+        z = radius * np.exp(1j * t)
+        check(F, (0.5 * dF / radius) * z.conj(), (1j * dtheta) * z,
+              q.cube_root(radius, t), rng.normal(scale=5.0, size=(3, m)),
+              oracles.arc_chart_difference(F, dF, q, radius, t) * dtheta)
+    # an exact zero stays zero where e^(D_i - D_j) overflows
+    D = np.array([[1e4, 0.0], [0.0, 0.0], [-1e4, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = frame._remainder_generators(np.zeros(2), np.zeros(2), 1e-3,
+                                          np.ones(2), D)
+    assert np.array_equal(got, np.zeros((3, 3, 2)))
 
 
 def test_step_check_rejects_every_step_with_a_chart_entry_above_e10():
@@ -357,26 +349,47 @@ def test_arc_matches_row_major_reference(k):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_reversed_arc_is_the_inverse():
+    # G(theta0, theta1) G(theta1, theta0) = I to the step error, relative
+    # to the product of the largest entries (2.7e-11 at worst)
+    for k in (1, 2, 3):
+        for s in (1e2, 1e4, 1e6):
+            sol = wang.solve_disk(k, s, 1.0)
+            for theta0, theta1 in ((0.04, 0.75), (0.3, 0.8), (-0.5, 2.5)):
+                G = frame.arc_unipotent_numeric(sol, theta0, theta1, 0.5)
+                H = frame.arc_unipotent_numeric(sol, theta1, theta0, 0.5)
+                assert np.max(np.abs(G @ H - np.eye(3))) <= \
+                    1e-9 * np.max(np.abs(G)) * np.max(np.abs(H))
+
+
 def test_arc_nan_past_an_angle_names_the_first_bad_step(monkeypatch):
     # the natural coordinate is NaN only past the angle of one step's middle
-    # node, several chunks into the arc: that step is the first with a NaN
-    # node, and the chunked check must neither skip ahead nor stop early
+    # node, several chunks into the arc counted from theta1: that step is
+    # the first with a NaN node, and the chunked check must neither skip
+    # ahead nor stop early.  The field is a constant F = c, small enough
+    # that every step passes where D is finite (e^(D_i - D_j) reaches e^64);
+    # with F = 0 the remainder is an exact zero, also where D is NaN
     s, theta0, theta1, radius = 1e5, 0.1, 3.0, 0.5
-    sol = _FlatField(s)
+    sol = _FlatField(s, 1e-24)
     n = frame._arc_steps(sol.q, theta0, theta1, radius)
     j = 3 * frame._CHUNK_STEPS + 17
     assert j < n - 1
-    t = theta0 + ((theta1 - theta0) / n / 2) * np.arange(2 * n + 1)
+    t = theta1 + ((theta0 - theta1) / n / 2) * np.arange(2 * n + 1)
     cut = t[2 * j + 1]
+    S, S_inv = frame.titeica_frame()
+    assert not np.array_equal(
+        frame.arc_unipotent_numeric(sol, theta0, theta1, radius), S @ S_inv)
     natural = wang.CubicDifferential.natural
 
     def nan_past_cut(self, r, theta):
-        return np.where(theta > cut, math.nan, natural(self, r, theta))
+        return np.where(theta < cut, math.nan, natural(self, r, theta))
     monkeypatch.setattr(wang.CubicDifferential, "natural", nan_past_cut)
     with pytest.raises(StepUnstable,
                        match=rf"^arc step {j + 1} of {n} at theta=.* is "
                              rf"not finite or has an entry above e\^10/3$"):
         frame.arc_unipotent_numeric(sol, theta0, theta1, radius)
+    G = frame.arc_unipotent_numeric(_FlatField(s), theta0, theta1, radius)
+    assert np.array_equal(G, S @ S_inv)
 
 
 def test_convergence_sweep_k0():
@@ -598,6 +611,7 @@ class _FlatField:
 
     def __init__(self, s, c=0.0):
         self.q = wang.CubicDifferential(0, s)
+        self.c = c
         self.phi = self.q.flat(0.0) + c
 
     def phi_at(self, z):
@@ -607,7 +621,7 @@ class _FlatField:
         return np.zeros(np.shape(z), dtype=complex)
 
     def radial_profile(self, r):
-        return 0.0, 0.0
+        return self.c, 0.0
 
 
 def _shifted_flat_weyl_exponents(path, s, c):
