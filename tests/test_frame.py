@@ -34,28 +34,25 @@ def test_titeica_frame_diagonalizes_structure():
         assert np.max(np.abs(D - want)) <= 1e-14 * (1 + abs(x))
 
 
-def test_real_generators_are_the_chart_generators_in_the_real_frame():
-    # S_r = C^H S is real, and the real S-gauge remainder generators are
-    # -(S^(-1) (W - tr W / 3) S) e^(D_i - D_j) of the chart-frame remainder
-    # W over a natural step dw = w' dz, with dphi_w = F_z / w', formed in
-    # closed form, to rounding of the triple product: for random F (down to
-    # 1e-12), F_z, w', dz and slot exponents D, and on arcs |z| = r of k = 0
-    # ... 3 with F constant, F_z = F' conj(z) / 2r and dz = i z dtheta,
-    # against the arc's own chart-frame remainder
-    C = frame._C
+def _check_real_generators(F, F_z, dz, wp, D, W):
+    # the real S-gauge remainder generators are -(S^(-1) (W - tr W / 3) S)
+    # e^(D_i - D_j) of the chart-frame remainder W, to rounding of the
+    # triple product
     S, S_inv = frame.titeica_frame()
-    assert np.max(np.abs((C.conj().T @ S).imag)) <= 1e-15 * np.max(np.abs(S))
-    assert np.max(np.abs((S_inv @ C).imag)) <= 1e-15 * np.max(np.abs(S_inv))
+    W = W - np.trace(W, axis1=1, axis2=2)[:, None, None] / 3 * np.eye(3)
+    scaling = np.exp(D[:, None] - D[None, :])
+    want = -np.einsum("ij,mjk,kl->ilm", S_inv, W, S) * scaling
+    bound = np.einsum("ij,mjk,kl->ilm", np.abs(S_inv), np.abs(W),
+                      np.abs(S)) * scaling
+    got = frame._remainder_generators(F, F_z, dz, wp, D)
+    assert got.dtype == np.float64 and got.shape == (3, 3, len(W))
+    assert np.max(np.abs(got - want) / bound) <= 2e-15
 
-    def check(F, F_z, dz, wp, D, W):
-        W = W - np.trace(W, axis1=1, axis2=2)[:, None, None] / 3 * np.eye(3)
-        scaling = np.exp(D[:, None] - D[None, :])
-        want = -np.einsum("ij,mjk,kl->ilm", S_inv, W, S) * scaling
-        bound = np.einsum("ij,mjk,kl->ilm", np.abs(S_inv), np.abs(W),
-                          np.abs(S)) * scaling
-        got = frame._remainder_generators(F, F_z, dz, wp, D)
-        assert got.dtype == np.float64 and got.shape == (3, 3, len(W))
-        assert np.max(np.abs(got - want) / bound) <= 2e-15
+
+def test_real_generators_are_the_chart_generators_in_the_real_frame():
+    # the real generators match the chart-frame remainder W over a natural
+    # step dw = w' dz, with dphi_w = F_z / w', formed in closed form, for
+    # random F (down to 1e-12), F_z, w', dz and slot exponents D
     rng = np.random.default_rng(5)
     m = 12
     for _ in range(200):
@@ -64,8 +61,26 @@ def test_real_generators_are_the_chart_generators_in_the_real_frame():
         wp = 10 ** rng.uniform(-1, 4, m) * np.exp(2j * np.pi * rng.random(m))
         dz = 10 ** rng.uniform(-6, -2) * np.exp(2j * np.pi * rng.random())
         D = rng.normal(scale=5.0, size=(3, m))
-        check(F, F_z, dz, wp, D,
-              oracles.remainder_chart_difference(F, F_z / wp, wp * dz))
+        _check_real_generators(
+            F, F_z, dz, wp, D,
+            oracles.remainder_chart_difference(F, F_z / wp, wp * dz))
+    # an exact zero stays zero where e^(D_i - D_j) overflows
+    D = np.array([[1e4, 0.0], [0.0, 0.0], [-1e4, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = frame._remainder_generators(np.zeros(2), np.zeros(2), 1e-3,
+                                          np.ones(2), D)
+    assert np.array_equal(got, np.zeros((3, 3, 2)))
+
+
+def test_real_arc_integrand_is_the_chart_frame_integrand():
+    # S_r = C^H S is real, and on arcs |z| = r of k = 0 ... 3 the real
+    # generators, with F constant, F_z = F' conj(z) / 2r and dz = i z dtheta,
+    # are those of the arc's own chart-frame remainder formed from F in
+    # closed form, for F down to 1e-12
+    C = frame._C
+    S, S_inv = frame.titeica_frame()
+    assert np.max(np.abs((C.conj().T @ S).imag)) <= 1e-15 * np.max(np.abs(S))
+    assert np.max(np.abs((S_inv @ C).imag)) <= 1e-15 * np.max(np.abs(S_inv))
     rng = np.random.default_rng(6)
     m = 10
     for _ in range(300):
@@ -77,15 +92,10 @@ def test_real_generators_are_the_chart_generators_in_the_real_frame():
         t = rng.uniform(-4.0, 4.0, size=m)
         dtheta = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-5, -1)
         z = radius * np.exp(1j * t)
-        check(F, (0.5 * dF / radius) * z.conj(), (1j * dtheta) * z,
-              q.cube_root(radius, t), rng.normal(scale=5.0, size=(3, m)),
-              oracles.arc_chart_difference(F, dF, q, radius, t) * dtheta)
-    # an exact zero stays zero where e^(D_i - D_j) overflows
-    D = np.array([[1e4, 0.0], [0.0, 0.0], [-1e4, 0.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = frame._remainder_generators(np.zeros(2), np.zeros(2), 1e-3,
-                                          np.ones(2), D)
-    assert np.array_equal(got, np.zeros((3, 3, 2)))
+        _check_real_generators(
+            F, (0.5 * dF / radius) * z.conj(), (1j * dtheta) * z,
+            q.cube_root(radius, t), rng.normal(scale=5.0, size=(3, m)),
+            oracles.arc_chart_difference(F, dF, q, radius, t) * dtheta)
 
 
 def test_step_check_rejects_every_step_with_a_chart_entry_above_e10():
