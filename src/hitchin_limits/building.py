@@ -21,7 +21,6 @@ from .errors import OriginSingular
 from .frame import titeica_exponents
 from .surface import (TWO_PI, GeodesicPath, Junction, SaddleConnection,
                       synthesize_path)
-from .tropical import CBRT4, OMEGA
 from .wang import CubicDifferential
 
 SCALE = math.sqrt(3.0) * 2.0 ** (1.0 / 6.0)  # metric factor of the limit map
@@ -59,19 +58,6 @@ def sector_index(k: int, z: complex) -> int:
     return min(int(psi / width), 2 * (k + 3) - 1)
 
 
-def _branch(w: complex) -> tuple:
-    """The cube roots (1, omega, omega^2) in slot order at natural coordinate
-    w: the values -Re(c w) as (smallest, largest, middle).
-
-    This is the labelling that continuation from sector 0 gives: each wall
-    swaps exactly the two values that cross on it (one Weyl reflection), so
-    every sector keeps sector 0's order, and the chart monodromy w -> omega^k
-    w only permutes the roots, so the labels close up around the zero."""
-    lo, mid, hi = sorted((1.0 + 0.0j, OMEGA, OMEGA ** 2),
-                         key=lambda c: -(c * w).real)
-    return lo, hi, mid
-
-
 def _natural(k: int, z: complex, branch: float) -> complex:
     """w of z^k dz^3 at z, on the branch continuous near arg z = branch."""
     q = CubicDifferential(k)
@@ -80,14 +66,16 @@ def _natural(k: int, z: complex, branch: float) -> complex:
 
 def local_model_eval(k: int, z: complex) -> ApartmentPoint:
     """u_k(z): the triple of -2^(2/3) Re of the cube-root integrals from the
-    zero, in the branch of the sector containing z."""
+    zero on the branch arg z in [0, 2 pi], as (smallest, largest, middle):
+    continuation from sector 0 labels them so, as each wall swaps the two
+    values that cross on it (one Weyl reflection) and the chart monodromy
+    w -> omega^k w only permutes the roots."""
     z = complex(z)
     if z == 0:
         raise OriginSingular("local model undefined at the cone point")
-    w = _natural(k, z, math.pi)   # the branch arg z in [0, 2 pi]
-    vals = [-CBRT4 * (c * w).real for c in _branch(w)]
-    vals[2] = -(vals[0] + vals[1])  # kill the rounding part of the trace
-    return ApartmentPoint(*vals)
+    nu = tropical.segment_exponents(_natural(k, z, math.pi)).nu
+    lo, hi = min(nu), max(nu)
+    return ApartmentPoint(lo, hi, -(lo + hi))  # no rounding part in the trace
 
 
 def sector_image_angle(k: int, m: int) -> float:
@@ -138,10 +126,11 @@ def flat_isometry_check(k: int, sample_pairs) -> float:
             uq = local_model_eval(k, q).as_array()
         else:
             # continue p's branch across the shared wall: the unfolded chart,
-            # on the lift of arg q nearest p's angle in [0, 2 pi)
-            branch = _branch(_natural(k, p, math.pi))
+            # on the lift of arg q nearest p's angle in [0, 2 pi), in p's order
+            nu_p = tropical.segment_exponents(_natural(k, p, math.pi)).nu
             w = _natural(k, q, cmath.phase(p) % TWO_PI)
-            uq = np.array([-CBRT4 * (c * w).real for c in branch])
+            uq = np.array(tropical.segment_exponents(w).nu)[
+                np.argsort(nu_p, kind="stable")[[0, 2, 1]]]
         d_building = float(np.linalg.norm(up - uq))
         d_flat = _cone_distance(k, p, q)
         if d_flat < 1e-12:

@@ -152,7 +152,7 @@ def cmd_wang_solve(args):
     sol = wang.solve_disk(args.k, args.s, args.radius, grid)
     _write_csv(args.out, ["r", "phi", "F", "residual"],
                zip(sol.rs, sol.phi, sol.F, sol.residual_nodes))
-    _diag(f"residual norm {sol.residual_norm:.3e} after "
+    _diag(f"residual norm {sol.residual_history[-1]:.3e} after "
           f"{len(sol.residual_history) - 1} Newton steps")
     return EXIT_OK
 

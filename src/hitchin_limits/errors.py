@@ -30,7 +30,7 @@ class NewtonDiverged(NotConverged):
 
 
 class GridTooCoarse(HitchinLimitsError):
-    """Discrete maximum principle violated; the grid cannot support the solve."""
+    """A solve left its sub/supersolution bracket: the grid is too coarse."""
 
 
 class StepUnstable(HitchinLimitsError):

@@ -332,7 +332,8 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     conj(z) / 2r and the chart step is dz = i z dtheta; it takes _arc_steps
     equal steps in theta.  A step that is not finite or has an entry above
     e^10/3 raises StepUnstable naming it as arc step j of n, counted from
-    theta1.  An arc of more than _MAX_STEPS steps is refused with a
+    theta1, and so does a profile underflowing to F = F' = 0 at k >= 1 (F >
+    0 there).  An arc of more than _MAX_STEPS steps is refused with a
     ValueError before any node is allocated.
     """
     q = sol.q
@@ -341,6 +342,9 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
         raise ValueError(f"arc takes {n_steps} steps at s={q.s:g}, over the "
                          f"budget of {_MAX_STEPS}")
     F, dF = sol.radial_profile(radius)
+    if q.k and F == 0 and dF == 0:
+        raise StepUnstable(f"arc at radius {radius:g}, s={q.s:g}: F and dF/dr "
+                           f"underflow to 0")
     h = (theta0 - theta1) / n_steps
     t = theta1 + (h / 2) * np.arange(2 * n_steps + 1)
     z = radius * np.exp(1j * t)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationInvalid, WallAmbiguity
 from .frame import SLOT_BRANCH, titeica_exponents, titeica_frame
-from .surface import GeodesicPath
+from .surface import GeodesicPath, chart_aligned
 
 PI = math.pi
 _STOKES_TOL = 1e-10
@@ -201,12 +201,11 @@ def _branch_permutation(m: int) -> np.ndarray:
 
 def _chart_mismatch(angle_expected: float, angle_actual: float) -> int:
     """Multiple of 2 pi/3 separating two natural charts seeing the same
-    direction; raises if the angles are not chart-compatible."""
-    delta = (angle_actual - angle_expected) / (2 * PI / 3)
-    m = round(delta)
-    if abs(delta - m) > 1e-6:
+    direction; raises if the angles are not chart-aligned (chart_aligned)."""
+    delta = angle_actual - angle_expected
+    if not chart_aligned(delta):
         raise ValueError("junction angles are not chart-aligned modulo 2 pi/3")
-    return m % 3
+    return round(delta / (2 * PI / 3)) % 3
 
 
 @dataclass

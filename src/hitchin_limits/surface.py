@@ -25,6 +25,7 @@ TWO_PI = 2.0 * math.pi
 _ANGLE_TOL = 1e-9       # cone-angle closure and turn-angle comparisons
 _EDGE_TOL = 1e-12       # relative tolerance on glued edge lengths
 _POS_TOL = 1e-9         # absolute position tolerance in developments
+_CHART_TOL = 1e-7       # junction angle chart alignment, rad mod 2 pi/3
 
 
 def _cross(a: complex, b: complex) -> float:
@@ -148,6 +149,12 @@ class GeodesicPath:
         return GeodesicPath(segs, juncs, self.closed)
 
 
+def chart_aligned(angle: float) -> bool:
+    """Whether angle is within _CHART_TOL of a multiple of 2 pi/3."""
+    r = angle % (TWO_PI / 3.0)
+    return min(r, TWO_PI / 3.0 - r) <= _CHART_TOL
+
+
 def validate_path(path: GeodesicPath) -> list:
     """Return violated geodesic/consistency conditions (empty when valid)."""
     out = []
@@ -168,7 +175,7 @@ def validate_path(path: GeodesicPath) -> list:
         rin = (j.theta_in - (cmath.phase(-prev.period))) % (TWO_PI / 3.0)
         rout = (j.theta_out - cmath.phase(nxt.period)) % (TWO_PI / 3.0)
         for r, tag in ((rin, "In"), (rout, "Out")):
-            if min(r, TWO_PI / 3.0 - r) > 1e-7:
+            if not chart_aligned(r):
                 out.append((f"ChartMisaligned{tag}", i, r))
     return out
 
@@ -199,8 +206,7 @@ def synthesize_path(lengths, turns, orders, start_angle=0.0, closed=False):
     segs = tuple(SaddleConnection(-1, -1, L * cmath.exp(1j * a))
                  for L, a in zip(lengths, angles))
     if closed:
-        resid = (angles[-1] - start_angle) % (TWO_PI / 3.0)
-        if min(resid, TWO_PI / 3.0 - resid) > 1e-7:
+        if not chart_aligned(angles[-1] - start_angle):
             raise ValueError("wrap-around turn incompatible with the start "
                              "angle (must close up modulo 2*pi/3)")
         juncs.insert(0, juncs.pop())     # the wrap-around is junctions[0]

@@ -1,8 +1,8 @@
 """Wang's equation on model disks.
 
 Solves  Delta phi = 2 e^phi - 4 e^(-2 phi) |q_s|^2,  q_s = s z^k dz^3,
-on |z| <= R with Dirichlet data phi = (1/3) log(2 s^2 R^(2k)), by damped
-Newton on a radial finite-difference grid.  |q_s|^2 = s^2 r^(2k) and the
+on |z| <= R with Dirichlet data phi = (1/3) log(2 s^2 R^(2k)), by Newton
+on a radial finite-difference grid.  |q_s|^2 = s^2 r^(2k) and the
 boundary data are constant, so the solution is radial and the equation is an
 ODE in r, with a center node for r = 0 and a tridiagonal Newton system.
 
@@ -25,8 +25,9 @@ only the core is left to converge, and far-field F grows from 0 instead of
 being cancelled down from an O(1) start.  The start need not bound the
 solution: the residual is concave in F, so every full Newton step lands on
 a supersolution, and the Jacobians are M-matrices up to sign, so from there
-the iterates decrease onto the solution.  The converged F is still checked
-against the constant Dirichlet value flat(R) - flat(r), a supersolution.
+full steps decrease onto the solution (Ortega & Rheinboldt 1970, ch. 13).
+The converged F is still checked against the constant Dirichlet value
+flat(R) - flat(r), a supersolution.
 
 CubicDifferential owns q_s and its closed forms; a WangSolution carries the
 one it solves.
@@ -64,13 +65,13 @@ def _exp(x):
 
 @dataclass(frozen=True)
 class CubicDifferential:
-    """q_s = s z^k dz^3 and its closed forms, each written once: s z^k,
-    |q_s|^2, the flat part (1/3) log(2 |q_s|^2) at log r and its d/dz, the
-    cube root w' = s^(1/3) z^(k/3), the natural coordinate w = int w' dz,
-    its modulus and argument, and its inverse on a continued sheet.  Points
-    are polar (r, theta) on the caller's branch (on_branch lifts arg z near
-    one), as Python scalars (e^x by cmath) or numpy arrays, which round
-    differently; each form has one operation order."""
+    """q_s = s z^k dz^3 and its closed forms, each written once: |q_s|^2,
+    the flat part (1/3) log(2 |q_s|^2) at log r and its d/dz, the cube root
+    w' = s^(1/3) z^(k/3), the natural coordinate w = int w' dz, its modulus
+    and argument, and its inverse on a continued sheet.  Points are polar
+    (r, theta) on the caller's branch (on_branch lifts arg z near one), as
+    Python scalars (e^x by cmath) or numpy arrays, which round differently;
+    each form has one operation order."""
 
     k: int
     s: float = 1.0
@@ -80,9 +81,6 @@ class CubicDifferential:
             raise ValueError("zero order must be >= 0")
         if not 0 < self.s < math.inf:
             raise ValueError(f"need a finite s > 0, got {self.s!r}")
-
-    def __call__(self, z):
-        return self.s * z ** self.k
 
     def abs2(self, r):
         return self.s ** 2 * r ** (2 * self.k)
@@ -140,7 +138,6 @@ class WangSolution:
         # d phi / d(r^2) inside the first ring, where phi blends in r^2
         self._center_slope = (F[0] - F_center) / rs[0] ** 2
         self.residual_history = list(residual_history)
-        self.residual_norm = self.residual_history[-1]
         self.residual_nodes = residual_nodes    # row-scaled, at rs
 
     # -- interpolation --------------------------------------------------------
@@ -221,8 +218,6 @@ def _radial_operator(rs):
     c_m = 2.0 / (hm * (hm + hp)) - 1.0 / (r * (hm + hp))
     c_p = 2.0 / (hp * (hm + hp)) + 1.0 / (r * (hm + hp))
     c_0 = -2.0 / (hm * hp)
-    if np.any(c_m <= 0):
-        raise GridTooCoarse("radial stencil loses the maximum principle")
     # center: Delta phi(0) ~ 4 (ring1 - center) / r1^2
     c_center = 4.0 / rs[0] ** 2
     band = np.zeros((3, len(rs)))
@@ -262,15 +257,16 @@ def _solve_tridiagonal(band, rhs):
 
 def solve_disk(k: int, s: float, R: float,
                grid: GridSpec = None) -> WangSolution:
-    """Damped-Newton solve of the discrete Wang equation for F = phi - flat
-    on the model disk, on ``grid`` (by default decay_fit_grid(s)).
+    """Newton solve of the discrete Wang equation for F = phi - flat on the
+    model disk, on ``grid`` (by default decay_fit_grid(s)).
 
-    Starts from the flat metric outside |w| < 1 and its value at |w| = 1
-    inside (the constant Dirichlet value when |w(R)| <= 1); the converged F
-    must lie between 0 (the flat subsolution) on the rings and the constant
-    Dirichlet value (a supersolution).  A degenerate grid, one over
-    _MAX_RINGS rings, or a disk whose stencil, |q_s|^2 or start residual
-    overflows is refused with a ValueError.
+    Full steps from the flat metric outside |w| < 1 and its value at |w| =
+    1 inside (the constant Dirichlet value when |w(R)| <= 1); a step that
+    raises the row-scaled residual, or _NEWTON_MAX_ITER steps, ends in
+    NewtonDiverged.  The converged F must lie between 0 (the flat
+    subsolution) on the rings and the constant Dirichlet value (a
+    supersolution).  A degenerate grid, one over _MAX_RINGS rings, or a disk
+    whose stencil, |q_s|^2 or start residual overflows is a ValueError.
     """
     q = CubicDifferential(k, s)
     if not 0 < R < math.inf:
@@ -327,17 +323,8 @@ def solve_disk(k: int, s: float, R: float,
             break
         J = L.copy()
         J[1] -= a * np.exp(F) + 2 * b * np.exp(-2 * F)
-        delta = _solve_tridiagonal(J, -res)
-        lam = 1.0
-        for _ in range(40):
-            trial = F + lam * delta
-            res_trial = residual(trial)
-            if norm(res_trial) < (1 - 0.25 * lam) * history[-1]:
-                break
-            lam *= 0.5
-        else:
-            raise NewtonDiverged("line search failed", history)
-        F, res = trial, res_trial
+        F = F + _solve_tridiagonal(J, -res)
+        res = residual(F)
         history.append(norm(res))
         if history[-1] > history[-2]:
             raise NewtonDiverged("residual increased", history)
@@ -362,20 +349,15 @@ def pointwise_lower_bound_check(sol: WangSolution) -> bool:
     return bool(np.all(F > -_FLAG_TOL))
 
 
-@dataclass(frozen=True)
-class ErrorField:
-    fitted_exponent: float        # m_hat from log F ~ -m_hat * natural radius
-
-
-def error_field(sol: WangSolution) -> ErrorField:
-    """The fitted radial decay exponent of F on the rings.
+def error_field(sol: WangSolution) -> float:
+    """The fitted exponent m_hat of log F ~ -m_hat * natural radius.
 
     F behaves like a screened-Laplacian kernel, exp(-m rho)/sqrt(rho) in the
     natural radius rho of z^k dz^3 (s = 1), so the regression fits
     log(F sqrt(rho)) against rho; the plain log fit would carry a 1/(2 rho)
-    bias of several percent at desk scale.  The annulus [0.35 R, 0.8 R] keeps clear of both the nonlinear
-    core and the Dirichlet truncation at the rim; nodes below the noise floor
-    are dropped.
+    bias of several percent at desk scale.  The annulus [0.35 R, 0.8 R]
+    keeps clear of both the nonlinear core and the Dirichlet truncation at
+    the rim; nodes below the noise floor are dropped.
     """
     F, rs = sol.F[:-1], sol.rs[:-1]
     mask = ((rs >= _FIT_INNER * sol.R) & (rs <= _FIT_OUTER * sol.R)
@@ -390,7 +372,7 @@ def error_field(sol: WangSolution) -> ErrorField:
     x = CubicDifferential(sol.q.k).natural_radius(rs[mask])
     y = np.log(F[mask]) + 0.5 * np.log(x)
     slope, _ = np.polyfit(x, y, 1)
-    return ErrorField(fitted_exponent=float(-slope))
+    return float(-slope)
 
 
 def decay_fit_grid(s: float) -> GridSpec:

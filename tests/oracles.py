@@ -478,7 +478,7 @@ def reference_transport(sol, path):
         dz = seg * (1.0 / n)
         nodes = a + seg * (np.arange(2 * n + 1) / (2 * n))
         G = chart_generators(sol.phi_at(nodes), sol.dz_phi_at(nodes),
-                             sol.q(nodes), dz)
+                             sol.q.s * nodes ** sol.q.k, dz)
         f1, mid, end = G[:-1:2], G[1::2], G[2::2]
         f2 = mid @ (I3 + 0.5 * f1)
         f3 = mid @ (I3 + 0.5 * f2)

@@ -160,8 +160,7 @@ def test_acceptance_4_wang_bounds():
         for s in (1e2, 1e3, 1e4):
             sol = solve_cached(k, s, "decay")
             bound_ok = bound_ok and wang.pointwise_lower_bound_check(sol)
-            ef = wang.error_field(sol)
-            fits.append(ef.fitted_exponent / s ** (1 / 3))
+            fits.append(wang.error_field(sol) / s ** (1 / 3))
         inside = all(1.5 < f < KAPPA for f in fits)
         increasing = fits[0] < fits[1] < fits[2]
         trend_ok = trend_ok and inside and increasing

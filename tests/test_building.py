@@ -7,6 +7,7 @@ import pytest
 from hitchin_limits import building
 from hitchin_limits.errors import OriginSingular
 from hitchin_limits.surface import GeodesicPath, Junction, SaddleConnection, synthesize_path
+from hitchin_limits.tropical import segment_exponents
 from hitchin_limits.wang import CubicDifferential
 
 PI = math.pi
@@ -49,16 +50,17 @@ def test_sector_index_rejects_negative_order_and_origin():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_adjacent_branches_single_reflection(k):
-    # the branches at consecutive sector midpoints differ by one transposition
+    # the cube-root labels (smallest, largest, middle) at consecutive sector
+    # midpoints differ by one transposition
     width = PI / (k + 3)
     q = CubicDifferential(k)
     branches = []
     for m in range(2 * (k + 3)):
         z = 0.7 * cmath.exp(1j * (m + 0.5) * width)
-        branches.append(building._branch(q.natural(*q.on_branch(z, PI))))
+        nu = segment_exponents(q.natural(*q.on_branch(z, PI))).nu
+        branches.append(np.argsort(nu, kind="stable")[[0, 2, 1]])
     for a, b in zip(branches, branches[1:]):
-        diffs = [i for i in range(3) if abs(a[i] - b[i]) > 1e-12]
-        assert len(diffs) == 2
+        assert np.sum(a != b) == 2
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

@@ -461,6 +461,21 @@ def test_unstable_arc_exits_2_naming_the_step(monkeypatch, capsys, profile):
     assert err.count("\n") == 1
 
 
+def test_underflowing_arc_exits_2_naming_the_arc(tmp_path, capsys):
+    # at k = 1, s = 1e8 the profile at radius 0.9 (natural radius 302)
+    # underflows to (0, 0), where the arc read as the identity and printed
+    # 0.41997 with exit 0; at 3e7 F is still 3.8e-243
+    out = tmp_path / "arc.csv"
+    assert run(["verify", "arc", "--k", "1", "--s", "1e7,1e8", "--radius",
+                "0.9", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: StepUnstable: arc at radius "
+                                       "0.9, s=1e+08: F and dF/dr underflow "
+                                       "to 0\n")
+    assert out.read_text().splitlines()[1].startswith("10000000,")
+    assert _arc_errors(tmp_path, ["--k", "1", "--s", "3e7", "--radius",
+                                  "0.9"])[0] > 0
+
+
 @pytest.mark.parametrize("argv", [["sweep"], ["arc"]])
 def test_over_budget_path_exits_1_with_one_line(monkeypatch, capsys, argv):
     # the default radial takes 804 steps and the default arc 214 here

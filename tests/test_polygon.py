@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hitchin_limits import trigroup, tropical
 from hitchin_limits.errors import ConfigurationInvalid
 from hitchin_limits.frame import BETA, titeica_frame
 from hitchin_limits.surface import (GeodesicPath, Junction, SaddleConnection,
-                                    synthesize_path)
+                                    synthesize_path, validate_path)
 
 import oracles
 
@@ -344,6 +345,46 @@ def test_tropical_norm_exponent_geodesic_additive():
     assert pg.tropical_norm_exponent(path) == pytest.approx(
         tropical.path_singular_exponents(
             seg.period for seg in path.segments).x1, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_junction_in_another_chart_of_its_zero_gives_the_same_terms(k, m):
+    # theta_in and theta_out turned by 2 pi m/3 see the same directions in
+    # another natural chart of the zero: _path_factors re-charts the
+    # incoming segment (chart mismatch m) and the outgoing one (-m)
+    extra = 2 * PI * k / 3            # the width of the geodesic turn range
+    turn = 2 * PI * m / 3
+    for start in (0.25, 4.0):
+        path = synthesize_path([1.0, 1.4, 0.8],
+                               turns=[PI + 0.3 * extra, PI + 0.8 * extra],
+                               orders=[k, k], start_angle=start)
+        for j, jn in enumerate(path.junctions):
+            turned = dataclasses.replace(jn, theta_in=jn.theta_in + turn,
+                                         theta_out=jn.theta_out + turn)
+            other = dataclasses.replace(path, junctions=tuple(
+                turned if i == j else x for i, x in enumerate(path.junctions)))
+            a, b = pg.leading_term(path, 1e3), pg.leading_term(other, 1e3)
+            assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-14
+            assert a.norm_exponent() == pytest.approx(b.norm_exponent(),
+                                                      rel=1e-14)
+            assert (pg.tropical_norm_exponent(other)
+                    == pg.tropical_norm_exponent(path))
+
+
+def test_chart_alignment_tolerance_is_shared():
+    # a junction 1e-6 rad off its chart is refused by validate_path and by
+    # the leading term alike (1e-6 rad is under 1e-6 of 2 pi/3)
+    path = synthesize_path([1.0, 1.4], turns=[PI + 0.4], orders=[1],
+                           start_angle=0.25)
+    jn = path.junctions[0]
+    off = dataclasses.replace(path, junctions=(
+        dataclasses.replace(jn, theta_in=jn.theta_in + 1e-6),))
+    assert [v[0] for v in validate_path(off)] == ["ChartMisalignedIn"]
+    with pytest.raises(ValueError, match="not chart-aligned"):
+        pg.leading_term(off)
+    with pytest.raises(ValueError, match="not chart-aligned"):
+        pg.tropical_norm_exponent(off)
 
 
 def test_tropical_norm_exponent_corner_deficit():

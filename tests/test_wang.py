@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hitchin_limits import wang
-from hitchin_limits.errors import GridTooCoarse
+from hitchin_limits.errors import GridTooCoarse, NewtonDiverged
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def test_k0_exact_constant():
     want = math.log(2 * s * s) / 3.0
     assert abs(sol.phi_center - want) < 1e-12
     assert np.max(np.abs(sol.phi - want)) < 1e-12
-    assert sol.residual_norm <= 1e-10
+    assert sol.residual_history[-1] <= 1e-10
 
 
 def test_residual_monotone(sol_k1_s100):
@@ -132,6 +132,26 @@ def test_k0_start_is_the_solution_at_any_scale(s):
     assert not np.any(sol.F)
 
 
+def test_newton_out_of_steps_is_refused(monkeypatch):
+    monkeypatch.setattr(wang, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(NewtonDiverged,
+                       match="Newton did not reach tolerance") as err:
+        wang.solve_disk(1, 1e4, 1.0)
+    h = err.value.residuals
+    assert len(h) == 2 and wang._NEWTON_TOL < h[1] < h[0]
+
+
+def test_newton_step_raising_the_residual_is_refused(monkeypatch):
+    # the negated Newton step climbs the residual from the flat start
+    solve = wang._solve_tridiagonal
+    monkeypatch.setattr(wang, "_solve_tridiagonal",
+                        lambda band, rhs: -solve(band, rhs))
+    with pytest.raises(NewtonDiverged, match="residual increased") as err:
+        wang.solve_disk(1, 1e4, 1.0)
+    h = err.value.residuals
+    assert len(h) == 2 and h[1] > h[0]
+
+
 def test_converged_solution_outside_the_bracket_is_refused():
     # a first ring at 0.75 R leaves the center node too far from it: the
     # discrete solution dips below the flat subsolution (F = -1.3e-3)
@@ -228,8 +248,7 @@ def test_decay_exponent_trend():
     fits = []
     for s in (1e2, 1e3):
         sol = wang.solve_disk(1, s, 1.0, wang.decay_fit_grid(s))
-        ef = wang.error_field(sol)
-        fits.append(ef.fitted_exponent / s ** (1 / 3))
+        fits.append(wang.error_field(sol) / s ** (1 / 3))
     target = math.sqrt(3) * 2 ** (2 / 3)
     assert fits[0] < fits[1] < target
     assert fits[0] > 1.5
@@ -242,7 +261,7 @@ def test_decay_grid_at_s_1e5(k):
     fits = []
     for s in (1e4, 1e5):
         sol = wang.solve_disk(k, s, 1.0, wang.decay_fit_grid(s))
-        fits.append(wang.error_field(sol).fitted_exponent / s ** (1 / 3))
+        fits.append(wang.error_field(sol) / s ** (1 / 3))
     h = sol.residual_history
     assert all(b <= a for a, b in zip(h, h[1:]))
     assert wang.pointwise_lower_bound_check(sol)
@@ -377,7 +396,7 @@ def test_cubic_differential_closed_forms_agree(k, s):
                       / (2 * math.pi))
         assert abs(q.chart_point(w, sheet) - z) <= 1e-13
         wp = q.cube_root(r, theta)
-        assert abs(wp ** 3 - q(z)) <= 1e-13 * abs(q(z))
+        assert abs(wp ** 3 - s * z ** k) <= 1e-13 * abs(s * z ** k)
         dw = (q.natural(*q.on_branch(z + h, theta))
               - q.natural(*q.on_branch(z - h, theta))) / (2 * h)
         assert abs(dw - wp) <= 1e-8 * abs(wp)
