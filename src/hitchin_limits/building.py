@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polygon, tropical
-from .errors import OriginSingular
 from .frame import titeica_exponents
 from .surface import (TWO_PI, GeodesicPath, Junction, SaddleConnection,
-                      synthesize_path)
+                      cone_angle, synthesize_path)
 from .wang import CubicDifferential
 
 SCALE = math.sqrt(3.0) * 2.0 ** (1.0 / 6.0)  # metric factor of the limit map
@@ -52,7 +51,7 @@ def sector_index(k: int, z: complex) -> int:
     if k < 0:
         raise ValueError("zero order must be >= 0")
     if z == 0:
-        raise OriginSingular("the cone point is not in any sector chart")
+        raise ValueError("the cone point is not in any sector chart")
     psi = cmath.phase(z) % TWO_PI
     width = math.pi / (k + 3)
     return min(int(psi / width), 2 * (k + 3) - 1)
@@ -72,7 +71,7 @@ def local_model_eval(k: int, z: complex) -> ApartmentPoint:
     w -> omega^k w only permutes the roots."""
     z = complex(z)
     if z == 0:
-        raise OriginSingular("local model undefined at the cone point")
+        raise ValueError("local model undefined at the cone point")
     nu = tropical.segment_exponents(_natural(k, z, math.pi)).nu
     lo, hi = min(nu), max(nu)
     return ApartmentPoint(lo, hi, -(lo + hi))  # no rounding part in the trace
@@ -200,8 +199,7 @@ def random_geodesic_path(rng) -> GeodesicPath:
     orders = [int(rng.integers(0, 4)) for _ in range(n - 1)]
     turns = []
     for k in orders:
-        cone = TWO_PI * (1 + k / 3)
-        lo, hi = math.pi + 0.05, cone - math.pi - 0.05
+        lo, hi = math.pi + 0.05, cone_angle(k) - math.pi - 0.05
         turns.append(math.pi if hi <= lo else rng.uniform(lo, hi))
     start = rng.uniform(0.0, TWO_PI)
     return synthesize_path(list(lengths), turns, orders, start_angle=start)

@@ -1,17 +1,13 @@
-"""Exception and warning types shared across the library."""
+"""Numerical failures, each naming the layer that failed.
+
+Bad input (a zero period, a degenerate path, a turn outside the geodesic
+range, the cone point itself, a triangle group with no cubic differential)
+raises ValueError; the CLI exits 1 on ValueError and 2 on these types.
+"""
 
 
 class HitchinLimitsError(Exception):
-    """Base class for all library errors."""
-
-
-class ZeroPeriod(HitchinLimitsError):
-    """A segment period is zero; exponents are undefined."""
-
-
-class DegeneratePath(HitchinLimitsError):
-    """A path has no segments, or a closed geodesic cannot be traced on the
-    patch."""
+    """Base class for the library's numerical failures."""
 
 
 class NotConverged(HitchinLimitsError):
@@ -35,23 +31,3 @@ class GridTooCoarse(HitchinLimitsError):
 
 class StepUnstable(HitchinLimitsError):
     """An ODE integration step is not finite or grew beyond the stable range."""
-
-
-class ConfigurationInvalid(HitchinLimitsError):
-    """A turn configuration violates the geodesic angle condition."""
-
-
-class OriginSingular(HitchinLimitsError):
-    """The local model cannot be evaluated at the cone point itself."""
-
-
-class NonDeformable(HitchinLimitsError):
-    """Triangle group admits no nonzero cubic differential."""
-
-
-class WallAmbiguity(UserWarning):
-    """A diagonal factor has a doubled top eigenvalue (wall-direction segment).
-
-    Not fatal: the leading term then carries several top entries, all with
-    positive coefficients.
-    """

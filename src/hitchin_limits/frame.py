@@ -276,8 +276,6 @@ def integrate_transport(sol, path):
             theta.append(cmath.phase(a + seg))
     D0, D1 = (titeica_exponents(q.natural(abs(z), th))
               for z, th in ((pts[0], theta[0]), (pts[-1], theta[-1])))
-    if not segs:
-        return np.eye(3), D0, D1
     scans = [_scan_points(q, a, seg) for a, seg in segs]
     F, F_z = remainder(np.array([a + seg * t for (a, seg), ts in
                                  zip(segs, scans) for t in ts]))
@@ -332,9 +330,10 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
     conj(z) / 2r and the chart step is dz = i z dtheta; it takes _arc_steps
     equal steps in theta.  A step that is not finite or has an entry above
     e^10/3 raises StepUnstable naming it as arc step j of n, counted from
-    theta1, and so does a profile underflowing to F = F' = 0 at k >= 1 (F >
-    0 there).  An arc of more than _MAX_STEPS steps is refused with a
-    ValueError before any node is allocated.
+    theta1, and so does a profile underflowing below the smallest normal
+    float at k >= 1, where it has lost its bits: F inside the disk (F > 0
+    there), F' on its rim (F = 0 there).  An arc of more than _MAX_STEPS
+    steps is refused with a ValueError before any node is allocated.
     """
     q = sol.q
     n_steps = _arc_steps(q, theta0, theta1, radius)
@@ -342,7 +341,7 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
         raise ValueError(f"arc takes {n_steps} steps at s={q.s:g}, over the "
                          f"budget of {_MAX_STEPS}")
     F, dF = sol.radial_profile(radius)
-    if q.k and F == 0 and dF == 0:
+    if q.k and abs(F if radius < sol.R else dF) < np.finfo(float).tiny:
         raise StepUnstable(f"arc at radius {radius:g}, s={q.s:g}: F and dF/dr "
                            f"underflow to 0")
     h = (theta0 - theta1) / n_steps

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationInvalid, WallAmbiguity
 from .frame import SLOT_BRANCH, titeica_exponents, titeica_frame
-from .surface import GeodesicPath, chart_aligned
+from .surface import GeodesicPath, chart_aligned, cone_angle, geodesic_turn
 
 PI = math.pi
 _STOKES_TOL = 1e-10
@@ -154,13 +152,12 @@ def check_entry_nonzero(lifts: PolygonLifts, theta_in: float, theta_out: float):
     the top incoming slot of a geodesic turn; asserts it is positive.
 
     theta_in/theta_out are the position angles of the incoming and outgoing
-    rays; the subtended angle must lie in [pi, cone - pi].
+    rays; the subtended angle must lie in [pi, cone - pi] (geodesic_turn).
     """
-    cone = 2 * PI * lifts.n / 3.0
     subtend = theta_out - theta_in
-    if subtend < PI - 1e-9 or subtend > cone - PI + 1e-9:
-        raise ConfigurationInvalid(
-            f"turn of {subtend} outside the geodesic range [pi, {cone - PI}]")
+    if not geodesic_turn(lifts.n - 3, subtend):
+        raise ValueError(f"turn of {subtend} outside the geodesic range "
+                         f"[pi, {cone_angle(lifts.n - 3) - PI}]")
     col = slot_with_tag(theta_in, "l")
     row = slot_with_tag(theta_out, "s")
     U = arc_unipotent(lifts, theta_in, theta_out)
@@ -261,7 +258,7 @@ def leading_term(path: GeodesicPath, s: float = 1.0) -> LeadingTerm:
     dominates Hol_s along the path, evaluated with log scaling.
 
     Wall-direction segments double a top diagonal entry; the result is
-    flagged, not rejected.
+    flagged (wall_ambiguity), not rejected.
     """
     if s <= 0:
         raise ValueError("ray parameter s must be positive")
@@ -287,9 +284,6 @@ def leading_term(path: GeodesicPath, s: float = 1.0) -> LeadingTerm:
         else:
             push(factor.astype(complex))
 
-    if wall_flag:
-        warnings.warn("a segment runs along a Weyl wall; the leading term "
-                      "carries multiple top entries", WallAmbiguity)
     A = S @ M @ S_inv
     scale = float(np.max(np.abs(A)))
     return LeadingTerm(s=s, log_scale=log_scale + math.log(scale),

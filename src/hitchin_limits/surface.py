@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneratePath, NotConverged
+from .errors import NotConverged
 from .tropical import OMEGA
 
 TWO_PI = 2.0 * math.pi
@@ -30,6 +30,18 @@ _CHART_TOL = 1e-7       # junction angle chart alignment, rad mod 2 pi/3
 
 def _cross(a: complex, b: complex) -> float:
     return a.real * b.imag - a.imag * b.real
+
+
+def cone_angle(order: int) -> float:
+    """Total angle 2 pi (1 + order/3) around a zero of the given order."""
+    return TWO_PI * (1.0 + order / 3.0)
+
+
+def geodesic_turn(order: int, ccw: float) -> bool:
+    """Whether a ccw side angle at a zero of the given order lies in the
+    geodesic range [pi, cone - pi], to within _ANGLE_TOL."""
+    return (math.pi - _ANGLE_TOL <= ccw
+            <= cone_angle(order) - math.pi + _ANGLE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +105,9 @@ class Junction:
     zero: int = -1
 
     @property
-    def cone_angle(self) -> float:
-        return TWO_PI * (1.0 + self.order / 3.0)
-
-    @property
     def turn_angles(self) -> tuple:
         ccw = self.theta_out - self.theta_in
-        return (ccw, self.cone_angle - ccw)
+        return (ccw, cone_angle(self.order) - ccw)
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,7 @@ class GeodesicPath:
     def __post_init__(self):
         n = len(self.segments)
         if n == 0:
-            raise DegeneratePath("path has no segments")
+            raise ValueError("path has no segments")
         want = n if self.closed else n - 1
         if len(self.junctions) != want:
             raise ValueError(
@@ -166,7 +174,7 @@ def validate_path(path: GeodesicPath) -> list:
         nxt = path.segments[(i + 1) % n]
         j = path.junctions[ja]
         ccw, cw = j.turn_angles
-        if ccw < math.pi - _ANGLE_TOL or cw < math.pi - _ANGLE_TOL:
+        if not geodesic_turn(j.order, ccw):
             out.append(("TurnTooSharp", i, min(ccw, cw)))
         if prev.end >= 0 and nxt.start >= 0 and prev.end != nxt.start:
             out.append(("DisconnectedSegments", i, (prev.end, nxt.start)))
@@ -196,8 +204,7 @@ def synthesize_path(lengths, turns, orders, start_angle=0.0, closed=False):
     angles = [start_angle]
     juncs = []
     for i, (ccw, k) in enumerate(zip(turns, orders)):
-        cone = TWO_PI * (1.0 + k / 3.0)
-        if ccw < math.pi - _ANGLE_TOL or ccw > cone - math.pi + _ANGLE_TOL:
+        if not geodesic_turn(k, ccw):
             raise ValueError(f"turn {ccw} out of geodesic range at junction {i}")
         theta_in = angles[-1] + math.pi
         theta_out = theta_in + ccw
@@ -462,7 +469,7 @@ def validate(surface: CubicSurface) -> list:
             if abs(angle - TWO_PI) > _ANGLE_TOL:
                 out.append(Violation("UnmarkedConical", (cls, angle)))
         else:
-            want = TWO_PI * (1.0 + k / 3.0)
+            want = cone_angle(k)
             if abs(angle - want) > _ANGLE_TOL:
                 out.append(Violation("ConeAngleMismatch", (cls, angle, want)))
     if not surface.boundary and all(surface.fan_closed):

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tropical
-from .errors import DegeneratePath, NonDeformable
 from .surface import (TWO_PI, CubicSurface, GeodesicPath, Gluing, Junction,
                       SaddleConnection, enumerate_saddle_connections,
                       glue, walk_fan)
@@ -53,7 +52,7 @@ def _valences(p: int, q: int, r: int) -> tuple:
         if v < 2:
             raise ValueError("triangle group orders must be >= 2")
         if v == 2:
-            raise NonDeformable(
+            raise ValueError(
                 "a (p,q,r) group with an order-2 vertex carries no nonzero "
                 "cubic differential")
     return (p, q, r)
@@ -216,9 +215,9 @@ def trace_cycle(pqr, start_type: int, direction, turns) -> GeodesicPath:
             a, b = -b, a + b
         t = end
     if t != start_type:
-        raise DegeneratePath("cycle does not close on the orbifold labels")
+        raise ValueError("cycle does not close on the orbifold labels")
     if start not in ((a, b), (-a - b, a), (b, -a - b)):
-        raise DegeneratePath("cycle does not close in the start's direction")
+        raise ValueError("cycle does not close in the start's direction")
     juncs = tuple(junctions[-1:] + junctions[:-1])
     return GeodesicPath(tuple(segments), juncs, closed=True)
 
@@ -284,39 +283,19 @@ def rotated_paths(curve_classes, theta):
     return out
 
 
-def distinct_direction_count(curve_classes) -> int:
-    """Number of distinct segment chart angles modulo 2*pi/3 in a family."""
-    dirs = set()
-    for path in curve_classes:
-        for s in path.segments:
-            dirs.add(round((cmath.phase(s.period) % (TWO_PI / 3)), 6))
-    return len(dirs)
-
-
-@dataclass(frozen=True)
-class BoundaryProbe:
-    min_pairwise: float
-    insufficient_family: bool
-
-
-def boundary_injectivity_probe(curve_classes, theta_grid) -> BoundaryProbe:
-    """Minimum pairwise distance of projectivized spectra over a theta grid.
+def boundary_injectivity_probe(curve_classes, theta_grid) -> float:
+    """Minimum pairwise distance of projectivized spectra over a theta grid
+    (inf for fewer than two angles).
 
     Positive for families containing segments at two or more distinct chart
-    angles; a single angular class may degenerate at symmetric theta pairs
-    and is flagged as an insufficient family.
+    angles, such as the two straight cycles; a single angular class may
+    degenerate at symmetric theta pairs.
     """
     thetas = list(theta_grid)
-    insufficient = distinct_direction_count(curve_classes) < 2
-    if len(thetas) < 2:
-        return BoundaryProbe(min_pairwise=math.inf,
-                             insufficient_family=insufficient)
-    spectra = []
-    for th in thetas:
-        spectra.append(spectrum(rotated_paths(curve_classes, th))
-                       .projectivized)
+    spectra = [spectrum(rotated_paths(curve_classes, th)).projectivized
+               for th in thetas]
     best = math.inf
     for i in range(len(thetas)):
         for j in range(i + 1, len(thetas)):
             best = min(best, float(np.linalg.norm(spectra[i] - spectra[j])))
-    return BoundaryProbe(min_pairwise=best, insufficient_family=insufficient)
+    return best

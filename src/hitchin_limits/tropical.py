@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ZeroPeriod
-
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 CBRT4 = 2.0 ** (2.0 / 3.0)
 
@@ -60,7 +58,7 @@ def segment_exponents(period: complex) -> SegmentExponents:
     """
     period = complex(period)
     if period == 0:
-        raise ZeroPeriod("segment period must be nonzero")
+        raise ValueError("segment period must be nonzero")
     nu = tuple(-CBRT4 * (OMEGA ** j * period).real for j in range(3))
     return SegmentExponents(nu=nu, weyl=WeylVector.from_values(nu))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from hitchin_limits import frame, polygon
 from hitchin_limits import surface as sf
-from hitchin_limits.errors import DegeneratePath, NotConverged
+from hitchin_limits.errors import NotConverged
 from hitchin_limits.surface import (TWO_PI, CubicSurface, Gluing, glue,
                                     walk_fan)
 from hitchin_limits.tropical import OMEGA
@@ -746,16 +746,16 @@ def patch_trace_cycle(orb, start_class, start_direction, turns):
     for turn in turns:
         hit = shoot(surf, t, v, d, _MAX_LEG)
         if hit is None:
-            raise DegeneratePath("cycle leg left the patch; increase layers")
+            raise ValueError("cycle leg left the patch; increase layers")
         legs.append((cls, hit))
         # fan angle of the way back, seen in the arrival chart
         a_in = fan_angle(surf, hit.tri, hit.vertex, -(d * hit.u.conjugate()))
         (t, v), d = direction_at_fan_angle(surf, hit.cls, a_in + turn)
         cls = hit.cls
     if orb.orbifold_type[cls] != orb.orbifold_type[start_class]:
-        raise DegeneratePath("cycle does not close on the orbifold labels")
+        raise ValueError("cycle does not close on the orbifold labels")
     if abs((d / abs(d)) ** 3 - phase0) > 1e-9:
-        raise DegeneratePath("cycle does not close in the start's direction")
+        raise ValueError("cycle does not close in the start's direction")
     segments = [sf.SaddleConnection(orb.orbifold_type[c],
                                     orb.orbifold_type[hit.cls], hit.point)
                 for c, hit in legs]
@@ -790,9 +790,9 @@ def patch_positive_cycle(orb):
                 continue  # not a positive direction
             try:
                 return patch_trace_cycle(orb, start, vec, [math.pi] * 3)
-            except DegeneratePath as err:
+            except ValueError as err:
                 last_err = err
-    raise last_err or DegeneratePath("no positive cycle found")
+    raise last_err or ValueError("no positive cycle found")
 
 
 def patch_median_cycle(orb):
@@ -807,6 +807,6 @@ def patch_median_cycle(orb):
             d = base / abs(base) * cmath.exp(1j * math.pi / 6)
             try:
                 return patch_trace_cycle(orb, start, d, [math.pi] * 2)
-            except (DegeneratePath, ValueError) as err:
+            except ValueError as err:
                 last_err = err
-    raise last_err or DegeneratePath("no median cycle found")
+    raise last_err or ValueError("no median cycle found")

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from hitchin_limits import errors
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hitchin_limits"
 
@@ -121,6 +123,25 @@ def test_one_function_steps_and_multiplies_out_transport():
                     users.setdefault(target, set()).add(node.name)
     for name in ("_rk4_steps", "FrameTransport"):
         assert users[("frame", name)] == {"_remainder_transport"}, name
+
+
+def test_every_error_type_is_a_raised_numerical_failure():
+    # bad input raises ValueError (exit 1) and the errors module holds only
+    # the numerical failures (exit 2), each raised by name somewhere in the
+    # package, so no input, warning or dead type comes back there
+    modules = _modules()
+    defined = _defined(modules["errors"])
+    raised = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert [name for name in defined if not issubclass(
+        getattr(errors, name), errors.HitchinLimitsError)] == []
+    assert sorted(set(defined) - raised) == ["HitchinLimitsError"]
 
 
 def _is_dataclass(decorator):

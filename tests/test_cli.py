@@ -476,6 +476,26 @@ def test_underflowing_arc_exits_2_naming_the_arc(tmp_path, capsys):
                                   "0.9"])[0] > 0
 
 
+def test_subnormal_arc_profile_is_refused_before_any_step(monkeypatch,
+                                                         capsys):
+    # at k = 1, radius 0.9, F(0.9) is 3.5e-317 at s = 6.7e7, below the
+    # smallest normal float: the arc used to die at step 4240 of 8824
+    monkeypatch.setattr(cli.frame, "_remainder_transport", None)
+    assert run(["verify", "arc", "--k", "1", "--s", "6.7e7", "--radius",
+                "0.9"]) == 2
+    assert capsys.readouterr().err == ("error: StepUnstable: arc at radius "
+                                       "0.9, s=6.7e+07: F and dF/dr underflow "
+                                       "to 0\n")
+
+
+def test_arc_on_the_rim_runs_on_dF(tmp_path):
+    # F = 0 on the rim of the solved disk, which is no underflow: the arc is
+    # driven by dF/dr there
+    assert _arc_errors(tmp_path, ["--k", "1", "--s", "1e2,1e4", "--radius",
+                                  "1.0"]) == pytest.approx([0.1407, 0.00615],
+                                                           rel=1e-3)
+
+
 @pytest.mark.parametrize("argv", [["sweep"], ["arc"]])
 def test_over_budget_path_exits_1_with_one_line(monkeypatch, capsys, argv):
     # the default radial takes 804 steps and the default arc 214 here
@@ -665,6 +685,28 @@ def test_malformed_pqr_exits_1_with_one_line(capsys, argv, text):
     assert out == ""
     assert err == (f"error: argument {argv[-1]}: expected three integers "
                    f"p,q,r, got '{text}'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["trigroup", "spectrum", "--pqr", "2,3,7"],
+    ["trigroup", "boundary", "--pqr", "3,2,7"],
+], ids=["spectrum", "boundary"])
+def test_order_2_group_exits_1_with_one_line(capsys, argv):
+    # bad input, not a numerical failure: the orbifold of a group with an
+    # order-2 vertex carries no nonzero cubic differential
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: a (p,q,r) group with an order-2 "
+                                 "vertex carries no nonzero cubic "
+                                 "differential\n")
+
+
+def test_underflowing_natural_coordinate_exits_1_with_one_line(capsys):
+    # at k = 1000 the natural coordinate of every sample underflows to 0
+    assert run(["building", "localmodel", "--k", "1000", "--samples",
+                "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: segment period must be nonzero\n"
 
 
 def test_readme_commands_run(tmp_path, monkeypatch):

@@ -515,6 +515,16 @@ def test_field_nan_past_a_radius_names_the_first_bad_step(monkeypatch):
             frame.integrate_transport(sol, [0.05, 0.9])
 
 
+def test_path_of_coincident_points_is_the_identity(sol_k1_s1000):
+    # no segment, no step: Y = I and both ends read the same exponents
+    Y, D0, D1 = frame.integrate_transport(sol_k1_s1000, [0.5 + 0.2j] * 3)
+    assert Y.tobytes() == np.eye(3).tobytes()
+    assert D0.tobytes() == D1.tobytes()
+    assert D0.tobytes() == frame.titeica_exponents(
+        sol_k1_s1000.q.natural(abs(0.5 + 0.2j),
+                               cmath.phase(0.5 + 0.2j))).tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_segment_through_the_zero_is_refused(k):
     # F ~ log r is singular there for k >= 1 (k = 0 transports through it:

@@ -5,7 +5,6 @@ import pytest
 
 from hitchin_limits import surface as sf
 from hitchin_limits import building, polygon, trigroup, tropical
-from hitchin_limits.errors import DegeneratePath, NonDeformable
 
 import oracles
 
@@ -30,7 +29,7 @@ def test_334_valences_and_orders(orb334):
 
 
 def test_nondeformable_rejected():
-    with pytest.raises(NonDeformable):
+    with pytest.raises(ValueError, match="order-2 vertex"):
         trigroup.build_orbifold(2, 3, 7)
 
 
@@ -93,10 +92,10 @@ def test_cycle_closing_in_another_phase_is_rejected():
     # orbifold type rotated by pi/3: the labels match, the direction is off
     # every turn by 2*pi/3 of the start's
     assert trigroup.trace_cycle((3, 3, 4), 2, (1, 0), [math.pi] * 3).closed
-    with pytest.raises(DegeneratePath, match="direction"):
+    with pytest.raises(ValueError, match="direction"):
         trigroup.trace_cycle((3, 3, 4), 2, (1, 0),
                              [math.pi, math.pi, math.pi + math.pi / 3])
-    with pytest.raises(DegeneratePath, match="labels"):
+    with pytest.raises(ValueError, match="labels"):
         trigroup.trace_cycle((3, 3, 4), 2, (1, 0), [math.pi] * 2)
 
 
@@ -152,24 +151,24 @@ def test_spectrum_respects_symmetry():
 def test_boundary_probe_positive():
     fam = [trigroup.straight_positive_cycle(3, 3, 4),
            trigroup.straight_median_cycle(3, 3, 4)]
-    assert trigroup.distinct_direction_count(fam) >= 2
     grid = [2 * math.pi * i / 12 for i in range(12)]
-    probe = trigroup.boundary_injectivity_probe(fam, grid)
-    assert not probe.insufficient_family
-    assert probe.min_pairwise > 1e-4
+    assert trigroup.boundary_injectivity_probe(fam, grid) > 1e-4
 
 
 def test_boundary_probe_single_theta_vacuous():
     fam = [trigroup.straight_positive_cycle(3, 3, 4)]
-    probe = trigroup.boundary_injectivity_probe(fam, [0.0])
-    assert probe.min_pairwise == math.inf
+    assert trigroup.boundary_injectivity_probe(fam, [0.0]) == math.inf
 
 
-def test_boundary_probe_single_class_flagged():
-    fam = [trigroup.straight_positive_cycle(3, 3, 4)]
+def test_boundary_probe_single_class_degenerates():
+    # a family of one angular class meets itself at symmetric theta pairs:
+    # its probe distance is at rounding level (1.1e-16 for the positive
+    # cycle, 0 for the median one)
     grid = [2 * math.pi * i / 12 for i in range(12)]
-    probe = trigroup.boundary_injectivity_probe(fam, grid)
-    assert probe.insufficient_family
+    for cycle in (trigroup.straight_positive_cycle,
+                  trigroup.straight_median_cycle):
+        fam = [cycle(3, 3, 4)]
+        assert trigroup.boundary_injectivity_probe(fam, grid) <= 1e-15
 
 
 def test_other_groups_build():
