@@ -38,11 +38,8 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v
-                              for v in row))
-    text = "\n".join(lines) + "\n"
+    text = "".join(",".join(v if isinstance(v, str) else _fmt(v) for v in row)
+                   + "\n" for row in [header, *rows])
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -267,16 +264,10 @@ def cmd_building_localmodel(args):
 
 def cmd_building_convexity(args):
     rng = np.random.default_rng(args.seed)
-    fails = 0
-    for _ in range(args.paths):
-        path = building.random_geodesic_path(rng)
-        if not building.weak_convexity_check(path):
-            fails += 1
-    corner_fails = 0
-    for _ in range(args.corners):
-        path = building.random_corner_path(rng)
-        if building.weak_convexity_check(path):
-            corner_fails += 1
+    fails = sum(not building.weak_convexity_check(
+        building.random_geodesic_path(rng)) for _ in range(args.paths))
+    corner_fails = sum(building.weak_convexity_check(
+        building.random_corner_path(rng)) for _ in range(args.corners))
     print(f"geodesic additivity: {args.paths - fails}/{args.paths}")
     print(f"corner deficits:     {args.corners - corner_fails}/{args.corners}")
     return EXIT_OK if fails == 0 and corner_fails == 0 else EXIT_NUMERICAL

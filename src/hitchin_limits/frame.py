@@ -8,12 +8,12 @@ Transport and arcs integrate only the remainder, in the Titeica eigenbasis S:
 the Titeica factor is diag(e^D) in closed form, D = titeica_exponents(w),
 and the integrand e^(D_i - D_j) (S^(-1) dW S)_ij is real, O(1) at any s (F
 decays like e^(-m|w|), m = 2^(2/3) sqrt 3 the largest rate of D_i - D_j)
-and an exact zero wherever F is.  An arc is the remainder transport from
-its end angle back to its start, so both go through one stepping core: RK4
-propagators as entry-major float64 batches, shape (3, 3, m), in chunks of at
-most _CHUNK_STEPS steps, each step rejected when it is not finite or has an
-entry above e^10/3; both refuse more than _MAX_STEPS steps before
-allocating nodes.
+and an exact zero wherever F is.  Transport plans its steps in one array
+pass over all segments, only where a scan finds F nonzero.  An arc is the
+remainder transport from its end angle back to its start, so both go
+through one stepping core: RK4 propagators as entry-major float64 batches,
+shape (3, 3, m), in chunks of at most _CHUNK_STEPS steps; both refuse more
+than _MAX_STEPS steps before allocating nodes.
 
 The constant differential has the classical closed-form frame (Titeica); its
 eigenbasis S conjugates every asymptotic formula in the polygon module.
@@ -73,8 +73,7 @@ def titeica_frame():
     the order of its rows and columns, so F^H F = 3 and
     S^(-1) = S^H diag(1, 2^(2/3), 2^(2/3))^(-1) / 3.
     """
-    c = 2.0 ** (1.0 / 3.0)
-    S = np.array([[1.0, c * OMEGA ** (2 * m), c * OMEGA ** m]
+    S = np.array([[1.0, _CBRT2 * OMEGA ** (2 * m), _CBRT2 * OMEGA ** m]
                   for m in SLOT_BRANCH], dtype=complex).T
     return S, S.conj().T / (3.0 * np.array([1.0, CBRT4, CBRT4]))
 
@@ -110,14 +109,16 @@ def _graded_log_singular_values(alpha, Y, beta):
     (i, j) meets e^(alpha_i + beta_j), so the inverse is formed by cofactors,
     which keep each entry to its own relative precision."""
     def top(a, M, b):
-        with np.errstate(divide="ignore"):     # a zero entry stays zero
-            L = np.log(np.abs(M)) + (a[:, None] + b)
+        L = np.log(np.abs(M)) + (a[:, None] + b)
         m = float(np.max(L))
-        return m + math.log(np.linalg.norm(np.sign(M) * np.exp(L - m), 2))
-    cof = np.cross(Y[[1, 2, 0]], Y[[2, 0, 1]])      # row i: Y_i+1 x Y_i+2
+        return m + math.log(np.linalg.svd(np.sign(M) * np.exp(L - m),
+                                          compute_uv=False)[0])
+    # row i: Y_i+1 x Y_i+2, in np.cross's operation order
+    (a0, a1, a2), (b0, b1, b2) = Y[[1, 2, 0]].T, Y[[2, 0, 1]].T
+    cof = np.stack((a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0), axis=1)
     det = float(Y[0] @ cof[0])
-    s1 = top(alpha, Y, beta)
-    s3 = -top(-beta, cof.T / det, -alpha)
+    with np.errstate(divide="ignore"):         # a zero entry stays zero
+        s1, s3 = top(alpha, Y, beta), -top(-beta, cof.T / det, -alpha)
     logdet = float(np.sum(alpha) + np.sum(beta)) + math.log(abs(det))
     return np.array([s1, logdet - s1 - s3, s3])
 
@@ -160,27 +161,17 @@ def _rk4_steps(f1, mid, end):
     return steps, (int(np.argmax(bad)) if bad.any() else -1)
 
 
-def _nearest(a: complex, seg: complex) -> float:
-    """The parameter t in [0, 1] of the point a + t seg nearest the zero."""
-    return min(max(-(a * seg.conjugate()).real / abs(seg) ** 2, 0.0), 1.0)
-
-
-def _scan_points(q, a: complex, seg: complex) -> list:
-    """Parameters t in [0, 1] on the chart segment a -> a + seg at natural
-    spacing _SCAN_STEP, and that of its closest approach to the zero."""
-    n = math.ceil(abs(seg) * abs(q.cube_root(max(abs(a), abs(a + seg)), 0.0))
-                  / _SCAN_STEP)
-    return sorted({i / n for i in range(n + 1)} | {_nearest(a, seg)})
-
-
-def _segment_steps(q, a: complex, b: complex) -> int:
-    """RK4 steps for the chart segment a -> b, each at most _NATURAL_STEP
-    long in the natural chart and, for k >= 1, _ZERO_STEP times the
-    segment's closest approach to the zero."""
-    near = abs(a + _nearest(a, b - a) * (b - a))
-    h = _NATURAL_STEP / abs(q.cube_root(max(abs(a), abs(b)), 0.0))
-    return max(2, math.ceil(abs(b - a) / (min(h, _ZERO_STEP * near)
-                                          if q.k else h)))
+def _reach(q, z0, z1, d):
+    """(|d|, t, |w'|, |z0 + t d|) of chart steps z0 -> z1 = z0 + d != z0, t
+    in [0, 1] the closest approach to the zero and w' at max(|z0|, |z1|),
+    rounded as on Python scalars: |.| by hypot, t in a real form."""
+    length = np.hypot(d.real, d.imag)
+    sq = np.array([x ** 2 for x in length.tolist()])
+    t = np.clip(-(z0.real * d.real + z0.imag * d.imag) / sq, 0.0, 1.0)
+    r = np.maximum(np.hypot(z0.real, z0.imag), np.hypot(z1.real, z1.imag))
+    c = z0 + t * d
+    wp = np.array([q.root_modulus(x) for x in r.tolist()])
+    return length, t, wp, np.hypot(c.real, c.imag)
 
 
 def _remainder_generators(F, F_z, dz, wp, D):
@@ -230,26 +221,27 @@ def _remainder_transport(q, r, theta, F, F_z, dz, first, where):
 
 def integrate_transport(sol, path):
     """RK4 transport of the Titeica remainder along a polyline of complex
-    chart points; ``sol`` provides phi_at and dz_phi_at on arrays of chart
-    points and the cubic differential q (a Wang solution).  Returns (Y, D0,
-    D1): the inverse transport, in the natural frame conjugated by S, is
-    diag(e^-D1) Y diag(e^D0), with D0, D1 the slot exponents of w at the
-    ends (arg z continued from the principal arg of the start) and Y the
-    solution of Y' = B Y, B = _remainder_generators, from the identity.
-    F = phi - flat and F_z = dphi - dflat are formed with the flat parts as
-    the samplers add them, so far-field terms cancel to exact zeros, and a
-    difference within _FLAT_ROUNDING of its flat part (that part's rounding)
-    is taken as zero too.
+    chart points; ``sol`` (a Wang solution) provides phi_at and dz_phi_at
+    on arrays of chart points and the cubic differential q.  Returns (Y,
+    D0, D1): the inverse transport, in the natural frame conjugated by S, is
+    diag(e^-D1) Y diag(e^D0), D0 and D1 the slot exponents of w at the ends
+    (arg z continued from the principal arg of the start), and Y' = B Y, B =
+    _remainder_generators, from the identity.  F = phi - flat and F_z =
+    dphi - dflat take the flat parts as the samplers add them, so far-field
+    terms cancel to exact zeros; one within _FLAT_ROUNDING of its flat part
+    (that part's rounding) is zero too.
 
-    One sampler call of each scans every segment at _scan_points.  Each
+    The plan is one array pass over all segments.  One sampler call of each
+    scans segment g at t = i / n_g, n_g = ceil(|seg| |w'| / _SCAN_STEP) with
+    w' at its far end, and at its closest approach to the zero.  Each
     interval between the scan points next to a segment's first and last
-    nonzero remainder takes its own _segment_steps equal steps, whose nodes
-    are sampled in one more call of each; each chunk of steps is multiplied
-    out into Y.  A step that is not finite or has an entry above e^10/3
-    raises StepUnstable naming it as step j of n within its segment.  A
-    path of more than _MAX_STEPS steps, or for k >= 1 with a segment through
-    z = 0 (F ~ log r there), is refused with a ValueError before its step
-    nodes are allocated."""
+    nonzero remainder takes n equal steps of at most _NATURAL_STEP of
+    natural length and, for k >= 1, _ZERO_STEP times its closest approach;
+    one more call of each samples their nodes.  Each ceil's inputs round as
+    on Python scalars (_reach).  A step that is not finite or has an entry
+    above e^10/3 raises StepUnstable naming it as step j of n within its
+    segment.  A path over _MAX_STEPS steps, or for k >= 1 with a segment
+    through z = 0 (F ~ log r there), is a ValueError before any node exists."""
     q = sol.q
 
     def remainder(z):
@@ -257,55 +249,61 @@ def integrate_transport(sol, path):
         zf = np.where(z == 0, 1.0, z)
         flat, dz_flat = q.flat(np.log(np.abs(zf))), q.dz_flat(zf)
         F, F_z = sol.phi_at(z) - flat, sol.dz_phi_at(z) - dz_flat
-        return (np.where(np.abs(F) <= _FLAT_ROUNDING * np.abs(flat), 0.0, F),
-                np.where(np.abs(F_z) <= _FLAT_ROUNDING * np.abs(dz_flat), 0.0,
-                         F_z))
+        return tuple(np.where(np.abs(v) <= _FLAT_ROUNDING * np.abs(f), 0.0, v)
+                     for v, f in ((F, flat), (F_z, dz_flat)))
     pts = [complex(z) for z in path]
-    segs = [(a, b - a) for a, b in zip(pts[:-1], pts[1:]) if b != a]
+    a, seg = np.array(pts[:-1], complex), np.diff(pts)
+    a, seg = a[seg != 0], seg[seg != 0]
+    length, near, wp, clear = _reach(q, a, a + seg, seg)
     # arg z continued along the path: a segment clear of z = 0 turns it by
     # less than pi, so arg(z / a) is continuous on it; k = 0 reads arg z
     # only mod 2 pi
     theta = [cmath.phase(pts[0])]
-    for a, seg in segs:
-        if a + _nearest(a, seg) * seg != 0:
-            theta.append(theta[-1] + cmath.phase(1 + seg / a))
-        elif q.k:
-            raise ValueError(f"path segment {a:.6g} -> {a + seg:.6g} passes "
+    for a0, d, r in zip(a.tolist(), seg.tolist(), clear.tolist()):
+        if q.k and not r:
+            raise ValueError(f"path segment {a0:.6g} -> {a0 + d:.6g} passes "
                              f"through z = 0")
-        else:
-            theta.append(cmath.phase(a + seg))
+        theta.append(theta[-1] + cmath.phase(1 + d / a0) if r
+                     else cmath.phase(a0 + d))
     D0, D1 = (titeica_exponents(q.natural(abs(z), th))
               for z, th in ((pts[0], theta[0]), (pts[-1], theta[-1])))
-    scans = [_scan_points(q, a, seg) for a, seg in segs]
-    F, F_z = remainder(np.array([a + seg * t for (a, seg), ts in
-                                 zip(segs, scans) for t in ts]))
-    live = np.split((F != 0) | (F_z != 0), np.cumsum(list(map(len, scans))))
-    pieces = []                   # (segment, offset from its start, dz, n)
-    for g, ((a, seg), t, on) in enumerate(zip(segs, scans, live)):
-        if on.any():
-            i, j = np.flatnonzero(on)[[0, -1]]
-            ts = t[max(i - 1, 0):j + 2]
-            for lo, hi in zip(ts, ts[1:]):
-                n = _segment_steps(q, a + seg * lo, a + seg * hi)
-                pieces.append((g, seg * lo, seg * ((hi - lo) / n), n))
-    if sum(n for *_, n in pieces) > _MAX_STEPS:
-        raise ValueError(f"path takes {sum(n for *_, n in pieces)} transport "
-                         f"steps at s={q.s:g}, over the budget of {_MAX_STEPS}")
-    if not pieces:
+    # segment g's scan points t = i / n_g, i <= n_g, and (i = n_g + 1) its
+    # closest approach, as keys g + 1j t sorted, repeats merged (-0 reads 0)
+    n = np.ceil(length * wp / _SCAN_STEP).astype(int)
+    g = np.repeat(np.arange(len(n)), n + 2)
+    i = np.arange(len(g)) - np.repeat(np.cumsum(n + 2) - n - 2, n + 2)
+    scan = np.sort(g + 1j * np.where(i > n[g], near[g], i / n[g]))
+    scan = scan[np.diff(scan, prepend=np.nan) != 0]
+    g, t = scan.real.astype(int), scan.imag
+    z = a[g] + seg[g] * t
+    # interval (p, p + 1) of one segment takes steps when a nonzero
+    # remainder of it lies at or before p + 1 and one at or after p
+    F, F_z = remainder(z)
+    on = (F != 0) | (F_z != 0)
+    before = np.maximum.accumulate(np.where(on, g, -1)) == g
+    after = np.minimum.accumulate(np.where(on, g, len(n))[::-1])[::-1] == g
+    p = np.flatnonzero(before[1:] & after[:-1] & (g[1:] == g[:-1]))
+    length, _, wp, near = _reach(q, z[p], z[p + 1], z[p + 1] - z[p])
+    step = np.minimum(_NATURAL_STEP / wp, _ZERO_STEP * near if q.k else np.inf)
+    ns = np.maximum(np.ceil(length / step), 2).astype(int)
+    if ns.sum() > _MAX_STEPS:
+        raise ValueError(f"path takes {ns.sum()} transport steps at "
+                         f"s={q.s:g}, over the budget of {_MAX_STEPS}")
+    if not len(ns):
         return np.eye(3), D0, D1
     # piece p has nodes 0 .. 2 n_p of its own, and its step j starts at 2 j
-    g, off, dz, ns = (np.array(v) for v in zip(*pieces))
-    a, th = np.array([a for a, _ in segs])[g], np.array(theta)[g]
-    size = 2 * ns + 1
-    piece = np.repeat(np.arange(len(ns)), size)
-    local = np.arange(len(piece)) - (np.cumsum(size) - size)[piece]
-    x = off[piece] + dz[piece] * (local / 2)
-    nodes, a, dz = a[piece] + x, a[piece], dz[piece]
-    args = th[piece] + np.angle(1 + x / a) if q.k else np.angle(nodes)
-    first = np.flatnonzero((local % 2 == 0) & (local < 2 * ns[piece]))
-    del piece, local, x, a
-    F, F_z = remainder(nodes)
+    g, size = g[p], 2 * ns + 1
+    local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    dz = seg[g] * ((t[p + 1] - t[p]) / ns)
+    x = np.repeat(seg[g] * t[p], size) + np.repeat(dz, size) * (local / 2)
+    a, dz = np.repeat(a[g], size), np.repeat(dz, size)
+    nodes = a + x
+    args = (np.repeat(np.array(theta)[g], size) + np.angle(1 + x / a)
+            if q.k else np.angle(nodes))
+    del local, x, a
     step_seg = np.repeat(g, ns)                        # each step's segment
+    first = 2 * np.arange(len(step_seg)) + np.repeat(np.arange(len(ns)), ns)
+    F, F_z = remainder(nodes)
 
     def where(i):
         mine = np.flatnonzero(step_seg == step_seg[i])
@@ -342,8 +340,10 @@ def arc_unipotent_numeric(sol, theta0: float, theta1: float,
                          f"budget of {_MAX_STEPS}")
     F, dF = sol.radial_profile(radius)
     if q.k and abs(F if radius < sol.R else dF) < np.finfo(float).tiny:
-        raise StepUnstable(f"arc at radius {radius:g}, s={q.s:g}: F and dF/dr "
-                           f"underflow to 0")
+        low = "F" if radius < sol.R else "dF/dr"
+        raise StepUnstable(f"arc at radius {radius:g}, s={q.s:g}: F = {F:.3g} "
+                           f"and dF/dr = {dF:.3g}, {low} below the smallest "
+                           f"normal float {np.finfo(float).tiny:.6g}")
     h = (theta0 - theta1) / n_steps
     t = theta1 + (h / 2) * np.arange(2 * n_steps + 1)
     z = radius * np.exp(1j * t)

@@ -67,11 +67,11 @@ def _exp(x):
 class CubicDifferential:
     """q_s = s z^k dz^3 and its closed forms, each written once: |q_s|^2,
     the flat part (1/3) log(2 |q_s|^2) at log r and its d/dz, the cube root
-    w' = s^(1/3) z^(k/3), the natural coordinate w = int w' dz, its modulus
-    and argument, and its inverse on a continued sheet.  Points are polar
-    (r, theta) on the caller's branch (on_branch lifts arg z near one), as
-    Python scalars (e^x by cmath) or numpy arrays, which round differently;
-    each form has one operation order."""
+    w' = s^(1/3) z^(k/3) and its modulus, the natural coordinate w = int w'
+    dz, its modulus and argument, and its inverse on a continued sheet.
+    Points are polar (r, theta) on the caller's branch (on_branch lifts arg
+    z near one), as Python scalars (e^x by cmath) or numpy arrays, which
+    round differently; each form has one operation order."""
 
     k: int
     s: float = 1.0
@@ -93,8 +93,10 @@ class CubicDifferential:
         return self.k / (3.0 * z)
 
     def cube_root(self, r, theta):
-        return (self.s ** (1.0 / 3.0) * r ** (self.k / 3.0)
-                * _exp(1j * theta * self.k / 3.0))
+        return self.root_modulus(r) * _exp(1j * theta * self.k / 3.0)
+
+    def root_modulus(self, r):
+        return self.s ** (1.0 / 3.0) * r ** (self.k / 3.0)
 
     def natural_radius(self, r):
         return (self.s ** (1.0 / 3.0) * (3.0 / (self.k + 3))
@@ -263,10 +265,11 @@ def solve_disk(k: int, s: float, R: float,
     Full steps from the flat metric outside |w| < 1 and its value at |w| =
     1 inside (the constant Dirichlet value when |w(R)| <= 1); a step that
     raises the row-scaled residual, or _NEWTON_MAX_ITER steps, ends in
-    NewtonDiverged.  The converged F must lie between 0 (the flat
-    subsolution) on the rings and the constant Dirichlet value (a
-    supersolution).  A degenerate grid, one over _MAX_RINGS rings, or a disk
-    whose stencil, |q_s|^2 or start residual overflows is a ValueError.
+    NewtonDiverged (GridTooCoarse from under its rounding floor).  The
+    converged F must lie between 0 (the flat subsolution) on the rings and
+    the constant Dirichlet value (a supersolution).  A degenerate grid, one
+    over _MAX_RINGS rings, or a disk whose stencil, |q_s|^2 or start
+    residual overflows is a ValueError.
     """
     q = CubicDifferential(k, s)
     if not 0 < R < math.inf:
@@ -327,6 +330,12 @@ def solve_disk(k: int, s: float, R: float,
         res = residual(F)
         history.append(norm(res))
         if history[-1] > history[-2]:
+            floor = np.finfo(float).eps * norm(
+                _apply_band(np.abs(L), np.abs(F)) + np.abs(source) + a - b
+                + a * np.abs(np.expm1(F)) + b * np.abs(np.expm1(-2 * F)))
+            if history[-2] <= floor:
+                raise GridTooCoarse(f"Newton residual {history[-2]:.3g} is "
+                                    f"under its rounding floor {floor:.3g}")
             raise NewtonDiverged("residual increased", history)
     else:
         raise NewtonDiverged("Newton did not reach tolerance", history)

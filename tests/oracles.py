@@ -2,8 +2,10 @@
 
 Surfaces and path files the tests build on, closed forms the numerical code
 is checked against, the chart-frame transport integrator the remainder
-integrator is checked against, read-outs of a frame transport beyond the
-ones the verify commands use, orbifold bookkeeping, the corner-by-corner
+integrator is checked against, the transport's step plan made segment by
+segment on Python scalars, which the array plan must match bit for bit,
+read-outs of a frame transport beyond the ones the verify commands use,
+orbifold bookkeeping, the corner-by-corner
 saddle connection search the batched one must match, the flip-by-flip
 product of the Stokes unipotents, and the triangle-group cycles traced on a
 developed patch, which the lattice cycles must match.  No command of the package
@@ -594,6 +596,91 @@ def reference_arc_unipotent(sol, theta0, theta1, radius):
     for step in steps.transpose(0, 2, 1):
         M = M @ step
     return S @ M @ S_inv
+
+
+# ---------------------------------------------------------------------------
+# the transport plan on Python scalars, segment by segment
+# ---------------------------------------------------------------------------
+
+def nearest(a: complex, seg: complex) -> float:
+    """The parameter t in [0, 1] of the point a + t seg nearest the zero."""
+    return min(max(-(a * seg.conjugate()).real / abs(seg) ** 2, 0.0), 1.0)
+
+
+def scan_points(q, a: complex, seg: complex) -> list:
+    """Parameters t in [0, 1] on the chart segment a -> a + seg at natural
+    spacing frame._SCAN_STEP, and that of its closest approach to the zero."""
+    n = math.ceil(abs(seg) * abs(q.cube_root(max(abs(a), abs(a + seg)), 0.0))
+                  / frame._SCAN_STEP)
+    return sorted({i / n for i in range(n + 1)} | {nearest(a, seg)})
+
+
+def segment_steps(q, a: complex, b: complex) -> int:
+    """RK4 steps for the chart segment a -> b, each at most
+    frame._NATURAL_STEP long in the natural chart and, for k >= 1,
+    frame._ZERO_STEP times the segment's closest approach to the zero."""
+    near = abs(a + nearest(a, b - a) * (b - a))
+    h = frame._NATURAL_STEP / abs(q.cube_root(max(abs(a), abs(b)), 0.0))
+    return max(2, math.ceil(abs(b - a) / (min(h, frame._ZERO_STEP * near)
+                                          if q.k else h)))
+
+
+def scalar_plan(sol, path):
+    """frame.integrate_transport's plan made segment by segment on Python
+    scalars: (D0, D1, ns, nodes, args, F, F_z, dz, first), the slot exponents
+    at the ends, the step count of each scan interval that takes steps in
+    path order, the step nodes with their continued angles, remainders and
+    chart steps, and the index of each step's start node, or (D0, D1, ns)
+    with ns empty when no step is taken.  A path over frame._MAX_STEPS steps
+    is refused as there.  frame._remainder_transport(q, |nodes|, args, F,
+    F_z, dz, first, where) is the transport's Y."""
+    q = sol.q
+
+    def remainder(z):
+        zf = np.where(z == 0, 1.0, z)
+        flat, dz_flat = q.flat(np.log(np.abs(zf))), q.dz_flat(zf)
+        F, F_z = sol.phi_at(z) - flat, sol.dz_phi_at(z) - dz_flat
+        rounding = frame._FLAT_ROUNDING
+        return (np.where(np.abs(F) <= rounding * np.abs(flat), 0.0, F),
+                np.where(np.abs(F_z) <= rounding * np.abs(dz_flat), 0.0, F_z))
+    pts = [complex(z) for z in path]
+    segs = [(a, b - a) for a, b in zip(pts[:-1], pts[1:]) if b != a]
+    theta = [cmath.phase(pts[0])]
+    for a, seg in segs:
+        if a + nearest(a, seg) * seg != 0:
+            theta.append(theta[-1] + cmath.phase(1 + seg / a))
+        else:
+            theta.append(cmath.phase(a + seg))
+    D0, D1 = (frame.titeica_exponents(q.natural(abs(z), th))
+              for z, th in ((pts[0], theta[0]), (pts[-1], theta[-1])))
+    scans = [scan_points(q, a, seg) for a, seg in segs]
+    F, F_z = remainder(np.array([a + seg * t for (a, seg), ts in
+                                 zip(segs, scans) for t in ts]))
+    live = np.split((F != 0) | (F_z != 0), np.cumsum(list(map(len, scans))))
+    pieces = []
+    for g, ((a, seg), t, on) in enumerate(zip(segs, scans, live)):
+        if on.any():
+            i, j = np.flatnonzero(on)[[0, -1]]
+            ts = t[max(i - 1, 0):j + 2]
+            for lo, hi in zip(ts, ts[1:]):
+                n = segment_steps(q, a + seg * lo, a + seg * hi)
+                pieces.append((g, seg * lo, seg * ((hi - lo) / n), n))
+    if sum(n for *_, n in pieces) > frame._MAX_STEPS:
+        raise ValueError(f"path takes {sum(n for *_, n in pieces)} transport "
+                         f"steps at s={q.s:g}, over the budget of "
+                         f"{frame._MAX_STEPS}")
+    if not pieces:
+        return D0, D1, np.array([], int)
+    g, off, dz, ns = (np.array(v) for v in zip(*pieces))
+    a, th = np.array([a for a, _ in segs])[g], np.array(theta)[g]
+    size = 2 * ns + 1
+    piece = np.repeat(np.arange(len(ns)), size)
+    local = np.arange(len(piece)) - (np.cumsum(size) - size)[piece]
+    x = off[piece] + dz[piece] * (local / 2)
+    nodes, a, dz = a[piece] + x, a[piece], dz[piece]
+    args = th[piece] + np.angle(1 + x / a) if q.k else np.angle(nodes)
+    first = np.flatnonzero((local % 2 == 0) & (local < 2 * ns[piece]))
+    return (D0, D1, ns, nodes, args, *remainder(nodes), dz, first)
 
 
 # ---------------------------------------------------------------------------

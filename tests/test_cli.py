@@ -469,8 +469,9 @@ def test_underflowing_arc_exits_2_naming_the_arc(tmp_path, capsys):
     assert run(["verify", "arc", "--k", "1", "--s", "1e7,1e8", "--radius",
                 "0.9", "--out", str(out)]) == 2
     assert capsys.readouterr().err == ("error: StepUnstable: arc at radius "
-                                       "0.9, s=1e+08: F and dF/dr underflow "
-                                       "to 0\n")
+                                       "0.9, s=1e+08: F = 0 and dF/dr = 0, F "
+                                       "below the smallest normal float "
+                                       "2.22507e-308\n")
     assert out.read_text().splitlines()[1].startswith("10000000,")
     assert _arc_errors(tmp_path, ["--k", "1", "--s", "3e7", "--radius",
                                   "0.9"])[0] > 0
@@ -479,13 +480,15 @@ def test_underflowing_arc_exits_2_naming_the_arc(tmp_path, capsys):
 def test_subnormal_arc_profile_is_refused_before_any_step(monkeypatch,
                                                          capsys):
     # at k = 1, radius 0.9, F(0.9) is 3.5e-317 at s = 6.7e7, below the
-    # smallest normal float: the arc used to die at step 4240 of 8824
+    # smallest normal float: the arc used to die at step 4240 of 8824.  The
+    # message prints F and dF/dr, since F can be subnormal and not 0
     monkeypatch.setattr(cli.frame, "_remainder_transport", None)
     assert run(["verify", "arc", "--k", "1", "--s", "6.7e7", "--radius",
                 "0.9"]) == 2
     assert capsys.readouterr().err == ("error: StepUnstable: arc at radius "
-                                       "0.9, s=6.7e+07: F and dF/dr underflow "
-                                       "to 0\n")
+                                       "0.9, s=6.7e+07: F = 3.48e-317 and "
+                                       "dF/dr = -3.88e-314, F below the "
+                                       "smallest normal float 2.22507e-308\n")
 
 
 def test_arc_on_the_rim_runs_on_dF(tmp_path):
@@ -615,14 +618,22 @@ def test_verify_sweep_past_1e6(tmp_path, argv):
     assert max(_sweep_gaps(tmp_path, argv)) <= 5e-11
 
 
+def test_solve_stalled_at_its_rounding_floor_exits_2(capsys):
+    # a grid too coarse for s is a numerical failure naming the floor
+    assert run(["wang", "solve", "--k", "1", "--s", "1e7", "--nr", "2",
+                "--ratio", "1.001", "--out", "-"]) == 2
+    assert capsys.readouterr().err == ("error: GridTooCoarse: Newton residual "
+                                       "1.33e-12 is under its rounding floor "
+                                       "1.04e-11\n")
+
 def _raise_linalg(*args, **kwargs):
     raise np.linalg.LinAlgError("injected failure")
 
 
 def test_transport_linalg_error_exits_2_naming_the_layer(monkeypatch,
                                                          capsys):
-    # the read-out's norm: a k = 0 transport takes no step, so no QR fold
-    monkeypatch.setattr(np.linalg, "norm", _raise_linalg)
+    # the read-out's SVD: a k = 0 transport takes no step, so no QR fold
+    monkeypatch.setattr(np.linalg, "svd", _raise_linalg)
     assert run(["verify", "sweep", "--k", "0", "--s", "1e2"]) == 2
     err = capsys.readouterr().err
     assert err == "error: StepUnstable: transport: injected failure\n"

@@ -461,13 +461,14 @@ def test_two_segment_turn_leading_vs_numeric():
 
 
 def _live_segment_steps(q, a, b):
-    """The package's step count of each scan interval of the segment a -> b
-    and the start, middle and end nodes of each step, as integrate_transport
-    lays them out when the remainder is nonzero at every scan point."""
+    """The step count of each scan interval of the segment a -> b in the
+    scalar plan and the start, middle and end nodes of each step, as
+    integrate_transport lays them out when the remainder is nonzero at every
+    scan point."""
     seg, ns, steps = b - a, [], []
-    ts = frame._scan_points(q, a, seg)
+    ts = oracles.scan_points(q, a, seg)
     for lo, hi in zip(ts, ts[1:]):
-        n = frame._segment_steps(q, a + seg * lo, a + seg * hi)
+        n = oracles.segment_steps(q, a + seg * lo, a + seg * hi)
         dz = seg * ((hi - lo) / n)
         nodes = a + (seg * lo + dz * (np.arange(2 * n + 1) / 2))
         ns.append(n)
@@ -598,9 +599,136 @@ def test_scan_intervals_take_fewer_steps_than_one_segment_rule(monkeypatch):
     sol = wang.solve_disk(1, 1e4, 1.0)
     a, b = 0.3 * cmath.exp(0.27j), 0.9 * cmath.exp(0.27j)
     frame.integrate_transport(sol, [a, b])
-    whole = frame._segment_steps(sol.q, a, b)
+    whole = oracles.segment_steps(sol.q, a, b)
     assert whole == 1334
     assert sum(steps) == sum(_live_segment_steps(sol.q, a, b)[0]) < whole
+
+
+def _random_plan_path(rng, kind, k):
+    """A random chart polyline in the unit disk: (kind 0) 2 to 6 points,
+    (1) a chord whose closest approach to the zero lies inside it, (2) a
+    polyline with a zero-length segment, (3, k = 0 only) a path to or
+    through z = 0, or (4) a sweep chord on the natural circle of radius
+    0.9."""
+    m = int(rng.integers(2, 7))
+    pts = list(10 ** rng.uniform(-2, 0, m)
+               * np.exp(1j * rng.uniform(-math.pi, math.pi, m)))
+    if kind == 1:
+        u = 1j * pts[0] / abs(pts[0])
+        return [pts[0], -pts[0] + 2 * 10 ** rng.uniform(-2, -0.5) * u]
+    if kind == 2:
+        i = int(rng.integers(m))
+        return pts[:i + 1] + pts[i:]
+    if kind == 3:
+        return [pts[0], 0.0, pts[-1]] if rng.integers(2) else [pts[0], -pts[0]]
+    if kind == 4:
+        w = 0.9 * 3 / (k + 3) * np.exp(1j * rng.uniform(-math.pi, math.pi, 2))
+        spec = "chord:%.4f,%.4f,%.4f,%.4f" % (w[0].real, w[0].imag,
+                                              w[1].real, w[1].imag)
+        return cli._sweep_path(spec, wang.CubicDifferential(k), 1.0)[0]
+    return pts
+
+
+def test_array_plan_is_the_scalar_plan(monkeypatch):
+    # 250 random paths over k = 0..4 and s = 1e0..1e8 (50 of each kind of
+    # _random_plan_path): the array plan takes the step counts, nodes,
+    # angles, remainders, chart steps and start nodes of planning segment by
+    # segment on Python scalars, bit for bit, so Y and the end exponents are
+    # the same bytes too; a path over the budget (20,000 here, to keep the
+    # paths that pass near the zero at low s fast) is refused with the same
+    # step count
+    monkeypatch.setattr(frame, "_MAX_STEPS", 20_000)
+    core, seen = frame._remainder_transport, {}
+
+    def keep(*args):
+        seen["args"] = args
+        return core(*args)
+    monkeypatch.setattr(frame, "_remainder_transport", keep)
+    phi_at, nodes_seen = wang.WangSolution.phi_at, []
+
+    def sample(self, z):
+        nodes_seen.append(z)
+        return phi_at(self, z)
+    monkeypatch.setattr(wang.WangSolution, "phi_at", sample)
+    rng, sols = np.random.default_rng(32), {}
+    for i in range(250):
+        kind = i % 5
+        k, s = 0 if kind == 3 else int(rng.integers(5)), 10.0 ** (i % 9)
+        if (k, s) not in sols:
+            sols[k, s] = wang.solve_disk(k, s, 1.0)
+        sol, path = sols[k, s], _random_plan_path(rng, kind, k)
+        try:
+            D0, D1, ns, *plan = oracles.scalar_plan(sol, path)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                frame.integrate_transport(sol, path)
+            continue
+        seen.clear()
+        nodes_seen.clear()
+        Y, got0, got1 = frame.integrate_transport(sol, path)
+        assert (got0.tobytes(), got1.tobytes()) == (D0.tobytes(), D1.tobytes())
+        if not len(ns):
+            assert not seen and Y.tobytes() == np.eye(3).tobytes()
+            continue
+        nodes, args, F, F_z, dz, first = plan
+        _, r, *got, where = seen["args"]
+        assert nodes_seen[-1].tobytes() == nodes.tobytes()
+        assert r.tobytes() == np.abs(nodes).tobytes()
+        for a, b in zip(got, (args, F, F_z, dz, first)):
+            assert a.tobytes() == b.tobytes()
+        # a new interval starts where a start node skips the last node
+        starts = np.flatnonzero(np.diff(first, prepend=-3) == 3)
+        assert np.diff(starts, append=len(first)).tolist() == ns.tolist()
+        want = core(sol.q, np.abs(nodes), args, F, F_z, dz, first, where)
+        assert Y.tobytes() == want.tobytes()
+
+
+def test_plan_inputs_round_as_on_python_scalars():
+    # every ceil of the plan reads |d|, the closest approach t, |w'| and
+    # |z0 + t d| of its chart steps as the scalar plan forms them, bit for
+    # bit, here on 3,000 random steps at each k = 0..4 and s = 1, 1e4, 1e8;
+    # numpy's complex abs and powers round otherwise in 5-35% of cases and
+    # x * x unlike x ** 2 in 0.07%, rare enough to pass a plan test
+    rng = np.random.default_rng(3)
+    z0, d = 10 ** rng.uniform(-3, 0, (2, 3000)) * np.exp(
+        2j * math.pi * rng.uniform(size=(2, 3000)))
+    for k in range(5):
+        for s in (1.0, 1e4, 1e8):
+            q = wang.CubicDifferential(k, s)
+            want = []
+            for a, b in zip(z0.tolist(), d.tolist()):
+                t = oracles.nearest(a, b)
+                want.append((abs(b), t, abs(q.cube_root(max(abs(a),
+                             abs(a + b)), 0.0)), abs(a + t * b)))
+            got = np.stack(frame._reach(q, z0, z0 + d, d), axis=1)
+            assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_each_sampler_scans_then_samples_the_nodes(monkeypatch):
+    # one call of each sampler scans the path and one more samples the step
+    # nodes; the bench's sweep paths (the default radial at k = 1 and the
+    # README chord at k = 2, s = 1e2, 1e3 and 1e4) sample 16,076 points,
+    # the bench's wang.samples
+    calls = []
+    for name in ("phi_at", "dz_phi_at"):
+        def sample(self, z, name=name, sampler=getattr(wang.WangSolution,
+                                                       name)):
+            calls.append((name, np.size(z)))
+            return sampler(self, z)
+        monkeypatch.setattr(wang.WangSolution, name, sample)
+    total = 0
+    for k, spec in ((1, "radial:0.3,0.9,0.27"),
+                    (2, "chord:0.5480,0.0661,0.3211,0.4490")):
+        path, _ = cli._sweep_path(spec, wang.CubicDifferential(k), 1.0)
+        for s in (1e2, 1e3, 1e4):
+            sol = wang.solve_disk(k, s, 1.0)
+            calls.clear()
+            frame.integrate_transport(sol, path)
+            names, sizes = zip(*calls)
+            assert names == ("phi_at", "dz_phi_at") * 2
+            assert sizes[0] == sizes[1] < sizes[2] == sizes[3]
+            total += sum(sizes)
+    assert total == 16_076
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -152,6 +152,15 @@ def test_newton_step_raising_the_residual_is_refused(monkeypatch):
     assert len(h) == 2 and h[1] > h[0]
 
 
+def test_newton_stalled_at_its_rounding_floor_is_a_coarse_grid():
+    # two rings at ratio 1.001 give the row-scaled residual at s = 1e7 a
+    # rounding floor of 1.04e-11, over the tolerance 1e-12: Newton reaches
+    # 1.33e-12 and the next step rounds it up to 1.72e-12.  That is a grid
+    # too coarse for s, not a diverging iteration
+    with pytest.raises(GridTooCoarse, match=r"^Newton residual 1\.33e-12 is "
+                       r"under its rounding floor 1\.04e-11$"):
+        wang.solve_disk(1, 1e7, 1.0, wang.GridSpec(2, 1.001))
+
 def test_converged_solution_outside_the_bracket_is_refused():
     # a first ring at 0.75 R leaves the center node too far from it: the
     # discrete solution dips below the flat subsolution (F = -1.3e-3)
