@@ -20,8 +20,10 @@ import sys
 
 import numpy as np
 
-from . import building, frame, polygon, trigroup, tropical, wang
-from . import surface as surf_mod
+# the verification stack only: a command that needs surface, polygon,
+# building or trigroup imports it in its own body, so a process running
+# verify sweep, wang solve or a usage error loads none of them
+from . import frame, tropical, wang
 from .errors import HitchinLimitsError
 
 EXIT_OK = 0
@@ -78,22 +80,24 @@ def _rows_per_s(s_list, row, out, header):
 # ---------------------------------------------------------------------------
 
 def cmd_surface_build(args):
+    from . import surface
     k, radius = int(args.disk[0]), _real(args.disk[1])
-    surf = surf_mod.build_polynomial_disk(k, radius)
-    violations = surf_mod.validate(surf)
+    surf = surface.build_polynomial_disk(k, radius)
+    violations = surface.validate(surf)
     if violations:
         for v in violations:
             _diag(f"violation: {v.kind} {v.detail}")
         return EXIT_VALIDATION
-    surf_mod.save_surface(surf, args.out)
+    surface.save_surface(surf, args.out)
     _diag(f"wrote {args.out}: {len(surf.triangles)} triangles, "
           f"{surf.n_classes()} vertex classes")
     return EXIT_OK
 
 
 def cmd_surface_validate(args):
-    surf = surf_mod.load_surface(getattr(args, "in"))
-    violations = surf_mod.validate(surf)
+    from . import surface
+    surf = surface.load_surface(getattr(args, "in"))
+    violations = surface.validate(surf)
     for v in violations:
         print(f"{v.kind}: {v.detail}")
     if violations:
@@ -103,9 +107,10 @@ def cmd_surface_validate(args):
 
 
 def cmd_tropical_spectrum(args):
-    path = surf_mod.load_path(args.path)
+    from . import surface
+    path = surface.load_path(args.path)
     # the run sums are the holonomy limit only along a geodesic path
-    violations = surf_mod.validate_path(path)
+    violations = surface.validate_path(path)
     if violations:
         kind, i, detail = violations[0]
         raise ValueError(f"path is not geodesic: {kind} at the junction "
@@ -122,12 +127,13 @@ def cmd_tropical_spectrum(args):
 
 
 def cmd_polygon_unipotent(args):
+    from . import polygon, surface
     lifts = polygon.regular_lifts(args.n)
     U = polygon.arc_unipotent(lifts, args.theta_in, args.theta_out)
     print("U(theta_in, theta_out)^-1 =")
     for row in U:
         print("  [" + ", ".join(_fmt(v) for v in row) + "]")
-    if surf_mod.geodesic_turn(args.n - 3, args.theta_out - args.theta_in):
+    if surface.geodesic_turn(args.n - 3, args.theta_out - args.theta_in):
         out = polygon.check_entry_nonzero(lifts, args.theta_in, args.theta_out)
         print(f"paired entry {out['entry']}: {_fmt(out['value'])} (positive)")
     else:
@@ -136,6 +142,7 @@ def cmd_polygon_unipotent(args):
 
 
 def cmd_polygon_scheme(args):
+    from . import polygon
     for (lo, hi), basis, tags in polygon.scheme_trace(args.flips):
         labels = " ".join(f"{kind}{idx}" for kind, idx in basis)
         print(f"({_fmt(lo)}, {_fmt(hi)})  basis: {labels:24s} "
@@ -222,6 +229,7 @@ def cmd_verify_sweep(args):
 
 
 def cmd_verify_arc(args):
+    from . import polygon
     q = wang.CubicDifferential(args.k)
     s_list = _parse_s_list(args.s)
     if not 0 < args.radius <= args.radius_disk:
@@ -248,6 +256,7 @@ def cmd_verify_arc(args):
 
 
 def cmd_building_localmodel(args):
+    from . import building
     wang.CubicDifferential(args.k)   # refuses a negative zero order
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -263,6 +272,7 @@ def cmd_building_localmodel(args):
 
 
 def cmd_building_convexity(args):
+    from . import building
     rng = np.random.default_rng(args.seed)
     fails = sum(not building.weak_convexity_check(
         building.random_geodesic_path(rng)) for _ in range(args.paths))
@@ -275,15 +285,17 @@ def cmd_building_convexity(args):
 
 def _cycles_and_thetas(args):
     """The two straight cycles of args.pqr and args.thetas angles 2 pi i/n."""
+    from . import trigroup
     return ([trigroup.straight_positive_cycle(*args.pqr),
              trigroup.straight_median_cycle(*args.pqr)],
             [2 * math.pi * i / args.thetas for i in range(args.thetas)])
 
 
 def cmd_trigroup_spectrum(args):
+    from . import surface, trigroup
     orb = trigroup.build_orbifold(*args.pqr, layers=args.layers)
     classes, thetas = _cycles_and_thetas(args)
-    conns = surf_mod.enumerate_saddle_connections(orb.surface, args.maxlen)
+    conns = surface.enumerate_saddle_connections(orb.surface, args.maxlen)
     _diag(f"saddle connections up to {args.maxlen}: {len(conns)} "
           f"(clipped: {conns.clipped})")
     rows = []
@@ -296,6 +308,7 @@ def cmd_trigroup_spectrum(args):
 
 
 def cmd_trigroup_boundary(args):
+    from . import trigroup
     classes, thetas = _cycles_and_thetas(args)
     dist = trigroup.boundary_injectivity_probe(classes, thetas)
     print(f"min pairwise projectivized distance: {_fmt(dist)}")

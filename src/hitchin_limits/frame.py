@@ -47,7 +47,7 @@ _SCAN_STEP = 1.0
 _CHUNK_STEPS = 640
 # a path or arc holds all its nodes at once, ~330 B per transport step and
 # ~150 B per arc step, so this budget keeps them to ~165 MB, next to the
-# ~165 MB of wang._MAX_RINGS
+# ~160 MB of wang._MAX_RINGS
 _MAX_STEPS = 500_000
 _I3 = np.eye(3)[:, :, None]                    # the identity, a batch of one
 # the real frame of the chart frame: C^H (U dz + V dzbar) C is real

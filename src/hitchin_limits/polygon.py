@@ -17,11 +17,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .frame import SLOT_BRANCH, titeica_exponents, titeica_frame
-from .surface import GeodesicPath, chart_aligned, cone_angle, geodesic_turn
+
+# verify arc's unipotents need no surface, so only the functions that test a
+# turn or a chart import it
+if TYPE_CHECKING:
+    from .surface import GeodesicPath
 
 PI = math.pi
 _STOKES_TOL = 1e-10
@@ -154,6 +159,7 @@ def check_entry_nonzero(lifts: PolygonLifts, theta_in: float, theta_out: float):
     theta_in/theta_out are the position angles of the incoming and outgoing
     rays; the subtended angle must lie in [pi, cone - pi] (geodesic_turn).
     """
+    from .surface import cone_angle, geodesic_turn
     subtend = theta_out - theta_in
     if not geodesic_turn(lifts.n - 3, subtend):
         raise ValueError(f"turn of {subtend} outside the geodesic range "
@@ -199,6 +205,7 @@ def _branch_permutation(m: int) -> np.ndarray:
 def _chart_mismatch(angle_expected: float, angle_actual: float) -> int:
     """Multiple of 2 pi/3 separating two natural charts seeing the same
     direction; raises if the angles are not chart-aligned (chart_aligned)."""
+    from .surface import chart_aligned
     delta = angle_actual - angle_expected
     if not chart_aligned(delta):
         raise ValueError("junction angles are not chart-aligned modulo 2 pi/3")

@@ -50,7 +50,7 @@ _NEWTON_TOL = 1e-12                  # row-scaled residual at convergence
 _BRACKET_TOL = 1e-8                  # converged F's slack past 0 <= F <= upper
 _FIT_INNER, _FIT_OUTER = 0.35, 0.8   # decay-fit annulus, in units of R
 _FIT_FLOOR = 1e-11                   # F below this is rounding noise
-_MAX_RINGS = 500_000                 # ~330 B each: decay-fit s <= 1.7e12
+_MAX_RINGS = 500_000                 # ~315 B each: decay-fit s <= 1.7e12
 
 
 @dataclass(frozen=True)
@@ -239,22 +239,23 @@ def _apply_band(band, u):
     return out
 
 
-def _solve_tridiagonal(band, rhs):
-    """Solve band @ x = rhs, band in the aligned rows of _radial_operator,
-    by Thomas elimination without pivoting.  The Newton Jacobians are
-    strictly diagonally dominant (c_m + c_p = -c_0, and the nonlinear term
-    only deepens the diagonal), so no pivot is needed."""
-    w, y = [], []           # eliminated super-diagonal and right-hand side
+def _solve_tridiagonal(sub, diag, sup, rhs):
+    """Solve the tridiagonal system with rows sub, diag and sup, aligned as
+    the rows of _radial_operator (sub and sup Python lists), for rhs, by
+    Thomas elimination without pivoting.  The Newton Jacobians are strictly
+    diagonally dominant (c_m + c_p = -c_0, and the nonlinear term only
+    deepens the diagonal), so no pivot is needed."""
+    n = len(sub)
+    w = [0.0] * n           # eliminated super-diagonal
+    x = rhs.tolist()        # eliminated right-hand side, then the solution
     w_i = y_i = 0.0
-    for a, b, c, r in zip(*band.tolist(), rhs.tolist()):
+    for i, a, b, c in zip(range(n), sub, diag.tolist(), sup):
         pivot = b - a * w_i
-        w_i, y_i = c / pivot, (r - a * y_i) / pivot
-        w.append(w_i)
-        y.append(y_i)
-    x = [y_i]
-    for w_i, y_i in zip(w[-2::-1], y[-2::-1]):
-        x.append(y_i - w_i * x[-1])
-    return np.array(x[::-1])
+        w[i] = w_i = c / pivot
+        x[i] = y_i = (x[i] - a * y_i) / pivot
+    for i in range(n - 2, -1, -1):
+        x[i] = y_i = x[i] - w[i] * y_i
+    return np.array(x)
 
 
 def solve_disk(k: int, s: float, R: float,
@@ -320,13 +321,14 @@ def solve_disk(k: int, s: float, R: float,
     def norm(res):
         return float(np.max(np.abs(res * row_scale)))
 
+    # the Jacobian is L less a diagonal: its off-diagonal rows are L's
+    sub, sup = L[0].tolist(), L[2].tolist()
     history = [norm(res)]
     for _ in range(_NEWTON_MAX_ITER):
         if history[-1] <= _NEWTON_TOL:
             break
-        J = L.copy()
-        J[1] -= a * np.exp(F) + 2 * b * np.exp(-2 * F)
-        F = F + _solve_tridiagonal(J, -res)
+        diag = L[1] - (a * np.exp(F) + 2 * b * np.exp(-2 * F))
+        F = F + _solve_tridiagonal(sub, diag, sup, -res)
         res = residual(F)
         history.append(norm(res))
         if history[-1] > history[-2]:

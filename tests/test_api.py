@@ -11,6 +11,7 @@ command's start-up time and add about 25 MB to its peak memory.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -49,10 +50,12 @@ def _references(module, tree, defined):
     """(module, name) of every package definition that ``tree`` refers to
     outside that definition itself: bare names resolve to the module's own
     definitions or to ``from .x import name``; ``alias.name`` resolves when
-    the alias is a package module imported with ``from . import x``."""
+    the alias is a package module imported with ``from . import x``.  The
+    imports are read at module level and inside function bodies alike (the
+    CLI imports a module in the command that runs it)."""
     names = {name: (module, name) for name in defined[module]}
     aliases = {}
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 bound = alias.asname or alias.name
@@ -172,6 +175,17 @@ def test_every_dataclass_field_is_read():
     assert [f for f in fields if f[2] not in read] == []
 
 
+def _fresh_python(code):
+    """The stdout of ``code`` run in a fresh interpreter that imports the
+    package from ``src``."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def test_commands_and_solvers_import_no_scipy():
     # a fresh interpreter: the CLI module, the Titeica frame and one Wang
     # solve leave no scipy module behind
@@ -181,12 +195,36 @@ def test_commands_and_solvers_import_no_scipy():
             "frame.titeica_frame()\n"
             "wang.solve_disk(1, 1e2, 1.0)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
-                                         os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=path))
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, code, layers", [
+    (["verify", "sweep", "--k", "1", "--s", "1e2"], 0, []),
+    (["wang", "solve", "--k", "1", "--s", "1e2"], 0, []),
+    (["--help"], 0, []),
+    (["verify", "sweep", "--s", "1e2"], 1, []),
+    (["verify", "arc", "--k", "1", "--s", "1e2"], 0, ["polygon"]),
+    (["trigroup", "boundary"], 0, ["surface", "trigroup"]),
+], ids=["sweep", "wang", "help", "usage-error", "arc", "trigroup"])
+def test_a_command_loads_only_the_modules_it_runs(argv, code, layers):
+    # a process compiles every package module it imports, so one running
+    # the verification stack (frame, tropical, wang) loads none of the
+    # surface, polygon, building and trigroup layers, and another command
+    # only those it calls
+    script = ("import contextlib, io, json, sys\n"
+              "from hitchin_limits import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()), "
+              "contextlib.redirect_stderr(io.StringIO()):\n"
+              "    try:\n"
+              f"        code = cli.main({argv!r})\n"
+              "    except SystemExit as stop:\n"
+              "        code = stop.code\n"
+              "print(json.dumps([code, [m for m in sys.modules\n"
+              "    if m.startswith('hitchin_limits.')]]))\n")
+    exit_code, loaded = json.loads(_fresh_python(script))
+    assert exit_code == code
+    assert sorted({name.rpartition(".")[2] for name in loaded}
+                  - {"cli", "errors", "frame", "tropical", "wang"}) == layers
 
 
 def test_runtime_dependencies_are_numpy_only():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hitchin_limits import cli, frame, polygon, wang
+from hitchin_limits import building, cli, frame, polygon, trigroup, wang
 from hitchin_limits import surface as sf
 from hitchin_limits.errors import NewtonDiverged
 
@@ -57,7 +57,7 @@ def test_tropical_spectrum_rows_are_the_path_sums_of_each_prefix(tmp_path):
     # its sorted triples ends off the exactly rounded path sum
     rng = np.random.default_rng(1)
     for _ in range(4):
-        p = cli.building.random_geodesic_path(rng)
+        p = building.random_geodesic_path(rng)
     periods = [seg.period for seg in p.segments]
     running = np.zeros(3)
     for period in periods:
@@ -514,7 +514,7 @@ def test_over_budget_path_exits_1_with_one_line(monkeypatch, capsys, argv):
 def test_over_budget_orbifold_exits_1_with_one_line(monkeypatch, capsys,
                                                     tmp_path, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli.trigroup, "_MAX_TRIANGLES", 100)
+    monkeypatch.setattr(trigroup, "_MAX_TRIANGLES", 100)
     assert run(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == ("error: (3,3,4) orbifold at 9 layers takes "

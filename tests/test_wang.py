@@ -92,11 +92,11 @@ def test_solve_tridiagonal_matches_dense(data, n):
     sign = data.draw(st.sampled_from([-1.0, 1.0]))
     main = sign * (np.abs(np.append(sub, 0.0)) + np.abs(np.append(0.0, sup))
                    + slack)
-    band = np.zeros((3, n))
-    band[0, 1:], band[1], band[2, :-1] = sub, main, sup
     dense = np.diag(main) + np.diag(sup, 1) + np.diag(sub, -1)
     want = np.linalg.solve(dense, rhs)
-    got = wang._solve_tridiagonal(band, rhs)
+    # the rows aligned with the unknowns: no entry left of row 0 or right of
+    # row n - 1
+    got = wang._solve_tridiagonal([0.0, *sub], main, [*sup, 0.0], rhs)
     assert np.max(np.abs(got - want)) <= 1e-10 * (1 + np.max(np.abs(want)))
 
 
@@ -118,7 +118,7 @@ def test_solve_tridiagonal_on_wang_jacobian():
     dense = np.diag(J[1]) + np.diag(J[2, :-1], 1) + np.diag(J[0, 1:], -1)
     rhs = np.random.default_rng(0).normal(size=len(F))
     want = np.linalg.solve(dense, rhs)
-    got = wang._solve_tridiagonal(J, rhs)
+    got = wang._solve_tridiagonal(J[0].tolist(), J[1], J[2].tolist(), rhs)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -145,7 +145,7 @@ def test_newton_step_raising_the_residual_is_refused(monkeypatch):
     # the negated Newton step climbs the residual from the flat start
     solve = wang._solve_tridiagonal
     monkeypatch.setattr(wang, "_solve_tridiagonal",
-                        lambda band, rhs: -solve(band, rhs))
+                        lambda *rows: -solve(*rows))
     with pytest.raises(NewtonDiverged, match="residual increased") as err:
         wang.solve_disk(1, 1e4, 1.0)
     h = err.value.residuals
